@@ -61,6 +61,9 @@
 //! alone it runs a compact composite detection/discovery/repair workload
 //! and prints the span tree plus the full snapshot JSON.  Instrumentation
 //! only observes — every identity assert holds with profiling on.
+//!
+//! Any other argument, or a second bench mode, prints the usage and exits
+//! with status 2.
 
 use dq_bench::*;
 use dq_core::prelude::*;
@@ -78,62 +81,100 @@ fn header(title: &str) {
     println!("================================================================");
 }
 
+const USAGE: &str = "usage: harness [--detection-bench | --discovery-bench | --ind-bench \
+| --delta-bench | --matching-bench | --analysis-bench | --scale-bench] [--smoke] [--profile]";
+
+/// The bench modes, one per `--*-bench` flag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Bench {
+    Detection,
+    Discovery,
+    Ind,
+    Delta,
+    Matching,
+    Analysis,
+    Scale,
+}
+
+const BENCH_FLAGS: [(&str, Bench); 7] = [
+    ("--detection-bench", Bench::Detection),
+    ("--discovery-bench", Bench::Discovery),
+    ("--ind-bench", Bench::Ind),
+    ("--delta-bench", Bench::Delta),
+    ("--matching-bench", Bench::Matching),
+    ("--analysis-bench", Bench::Analysis),
+    ("--scale-bench", Bench::Scale),
+];
+
+/// The parsed command line: at most one bench mode, plus the modifiers.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Flags {
+    bench: Option<Bench>,
+    smoke: bool,
+    profile: bool,
+}
+
+/// Parses the arguments after the program name, rejecting unknown flags and
+/// a second bench mode.
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    for arg in args {
+        match arg.as_str() {
+            "--smoke" => flags.smoke = true,
+            "--profile" => flags.profile = true,
+            other => {
+                let Some(&(_, bench)) = BENCH_FLAGS.iter().find(|(flag, _)| *flag == other) else {
+                    return Err(format!("unknown argument `{other}`"));
+                };
+                if flags.bench.is_some_and(|b| b != bench) {
+                    return Err(format!("`{other}` conflicts with an earlier bench mode"));
+                }
+                flags.bench = Some(bench);
+            }
+        }
+    }
+    Ok(flags)
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let profile = std::env::args().any(|a| a == "--profile");
+    let flags = parse_flags(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("harness: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let (smoke, profile) = (flags.smoke, flags.profile);
     if profile {
         dq_obs::set_enabled(true);
     }
-    if std::env::args().any(|a| a == "--detection-bench") {
-        detection_bench(smoke, profile);
-        return;
+    match flags.bench {
+        Some(Bench::Detection) => detection_bench(smoke, profile),
+        Some(Bench::Discovery) => discovery_bench(smoke, profile),
+        Some(Bench::Ind) => ind_bench(smoke, profile),
+        Some(Bench::Delta) => delta_bench(smoke, profile),
+        Some(Bench::Matching) => matching_bench(smoke, profile),
+        Some(Bench::Analysis) => analysis_bench(smoke, profile),
+        Some(Bench::Scale) => scale_bench(smoke, profile),
+        None if profile => profile_mode(),
+        None => {
+            figures_1_and_2();
+            section_1_discovery();
+            figures_3_and_4();
+            section_2_3_ecfds();
+            examples_3x_matching();
+            section_3_1_rule_learning();
+            example_4_1_and_table1_consistency();
+            table1_implication();
+            example_4_2_propagation();
+            theorem_4_8_mds();
+            section_5_1_repair();
+            section_5_1_cind_insertions();
+            section_5_1_master_data();
+            example_5_1();
+            section_5_2_cqa();
+            section_5_2_aggregates();
+            section_5_3_representations();
+            section_5_3_ctables();
+        }
     }
-    if std::env::args().any(|a| a == "--discovery-bench") {
-        discovery_bench(smoke, profile);
-        return;
-    }
-    if std::env::args().any(|a| a == "--ind-bench") {
-        ind_bench(smoke, profile);
-        return;
-    }
-    if std::env::args().any(|a| a == "--delta-bench") {
-        delta_bench(smoke, profile);
-        return;
-    }
-    if std::env::args().any(|a| a == "--matching-bench") {
-        matching_bench(smoke, profile);
-        return;
-    }
-    if std::env::args().any(|a| a == "--analysis-bench") {
-        analysis_bench(smoke, profile);
-        return;
-    }
-    if std::env::args().any(|a| a == "--scale-bench") {
-        scale_bench(smoke, profile);
-        return;
-    }
-    if profile {
-        profile_mode();
-        return;
-    }
-    figures_1_and_2();
-    section_1_discovery();
-    figures_3_and_4();
-    section_2_3_ecfds();
-    examples_3x_matching();
-    section_3_1_rule_learning();
-    example_4_1_and_table1_consistency();
-    table1_implication();
-    example_4_2_propagation();
-    theorem_4_8_mds();
-    section_5_1_repair();
-    section_5_1_cind_insertions();
-    section_5_1_master_data();
-    example_5_1();
-    section_5_2_cqa();
-    section_5_2_aggregates();
-    section_5_3_representations();
-    section_5_3_ctables();
 }
 
 /// Times one invocation of `f`, returning (elapsed ms, result).
@@ -2773,5 +2814,41 @@ fn section_5_1_cind_insertions() {
             outcome.consistent,
             elapsed.as_secs_f64() * 1e3
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parser_accepts_the_documented_flags_only() {
+        assert_eq!(parse(&[]), Ok(Flags::default()));
+        for (flag, bench) in BENCH_FLAGS {
+            let parsed = parse(&["--smoke", flag, "--profile"]).expect(flag);
+            assert_eq!(
+                parsed,
+                Flags {
+                    bench: Some(bench),
+                    smoke: true,
+                    profile: true
+                }
+            );
+            assert_eq!(parse(&[flag, flag]).expect(flag).bench, Some(bench));
+        }
+        assert_eq!(
+            parse(&["--profile"]),
+            Ok(Flags {
+                profile: true,
+                ..Flags::default()
+            })
+        );
+        assert!(parse(&["--detection"]).is_err());
+        assert!(parse(&["--smoke", "extra"]).is_err());
+        assert!(parse(&["--delta-bench", "--scale-bench"]).is_err());
     }
 }

@@ -14,13 +14,8 @@
 //! pattern tuple.
 
 use crate::fd::Fd;
-use crate::interned::InternedEntry;
 use crate::pattern::{PatternTuple, PatternValue};
-use dq_relation::store::FxHashMap;
-use dq_relation::{
-    Column, DqError, DqResult, HashIndex, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
-    RelationSchema, TupleId, Value,
-};
+use dq_relation::{DqError, DqResult, HashIndex, RelationInstance, RelationSchema, TupleId, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -287,120 +282,6 @@ impl Cfd {
         }
         // Canonical order: hash-map group iteration is nondeterministic, and
         // downstream equality of reports relies on a stable order.
-        out.sort_unstable();
-        out
-    }
-
-    /// All violations of this CFD, computed over the interned columnar
-    /// representation: pattern constants are translated into the per-column
-    /// dictionaries once, after which both detection passes compare `u32`
-    /// ids instead of values.  Produces exactly
-    /// [`violations_with_index`](Self::violations_with_index)'s report
-    /// (same canonical order) — the equality of ids is the equality of
-    /// values, per column.
-    ///
-    /// `index` must be an interned index of `instance` on exactly
-    /// [`lhs`](Self::lhs), typically served by an
-    /// [`dq_relation::IndexPool`] through
-    /// [`crate::engine::DetectionEngine`].
-    pub fn violations_with_interned(
-        &self,
-        instance: &RelationInstance,
-        index: &InternedIndex,
-    ) -> Vec<CfdViolation> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.lhs.as_slice(),
-            "index keyed off the CFD's LHS"
-        );
-        let store = index.store();
-        let lhs_cols = index.columns();
-        let rhs_cols: Vec<Arc<Column>> = self
-            .rhs
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let interned_tableau: Vec<(Vec<InternedEntry>, Vec<InternedEntry>)> = self
-            .tableau
-            .iter()
-            .map(|tp| {
-                (
-                    InternedEntry::of_all(&tp.lhs, lhs_cols),
-                    InternedEntry::of_all(&tp.rhs, &rhs_cols),
-                )
-            })
-            .collect();
-        let mut out = Vec::new();
-        // Pass 1: single-tuple (constant) violations, scanned column-wise.
-        for (pattern_idx, (tp, (ilhs, irhs))) in
-            self.tableau.iter().zip(&interned_tableau).enumerate()
-        {
-            let has_rhs_constant = tp.rhs.iter().any(|p| !p.is_any());
-            if !has_rhs_constant {
-                continue;
-            }
-            // An LHS constant absent from its column matches no row at all —
-            // skip the scan outright.
-            if ilhs.iter().any(|e| matches!(e, InternedEntry::Absent)) {
-                continue;
-            }
-            for row in 0..store.len() {
-                if InternedEntry::all_match_row(ilhs, lhs_cols, row)
-                    && !InternedEntry::all_match_row(irhs, &rhs_cols, row)
-                {
-                    out.push(CfdViolation::SingleTuple {
-                        pattern: pattern_idx,
-                        tuple: store.tuple_id(row),
-                    });
-                }
-            }
-        }
-        // Pass 2: tuple-pair (variable) violations.  Same partition-by-RHS
-        // strategy as the value path, but the per-tuple RHS projection packs
-        // into a machine word instead of allocating a `Vec<Value>`.
-        let rhs_codec = KeyCodec::new(rhs_cols);
-        let mut by_rhs: FxHashMap<ProjectionKey, Vec<TupleId>> = FxHashMap::default();
-        let mut matching_patterns: Vec<usize> = Vec::new();
-        for (key, rows) in index.multi_groups() {
-            matching_patterns.clear();
-            matching_patterns.extend(
-                interned_tableau
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (ilhs, _))| InternedEntry::all_match_key(ilhs, &key))
-                    .map(|(i, _)| i),
-            );
-            if matching_patterns.is_empty() {
-                continue;
-            }
-            by_rhs.clear();
-            for &row in rows {
-                by_rhs
-                    .entry(rhs_codec.pack_row(row as usize))
-                    .or_default()
-                    .push(index.tuple_id(row));
-            }
-            if by_rhs.len() < 2 {
-                continue; // the whole group agrees on Y
-            }
-            let partitions: Vec<&Vec<TupleId>> = by_rhs.values().collect();
-            for (i, first_part) in partitions.iter().enumerate() {
-                for second_part in &partitions[i + 1..] {
-                    for &a in *first_part {
-                        for &b in *second_part {
-                            let (first, second) = if a < b { (a, b) } else { (b, a) };
-                            for &p in &matching_patterns {
-                                out.push(CfdViolation::TuplePair {
-                                    pattern: p,
-                                    first,
-                                    second,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
         out.sort_unstable();
         out
     }
@@ -702,16 +583,16 @@ mod tests {
 
     #[test]
     fn interned_detection_equals_value_detection() {
+        use dq_relation::{InternedIndex, StoreShardSource};
         let s = customer_schema();
         let d = d0(&s);
-        let store = d.columnar();
+        let source = StoreShardSource::new(&d);
+        let kernel = |cfd: &Cfd| {
+            let index = InternedIndex::build(&d, source.store(), cfd.lhs(), 1);
+            crate::stream::cfd_violations(cfd, &source, index.multi_group_rows())
+        };
         for cfd in [phi1(&s), phi2(&s), phi3(&s)] {
-            let index = InternedIndex::build(&d, &store, cfd.lhs(), 1);
-            assert_eq!(
-                cfd.violations_with_interned(&d, &index),
-                cfd.violations(&d),
-                "{cfd}"
-            );
+            assert_eq!(kernel(&cfd), cfd.violations(&d), "{cfd}");
         }
         // A pattern constant absent from the instance matches nothing.
         let ghost = Cfd::new(
@@ -721,12 +602,8 @@ mod tests {
             vec![PatternTuple::new(vec![cst(999)], vec![cst("Nowhere")])],
         )
         .unwrap();
-        let index = InternedIndex::build(&d, &store, ghost.lhs(), 1);
-        assert_eq!(
-            ghost.violations_with_interned(&d, &index),
-            ghost.violations(&d)
-        );
-        assert!(ghost.violations_with_interned(&d, &index).is_empty());
+        assert_eq!(kernel(&ghost), ghost.violations(&d));
+        assert!(kernel(&ghost).is_empty());
     }
 
     #[test]

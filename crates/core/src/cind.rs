@@ -309,7 +309,7 @@ impl Cind {
     /// dictionaries — a value absent from a dictionary cannot match any RHS
     /// tuple, short-circuiting the probe.  Output (order included) equals
     /// [`violations`](Self::violations).
-    pub fn violations_with_interned_index(
+    pub fn violations_with_probe_index(
         &self,
         db: &Database,
         index: &InternedIndex,
@@ -640,7 +640,7 @@ mod tests {
             let probe = cind.rhs_probe_attrs();
             let index = InternedIndex::build(rhs, &store, &probe, 1);
             assert_eq!(
-                cind.violations_with_interned_index(&db, &index).unwrap(),
+                cind.violations_with_probe_index(&db, &index).unwrap(),
                 cind.violations(&db).unwrap(),
                 "{cind}"
             );
@@ -660,7 +660,7 @@ mod tests {
         let rhs = db.require_relation("book").unwrap();
         let index = InternedIndex::build(rhs, &rhs.columnar(), &absent.rhs_probe_attrs(), 1);
         assert_eq!(
-            absent.violations_with_interned_index(&db, &index).unwrap(),
+            absent.violations_with_probe_index(&db, &index).unwrap(),
             absent.violations(&db).unwrap()
         );
         assert_eq!(absent.violations(&db).unwrap().len(), 1);

@@ -10,7 +10,7 @@
 //! ever delete tuples.
 
 use crate::fd::Fd;
-use dq_relation::{CompOp, HashIndex, InternedIndex, RelationInstance, TupleId, Value};
+use dq_relation::{CompOp, HashIndex, RelationInstance, TupleId, Value};
 use std::fmt;
 
 /// One side of a comparison inside a denial constraint.
@@ -205,49 +205,6 @@ impl DenialConstraint {
         }
         // `violations` reports pairs in ascending (first, second) order;
         // group iteration is nondeterministic, so sort to match.
-        out.sort_unstable();
-        out
-    }
-
-    /// Violations of a two-variable constraint, probing an *interned* index
-    /// of `instance` on exactly
-    /// [`pair_partition_attrs`](Self::pair_partition_attrs).  The interned
-    /// groups are identical to the value-keyed groups (dictionary ids
-    /// preserve equality), and predicates — which may involve order
-    /// comparisons — are still evaluated on the actual tuples, so the
-    /// output equals [`violations_with_index`](Self::violations_with_index)
-    /// exactly.
-    pub fn violations_with_interned_index(
-        &self,
-        instance: &RelationInstance,
-        index: &InternedIndex,
-    ) -> Vec<Vec<TupleId>> {
-        debug_assert_eq!(
-            Some(index.attrs().to_vec()),
-            self.pair_partition_attrs(),
-            "index keyed off the constraint's equality attributes"
-        );
-        let mut out = Vec::new();
-        for (_, rows) in index.multi_groups() {
-            // Rows ascend within a group, so `j > i` is exactly the
-            // `id1 < id2` reporting rule of `violations`.
-            let ids: Vec<TupleId> = rows.iter().map(|&r| index.tuple_id(r)).collect();
-            let tuples: Vec<&dq_relation::Tuple> = ids
-                .iter()
-                .map(|&id| instance.tuple(id).expect("live tuple"))
-                .collect();
-            for i in 0..ids.len() {
-                for j in (i + 1)..ids.len() {
-                    if self
-                        .predicates
-                        .iter()
-                        .all(|p| p.eval(&[tuples[i], tuples[j]]))
-                    {
-                        out.push(vec![ids[i], ids[j]]);
-                    }
-                }
-            }
-        }
         out.sort_unstable();
         out
     }

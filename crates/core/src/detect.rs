@@ -12,12 +12,8 @@ use crate::cfd::{Cfd, CfdViolation};
 use crate::cind::{Cind, CindViolation};
 use crate::denial::DenialConstraint;
 use crate::ecfd::{Ecfd, EcfdViolation};
-use crate::interned::InternedEntry;
-use dq_relation::{
-    Column, Database, DqResult, HashIndex, InternedIndex, RelationInstance, TupleId, ValueId,
-};
+use dq_relation::{Database, DqResult, HashIndex, RelationInstance, TupleId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Violations of a set of CFDs over a single relation instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -103,9 +99,9 @@ pub fn detect_cfd_violations_incremental(
 }
 
 /// The per-dependency core of incremental detection, probing a
-/// caller-supplied index of `instance` on exactly the CFD's LHS.  Used both
-/// by [`detect_cfd_violations_incremental`] (fresh index per CFD) and by
-/// [`crate::engine::DetectionEngine`] (one shared index per distinct LHS).
+/// caller-supplied index of `instance` on exactly the CFD's LHS — the
+/// reference [`crate::engine::DetectionEngine::detect_cfd_violations_incremental`]
+/// is checked against.
 pub fn incremental_cfd_violations_with_index(
     instance: &RelationInstance,
     cfd: &Cfd,
@@ -168,103 +164,6 @@ pub fn incremental_cfd_violations_with_index(
                             second: pair.1,
                         });
                     }
-                }
-            }
-        }
-    }
-    violations.sort();
-    violations.dedup();
-    violations
-}
-
-/// The interned counterpart of [`incremental_cfd_violations_with_index`]:
-/// probes an [`InternedIndex`] of `instance` on exactly the CFD's LHS with
-/// the added tuples' dictionary ids.  Output (after the canonical
-/// sort-and-dedup) is identical.
-pub fn incremental_cfd_violations_with_interned(
-    instance: &RelationInstance,
-    cfd: &Cfd,
-    added: &[TupleId],
-    index: &InternedIndex,
-) -> Vec<CfdViolation> {
-    debug_assert_eq!(index.attrs(), cfd.lhs(), "index keyed off the CFD's LHS");
-    let store = index.store();
-    let lhs_cols = index.columns();
-    let rhs_cols: Vec<Arc<Column>> = cfd
-        .rhs()
-        .iter()
-        .map(|&a| store.column(instance, a))
-        .collect();
-    let interned_tableau: Vec<(Vec<InternedEntry>, Vec<InternedEntry>)> = cfd
-        .tableau()
-        .iter()
-        .map(|tp| {
-            (
-                InternedEntry::of_all(&tp.lhs, lhs_cols),
-                InternedEntry::of_all(&tp.rhs, &rhs_cols),
-            )
-        })
-        .collect();
-    let mut violations = Vec::new();
-    // Single-tuple violations among the added tuples.
-    for (pattern_idx, (tp, (ilhs, irhs))) in cfd.tableau().iter().zip(&interned_tableau).enumerate()
-    {
-        if tp.rhs.iter().all(|p| p.is_any()) {
-            continue;
-        }
-        for &id in added {
-            let Some(row) = store.row_of(id) else {
-                continue;
-            };
-            if InternedEntry::all_match_row(ilhs, lhs_cols, row)
-                && !InternedEntry::all_match_row(irhs, &rhs_cols, row)
-            {
-                violations.push(CfdViolation::SingleTuple {
-                    pattern: pattern_idx,
-                    tuple: id,
-                });
-            }
-        }
-    }
-    // Pair violations involving an added tuple.
-    let mut seen_pairs: BTreeSet<(TupleId, TupleId)> = BTreeSet::new();
-    let mut key: Vec<ValueId> = Vec::with_capacity(lhs_cols.len());
-    for &id in added {
-        let Some(row) = store.row_of(id) else {
-            continue;
-        };
-        key.clear();
-        key.extend(lhs_cols.iter().map(|c| c.id_at(row)));
-        let matching_patterns: Vec<usize> = interned_tableau
-            .iter()
-            .enumerate()
-            .filter(|(_, (ilhs, _))| InternedEntry::all_match_key(ilhs, &key))
-            .map(|(i, _)| i)
-            .collect();
-        if matching_patterns.is_empty() {
-            continue;
-        }
-        for &other_row in index.rows_for_ids(&key) {
-            let other = index.tuple_id(other_row);
-            if other == id {
-                continue;
-            }
-            // Report each unordered pair once; pairs entirely inside the
-            // old data never reach this loop because `id` is added.
-            let pair = if other < id { (other, id) } else { (id, other) };
-            if !seen_pairs.insert(pair) {
-                continue;
-            }
-            let agree = rhs_cols
-                .iter()
-                .all(|c| c.id_at(other_row as usize) == c.id_at(row));
-            if !agree {
-                for &p in &matching_patterns {
-                    violations.push(CfdViolation::TuplePair {
-                        pattern: p,
-                        first: pair.0,
-                        second: pair.1,
-                    });
                 }
             }
         }

@@ -21,6 +21,14 @@
 //!   shards across the thread pool so even a *single* huge dependency
 //!   parallelizes within its index.
 //!
+//! CFD and denial detection run one grouping kernel per class
+//! ([`crate::stream`]) with two group providers: the in-RAM entry points
+//! hand it the multi-row groups of the pooled index over a
+//! [`StoreShardSource`] of the instance, the `*_from_shards` entry points
+//! the groups of a two-scan shard count→collect ([`RowGroups::scan`]) over
+//! any [`ShardSource`] — so the two paths differ only in where the groups
+//! come from.
+//!
 //! The engine is a pure optimization: for every dependency class it produces
 //! a report equal (including order — violation lists are canonicalized) to
 //! the corresponding naive detector's, which `tests/detect_equivalence.rs`
@@ -29,16 +37,13 @@
 use crate::cfd::{Cfd, CfdViolation};
 use crate::cind::Cind;
 use crate::denial::DenialConstraint;
-use crate::detect::{
-    incremental_cfd_violations_with_interned, CfdViolationReport, CindViolationReport,
-    EcfdViolationReport,
-};
+use crate::detect::{CfdViolationReport, CindViolationReport, EcfdViolationReport};
 use crate::ecfd::{Ecfd, EcfdViolation};
 use crate::ind::Ind;
-use dq_relation::store::FxHashMap;
+use crate::stream;
 use dq_relation::{
-    CellChange, Column, ColumnarStore, Database, DqResult, IndexPool, IndexPoolStats,
-    InternedIndex, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value,
+    CellChange, ColumnarStore, Database, DqResult, IndexPool, IndexPoolStats, InternedIndex,
+    RelationInstance, RowGroups, ShardSource, StoreShardSource, TupleId,
 };
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
@@ -144,9 +149,10 @@ impl DetectionEngine {
             deps = cfds.len()
         );
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
+        let source = StoreShardSource::new(instance);
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
             let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-            cfd.violations_with_interned(instance, &index)
+            stream::cfd_violations(cfd, &source, index.multi_group_rows())
         });
         CfdViolationReport::from_per_dependency(per_dependency)
     }
@@ -179,9 +185,10 @@ impl DetectionEngine {
     ) -> CfdViolationReport {
         let _span = dq_obs::span!("detect.cfd.incremental", added = added.len());
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
+        let source = StoreShardSource::new(instance);
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
             let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-            incremental_cfd_violations_with_interned(instance, cfd, added, &index)
+            stream::cfd_violations_involving(cfd, &source, &index, added)
         });
         CfdViolationReport::from_per_dependency(per_dependency)
     }
@@ -207,9 +214,13 @@ impl DetectionEngine {
     ///
     /// Equivalent to [`crate::detect::detect_denial_violations`].
     /// Two-variable constraints with attribute equalities (FD- and key-shaped
-    /// constraints) are evaluated through a shared interned partition on
-    /// those attributes instead of the naive quadratic pair scan; other
-    /// shapes fall back to the naive evaluator, in parallel either way.
+    /// constraints) only pair tuples within the groups of a shared interned
+    /// index on those attributes instead of scanning every pair; other
+    /// shapes evaluate every pair, in parallel either way.
+    ///
+    /// # Panics
+    /// Panics on a constraint with other than one or two tuple variables,
+    /// like [`DenialConstraint::violations`].
     pub fn detect_denial_violations(
         &self,
         instance: &RelationInstance,
@@ -223,21 +234,25 @@ impl DetectionEngine {
                 .filter_map(|dc| dc.pair_partition_attrs())
                 .collect(),
         );
+        let source = StoreShardSource::new(instance);
         parallel_map(constraints, self.threads, |dc| {
-            match dc.pair_partition_attrs() {
-                Some(attrs) => {
-                    let index = self.pool.interned_for(instance, &attrs, 1);
-                    dc.violations_with_interned_index(instance, &index)
-                }
-                None => dc.violations(instance),
-            }
+            let index = dc
+                .pair_partition_attrs()
+                .map(|attrs| self.pool.interned_for(instance, &attrs, 1));
+            stream::denial_violations(
+                dc,
+                &source,
+                index.as_deref().map(InternedIndex::multi_group_rows),
+            )
         })
     }
 
     /// Shard-cursor CFD detection over any [`ShardSource`] — an in-RAM
     /// snapshot or a memory-mapped on-disk relation.  No pooled index is
-    /// built; each dependency streams the shards, so resident memory stays
-    /// bounded by the dictionaries plus grouping state.  Produces exactly
+    /// built: each dependency's LHS groups come from a two-scan
+    /// count→collect over the shards ([`RowGroups::scan`]), so resident
+    /// memory stays bounded by the dictionaries plus grouping state.
+    /// Produces exactly
     /// [`detect_cfd_violations`](Self::detect_cfd_violations)'s report over
     /// the same logical relation.
     pub fn detect_cfd_violations_from_shards(
@@ -251,15 +266,21 @@ impl DetectionEngine {
             deps = cfds.len()
         );
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
-            crate::stream::cfd_violations_from_shards(cfd, source)
+            let groups = RowGroups::scan(source, cfd.lhs());
+            stream::cfd_violations(cfd, source, groups.iter())
         });
         CfdViolationReport::from_per_dependency(per_dependency)
     }
 
-    /// Shard-cursor denial-constraint detection over any [`ShardSource`].
+    /// Shard-cursor denial-constraint detection over any [`ShardSource`],
+    /// grouping on the equality attributes with [`RowGroups::scan`].
     /// Produces exactly
     /// [`detect_denial_violations`](Self::detect_denial_violations)'s
     /// reports over the same logical relation.
+    ///
+    /// # Panics
+    /// Panics on a constraint with other than one or two tuple variables,
+    /// like [`DenialConstraint::violations`].
     pub fn detect_denial_violations_from_shards(
         &self,
         source: &dyn ShardSource,
@@ -271,7 +292,10 @@ impl DetectionEngine {
             deps = constraints.len()
         );
         parallel_map(constraints, self.threads, |dc| {
-            crate::stream::denial_violations_from_shards(dc, source)
+            let groups = dc
+                .pair_partition_attrs()
+                .map(|attrs| RowGroups::scan(source, &attrs));
+            stream::denial_violations(dc, source, groups.as_ref().map(RowGroups::iter))
         })
     }
 
@@ -307,7 +331,7 @@ impl DetectionEngine {
         let per_dependency = try_parallel_map(cinds, self.threads, |cind| {
             let rhs = db.require_relation(cind.rhs_schema().name())?;
             let index = self.pool.interned_for(rhs, &cind.rhs_probe_attrs(), 1);
-            cind.violations_with_interned_index(db, &index)
+            cind.violations_with_probe_index(db, &index)
         })?;
         Ok(CindViolationReport::from_per_dependency(per_dependency))
     }
@@ -422,13 +446,14 @@ impl DetectionEngine {
                     .map(|row| store.tuple_id(row))
                     .collect();
                 self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
+                let source = StoreShardSource::with_store(instance, Arc::clone(&store));
                 let items: Vec<(&Cfd, &Vec<CfdViolation>)> =
                     cfds.iter().zip(p.report.per_dependency()).collect();
                 let per_dependency =
                     parallel_map(&items, self.threads, |(cfd, prev_violations)| {
                         let index = self.pool.interned_for(instance, cfd.lhs(), 1);
                         maintained_cfd_violations(
-                            instance,
+                            &source,
                             cfd,
                             prev_violations,
                             &changes,
@@ -494,18 +519,17 @@ impl MaintainedCfdViolations {
 ///
 /// A tuple is *affected* when one of its LHS/RHS cells changed or it was
 /// appended; its single-tuple violation status is a function of its own
-/// cells only, so unaffected tuples keep their prev verdicts and affected
-/// ones are re-checked.  For pairs the delta is even more local: a pair of
-/// two *unaffected* tuples cannot have changed at all — neither member's X
-/// or Y cells moved, so their shared group key, their Y disagreement and
-/// the matching patterns are exactly as before.  Every created or destroyed
-/// pair therefore involves at least one affected tuple: prev pairs with an
-/// affected member are dropped, and each affected tuple's pairs are
-/// re-derived against its *current* LHS group off the (patched) index —
-/// `O(affected · group size)` work, independent of how many pairs the rest
-/// of the group carries.
+/// cells only, so unaffected tuples keep their prev verdicts.  For pairs the
+/// delta is even more local: a pair of two *unaffected* tuples cannot have
+/// changed at all — neither member's X or Y cells moved, so their shared
+/// group key, their Y disagreement and the matching patterns are exactly as
+/// before.  Every created or destroyed violation therefore involves an
+/// affected tuple: prev violations with an affected member are dropped, and
+/// the tuple-set kernel re-derives those of the affected tuples against
+/// their *current* groups off the (patched) index — `O(affected · group
+/// size)` work, independent of how many pairs the rest of a group carries.
 fn maintained_cfd_violations(
-    instance: &RelationInstance,
+    source: &StoreShardSource<'_>,
     cfd: &Cfd,
     prev: &[CfdViolation],
     changes: &[CellChange],
@@ -513,141 +537,46 @@ fn maintained_cfd_violations(
     index: &InternedIndex,
 ) -> Vec<CfdViolation> {
     let relevant = |attr: usize| cfd.lhs().contains(&attr) || cfd.rhs().contains(&attr);
-    let mut affected: BTreeSet<TupleId> = appended.iter().copied().collect();
-    for c in changes {
-        if relevant(c.cell.attr) {
-            affected.insert(c.cell.tuple);
-        }
-    }
+    let mut affected: Vec<TupleId> = appended.to_vec();
+    affected.extend(
+        changes
+            .iter()
+            .filter(|c| relevant(c.cell.attr))
+            .map(|c| c.cell.tuple),
+    );
     if affected.is_empty() {
         return prev.to_vec();
     }
-    let affected_ids: Vec<TupleId> = affected.iter().copied().collect();
-    let is_affected = |id: &TupleId| affected_ids.binary_search(id).is_ok();
+    affected.sort_unstable();
+    affected.dedup();
+    let is_affected = |id: &TupleId| affected.binary_search(id).is_ok();
     // `prev` is canonically sorted and filtering preserves order, so the
     // carried-over half needs no re-sort.
     let mut kept: Vec<CfdViolation> = Vec::with_capacity(prev.len());
-    for v in prev {
-        let keep = match v {
-            CfdViolation::SingleTuple { tuple, .. } => !is_affected(tuple),
-            CfdViolation::TuplePair { first, second, .. } => {
-                !is_affected(first) && !is_affected(second)
-            }
-        };
-        if keep {
-            kept.push(*v);
+    kept.extend(prev.iter().filter(|v| match v {
+        CfdViolation::SingleTuple { tuple, .. } => !is_affected(tuple),
+        CfdViolation::TuplePair { first, second, .. } => {
+            !is_affected(first) && !is_affected(second)
         }
-    }
-    let mut out: Vec<CfdViolation> = Vec::new();
-    // Re-check singles of affected tuples.
-    for (pattern_idx, tp) in cfd.tableau().iter().enumerate() {
-        if tp.rhs.iter().all(|p| p.is_any()) {
-            continue;
-        }
-        for &id in &affected {
-            let Some(tuple) = instance.tuple(id) else {
-                continue;
-            };
-            if tp.lhs_matches(tuple, cfd.lhs()) && !tp.rhs_matches(tuple, cfd.rhs()) {
-                out.push(CfdViolation::SingleTuple {
-                    pattern: pattern_idx,
-                    tuple: id,
-                });
-            }
-        }
-    }
-    // Re-derive every pair involving an affected tuple from that tuple's
-    // *current* group.  The per-row RHS projection packs into a machine
-    // word off the columnar snapshot, mirroring pass 2 of
-    // `Cfd::violations_with_interned`; affected tuples sharing a group are
-    // handled in one scan of it.
-    let store = index.store();
-    let rhs_cols: Vec<Arc<Column>> = cfd
-        .rhs()
-        .iter()
-        .map(|&a| store.column(instance, a))
-        .collect();
-    let rhs_codec = KeyCodec::new(rhs_cols);
-    let mut by_group: FxHashMap<Vec<Value>, Vec<TupleId>> = FxHashMap::default();
-    for &id in &affected_ids {
-        let Some(tuple) = instance.tuple(id) else {
-            continue;
-        };
-        by_group
-            .entry(tuple.project(cfd.lhs()))
-            .or_default()
-            .push(id);
-    }
-    for (key, members) in &by_group {
-        let rows = index.rows_for_values(key);
-        if rows.len() < 2 {
-            continue;
-        }
-        let matching_patterns: Vec<usize> = cfd
-            .tableau()
-            .iter()
-            .enumerate()
-            .filter(|(_, tp)| tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)))
-            .map(|(i, _)| i)
-            .collect();
-        if matching_patterns.is_empty() {
-            continue;
-        }
-        let packed: Vec<(TupleId, ProjectionKey)> = rows
-            .iter()
-            .map(|&row| (index.tuple_id(row), rhs_codec.pack_row(row as usize)))
-            .collect();
-        for &aff in members {
-            let aff_packed = packed
-                .iter()
-                .find(|(id, _)| *id == aff)
-                .map(|(_, p)| p)
-                .expect("affected tuple is in its own group");
-            for (other, other_packed) in &packed {
-                let other = *other;
-                if other == aff || other_packed == aff_packed {
-                    continue;
-                }
-                // A pair of two affected members would surface from both
-                // perspectives — emit it from the smaller id only.
-                if is_affected(&other) && other < aff {
-                    continue;
-                }
-                let (first, second) = if aff < other {
-                    (aff, other)
-                } else {
-                    (other, aff)
-                };
-                for &p in &matching_patterns {
-                    out.push(CfdViolation::TuplePair {
-                        pattern: p,
-                        first,
-                        second,
-                    });
-                }
-            }
-        }
-    }
-    // `out` holds only the freshly derived violations; sort them and merge
-    // with the (already sorted) carried-over half.  The two halves are
-    // disjoint by construction — fresh singles cover exactly the affected
-    // tuples and every fresh pair has an affected member, both of which the
-    // kept filter excluded — so a plain two-way merge yields the canonical
-    // order full detection produces, without re-sorting the whole report.
-    out.sort_unstable();
-    let mut merged: Vec<CfdViolation> = Vec::with_capacity(kept.len() + out.len());
+    }));
+    let fresh = stream::cfd_violations_involving(cfd, source, index, &affected);
+    // The two halves are disjoint by construction — every fresh violation
+    // has an affected member, which the kept filter excluded — so a plain
+    // two-way merge yields the canonical order full detection produces,
+    // without re-sorting the whole report.
+    let mut merged: Vec<CfdViolation> = Vec::with_capacity(kept.len() + fresh.len());
     let (mut i, mut j) = (0, 0);
-    while i < kept.len() && j < out.len() {
-        if kept[i] <= out[j] {
+    while i < kept.len() && j < fresh.len() {
+        if kept[i] <= fresh[j] {
             merged.push(kept[i]);
             i += 1;
         } else {
-            merged.push(out[j]);
+            merged.push(fresh[j]);
             j += 1;
         }
     }
     merged.extend_from_slice(&kept[i..]);
-    merged.extend_from_slice(&out[j..]);
+    merged.extend_from_slice(&fresh[j..]);
     merged
 }
 
@@ -1020,6 +949,38 @@ mod tests {
         assert_eq!(
             engine.detect_denial_violations(&d, &constraints),
             detect::detect_denial_violations(&d, &constraints)
+        );
+    }
+
+    /// A denial constraint over three tuple variables, which no detector
+    /// supports.
+    fn three_variable_constraint() -> DenialConstraint {
+        DenialConstraint::new(
+            "customer",
+            3,
+            vec![crate::denial::DcPredicate::new(
+                crate::denial::DcTerm::attr(0, 0),
+                dq_relation::CompOp::Eq,
+                crate::denial::DcTerm::attr(2, 0),
+            )],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "3 tuple variables are not supported")]
+    fn in_ram_denial_detection_rejects_three_variables() {
+        let d = d0(&schema());
+        DetectionEngine::with_threads(1)
+            .detect_denial_violations(&d, &[three_variable_constraint()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 tuple variables are not supported")]
+    fn shard_denial_detection_rejects_three_variables() {
+        let d = d0(&schema());
+        DetectionEngine::with_threads(1).detect_denial_violations_from_shards(
+            &StoreShardSource::new(&d),
+            &[three_variable_constraint()],
         );
     }
 

@@ -65,10 +65,4 @@ impl InternedEntry {
             .zip(cols)
             .all(|(e, c)| e.matches(c.id_at(row)))
     }
-
-    /// Componentwise match against an id tuple (an index group key).
-    #[inline]
-    pub(crate) fn all_match_key(entries: &[InternedEntry], key: &[ValueId]) -> bool {
-        entries.iter().zip(key).all(|(e, &id)| e.matches(id))
-    }
 }

@@ -13,8 +13,8 @@
 //! * [`denial`] — denial constraints (Sections 2.3, 5);
 //! * [`detect`] — violation detection, batch and incremental;
 //! * [`engine`] — shared-index, parallel detection over dependency sets;
-//! * [`stream`] — shard-cursor detection over in-RAM or memory-mapped
-//!   columnar shards, memory bounded by dictionaries plus one shard;
+//! * [`stream`] — one grouping kernel per dependency class over in-RAM or
+//!   memory-mapped columnar shards, fed by pooled-index or scanned groups;
 //! * [`consistency`] — consistency analysis (Theorem 4.1/4.3, Example 4.1);
 //! * [`implication`] — implication analysis and minimal covers
 //!   (Theorem 4.2/4.3);
@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::ind::{ind_implies, is_acyclic, Ind};
     pub use crate::pattern::{cst, wild, PatternTuple, PatternValue};
     pub use crate::propagation::{propagates, Propagation};
-    pub use crate::stream::{cfd_violations_from_shards, denial_violations_from_shards};
 }
 
 pub use prelude::*;

@@ -21,7 +21,7 @@
 //! data of the same source.
 
 use crate::fd_discovery::{discover_fds_with_pool, subsets_of_size, FdDiscoveryConfig};
-use crate::partition::{g3_error, g3_error_interned};
+use crate::partition::{g3_error, g3_error_from_groups};
 use crate::source::resolve_threads;
 use dq_core::cfd::Cfd;
 use dq_core::engine::parallel_map;
@@ -29,8 +29,8 @@ use dq_core::fd::Fd;
 use dq_core::implication::cfd_minimal_cover;
 use dq_core::pattern::{PatternTuple, PatternValue};
 use dq_relation::{
-    Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance, Value,
-    ValueId,
+    Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
+    StoreShardSource, Value, ValueId,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -856,7 +856,8 @@ pub fn discover_cfds_with_pool(
         // Only condition on FDs that genuinely fail globally.
         let fd_g3 = if config.use_interned {
             let index = pool.interned_for(instance, fd.lhs(), 1);
-            g3_error_interned(&index, instance, fd.rhs())
+            let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
+            g3_error_from_groups(&source, index.multi_group_rows(), fd.rhs())
         } else {
             g3_error(instance, fd.lhs(), fd.rhs())
         };

@@ -59,8 +59,7 @@ pub mod prelude {
         learn_relative_keys, LearnedRule, LearnedRuleSet, RuleLearningConfig,
     };
     pub use crate::partition::{
-        g1_error, g3_error, g3_error_from_shards, g3_error_interned, PartitionProber,
-        StrippedPartition,
+        g1_error, g3_error, g3_error_from_groups, PartitionProber, StrippedPartition,
     };
     pub use crate::profile::{
         profile_database, profile_relation, profile_relation_pooled, profile_relation_with,

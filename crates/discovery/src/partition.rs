@@ -8,13 +8,17 @@
 //! `π_X` and `π_{X ∪ {A}}` have the same error, and the `g3` error of a
 //! candidate FD is the minimum number of tuples that must be removed for it
 //! to hold, which doubles as an approximation measure.
+//!
+//! Both have one fast form over multi-row groups,
+//! [`StrippedPartition::from_groups`] and [`g3_error_from_groups`], fed by
+//! either group provider — a pooled interned index or a shard scan (see
+//! [`crate::source`]).  The `Vec<Value>`-keyed [`StrippedPartition::build`]
+//! and [`g3_error`] stay as the reference they are checked against.
 
 use dq_relation::{
-    Column, FxHashMap, InternedIndex, KeyCodec, ProjectionKey, RelationInstance, ShardSource,
-    TupleId, Value,
+    FxHashMap, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A stripped partition: the equivalence classes of size ≥ 2 of a relation
 /// instance under "agrees on `X`".
@@ -59,56 +63,25 @@ impl StrippedPartition {
         }
     }
 
-    /// Derives the stripped partition directly from the CSR postings of an
-    /// interned index on the same attribute list: every group of size ≥ 2
-    /// *is* an equivalence class (group keys never need decoding), and row
-    /// numbers translate to ascending tuple ids for free.  Produces exactly
-    /// [`build`](Self::build)'s partition without materializing a single
-    /// `Vec<Value>` key.
-    pub fn from_interned(index: &InternedIndex) -> Self {
-        let mut classes: Vec<Vec<TupleId>> = index
-            .group_rows_iter()
-            .filter(|rows| rows.len() >= 2)
-            // Rows ascend within a CSR group and tuple ids ascend with row
-            // numbers, so each class arrives pre-sorted.
-            .map(|rows| rows.iter().map(|&r| index.tuple_id(r)).collect())
-            .collect();
-        classes.sort();
-        StrippedPartition {
-            classes,
-            total: index.store().len(),
-        }
-    }
-
-    /// Builds the stripped partition over a shard source — an in-RAM
-    /// snapshot or a memory-mapped relation — with a two-scan count→collect
-    /// pass: the first scan counts packed keys, the second collects tuple
-    /// ids only for keys seen at least twice, so singleton projections
-    /// (typically the bulk) never allocate a class.  Produces exactly
-    /// [`build`](Self::build)'s partition; resident memory is bounded by
-    /// the dictionaries, the key tallies and the surviving classes.
-    pub fn from_shards(source: &dyn ShardSource, attrs: &[usize]) -> Self {
-        let cols: Vec<Arc<Column>> = attrs.iter().map(|&a| source.column(a)).collect();
-        let codec = KeyCodec::new(cols);
-        let mut counts: FxHashMap<ProjectionKey, u32> = FxHashMap::default();
-        for shard in 0..source.shard_count() {
-            for row in source.shard_range(shard) {
-                *counts.entry(codec.pack_row(row)).or_insert(0) += 1;
-            }
-        }
-        let mut groups: FxHashMap<ProjectionKey, Vec<TupleId>> = FxHashMap::default();
-        for shard in 0..source.shard_count() {
-            for row in source.shard_range(shard) {
-                let key = codec.pack_row(row);
-                if counts.get(&key).copied().unwrap_or(0) >= 2 {
-                    groups.entry(key).or_default().push(source.tuple_id(row));
-                }
-            }
-            source.release_shard(shard);
-        }
-        // Rows ascend within the scan and tuple ids ascend with row numbers,
+    /// Builds the stripped partition from the multi-row groups of `source` on
+    /// the partition's attribute list — the postings of a pooled interned
+    /// index ([`InternedIndex::multi_group_rows`]) or a shard scan
+    /// ([`RowGroups::scan`]).  Every such group *is* an equivalence class,
+    /// so no key is ever decoded.  Produces exactly [`build`](Self::build)'s
+    /// partition without materializing a single `Vec<Value>` key.
+    ///
+    /// [`InternedIndex::multi_group_rows`]: dq_relation::InternedIndex::multi_group_rows
+    /// [`RowGroups::scan`]: dq_relation::RowGroups::scan
+    pub fn from_groups<'g>(
+        source: &dyn ShardSource,
+        groups: impl IntoIterator<Item = &'g [u32]>,
+    ) -> Self {
+        // Rows ascend within a group and tuple ids ascend with row numbers,
         // so each class arrives pre-sorted; only the class list needs a sort.
-        let mut classes: Vec<Vec<TupleId>> = groups.into_values().collect();
+        let mut classes: Vec<Vec<TupleId>> = groups
+            .into_iter()
+            .map(|rows| rows.iter().map(|&r| source.tuple_id(r as usize)).collect())
+            .collect();
         classes.sort();
         StrippedPartition {
             classes,
@@ -301,71 +274,32 @@ pub fn g1_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
     violating_pairs as f64 / (n * (n - 1)) as f64
 }
 
-/// [`g3_error`] over an interned LHS index: group sizes come straight from
-/// the CSR layout and the per-group `Y` tallies count packed id keys
-/// (machine words) instead of materialized `Vec<Value>` projections.  The
+/// [`g3_error`] over the multi-row `X`-groups of `source` (pooled index
+/// postings or a shard scan, as for [`StrippedPartition::from_groups`]):
+/// singleton groups keep their lone tuple, so only multi-row groups can
+/// force removals, and their `Y` tallies count packed id keys (machine
+/// words) instead of materialized `Vec<Value>` projections.  The
 /// arithmetic is identical, so the returned error is bit-identical to the
 /// naive measure's.
-pub fn g3_error_interned(index: &InternedIndex, instance: &RelationInstance, rhs: &[usize]) -> f64 {
-    let n = index.store().len();
+pub fn g3_error_from_groups<'g>(
+    source: &dyn ShardSource,
+    lhs_groups: impl IntoIterator<Item = &'g [u32]>,
+    rhs: &[usize],
+) -> f64 {
+    let n = source.len();
     if n == 0 {
         return 0.0;
     }
-    let store = index.store();
-    let rhs_cols: Vec<Arc<Column>> = rhs.iter().map(|&a| store.column(instance, a)).collect();
-    let codec = KeyCodec::new(rhs_cols);
+    let codec = KeyCodec::new(rhs.iter().map(|&a| source.column(a)).collect());
     let mut removed = 0usize;
     let mut counts: FxHashMap<ProjectionKey, usize> = FxHashMap::default();
-    // Singleton groups keep their lone tuple, so only multi-row groups can
-    // force removals.
-    for rows in index.group_rows_iter().filter(|rows| rows.len() >= 2) {
+    for rows in lhs_groups {
         counts.clear();
         for &row in rows {
             *counts.entry(codec.pack_row(row as usize)).or_insert(0) += 1;
         }
         let keep = counts.values().copied().max().unwrap_or(0);
         removed += rows.len() - keep;
-    }
-    removed as f64 / n as f64
-}
-
-/// [`g3_error`] over a shard source: a count scan finds the multi-row
-/// `X`-groups, then a second scan tallies packed `Y`-keys per such group.
-/// Singleton groups force no removals, so skipping them changes nothing —
-/// the arithmetic is identical to [`g3_error`] and [`g3_error_interned`].
-pub fn g3_error_from_shards(source: &dyn ShardSource, lhs: &[usize], rhs: &[usize]) -> f64 {
-    let n = source.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let lhs_codec = KeyCodec::new(lhs.iter().map(|&a| source.column(a)).collect());
-    let rhs_codec = KeyCodec::new(rhs.iter().map(|&a| source.column(a)).collect());
-    let mut counts: FxHashMap<ProjectionKey, u32> = FxHashMap::default();
-    for shard in 0..source.shard_count() {
-        for row in source.shard_range(shard) {
-            *counts.entry(lhs_codec.pack_row(row)).or_insert(0) += 1;
-        }
-    }
-    let mut tallies: FxHashMap<ProjectionKey, FxHashMap<ProjectionKey, usize>> =
-        FxHashMap::default();
-    for shard in 0..source.shard_count() {
-        for row in source.shard_range(shard) {
-            let key = lhs_codec.pack_row(row);
-            if counts.get(&key).copied().unwrap_or(0) >= 2 {
-                *tallies
-                    .entry(key)
-                    .or_default()
-                    .entry(rhs_codec.pack_row(row))
-                    .or_insert(0) += 1;
-            }
-        }
-        source.release_shard(shard);
-    }
-    let mut removed = 0usize;
-    for rhs_counts in tallies.values() {
-        let group_size: usize = rhs_counts.values().sum();
-        let keep = rhs_counts.values().copied().max().unwrap_or(0);
-        removed += group_size - keep;
     }
     removed as f64 / n as f64
 }
@@ -398,7 +332,7 @@ pub fn g3_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_relation::{Domain, RelationSchema};
+    use dq_relation::{Domain, RelationSchema, RowGroups, StoreShardSource};
     use std::sync::Arc;
 
     fn schema() -> Arc<RelationSchema> {
@@ -507,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn from_shards_matches_build() {
+    fn from_groups_matches_build() {
         let inst = instance(&[
             ("x", "p", 1),
             ("x", "p", 1),
@@ -516,10 +450,10 @@ mod tests {
             ("y", "p", 2),
             ("z", "q", 3),
         ]);
-        let source = dq_relation::StoreShardSource::new(&inst);
+        let source = StoreShardSource::new(&inst);
         for attrs in [&[0usize][..], &[1], &[2], &[0, 1], &[0, 1, 2], &[]] {
             assert_eq!(
-                StrippedPartition::from_shards(&source, attrs),
+                StrippedPartition::from_groups(&source, RowGroups::scan(&source, attrs).iter()),
                 StrippedPartition::build(&inst, attrs),
                 "attrs {attrs:?}"
             );
@@ -527,9 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn g3_from_shards_matches_naive() {
+    fn g3_from_groups_matches_naive() {
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
-        let source = dq_relation::StoreShardSource::new(&inst);
+        let source = StoreShardSource::new(&inst);
         for (lhs, rhs) in [
             (&[0usize][..], &[1usize][..]),
             (&[1], &[0]),
@@ -537,7 +471,7 @@ mod tests {
             (&[2], &[0]),
         ] {
             assert_eq!(
-                g3_error_from_shards(&source, lhs, rhs),
+                g3_error_from_groups(&source, RowGroups::scan(&source, lhs).iter(), rhs),
                 g3_error(&inst, lhs, rhs),
                 "{lhs:?} -> {rhs:?}"
             );

@@ -7,10 +7,14 @@
 //! dominant cost of discovery on large instances.  [`PartitionSource`]
 //! instead serves every request from three layers of reuse:
 //!
-//! 1. **interned indexes** — single-attribute partitions fall out of the
-//!    CSR postings of [`dq_relation::InternedIndex`]es, pooled in a shared
-//!    [`IndexPool`] keyed by `(instance, version, attrs)`, so the same
-//!    physical index also serves detection and repair;
+//! 1. **grouped base partitions** — single-attribute partitions (and `g3`
+//!    tallies) come from one constructor over multi-row groups,
+//!    [`StrippedPartition::from_groups`], with two group providers: on a
+//!    live instance the CSR postings of [`dq_relation::InternedIndex`]es,
+//!    pooled in a shared [`IndexPool`] keyed by `(instance, version,
+//!    attrs)` so the same physical index also serves detection and repair;
+//!    on a [`ShardSource`] (e.g. a memory-mapped relation) a two-scan
+//!    count→collect over the shards ([`RowGroups::scan`]);
 //! 2. **partition products** — multi-attribute partitions are computed as
 //!    `π_X · π_A` over already-cached partitions through a pooled
 //!    [`PartitionProber`] probe table (stripped partitions shrink rapidly
@@ -49,10 +53,10 @@
 //! available behind the same interface for equivalence testing and for the
 //! `--discovery-bench` comparison.
 
-use crate::partition::{
-    g3_error, g3_error_from_shards, g3_error_interned, PartitionProber, StrippedPartition,
+use crate::partition::{g3_error, g3_error_from_groups, PartitionProber, StrippedPartition};
+use dq_relation::{
+    FxHasher, IndexPool, RelationInstance, RowGroups, ShardSource, StoreShardSource,
 };
-use dq_relation::{FxHasher, IndexPool, RelationInstance, ShardSource};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -151,8 +155,8 @@ impl<'a> PartitionSource<'a> {
     }
 
     /// A shard-cursor source: single-attribute partitions and `g3` tallies
-    /// come from sequential scans of `source`'s shards
-    /// ([`StrippedPartition::from_shards`]), wider partitions from products
+    /// come from sequential two-scan groupings of `source`'s shards
+    /// ([`RowGroups::scan`]), wider partitions from products
     /// over the cache as usual.  Works over a memory-mapped relation
     /// without ever materializing tuples or pooled indexes.
     pub fn from_shards(source: &'a dyn ShardSource, threads: usize) -> Self {
@@ -251,25 +255,40 @@ impl<'a> PartitionSource<'a> {
     /// big cold build to shard internally warm it up front
     /// ([`warm_singles`](Self::warm_singles)).
     fn build(&self, key: &[usize]) -> StrippedPartition {
+        if let Backend::Naive(instance) = &self.backend {
+            return StrippedPartition::build(instance, key);
+        }
+        if key.len() <= 1 {
+            return self.with_groups(key, |source, groups| {
+                StrippedPartition::from_groups(source, groups)
+            });
+        }
+        // π_{X ∪ {A}} = π_X · π_A over a pooled probe table; both operands
+        // come out of this cache (built recursively on a cold miss), so a
+        // level-wise sweep touches each base partition once.
+        let (rest, last) = key.split_at(key.len() - 1);
+        let left = self.partition(rest);
+        let right = self.partition(last);
+        self.with_prober(|prober| left.product_with(&right, prober))
+    }
+
+    /// Runs `f` over the relation and its multi-row groups on `attrs` — the
+    /// one place the interned and shard backends differ: the former reads
+    /// the groups off the pooled index, the latter scans the shards.
+    fn with_groups<R>(
+        &self,
+        attrs: &[usize],
+        f: impl FnOnce(&dyn ShardSource, &mut dyn Iterator<Item = &[u32]>) -> R,
+    ) -> R {
         match &self.backend {
-            Backend::Naive(instance) => StrippedPartition::build(instance, key),
-            Backend::Interned(instance) if key.len() <= 1 => {
-                let index = self.pool.interned_for(instance, key, 1);
-                StrippedPartition::from_interned(&index)
+            Backend::Interned(instance) => {
+                let index = self.pool.interned_for(instance, attrs, 1);
+                let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
+                let mut groups = index.multi_group_rows();
+                f(&source, &mut groups)
             }
-            Backend::Shards(source) if key.len() <= 1 => {
-                StrippedPartition::from_shards(*source, key)
-            }
-            Backend::Interned(_) | Backend::Shards(_) => {
-                // π_{X ∪ {A}} = π_X · π_A over a pooled probe table; both
-                // operands come out of this cache (built recursively on a
-                // cold miss), so a level-wise sweep touches each base
-                // partition once.
-                let (rest, last) = key.split_at(key.len() - 1);
-                let left = self.partition(rest);
-                let right = self.partition(last);
-                self.with_prober(|prober| left.product_with(&right, prober))
-            }
+            Backend::Shards(source) => f(*source, &mut RowGroups::scan(*source, attrs).iter()),
+            Backend::Naive(_) => unreachable!("the naive backend builds from the row store"),
         }
     }
 
@@ -317,12 +336,10 @@ impl<'a> PartitionSource<'a> {
     /// this is the parallel axis.
     pub fn g3(&self, lhs: &[usize], rhs: &[usize]) -> f64 {
         match &self.backend {
-            Backend::Interned(instance) => {
-                let index = self.pool.interned_for(instance, lhs, 1);
-                g3_error_interned(&index, instance, rhs)
-            }
             Backend::Naive(instance) => g3_error(instance, lhs, rhs),
-            Backend::Shards(source) => g3_error_from_shards(*source, lhs, rhs),
+            _ => self.with_groups(lhs, |source, groups| {
+                g3_error_from_groups(source, groups, rhs)
+            }),
         }
     }
 }

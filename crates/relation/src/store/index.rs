@@ -653,6 +653,14 @@ impl InternedIndex {
         self.groups_with_min(2)
     }
 
+    /// The row runs of the groups holding at least two rows, keys not
+    /// decoded — the pooled counterpart of
+    /// [`RowGroups::scan`](super::shard::RowGroups::scan), fed to the same
+    /// grouping kernels.
+    pub fn multi_group_rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.group_rows_iter().filter(|rows| rows.len() >= 2)
+    }
+
     /// Approximate heap bytes of the index itself (map + offsets +
     /// postings).  The backing columns are shared across indexes and
     /// reported separately by [`ColumnarStore::stats`].

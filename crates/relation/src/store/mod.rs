@@ -44,4 +44,4 @@ pub use persist::{
     open_mmap, open_mmap_verified, save_postings, MappedRelation, RelationWriter, SaveStats,
     FORMAT_VERSION,
 };
-pub use shard::{ShardSource, StoreShardSource};
+pub use shard::{RowGroups, ShardSource, StoreShardSource};

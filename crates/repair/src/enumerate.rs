@@ -26,7 +26,7 @@ pub fn enumerate_repairs(
 /// through a shared [`DetectionEngine`]: FD- and key-shaped constraints are
 /// evaluated over pooled interned partitions on their equality attributes
 /// (same canonical violation order as the naive scan) instead of the
-/// quadratic pair loop; other shapes fall back to the naive evaluator.
+/// quadratic pair loop.
 pub fn enumerate_repairs_with_engine(
     instance: &RelationInstance,
     constraints: &[DenialConstraint],
@@ -37,22 +37,11 @@ pub fn enumerate_repairs_with_engine(
     let mut stack = vec![instance.clone()];
     while let Some(current) = stack.pop() {
         // Find the first outstanding conflict.
-        let mut first_conflict: Option<Vec<TupleId>> = None;
-        for c in constraints {
-            let v = match c.pair_partition_attrs() {
-                Some(attrs) => {
-                    let index = engine
-                        .pool()
-                        .interned_for(&current, &attrs, engine.threads());
-                    c.violations_with_interned_index(&current, &index)
-                }
-                None => c.violations(&current),
-            };
-            if let Some(edge) = v.into_iter().next() {
-                first_conflict = Some(edge);
-                break;
-            }
-        }
+        let first_conflict: Option<Vec<TupleId>> = constraints.iter().find_map(|c| {
+            let mut per_constraint =
+                engine.detect_denial_violations(&current, std::slice::from_ref(c));
+            per_constraint.pop()?.into_iter().next()
+        });
         match first_conflict {
             None => {
                 let kept: Vec<TupleId> = current.iter().map(|(id, _)| id).collect();

@@ -13,8 +13,9 @@
 use crate::model::{RepairCost, RepairLog};
 use dq_core::analysis::ensure_consistent;
 use dq_core::engine::DetectionEngine;
+use dq_core::stream::cfd_violations;
 use dq_core::{detect_cfd_violations, Cfd, CfdViolation, PatternValue};
-use dq_relation::{DqResult, HashIndex, RelationInstance, TupleId, Value};
+use dq_relation::{DqResult, HashIndex, RelationInstance, StoreShardSource, TupleId, Value};
 use std::collections::BTreeMap;
 
 /// Configuration of the heuristic repair.
@@ -63,15 +64,16 @@ pub fn repair_cfd_violations(
 
 /// [`repair_cfd_violations`] over a caller-owned engine.
 ///
-/// Every consistency check of the loop runs on the engine: phase-1
-/// violations and the final verdict come from the engine's interned
-/// detection, and phase-2 equivalence classes are read off the same pooled
-/// [interned indexes](dq_relation::InternedIndex) instead of building a
-/// fresh `Vec<Value>`-keyed [`HashIndex`] per CFD per round.  Within one
-/// round the normalized fragments share each distinct-LHS index through the
-/// pool (version-tagged, so reuse survives exactly as long as no cell was
-/// rewritten), and because the repair loop only *updates* cells the final
-/// check never pays for more than the loop already built.  The outcome —
+/// Every consistency check of the loop runs on the interned columnar store:
+/// phase-1 violations come from the CFD detection kernel, the final verdict
+/// from the engine's detection, and phase-2 equivalence classes are read
+/// off the engine's pooled [interned indexes](dq_relation::InternedIndex)
+/// instead of building a fresh `Vec<Value>`-keyed [`HashIndex`] per CFD per
+/// round.  Within one round the normalized fragments share each
+/// distinct-LHS index through the pool (version-tagged, so reuse survives
+/// exactly as long as no cell was rewritten), and because the repair loop
+/// only *updates* cells the final check never pays for more than the loop
+/// already built.  The outcome —
 /// repaired cells, log order, cost, rounds — is byte-identical to
 /// [`repair_cfd_violations_naive`].
 ///
@@ -105,11 +107,10 @@ pub fn repair_cfd_violations_with_engine(
             let PatternValue::Const(required) = &tp.rhs[0] else {
                 continue;
             };
-            let index = engine
-                .pool()
-                .interned_for(&repaired, cfd.lhs(), engine.threads());
-            let violating: Vec<TupleId> = cfd
-                .violations_with_interned(&repaired, &index)
+            // With no LHS groups the kernel reports only single-tuple
+            // violations — exactly what this phase fixes.
+            let source = StoreShardSource::new(&repaired);
+            let violating: Vec<TupleId> = cfd_violations(cfd, &source, std::iter::empty())
                 .into_iter()
                 .filter_map(|v| match v {
                     CfdViolation::SingleTuple { tuple, .. } => Some(tuple),

@@ -11,7 +11,7 @@ use dataquality::prelude::*;
 use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 use dq_gen::orders::{generate_orders, paper_cinds, OrderConfig};
 use dq_relation::instance::CellRef;
-use dq_relation::{RelationInstance, TupleId, Value};
+use dq_relation::{RelationInstance, StoreShardSource, TupleId, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -33,6 +33,15 @@ fn workload_config() -> impl Strategy<Value = CustomerConfig> {
                 cities_per_country,
             },
         )
+}
+
+/// Removes every fifth tuple, so row positions of the columnar snapshot no
+/// longer equal tuple ids.
+fn delete_every_fifth(instance: &mut RelationInstance) {
+    let victims: Vec<TupleId> = instance.iter().step_by(5).map(|(id, _)| id).collect();
+    for id in victims {
+        instance.remove(id);
+    }
 }
 
 fn engine_variants() -> Vec<DetectionEngine> {
@@ -57,6 +66,15 @@ proptest! {
             prop_assert_eq!(&cold, &naive);
             let warm = engine.detect_cfd_violations(&workload.dirty, &cfds);
             prop_assert_eq!(&warm, &naive);
+        }
+        // Shard-cursor detection over the in-RAM snapshot, after deletions.
+        let mut instance = workload.dirty;
+        delete_every_fifth(&mut instance);
+        let naive = detect_cfd_violations(&instance, &cfds);
+        for engine in engine_variants() {
+            prop_assert_eq!(&engine.detect_cfd_violations(&instance, &cfds), &naive);
+            let source = StoreShardSource::new(&instance);
+            prop_assert_eq!(&engine.detect_cfd_violations_from_shards(&source, &cfds), &naive);
         }
     }
 
@@ -123,18 +141,22 @@ proptest! {
         split_percent in 0usize..=100,
     ) {
         let workload = generate_customers(&config);
+        let mut instance = workload.dirty;
         let cfds = paper_cfds();
-        let split = workload.dirty.len() * split_percent / 100;
-        let added: Vec<_> = workload
-            .dirty
-            .iter()
-            .skip(split)
-            .map(|(id, _)| id)
-            .collect();
-        let naive = detect_cfd_violations_incremental(&workload.dirty, &cfds, &added);
+        let split = instance.len() * split_percent / 100;
+        let mut added: Vec<_> = instance.iter().skip(split).map(|(id, _)| id).collect();
+        // Duplicate ids and the id of a removed tuple change nothing.
+        let repeats: Vec<TupleId> = added.iter().step_by(2).copied().collect();
+        added.extend(repeats);
+        let first = instance.iter().next().map(|(id, _)| id);
+        if let Some(victim) = first {
+            instance.remove(victim);
+            added.push(victim);
+        }
+        let naive = detect_cfd_violations_incremental(&instance, &cfds, &added);
         for engine in engine_variants() {
             prop_assert_eq!(
-                engine.detect_cfd_violations_incremental(&workload.dirty, &cfds, &added),
+                engine.detect_cfd_violations_incremental(&instance, &cfds, &added),
                 naive.clone()
             );
         }
@@ -252,6 +274,18 @@ proptest! {
             prop_assert_eq!(
                 engine.detect_denial_violations(&workload.dirty, &constraints),
                 naive.clone()
+            );
+        }
+        // Shard-cursor detection over the in-RAM snapshot, after deletions.
+        let mut instance = workload.dirty;
+        delete_every_fifth(&mut instance);
+        let naive = detect_denial_violations(&instance, &constraints);
+        for engine in engine_variants() {
+            prop_assert_eq!(&engine.detect_denial_violations(&instance, &constraints), &naive);
+            let source = StoreShardSource::new(&instance);
+            prop_assert_eq!(
+                &engine.detect_denial_violations_from_shards(&source, &constraints),
+                &naive
             );
         }
     }

@@ -14,7 +14,7 @@ use dq_cqa::rewrite::certain_answers_rewriting_naive;
 use dq_discovery::source::PartitionSource;
 use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 use dq_gen::orders::{generate_orders, OrderConfig};
-use dq_relation::{CellRef, IndexPool, InternedIndex, RelationInstance, Value};
+use dq_relation::{CellRef, IndexPool, InternedIndex, RelationInstance, StoreShardSource, Value};
 use dq_repair::urepair::{repair_cfd_violations_naive, repair_cfd_violations_with_engine};
 use dq_repair::{RepairConfig, RepairCost};
 use proptest::prelude::*;
@@ -72,7 +72,8 @@ proptest! {
             let naive = StrippedPartition::build(instance, attrs);
             let store = instance.columnar();
             let index = InternedIndex::build(instance, &store, attrs, 2);
-            prop_assert_eq!(&StrippedPartition::from_interned(&index), &naive, "from_interned {:?}", attrs);
+            let pooled = StrippedPartition::from_groups(&StoreShardSource::new(instance), index.multi_group_rows());
+            prop_assert_eq!(&pooled, &naive, "from_groups {:?}", attrs);
             prop_assert_eq!(&*source.partition(attrs), &naive, "source {:?}", attrs);
         }
         // Products agree with direct builds (π_X · π_Y = π_{X ∪ Y}).
@@ -100,7 +101,7 @@ proptest! {
                 }
                 let index = InternedIndex::build(instance, &store, &[lhs_attr], 1);
                 prop_assert_eq!(
-                    g3_error_interned(&index, instance, &[rhs_attr]),
+                    g3_error_from_groups(&StoreShardSource::new(instance), index.multi_group_rows(), &[rhs_attr]),
                     g3_error(instance, &[lhs_attr], &[rhs_attr]),
                     "{} -> {}", lhs_attr, rhs_attr
                 );
