@@ -279,7 +279,9 @@ fn detection_bench(smoke: bool, profile: bool) {
             });
             drop(cold_instances);
             let engine = DetectionEngine::new();
-            let _ = engine.detect_cfd_violations(&workload.dirty, cfds);
+            let violation_groups = engine
+                .detect_cfd_violations(&workload.dirty, cfds)
+                .violation_groups();
             let (warm_ms, warm_total) = timed_median(reps, || {
                 engine.detect_cfd_violations(&workload.dirty, cfds).total()
             });
@@ -323,7 +325,7 @@ fn detection_bench(smoke: bool, profile: bool) {
             rows.push(format!(
                 "    {{\"tuples\": {size}, \"cfd_set\": \"{label}\", \"dependencies\": {}, \
                  \"error_rate\": {error_rate}, \"violations\": {naive_total}, \
-                 \"naive_ms\": {naive_ms:.3}, \"engine_cold_ms\": {cold_ms:.3}, \
+                 \"violation_groups\": {violation_groups}, \"naive_ms\": {naive_ms:.3}, \"engine_cold_ms\": {cold_ms:.3}, \
                  \"engine_warm_ms\": {warm_ms:.3}, \"speedup_cold\": {:.3}, \"speedup_warm\": {:.3}, \
                  \"index_bytes_naive\": {naive_bytes}, \"index_bytes_interned\": {interned_bytes}, \
                  \"index_memory_reduction\": {reduction:.3}, \
@@ -1016,10 +1018,10 @@ fn scale_bench(smoke: bool, profile: bool) {
     let (ram_detect_ms, expected_report) = timed(|| engine.detect_cfd_violations(&staged, &cfds));
     let (mmap_detect_ms, mapped_report) =
         timed(|| engine.detect_cfd_violations_from_shards(&mapped, &cfds));
-    assert_eq!(
-        mapped_report.per_dependency(),
-        expected_report.per_dependency(),
-        "mmap CFD detection must be byte-identical to the in-RAM engine"
+    // Grouped reports compare their canonical groups: no pair is built.
+    assert!(
+        mapped_report == expected_report,
+        "mmap CFD detection must be identical to the in-RAM engine"
     );
     let (ram_fd_ms, expected_fds) = timed(|| discover_fds(&staged, &fd_cfg));
     let (mmap_fd_ms, mapped_fds) = timed(|| discover_fds_from_shards(&mapped, &fd_cfg));
@@ -1032,11 +1034,12 @@ fn scale_bench(smoke: bool, profile: bool) {
         expected_fds.candidates_checked
     );
     let violations = expected_report.total();
+    let violation_groups = expected_report.violation_groups();
     println!(
         "  identity @ {ident_size} (shard_rows {shard_rows}): open {open_ms:.1}ms · \
          detect in-RAM {ram_detect_ms:.1}ms / mmap {mmap_detect_ms:.1}ms · \
          discovery in-RAM {ram_fd_ms:.1}ms / mmap {mmap_fd_ms:.1}ms · \
-         {violations} violations, {} FDs — reports identical",
+         {violations} violations in {violation_groups} groups, {} FDs — reports identical",
         expected_fds.fds.len()
     );
     let profile_json = profile_field(profile, &format!("scale identity @ {ident_size}"), &[]);
@@ -1045,7 +1048,7 @@ fn scale_bench(smoke: bool, profile: bool) {
          \"open_ms\": {open_ms:.3}, \"detect_ram_ms\": {ram_detect_ms:.3}, \
          \"detect_mmap_ms\": {mmap_detect_ms:.3}, \"discover_ram_ms\": {ram_fd_ms:.3}, \
          \"discover_mmap_ms\": {mmap_fd_ms:.3}, \"violations\": {violations}, \
-         \"fds\": {}, \"disk_bytes\": {}, \"peak_rss_mib\": {:.1}{profile_json}}}",
+         \"violation_groups\": {violation_groups}, \"fds\": {}, \"disk_bytes\": {}, \"peak_rss_mib\": {:.1}{profile_json}}}",
         expected_fds.fds.len(),
         mapped.disk_bytes(),
         peak_rss_mib()
@@ -1113,15 +1116,18 @@ fn scale_bench(smoke: bool, profile: bool) {
     let detect_rss = peak_rss_mib();
     println!(
         "  detect    @ {total}: open {open_ms:.0}ms, CFD detection {detect_ms:.0}ms, \
-         {} violations, peak RSS {detect_rss:.0} MiB",
-        report.total()
+         {} violations in {} groups, peak RSS {detect_rss:.0} MiB",
+        report.total(),
+        report.violation_groups()
     );
     let profile_json = profile_field(profile, &format!("scale detect @ {total}"), &[]);
     rows.push(format!(
         "    {{\"stage\": \"detect\", \"tuples\": {total}, \"shard_rows\": {SHARD_ROWS}, \
          \"open_ms\": {open_ms:.3}, \"detect_mmap_ms\": {detect_ms:.3}, \
-         \"violations\": {}, \"peak_rss_mib\": {detect_rss:.1}{profile_json}}}",
-        report.total()
+         \"violations\": {}, \"violation_groups\": {}, \
+         \"peak_rss_mib\": {detect_rss:.1}{profile_json}}}",
+        report.total(),
+        report.violation_groups()
     ));
 
     // Stage 4 — FD discovery at 10M through the mmap path.

@@ -589,7 +589,7 @@ mod tests {
         let source = StoreShardSource::new(&d);
         let kernel = |cfd: &Cfd| {
             let index = InternedIndex::build(&d, source.store(), cfd.lhs(), 1);
-            crate::stream::cfd_violations(cfd, &source, index.multi_group_rows())
+            crate::stream::cfd_violations(cfd, &source, index.multi_group_rows()).to_violations()
         };
         for cfd in [phi1(&s), phi2(&s), phi3(&s)] {
             assert_eq!(kernel(&cfd), cfd.violations(&d), "{cfd}");

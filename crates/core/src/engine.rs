@@ -29,6 +29,14 @@
 //! any [`ShardSource`] — so the two paths differ only in where the groups
 //! come from.
 //!
+//! CFD reports are grouped ([`CfdViolationGroups`]): per violating LHS
+//! group its patterns and RHS classes, with totals computed arithmetically
+//! and pair lists built only when a consumer asks for them.
+//! [`DetectionEngine::maintain_cfd_violations`] keeps such a report
+//! current group by group: a round re-derives only the groups an affected
+//! tuple left or joined, off the patched pooled index, and carries every
+//! other group over verbatim, so it never enumerates a pair.
+//!
 //! The engine is a pure optimization: for every dependency class it produces
 //! a report equal (including order — violation lists are canonicalized) to
 //! the corresponding naive detector's, which `tests/detect_equivalence.rs`
@@ -37,7 +45,9 @@
 use crate::cfd::{Cfd, CfdViolation};
 use crate::cind::Cind;
 use crate::denial::DenialConstraint;
-use crate::detect::{CfdViolationReport, CindViolationReport, EcfdViolationReport};
+use crate::detect::{
+    CfdViolationGroups, CfdViolationReport, CindViolationReport, EcfdViolationReport,
+};
 use crate::ecfd::{Ecfd, EcfdViolation};
 use crate::ind::Ind;
 use crate::stream;
@@ -150,11 +160,11 @@ impl DetectionEngine {
         );
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
         let source = StoreShardSource::new(instance);
-        let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
+        let groups = parallel_map(cfds, self.threads, |cfd| {
             let index = self.pool.interned_for(instance, cfd.lhs(), 1);
             stream::cfd_violations(cfd, &source, index.multi_group_rows())
         });
-        CfdViolationReport::from_per_dependency(per_dependency)
+        counted(CfdViolationReport::from_groups(groups))
     }
 
     /// Detection over a pre-vetted rule set from
@@ -265,11 +275,11 @@ impl DetectionEngine {
             relation = source.schema().name(),
             deps = cfds.len()
         );
-        let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
+        let groups = parallel_map(cfds, self.threads, |cfd| {
             let groups = RowGroups::scan(source, cfd.lhs());
             stream::cfd_violations(cfd, source, groups.iter())
         });
-        CfdViolationReport::from_per_dependency(per_dependency)
+        counted(CfdViolationReport::from_groups(groups))
     }
 
     /// Shard-cursor denial-constraint detection over any [`ShardSource`],
@@ -397,16 +407,17 @@ impl DetectionEngine {
     /// cell edits and appends.
     ///
     /// With no usable `prev` — first call, different instance, different
-    /// dependency count, or a gap the instance's delta journal does not
+    /// dependency list, or a gap the instance's delta journal does not
     /// cover ([`RelationInstance::delta_covers`]) — this is full detection.
     /// Otherwise only the *delta* is re-checked: tuples with an edited
     /// LHS/RHS cell or appended since `prev`, plus the LHS groups those
-    /// tuples left or joined; every other dependency's violations and every
-    /// untouched group's pair violations carry over verbatim.  Combined
-    /// with the pool's patch path, a small edit costs work proportional to
-    /// the cells changed and the groups touched, not `O(n · |cfds|)`.
+    /// tuples left or joined, which are re-derived off the patched pooled
+    /// index; every other dependency's groups, and every untouched group,
+    /// carry over verbatim (see `stream::cfd_violations_patched`).  No
+    /// violating pair is enumerated, so combined with the pool's patch
+    /// path a small edit costs work proportional to the cells changed and
+    /// the groups touched, not to the violations reported.
     ///
-    /// `cfds` must be the same dependency list `prev` was computed over.
     /// The returned report always equals
     /// [`detect_cfd_violations`](Self::detect_cfd_violations) at the
     /// instance's current version.
@@ -419,21 +430,21 @@ impl DetectionEngine {
         let _span = dq_obs::span("maintain.cfd");
         let instance_id = instance.instance_id();
         let version = instance.version();
-        let usable = prev.filter(|p| {
-            p.instance_id == instance_id
-                && p.report.per_dependency().len() == cfds.len()
-                && instance.delta_covers(p.version)
+        let usable = prev.and_then(|p| {
+            let groups = p.report.shared_groups()?;
+            (p.instance_id == instance_id && p.cfds == cfds && instance.delta_covers(p.version))
+                .then_some((p, groups))
         });
         let report = match usable {
             None => {
                 dq_obs::inc("maintain.cfd.full");
                 self.detect_cfd_violations(instance, cfds)
             }
-            Some(p) if p.version == version => {
+            Some((p, _)) if p.version == version => {
                 dq_obs::inc("maintain.cfd.reuse");
-                p.report.clone()
+                counted(p.report.clone())
             }
-            Some(p) => {
+            Some((p, prev_groups)) => {
                 dq_obs::inc("maintain.cfd.patch");
                 let changes = instance
                     .changed_cells_since(p.version)
@@ -447,27 +458,30 @@ impl DetectionEngine {
                     .collect();
                 self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
                 let source = StoreShardSource::with_store(instance, Arc::clone(&store));
-                let items: Vec<(&Cfd, &Vec<CfdViolation>)> =
-                    cfds.iter().zip(p.report.per_dependency()).collect();
-                let per_dependency =
-                    parallel_map(&items, self.threads, |(cfd, prev_violations)| {
-                        let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-                        maintained_cfd_violations(
-                            &source,
-                            cfd,
-                            prev_violations,
-                            &changes,
-                            &appended,
-                            &index,
-                        )
-                    });
-                CfdViolationReport::from_per_dependency(per_dependency)
+                let items: Vec<(&Cfd, &Arc<CfdViolationGroups>)> =
+                    cfds.iter().zip(prev_groups).collect();
+                let groups = parallel_map(&items, self.threads, |(cfd, prev_groups)| {
+                    let affected = affected_tuples(cfd, &changes, &appended);
+                    if affected.is_empty() {
+                        return Arc::clone(prev_groups);
+                    }
+                    let index = self.pool.interned_for(instance, cfd.lhs(), 1);
+                    Arc::new(stream::cfd_violations_patched(
+                        cfd,
+                        &source,
+                        &index,
+                        prev_groups,
+                        &affected,
+                    ))
+                });
+                counted(CfdViolationReport::from_shared_groups(groups))
             }
         };
         MaintainedCfdViolations {
             instance_id,
             version,
             store: instance.columnar(),
+            cfds: cfds.to_vec(),
             report,
         }
     }
@@ -485,14 +499,17 @@ impl DetectionEngine {
     }
 }
 
-/// A CFD violation report plus the snapshot identity needed to bring it up
-/// to date incrementally — produced and consumed by
+/// A CFD violation report plus the snapshot identity and the rules needed
+/// to bring it up to date incrementally — produced and consumed by
 /// [`DetectionEngine::maintain_cfd_violations`].
 #[derive(Clone, Debug)]
 pub struct MaintainedCfdViolations {
     instance_id: u64,
     version: u64,
     store: Arc<ColumnarStore>,
+    /// The dependencies the report is over: a later call with other rules
+    /// must not reuse or patch it.
+    cfds: Vec<Cfd>,
     report: CfdViolationReport,
 }
 
@@ -514,28 +531,11 @@ impl MaintainedCfdViolations {
     }
 }
 
-/// One dependency's share of a maintenance round: carry over what the delta
-/// cannot have changed, re-derive the rest.
-///
-/// A tuple is *affected* when one of its LHS/RHS cells changed or it was
-/// appended; its single-tuple violation status is a function of its own
-/// cells only, so unaffected tuples keep their prev verdicts.  For pairs the
-/// delta is even more local: a pair of two *unaffected* tuples cannot have
-/// changed at all — neither member's X or Y cells moved, so their shared
-/// group key, their Y disagreement and the matching patterns are exactly as
-/// before.  Every created or destroyed violation therefore involves an
-/// affected tuple: prev violations with an affected member are dropped, and
-/// the tuple-set kernel re-derives those of the affected tuples against
-/// their *current* groups off the (patched) index — `O(affected · group
-/// size)` work, independent of how many pairs the rest of a group carries.
-fn maintained_cfd_violations(
-    source: &StoreShardSource<'_>,
-    cfd: &Cfd,
-    prev: &[CfdViolation],
-    changes: &[CellChange],
-    appended: &[TupleId],
-    index: &InternedIndex,
-) -> Vec<CfdViolation> {
+/// The tuples whose violations of `cfd` a maintenance round must redo:
+/// those with a changed LHS/RHS cell, and the appended ones — sorted and
+/// deduplicated.  Any other tuple's cells, and so its group key, `Y`
+/// projection and matching patterns, are as they were.
+fn affected_tuples(cfd: &Cfd, changes: &[CellChange], appended: &[TupleId]) -> Vec<TupleId> {
     let relevant = |attr: usize| cfd.lhs().contains(&attr) || cfd.rhs().contains(&attr);
     let mut affected: Vec<TupleId> = appended.to_vec();
     affected.extend(
@@ -544,40 +544,20 @@ fn maintained_cfd_violations(
             .filter(|c| relevant(c.cell.attr))
             .map(|c| c.cell.tuple),
     );
-    if affected.is_empty() {
-        return prev.to_vec();
-    }
     affected.sort_unstable();
     affected.dedup();
-    let is_affected = |id: &TupleId| affected.binary_search(id).is_ok();
-    // `prev` is canonically sorted and filtering preserves order, so the
-    // carried-over half needs no re-sort.
-    let mut kept: Vec<CfdViolation> = Vec::with_capacity(prev.len());
-    kept.extend(prev.iter().filter(|v| match v {
-        CfdViolation::SingleTuple { tuple, .. } => !is_affected(tuple),
-        CfdViolation::TuplePair { first, second, .. } => {
-            !is_affected(first) && !is_affected(second)
-        }
-    }));
-    let fresh = stream::cfd_violations_involving(cfd, source, index, &affected);
-    // The two halves are disjoint by construction — every fresh violation
-    // has an affected member, which the kept filter excluded — so a plain
-    // two-way merge yields the canonical order full detection produces,
-    // without re-sorting the whole report.
-    let mut merged: Vec<CfdViolation> = Vec::with_capacity(kept.len() + fresh.len());
-    let (mut i, mut j) = (0, 0);
-    while i < kept.len() && j < fresh.len() {
-        if kept[i] <= fresh[j] {
-            merged.push(kept[i]);
-            i += 1;
-        } else {
-            merged.push(fresh[j]);
-            j += 1;
-        }
+    affected
+}
+
+/// Adds a finished report to the `detect.cfd.groups` and
+/// `detect.cfd.violations` counters — the violations counted
+/// arithmetically, without materializing a pair.
+fn counted(report: CfdViolationReport) -> CfdViolationReport {
+    if dq_obs::enabled() {
+        dq_obs::add("detect.cfd.groups", report.violation_groups() as u64);
+        dq_obs::add("detect.cfd.violations", report.total() as u64);
     }
-    merged.extend_from_slice(&kept[i..]);
-    merged.extend_from_slice(&fresh[j..]);
-    merged
+    report
 }
 
 /// Applies `f` to every item on a scoped worker pool, preserving input
@@ -869,6 +849,44 @@ mod tests {
         }
         let stats = engine.pool_stats();
         assert!(stats.patches > 0, "edits must patch the pooled indexes");
+    }
+
+    #[test]
+    fn maintained_report_over_other_rules_is_not_reused() {
+        let s = schema();
+        let d = d0(&s);
+        let first = paper_cfds(&s);
+        let other = vec![
+            Cfd::new(
+                &s,
+                &["AC"],
+                &["street"],
+                vec![PatternTuple::all_wildcards(1, 1)],
+            )
+            .unwrap(),
+            Cfd::new(
+                &s,
+                &["city"],
+                &["zip"],
+                vec![PatternTuple::all_wildcards(1, 1)],
+            )
+            .unwrap(),
+            Cfd::new(
+                &s,
+                &["CC"],
+                &["city"],
+                vec![PatternTuple::new(vec![cst(1)], vec![cst("MH")])],
+            )
+            .unwrap(),
+        ];
+        assert_eq!(first.len(), other.len());
+        let engine = DetectionEngine::new();
+        let maintained = engine.maintain_cfd_violations(&d, &first, None);
+        // Same instance, same version, another rule list of the same length.
+        let switched = engine.maintain_cfd_violations(&d, &other, Some(&maintained));
+        let expected = detect::detect_cfd_violations(&d, &other);
+        assert_ne!(maintained.report(), &expected);
+        assert_eq!(switched.report(), &expected);
     }
 
     #[test]

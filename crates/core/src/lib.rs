@@ -59,8 +59,8 @@ pub mod prelude {
     pub use crate::denial::{DcPredicate, DcTerm, DenialConstraint};
     pub use crate::detect::{
         detect_cfd_violations, detect_cfd_violations_incremental, detect_cind_violations,
-        detect_denial_violations, detect_ecfd_violations, CfdViolationReport, CindViolationReport,
-        EcfdViolationReport,
+        detect_denial_violations, detect_ecfd_violations, CfdViolationGroups, CfdViolationReport,
+        CindViolationReport, EcfdViolationReport,
     };
     pub use crate::ecfd::{Ecfd, EcfdPattern, SetPattern};
     pub use crate::engine::{

@@ -18,12 +18,22 @@
 //! Every kernel ends in the canonical order of its naive reference
 //! detector, so the reports are byte-identical to the reference whichever
 //! provider and backing ran; the property suites assert exactly that.
+//!
+//! The CFD kernel ([`cfd_violations`]) reports grouped violations
+//! ([`CfdViolationGroups`]): per violating LHS group its patterns and its
+//! RHS classes, never the pairs, so its cost and output are linear in the
+//! rows whatever the number of violating pairs.  A maintained report is
+//! patched group by group (`cfd_violations_patched`).  The tuple-set
+//! kernel behind incremental detection (`cfd_violations_involving`) still
+//! lists pairs: its output is the pairs involving the given tuples.
 
 use crate::cfd::{Cfd, CfdViolation};
 use crate::denial::{DcTerm, DenialConstraint};
+use crate::detect::CfdViolationGroups;
 use crate::interned::InternedEntry;
 use dq_relation::{
-    Column, FxHashMap, InternedIndex, KeyCodec, ProjectionKey, ShardSource, TupleId, Value, ValueId,
+    Column, FxHashMap, FxHashSet, InternedIndex, KeyCodec, ProjectionKey, ShardSource, TupleId,
+    Value, ValueId,
 };
 use std::sync::Arc;
 
@@ -108,61 +118,190 @@ fn release_all(source: &dyn ShardSource) {
     }
 }
 
-/// All violations of `cfd` over `source`, in the canonical (sorted) order
-/// of [`Cfd::violations`].
+/// Splits LHS groups into their RHS classes, keeping the scratch space
+/// of one group for the next.
+struct Classifier {
+    rhs_codec: KeyCodec,
+    classes: FxHashMap<ProjectionKey, u32>,
+    patterns: Vec<usize>,
+    ids: Vec<TupleId>,
+    labels: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl Classifier {
+    fn new(interned: &InternedCfd<'_>) -> Self {
+        Classifier {
+            rhs_codec: KeyCodec::new(interned.rhs_cols.clone()),
+            classes: FxHashMap::default(),
+            patterns: Vec::new(),
+            ids: Vec::new(),
+            labels: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Appends the group of `rows` (ascending) to `out` if it violates:
+    /// it matches a pattern and its members disagree on the packed `Y`
+    /// projection.  Classes are numbered in order of first appearance, so
+    /// they come out ordered by smallest id.
+    fn push_if_violating(
+        &mut self,
+        interned: &InternedCfd<'_>,
+        source: &dyn ShardSource,
+        rows: &[u32],
+        out: &mut CfdViolationGroups,
+    ) {
+        interned.matching_patterns(rows[0] as usize, &mut self.patterns);
+        if self.patterns.is_empty() {
+            return;
+        }
+        self.classes.clear();
+        self.labels.clear();
+        for &row in rows {
+            let next = self.classes.len() as u32;
+            let label = *self
+                .classes
+                .entry(self.rhs_codec.pack_row(row as usize))
+                .or_insert(next);
+            self.labels.push(label);
+        }
+        if self.classes.len() < 2 {
+            return; // the whole group agrees on Y
+        }
+        self.ids.clear();
+        self.ids
+            .extend(rows.iter().map(|&row| source.tuple_id(row as usize)));
+        out.push_group(
+            &self.patterns,
+            &self.ids,
+            &self.labels,
+            self.classes.len(),
+            &mut self.scratch,
+        );
+    }
+}
+
+/// All violations of `cfd` over `source`, grouped
+/// ([`CfdViolationGroups`]); materialized, they are exactly
+/// [`Cfd::violations`].
 ///
 /// `lhs_groups` are the multi-row groups of `source` on
 /// [`Cfd::lhs`]; with no groups only the single-tuple violations are
 /// reported.  A tuple-pair violation lies inside one group, and within a
 /// group a pair violates iff its members differ on the packed `Y`
 /// projection, so partitioning each group by that projection costs work
-/// linear in the group plus the violations reported.
+/// linear in the group — whatever number of pairs the group stands for.
 pub fn cfd_violations<'g>(
     cfd: &Cfd,
     source: &dyn ShardSource,
     lhs_groups: impl IntoIterator<Item = &'g [u32]>,
-) -> Vec<CfdViolation> {
+) -> CfdViolationGroups {
     let interned = InternedCfd::new(cfd, source);
-    let mut out = Vec::new();
-    interned.singles(source, 0..source.len(), &mut out);
-    let rhs_codec = KeyCodec::new(interned.rhs_cols.clone());
-    let mut by_rhs: FxHashMap<ProjectionKey, Vec<TupleId>> = FxHashMap::default();
-    let mut patterns: Vec<usize> = Vec::new();
+    let mut singles = Vec::new();
+    interned.singles(source, 0..source.len(), &mut singles);
+    let mut out = CfdViolationGroups::with_singles(singles);
+    let mut classifier = Classifier::new(&interned);
     for rows in lhs_groups {
-        interned.matching_patterns(rows[0] as usize, &mut patterns);
-        if patterns.is_empty() {
-            continue;
-        }
-        by_rhs.clear();
-        for &row in rows {
-            by_rhs
-                .entry(rhs_codec.pack_row(row as usize))
-                .or_default()
-                .push(source.tuple_id(row as usize));
-        }
-        if by_rhs.len() < 2 {
-            continue; // the whole group agrees on Y
-        }
-        let partitions: Vec<&Vec<TupleId>> = by_rhs.values().collect();
-        for (i, first_part) in partitions.iter().enumerate() {
-            for second_part in &partitions[i + 1..] {
-                for &a in *first_part {
-                    for &b in *second_part {
-                        let (first, second) = if a < b { (a, b) } else { (b, a) };
-                        for &p in &patterns {
-                            out.push(CfdViolation::TuplePair {
-                                pattern: p,
-                                first,
-                                second,
-                            });
-                        }
-                    }
-                }
+        classifier.push_if_violating(&interned, source, rows, &mut out);
+    }
+    release_all(source);
+    out.into_canonical()
+}
+
+/// `prev`, the grouped violations of `cfd` at an earlier snapshot, brought
+/// up to date with `source` — equal to [`cfd_violations`] over `source`.
+///
+/// `affected` (sorted, deduplicated, all live in `source`) are the tuples
+/// appended or with a changed LHS/RHS cell since `prev`; no tuple was
+/// removed.  `index` is the pooled index of `source` on exactly
+/// [`Cfd::lhs`].
+///
+/// A single-tuple verdict depends on the tuple's own cells only, so only
+/// the affected tuples' are redone.  A group changed only if an affected
+/// tuple left or joined it or changed inside it: every previous group with
+/// an affected member is dropped, and the current group of each affected
+/// tuple's key, and of the key of each dropped group's unaffected members,
+/// is re-derived off the index.  A group that affected tuples only joined
+/// shows up re-derived with its smallest member, so it is dropped too.
+/// Every other group carries over verbatim.  The work is the affected
+/// tuples times their group sizes plus one pass over `prev`'s member ids;
+/// no pair is ever enumerated.
+pub(crate) fn cfd_violations_patched(
+    cfd: &Cfd,
+    source: &dyn ShardSource,
+    index: &InternedIndex,
+    prev: &CfdViolationGroups,
+    affected: &[TupleId],
+) -> CfdViolationGroups {
+    debug_assert_eq!(index.attrs(), cfd.lhs(), "index keyed off the CFD's LHS");
+    debug_assert!(affected.windows(2).all(|w| w[0] < w[1]));
+    let mut marks = vec![0u64; affected.last().map_or(0, |id| id.0 / 64 + 1)];
+    for id in affected {
+        marks[id.0 / 64] |= 1 << (id.0 % 64);
+    }
+    let is_affected = |id: TupleId| {
+        marks
+            .get(id.0 / 64)
+            .is_some_and(|w| w >> (id.0 % 64) & 1 == 1)
+    };
+    let live_row = |id: TupleId| source.row_of(id).expect("maintained tuples are live");
+    let interned = InternedCfd::new(cfd, source);
+    let mut singles: Vec<CfdViolation> = prev
+        .singles()
+        .iter()
+        .filter(|v| !matches!(v, CfdViolation::SingleTuple { tuple, .. } if is_affected(*tuple)))
+        .copied()
+        .collect();
+    let mut seeds: Vec<usize> = affected.iter().map(|&id| live_row(id)).collect();
+    interned.singles(source, seeds.iter().copied(), &mut singles);
+    let mut dropped = vec![false; prev.group_count()];
+    for (g, drop) in dropped.iter_mut().enumerate() {
+        let members = prev.members(g);
+        if members.iter().any(|&id| is_affected(id)) {
+            *drop = true;
+            if let Some(&kept) = members.iter().find(|&&id| !is_affected(id)) {
+                seeds.push(live_row(kept));
             }
         }
     }
-    release_all(source);
-    out.sort_unstable();
+    let mut fresh = CfdViolationGroups::default();
+    let mut classifier = Classifier::new(&interned);
+    let mut keys: FxHashSet<Vec<ValueId>> = FxHashSet::default();
+    for row in seeds {
+        let key: Vec<ValueId> = interned.lhs_cols.iter().map(|c| c.id_at(row)).collect();
+        let rows = index.rows_for_ids(&key);
+        if rows.len() >= 2 && keys.insert(key) {
+            classifier.push_if_violating(&interned, source, rows, &mut fresh);
+        }
+    }
+    let fresh = fresh.into_canonical();
+    let mut fresh_ids = fresh.all_members().to_vec();
+    fresh_ids.sort_unstable();
+    for (g, drop) in dropped.iter_mut().enumerate() {
+        *drop = *drop || fresh_ids.binary_search(&prev.min_id(g)).is_ok();
+    }
+    // Both halves are in canonical order and disjoint: merge them.
+    let mut out = CfdViolationGroups::with_singles(singles);
+    let mut kept = (0..prev.group_count()).filter(|&g| !dropped[g]).peekable();
+    let mut new = (0..fresh.group_count()).peekable();
+    loop {
+        match (kept.peek(), new.peek()) {
+            (Some(&k), Some(&n)) if prev.min_id(k) < fresh.min_id(n) => {
+                out.push_group_of(prev, k);
+                kept.next();
+            }
+            (_, Some(&n)) => {
+                out.push_group_of(&fresh, n);
+                new.next();
+            }
+            (Some(&k), None) => {
+                out.push_group_of(prev, k);
+                kept.next();
+            }
+            (None, None) => break,
+        }
+    }
     out
 }
 
@@ -418,13 +557,16 @@ mod tests {
         let expected = cfd.violations(&inst);
         let source = StoreShardSource::new(&inst);
         let scanned = RowGroups::scan(&source, cfd.lhs());
-        assert_eq!(cfd_violations(&cfd, &source, scanned.iter()), expected);
+        let from_scan = cfd_violations(&cfd, &source, scanned.iter());
+        assert_eq!(from_scan.to_violations(), expected);
+        assert_eq!(from_scan.total(), expected.len());
         let index = InternedIndex::build(&inst, source.store(), cfd.lhs(), 1);
+        // Both providers yield the same canonical groups.
         assert_eq!(
             cfd_violations(&cfd, &source, index.multi_group_rows()),
-            expected
+            from_scan
         );
-        assert!(!expected.is_empty(), "fixture should actually violate");
+        assert!(from_scan.group_count() > 0, "fixture should violate pairs");
         // No groups: exactly the single-tuple violations.
         let singles: Vec<CfdViolation> = expected
             .iter()
@@ -432,7 +574,9 @@ mod tests {
             .copied()
             .collect();
         assert!(!singles.is_empty());
-        assert_eq!(cfd_violations(&cfd, &source, std::iter::empty()), singles);
+        let no_groups = cfd_violations(&cfd, &source, std::iter::empty());
+        assert_eq!(no_groups.singles(), singles);
+        assert_eq!(no_groups.to_violations(), singles);
     }
 
     #[test]

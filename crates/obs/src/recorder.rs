@@ -612,6 +612,7 @@ impl Histogram {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
+    #[cfg(not(feature = "off"))]
     use std::thread;
 
     // Needs live recording — compiled out by the `off` feature.

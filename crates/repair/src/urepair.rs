@@ -111,11 +111,9 @@ pub fn repair_cfd_violations_with_engine(
             // violations — exactly what this phase fixes.
             let source = StoreShardSource::new(&repaired);
             let violating: Vec<TupleId> = cfd_violations(cfd, &source, std::iter::empty())
-                .into_iter()
-                .filter_map(|v| match v {
-                    CfdViolation::SingleTuple { tuple, .. } => Some(tuple),
-                    CfdViolation::TuplePair { .. } => None,
-                })
+                .singles()
+                .iter()
+                .flat_map(CfdViolation::tuples)
                 .collect();
             for id in violating {
                 let old = repaired

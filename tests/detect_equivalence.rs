@@ -1,7 +1,9 @@
 //! Equivalence properties of the detection paths: the shared-index parallel
 //! [`DetectionEngine`] must produce reports equal to the naive per-dependency
 //! detectors, and batch detection must equal clean-prefix detection plus
-//! incremental detection of appended tuples.
+//! incremental detection of appended tuples.  The engine's grouped CFD
+//! reports must answer every summary query exactly as the naive pair lists
+//! would, without materializing pairs for it.
 //!
 //! All cases are generated from seeded strategies (the offline proptest
 //! stand-in derives its RNG seed from the test name), so runs are exactly
@@ -44,6 +46,113 @@ fn delete_every_fifth(instance: &mut RelationInstance) {
     }
 }
 
+/// Checks a report against the naive detector's: every summary query
+/// against the value recomputed from the naive pair lists — asked first,
+/// so a grouped report must answer them without materializing — then the
+/// pair lists themselves, byte for byte.
+fn assert_matches_naive(report: &CfdViolationReport, naive: &CfdViolationReport) {
+    let lists = naive.per_dependency();
+    let total: usize = lists.iter().map(Vec::len).sum();
+    let mut tuples: Vec<TupleId> = lists.iter().flatten().flat_map(|v| v.tuples()).collect();
+    tuples.sort_unstable();
+    tuples.dedup();
+    assert_eq!(report.total(), total);
+    assert_eq!(report.is_clean(), total == 0);
+    assert_eq!(
+        report.violated_dependencies(),
+        lists.iter().filter(|l| !l.is_empty()).count()
+    );
+    assert_eq!(report.violating_tuples(), tuples);
+    assert_eq!(report.violation_groups(), naive.violation_groups());
+    if report.grouped(0).is_some() {
+        assert!(!report.is_materialized(), "summaries must not build pairs");
+    }
+    assert_eq!(report.per_dependency(), lists);
+}
+
+/// Overwrites cells with donor values (in-domain, and often moving a tuple
+/// between LHS groups) and appends copies of existing tuples, all inside
+/// one journaled gap.
+fn edit_and_append(instance: &mut RelationInstance, edits: &[(usize, usize, usize)]) {
+    let ids = instance.ids();
+    let arity = instance.schema().arity();
+    for &(t, a, d) in edits {
+        let (target, donor) = (ids[t % ids.len()], ids[d % ids.len()]);
+        let attr = a % arity;
+        let value = instance.tuple(donor).expect("live").get(attr).clone();
+        instance
+            .update_cell(CellRef::new(target, attr), value)
+            .expect("donor values are in-domain");
+        if t % 3 == 0 {
+            let copy = instance.tuple(donor).expect("live").clone();
+            instance.insert(copy).expect("same schema");
+        }
+    }
+}
+
+#[test]
+fn total_and_is_clean_leave_the_report_unmaterialized() {
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 200,
+        error_rate: 0.05,
+        seed: 3,
+        cities_per_country: 3,
+    });
+    let report = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &paper_cfds());
+    assert!(report.total() > 0);
+    assert!(!report.is_clean());
+    assert!(report.violation_groups() > 0);
+    assert!(!report.is_materialized());
+    assert_eq!(
+        report.of(0).len(),
+        report.grouped(0).expect("grouped").total()
+    );
+    assert!(report.is_materialized());
+    // A clone shares the groups but not the materialized pairs.
+    assert!(!report.clone().is_materialized());
+}
+
+#[test]
+fn grouped_and_pair_reports_are_equal_exactly_when_their_pairs_are() {
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 150,
+        error_rate: 0.05,
+        seed: 11,
+        cities_per_country: 3,
+    });
+    let cfds = paper_cfds();
+    let grouped = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &cfds);
+    let pairs = CfdViolationReport::from_per_dependency(grouped.per_dependency().to_vec());
+    assert_eq!(grouped, pairs);
+    assert_eq!(pairs, grouped);
+    assert_eq!(grouped, detect_cfd_violations(&workload.dirty, &cfds));
+    // One pair fewer: unequal both ways.
+    let mut lists = grouped.per_dependency().to_vec();
+    let dep = lists
+        .iter()
+        .position(|l| {
+            l.iter()
+                .any(|v| matches!(v, CfdViolation::TuplePair { .. }))
+        })
+        .expect("the workload violates a variable CFD");
+    lists[dep].pop();
+    let fewer = CfdViolationReport::from_per_dependency(lists);
+    assert_ne!(grouped, fewer);
+    assert_ne!(fewer, grouped);
+    // Two grouped reports compare by their canonical groups.
+    let mut edited = workload.dirty.clone();
+    edit_and_append(&mut edited, &[(0, 4, 1), (3, 5, 7), (9, 2, 4)]);
+    let other = DetectionEngine::new().detect_cfd_violations(&edited, &cfds);
+    assert_eq!(
+        other == grouped,
+        other.per_dependency() == grouped.per_dependency()
+    );
+    let again = DetectionEngine::with_threads(1).detect_cfd_violations(&workload.dirty, &cfds);
+    assert!(!again.is_materialized());
+    assert_eq!(again, grouped);
+    assert!(!again.is_materialized(), "grouped equality builds no pairs");
+}
+
 fn engine_variants() -> Vec<DetectionEngine> {
     vec![
         DetectionEngine::with_threads(1),
@@ -76,6 +185,37 @@ proptest! {
             let source = StoreShardSource::new(&instance);
             prop_assert_eq!(&engine.detect_cfd_violations_from_shards(&source, &cfds), &naive);
         }
+    }
+
+    /// Grouped reports — in-RAM, shard-cursor after deletions, and
+    /// maintained across a batch of edits and appends — answer `total`,
+    /// `is_clean`, `violated_dependencies` and `violating_tuples` like the
+    /// naive pair lists, and materialize to them byte for byte.
+    #[test]
+    fn grouped_reports_answer_like_naive_pair_lists(
+        config in workload_config(),
+        edits in proptest::collection::vec(
+            (0usize..1_000_000, 0usize..1_000_000, 0usize..1_000_000),
+            1..12,
+        ),
+    ) {
+        let workload = generate_customers(&config);
+        let cfds = paper_cfds();
+        let engine = DetectionEngine::new();
+        let naive = detect_cfd_violations(&workload.dirty, &cfds);
+        assert_matches_naive(&engine.detect_cfd_violations(&workload.dirty, &cfds), &naive);
+        // Maintained across one journaled gap holding every edit.
+        let mut live = workload.dirty.clone();
+        let maintained = engine.maintain_cfd_violations(&live, &cfds, None);
+        edit_and_append(&mut live, &edits);
+        let maintained = engine.maintain_cfd_violations(&live, &cfds, Some(&maintained));
+        assert_matches_naive(maintained.report(), &detect_cfd_violations(&live, &cfds));
+        // Shard-cursor detection after deletions.
+        let mut instance = workload.dirty;
+        delete_every_fifth(&mut instance);
+        let naive = detect_cfd_violations(&instance, &cfds);
+        let source = StoreShardSource::new(&instance);
+        assert_matches_naive(&engine.detect_cfd_violations_from_shards(&source, &cfds), &naive);
     }
 
     /// Engine equivalence also holds for the normalized fragment set, where

@@ -135,6 +135,50 @@ fn engine_pass_populates_detection_metrics() {
     }
 }
 
+/// Grouped detection counts its groups and violations arithmetically —
+/// in-RAM, shard-cursor and maintained alike — and only a consumer asking
+/// for pairs opens `report.materialize`, once per report.
+#[test]
+fn grouped_detection_counts_without_materializing() {
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        error_rate: 0.05,
+        seed: 5,
+        cities_per_country: 3,
+    });
+    let cfds = paper_cfds();
+    let engine = DetectionEngine::new();
+    let source = dq_relation::StoreShardSource::new(&workload.dirty);
+    let reports = [
+        engine.detect_cfd_violations(&workload.dirty, &cfds),
+        engine.detect_cfd_violations_from_shards(&source, &cfds),
+        engine
+            .maintain_cfd_violations(&workload.dirty, &cfds, None)
+            .into_report(),
+    ];
+    let snap = dq_obs::recorder().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let groups: usize = reports.iter().map(|r| r.violation_groups()).sum();
+    let violations: usize = reports.iter().map(|r| r.total()).sum();
+    assert!(groups > 0 && violations > groups);
+    assert_eq!(counter("detect.cfd.groups"), groups as u64);
+    assert_eq!(counter("detect.cfd.violations"), violations as u64);
+    for span in ["detect.cfd", "detect.cfd.stream", "maintain.cfd"] {
+        assert!(snap.spans.contains_key(span), "{span} missing");
+    }
+    assert!(
+        !snap.spans.contains_key("report.materialize"),
+        "counting must not materialize pairs"
+    );
+    let pairs: usize = reports[0].per_dependency().iter().map(Vec::len).sum();
+    assert_eq!(pairs, reports[0].total());
+    let _ = reports[0].of(0);
+    let snap = dq_obs::recorder().snapshot();
+    assert_eq!(snap.spans["report.materialize"].count, 1);
+}
+
 fn workload_config() -> impl Strategy<Value = CustomerConfig> {
     (1usize..200, 0usize..3, 0u64..1_000).prop_map(|(tuples, rate_idx, seed)| CustomerConfig {
         tuples,
