@@ -1164,6 +1164,12 @@ fn scale_bench(smoke: bool, profile: bool) {
     println!("\nwrote BENCH_scale.json");
 }
 
+/// A matching engine over a fresh index pool: every matching-layer
+/// artifact it serves is built on first use.
+fn fresh_matching_engine() -> MatchingEngine {
+    MatchingEngine::new(std::sync::Arc::new(dq_relation::IndexPool::new()))
+}
+
 /// Pre-builds every dictionary-encoded column of one relation (columns
 /// intern lazily on first access, so `columnar()` alone leaves the store
 /// cold): the matching rows charge the engine for every matching-layer
@@ -1176,9 +1182,10 @@ fn warm_columns(inst: &dq_relation::RelationInstance) {
     }
 }
 
-/// Measures one rule-matching scenario row: naive `Matcher::run` (when
-/// `naive_runs`) vs. the interned engine cold and warm, asserting the
-/// results byte-identical (matches *and* per-rule hit counts) and scoring
+/// Measures one rule-matching scenario row: the row-at-a-time
+/// `reference::run_rules` (when `naive_runs`) vs. the interned engine cold
+/// and warm, asserting the results byte-identical (matches *and* per-rule
+/// hit counts) and scoring
 /// them against the generator's ground truth.  Cold passes run on clones
 /// taken outside the timer — fresh instance identities, so the pool and
 /// every engine cache miss — with the columnar snapshot pre-built: the
@@ -1200,17 +1207,16 @@ fn match_scenario_row(
     reps: usize,
     profile: bool,
 ) -> String {
-    use dq_relation::IndexPool;
-    use std::sync::Arc;
     let matcher = Matcher::new(rules.to_vec());
-    let fresh = || MatchingEngine::new(Arc::new(IndexPool::new()));
+    let fresh = fresh_matching_engine;
+    let naive_run = || dq_match::reference::run_rules(rules, &w.card, &w.billing);
     // Throwaway runs so neither path pays the allocator's first-touch page
     // faults inside a measurement.
     if naive_runs {
-        let _ = matcher.run(&w.card, &w.billing);
+        let _ = naive_run();
     }
-    let _ = matcher.run_with(&fresh(), &w.card, &w.billing);
-    let naive = naive_runs.then(|| timed_median(reps, || matcher.run(&w.card, &w.billing)));
+    let _ = matcher.run(&fresh(), &w.card, &w.billing);
+    let naive = naive_runs.then(|| timed_median(reps, naive_run));
     let (store_card, store_billing) = (w.card.clone(), w.billing.clone());
     let (store_ms, _) = timed(|| {
         warm_columns(&store_card);
@@ -1228,12 +1234,12 @@ fn match_scenario_row(
     let mut cold_iter = cold_instances.iter();
     let (cold_ms, cold_res) = timed_median(reps, || {
         let (c, b) = cold_iter.next().expect("one fresh pair per rep");
-        matcher.run_with(&fresh(), c, b)
+        matcher.run(&fresh(), c, b)
     });
     drop(cold_instances);
     let engine = fresh();
-    let _ = matcher.run_with(&engine, &w.card, &w.billing);
-    let (warm_ms, warm_res) = timed_median(reps, || matcher.run_with(&engine, &w.card, &w.billing));
+    let _ = matcher.run(&engine, &w.card, &w.billing);
+    let (warm_ms, warm_res) = timed_median(reps, || matcher.run(&engine, &w.card, &w.billing));
     if let Some((_, naive_res)) = &naive {
         assert_eq!(
             naive_res.matches, cold_res.matches,
@@ -1257,7 +1263,7 @@ fn match_scenario_row(
     warm_columns(&stats_card);
     warm_columns(&stats_billing);
     let stats_engine = fresh();
-    let _ = matcher.run_with(&stats_engine, &stats_card, &stats_billing);
+    let _ = matcher.run(&stats_engine, &stats_card, &stats_billing);
     let stats = stats_engine.stats();
     let naive_ms = naive.as_ref().map(|(ms, _)| *ms);
     let naive_col = naive_ms.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}ms"));
@@ -1301,48 +1307,49 @@ fn match_scenario_row(
     )
 }
 
-/// Naive vs. dictionary-blocked entity matching on the card/billing
-/// workload, written to `BENCH_matching.json` (skipped in `--smoke` mode,
-/// which runs the same comparison CI-sized — the point is to execute both
-/// code paths and assert byte-identical output, so a fast-path regression
-/// fails loudly).
+/// Row-at-a-time reference vs. the dictionary-blocked matching engine on
+/// the card/billing workload, written to `BENCH_matching.json` (skipped in
+/// `--smoke` mode, which runs the same comparison CI-sized — the point is
+/// to execute both and assert the engine byte-identical to
+/// `dq_match::reference`, so an engine regression fails loudly).  The
+/// `naive_*` fields time the reference.
 ///
 /// Four scenarios:
 /// * `rules` — the Section 3 given rule and the derived-RCK set (equality
 ///   premises join through pooled interned indexes; the `edit(3)` premise
-///   is evaluated once per distinct value pair and memoized): naive
-///   `Matcher::run` vs. the engine cold (fresh clones, fresh pool — every
+///   is evaluated once per distinct value pair and memoized):
+///   `reference::run_rules` vs. the engine cold (fresh clones, fresh pool — every
 ///   matching-layer artifact built inside the timer; the system-shared
 ///   columnar snapshot is pre-built and reported as `store_ms`) and warm
 ///   (the same engine called again — displays, translations, indexes and
 ///   the similarity memo all served from cache);
-/// * `fuzzy` — a rule with no equality premise, where the naive matcher
+/// * `fuzzy` — a rule with no equality premise, where the reference
 ///   falls back to the full cross product while the engine blocks through
 ///   the q-gram token index over the dictionaries.  The naive path is
 ///   quadratic in *tuples* and measured at the smallest size only; the
 ///   engine's metric work is quadratic in *distinct values*, so it keeps
 ///   going (candidate verification still touches every generated row
 ///   pair, which bounds its sizes below the equality scenarios');
-/// * `md_violations` — `MatchingDependency::violations_with` vs. the
-///   pooled engine path on a tel-equality + FN-edit MD concluding e-mail
-///   equality (the naive nested loop is measured up to 10k holders; the
-///   asserts also pin the naive ascending pair order);
-/// * `rule_learning` — `learn_relative_keys` vs. `_with_pool`: the whole
+/// * `md_violations` — `reference::md_violations` vs.
+///   `MatchingDependency::violations` on the engine, for a tel-equality +
+///   FN-edit MD concluding e-mail equality (the reference nested loop is
+///   measured up to 10k holders; the asserts also pin its ascending pair
+///   order);
+/// * `rule_learning` — the reference run of every `candidate_keys` key
+///   (`naive_ms`) vs. `learn_relative_keys` (`pooled_ms`), whose whole
 ///   candidate sweep rides one engine, so later candidates are answered
-///   from the similarity memo built by earlier ones.
+///   from the similarity memo built by earlier ones.  Every candidate's
+///   engine matches are asserted equal to the reference's.
 ///
 /// Each row records P/R/F1 against the generator's ground truth (which the
 /// engine cannot change — asserted, not assumed) and the engine's
 /// single-cold-run counters: tuple comparisons performed, pairs blocking
 /// skipped, candidates generated, blockers built, and memo-cache hit rate.
 fn matching_bench(smoke: bool, profile: bool) {
-    use dq_discovery::md_discovery::{
-        learn_relative_keys, learn_relative_keys_with_pool, RuleLearningConfig,
-    };
-    use dq_relation::IndexPool;
-    use std::sync::Arc;
+    use dq_discovery::md_discovery::{candidate_keys, learn_relative_keys, RuleLearningConfig};
+    use dq_match::reference;
 
-    header("Matching bench — naive vs. dictionary-blocked parallel engine");
+    header("Matching bench — row-at-a-time reference vs. dictionary-blocked parallel engine");
     let card = dq_gen::cards::card_schema();
     let billing = dq_gen::cards::billing_schema();
     let key = |comparisons: Vec<(&str, &str, SimilarityOp)>| {
@@ -1373,7 +1380,7 @@ fn matching_bench(smoke: bool, profile: bool) {
         ("addr", "post", SimilarityOp::Equality),
         ("FN", "FN", SimilarityOp::edit(3)),
     ]));
-    // No equality premise anywhere: the naive matcher has nothing to block
+    // No equality premise anywhere: the reference has nothing to block
     // on and compares every tuple pair; the engine blocks on the first
     // premise's q-gram cover.
     let fuzzy = vec![key(vec![
@@ -1437,7 +1444,7 @@ fn matching_bench(smoke: bool, profile: bool) {
         ));
     }
 
-    // Fuzzy scenario: naive is quadratic in tuples (the 2k-holder cross
+    // Fuzzy scenario: the reference is quadratic in tuples (the 2k-holder cross
     // product is ~4M pairs, each evaluating q-gram similarity on `Value`s),
     // so it runs at the smallest size only; the engine's verification work
     // still scales with the generated row pairs, so its sizes stay below
@@ -1457,8 +1464,8 @@ fn matching_bench(smoke: bool, profile: bool) {
         ));
     }
 
-    // MD violation checking under a ground-truth oracle.  The naive
-    // `violations_with` nested loop visits the full cross product, so it is
+    // MD violation checking under a ground-truth oracle.  The reference
+    // nested loop visits the full cross product, so it is
     // measured up to 10k holders; the engine eq-joins on tel/phn at every
     // size.  Where both run, the violation vectors must agree in contents
     // *and* order (the engine re-sorts into the naive ascending order).
@@ -1468,11 +1475,13 @@ fn matching_bench(smoke: bool, profile: bool) {
         let naive_runs = holders <= 10_000;
         let truth = w.truth.clone();
         let oracle = move |a, b| truth.contains(&(a, b));
-        let fresh = || MatchingEngine::new(Arc::new(IndexPool::new()));
-        let _ = md.violations_with_pool(&w.card, &w.billing, &oracle, &fresh());
+        let fresh = fresh_matching_engine;
+        let _ = md.violations(&w.card, &w.billing, &oracle, &fresh());
         let naive = naive_runs.then(|| {
             let reps = if holders > 2_000 { 1 } else { reps };
-            timed_median(reps, || md.violations_with(&w.card, &w.billing, &oracle))
+            timed_median(reps, || {
+                reference::md_violations(&md, &w.card, &w.billing, &oracle)
+            })
         });
         let (store_card, store_billing) = (w.card.clone(), w.billing.clone());
         let (store_ms, _) = timed(|| {
@@ -1491,13 +1500,13 @@ fn matching_bench(smoke: bool, profile: bool) {
         let mut cold_iter = cold_instances.iter();
         let (cold_ms, cold_res) = timed_median(reps, || {
             let (c, b) = cold_iter.next().expect("one fresh pair per rep");
-            md.violations_with_pool(c, b, &oracle, &fresh())
+            md.violations(c, b, &oracle, &fresh())
         });
         drop(cold_instances);
         let engine = fresh();
-        let _ = md.violations_with_pool(&w.card, &w.billing, &oracle, &engine);
+        let _ = md.violations(&w.card, &w.billing, &oracle, &engine);
         let (warm_ms, warm_res) = timed_median(reps, || {
-            md.violations_with_pool(&w.card, &w.billing, &oracle, &engine)
+            md.violations(&w.card, &w.billing, &oracle, &engine)
         });
         if let Some((_, naive_res)) = &naive {
             assert_eq!(
@@ -1550,8 +1559,9 @@ fn matching_bench(smoke: bool, profile: bool) {
     }
 
     // Rule learning: the candidate sweep re-runs the matcher once per
-    // candidate key, so the pooled variant amortizes indexes and the
-    // similarity memo across the whole sweep.
+    // candidate key, so one engine amortizes indexes and the similarity
+    // memo across the whole sweep.  The reference runs every candidate key
+    // on its own; each key's engine matches must equal the reference's.
     let learn_holders = if smoke { 100 } else { 500 };
     let w = card_workload(learn_holders);
     let space = vec![
@@ -1567,30 +1577,51 @@ fn matching_bench(smoke: bool, profile: bool) {
     let config = RuleLearningConfig::default();
     let yc = dq_match::paper::YC;
     let yb = dq_match::paper::YB;
-    let learn = || learn_relative_keys(&w.card, &w.billing, &w.truth, &space, &yc, &yb, &config);
-    let _ = learn();
-    let (naive_ms, naive_learned) = timed_median(3, learn);
-    let (pooled_ms, pooled_learned) = timed_median(3, || {
-        let engine = MatchingEngine::new(Arc::new(IndexPool::new()));
-        learn_relative_keys_with_pool(
-            &w.card, &w.billing, &w.truth, &space, &yc, &yb, &config, &engine,
+    let keys = candidate_keys(
+        w.card.schema(),
+        w.billing.schema(),
+        &space,
+        &yc,
+        &yb,
+        config.max_length,
+    );
+    let reference_sweep = || {
+        keys.iter()
+            .map(|key| reference::run_rules(std::slice::from_ref(key), &w.card, &w.billing))
+            .collect::<Vec<_>>()
+    };
+    let _ = reference_sweep();
+    let (naive_ms, expected) = timed_median(3, reference_sweep);
+    let (pooled_ms, learned) = timed_median(3, || {
+        learn_relative_keys(
+            &w.card,
+            &w.billing,
+            &w.truth,
+            &space,
+            &yc,
+            &yb,
+            &config,
+            &fresh_matching_engine(),
         )
     });
     assert_eq!(
-        naive_learned.candidates_evaluated, pooled_learned.candidates_evaluated,
-        "pooled learning must sweep the same candidates"
+        learned.candidates_evaluated,
+        keys.len(),
+        "learning must sweep every candidate key"
     );
-    assert_eq!(naive_learned.rules.len(), pooled_learned.rules.len());
-    for (a, b) in naive_learned.rules.iter().zip(&pooled_learned.rules) {
-        assert_eq!(a.key, b.key, "pooled learning must learn the same rules");
-        assert_eq!(a.quality, b.quality, "with the same qualities");
+    let engine = fresh_matching_engine();
+    for (key, expected) in keys.iter().zip(&expected) {
+        let got = engine.run(std::slice::from_ref(key), &w.card, &w.billing);
+        assert_eq!(
+            got.matches, expected.matches,
+            "engine must match the reference on candidate {key}"
+        );
     }
-    assert_eq!(naive_learned.combined, pooled_learned.combined);
     println!(
         "{learn_holders:>8}   {:<18} {naive_ms:>9.1}ms  {pooled_ms:>10.1}ms  {:>12}  {:>9}  {:>12.2}x  learning",
         "rule_learning",
         "-",
-        naive_learned.rules.len(),
+        learned.rules.len(),
         naive_ms / pooled_ms,
     );
     rows.push(format!(
@@ -1599,15 +1630,15 @@ fn matching_bench(smoke: bool, profile: bool) {
          \"rules_learned\": {}, \"naive_ms\": {naive_ms:.3}, \"pooled_ms\": {pooled_ms:.3}, \
          \"speedup\": {:.3}, \"combined_f1\": {:.4}}}",
         w.card.len() + w.billing.len(),
-        naive_learned.candidates_evaluated,
-        naive_learned.rules.len(),
+        learned.candidates_evaluated,
+        learned.rules.len(),
         naive_ms / pooled_ms,
-        naive_learned.combined.f1,
+        learned.combined.f1,
     ));
 
     if smoke {
         println!(
-            "\nsmoke mode: engine output byte-identical to every naive path that ran, artifact not written"
+            "\nsmoke mode: engine output byte-identical to every reference run, artifact not written"
         );
         return;
     }
@@ -2289,7 +2320,8 @@ fn examples_3x_matching() {
             ("exact key", Matcher::new(vec![exact.clone()])),
             ("derived RCKs", Matcher::new(rcks.clone())),
         ] {
-            let (result, quality) = matcher.evaluate(&w.card, &w.billing, &w.truth);
+            let (result, quality) =
+                matcher.evaluate(&fresh_matching_engine(), &w.card, &w.billing, &w.truth);
             println!(
                 "{:>8}   {:<15} {:>6}  {:>11}  {:>9.3}  {:>6.3}  {:>5.3}",
                 holders,
@@ -2764,6 +2796,7 @@ fn section_3_1_rule_learning() {
             &dq_match::paper::YC,
             &dq_match::paper::YB,
             &RuleLearningConfig::default(),
+            &fresh_matching_engine(),
         );
         let elapsed = start.elapsed();
         let baseline_key = RelativeKey::new(
@@ -2777,7 +2810,8 @@ fn section_3_1_rule_learning() {
             &dq_match::paper::YB,
         )
         .expect("baseline rule");
-        let baseline = Matcher::new(vec![baseline_key]).run(&w.card, &w.billing);
+        let baseline =
+            Matcher::new(vec![baseline_key]).run(&fresh_matching_engine(), &w.card, &w.billing);
         let qb = score(&baseline.matches, &w.truth);
         println!(
             "{:>8}   {:>10}   {:>10}   {:.2}/{:.2}/{:.2} ({:>6.0}ms)   {:.2}/{:.2}/{:.2}",

@@ -6,10 +6,11 @@
 //! has to be found — the object identification problem of Section 3.1, solved
 //! here with the relative-key machinery of `dq-match`.
 
-use dq_match::matcher::Matcher;
+use dq_match::engine::MatchingEngine;
 use dq_match::rck::RelativeKey;
-use dq_relation::{RelationInstance, TupleId};
+use dq_relation::{IndexPool, RelationInstance, TupleId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A cleaned, trusted reference relation.
 #[derive(Clone, Debug)]
@@ -51,7 +52,8 @@ pub struct MasterMatch {
 }
 
 /// Matches the dirty relation against the master using the given relative
-/// keys as matching rules (Section 3.3).
+/// keys as matching rules (Section 3.3), run on a [`MatchingEngine`] over a
+/// fresh index pool.
 ///
 /// When several master records match the same dirty tuple, the one matched by
 /// the earliest rule (and, within a rule, the smallest master tuple id) wins;
@@ -64,8 +66,8 @@ pub fn match_against_master(
     master: &MasterData,
     rules: &[RelativeKey],
 ) -> (Vec<MasterMatch>, usize) {
-    let matcher = Matcher::new(rules.to_vec());
-    let result = matcher.run(dirty, master.instance());
+    let engine = MatchingEngine::new(Arc::new(IndexPool::new()));
+    let result = engine.run(rules, dirty, master.instance());
     let mut per_dirty: BTreeMap<TupleId, Vec<TupleId>> = BTreeMap::new();
     for &(dirty_id, master_id) in &result.matches {
         per_dirty.entry(dirty_id).or_default().push(master_id);

@@ -6,18 +6,18 @@
 //! answer sets; it is the ground truth the first-order rewriting is validated
 //! against, and the baseline whose exponential cost the rewriting avoids.
 
-use dq_core::engine::DetectionEngine;
 use dq_core::DenialConstraint;
 use dq_relation::{ConjunctiveQuery, Database, DqResult, RelationInstance, Value};
-use dq_repair::enumerate_repairs_with_engine;
+use dq_repair::enumerate_repairs;
 use std::collections::BTreeSet;
 
 /// Certain answers of `query` over a database whose single relation
 /// `relation` is constrained by `constraints` (the other relations, if any,
 /// are assumed clean and shared by all repairs).  The enumeration's
 /// per-candidate consistency checks run through one shared
-/// [`DetectionEngine`], so FD/key-shaped constraints are evaluated over
-/// interned partitions rather than quadratic pair scans.
+/// [`DetectionEngine`](dq_core::engine::DetectionEngine), so FD/key-shaped
+/// constraints are evaluated over interned partitions rather than quadratic
+/// pair scans.
 pub fn certain_answers_oracle(
     db: &Database,
     relation: &str,
@@ -25,7 +25,7 @@ pub fn certain_answers_oracle(
     query: &ConjunctiveQuery,
 ) -> DqResult<BTreeSet<Vec<Value>>> {
     let dirty = db.require_relation(relation)?;
-    let repairs = enumerate_repairs_with_engine(dirty, constraints, &DetectionEngine::new());
+    let repairs = enumerate_repairs(dirty, constraints);
     let mut certain: Option<BTreeSet<Vec<Value>>> = None;
     for repair in repairs {
         let mut repaired_db = db.clone();
@@ -47,7 +47,7 @@ pub fn repair_count(
     constraints: &[DenialConstraint],
 ) -> DqResult<usize> {
     let dirty = db.require_relation(relation)?;
-    Ok(enumerate_repairs_with_engine(dirty, constraints, &DetectionEngine::new()).len())
+    Ok(enumerate_repairs(dirty, constraints).len())
 }
 
 /// Convenience: the possible answers (answers in *some* repair), the
@@ -59,7 +59,7 @@ pub fn possible_answers_oracle(
     query: &ConjunctiveQuery,
 ) -> DqResult<BTreeSet<Vec<Value>>> {
     let dirty = db.require_relation(relation)?;
-    let repairs = enumerate_repairs_with_engine(dirty, constraints, &DetectionEngine::new());
+    let repairs = enumerate_repairs(dirty, constraints);
     let mut possible = BTreeSet::new();
     for repair in repairs {
         let mut repaired_db = db.clone();

@@ -8,8 +8,14 @@
 //! it searches for relative keys that are precise on the labelled data and
 //! greedily assembles a small rule set that maximises recall — the
 //! dependency-shaped counterpart of learned comparison vectors.
+//!
+//! [`candidate_keys`] enumerates the search space; [`learn_relative_keys`]
+//! runs every candidate on one [`MatchingEngine`], so display forms,
+//! equality translations and memoized similarity verdicts built for one
+//! candidate serve all later ones.
 
-use dq_match::matcher::{score, MatchQuality, Matcher};
+use dq_match::engine::MatchingEngine;
+use dq_match::matcher::{score, MatchQuality};
 use dq_match::rck::{ComparisonSpace, RelativeKey};
 use dq_match::similarity::SimilarityOp;
 use dq_relation::{RelationInstance, RelationSchema, TupleId};
@@ -69,96 +75,21 @@ impl LearnedRuleSet {
     }
 }
 
-/// Learns a set of relative keys for `(target_left, target_right)` from
-/// labelled matches.
-///
-/// Candidates are all rules of up to [`RuleLearningConfig::max_length`]
-/// comparisons drawn from the comparison space (one operator per attribute
-/// pair).  Each candidate is run as the sole matching rule and scored against
-/// `truth`; candidates below the precision floor are discarded, and the
-/// remainder are added greedily — most new true matches first — until the
-/// target recall (or the rule budget) is reached.
-pub fn learn_relative_keys(
-    d1: &RelationInstance,
-    d2: &RelationInstance,
-    truth: &BTreeSet<(TupleId, TupleId)>,
+/// The candidate rules of a comparison space: every choice of up to
+/// `max_length` space entries (at least one) with one operator per entry,
+/// concluding `target_left ⇋ target_right`.  Choices that do not form a
+/// well-formed relative key are skipped.
+pub fn candidate_keys(
+    lhs_schema: &Arc<RelationSchema>,
+    rhs_schema: &Arc<RelationSchema>,
     space: &[ComparisonSpace],
     target_left: &[&str],
     target_right: &[&str],
-    config: &RuleLearningConfig,
-) -> LearnedRuleSet {
-    learn_with_runner(
-        d1,
-        d2,
-        truth,
-        space,
-        target_left,
-        target_right,
-        config,
-        &|key| Matcher::new(vec![key.clone()]).run(d1, d2).matches,
-    )
-}
-
-/// [`learn_relative_keys`] with candidate scoring routed through an interned
-/// [`MatchingEngine`](dq_match::engine::MatchingEngine).
-///
-/// The learning loop runs every candidate rule as a matcher over the same
-/// two instances, so the engine's dictionary artifacts (display forms,
-/// equality translations, memoized similarity verdicts) are built once and
-/// reused across all candidates — exactly the access pattern the memo cache
-/// is for.  The returned [`LearnedRuleSet`] is byte-identical to the naive
-/// path: same rules in the same order, same qualities, same candidate
-/// count.
-#[allow(clippy::too_many_arguments)]
-pub fn learn_relative_keys_with_pool(
-    d1: &RelationInstance,
-    d2: &RelationInstance,
-    truth: &BTreeSet<(TupleId, TupleId)>,
-    space: &[ComparisonSpace],
-    target_left: &[&str],
-    target_right: &[&str],
-    config: &RuleLearningConfig,
-    engine: &dq_match::engine::MatchingEngine,
-) -> LearnedRuleSet {
-    learn_with_runner(
-        d1,
-        d2,
-        truth,
-        space,
-        target_left,
-        target_right,
-        config,
-        &|key| {
-            Matcher::new(vec![key.clone()])
-                .run_with(engine, d1, d2)
-                .matches
-        },
-    )
-}
-
-/// The shared learning loop: enumerate candidates, score each with
-/// `run_rule`, then greedily cover the truth.  Both public entry points
-/// differ only in how a single rule is executed (and the two executions
-/// produce identical match sets), so everything downstream is shared.
-#[allow(clippy::too_many_arguments)]
-fn learn_with_runner(
-    d1: &RelationInstance,
-    d2: &RelationInstance,
-    truth: &BTreeSet<(TupleId, TupleId)>,
-    space: &[ComparisonSpace],
-    target_left: &[&str],
-    target_right: &[&str],
-    config: &RuleLearningConfig,
-    run_rule: &dyn Fn(&RelativeKey) -> BTreeSet<(TupleId, TupleId)>,
-) -> LearnedRuleSet {
-    let lhs_schema: &Arc<RelationSchema> = d1.schema();
-    let rhs_schema: &Arc<RelationSchema> = d2.schema();
-
-    // Enumerate candidate rules: choose up to `max_length` space entries and
-    // one operator per entry.
+    max_length: usize,
+) -> Vec<RelativeKey> {
     let mut candidates: Vec<RelativeKey> = Vec::new();
     let entry_count = space.len();
-    let max_len = config.max_length.min(entry_count).max(1);
+    let max_len = max_length.min(entry_count).max(1);
     for len in 1..=max_len {
         for combo in combinations(entry_count, len) {
             let mut operator_choices: Vec<Vec<(usize, SimilarityOp)>> = vec![Vec::new()];
@@ -196,13 +127,44 @@ fn learn_with_runner(
             }
         }
     }
+    candidates
+}
+
+/// Learns a set of relative keys for `(target_left, target_right)` from
+/// labelled matches.
+///
+/// The candidates are [`candidate_keys`] with
+/// [`RuleLearningConfig::max_length`].  Each candidate is run on `engine`
+/// as the sole matching rule and scored against `truth`; candidates below
+/// the precision floor are discarded, and the remainder are added greedily
+/// — most new true matches first — until the target recall (or the rule
+/// budget) is reached.
+#[allow(clippy::too_many_arguments)]
+pub fn learn_relative_keys(
+    d1: &RelationInstance,
+    d2: &RelationInstance,
+    truth: &BTreeSet<(TupleId, TupleId)>,
+    space: &[ComparisonSpace],
+    target_left: &[&str],
+    target_right: &[&str],
+    config: &RuleLearningConfig,
+    engine: &MatchingEngine,
+) -> LearnedRuleSet {
+    let candidates = candidate_keys(
+        d1.schema(),
+        d2.schema(),
+        space,
+        target_left,
+        target_right,
+        config.max_length,
+    );
 
     // Score every candidate on its own.
     type Scored = (RelativeKey, MatchQuality, BTreeSet<(TupleId, TupleId)>);
     let mut scored: Vec<Scored> = Vec::new();
     let candidates_evaluated = candidates.len();
     for key in candidates {
-        let matches = run_rule(&key);
+        let matches = engine.run(std::slice::from_ref(&key), d1, d2).matches;
         let quality = score(&matches, truth);
         if quality.precision >= config.min_precision && !matches.is_empty() {
             scored.push((key, quality, matches));
@@ -262,6 +224,12 @@ fn combinations(n: usize, len: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use dq_gen::cards::{generate_cards, CardConfig};
+    use dq_match::matcher::Matcher;
+    use dq_relation::IndexPool;
+
+    fn engine() -> MatchingEngine {
+        MatchingEngine::new(Arc::new(IndexPool::new()))
+    }
 
     fn comparison_space() -> Vec<ComparisonSpace> {
         vec![
@@ -303,6 +271,7 @@ mod tests {
             &YC,
             &YB,
             &RuleLearningConfig::default(),
+            &engine(),
         );
         assert!(learned.candidates_evaluated > 5);
         assert!(!learned.rules.is_empty());
@@ -332,6 +301,7 @@ mod tests {
             &YC,
             &YB,
             &RuleLearningConfig::default(),
+            &engine(),
         );
         // Baseline: exact equality on (LN, FN) only.
         let schema_l = w.card.schema();
@@ -347,7 +317,7 @@ mod tests {
             &YB,
         )
         .unwrap();
-        let baseline_result = Matcher::new(vec![baseline]).run(&w.card, &w.billing);
+        let baseline_result = Matcher::new(vec![baseline]).run(&engine(), &w.card, &w.billing);
         let baseline_quality = score(&baseline_result.matches, &w.truth);
         assert!(
             learned.combined.f1 >= baseline_quality.f1,
@@ -369,6 +339,7 @@ mod tests {
             &YC,
             &YB,
             &RuleLearningConfig::default(),
+            &engine(),
         );
         assert!(learned.rules.is_empty(), "no truth, nothing to cover");
         let no_space = learn_relative_keys(
@@ -379,43 +350,33 @@ mod tests {
             &YC,
             &YB,
             &RuleLearningConfig::default(),
+            &engine(),
         );
         assert!(no_space.rules.is_empty());
         assert_eq!(no_space.candidates_evaluated, 0);
     }
 
     #[test]
-    fn pooled_learning_is_byte_identical_to_the_naive_path() {
+    fn learning_scores_every_candidate_key_on_one_engine() {
         let w = workload();
-        let naive = learn_relative_keys(
+        let space = comparison_space();
+        let keys = candidate_keys(w.card.schema(), w.billing.schema(), &space, &YC, &YB, 2);
+        // Five single entries (FN with two operators: 6 keys), six pairs
+        // without FN and four with it, each of those with two operators.
+        assert_eq!(keys.len(), 6 + 6 + 4 * 2);
+        let engine = engine();
+        let learned = learn_relative_keys(
             &w.card,
             &w.billing,
             &w.truth,
-            &comparison_space(),
-            &YC,
-            &YB,
-            &RuleLearningConfig::default(),
-        );
-        let pool = std::sync::Arc::new(dq_relation::IndexPool::new());
-        let engine = dq_match::engine::MatchingEngine::new(pool).with_threads(2);
-        let pooled = learn_relative_keys_with_pool(
-            &w.card,
-            &w.billing,
-            &w.truth,
-            &comparison_space(),
+            &space,
             &YC,
             &YB,
             &RuleLearningConfig::default(),
             &engine,
         );
-        assert_eq!(naive.candidates_evaluated, pooled.candidates_evaluated);
-        assert_eq!(naive.rules.len(), pooled.rules.len());
-        for (a, b) in naive.rules.iter().zip(&pooled.rules) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.quality, b.quality);
-        }
-        assert_eq!(naive.combined, pooled.combined);
-        // The engine actually memoized similarity work across candidates.
+        assert_eq!(learned.candidates_evaluated, keys.len());
+        // The engine memoized similarity work across candidates.
         assert!(engine.stats().cache.hits > 0);
     }
 
@@ -433,6 +394,7 @@ mod tests {
                 max_rules: 1,
                 ..RuleLearningConfig::default()
             },
+            &engine(),
         );
         assert!(learned.rules.len() <= 1);
     }

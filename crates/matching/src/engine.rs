@@ -1,10 +1,9 @@
-//! The interned matching engine: blocked, parallel rule and MD evaluation
-//! over the columnar store.
+//! The interned matching engine: the one executor for matching rules and
+//! MD checks, blocked and parallel over the columnar store.
 //!
-//! The naive paths ([`Matcher::run`](crate::matcher::Matcher::run),
-//! [`MatchingDependency::violations_with`]) re-render and re-compare raw
-//! [`Value`]s for every tuple pair.  The engine routes the same semantics
-//! through the interned store instead:
+//! The reference evaluators ([`crate::reference`]) re-render and re-compare
+//! raw [`Value`](dq_relation::Value)s for every tuple pair.  The engine
+//! routes the same semantics through the interned store instead:
 //!
 //! * **similarity on the dictionary** — each premise is evaluated once per
 //!   distinct `(left id, right id)` pair: display forms come from a cached
@@ -15,10 +14,12 @@
 //!   interned-index join; the first metric premise a lossless generator
 //!   covers ([`block::cover`]) prunes candidates by shared q-grams or by
 //!   length windows before any metric runs; surviving id pairs expand to
-//!   tuple pairs through the indexes' CSR postings;
+//!   tuple pairs through the indexes' CSR postings.  Blocking is always on
+//!   and loses nothing; [`MatchingEngineStats::pairs_saved`] counts the
+//!   tuple pairs it skipped;
 //! * **parallel matching** — left-dictionary groups fan out in chunks over
 //!   [`parallel_map`] and merge in canonical chunk order, so results are
-//!   deterministic and *byte-identical* to the naive paths (`matches`,
+//!   deterministic and *byte-identical* to the reference (`matches`,
 //!   `rule_hits`, violation vectors) at any thread count.
 //!
 //! The only intentionally approximate mode is
@@ -87,7 +88,7 @@ struct PremiseEval {
 
 impl PremiseEval {
     /// Does the premise hold for a distinct value pair?  Value equality
-    /// first (the naive `related` fast path — on [`Value`]s, not display
+    /// first (the reference's `related` fast path — on `Value`s, not display
     /// strings), then the memoized metric.
     #[inline]
     fn holds_ids(&self, cache: &SimilarityCache, l: ValueId, r: ValueId) -> bool {
@@ -249,7 +250,7 @@ impl MatchingEngine {
     /// Replaces the exhaustive fallback for operators no lossless blocker
     /// covers (Jaro / Jaro–Winkler / non-positive thresholds) with a
     /// sorted-neighborhood pass of the given window.  **Approximate**: the
-    /// engine may then miss matches the naive matcher finds; never enabled
+    /// engine may then miss matches the reference finds; never enabled
     /// by default.
     pub fn with_sorted_neighborhood(mut self, window: usize) -> Self {
         self.approx_window = Some(window);
@@ -272,21 +273,19 @@ impl MatchingEngine {
         }
     }
 
-    /// Runs a set of matching rules, mirroring
-    /// [`Matcher::run`](crate::matcher::Matcher::run) exactly: same
-    /// `matches`, same `rule_hits` (rules processed in order, a hit
-    /// recorded per newly matched pair).
+    /// Runs a set of matching rules: rules processed in order, a hit
+    /// recorded per newly matched pair — the same `matches` and `rule_hits`
+    /// as [`reference::run_rules`](crate::reference::run_rules).
     pub fn run(
         &self,
         rules: &[RelativeKey],
-        use_blocking: bool,
         d1: &RelationInstance,
         d2: &RelationInstance,
     ) -> MatchResult {
         let mut result = MatchResult::default();
         for (rule_idx, rule) in rules.iter().enumerate() {
-            let _span = span!("match.rule", rule = rule_idx, blocking = use_blocking);
-            let (pairs, comparisons) = self.premise_pairs(rule.md(), d1, d2, use_blocking);
+            let _span = span!("match.rule", rule = rule_idx);
+            let (pairs, comparisons) = self.premise_pairs(rule.md(), d1, d2);
             result.comparisons += comparisons;
             for pair in pairs {
                 if result.matches.insert(pair) {
@@ -299,7 +298,7 @@ impl MatchingEngine {
 
     /// Pairs violating an MD under the supplied interpretation of `⇋`,
     /// byte-identical (contents *and* order) to
-    /// [`MatchingDependency::violations_with`].
+    /// [`reference::md_violations`](crate::reference::md_violations).
     pub fn md_violations(
         &self,
         md: &MatchingDependency,
@@ -308,7 +307,7 @@ impl MatchingEngine {
         matches: &(dyn Fn(TupleId, TupleId) -> bool + Sync),
     ) -> Vec<(TupleId, TupleId)> {
         let _span = span!("match.md_violations", premises = md.length());
-        let (pairs, _) = self.premise_pairs(md, d1, d2, true);
+        let (pairs, _) = self.premise_pairs(md, d1, d2);
         let conclusion: Vec<PremiseEval> = match md.conclusion_op() {
             MatchOp::Matching => Vec::new(),
             MatchOp::Similarity(op) => {
@@ -337,7 +336,7 @@ impl MatchingEngine {
                 !ok
             })
             .collect();
-        // The naive path iterates both instances in ascending tuple order.
+        // The reference iterates both instances in ascending tuple order.
         out.sort_unstable();
         out
     }
@@ -445,14 +444,13 @@ impl MatchingEngine {
     /// All tuple pairs satisfying an MD's premise, with the number of
     /// tuple-pair comparisons performed.  Deterministic order (left groups
     /// in dictionary first-seen order, chunks merged canonically); the
-    /// *set* equals the naive nested-loop evaluation exactly, except under
-    /// an explicitly approximate sorted-neighborhood fallback.
+    /// *set* equals the nested-loop evaluation exactly, except under an
+    /// explicitly approximate sorted-neighborhood fallback.
     fn premise_pairs(
         &self,
         md: &MatchingDependency,
         d1: &RelationInstance,
         d2: &RelationInstance,
-        use_blocking: bool,
     ) -> (Vec<(TupleId, TupleId)>, usize) {
         let threads = resolve_threads(self.threads);
         let (s1, s2) = (d1.columnar(), d2.columnar());
@@ -473,10 +471,10 @@ impl MatchingEngine {
         let eq_positions: Vec<usize> = (0..premises.len())
             .filter(|&i| is_eq(&premises[i]))
             .collect();
-        if use_blocking && !eq_positions.is_empty() {
-            self.eq_join_pairs(md, d1, d2, &evals, &eq_positions, threads)
+        if eq_positions.is_empty() {
+            self.metric_pairs(md, d1, d2, &evals, threads)
         } else {
-            self.metric_pairs(md, d1, d2, &evals, use_blocking, threads)
+            self.eq_join_pairs(md, d1, d2, &evals, &eq_positions, threads)
         }
     }
 
@@ -550,32 +548,27 @@ impl MatchingEngine {
         self.merge_chunks(chunks)
     }
 
-    /// No equality premises (or blocking disabled): group the left rows on
-    /// the blocking premise's attribute, generate candidate right ids
-    /// (q-grams, length windows, a sorted-neighborhood window, or all of
-    /// them), check the blocking premise once per distinct id pair, and
-    /// only then expand to rows and verify the remaining premises.
+    /// No equality premises: group the left rows on the blocking premise's
+    /// attribute, generate candidate right ids (q-grams, length windows, a
+    /// sorted-neighborhood window, or all of them), check the blocking
+    /// premise once per distinct id pair, and only then expand to rows and
+    /// verify the remaining premises.
     fn metric_pairs(
         &self,
         md: &MatchingDependency,
         d1: &RelationInstance,
         d2: &RelationInstance,
         evals: &[PremiseEval],
-        use_blocking: bool,
         threads: usize,
     ) -> (Vec<(TupleId, TupleId)>, usize) {
         let premises = md.premises();
-        // The blocking premise: the first one a lossless generator covers
-        // (when blocking is on), else the first premise.
+        // The blocking premise: the first one a lossless generator covers,
+        // else the first premise.
         let covered = |i: &usize| match &premises[*i].op {
             MatchOp::Similarity(op) => block::cover(op) != Cover::None,
             MatchOp::Matching => false,
         };
-        let bpos = if use_blocking {
-            (0..premises.len()).find(covered).unwrap_or(0)
-        } else {
-            0
-        };
+        let bpos = (0..premises.len()).find(covered).unwrap_or(0);
         let beval = &evals[bpos];
         let bop = match &premises[bpos].op {
             MatchOp::Similarity(op) => op.clone(),
@@ -591,7 +584,7 @@ impl MatchingEngine {
             .groups()
             .map(|(key, _)| key[0].index() as u32)
             .collect();
-        let generator = self.build_generator(&bop, use_blocking, beval, &lidx, right_ids);
+        let generator = self.build_generator(&bop, beval, &lidx, right_ids);
         let groups: Vec<(Vec<ValueId>, &[u32])> = lidx.groups().collect();
         let right_rows_total = ridx.store().len() as u64;
         let right_dict_len = beval.rcol.interner().len();
@@ -651,17 +644,11 @@ impl MatchingEngine {
     fn build_generator(
         &self,
         bop: &SimilarityOp,
-        use_blocking: bool,
         beval: &PremiseEval,
         lidx: &dq_relation::InternedIndex,
         right_ids: Vec<u32>,
     ) -> Candidates {
-        let cover = if use_blocking {
-            block::cover(bop)
-        } else {
-            Cover::None
-        };
-        let generator = match cover {
+        let generator = match block::cover(bop) {
             Cover::QGram => {
                 let q = match bop {
                     SimilarityOp::QGram { q, .. } => *q,
@@ -681,7 +668,7 @@ impl MatchingEngine {
                     right_ids.iter().map(|&id| ValueId(id)),
                 ))
             }
-            Cover::None => match self.approx_window.filter(|_| use_blocking) {
+            Cover::None => match self.approx_window {
                 Some(window) => {
                     let _span = span!("match.block.build", kind = "window");
                     let ldisp = beval.ldisp.as_ref().expect("windowed premise is metric");
@@ -751,6 +738,7 @@ mod tests {
     use super::*;
     use crate::matcher::Matcher;
     use crate::md::fixtures::{billing_schema, card_schema, example_3_1};
+    use crate::reference;
     use dq_relation::{Tuple, Value};
 
     const YC: [&str; 5] = ["FN", "LN", "addr", "tel", "email"];
@@ -837,29 +825,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_run_is_byte_identical_to_the_naive_matcher() {
+    fn engine_run_is_byte_identical_to_the_reference() {
         let (d1, d2) = instances();
-        let matcher = Matcher::new(rules());
-        let naive = matcher.run(&d1, &d2);
+        let expected = reference::run_rules(&rules(), &d1, &d2);
         let engine = engine();
-        let interned = matcher.run_with(&engine, &d1, &d2);
-        assert_eq!(naive.matches, interned.matches);
-        assert_eq!(naive.rule_hits, interned.rule_hits);
+        let interned = Matcher::new(rules()).run(&engine, &d1, &d2);
+        assert_eq!(expected.matches, interned.matches);
+        assert_eq!(expected.rule_hits, interned.rule_hits);
         assert!(engine.stats().blocks_built > 0);
+        assert!(engine.stats().pairs_saved > 0);
     }
 
     #[test]
-    fn engine_without_blocking_matches_the_naive_exhaustive_run() {
-        let (d1, d2) = instances();
-        let matcher = Matcher::new(rules()).without_blocking();
-        let naive = matcher.run(&d1, &d2);
-        let interned = matcher.run_with(&engine(), &d1, &d2);
-        assert_eq!(naive.matches, interned.matches);
-        assert_eq!(naive.rule_hits, interned.rule_hits);
-    }
-
-    #[test]
-    fn metric_only_rules_agree_with_naive_for_every_covered_operator() {
+    fn metric_only_rules_agree_with_the_reference_for_every_covered_operator() {
         let (d1, d2) = instances();
         let ops = [
             SimilarityOp::edit(2),
@@ -883,24 +861,23 @@ mod tests {
                 &YB,
             )
             .unwrap();
-            let matcher = Matcher::new(vec![rule]);
-            let naive = matcher.run(&d1, &d2);
-            let interned = matcher.run_with(&engine(), &d1, &d2);
-            assert_eq!(naive.matches, interned.matches, "op {op}");
-            assert_eq!(naive.rule_hits, interned.rule_hits, "op {op}");
+            let expected = reference::run_rules(std::slice::from_ref(&rule), &d1, &d2);
+            let interned = Matcher::new(vec![rule]).run(&engine(), &d1, &d2);
+            assert_eq!(expected.matches, interned.matches, "op {op}");
+            assert_eq!(expected.rule_hits, interned.rule_hits, "op {op}");
         }
     }
 
     #[test]
-    fn md_violations_agree_with_the_naive_path_in_contents_and_order() {
+    fn md_violations_agree_with_the_reference_in_contents_and_order() {
         let (d1, d2) = instances();
         let mds = example_3_1(&card_schema(), &billing_schema());
         let engine = engine();
         for md in &mds {
             for verdict in [false, true] {
-                let naive = md.violations_with(&d1, &d2, &|_, _| verdict);
-                let interned = md.violations_with_pool(&d1, &d2, &|_, _| verdict, &engine);
-                assert_eq!(naive, interned, "md {md}, oracle {verdict}");
+                let expected = reference::md_violations(md, &d1, &d2, &|_, _| verdict);
+                let interned = md.violations(&d1, &d2, &|_, _| verdict, &engine);
+                assert_eq!(expected, interned, "md {md}, oracle {verdict}");
             }
         }
     }
@@ -920,7 +897,7 @@ mod tests {
         )
         .unwrap();
         let engine = engine();
-        Matcher::new(vec![rule]).run_with(&engine, &d1, &d2);
+        Matcher::new(vec![rule]).run(&engine, &d1, &d2);
         let stats = engine.stats();
         assert!(
             stats.cache.misses < stats.comparisons + stats.candidates,
@@ -936,7 +913,7 @@ mod tests {
             &YB,
         )
         .unwrap()])
-        .run_with(&engine, &d1, &d2);
+        .run(&engine, &d1, &d2);
         assert_eq!(engine.stats().cache.misses, misses_before);
     }
 
@@ -944,14 +921,14 @@ mod tests {
     fn results_are_stable_across_thread_counts() {
         let (d1, d2) = instances();
         let matcher = Matcher::new(rules());
-        let baseline = matcher.run_with(
+        let baseline = matcher.run(
             &MatchingEngine::new(Arc::new(IndexPool::new())).with_threads(1),
             &d1,
             &d2,
         );
         for threads in [2, 3, 8] {
             let engine = MatchingEngine::new(Arc::new(IndexPool::new())).with_threads(threads);
-            let run = matcher.run_with(&engine, &d1, &d2);
+            let run = matcher.run(&engine, &d1, &d2);
             assert_eq!(baseline.matches, run.matches, "threads {threads}");
             assert_eq!(baseline.rule_hits, run.rule_hits, "threads {threads}");
         }
@@ -975,8 +952,8 @@ mod tests {
         )
         .unwrap();
         let matcher = Matcher::new(vec![rule]);
-        let exact = matcher.run_with(&engine(), &d1, &d2);
-        let approx = matcher.run_with(
+        let exact = matcher.run(&engine(), &d1, &d2);
+        let approx = matcher.run(
             &MatchingEngine::new(Arc::new(IndexPool::new()))
                 .with_threads(2)
                 .with_sorted_neighborhood(2),

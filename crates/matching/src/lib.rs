@@ -11,17 +11,18 @@
 //!   implication algorithm (Theorem 4.8);
 //! * [`rck`] — relative keys, the `≤` ordering, relative candidate keys and
 //!   their derivation from MD sets;
-//! * [`matcher`] — the object-identification engine that executes (derived)
-//!   RCKs as matching rules, with blocking, comparison counting and
-//!   precision/recall scoring;
+//! * [`matcher`] — object identification: (derived) RCKs as matching
+//!   rules, run on the matching engine and scored by precision/recall;
 //! * [`simcache`] — dictionary-level similarity artifacts: cached display
 //!   forms, cross-dictionary equality translation and a lock-striped memo
 //!   cache of similarity verdicts keyed by value-id pairs;
 //! * [`block`] — candidate generation over the dictionaries (q-gram
 //!   inverted index, length windows, sorted neighborhood);
-//! * [`engine`] — the interned matching engine: blocked, parallel rule and
-//!   MD evaluation over the columnar store, byte-identical to the naive
-//!   paths.
+//! * [`engine`] — the interned matching engine, the one executor of rules
+//!   and MD checks: blocked, parallel evaluation over the columnar store;
+//! * [`reference`] — the row-at-a-time rule and MD evaluators the engine is
+//!   held byte-identical to.  Only tests, the harness and the benches call
+//!   them.
 
 pub mod block;
 pub mod engine;
@@ -30,6 +31,7 @@ pub mod matcher;
 pub mod md;
 pub mod paper;
 pub mod rck;
+pub mod reference;
 pub mod simcache;
 pub mod similarity;
 

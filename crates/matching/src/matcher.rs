@@ -4,15 +4,17 @@
 //! specified by experts or derived from MDs via [`crate::rck::derive_rcks`])
 //! decides which tuple pairs refer to the same real-world entity: a pair
 //! matches as soon as *some* rule's comparisons all hold on the source data.
-//! The engine supports equality blocking (only compare pairs that agree on a
-//! rule's equality attributes — the standard way these rules are executed),
-//! counts the comparisons it performs (the efficiency metric of Section 4.2),
-//! and scores its output against a ground-truth match set
-//! (precision / recall / F1 — the quality metric).
+//! A [`Matcher`] holds the rules; [`Matcher::run`] executes them on a
+//! [`MatchingEngine`] — the one matching executor, which blocks losslessly
+//! and counts the comparisons it performs (the efficiency metric of
+//! Section 4.2) — and [`Matcher::evaluate`] scores the output against a
+//! ground-truth match set (precision / recall / F1 — the quality metric).
+//! The row-at-a-time loop the engine is held to lives in
+//! [`crate::reference`].
 
-use crate::md::MatchOp;
+use crate::engine::MatchingEngine;
 use crate::rck::RelativeKey;
-use dq_relation::{HashIndex, RelationInstance, TupleId};
+use dq_relation::{RelationInstance, TupleId};
 use std::collections::BTreeSet;
 
 /// The outcome of running the matcher.
@@ -77,27 +79,16 @@ pub fn score(
     }
 }
 
-/// The object-identification engine.
+/// A set of matching rules.
 #[derive(Clone, Debug)]
 pub struct Matcher {
     rules: Vec<RelativeKey>,
-    use_blocking: bool,
 }
 
 impl Matcher {
     /// Creates a matcher from matching rules (relative keys).
     pub fn new(rules: Vec<RelativeKey>) -> Self {
-        Matcher {
-            rules,
-            use_blocking: true,
-        }
-    }
-
-    /// Disables equality blocking (every pair is compared against every
-    /// rule); used to measure how much work blocking saves.
-    pub fn without_blocking(mut self) -> Self {
-        self.use_blocking = false;
-        self
+        Matcher { rules }
     }
 
     /// The rules the matcher applies.
@@ -105,88 +96,28 @@ impl Matcher {
         &self.rules
     }
 
-    /// Runs the matcher over a pair of instances.
-    pub fn run(&self, d1: &RelationInstance, d2: &RelationInstance) -> MatchResult {
-        let mut result = MatchResult::default();
-        for (rule_idx, rule) in self.rules.iter().enumerate() {
-            let md = rule.md();
-            // Blocking: group the right-hand instance on the attributes the
-            // rule compares with plain equality, and only compare pairs that
-            // agree there.
-            let eq_pairs: Vec<(usize, usize)> = md
-                .premises()
-                .iter()
-                .filter(|p| {
-                    matches!(
-                        p.op,
-                        MatchOp::Similarity(crate::similarity::SimilarityOp::Equality)
-                    )
-                })
-                .map(|p| (p.left, p.right))
-                .collect();
-            if self.use_blocking && !eq_pairs.is_empty() {
-                let right_attrs: Vec<usize> = eq_pairs.iter().map(|&(_, r)| r).collect();
-                let left_attrs: Vec<usize> = eq_pairs.iter().map(|&(l, _)| l).collect();
-                let index = HashIndex::build(d2, &right_attrs);
-                for (id1, t1) in d1.iter() {
-                    let key = t1.project(&left_attrs);
-                    for &id2 in index.get(&key) {
-                        let t2 = d2.tuple(id2).expect("live tuple");
-                        result.comparisons += 1;
-                        if md.premise_holds(t1, t2) && result.matches.insert((id1, id2)) {
-                            result.rule_hits.push(rule_idx);
-                        }
-                    }
-                }
-            } else {
-                for (id1, t1) in d1.iter() {
-                    for (id2, t2) in d2.iter() {
-                        result.comparisons += 1;
-                        if md.premise_holds(t1, t2) && result.matches.insert((id1, id2)) {
-                            result.rule_hits.push(rule_idx);
-                        }
-                    }
-                }
-            }
-        }
-        result
-    }
-
-    /// Runs the matcher and scores the result against ground truth.
-    pub fn evaluate(
+    /// Runs the rules over a pair of instances on `engine`: rules in order,
+    /// a pair credited to the first rule that matches it.  `comparisons`
+    /// counts the tuple-pair verifications the engine performed after
+    /// blocking.
+    pub fn run(
         &self,
-        d1: &RelationInstance,
-        d2: &RelationInstance,
-        truth: &BTreeSet<(TupleId, TupleId)>,
-    ) -> (MatchResult, MatchQuality) {
-        let result = self.run(d1, d2);
-        let quality = score(&result.matches, truth);
-        (result, quality)
-    }
-
-    /// Runs the matcher through an interned [`MatchingEngine`]: similarity
-    /// per distinct value pair, dictionary-level blocking, parallel over
-    /// left groups.  `matches` and `rule_hits` are byte-identical to
-    /// [`Matcher::run`]; `comparisons` counts the (far fewer) tuple-pair
-    /// verifications the engine actually performed.
-    pub fn run_with(
-        &self,
-        engine: &crate::engine::MatchingEngine,
+        engine: &MatchingEngine,
         d1: &RelationInstance,
         d2: &RelationInstance,
     ) -> MatchResult {
-        engine.run(&self.rules, self.use_blocking, d1, d2)
+        engine.run(&self.rules, d1, d2)
     }
 
-    /// [`Matcher::run_with`] plus ground-truth scoring.
-    pub fn evaluate_with(
+    /// [`Matcher::run`] plus ground-truth scoring.
+    pub fn evaluate(
         &self,
-        engine: &crate::engine::MatchingEngine,
+        engine: &MatchingEngine,
         d1: &RelationInstance,
         d2: &RelationInstance,
         truth: &BTreeSet<(TupleId, TupleId)>,
     ) -> (MatchResult, MatchQuality) {
-        let result = self.run_with(engine, d1, d2);
+        let result = self.run(engine, d1, d2);
         let quality = score(&result.matches, truth);
         (result, quality)
     }
@@ -256,7 +187,8 @@ mod tests {
     use super::*;
     use crate::md::fixtures::{billing_schema, card_schema};
     use crate::similarity::SimilarityOp;
-    use dq_relation::Value;
+    use dq_relation::{IndexPool, Value};
+    use std::sync::Arc;
 
     const YC: [&str; 5] = ["FN", "LN", "addr", "tel", "email"];
     const YB: [&str; 5] = ["FN", "SN", "post", "phn", "email"];
@@ -316,6 +248,10 @@ mod tests {
             .collect()
     }
 
+    fn engine() -> MatchingEngine {
+        MatchingEngine::new(Arc::new(IndexPool::new()))
+    }
+
     fn rck1() -> RelativeKey {
         RelativeKey::new(
             &card_schema(),
@@ -349,7 +285,7 @@ mod tests {
     fn a_single_strict_rule_finds_only_exact_matches() {
         let (d1, d2) = instances();
         let matcher = Matcher::new(vec![rck1()]);
-        let (result, quality) = matcher.evaluate(&d1, &d2, &truth());
+        let (result, quality) = matcher.evaluate(&engine(), &d1, &d2, &truth());
         // Only the Mary Jones pair agrees on email and address exactly.
         assert_eq!(result.len(), 1);
         assert!(result.matches.contains(&(TupleId(1), TupleId(1))));
@@ -361,28 +297,15 @@ mod tests {
     fn adding_the_derived_edit_distance_rule_improves_recall() {
         let (d1, d2) = instances();
         let strict = Matcher::new(vec![rck1()]);
-        let (_, q_strict) = strict.evaluate(&d1, &d2, &truth());
+        let (_, q_strict) = strict.evaluate(&engine(), &d1, &d2, &truth());
         let both = Matcher::new(vec![rck1(), rck3()]);
-        let (result, q_both) = both.evaluate(&d1, &d2, &truth());
+        let (result, q_both) = both.evaluate(&engine(), &d1, &d2, &truth());
         assert!(q_both.recall > q_strict.recall);
         assert_eq!(q_both.recall, 1.0);
         assert_eq!(q_both.precision, 1.0);
         assert_eq!(result.len(), 2);
         // John Smith / Jon Smith is caught by the edit-distance rule.
         assert!(result.matches.contains(&(TupleId(0), TupleId(0))));
-    }
-
-    #[test]
-    fn blocking_reduces_comparisons_without_changing_the_answer() {
-        let (d1, d2) = instances();
-        let with = Matcher::new(vec![rck1(), rck3()]);
-        let without = Matcher::new(vec![rck1(), rck3()]).without_blocking();
-        let r_with = with.run(&d1, &d2);
-        let r_without = without.run(&d1, &d2);
-        assert_eq!(r_with.matches, r_without.matches);
-        assert!(r_with.comparisons < r_without.comparisons);
-        // Exhaustive comparison does |D1| * |D2| work per rule.
-        assert_eq!(r_without.comparisons, 2 * 9);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! same real-world entity (`⇋`) — a relation that is not computable from the
 //! data but is to be *inferred* by generic reasoning (Section 3.3).
 
+use crate::engine::MatchingEngine;
 use crate::similarity::SimilarityOp;
 use dq_relation::{DqError, DqResult, RelationInstance, RelationSchema, TupleId};
 use std::fmt;
@@ -204,74 +205,30 @@ impl MatchingDependency {
         })
     }
 
-    /// Checks the MD over a pair of instances, interpreting the matching
-    /// operator with the supplied oracle (e.g. a ground-truth "same entity"
-    /// relation).  Returns the pairs for which the premise holds but the
-    /// conclusion fails.
-    pub fn violations_with(
-        &self,
-        d1: &RelationInstance,
-        d2: &RelationInstance,
-        matches: &dyn Fn(TupleId, TupleId) -> bool,
-    ) -> Vec<(TupleId, TupleId)> {
-        let mut out = Vec::new();
-        for (id1, t1) in d1.iter() {
-            for (id2, t2) in d2.iter() {
-                if !self.premise_holds(t1, t2) {
-                    continue;
-                }
-                let ok = match &self.conclusion_op {
-                    MatchOp::Matching => matches(id1, id2),
-                    MatchOp::Similarity(op) => self
-                        .conclusion_left
-                        .iter()
-                        .zip(&self.conclusion_right)
-                        .all(|(&a, &b)| op.related(t1.get(a), t2.get(b))),
-                };
-                if !ok {
-                    out.push((id1, id2));
-                }
-            }
-        }
-        out
-    }
-
-    /// Does the MD hold over the pair of instances under the supplied
-    /// interpretation of `⇋`?
-    pub fn holds_with(
-        &self,
-        d1: &RelationInstance,
-        d2: &RelationInstance,
-        matches: &dyn Fn(TupleId, TupleId) -> bool,
-    ) -> bool {
-        self.violations_with(d1, d2, matches).is_empty()
-    }
-
-    /// [`MatchingDependency::violations_with`] through an interned
-    /// [`MatchingEngine`](crate::engine::MatchingEngine): the premise runs
-    /// blocked and parallel over the dictionaries, the conclusion (oracle
-    /// or similarity) is checked only on premise-satisfying pairs.  Output
-    /// is byte-identical — same pairs, same ascending order.
-    pub fn violations_with_pool(
+    /// Checks the MD over a pair of instances on `engine`, interpreting
+    /// the matching operator with the supplied oracle (e.g. a ground-truth
+    /// "same entity" relation).  Returns the pairs for which the premise
+    /// holds but the conclusion fails, in ascending `(d1, d2)` tuple order.
+    pub fn violations(
         &self,
         d1: &RelationInstance,
         d2: &RelationInstance,
         matches: &(dyn Fn(TupleId, TupleId) -> bool + Sync),
-        engine: &crate::engine::MatchingEngine,
+        engine: &MatchingEngine,
     ) -> Vec<(TupleId, TupleId)> {
         engine.md_violations(self, d1, d2, matches)
     }
 
-    /// [`MatchingDependency::holds_with`] through an interned engine.
-    pub fn holds_with_pool(
+    /// Does the MD hold over the pair of instances under the supplied
+    /// interpretation of `⇋`?
+    pub fn holds(
         &self,
         d1: &RelationInstance,
         d2: &RelationInstance,
         matches: &(dyn Fn(TupleId, TupleId) -> bool + Sync),
-        engine: &crate::engine::MatchingEngine,
+        engine: &MatchingEngine,
     ) -> bool {
-        self.violations_with_pool(d1, d2, matches, engine)
-            .is_empty()
+        self.violations(d1, d2, matches, engine).is_empty()
     }
 }
 
@@ -410,7 +367,11 @@ pub(crate) mod fixtures {
 mod tests {
     use super::fixtures::*;
     use super::*;
-    use dq_relation::Value;
+    use dq_relation::{IndexPool, Value};
+
+    fn engine() -> MatchingEngine {
+        MatchingEngine::new(Arc::new(IndexPool::new()))
+    }
 
     fn card_tuple(fn_: &str, ln: &str, addr: &str, tel: &str, email: &str) -> Vec<Value> {
         vec![
@@ -504,10 +465,10 @@ mod tests {
         )))
         .unwrap();
         // Oracle that says they do match: the MD holds.
-        assert!(md.holds_with(&d1, &d2, &|_, _| true));
+        assert!(md.holds(&d1, &d2, &|_, _| true, &engine()));
         // Oracle that denies the match: the premise still fires, so the MD is
         // violated.
-        let v = md.violations_with(&d1, &d2, &|_, _| false);
+        let v = md.violations(&d1, &d2, &|_, _| false, &engine());
         assert_eq!(v.len(), 1);
     }
 
@@ -539,13 +500,13 @@ mod tests {
             "totally@different.com",
         )))
         .unwrap();
-        assert!(!md.holds_with(&d1, &d2, &|_, _| false));
+        assert!(!md.holds(&d1, &d2, &|_, _| false, &engine()));
         let mut d2b = RelationInstance::new(billing.clone());
         d2b.insert(dq_relation::Tuple::new(billing_tuple(
             "John", "Smith", "x", "555", "js@x.com",
         )))
         .unwrap();
-        assert!(md.holds_with(&d1, &d2b, &|_, _| false));
+        assert!(md.holds(&d1, &d2b, &|_, _| false, &engine()));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! CFD violation detection (Section 2.1) boils down to grouping tuples on the
 //! LHS attributes of the embedded FD and inspecting each group; CIND
 //! detection (Section 2.2) boils down to probing the right-hand relation on
-//! the correspondence attributes.  Both are served by [`HashIndex`].
+//! the correspondence attributes.  [`HashIndex`] does both on raw
+//! [`Value`]s.
 //!
 //! Building an index is the dominant cost of detection on large instances,
 //! and dependency sets routinely share left-hand sides (every normalized
 //! fragment of a CFD keeps its parent's LHS).  [`IndexPool`] therefore
-//! memoizes built indexes per `(instance identity, instance version,
-//! attribute list)`, so a batch of dependencies grouped by LHS builds each
-//! index exactly once — and repeated detection runs over an unchanged
-//! instance rebuild nothing at all.
+//! memoizes the interned indexes ([`InternedIndex`]) and distinct
+//! projections ([`DistinctSet`]) the engines build, per `(instance
+//! identity, instance version, attribute list)`, so a batch of dependencies
+//! grouped by LHS builds each index exactly once — and repeated detection
+//! runs over an unchanged instance rebuild nothing at all.
 
 use crate::instance::{RelationInstance, TupleId};
 use crate::store::{DistinctSet, InternedIndex};
@@ -183,9 +185,9 @@ impl dq_obs::MetricSource for IndexPoolStats {
 }
 
 /// A thread-safe memo table of indexes keyed by
-/// `(instance identity, instance version, attribute list)` — value-keyed
-/// [`HashIndex`]es, compact [`InternedIndex`]es and distinct-projection
-/// [`DistinctSet`]s side by side.
+/// `(instance identity, instance version, attribute list)` — compact
+/// [`InternedIndex`]es and distinct-projection [`DistinctSet`]s side by
+/// side.
 ///
 /// Any mutation of an instance bumps its [`RelationInstance::version`], so a
 /// pool entry can never be served stale: a request for the mutated instance
@@ -200,7 +202,6 @@ impl dq_obs::MetricSource for IndexPoolStats {
 #[derive(Debug)]
 pub struct IndexPool {
     capacity: usize,
-    cache: Mutex<HashMap<PoolKey, Arc<HashIndex>>>,
     interned: Mutex<HashMap<PoolKey, Arc<InternedIndex>>>,
     distinct: Mutex<HashMap<PoolKey, Arc<DistinctSet>>>,
     hits: AtomicU64,
@@ -230,7 +231,6 @@ impl IndexPool {
     pub fn with_capacity(capacity: usize) -> Self {
         IndexPool {
             capacity: capacity.max(1),
-            cache: Mutex::new(HashMap::new()),
             interned: Mutex::new(HashMap::new()),
             distinct: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -283,25 +283,6 @@ impl IndexPool {
         };
         self.obs.entries.add(cache.len() as i64 - before as i64);
         kept
-    }
-
-    /// The value-keyed index of `instance` on `attrs`, built at most once per
-    /// instance version.
-    pub fn index_for(&self, instance: &RelationInstance, attrs: &[usize]) -> Arc<HashIndex> {
-        let key: PoolKey = (instance.instance_id(), instance.version(), attrs.to_vec());
-        if let Some(hit) = self.cache.lock().expect("index pool poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.hits.inc();
-            return Arc::clone(hit);
-        }
-        // Build outside the lock so concurrent requests for *different*
-        // indexes proceed in parallel; a racing duplicate build of the same
-        // index is benign (first write wins, both results are identical).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.misses.inc();
-        let built = Arc::new(self.obs.build_ns.time(|| HashIndex::build(instance, attrs)));
-        let mut cache = self.cache.lock().expect("index pool poisoned");
-        self.insert_evicting(&mut cache, key, built, |_| false)
     }
 
     /// The upgrade-or-build protocol shared by every columnar artifact
@@ -469,7 +450,6 @@ impl IndexPool {
             *dropped += (before - cache.len()) as i64;
         }
         let mut dropped = 0i64;
-        retain_others(&self.cache, instance.instance_id(), &mut dropped);
         retain_others(&self.interned, instance.instance_id(), &mut dropped);
         retain_others(&self.distinct, instance.instance_id(), &mut dropped);
         self.obs.entries.add(-dropped);
@@ -483,14 +463,13 @@ impl IndexPool {
             cache.clear();
         }
         let mut dropped = 0i64;
-        drain(&self.cache, &mut dropped);
         drain(&self.interned, &mut dropped);
         drain(&self.distinct, &mut dropped);
         self.obs.entries.add(-dropped);
     }
 
-    /// Current cache counters (hits and misses aggregate every index kind;
-    /// entries counts all caches).
+    /// Current cache counters (hits and misses aggregate both artifact
+    /// kinds; entries counts both caches).
     pub fn stats(&self) -> IndexPoolStats {
         IndexPoolStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -498,16 +477,14 @@ impl IndexPool {
             appends: self.appends.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
             races: self.races.load(Ordering::Relaxed),
-            entries: self.cache.lock().expect("index pool poisoned").len()
-                + self.interned.lock().expect("index pool poisoned").len()
+            entries: self.interned.lock().expect("index pool poisoned").len()
                 + self.distinct.lock().expect("index pool poisoned").len(),
         }
     }
 
-    /// Number of entries across all three caches (for gauge bookkeeping).
+    /// Number of entries across both caches (for gauge bookkeeping).
     fn cached_entries(&mut self) -> usize {
-        self.cache.get_mut().expect("index pool poisoned").len()
-            + self.interned.get_mut().expect("index pool poisoned").len()
+        self.interned.get_mut().expect("index pool poisoned").len()
             + self.distinct.get_mut().expect("index pool poisoned").len()
     }
 
@@ -521,8 +498,7 @@ impl IndexPool {
             .sum()
     }
 
-    /// Approximate heap bytes across every cached interned index (the
-    /// value-keyed cache is the legacy path and is not tracked).
+    /// Approximate heap bytes across every cached interned index.
     pub fn approx_interned_bytes(&self) -> usize {
         self.interned
             .lock()
@@ -596,38 +572,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_reuses_indexes_for_an_unchanged_instance() {
-        let inst = instance();
-        let pool = IndexPool::new();
-        let a = pool.index_for(&inst, &[0, 1]);
-        let b = pool.index_for(&inst, &[0, 1]);
-        assert!(Arc::ptr_eq(&a, &b));
-        let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
     fn pool_distinguishes_attribute_lists() {
         let inst = instance();
         let pool = IndexPool::new();
-        let a = pool.index_for(&inst, &[0]);
-        let b = pool.index_for(&inst, &[1]);
+        let a = pool.interned_for(&inst, &[0], 1);
+        let b = pool.interned_for(&inst, &[1], 1);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(pool.stats().entries, 2);
-    }
-
-    #[test]
-    fn pool_misses_after_mutation() {
-        let mut inst = instance();
-        let pool = IndexPool::new();
-        let before = pool.index_for(&inst, &[0]);
-        inst.insert_values([Value::int(9), Value::str("w"), Value::str("p")])
-            .unwrap();
-        let after = pool.index_for(&inst, &[0]);
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(before.get(&[Value::int(9)]).len(), 0);
-        assert_eq!(after.get(&[Value::int(9)]).len(), 1);
-        assert_eq!(pool.stats().misses, 2);
     }
 
     #[test]
@@ -635,25 +586,29 @@ mod tests {
         let inst = instance();
         let clone = inst.clone();
         let pool = IndexPool::new();
-        let a = pool.index_for(&inst, &[0]);
-        let b = pool.index_for(&clone, &[0]);
+        let a = pool.interned_for(&inst, &[0], 1);
+        let b = pool.interned_for(&clone, &[0], 1);
         assert!(!Arc::ptr_eq(&a, &b), "clones must have distinct cache keys");
     }
 
     #[test]
-    fn pool_eviction_prefers_stale_versions() {
+    fn pool_pressure_evicts_stale_donors_before_live_entries() {
         let mut inst = instance();
         let pool = IndexPool::with_capacity(2);
-        pool.index_for(&inst, &[0]);
-        pool.index_for(&inst, &[1]);
+        pool.interned_for(&inst, &[0], 1);
+        pool.interned_for(&inst, &[1], 1);
         inst.insert_values([Value::int(5), Value::str("v"), Value::str("q")])
             .unwrap();
-        // Capacity reached: inserting an index of the new version evicts the
-        // two stale ones rather than growing.
-        pool.index_for(&inst, &[0]);
-        let stats = pool.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.misses, 3);
+        // The append upgrades [0]; the stale [1] stays as an extension donor.
+        pool.interned_for(&inst, &[0], 1);
+        assert_eq!(pool.stats().entries, 2);
+        // Capacity reached: a new index of the live version evicts the stale
+        // donor, never the live [0].
+        pool.interned_for(&inst, &[2], 1);
+        assert_eq!(pool.stats().entries, 2);
+        let misses = pool.stats().misses;
+        pool.interned_for(&inst, &[0], 1);
+        assert_eq!(pool.stats().misses, misses, "the live entry survived");
     }
 
     #[test]
@@ -663,11 +618,11 @@ mod tests {
         let inst = instance();
         let pool = IndexPool::with_capacity(2);
         for attrs in [&[0usize][..], &[1], &[2], &[0, 1]] {
-            pool.index_for(&inst, attrs);
+            pool.interned_for(&inst, attrs, 1);
         }
         assert_eq!(pool.stats().misses, 4);
         for attrs in [&[0usize][..], &[1], &[2], &[0, 1]] {
-            pool.index_for(&inst, attrs);
+            pool.interned_for(&inst, attrs, 1);
         }
         let stats = pool.stats();
         assert_eq!(stats.misses, 4, "live-version entries are never evicted");
@@ -679,35 +634,14 @@ mod tests {
         let a = instance();
         let b = instance();
         let pool = IndexPool::with_capacity(2);
-        pool.index_for(&a, &[0]);
-        pool.index_for(&a, &[1]);
+        pool.interned_for(&a, &[0], 1);
+        pool.interned_for(&a, &[1], 1);
         // Inserting for `b` under pressure drops `a`'s (possibly dead)
         // entries instead of growing without bound.
-        pool.index_for(&b, &[0]);
+        pool.interned_for(&b, &[0], 1);
         let stats = pool.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.misses, 3);
-    }
-
-    #[test]
-    fn mutation_loops_do_not_grow_the_pool_without_bound() {
-        // Regression test: entries for orphaned `(instance, version)` pairs
-        // used to survive until capacity pressure, so a mutate-and-detect
-        // loop accumulated one dead index per iteration.  Stale versions of
-        // the same instance are now dropped on insert.
-        let mut inst = instance();
-        let pool = IndexPool::new(); // default capacity far above 1
-        for i in 0..10 {
-            inst.insert_values([Value::int(i), Value::str("w"), Value::str("p")])
-                .unwrap();
-            pool.index_for(&inst, &[0]);
-            assert_eq!(
-                pool.stats().entries,
-                1,
-                "only the live version may stay cached (iteration {i})"
-            );
-        }
-        assert_eq!(pool.stats().misses, 10);
     }
 
     #[test]
@@ -731,14 +665,14 @@ mod tests {
         let mut a = instance();
         let b = instance();
         let pool = IndexPool::new();
-        pool.index_for(&b, &[0]);
-        pool.index_for(&a, &[0]);
+        pool.interned_for(&b, &[0], 1);
+        pool.interned_for(&a, &[0], 1);
         a.insert_values([Value::int(9), Value::str("w"), Value::str("p")])
             .unwrap();
-        pool.index_for(&a, &[0]);
+        pool.interned_for(&a, &[0], 1);
         let stats = pool.stats();
         assert_eq!(stats.entries, 2, "b's entry and a's live entry remain");
-        assert_eq!(pool.stats().misses, 3);
+        assert_eq!(stats.misses, 3);
     }
 
     #[test]
@@ -886,8 +820,8 @@ mod tests {
         let inst = instance();
         let other = instance();
         let pool = IndexPool::new();
-        pool.index_for(&inst, &[0]);
-        pool.index_for(&other, &[0]);
+        pool.interned_for(&inst, &[0], 1);
+        pool.distinct_for(&other, &[0], 1);
         pool.invalidate(&inst);
         assert_eq!(pool.stats().entries, 1);
         pool.clear();
@@ -898,8 +832,6 @@ mod tests {
     fn sequential_use_never_counts_races() {
         let inst = instance();
         let pool = IndexPool::new();
-        pool.index_for(&inst, &[0]);
-        pool.index_for(&inst, &[0]);
         pool.interned_for(&inst, &[0, 1], 1);
         pool.interned_for(&inst, &[0, 1], 1);
         pool.distinct_for(&inst, &[1], 1);
@@ -954,7 +886,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for attrs in [&[0usize][..], &[1], &[0, 1], &[2]] {
-                        let idx = pool.index_for(&inst, attrs);
+                        let idx = pool.interned_for(&inst, attrs, 1);
                         assert_eq!(idx.attrs(), attrs);
                     }
                 });

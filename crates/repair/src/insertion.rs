@@ -55,13 +55,14 @@ impl InsertionOutcome {
 }
 
 /// Repairs CIND violations by inserting the missing right-hand-side tuples
-/// (a bounded TGD-style chase).
+/// (a bounded TGD-style chase), detecting through a fresh
+/// [`DetectionEngine`].
 pub fn repair_cind_violations_by_insertion(
     db: &Database,
     cinds: &[Cind],
     config: &InsertionRepairConfig,
 ) -> DqResult<InsertionOutcome> {
-    repair_cind_violations_by_insertion_impl(db, cinds, config, None)
+    repair_cind_violations_by_insertion_with_engine(db, cinds, config, &DetectionEngine::new())
 }
 
 /// [`repair_cind_violations_by_insertion`] detecting through a shared
@@ -69,34 +70,21 @@ pub fn repair_cind_violations_by_insertion(
 /// index instead of building a fresh `HashMap<Vec<Value>, _>` per CIND per
 /// round — and since the chase only *inserts*, each round's detection
 /// extends the previous round's indexes in place (the append-only pool fast
-/// path) rather than rebuilding them.  Outcome is identical to the naive
-/// chase, round for round and insertion for insertion.
+/// path) rather than rebuilding them.
 pub fn repair_cind_violations_by_insertion_with_engine(
     db: &Database,
     cinds: &[Cind],
     config: &InsertionRepairConfig,
     engine: &DetectionEngine,
 ) -> DqResult<InsertionOutcome> {
-    repair_cind_violations_by_insertion_impl(db, cinds, config, Some(engine))
-}
-
-fn repair_cind_violations_by_insertion_impl(
-    db: &Database,
-    cinds: &[Cind],
-    config: &InsertionRepairConfig,
-    engine: Option<&DetectionEngine>,
-) -> DqResult<InsertionOutcome> {
     // Per-CIND detection inside the round (not one batched report up
     // front): an insertion made for one CIND can already satisfy — or
-    // newly violate — the next one, and the naive chase sees that.
+    // newly violate — the next one.
     let detect = |db: &Database, cind: &Cind| -> DqResult<Vec<dq_core::cind::CindViolation>> {
-        match engine {
-            Some(engine) => Ok(engine
-                .detect_cind_violations(db, std::slice::from_ref(cind))?
-                .of(0)
-                .to_vec()),
-            None => cind.violations(db),
-        }
+        Ok(engine
+            .detect_cind_violations(db, std::slice::from_ref(cind))?
+            .of(0)
+            .to_vec())
     };
     let mut repaired = db.clone();
     let mut inserted = Vec::new();
@@ -317,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_carried_chase_equals_naive_chase() {
+    fn engine_carried_chase_inserts_round_by_round() {
         let archive_schema = Arc::new(RelationSchema::new("archive", [("k", Domain::Text)]));
         let second = Cind::new(
             &target_schema(),
@@ -332,21 +320,32 @@ mod tests {
         let mut db = database(&[("x", "a"), ("y", "a"), ("z", "b")], &[("x", "A", 1)]);
         db.add_relation(RelationInstance::new(archive_schema));
         let cinds = [cind(), second];
-        let config = InsertionRepairConfig::default();
         let engine = DetectionEngine::new();
-        let fast =
-            repair_cind_violations_by_insertion_with_engine(&db, &cinds, &config, &engine).unwrap();
-        let slow = repair_cind_violations_by_insertion(&db, &cinds, &config).unwrap();
-        assert_eq!(fast.inserted, slow.inserted);
-        assert_eq!(fast.rounds, slow.rounds);
-        assert_eq!(fast.consistent, slow.consistent);
-        for name in ["src", "dst", "archive"] {
-            assert!(fast
-                .repaired
-                .relation(name)
-                .unwrap()
-                .same_tuples_as(slow.repaired.relation(name).unwrap()));
-        }
+        let outcome = repair_cind_violations_by_insertion_with_engine(
+            &db,
+            &cinds,
+            &InsertionRepairConfig::default(),
+            &engine,
+        )
+        .unwrap();
+        // Round 1: `y` gets its dst tuple, which the second CIND (checked
+        // after the insertion) then demands in the archive beside `x`.
+        // Round 2 finds nothing left to do.
+        assert_eq!(
+            outcome.inserted,
+            vec![
+                ("dst".to_string(), TupleId(1)),
+                ("archive".to_string(), TupleId(0)),
+                ("archive".to_string(), TupleId(1)),
+            ]
+        );
+        assert_eq!(outcome.rounds, 2);
+        assert!(outcome.consistent);
+        let archive = outcome.repaired.relation("archive").unwrap();
+        let keys: Vec<&Value> = archive.iter().map(|(_, t)| t.get(0)).collect();
+        assert_eq!(keys, [&Value::str("x"), &Value::str("y")]);
+        let dst = outcome.repaired.relation("dst").unwrap();
+        assert_eq!(dst.tuple(TupleId(1)).unwrap().get(0), &Value::str("y"));
         assert!(
             engine.pool_stats().appends > 0,
             "insert-only chase rounds must extend pooled indexes, not rebuild"

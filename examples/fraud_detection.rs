@@ -6,6 +6,7 @@
 
 use dataquality::prelude::*;
 use dq_gen::cards::{generate_cards, CardConfig};
+use std::sync::Arc;
 
 fn main() {
     let card = dq_gen::cards::card_schema();
@@ -65,14 +66,15 @@ fn main() {
         &yb,
     )
     .expect("well-formed rule");
+    let engine = MatchingEngine::new(Arc::new(IndexPool::new()));
     let baseline = Matcher::new(vec![exact_rule]);
     let (b_result, b_quality) =
-        baseline.evaluate(&workload.card, &workload.billing, &workload.truth);
+        baseline.evaluate(&engine, &workload.card, &workload.billing, &workload.truth);
 
     // Dependency-derived rules.
     let derived = Matcher::new(rcks);
     let (d_result, d_quality) =
-        derived.evaluate(&workload.card, &workload.billing, &workload.truth);
+        derived.evaluate(&engine, &workload.card, &workload.billing, &workload.truth);
 
     println!("\n                      pairs  comparisons  precision  recall     f1");
     println!(

@@ -697,25 +697,64 @@ proptest! {
         prop_assert_eq!(&fast, &oracle);
     }
 
-    /// Engine-routed repair enumeration lists exactly the repairs of the
-    /// naive enumeration (compared as kept-tuple-id sets).
+    /// Engine-routed repair enumeration, checked against the naive
+    /// `DenialConstraint::holds_on`: every listed repair is consistent and
+    /// maximal (re-adding any dropped tuple violates a constraint), and on
+    /// instances of at most 12 tuples the list is exactly the brute-force
+    /// set of maximal consistent subsets.
     #[test]
     fn engine_enumeration_equals_naive(groups in 1usize..10, seed in 0u64..500) {
         let (db, _, constraints) = cqa_database(groups, seed);
         let dirty = db.relation("emp").unwrap();
-        let engine = DetectionEngine::new();
-        let canonical = |repairs: Vec<RelationInstance>| -> BTreeSet<Vec<dq_relation::TupleId>> {
-            repairs
-                .iter()
-                .map(|r| r.iter().map(|(id, _)| id).collect())
-                .collect()
+        let ids: Vec<dq_relation::TupleId> = dirty.iter().map(|(id, _)| id).collect();
+        let keep = |kept: &BTreeSet<dq_relation::TupleId>| -> RelationInstance {
+            let mut sub = dirty.clone();
+            for id in &ids {
+                if !kept.contains(id) {
+                    sub.remove(*id);
+                }
+            }
+            sub
         };
-        let fast = canonical(dq_repair::enumerate_repairs_with_engine(
+        let consistent = |inst: &RelationInstance| constraints.iter().all(|c| c.holds_on(inst));
+        let listed: BTreeSet<BTreeSet<dq_relation::TupleId>> = dq_repair::enumerate_repairs(
             dirty,
             &constraints,
-            &engine,
-        ));
-        let slow = canonical(dq_repair::enumerate_repairs(dirty, &constraints));
-        prop_assert_eq!(fast, slow);
+        )
+        .iter()
+        .map(|r| r.iter().map(|(id, _)| id).collect())
+        .collect();
+        prop_assert!(!listed.is_empty());
+        for kept in &listed {
+            prop_assert!(consistent(&keep(kept)), "inconsistent repair {:?}", kept);
+            for dropped in ids.iter().filter(|id| !kept.contains(id)) {
+                let mut grown = kept.clone();
+                grown.insert(*dropped);
+                prop_assert!(
+                    !consistent(&keep(&grown)),
+                    "repair {:?} is not maximal: {:?} can be re-added",
+                    kept,
+                    dropped
+                );
+            }
+        }
+        if ids.len() <= 12 {
+            let subsets: Vec<BTreeSet<dq_relation::TupleId>> = (0u32..1 << ids.len())
+                .map(|mask| {
+                    ids.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, id)| *id)
+                        .collect::<BTreeSet<_>>()
+                })
+                .filter(|kept| consistent(&keep(kept)))
+                .collect();
+            let maximal: BTreeSet<BTreeSet<dq_relation::TupleId>> = subsets
+                .iter()
+                .filter(|kept| !subsets.iter().any(|other| kept.is_subset(other) && kept != &other))
+                .cloned()
+                .collect();
+            prop_assert_eq!(listed, maximal);
+        }
     }
 }

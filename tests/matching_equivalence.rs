@@ -1,19 +1,28 @@
-//! Byte-identity of the interned matching engine against the naive paths.
+//! Byte-identity of the interned matching engine against the row-at-a-time
+//! reference.
 //!
-//! The engine (`dq_match::engine::MatchingEngine`) promises *exactly* the
-//! results of the naive matcher and MD checker — same `matches`, same
-//! `rule_hits`, same violation vectors (contents and order) — for every
-//! rule shape, backend configuration and thread count, with the single
-//! opt-in exception of the sorted-neighborhood approximate mode.  This
-//! suite pins that promise on generated card/billing workloads.
+//! The engine (`dq_match::engine::MatchingEngine`) is the one matching
+//! executor.  It promises *exactly* the results of `dq_match::reference` —
+//! same `matches`, same `rule_hits`, same violation vectors (contents and
+//! order) — for every rule shape and thread count, with the single opt-in
+//! exception of the sorted-neighborhood approximate mode.  The reference
+//! blocks only on equality premises, so agreement on the metric-only rule
+//! sets (edit, q-gram, Jaro) also shows the engine's metric blocking is
+//! lossless.  This suite pins that promise on generated card/billing and
+//! master-data workloads, through every production caller: `Matcher`, MD
+//! checks, rule learning and master-data matching.
 
+use dq_cleaning::master::{match_against_master, MasterData};
 use dq_gen::cards::{generate_cards, CardConfig, CardWorkload};
+use dq_gen::master::{generate_master_workload, MasterConfig};
 use dq_match::engine::MatchingEngine;
 use dq_match::matcher::{score, Matcher};
 use dq_match::md::{MatchOp, MatchingDependency};
 use dq_match::rck::RelativeKey;
+use dq_match::reference;
 use dq_match::similarity::SimilarityOp;
-use dq_relation::IndexPool;
+use dq_relation::{IndexPool, TupleId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const YC: [&str; 5] = ["FN", "LN", "addr", "tel", "email"];
@@ -60,6 +69,12 @@ fn rule_sets(w: &CardWorkload) -> Vec<(&'static str, Vec<RelativeKey>)> {
         (
             "edit-only",
             vec![key(vec![("FN", "FN", SimilarityOp::edit(2))])],
+        ),
+        (
+            // Surnames carry the holder number ("Smith1" / "Smith12"), so
+            // pairs sit exactly on the length-window boundary.
+            "edit-length-boundary",
+            vec![key(vec![("LN", "SN", SimilarityOp::edit(1))])],
         ),
         (
             "normalized-edit-only",
@@ -121,11 +136,11 @@ fn match_results_are_byte_identical_across_backends_and_thread_counts() {
     for seed in [7, 19] {
         let w = workload(120, seed);
         for (label, rules) in rule_sets(&w) {
+            let naive = reference::run_rules(&rules, &w.card, &w.billing);
             let matcher = Matcher::new(rules);
-            let naive = matcher.run(&w.card, &w.billing);
             for threads in [1, 2, 3] {
                 let eng = engine(threads);
-                let interned = matcher.run_with(&eng, &w.card, &w.billing);
+                let interned = matcher.run(&eng, &w.card, &w.billing);
                 assert_eq!(
                     naive.matches, interned.matches,
                     "matches diverged: {label}, seed {seed}, threads {threads}"
@@ -144,37 +159,6 @@ fn match_results_are_byte_identical_across_backends_and_thread_counts() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn disabling_blocking_changes_neither_backend_result() {
-    let w = workload(60, 11);
-    for (label, rules) in rule_sets(&w) {
-        let matcher = Matcher::new(rules).without_blocking();
-        let naive = matcher.run(&w.card, &w.billing);
-        let interned = matcher.run_with(&engine(2), &w.card, &w.billing);
-        assert_eq!(naive.matches, interned.matches, "unblocked: {label}");
-        assert_eq!(naive.rule_hits, interned.rule_hits, "unblocked: {label}");
-    }
-}
-
-#[test]
-fn blocking_never_loses_a_match_the_exhaustive_engine_finds() {
-    // Blocking recall: the lossless generators (eq-join, q-gram, length
-    // windows) must generate every pair the premise relates, so blocked
-    // and unblocked engine runs agree exactly.
-    let w = workload(100, 23);
-    for (label, rules) in rule_sets(&w) {
-        let blocked = Matcher::new(rules.clone());
-        let unblocked = Matcher::new(rules).without_blocking();
-        let eng = engine(2);
-        let with = blocked.run_with(&eng, &w.card, &w.billing);
-        let without = unblocked.run_with(&eng, &w.card, &w.billing);
-        assert_eq!(
-            with.matches, without.matches,
-            "blocking lost or invented matches: {label}"
-        );
     }
 }
 
@@ -225,17 +209,17 @@ fn md_violations_agree_in_contents_and_order() {
         ("metric-premise", &md_metric_premise),
         ("matching-premise", &md_matching_premise),
     ] {
-        let naive = md.violations_with(&w.card, &w.billing, &oracle);
+        let naive = reference::md_violations(md, &w.card, &w.billing, &oracle);
         for threads in [1, 3] {
             let eng = engine(threads);
-            let interned = md.violations_with_pool(&w.card, &w.billing, &oracle, &eng);
+            let interned = md.violations(&w.card, &w.billing, &oracle, &eng);
             assert_eq!(
                 naive, interned,
                 "violations diverged: {label}, threads {threads}"
             );
             assert_eq!(
-                md.holds_with(&w.card, &w.billing, &oracle),
-                md.holds_with_pool(&w.card, &w.billing, &oracle, &eng),
+                naive.is_empty(),
+                md.holds(&w.card, &w.billing, &oracle, &eng),
                 "holds diverged: {label}"
             );
         }
@@ -255,9 +239,9 @@ fn engine_artifacts_are_reused_across_repeated_runs() {
     .unwrap()];
     let eng = engine(2);
     let matcher = Matcher::new(rules);
-    let first = matcher.run_with(&eng, &w.card, &w.billing);
+    let first = matcher.run(&eng, &w.card, &w.billing);
     let misses_after_first = eng.stats().cache.misses;
-    let second = matcher.run_with(&eng, &w.card, &w.billing);
+    let second = matcher.run(&eng, &w.card, &w.billing);
     assert_eq!(first.matches, second.matches);
     assert_eq!(
         eng.stats().cache.misses,
@@ -287,12 +271,12 @@ fn sorted_neighborhood_is_approximate_but_sound() {
     )
     .unwrap()];
     let matcher = Matcher::new(rules);
-    let exact = matcher.run_with(&engine(2), &w.card, &w.billing);
+    let exact = matcher.run(&engine(2), &w.card, &w.billing);
     for window in [1, 4, 16] {
         let eng = MatchingEngine::new(Arc::new(IndexPool::new()))
             .with_threads(2)
             .with_sorted_neighborhood(window);
-        let approx = matcher.run_with(&eng, &w.card, &w.billing);
+        let approx = matcher.run(&eng, &w.card, &w.billing);
         assert!(
             approx.matches.is_subset(&exact.matches),
             "window {window} invented matches"
@@ -302,15 +286,13 @@ fn sorted_neighborhood_is_approximate_but_sound() {
     let eng = MatchingEngine::new(Arc::new(IndexPool::new()))
         .with_threads(2)
         .with_sorted_neighborhood(10_000);
-    let wide = matcher.run_with(&eng, &w.card, &w.billing);
+    let wide = matcher.run(&eng, &w.card, &w.billing);
     assert_eq!(wide.matches, exact.matches);
 }
 
 #[test]
-fn pooled_rule_learning_is_byte_identical() {
-    use dq_discovery::md_discovery::{
-        learn_relative_keys, learn_relative_keys_with_pool, RuleLearningConfig,
-    };
+fn every_candidate_key_matches_the_reference() {
+    use dq_discovery::md_discovery::{candidate_keys, learn_relative_keys, RuleLearningConfig};
     use dq_match::rck::ComparisonSpace;
     let w = workload(100, 61);
     let space = vec![
@@ -324,16 +306,111 @@ fn pooled_rule_learning_is_byte_identical() {
         ComparisonSpace::new("addr", "post", vec![SimilarityOp::Equality]),
     ];
     let config = RuleLearningConfig::default();
-    let naive = learn_relative_keys(&w.card, &w.billing, &w.truth, &space, &YC, &YB, &config);
-    let eng = engine(2);
-    let pooled = learn_relative_keys_with_pool(
-        &w.card, &w.billing, &w.truth, &space, &YC, &YB, &config, &eng,
+    let keys = candidate_keys(
+        w.card.schema(),
+        w.billing.schema(),
+        &space,
+        &YC,
+        &YB,
+        config.max_length,
     );
-    assert_eq!(naive.candidates_evaluated, pooled.candidates_evaluated);
-    assert_eq!(naive.rules.len(), pooled.rules.len());
-    for (a, b) in naive.rules.iter().zip(&pooled.rules) {
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.quality, b.quality);
+    assert!(!keys.is_empty());
+    // One engine across the sweep, as rule learning uses it: later keys
+    // are answered from artifacts and memoized verdicts of earlier ones.
+    let eng = engine(2);
+    for key in &keys {
+        let expected = reference::run_rules(std::slice::from_ref(key), &w.card, &w.billing);
+        let interned = Matcher::new(vec![key.clone()]).run(&eng, &w.card, &w.billing);
+        assert_eq!(expected.matches, interned.matches, "key {key:?}");
+        assert_eq!(expected.rule_hits, interned.rule_hits, "key {key:?}");
     }
-    assert_eq!(naive.combined, pooled.combined);
+    let learned = learn_relative_keys(
+        &w.card,
+        &w.billing,
+        &w.truth,
+        &space,
+        &YC,
+        &YB,
+        &config,
+        &engine(2),
+    );
+    assert_eq!(learned.candidates_evaluated, keys.len());
+}
+
+/// `match_against_master` post-processing applied to reference matches:
+/// per dirty tuple the smallest matching master id, and the number of
+/// dirty tuples with more than one candidate.
+fn reference_master_matches(
+    rules: &[RelativeKey],
+    dirty: &dq_relation::RelationInstance,
+    master: &dq_relation::RelationInstance,
+) -> (Vec<(TupleId, TupleId)>, usize) {
+    let mut per_dirty: BTreeMap<TupleId, Vec<TupleId>> = BTreeMap::new();
+    for &(d, m) in &reference::run_rules(rules, dirty, master).matches {
+        per_dirty.entry(d).or_default().push(m);
+    }
+    let ambiguous = per_dirty.values().filter(|c| c.len() > 1).count();
+    let chosen = per_dirty
+        .into_iter()
+        .map(|(d, candidates)| (d, *candidates.iter().min().expect("non-empty")))
+        .collect();
+    (chosen, ambiguous)
+}
+
+#[test]
+fn master_matching_equals_the_reference() {
+    let schema = dq_gen::customer::customer_schema();
+    let key = |comparisons: Vec<(&str, &str, SimilarityOp)>| {
+        let target = ["street", "city", "zip"];
+        RelativeKey::new(&schema, &schema, comparisons, &target, &target).unwrap()
+    };
+    let rule_sets = [
+        // The benchmark's rule: same phone, similar name.
+        vec![key(vec![
+            ("phn", "phn", SimilarityOp::Equality),
+            ("name", "name", SimilarityOp::edit(12)),
+        ])],
+        // A loose equality join that leaves dirty tuples ambiguous.
+        vec![key(vec![
+            ("city", "city", SimilarityOp::Equality),
+            ("name", "name", SimilarityOp::edit(2)),
+        ])],
+        // No equality premise: q-gram blocked in the engine, every pair
+        // compared by the reference.
+        vec![
+            key(vec![(
+                "name",
+                "name",
+                SimilarityOp::QGram {
+                    q: 2,
+                    min_similarity: 0.6,
+                },
+            )]),
+            key(vec![("zip", "zip", SimilarityOp::Equality)]),
+        ],
+    ];
+    let mut ambiguous_seen = 0;
+    for seed in [3, 11, 42] {
+        let w = generate_master_workload(&MasterConfig {
+            entities: 150,
+            error_rate: 0.2,
+            name_variation_rate: 0.5,
+            seed,
+        });
+        let master = MasterData::new(w.master.clone());
+        for (i, rules) in rule_sets.iter().enumerate() {
+            let (matches, ambiguous) = match_against_master(&w.dirty, &master, rules);
+            let (expected, expected_ambiguous) =
+                reference_master_matches(rules, &w.dirty, &w.master);
+            let got: Vec<(TupleId, TupleId)> =
+                matches.iter().map(|m| (m.dirty, m.master)).collect();
+            assert_eq!(got, expected, "matches diverged: rule set {i}, seed {seed}");
+            assert_eq!(
+                ambiguous, expected_ambiguous,
+                "ambiguity diverged: rule set {i}, seed {seed}"
+            );
+            ambiguous_seen += ambiguous;
+        }
+    }
+    assert!(ambiguous_seen > 0, "some rule set must leave ambiguity");
 }

@@ -161,8 +161,10 @@ fn examples_3_1_3_2_and_4_3_matching() {
         distractors: 30,
         seed: 5,
     });
+    let engine = MatchingEngine::new(Arc::new(IndexPool::new()));
     let matcher = Matcher::new(rcks.clone());
-    let (_, quality) = matcher.evaluate(&workload.card, &workload.billing, &workload.truth);
+    let (_, quality) =
+        matcher.evaluate(&engine, &workload.card, &workload.billing, &workload.truth);
     assert_eq!(quality.recall, 1.0);
     assert_eq!(quality.precision, 1.0);
 
@@ -170,7 +172,8 @@ fn examples_3_1_3_2_and_4_3_matching() {
     // miss the pairs whose first names were abbreviated beyond the edit
     // threshold — derived rules genuinely add recall.
     let weaker = Matcher::new(rcks[1..].to_vec());
-    let (_, weaker_quality) = weaker.evaluate(&workload.card, &workload.billing, &workload.truth);
+    let (_, weaker_quality) =
+        weaker.evaluate(&engine, &workload.card, &workload.billing, &workload.truth);
     assert!(weaker_quality.recall < quality.recall);
 }
 
