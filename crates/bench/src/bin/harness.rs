@@ -369,9 +369,10 @@ fn detection_bench(smoke: bool, profile: bool) {
 ///   the interned path derives single-attribute partitions from pooled CSR
 ///   postings and refines by id-based partition products;
 /// * `cfd_discovery` — full CFD mining (exact FDs, `g3` conditioning,
-///   tableau and constant-pattern mining); the naive path re-groups tuples
-///   per condition set, the interned path reads every grouping off pooled
-///   interned indexes (10k/100k only: the naive miner's per-group
+///   tableau and constant-pattern mining); the naive column times
+///   `dq_discovery::reference::discover_cfds`, which re-groups tuples per
+///   condition set, the interned path reads every grouping off pooled
+///   interned indexes (10k/100k only: the reference miner's per-group
 ///   minimality rescans are quadratic-ish and intractable at 1M).
 ///
 /// The interned sweep is measured **per thread count** — sequential and
@@ -532,25 +533,25 @@ fn discovery_bench(smoke: bool, profile: bool) {
             );
         }
 
-        // ---- CFD discovery (naive miner intractable at 1M) ----
+        // ---- CFD discovery (reference miner intractable at 1M) ----
         if size <= 100_000 {
-            let cfd_cfg = |use_interned, threads| CfdDiscoveryConfig {
+            let cfd_cfg = |threads| CfdDiscoveryConfig {
                 min_support: 4,
                 max_lhs: 2,
                 exclude: exclude.clone(),
-                use_interned,
                 threads,
                 ..CfdDiscoveryConfig::default()
             };
-            let (naive_ms, naive_cfds) =
-                timed_median(reps, || discover_cfds(instance, &cfd_cfg(false, 1)));
+            let (naive_ms, naive_cfds) = timed_median(reps, || {
+                dq_discovery::reference::discover_cfds(instance, &cfd_cfg(1))
+            });
             for &threads in &thread_counts {
                 let cold: Vec<_> = (0..reps).map(|_| instance.clone()).collect();
                 let mut cold_iter = cold.iter();
                 let (interned_ms, interned_cfds) = timed_median(reps, || {
                     discover_cfds(
                         cold_iter.next().expect("one fresh instance per rep"),
-                        &cfd_cfg(true, threads),
+                        &cfd_cfg(threads),
                     )
                 });
                 drop(cold);
@@ -602,14 +603,15 @@ fn discovery_bench(smoke: bool, profile: bool) {
 /// `--smoke` mode, which runs the same comparison CI-sized and only asserts
 /// output identity).
 ///
-/// Two algorithms per size:
+/// Two algorithms per size, the naive column timing the row-oriented
+/// miners of `dq_discovery::reference`:
 /// * `ind_discovery` — unary + binary IND discovery across the three
-///   relations; the naive path rebuilds a `BTreeSet<Value>` /
+///   relations; the reference rebuilds a `BTreeSet<Value>` /
 ///   `HashSet<Vec<Value>>` projection per candidate, the interned path
 ///   probes pooled distinct-projection sets with dictionary-translated ids
 ///   and fans candidate relation pairs out across the thread pool;
 /// * `cind_mining` — condition mining for the embedded
-///   `order(title, price) ⊆ book(title, price)` IND; the naive path
+///   `order(title, price) ⊆ book(title, price)` IND; the reference
 ///   re-scans the instance per condition value, the interned path computes
 ///   one per-row inclusion verdict and reads candidate-value groups off CSR
 ///   postings.
@@ -633,10 +635,7 @@ fn ind_bench(smoke: bool, profile: bool) {
         let workload = order_workload(size, violation_rate);
         let db = &workload.db;
         let reps = if size > 100_000 { 1 } else { 3 };
-        let config = |use_interned| IndDiscoveryConfig {
-            use_interned,
-            ..IndDiscoveryConfig::default()
-        };
+        let config = IndDiscoveryConfig::default();
 
         let mut push_row = |algo: &str, naive_ms: f64, interned_ms: f64, found: usize| {
             let speedup = naive_ms / interned_ms;
@@ -653,8 +652,9 @@ fn ind_bench(smoke: bool, profile: bool) {
         };
 
         // ---- IND discovery ----
-        let (naive_ms, naive_inds) =
-            timed_median(reps, || discover_inds(db, &config(false)).unwrap());
+        let (naive_ms, naive_inds) = timed_median(reps, || {
+            dq_discovery::reference::discover_inds(db, &config).unwrap()
+        });
         // Cold interned runs: clones carry fresh instance identities and
         // empty columnar caches, so every rep pays the snapshots, the
         // dictionary encodings and all distinct-set builds inside the
@@ -664,7 +664,7 @@ fn ind_bench(smoke: bool, profile: bool) {
         let (interned_ms, interned_inds) = timed_median(reps, || {
             discover_inds(
                 cold_iter.next().expect("one fresh database per rep"),
-                &config(true),
+                &config,
             )
             .unwrap()
         });
@@ -720,7 +720,8 @@ fn ind_bench(smoke: bool, profile: bool) {
             vec![book.attr("title"), book.attr("price")],
         );
         let (naive_ms, naive_cinds) = timed_median(reps, || {
-            discover_cind_conditions(&mining_db, &embedded, &config(false)).unwrap()
+            dq_discovery::reference::discover_cind_conditions(&mining_db, &embedded, &config)
+                .unwrap()
         });
         let cold: Vec<_> = (0..reps).map(|_| mining_db.clone()).collect();
         let mut cold_iter = cold.iter();
@@ -728,7 +729,7 @@ fn ind_bench(smoke: bool, profile: bool) {
             discover_cind_conditions(
                 cold_iter.next().expect("one fresh database per rep"),
                 &embedded,
-                &config(true),
+                &config,
             )
             .unwrap()
         });
@@ -2111,20 +2112,13 @@ fn profile_mode() {
             min_support: 4,
             max_lhs: 2,
             exclude,
-            use_interned: true,
             threads: 2,
             ..CfdDiscoveryConfig::default()
         },
     );
     let orders = order_workload(2_000, 0.05);
-    let inds = discover_inds(
-        &orders.db,
-        &IndDiscoveryConfig {
-            use_interned: true,
-            ..IndDiscoveryConfig::default()
-        },
-    )
-    .expect("schemas are compatible");
+    let inds =
+        discover_inds(&orders.db, &IndDiscoveryConfig::default()).expect("schemas are compatible");
 
     // Repair: a smaller dirty instance through the engine-backed fixpoint,
     // so per-round cost histograms have several rounds to bucket.

@@ -15,13 +15,19 @@
 //!   and keeps the most general ones under which the FD holds with enough
 //!   support.
 //!
+//! Every miner runs on the interned columnar store: conditions group
+//! through pooled [`InternedIndex`]es shared with FD discovery, and
+//! support, agreement and minimality checks compare dictionary ids.  The
+//! row-oriented miners these are held byte-identical to live in
+//! [`crate::reference`].
+//!
 //! Discovered dependencies are ordinary [`Cfd`] values; by construction every
 //! one of them holds on the profiled instance, which the module's tests
 //! assert and which makes them safe seeds for cleaning rules on *future*
 //! data of the same source.
 
 use crate::fd_discovery::{discover_fds_with_pool, subsets_of_size, FdDiscoveryConfig};
-use crate::partition::{g3_error, g3_error_from_groups};
+use crate::partition::g3_error_from_groups;
 use crate::source::resolve_threads;
 use dq_core::cfd::Cfd;
 use dq_core::engine::parallel_map;
@@ -30,17 +36,18 @@ use dq_core::implication::cfd_minimal_cover;
 use dq_core::pattern::{PatternTuple, PatternValue};
 use dq_relation::{
     Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
-    StoreShardSource, Value, ValueId,
+    RelationSchema, StoreShardSource, Value, ValueId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The canonical group-mining order shared by the naive and interned
-/// paths.  `Value`'s `Ord` deliberately compares mixed numerics (`Int(0)`
-/// vs `Real(0.0)`) as equal while `Eq` distinguishes them, so `Ord`-equal
-/// but distinct keys get a debug-rendering tiebreak — without it each
-/// path's hash-map iteration order would leak through the stable sort.
-fn sorted_group_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+/// The canonical group-mining order shared with the reference miners.
+/// `Value`'s `Ord` deliberately compares mixed numerics (`Int(0)` vs
+/// `Real(0.0)`) as equal while `Eq` distinguishes them, so `Ord`-equal but
+/// distinct keys get a debug-rendering tiebreak — without it each miner's
+/// grouping order would leak through the stable sort.
+pub(crate) fn sorted_group_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     a.cmp(b)
         .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
 }
@@ -63,11 +70,6 @@ pub struct CfdDiscoveryConfig {
     pub max_tableau: usize,
     /// Attributes excluded from discovery (surrogate keys, free text).
     pub exclude: Vec<usize>,
-    /// Mine over pooled interned indexes (id comparisons, packed keys —
-    /// the fast path).  `false` keeps the legacy `Vec<Value>`-keyed
-    /// grouping; both paths mine groups in sorted key order and produce
-    /// identical dependency sets.
-    pub use_interned: bool,
     /// Worker threads for the per-level fan-outs (embedded FD discovery,
     /// constant-pattern mining per LHS, tableau mining per condition-
     /// position set).  `0` sizes the pool to the machine; `1` mines
@@ -92,10 +94,30 @@ impl Default for CfdDiscoveryConfig {
             max_candidate_g3: 0.5,
             max_tableau: 64,
             exclude: Vec::new(),
-            use_interned: true,
             threads: 0,
             minimal_cover: false,
         }
+    }
+}
+
+impl CfdDiscoveryConfig {
+    /// The FD sweep feeding CFD discovery: exact FDs at `max_g3 = 0`,
+    /// conditioning candidates at [`max_candidate_g3`](Self::max_candidate_g3).
+    pub(crate) fn fd_config(&self, max_g3: f64) -> FdDiscoveryConfig {
+        FdDiscoveryConfig {
+            max_lhs: self.max_lhs,
+            max_g3,
+            exclude: self.exclude.clone(),
+            use_interned: true,
+            threads: self.threads,
+        }
+    }
+
+    /// The attributes discovery may use, in schema order.
+    pub(crate) fn attrs(&self, schema: &RelationSchema) -> Vec<usize> {
+        (0..schema.arity())
+            .filter(|a| !self.exclude.contains(a))
+            .collect()
     }
 }
 
@@ -142,162 +164,55 @@ impl DiscoveredCfds {
     }
 }
 
+/// Mined constant patterns, keyed by `(LHS attributes, RHS attribute)`.
+pub(crate) type ConstantTableaux = BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>;
+
 /// Discovers constant CFDs: minimal frequent LHS value combinations that
 /// force a constant on some other attribute.  Patterns over the same
 /// `(LHS attributes, RHS attribute)` are merged into a single CFD tableau.
+///
+/// Every candidate condition set is grouped through a pooled
+/// [`InternedIndex`], support and right-hand-side agreement are checked on
+/// `u32` dictionary ids, and the minimality probe re-uses the sub-condition
+/// indexes the level-wise sweep already built.
 pub fn discover_constant_cfds(
     instance: &RelationInstance,
     config: &CfdDiscoveryConfig,
 ) -> Vec<Cfd> {
-    discover_constant_cfds_with_pool(instance, config, &Arc::new(IndexPool::new()))
-}
-
-/// [`discover_constant_cfds`] over a shared [`IndexPool`].  On the interned
-/// path every candidate condition set is grouped through a pooled
-/// [`InternedIndex`], support and right-hand-side agreement are checked on
-/// `u32` dictionary ids, and the minimality probe re-uses the sub-condition
-/// indexes the level-wise sweep already built.
-pub fn discover_constant_cfds_with_pool(
-    instance: &RelationInstance,
-    config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
-) -> Vec<Cfd> {
-    discover_constant_cfds_with_pool_timed(instance, config, pool).0
-}
-
-/// [`discover_constant_cfds_with_pool`] plus per-size-level wall-clock
-/// milliseconds (index 0 = LHS size 1), measured through the span layer.
-pub(crate) fn discover_constant_cfds_with_pool_timed(
-    instance: &RelationInstance,
-    config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
-) -> (Vec<Cfd>, Vec<f64>) {
-    let _span = dq_obs::span("constants");
-    let schema = instance.schema().clone();
-    let attrs: Vec<usize> = (0..schema.arity())
-        .filter(|a| !config.exclude.contains(a))
-        .collect();
-    // tableaux[(lhs, rhs)] -> pattern tuples
-    let mut tableaux: BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>> = BTreeMap::new();
-    let mut level_ms: Vec<f64> = Vec::new();
-    if config.use_interned {
-        mine_constant_patterns_interned(
-            instance,
-            config,
-            pool,
-            &attrs,
-            &mut tableaux,
-            &mut level_ms,
-        );
-    } else {
-        mine_constant_patterns_naive(instance, config, &attrs, &mut tableaux, &mut level_ms);
-    }
-    let cfds = tableaux
-        .into_iter()
-        .filter_map(|((lhs, rhs), mut tableau)| {
-            tableau.sort_by_key(|tp| format!("{tp}"));
-            tableau.dedup();
-            Cfd::from_indices(&schema, lhs, vec![rhs], tableau).ok()
-        })
-        .collect();
-    (cfds, level_ms)
+    mine_constant_cfds(instance, config, &IndexPool::new()).0
 }
 
 /// One mined constant pattern, produced by a per-LHS worker and merged into
 /// the tableaux in canonical order.
 type MinedPattern = (usize, Vec<Value>, Value);
 
-/// The legacy mining loop: per-tuple `Vec<Value>` projections.  Groups are
-/// visited in sorted key order so the tableau cap selects the same patterns
-/// as the interned path.  The LHS sets of one size level mine independently
-/// (each writes its own `(LHS, RHS)` tableau keys), so they fan out across
-/// the thread pool; per-LHS results merge back in canonical subset order.
-fn mine_constant_patterns_naive(
-    instance: &RelationInstance,
-    config: &CfdDiscoveryConfig,
-    attrs: &[usize],
-    tableaux: &mut BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>,
-    level_ms: &mut Vec<f64>,
-) {
-    let threads = resolve_threads(config.threads);
-    let all_tuples: Vec<_> = instance.iter().map(|(_, t)| t.clone()).collect();
-    for size in 1..=config.max_lhs.min(attrs.len()) {
-        let level_span = dq_obs::span_owned(format!("level{size}"));
-        let lhs_sets = subsets_of_size(attrs, size);
-        let per_lhs: Vec<Vec<MinedPattern>> = parallel_map(&lhs_sets, threads, |lhs| {
-            let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            for (pos, tuple) in all_tuples.iter().enumerate() {
-                by_key.entry(tuple.project(lhs)).or_default().push(pos);
-            }
-            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = by_key.into_iter().collect();
-            groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
-            let mut mined: Vec<MinedPattern> = Vec::new();
-            for (lhs_values, members) in &groups {
-                if members.len() < config.min_support {
-                    continue;
-                }
-                for &rhs in attrs {
-                    if lhs.contains(&rhs) {
-                        continue;
-                    }
-                    let first = all_tuples[members[0]].get(rhs).clone();
-                    if !members.iter().all(|&m| all_tuples[m].get(rhs) == &first) {
-                        continue;
-                    }
-                    // Minimality: a proper sub-condition that already forces
-                    // the same constant (with support) makes this redundant.
-                    if size >= 2
-                        && is_redundant_constant_pattern(
-                            &all_tuples,
-                            lhs,
-                            lhs_values,
-                            rhs,
-                            &first,
-                            config.min_support,
-                        )
-                    {
-                        continue;
-                    }
-                    mined.push((rhs, lhs_values.clone(), first));
-                }
-            }
-            mined
-        });
-        for (lhs, mined) in lhs_sets.iter().zip(per_lhs) {
-            for (rhs, lhs_values, first) in mined {
-                push_constant_pattern(tableaux, config, lhs, rhs, &lhs_values, &first);
-            }
-        }
-        level_ms.push(level_span.finish_ms());
-    }
-}
-
-/// The interned mining loop: conditions group through pooled indexes and
-/// every support / agreement / minimality check compares dictionary ids.
+/// Constant-pattern mining over `pool`, plus per-size-level wall-clock
+/// milliseconds (index 0 = LHS size 1), measured through the span layer.
 /// Values are resolved only when a pattern is actually emitted (and to sort
-/// groups into the canonical mining order).  Like the naive loop, the LHS
-/// sets of one size level fan out across the thread pool — the pooled
-/// index and column lookups are all concurrent — and merge back in
-/// canonical subset order.
-fn mine_constant_patterns_interned(
+/// groups into the canonical mining order).  The LHS sets of one size level
+/// mine independently (each writes its own `(LHS, RHS)` tableau keys), so
+/// they fan out across the thread pool — the pooled index and column
+/// lookups are all concurrent — and merge back in canonical subset order.
+fn mine_constant_cfds(
     instance: &RelationInstance,
     config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
-    attrs: &[usize],
-    tableaux: &mut BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>,
-    level_ms: &mut Vec<f64>,
-) {
+    pool: &IndexPool,
+) -> (Vec<Cfd>, Vec<f64>) {
+    let _span = dq_obs::span("constants");
     let threads = resolve_threads(config.threads);
+    let attrs = config.attrs(instance.schema());
     let store = instance.columnar();
     // Only the non-excluded attributes are ever read; excluded columns
     // (surrogate keys, free text) must not pay for dictionary encoding.
     let mut columns: Vec<Option<Arc<Column>>> = vec![None; instance.schema().arity()];
-    for &a in attrs {
+    for &a in &attrs {
         columns[a] = Some(store.column(instance, a));
     }
+    let mut tableaux = ConstantTableaux::new();
+    let mut level_ms: Vec<f64> = Vec::new();
     for size in 1..=config.max_lhs.min(attrs.len()) {
         let level_span = dq_obs::span_owned(format!("level{size}"));
-        let lhs_sets = subsets_of_size(attrs, size);
+        let lhs_sets = subsets_of_size(&attrs, size);
         let per_lhs: Vec<Vec<MinedPattern>> = parallel_map(&lhs_sets, threads, |lhs| {
             // Candidate sub-condition indexes inside the minimality probe
             // are pooled too, so cross-LHS sharing survives the fan-out;
@@ -312,7 +227,7 @@ fn mine_constant_patterns_interned(
             groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
             let mut mined: Vec<MinedPattern> = Vec::new();
             for (lhs_values, lhs_ids, members) in &groups {
-                for &rhs in attrs {
+                for &rhs in &attrs {
                     if lhs.contains(&rhs) {
                         continue;
                     }
@@ -322,7 +237,7 @@ fn mine_constant_patterns_interned(
                         continue;
                     }
                     if size >= 2
-                        && is_redundant_constant_pattern_interned(
+                        && is_redundant_constant_pattern(
                             instance,
                             pool,
                             lhs,
@@ -342,16 +257,17 @@ fn mine_constant_patterns_interned(
         });
         for (lhs, mined) in lhs_sets.iter().zip(per_lhs) {
             for (rhs, lhs_values, first) in mined {
-                push_constant_pattern(tableaux, config, lhs, rhs, &lhs_values, &first);
+                push_constant_pattern(&mut tableaux, config, lhs, rhs, &lhs_values, &first);
             }
         }
         level_ms.push(level_span.finish_ms());
     }
+    (constant_cfds(instance.schema(), tableaux), level_ms)
 }
 
 /// Appends one mined constant pattern, respecting the per-dependency cap.
-fn push_constant_pattern(
-    tableaux: &mut BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>,
+pub(crate) fn push_constant_pattern(
+    tableaux: &mut ConstantTableaux,
     config: &CfdDiscoveryConfig,
     lhs: &[usize],
     rhs: usize,
@@ -372,6 +288,14 @@ fn push_constant_pattern(
     ));
 }
 
+/// One constant CFD per `(LHS, RHS)` tableau, in key order.
+pub(crate) fn constant_cfds(schema: &Arc<RelationSchema>, tableaux: ConstantTableaux) -> Vec<Cfd> {
+    tableaux
+        .into_iter()
+        .filter_map(|((lhs, rhs), tableau)| tableau_cfd(schema, lhs, vec![rhs], tableau))
+        .collect()
+}
+
 /// Resolves a group's key ids into owned values, positionally aligned with
 /// the index's attribute list.
 fn resolve_key(index: &InternedIndex, ids: &[ValueId]) -> Vec<Value> {
@@ -381,254 +305,219 @@ fn resolve_key(index: &InternedIndex, ids: &[ValueId]) -> Vec<Value> {
         .collect()
 }
 
-/// Whether the LHS pattern `a` matches every tuple the LHS pattern `b`
-/// matches: at every position `a` is either a wildcard or equal to `b`.
-fn lhs_more_general(a: &[PatternValue], b: &[PatternValue]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(pa, pb)| pa.is_any() || pa == pb)
-}
-
 /// Whether some proper subset of the condition already forces `rhs = value`
 /// on at least `min_support` tuples — in which case the longer condition is
-/// not minimal and should not be reported.
-fn is_redundant_constant_pattern(
-    tuples: &[dq_relation::Tuple],
-    lhs: &[usize],
-    lhs_values: &[Value],
-    rhs: usize,
-    value: &Value,
-    min_support: usize,
-) -> bool {
-    for drop in 0..lhs.len() {
-        let sub_attrs: Vec<usize> = lhs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, &a)| a)
-            .collect();
-        let sub_values: Vec<&Value> = lhs_values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, v)| v)
-            .collect();
-        let matching: Vec<&dq_relation::Tuple> = tuples
-            .iter()
-            .filter(|t| {
-                sub_attrs
-                    .iter()
-                    .zip(&sub_values)
-                    .all(|(&a, v)| t.get(a) == *v)
-            })
-            .collect();
-        if matching.len() >= min_support && matching.iter().all(|t| t.get(rhs) == value) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Interned counterpart of [`is_redundant_constant_pattern`]: each
-/// sub-condition is probed through its pooled index by dictionary ids
-/// (valid across indexes because columns — and hence dictionaries — are
-/// shared per store), and agreement on the right-hand side compares ids.
+/// not minimal and should not be reported.  Each sub-condition is probed
+/// through its pooled index by dictionary ids (valid across indexes because
+/// columns — and hence dictionaries — are shared per store), and agreement
+/// on the right-hand side compares ids.
 #[allow(clippy::too_many_arguments)]
-fn is_redundant_constant_pattern_interned(
+fn is_redundant_constant_pattern(
     instance: &RelationInstance,
-    pool: &Arc<IndexPool>,
+    pool: &IndexPool,
     lhs: &[usize],
     lhs_ids: &[ValueId],
     rhs_col: &Arc<Column>,
     rhs_constant: ValueId,
     min_support: usize,
 ) -> bool {
-    for drop in 0..lhs.len() {
-        let sub_attrs: Vec<usize> = lhs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, &a)| a)
-            .collect();
-        let sub_ids: Vec<ValueId> = lhs_ids
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != drop)
-            .map(|(_, &id)| id)
-            .collect();
+    (0..lhs.len()).any(|drop| {
+        let sub_attrs = without(lhs, drop);
+        let sub_ids = without(lhs_ids, drop);
         let sub_index = pool.interned_for(instance, &sub_attrs, 1);
         let rows = sub_index.rows_for_ids(&sub_ids);
-        if rows.len() >= min_support
+        rows.len() >= min_support
             && rows
                 .iter()
                 .all(|&r| rhs_col.id_at(r as usize) == rhs_constant)
-        {
-            return true;
-        }
-    }
-    false
+    })
 }
 
-/// The grouping / validation backend of [`discover_tableau_for_fd`]: the
-/// legacy variant projects `Vec<Value>` keys per tuple, the interned
-/// variant groups through pooled indexes and compares packed dictionary
-/// ids.  Both hand the shared mining loop groups in sorted key order and
-/// members as dense row positions, so the mined tableaux are identical.
-enum TableauMiner<'a> {
-    Naive {
-        tuples: Vec<dq_relation::Tuple>,
-        lhs: Vec<usize>,
-        rhs: Vec<usize>,
-    },
-    Interned {
-        instance: &'a RelationInstance,
-        pool: Arc<IndexPool>,
-        lhs_codec: KeyCodec,
-        rhs_codec: KeyCodec,
-        rhs_cols: Vec<Arc<Column>>,
-    },
+/// `items` without the element at position `drop`.
+pub(crate) fn without<T: Clone>(items: &[T], drop: usize) -> Vec<T> {
+    items
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != drop)
+        .map(|(_, item)| item.clone())
+        .collect()
+}
+
+/// The condition-position sets (positions within the LHS list that carry
+/// constants) of one tableau level, in canonical order.
+pub(crate) fn condition_position_sets(lhs_len: usize, constants: usize) -> Vec<Vec<usize>> {
+    if constants == 0 {
+        vec![Vec::new()]
+    } else {
+        subsets_of_size(&(0..lhs_len).collect::<Vec<_>>(), constants)
+    }
+}
+
+/// The LHS pattern of one condition group: the group's values at the
+/// condition positions, wildcards elsewhere.
+pub(crate) fn condition_pattern(
+    lhs_len: usize,
+    cond_positions: &[usize],
+    cond_values: &[Value],
+) -> Vec<PatternValue> {
+    (0..lhs_len)
+        .map(|p| match cond_positions.iter().position(|&c| c == p) {
+            Some(i) => PatternValue::Const(cond_values[i].clone()),
+            None => PatternValue::Any,
+        })
+        .collect()
+}
+
+/// Whether an accepted pattern is at least as general as `lhs_pattern`: at
+/// every position it is either a wildcard or equal.  Candidates covered by
+/// an accepted pattern are skipped, so the tableau keeps the most general
+/// patterns.
+pub(crate) fn covered(accepted: &[PatternTuple], lhs_pattern: &[PatternValue]) -> bool {
+    accepted.iter().any(|a| {
+        a.lhs.len() == lhs_pattern.len()
+            && a.lhs
+                .iter()
+                .zip(lhs_pattern)
+                .all(|(pa, pb)| pa.is_any() || pa == pb)
+    })
+}
+
+/// The RHS pattern of an accepted candidate: upgraded to constants when
+/// every matching tuple agrees on the RHS under a real condition (the
+/// `city = EDI` shape of cfd2/cfd3), wildcards otherwise.
+pub(crate) fn rhs_pattern(
+    constant_rhs: Option<Vec<Value>>,
+    conditioned: bool,
+    rhs_len: usize,
+) -> Vec<PatternValue> {
+    match constant_rhs {
+        Some(values) if conditioned => values.into_iter().map(PatternValue::Const).collect(),
+        _ => vec![PatternValue::Any; rhs_len],
+    }
+}
+
+/// A CFD over the canonically sorted, deduplicated `tableau`.
+pub(crate) fn tableau_cfd(
+    schema: &Arc<RelationSchema>,
+    lhs: Vec<usize>,
+    rhs: Vec<usize>,
+    mut tableau: Vec<PatternTuple>,
+) -> Option<Cfd> {
+    tableau.sort_by_key(|tp| format!("{tp}"));
+    tableau.dedup();
+    Cfd::from_indices(schema, lhs, rhs, tableau).ok()
+}
+
+/// The grouping and validation backend of [`discover_tableau_for_fd`]:
+/// conditions group through pooled indexes (which FD discovery already
+/// built) and the embedded FD is checked on packed dictionary ids.
+struct TableauMiner<'a> {
+    instance: &'a RelationInstance,
+    pool: &'a IndexPool,
+    lhs_codec: KeyCodec,
+    rhs_codec: KeyCodec,
+    rhs_cols: Vec<Arc<Column>>,
 }
 
 impl<'a> TableauMiner<'a> {
-    fn naive(instance: &RelationInstance, fd: &Fd) -> Self {
-        TableauMiner::Naive {
-            tuples: instance.iter().map(|(_, t)| t.clone()).collect(),
-            lhs: fd.lhs().to_vec(),
-            rhs: fd.rhs().to_vec(),
-        }
-    }
-
-    fn interned(instance: &'a RelationInstance, fd: &Fd, pool: &Arc<IndexPool>) -> Self {
+    fn new(instance: &'a RelationInstance, fd: &Fd, pool: &'a IndexPool) -> Self {
         let store = instance.columnar();
-        let lhs_cols: Vec<Arc<Column>> = fd
-            .lhs()
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let rhs_cols: Vec<Arc<Column>> = fd
-            .rhs()
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        TableauMiner::Interned {
+        let columns = |attrs: &[usize]| -> Vec<Arc<Column>> {
+            attrs.iter().map(|&a| store.column(instance, a)).collect()
+        };
+        let rhs_cols = columns(fd.rhs());
+        TableauMiner {
             instance,
-            pool: Arc::clone(pool),
-            lhs_codec: KeyCodec::new(lhs_cols),
+            pool,
+            lhs_codec: KeyCodec::new(columns(fd.lhs())),
             rhs_codec: KeyCodec::new(rhs_cols.clone()),
             rhs_cols,
         }
     }
 
-    /// Distinct value combinations on `cond_attrs` with at least
-    /// `min_support` members, sorted by key values; members are dense row
-    /// positions (live tuples in insertion order on both variants).
-    fn groups(&self, cond_attrs: &[usize], min_support: usize) -> Vec<(Vec<Value>, Vec<usize>)> {
-        let mut out: Vec<(Vec<Value>, Vec<usize>)> = match self {
-            TableauMiner::Naive { tuples, .. } => {
-                let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                for (pos, tuple) in tuples.iter().enumerate() {
-                    by_key
-                        .entry(tuple.project(cond_attrs))
-                        .or_default()
-                        .push(pos);
+    /// Does the embedded FD hold on exactly these rows?
+    fn fd_holds_on(&self, members: &[u32]) -> bool {
+        let mut by_lhs: FxHashMap<ProjectionKey, ProjectionKey> = FxHashMap::default();
+        members.iter().all(|&m| {
+            let val = self.rhs_codec.pack_row(m as usize);
+            match by_lhs.entry(self.lhs_codec.pack_row(m as usize)) {
+                Entry::Occupied(existing) => *existing.get() == val,
+                Entry::Vacant(slot) => {
+                    slot.insert(val);
+                    true
                 }
-                by_key
-                    .into_iter()
-                    .filter(|(_, members)| members.len() >= min_support)
-                    .collect()
             }
-            TableauMiner::Interned { instance, pool, .. } => {
-                // Condition sets revisit indexes FD discovery already
-                // built; a cold build runs single-threaded because the
-                // condition-position sets themselves are the parallel axis.
-                let index = pool.interned_for(instance, cond_attrs, 1);
-                index
-                    .groups()
-                    .filter(|(_, rows)| rows.len() >= min_support)
-                    .map(|(ids, rows)| {
-                        (
-                            resolve_key(&index, &ids),
-                            rows.iter().map(|&r| r as usize).collect(),
-                        )
-                    })
-                    .collect()
-            }
-        };
-        out.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
-        out
+        })
     }
 
-    /// Does the embedded FD hold on exactly these members?
-    fn fd_holds_on(&self, members: &[usize]) -> bool {
-        match self {
-            TableauMiner::Naive { tuples, lhs, rhs } => {
-                let mut by_lhs: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-                for &m in members {
-                    let key = tuples[m].project(lhs);
-                    let val = tuples[m].project(rhs);
-                    match by_lhs.get(&key) {
-                        Some(existing) if existing != &val => return false,
-                        Some(_) => {}
-                        None => {
-                            by_lhs.insert(key, val);
-                        }
-                    }
-                }
-                true
-            }
-            TableauMiner::Interned {
-                lhs_codec,
-                rhs_codec,
-                ..
-            } => {
-                let mut by_lhs: FxHashMap<ProjectionKey, ProjectionKey> = FxHashMap::default();
-                for &m in members {
-                    let key = lhs_codec.pack_row(m);
-                    let val = rhs_codec.pack_row(m);
-                    match by_lhs.get(&key) {
-                        Some(existing) if existing != &val => return false,
-                        Some(_) => {}
-                        None => {
-                            by_lhs.insert(key, val);
-                        }
-                    }
-                }
-                true
-            }
-        }
+    /// The rows' common RHS projection, when they all agree on it.
+    fn constant_rhs(&self, members: &[u32]) -> Option<Vec<Value>> {
+        let first = self.rhs_codec.pack_row(members[0] as usize);
+        members
+            .iter()
+            .all(|&m| self.rhs_codec.pack_row(m as usize) == first)
+            .then(|| {
+                self.rhs_cols
+                    .iter()
+                    .map(|col| {
+                        col.interner()
+                            .resolve(col.id_at(members[0] as usize))
+                            .clone()
+                    })
+                    .collect()
+            })
     }
 
-    /// The members' common RHS projection, when they all agree on it.
-    fn constant_rhs(&self, members: &[usize]) -> Option<Vec<Value>> {
-        match self {
-            TableauMiner::Naive { tuples, rhs, .. } => {
-                let first_rhs = tuples[members[0]].project(rhs);
-                members
-                    .iter()
-                    .all(|&m| tuples[m].project(rhs) == first_rhs)
-                    .then_some(first_rhs)
-            }
-            TableauMiner::Interned {
-                rhs_codec,
-                rhs_cols,
-                ..
-            } => {
-                let first = rhs_codec.pack_row(members[0]);
-                members
-                    .iter()
-                    .all(|&m| rhs_codec.pack_row(m) == first)
-                    .then(|| {
-                        rhs_cols
-                            .iter()
-                            .map(|col| col.interner().resolve(col.id_at(members[0])).clone())
-                            .collect()
-                    })
-            }
-        }
+    /// The validated candidates of one condition-position set, in canonical
+    /// group order, skipping those `accepted` already covers.
+    fn candidates(
+        &self,
+        lhs: &[usize],
+        cond_positions: &[usize],
+        min_support: usize,
+        accepted: &[PatternTuple],
+    ) -> Vec<TableauCandidate> {
+        let cond_attrs: Vec<usize> = cond_positions.iter().map(|&p| lhs[p]).collect();
+        // A cold build runs single-threaded because the condition-position
+        // sets themselves are the parallel axis.
+        let index = self.pool.interned_for(self.instance, &cond_attrs, 1);
+        let mut groups: Vec<(Vec<Value>, &[u32])> = index
+            .groups()
+            .filter(|(_, rows)| rows.len() >= min_support)
+            .map(|(ids, rows)| (resolve_key(&index, &ids), rows))
+            .collect();
+        groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
+        groups
+            .into_iter()
+            .filter_map(|(cond_values, members)| {
+                let lhs_pattern = condition_pattern(lhs.len(), cond_positions, &cond_values);
+                if covered(accepted, &lhs_pattern) {
+                    return None;
+                }
+                Some(TableauCandidate {
+                    holds: self.fd_holds_on(members),
+                    constant_rhs: self.constant_rhs(members),
+                    lhs_pattern,
+                })
+            })
+            .collect()
     }
+}
+
+/// One validated pattern candidate, produced by a per-condition-set worker;
+/// acceptance (generality pruning + the tableau cap) happens at the
+/// sequential merge so the mined tableau is order-identical to the
+/// sequential sweep.
+struct TableauCandidate {
+    lhs_pattern: Vec<PatternValue>,
+    holds: bool,
+    constant_rhs: Option<Vec<Value>>,
 }
 
 /// Mines a pattern tableau for the embedded FD `fd` on `instance`: the most
 /// general pattern tuples (fewest constants) under which the FD holds with
-/// at least [`CfdDiscoveryConfig::min_support`] matching tuples.
+/// at least [`CfdDiscoveryConfig::min_support`] matching tuples, at most
+/// [`CfdDiscoveryConfig::max_tableau`] of them.
 ///
 /// Returns `None` when no pattern with enough support makes the FD hold.
 /// When the FD already holds globally the tableau is the single all-wildcard
@@ -638,70 +527,35 @@ pub fn discover_tableau_for_fd(
     fd: &Fd,
     config: &CfdDiscoveryConfig,
 ) -> Option<Cfd> {
-    discover_tableau_for_fd_with_pool(instance, fd, config, &Arc::new(IndexPool::new()))
-}
-
-/// [`discover_tableau_for_fd`] over a shared [`IndexPool`] (the condition
-/// sets enumerated here revisit the indexes FD discovery already built).
-pub fn discover_tableau_for_fd_with_pool(
-    instance: &RelationInstance,
-    fd: &Fd,
-    config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
-) -> Option<Cfd> {
-    discover_tableau_for_fd_with_pool_threads(
+    mine_tableau(
         instance,
         fd,
         config,
-        pool,
+        &IndexPool::new(),
         resolve_threads(config.threads),
     )
 }
 
-/// [`discover_tableau_for_fd_with_pool`] with an explicit worker budget for
-/// the per-condition-set fan-out, so an outer per-FD fan-out can hand each
-/// mine a slice of the pool instead of letting every mine claim the whole
+/// Tableau mining over `pool` with an explicit worker budget for the
+/// per-condition-set fan-out, so an outer per-FD fan-out can hand each mine
+/// a slice of the pool instead of letting every mine claim the whole
 /// machine (nesting up to `threads²` scoped workers).
-fn discover_tableau_for_fd_with_pool_threads(
+fn mine_tableau(
     instance: &RelationInstance,
     fd: &Fd,
     config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
+    pool: &IndexPool,
     threads: usize,
 ) -> Option<Cfd> {
     let _span = dq_obs::span("tableau");
-    let schema = instance.schema().clone();
-    let lhs = fd.lhs().to_vec();
-    let rhs = fd.rhs().to_vec();
-    let miner = if config.use_interned {
-        TableauMiner::interned(instance, fd, pool)
-    } else {
-        TableauMiner::naive(instance, fd)
-    };
+    let lhs = fd.lhs();
+    let miner = TableauMiner::new(instance, fd, pool);
     let mut accepted: Vec<PatternTuple> = Vec::new();
-
-    /// One validated pattern candidate, produced by a per-condition-set
-    /// worker; acceptance (generality pruning + the tableau cap) happens at
-    /// the sequential merge so the mined tableau is order-identical to the
-    /// sequential sweep.
-    struct TableauCandidate {
-        lhs_pattern: Vec<PatternValue>,
-        holds: bool,
-        constant_rhs: Option<Vec<Value>>,
-    }
-
-    let max_constants = config.max_condition_attrs.min(lhs.len());
-    for constants in 0..=max_constants {
+    'levels: for constants in 0..=config.max_condition_attrs.min(lhs.len()) {
         if accepted.len() >= config.max_tableau {
             break;
         }
-        // Positions (within the LHS list) that carry constants.
-        let positions = subsets_of_size(&(0..lhs.len()).collect::<Vec<_>>(), constants);
-        let position_sets: Vec<Vec<usize>> = if constants == 0 {
-            vec![Vec::new()]
-        } else {
-            positions
-        };
+        let position_sets = condition_position_sets(lhs.len(), constants);
         // Two patterns with the same number of constants can never cover
         // each other (coverage needs a constant-position subset, equal
         // counts force equality), so the generality prune only ever fires
@@ -711,122 +565,52 @@ fn discover_tableau_for_fd_with_pool_threads(
         // tableau, and the merge below re-applies acceptance sequentially.
         let per_set: Vec<Vec<TableauCandidate>> =
             parallel_map(&position_sets, threads, |cond_positions| {
-                let cond_attrs: Vec<usize> = cond_positions.iter().map(|&p| lhs[p]).collect();
-                miner
-                    .groups(&cond_attrs, config.min_support)
-                    .into_iter()
-                    .filter_map(|(cond_values, members)| {
-                        let lhs_pattern: Vec<PatternValue> = (0..lhs.len())
-                            .map(|p| match cond_positions.iter().position(|&c| c == p) {
-                                Some(i) => PatternValue::Const(cond_values[i].clone()),
-                                None => PatternValue::Any,
-                            })
-                            .collect();
-                        // Prefer the most general patterns: skip a candidate
-                        // whose LHS is covered by an already accepted, more
-                        // general one (all from earlier levels).
-                        if accepted
-                            .iter()
-                            .any(|a| lhs_more_general(&a.lhs, &lhs_pattern))
-                        {
-                            return None;
-                        }
-                        Some(TableauCandidate {
-                            // Does the embedded FD hold on the matching tuples?
-                            holds: miner.fd_holds_on(&members),
-                            constant_rhs: miner.constant_rhs(&members),
-                            lhs_pattern,
-                        })
-                    })
-                    .collect()
+                miner.candidates(lhs, cond_positions, config.min_support, &accepted)
             });
-        // Sequential merge in canonical candidate order.  The cap breaks
-        // only the *current* condition set's candidates — exactly the
-        // sequential loop's behaviour (its cap check sat in the inner
-        // group loop), so later condition sets of the level still emit.
+        // Sequential merge in canonical candidate order; the cap stops all
+        // acceptance, not just the current condition set's.
         for (cond_positions, candidates) in position_sets.iter().zip(per_set) {
             for candidate in candidates {
-                if accepted
-                    .iter()
-                    .any(|a| lhs_more_general(&a.lhs, &candidate.lhs_pattern))
-                {
-                    continue;
-                }
-                if !candidate.holds {
-                    continue;
-                }
-                // Upgrade the RHS to constants when every matching tuple
-                // agrees on it (the `city = EDI` shape of cfd2/cfd3).
-                let rhs_pattern: Vec<PatternValue> = match candidate.constant_rhs {
-                    Some(first_rhs) if !cond_positions.is_empty() => {
-                        first_rhs.into_iter().map(PatternValue::Const).collect()
-                    }
-                    _ => vec![PatternValue::Any; rhs.len()],
-                };
-                accepted.push(PatternTuple::new(candidate.lhs_pattern, rhs_pattern));
                 if accepted.len() >= config.max_tableau {
-                    break;
+                    break 'levels;
                 }
+                if !candidate.holds || covered(&accepted, &candidate.lhs_pattern) {
+                    continue;
+                }
+                let rhs = rhs_pattern(
+                    candidate.constant_rhs,
+                    !cond_positions.is_empty(),
+                    fd.rhs().len(),
+                );
+                accepted.push(PatternTuple::new(candidate.lhs_pattern, rhs));
             }
         }
     }
-
     if accepted.is_empty() {
         return None;
     }
-    accepted.sort_by_key(|tp| format!("{tp}"));
-    accepted.dedup();
-    Cfd::from_indices(&schema, lhs, rhs, accepted).ok()
+    tableau_cfd(instance.schema(), lhs.to_vec(), fd.rhs().to_vec(), accepted)
 }
 
 /// Full CFD discovery: exact FDs (reported as all-wildcard CFDs), conditional
 /// tableaux for approximate FDs, and constant CFDs.
+///
+/// FD discovery, the `g3` conditioning filter, tableau mining and
+/// constant-pattern mining all draw their groupings from one private
+/// [`IndexPool`], so each distinct attribute set is encoded once for the
+/// entire run.
 pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -> DiscoveredCfds {
-    discover_cfds_with_pool(instance, config, &Arc::new(IndexPool::new()))
-}
-
-/// [`discover_cfds`] over a shared [`IndexPool`]: FD discovery, the `g3`
-/// conditioning filter, tableau mining and constant-pattern mining all draw
-/// their groupings from the same pooled interned indexes, so each distinct
-/// attribute set is encoded once for the entire run.
-pub fn discover_cfds_with_pool(
-    instance: &RelationInstance,
-    config: &CfdDiscoveryConfig,
-    pool: &Arc<IndexPool>,
-) -> DiscoveredCfds {
     let _span = dq_obs::span!("discover.cfd", arity = instance.schema().arity());
-    let mut candidates_checked = 0usize;
+    let pool = Arc::new(IndexPool::new());
 
     // Exact FDs become traditional (all-wildcard) CFDs.
-    let exact = discover_fds_with_pool(
-        instance,
-        &FdDiscoveryConfig {
-            max_lhs: config.max_lhs,
-            max_g3: 0.0,
-            exclude: config.exclude.clone(),
-            use_interned: config.use_interned,
-            threads: config.threads,
-        },
-        pool,
-    );
-    candidates_checked += exact.candidates_checked;
-    let mut variable_cfds: Vec<Cfd> = exact.fds.iter().map(Cfd::from_fd).collect();
+    let exact = discover_fds_with_pool(instance, &config.fd_config(0.0), &pool);
     let mut level_ms = exact.level_ms.clone();
 
     // Approximate FDs (hold after removing at most `max_candidate_g3` of the
     // tuples but not exactly) are conditioning candidates: mine a tableau.
-    let approx = discover_fds_with_pool(
-        instance,
-        &FdDiscoveryConfig {
-            max_lhs: config.max_lhs,
-            max_g3: config.max_candidate_g3,
-            exclude: config.exclude.clone(),
-            use_interned: config.use_interned,
-            threads: config.threads,
-        },
-        pool,
-    );
-    candidates_checked += approx.candidates_checked;
+    let approx =
+        discover_fds_with_pool(instance, &config.fd_config(config.max_candidate_g3), &pool);
     add_level_ms(&mut level_ms, &approx.level_ms);
     // The per-FD tableau mines are independent — each conditions its own
     // embedded FD against the frozen exact set — so they fan out across the
@@ -835,60 +619,62 @@ pub fn discover_cfds_with_pool(
     // `threads` instead of `threads²`.  `parallel_map` preserves input
     // order, so the mined CFDs and `candidates_checked` are byte-identical
     // to the sequential loop at any thread count.
-    let tableau_fds: Vec<&dq_core::fd::Fd> = approx
-        .fds
-        .iter()
-        .filter(|fd| {
-            !exact
-                .fds
-                .iter()
-                .any(|e| e.lhs() == fd.lhs() && e.rhs() == fd.rhs())
-        })
-        .collect();
+    let tableau_fds = conditioning_candidates(&exact.fds, &approx.fds);
     let threads = resolve_threads(config.threads);
     let outer = threads.min(tableau_fds.len()).max(1);
     let inner = (threads / outer).max(1);
-    struct FdOutcome {
-        checked: bool,
-        cfd: Option<Cfd>,
-    }
-    let outcomes: Vec<FdOutcome> = parallel_map(&tableau_fds, threads, |fd| {
+    let tableaux: Vec<Option<Option<Cfd>>> = parallel_map(&tableau_fds, threads, |fd| {
         // Only condition on FDs that genuinely fail globally.
-        let fd_g3 = if config.use_interned {
-            let index = pool.interned_for(instance, fd.lhs(), 1);
-            let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
-            g3_error_from_groups(&source, index.multi_group_rows(), fd.rhs())
-        } else {
-            g3_error(instance, fd.lhs(), fd.rhs())
-        };
-        if fd_g3 == 0.0 {
-            return FdOutcome {
-                checked: false,
-                cfd: None,
-            };
-        }
-        FdOutcome {
-            checked: true,
-            cfd: discover_tableau_for_fd_with_pool_threads(instance, fd, config, pool, inner),
-        }
+        let index = pool.interned_for(instance, fd.lhs(), 1);
+        let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
+        let fd_g3 = g3_error_from_groups(&source, index.multi_group_rows(), fd.rhs());
+        (fd_g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, inner))
     });
-    for outcome in outcomes {
-        if !outcome.checked {
-            continue;
-        }
-        candidates_checked += 1;
-        if let Some(cfd) = outcome.cfd {
-            // A tableau consisting solely of the all-wildcard pattern adds
-            // nothing beyond the (failing) traditional FD.
-            if !cfd.tableau().iter().all(PatternTuple::is_all_wildcards) {
-                variable_cfds.push(cfd);
-            }
-        }
-    }
 
-    let (constant_cfds, constant_level_ms) =
-        discover_constant_cfds_with_pool_timed(instance, config, pool);
+    let (constant_cfds, constant_level_ms) = mine_constant_cfds(instance, config, &pool);
     add_level_ms(&mut level_ms, &constant_level_ms);
+    finish_discovery(
+        exact.candidates_checked + approx.candidates_checked,
+        &exact.fds,
+        tableaux,
+        constant_cfds,
+        level_ms,
+        config,
+    )
+}
+
+/// The approximate FDs worth conditioning: those that are not also exact.
+pub(crate) fn conditioning_candidates<'f>(exact: &[Fd], approx: &'f [Fd]) -> Vec<&'f Fd> {
+    approx
+        .iter()
+        .filter(|fd| {
+            !exact
+                .iter()
+                .any(|e| e.lhs() == fd.lhs() && e.rhs() == fd.rhs())
+        })
+        .collect()
+}
+
+/// Assembles a [`DiscoveredCfds`] from the mined parts.  `tableaux` holds,
+/// per conditioning candidate, `None` when the FD holds globally (not
+/// checked) and otherwise the mined tableau, if any.
+pub(crate) fn finish_discovery(
+    fd_candidates_checked: usize,
+    exact: &[Fd],
+    tableaux: Vec<Option<Option<Cfd>>>,
+    constant_cfds: Vec<Cfd>,
+    level_ms: Vec<f64>,
+    config: &CfdDiscoveryConfig,
+) -> DiscoveredCfds {
+    let mut candidates_checked = fd_candidates_checked;
+    let mut variable_cfds: Vec<Cfd> = exact.iter().map(Cfd::from_fd).collect();
+    for mined in tableaux.into_iter().flatten() {
+        candidates_checked += 1;
+        // A tableau consisting solely of the all-wildcard pattern adds
+        // nothing beyond the (failing) traditional FD.
+        variable_cfds
+            .extend(mined.filter(|cfd| !cfd.tableau().iter().all(PatternTuple::is_all_wildcards)));
+    }
     let mut discovered = DiscoveredCfds {
         variable_cfds,
         constant_cfds,
@@ -896,7 +682,6 @@ pub fn discover_cfds_with_pool(
         level_ms,
         cover_dropped: 0,
     };
-
     // Opt-in static-analysis post-pass: replace the mined set with its
     // canonical minimal cover, so redundant (implied) fragments never reach
     // detection or repair.  The cover works on normalized single-pattern
@@ -1079,25 +864,85 @@ mod tests {
     #[test]
     fn fan_out_is_byte_identical_to_sequential_mining() {
         let inst = uk_us_instance();
-        for use_interned in [false, true] {
-            let config = |threads| CfdDiscoveryConfig {
-                threads,
-                use_interned,
-                min_support: 2,
-                max_lhs: 2,
+        let config = |threads| CfdDiscoveryConfig {
+            threads,
+            min_support: 2,
+            max_lhs: 2,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_cfds(&inst, &config(1));
+        let reference = crate::reference::discover_cfds(&inst, &config(1));
+        assert_eq!(sequential.variable_cfds, reference.variable_cfds);
+        assert_eq!(sequential.constant_cfds, reference.constant_cfds);
+        assert_eq!(sequential.candidates_checked, reference.candidates_checked);
+        for threads in [2, 8] {
+            let parallel = discover_cfds(&inst, &config(threads));
+            assert_eq!(
+                parallel.variable_cfds, sequential.variable_cfds,
+                "threads {threads}"
+            );
+            assert_eq!(parallel.constant_cfds, sequential.constant_cfds);
+            assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
+        }
+    }
+
+    #[test]
+    fn max_tableau_caps_the_whole_tableau() {
+        // `(a, b) → c` fails globally (the `(y, q)` rows disagree on `c`)
+        // but holds under `a = x`, `a = z`, `b = p` and `b = r`: four
+        // one-constant patterns across two condition sets.  The cap must
+        // bound the tableau, not just each condition set's share of it.
+        let schema = Arc::new(RelationSchema::new(
+            "r",
+            vec![
+                ("a", Domain::Text),
+                ("b", Domain::Text),
+                ("c", Domain::Text),
+            ],
+        ));
+        let mut inst = RelationInstance::new(Arc::clone(&schema));
+        for (a, b, c) in [
+            ("x", "p", "1"),
+            ("x", "p", "1"),
+            ("x", "q", "2"),
+            ("x", "q", "2"),
+            ("y", "p", "3"),
+            ("y", "p", "3"),
+            ("y", "q", "4"),
+            ("y", "q", "5"),
+            ("y", "q", "4"),
+            ("z", "r", "6"),
+            ("z", "r", "6"),
+        ] {
+            inst.insert_values(vec![Value::str(a), Value::str(b), Value::str(c)])
+                .unwrap();
+        }
+        let fd = Fd::new(&schema, &["a", "b"], &["c"]);
+        let a_pattern = |a: &str, c: PatternValue| {
+            PatternTuple::new(
+                vec![PatternValue::Const(Value::str(a)), PatternValue::Any],
+                vec![c],
+            )
+        };
+        let expected = [
+            vec![a_pattern("x", PatternValue::Any)],
+            vec![
+                a_pattern("x", PatternValue::Any),
+                a_pattern("z", PatternValue::Const(Value::str("6"))),
+            ],
+        ];
+        for (cap, expected) in (1..).zip(expected) {
+            let config = CfdDiscoveryConfig {
+                max_tableau: cap,
                 ..CfdDiscoveryConfig::default()
             };
-            let sequential = discover_cfds(&inst, &config(1));
-            for threads in [2, 8] {
-                let parallel = discover_cfds(&inst, &config(threads));
-                assert_eq!(
-                    parallel.variable_cfds, sequential.variable_cfds,
-                    "threads {threads}"
-                );
-                assert_eq!(parallel.constant_cfds, sequential.constant_cfds);
-                assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-            }
+            let mined = discover_tableau_for_fd(&inst, &fd, &config).unwrap();
+            assert_eq!(mined.tableau(), expected, "cap {cap}");
+            let reference = crate::reference::discover_tableau_for_fd(&inst, &fd, &config);
+            assert_eq!(Some(mined), reference, "cap {cap}");
         }
+        let uncapped = discover_tableau_for_fd(&inst, &fd, &CfdDiscoveryConfig::default()).unwrap();
+        assert_eq!(uncapped.tableau().len(), 4);
     }
 
     #[test]

@@ -37,9 +37,11 @@ pub struct FdDiscoveryConfig {
     /// Attributes to exclude from both sides (e.g. surrogate identifiers).
     pub exclude: Vec<usize>,
     /// Validate candidates over partitions derived from pooled interned
-    /// indexes and id-based partition products (the fast path).  `false`
-    /// keeps the legacy `Vec<Value>`-keyed partition builds — same results,
-    /// kept for equivalence tests and the `--discovery-bench` comparison.
+    /// indexes and id-based partition products.  `false` selects the
+    /// reference partition builds ([`PartitionSource::naive`]: `Vec<Value>`
+    /// keys from the row store) — same results, the test oracle of the
+    /// interned sweep and the FD half of
+    /// [`crate::reference::discover_cfds`].
     pub use_interned: bool,
     /// Worker threads for the per-level candidate fan-out (and for cold
     /// pooled index builds on the interned path).  `0` sizes the pool to

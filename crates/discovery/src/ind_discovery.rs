@@ -14,18 +14,18 @@
 //!    which it does, optionally also requiring a constant pattern on the RHS
 //!    side — producing [`Cind`] values.
 //!
-//! Both run, by default, on the interned columnar store: candidate inclusion
-//! reduces to probes of pooled [`DistinctSet`]s (distinct packed-key
-//! projections, translated between the two relations' dictionaries once per
-//! dictionary entry instead of hashing a `Vec<Value>` per tuple), condition
-//! mining reads its candidate-value groups straight from pooled CSR
-//! postings, and independent (LHS relation, RHS relation) candidate pairs
-//! fan out across a thread pool.  The legacy row-oriented path is kept
-//! behind [`IndDiscoveryConfig::use_interned`] `= false` and produces
-//! byte-identical output on well-typed columns
-//! (`tests/discovery_equivalence.rs`; see the `use_interned` doc for the
-//! mixed-numeric `Ord`-vs-`Eq` caveat shared with profiling).
+//! Both run on the interned columnar store: candidate inclusion reduces to
+//! probes of pooled [`DistinctSet`](dq_relation::DistinctSet)s (distinct
+//! packed-key projections, translated between the two relations'
+//! dictionaries once per dictionary entry instead of hashing a `Vec<Value>`
+//! per tuple), condition mining reads its candidate-value groups straight
+//! from pooled CSR postings, and independent (LHS relation, RHS relation)
+//! candidate pairs fan out across a thread pool.  The row-oriented miners in
+//! [`crate::reference`] produce byte-identical output on well-typed columns
+//! (`tests/discovery_equivalence.rs`; see that module for the mixed-numeric
+//! `Ord`-vs-`Eq` caveat shared with profiling).
 
+use crate::source::resolve_threads;
 use dq_core::cind::{Cind, CindPattern};
 use dq_core::engine::{parallel_map, try_parallel_map};
 use dq_core::ind::Ind;
@@ -33,8 +33,6 @@ use dq_relation::{
     Column, Database, DqResult, FxHashSet, IdTranslation, IndexPool, RelationInstance, Value,
     ValueId,
 };
-use std::collections::{BTreeSet, HashSet};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Configuration of IND / CIND discovery.
@@ -58,18 +56,6 @@ pub struct IndDiscoveryConfig {
     /// treat `NULL` as an ordinary constant, under which a single null LHS
     /// cell falsifies every IND over that attribute.
     pub ignore_nulls: bool,
-    /// Validate candidates over pooled distinct-projection sets and CSR
-    /// postings of the interned columnar store, fanning relation pairs out
-    /// across a thread pool (the fast path).  `false` keeps the legacy
-    /// row-oriented `BTreeSet<Value>` / `HashSet<Vec<Value>>` projections —
-    /// same results, kept for equivalence tests and the `--ind-bench`
-    /// comparison.  (Caveat, shared with profiling: the legacy paths dedup
-    /// and select through `Value`'s mixed-numeric `Ord` — the unary
-    /// `active_domain` sets and the condition-value `BTreeSet` — while the
-    /// interned paths work through `Eq`; on a column mixing `Int(k)` with
-    /// `Real(k.0)` the two can disagree on distinct counts and condition
-    /// candidates.  Well-typed columns are unaffected.)
-    pub use_interned: bool,
 }
 
 impl Default for IndDiscoveryConfig {
@@ -80,16 +66,7 @@ impl Default for IndDiscoveryConfig {
             min_support: 1,
             max_condition_values: 16,
             ignore_nulls: false,
-            use_interned: true,
         }
-    }
-}
-
-impl IndDiscoveryConfig {
-    fn default_threads() -> usize {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
     }
 }
 
@@ -105,24 +82,15 @@ pub struct DiscoveredInds {
 /// Discovers unary (and, up to [`IndDiscoveryConfig::max_arity`], compound)
 /// inclusion dependencies between distinct relations of `db`.
 pub fn discover_inds(db: &Database, config: &IndDiscoveryConfig) -> DqResult<DiscoveredInds> {
-    if config.use_interned {
-        discover_inds_with_pool(
-            db,
-            config,
-            &IndexPool::new(),
-            IndDiscoveryConfig::default_threads(),
-        )
-    } else {
-        discover_inds_naive(db, config)
-    }
+    discover_inds_with_pool(db, config, &IndexPool::new(), resolve_threads(0))
 }
 
 /// [`discover_inds`] over a shared [`IndexPool`]: every candidate's
-/// inclusion check probes pooled [`DistinctSet`]s (built at most once per
-/// `(relation, attribute list)` and extended in place after append-only
-/// growth), and independent (LHS relation, RHS relation) candidate pairs fan
-/// out across up to `threads` workers.  Output — order included — equals the
-/// legacy row-oriented path.
+/// inclusion check probes pooled [`DistinctSet`](dq_relation::DistinctSet)s
+/// (built at most once per `(relation, attribute list)` and extended in
+/// place after append-only growth), and independent (LHS relation, RHS
+/// relation) candidate pairs fan out across up to `threads` workers.
+/// Output — order included — equals [`crate::reference::discover_inds`].
 pub fn discover_inds_with_pool(
     db: &Database,
     config: &IndDiscoveryConfig,
@@ -143,9 +111,9 @@ pub fn discover_inds_with_pool(
         let store = inst.columnar();
         store.column(inst, *attr);
     });
-    // Candidate pairs in the same (lhs-outer, rhs-inner) order as the naive
-    // sweep, validated in parallel; concatenating the per-pair results in
-    // input order reproduces the naive output exactly.
+    // Candidate pairs in (lhs-outer, rhs-inner) order, validated in
+    // parallel; concatenating the per-pair results in input order keeps the
+    // output order canonical.
     let mut pairs: Vec<(&RelationInstance, &RelationInstance)> = Vec::new();
     for (lhs_name, lhs_inst) in &relations {
         for (rhs_name, rhs_inst) in &relations {
@@ -267,106 +235,6 @@ fn unary_included_interned(lhs: &Column, rhs: &Column, config: &IndDiscoveryConf
         .all(|v| (config.ignore_nulls && v.is_null()) || rhs.interner().lookup(v).is_some())
 }
 
-/// The legacy row-oriented sweep (`BTreeSet<Value>` / `HashSet<Vec<Value>>`
-/// projections rebuilt per candidate), kept for equivalence testing and the
-/// `--ind-bench` comparison.
-fn discover_inds_naive(db: &Database, config: &IndDiscoveryConfig) -> DqResult<DiscoveredInds> {
-    let mut inds = Vec::new();
-    let mut candidates_checked = 0usize;
-    let relations: Vec<(&str, &RelationInstance)> = db.iter().collect();
-
-    for (lhs_name, lhs_inst) in &relations {
-        for (rhs_name, rhs_inst) in &relations {
-            if lhs_name == rhs_name {
-                continue;
-            }
-            // Unary INDs first; they seed the compound candidates.
-            let mut unary: Vec<(usize, usize)> = Vec::new();
-            for la in 0..lhs_inst.schema().arity() {
-                for ra in 0..rhs_inst.schema().arity() {
-                    if !lhs_inst
-                        .schema()
-                        .domain(la)
-                        .compatible_with(rhs_inst.schema().domain(ra))
-                    {
-                        continue;
-                    }
-                    candidates_checked += 1;
-                    if unary_included(
-                        lhs_inst,
-                        la,
-                        rhs_inst,
-                        ra,
-                        config.min_distinct,
-                        config.ignore_nulls,
-                    ) {
-                        unary.push((la, ra));
-                        inds.push(Ind::from_indices(
-                            lhs_inst.schema().name(),
-                            vec![la],
-                            rhs_inst.schema().name(),
-                            vec![ra],
-                        ));
-                    }
-                }
-            }
-            if config.max_arity < 2 {
-                continue;
-            }
-            // Binary INDs built from pairs of unary ones over distinct
-            // attributes on both sides.
-            for i in 0..unary.len() {
-                for j in 0..unary.len() {
-                    let (l1, r1) = unary[i];
-                    let (l2, r2) = unary[j];
-                    if l1 >= l2 || r1 == r2 {
-                        continue;
-                    }
-                    candidates_checked += 1;
-                    let lhs_proj: HashSet<Vec<Value>> = lhs_inst
-                        .iter()
-                        .map(|(_, t)| t.project(&[l1, l2]))
-                        .filter(|key| !config.ignore_nulls || !key.iter().any(Value::is_null))
-                        .collect();
-                    let rhs_proj: HashSet<Vec<Value>> =
-                        rhs_inst.iter().map(|(_, t)| t.project(&[r1, r2])).collect();
-                    if lhs_proj.len() >= config.min_distinct && lhs_proj.is_subset(&rhs_proj) {
-                        inds.push(Ind::from_indices(
-                            lhs_inst.schema().name(),
-                            vec![l1, l2],
-                            rhs_inst.schema().name(),
-                            vec![r1, r2],
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Ok(DiscoveredInds {
-        inds,
-        candidates_checked,
-    })
-}
-
-fn unary_included(
-    lhs: &RelationInstance,
-    la: usize,
-    rhs: &RelationInstance,
-    ra: usize,
-    min_distinct: usize,
-    ignore_nulls: bool,
-) -> bool {
-    let mut lhs_values = lhs.active_domain(la);
-    if ignore_nulls {
-        lhs_values.remove(&Value::Null);
-    }
-    if lhs_values.len() < min_distinct {
-        return false;
-    }
-    let rhs_values = rhs.active_domain(ra);
-    lhs_values.is_subset(&rhs_values)
-}
-
 /// Given an embedded IND `R1[X] ⊆ R2[Y]` that does not hold on `db`, searches
 /// for CIND conditions that make it hold: a condition attribute `B` of `R1`
 /// (categorical, outside `X`) and a constant `b` such that
@@ -381,39 +249,22 @@ fn unary_included(
 ///
 /// The returned CINDs have an empty RHS pattern (`Yp = []`), matching the
 /// shape of `cind1` / `cind2` in Fig. 4.
+///
+/// The embedded IND's per-tuple inclusion verdicts are computed once — LHS
+/// cells translated into the RHS dictionaries via [`IdTranslation`] and
+/// probed against the pooled RHS distinct set — and every condition
+/// attribute then reads its candidate-value groups straight from the CSR
+/// postings of a pooled single-attribute interned index, in parallel across
+/// condition attributes.  Output equals
+/// [`crate::reference::discover_cind_conditions`].
 pub fn discover_cind_conditions(
     db: &Database,
     embedded: &Ind,
     config: &IndDiscoveryConfig,
 ) -> DqResult<Vec<Cind>> {
-    if config.use_interned {
-        discover_cind_conditions_with_pool(
-            db,
-            embedded,
-            config,
-            &IndexPool::new(),
-            IndDiscoveryConfig::default_threads(),
-        )
-    } else {
-        discover_cind_conditions_naive(db, embedded, config)
-    }
-}
-
-/// [`discover_cind_conditions`] over a shared [`IndexPool`]: the embedded
-/// IND's per-tuple inclusion verdicts are computed once — LHS cells
-/// translated into the RHS dictionaries via [`IdTranslation`] and probed
-/// against the pooled RHS [`DistinctSet`] — and every condition attribute
-/// then reads its candidate-value groups straight from the CSR postings of
-/// a pooled single-attribute interned index, in parallel across condition
-/// attributes.  Output equals the legacy per-value re-scan.
-pub fn discover_cind_conditions_with_pool(
-    db: &Database,
-    embedded: &Ind,
-    config: &IndDiscoveryConfig,
-    pool: &IndexPool,
-    threads: usize,
-) -> DqResult<Vec<Cind>> {
     let _span = dq_obs::span("discover.cind");
+    let pool = IndexPool::new();
+    let threads = resolve_threads(0);
     let lhs_inst = db.require_relation(embedded.lhs_relation())?;
     let rhs_inst = db.require_relation(embedded.rhs_relation())?;
     // Warm the correspondence columns of both sides in parallel first — the
@@ -492,7 +343,7 @@ pub fn discover_cind_conditions_with_pool(
             return Ok(None);
         }
         // Candidate-value groups straight from the CSR postings, sorted by
-        // condition value so the mined tableau matches the legacy
+        // condition value so the mined tableau follows the reference's
         // `BTreeSet<Value>` iteration order.
         let interner = index.columns()[0].interner();
         let mut groups: Vec<(ValueId, &[u32])> =
@@ -527,83 +378,29 @@ pub fn discover_cind_conditions_with_pool(
     Ok(per_attr.into_iter().flatten().collect())
 }
 
-/// The legacy row-oriented condition search, kept for equivalence testing
-/// and the `--ind-bench` comparison.
-fn discover_cind_conditions_naive(
-    db: &Database,
-    embedded: &Ind,
-    config: &IndDiscoveryConfig,
-) -> DqResult<Vec<Cind>> {
-    let lhs_inst = db.require_relation(embedded.lhs_relation())?;
-    let rhs_inst = db.require_relation(embedded.rhs_relation())?;
-    // Vacuous-condition guard: an IND that already holds (under the
-    // configured null semantics) needs no CIND.
-    if embedded.holds_on_with(db, config.ignore_nulls)? {
-        return Ok(Vec::new());
-    }
-    let rhs_proj: HashSet<Vec<Value>> = rhs_inst
-        .iter()
-        .map(|(_, t)| t.project(embedded.rhs_attrs()))
-        .collect();
-
-    let mut out = Vec::new();
-    for cond_attr in 0..lhs_inst.schema().arity() {
-        if embedded.lhs_attrs().contains(&cond_attr) {
-            continue;
-        }
-        let values: BTreeSet<Value> = lhs_inst.active_domain(cond_attr);
-        if values.is_empty() || values.len() > config.max_condition_values {
-            continue;
-        }
-        let mut patterns: Vec<CindPattern> = Vec::new();
-        for value in values {
-            let selected: Vec<_> = lhs_inst
-                .iter()
-                .filter(|(_, t)| t.get(cond_attr) == &value)
-                .collect();
-            if selected.len() < config.min_support {
-                continue;
-            }
-            let included = selected.iter().all(|(_, t)| {
-                (config.ignore_nulls && embedded.lhs_attrs().iter().any(|&a| t.get(a).is_null()))
-                    || rhs_proj.contains(&t.project(embedded.lhs_attrs()))
-            });
-            if included {
-                patterns.push(CindPattern::new(vec![value], Vec::new()));
-            }
-        }
-        if patterns.is_empty() {
-            continue;
-        }
-        let cind = Cind::from_indices(
-            lhs_inst.schema(),
-            embedded.lhs_attrs().to_vec(),
-            vec![cond_attr],
-            rhs_inst.schema(),
-            embedded.rhs_attrs().to_vec(),
-            Vec::new(),
-            patterns,
-        )?;
-        out.push(cind);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dq_core::detect::detect_cind_violations;
     use dq_gen::orders::paper_database;
 
-    fn configs() -> [IndDiscoveryConfig; 2] {
-        [
-            IndDiscoveryConfig::default(),
-            IndDiscoveryConfig {
-                use_interned: false,
-                ..IndDiscoveryConfig::default()
-            },
-        ]
+    /// A production miner pair or its reference in [`crate::reference`];
+    /// every test below runs both.
+    struct Miner {
+        inds: fn(&Database, &IndDiscoveryConfig) -> DqResult<DiscoveredInds>,
+        cinds: fn(&Database, &Ind, &IndDiscoveryConfig) -> DqResult<Vec<Cind>>,
     }
+
+    const MINERS: [Miner; 2] = [
+        Miner {
+            inds: discover_inds,
+            cinds: discover_cind_conditions,
+        },
+        Miner {
+            inds: crate::reference::discover_inds,
+            cinds: crate::reference::discover_cind_conditions,
+        },
+    ];
 
     /// The order / book / CD database of Fig. 3, extended with one more CD
     /// order ("J. Denver") that has no `book` counterpart — on the tiny
@@ -627,8 +424,8 @@ mod tests {
     #[test]
     fn unary_ind_discovery_on_paper_database() {
         let db = paper_db();
-        for config in configs() {
-            let found = discover_inds(&db, &config).unwrap();
+        for miner in &MINERS {
+            let found = (miner.inds)(&db, &IndDiscoveryConfig::default()).unwrap();
             assert!(found.candidates_checked > 0);
             // Every reported IND must actually hold.
             for ind in &found.inds {
@@ -653,11 +450,11 @@ mod tests {
     }
 
     #[test]
-    fn interned_and_naive_discovery_agree() {
+    fn discovery_agrees_with_the_reference() {
         let db = paper_db();
-        let [fast_config, slow_config] = configs();
-        let fast = discover_inds(&db, &fast_config).unwrap();
-        let slow = discover_inds(&db, &slow_config).unwrap();
+        let config = IndDiscoveryConfig::default();
+        let fast = discover_inds(&db, &config).unwrap();
+        let slow = crate::reference::discover_inds(&db, &config).unwrap();
         assert_eq!(fast.inds, slow.inds);
         assert_eq!(fast.candidates_checked, slow.candidates_checked);
     }
@@ -674,8 +471,8 @@ mod tests {
             vec![book.attr("title"), book.attr("price")],
         );
         assert!(!embedded.holds_on(&db).unwrap());
-        for config in configs() {
-            let cinds = discover_cind_conditions(&db, &embedded, &config).unwrap();
+        for miner in &MINERS {
+            let cinds = (miner.cinds)(&db, &embedded, &IndDiscoveryConfig::default()).unwrap();
             assert!(!cinds.is_empty(), "expected the type = 'book' condition");
             let report = detect_cind_violations(&db, &cinds).unwrap();
             assert!(
@@ -704,12 +501,12 @@ mod tests {
             "book",
             vec![book.attr("title"), book.attr("price")],
         );
-        for config in configs() {
+        for miner in &MINERS {
             let config = IndDiscoveryConfig {
                 max_condition_values: 0,
-                ..config
+                ..IndDiscoveryConfig::default()
             };
-            let cinds = discover_cind_conditions(&db, &embedded, &config).unwrap();
+            let cinds = (miner.cinds)(&db, &embedded, &config).unwrap();
             assert!(cinds.is_empty());
         }
     }
@@ -742,12 +539,12 @@ mod tests {
             vec![book.attr("title"), book.attr("price")],
         );
         assert!(embedded.holds_on(&db).unwrap(), "precondition: IND holds");
-        for config in configs() {
+        for miner in &MINERS {
             let config = IndDiscoveryConfig {
                 min_support: 2,
-                ..config
+                ..IndDiscoveryConfig::default()
             };
-            let cinds = discover_cind_conditions(&db, &embedded, &config).unwrap();
+            let cinds = (miner.cinds)(&db, &embedded, &config).unwrap();
             assert!(
                 cinds.is_empty(),
                 "the unconditional IND holds; any CIND is vacuous, got {cinds:?}"
@@ -781,8 +578,8 @@ mod tests {
         );
         assert!(!embedded.holds_on(&db).unwrap());
         assert!(embedded.holds_on_with(&db, true).unwrap());
-        for config in configs() {
-            let strict = discover_cind_conditions(&db, &embedded, &config).unwrap();
+        for miner in &MINERS {
+            let strict = (miner.cinds)(&db, &embedded, &IndDiscoveryConfig::default()).unwrap();
             assert!(
                 strict
                     .iter()
@@ -791,9 +588,9 @@ mod tests {
             );
             let lenient = IndDiscoveryConfig {
                 ignore_nulls: true,
-                ..config
+                ..IndDiscoveryConfig::default()
             };
-            let found = discover_cind_conditions(&db, &embedded, &lenient).unwrap();
+            let found = (miner.cinds)(&db, &embedded, &lenient).unwrap();
             assert!(
                 found.is_empty(),
                 "SQL semantics: the IND holds, any condition is vacuous, got {found:?}"
@@ -817,8 +614,8 @@ mod tests {
             .unwrap();
         let order = db.relation("order").unwrap().schema().clone();
         let title = order.attr("title");
-        for config in configs() {
-            let strict = discover_inds(&db, &config).unwrap();
+        for miner in &MINERS {
+            let strict = (miner.inds)(&db, &IndDiscoveryConfig::default()).unwrap();
             assert!(
                 !strict.inds.iter().any(|ind| {
                     ind.lhs_relation() == "order"
@@ -829,9 +626,9 @@ mod tests {
             );
             let lenient = IndDiscoveryConfig {
                 ignore_nulls: true,
-                ..config
+                ..IndDiscoveryConfig::default()
             };
-            let found = discover_inds(&db, &lenient).unwrap();
+            let found = (miner.inds)(&db, &lenient).unwrap();
             assert!(
                 found.inds.iter().any(|ind| {
                     ind.lhs_relation() == "order"

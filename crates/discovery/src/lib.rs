@@ -25,7 +25,13 @@
 //!   labelled match examples over a declared comparison space (Section 3.1's
 //!   "discovered via learning" route);
 //! * [`profile`] — per-column and per-relation profiling (distinct counts,
-//!   inferred finite domains, key candidates) used to seed discovery.
+//!   inferred finite domains, key candidates) used to seed discovery;
+//! * [`reference`](mod@reference) — the row-oriented CFD, IND and CIND miners the interned
+//!   ones are held byte-identical to.  Only tests and the harness call them.
+//!
+//! Each miner has one production executor, on the interned columnar store:
+//! groupings come from pooled dictionary-encoded indexes and independent
+//! candidates fan out across a thread pool.
 //!
 //! Everything operates on the `dq-relation` substrate, so discovered
 //! dependencies are ordinary [`dq_core::Cfd`] / [`dq_core::Cind`] values that
@@ -38,22 +44,22 @@ pub mod ind_discovery;
 pub mod md_discovery;
 pub mod partition;
 pub mod profile;
+pub mod reference;
 pub mod source;
 
 /// Frequently used items.
 pub mod prelude {
     pub use crate::cfd_discovery::{
-        discover_cfds, discover_cfds_with_pool, discover_constant_cfds,
-        discover_constant_cfds_with_pool, discover_tableau_for_fd,
-        discover_tableau_for_fd_with_pool, CfdDiscoveryConfig, DiscoveredCfds,
+        discover_cfds, discover_constant_cfds, discover_tableau_for_fd, CfdDiscoveryConfig,
+        DiscoveredCfds,
     };
     pub use crate::fd_discovery::{
         discover_fds, discover_fds_from_shards, discover_fds_with_pool, DiscoveredFds,
         FdDiscoveryConfig,
     };
     pub use crate::ind_discovery::{
-        discover_cind_conditions, discover_cind_conditions_with_pool, discover_inds,
-        discover_inds_with_pool, DiscoveredInds, IndDiscoveryConfig,
+        discover_cind_conditions, discover_inds, discover_inds_with_pool, DiscoveredInds,
+        IndDiscoveryConfig,
     };
     pub use crate::md_discovery::{
         learn_relative_keys, LearnedRule, LearnedRuleSet, RuleLearningConfig,
@@ -62,8 +68,7 @@ pub mod prelude {
         g1_error, g3_error, g3_error_from_groups, PartitionProber, StrippedPartition,
     };
     pub use crate::profile::{
-        profile_database, profile_relation, profile_relation_pooled, profile_relation_with,
-        ColumnProfile, RelationProfile,
+        profile_database, profile_relation, profile_relation_with, ColumnProfile, RelationProfile,
     };
     pub use crate::source::PartitionSource;
 }

@@ -11,7 +11,6 @@ use crate::source::resolve_threads;
 use dq_core::engine::parallel_map;
 use dq_relation::{Database, Domain, IndexPool, RelationInstance, Value};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Profile of a single column.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,12 +84,8 @@ impl RelationProfile {
 /// inline in the profile.
 const MAX_INLINE_VALUES: usize = 32;
 
-/// Profiles one relation instance with a private index pool.
-pub fn profile_relation(instance: &RelationInstance) -> RelationProfile {
-    profile_relation_pooled(instance, &Arc::new(IndexPool::new()))
-}
-
-/// Profiles one relation instance over its interned columnar snapshot.
+/// Profiles one relation instance over its interned columnar snapshot,
+/// with a worker pool sized to the machine.
 ///
 /// Distinct counts and inferred finite domains come straight from the
 /// per-column dictionaries (one scan per column to tally nulls, no
@@ -109,25 +104,19 @@ pub fn profile_relation(instance: &RelationInstance) -> RelationProfile {
 /// set via `collect`, i.e. it already counted `Eq`-distinct projections,
 /// which is exactly what the index's groups count.  Every reported number
 /// is identical to the legacy row-scanning profile.
-pub fn profile_relation_pooled(
-    instance: &RelationInstance,
-    pool: &Arc<IndexPool>,
-) -> RelationProfile {
-    profile_relation_with(instance, pool, 0)
+pub fn profile_relation(instance: &RelationInstance) -> RelationProfile {
+    profile_relation_with(instance, 0)
 }
 
-/// [`profile_relation_pooled`] with an explicit worker budget (`0` sizes
-/// the pool to the machine): per-column statistics and binary-key
-/// candidates are independent, so both fan out across the thread pool —
-/// columns first (each scans its own dictionary and null ids), then the
-/// candidate attribute pairs (each groups through its own pooled index).
+/// [`profile_relation`] with an explicit worker budget (`0` sizes the pool
+/// to the machine): per-column statistics and binary-key candidates are
+/// independent, so both fan out across the thread pool — columns first
+/// (each scans its own dictionary and null ids), then the candidate
+/// attribute pairs (each groups through its own index in a private pool).
 /// The reported profile is identical at every thread count.
-pub fn profile_relation_with(
-    instance: &RelationInstance,
-    pool: &Arc<IndexPool>,
-    threads: usize,
-) -> RelationProfile {
+pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> RelationProfile {
     let threads = resolve_threads(threads);
+    let pool = IndexPool::new();
     let schema = instance.schema();
     let tuples = instance.len();
     let store = instance.columnar();
@@ -196,12 +185,9 @@ pub fn profile_relation_with(
     }
 }
 
-/// Profiles every relation of a database, sharing one index pool.
+/// Profiles every relation of a database.
 pub fn profile_database(db: &Database) -> Vec<RelationProfile> {
-    let pool = Arc::new(IndexPool::new());
-    db.iter()
-        .map(|(_, inst)| profile_relation_pooled(inst, &pool))
-        .collect()
+    db.iter().map(|(_, inst)| profile_relation(inst)).collect()
 }
 
 #[cfg(test)]
@@ -324,11 +310,10 @@ mod tests {
     #[test]
     fn fan_out_is_identical_to_sequential_profile() {
         let inst = sample();
-        let pool = Arc::new(IndexPool::new());
-        let sequential = profile_relation_with(&inst, &pool, 1);
+        let sequential = profile_relation_with(&inst, 1);
         for threads in [2, 8] {
             assert_eq!(
-                profile_relation_with(&inst, &pool, threads),
+                profile_relation_with(&inst, threads),
                 sequential,
                 "threads {threads}"
             );

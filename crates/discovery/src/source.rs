@@ -49,9 +49,12 @@
 //! distinct materialized attribute sets — the same number the sequential
 //! sweep reports).
 //!
-//! The legacy `Vec<Value>`-keyed path ([`StrippedPartition::build`]) stays
-//! available behind the same interface for equivalence testing and for the
-//! `--discovery-bench` comparison.
+//! The reference partition builds ([`StrippedPartition::build`], keyed by
+//! `Vec<Value>` projections from the row store) stay available behind the
+//! same interface as [`PartitionSource::naive`]: FD discovery selects them
+//! with [`FdDiscoveryConfig::use_interned`](crate::fd_discovery::FdDiscoveryConfig::use_interned)
+//! `= false`, which is how [`crate::reference::discover_cfds`] mines its
+//! FDs.
 
 use crate::partition::{g3_error, g3_error_from_groups, PartitionProber, StrippedPartition};
 use dq_relation::{
@@ -148,8 +151,9 @@ impl<'a> PartitionSource<'a> {
         Self::with_backend(Backend::Interned(instance), pool, threads)
     }
 
-    /// The legacy source: every partition is built from the row store with
-    /// `Vec<Value>` keys.  Kept for equivalence tests and benchmarks.
+    /// The reference source: every partition is built from the row store
+    /// with `Vec<Value>` keys.  Kept as the test oracle of the interned
+    /// source.
     pub fn naive(instance: &'a RelationInstance) -> Self {
         Self::with_backend(Backend::Naive(instance), Arc::new(IndexPool::new()), 1)
     }
@@ -165,10 +169,7 @@ impl<'a> PartitionSource<'a> {
 
     /// An interned source with a private pool sized to the machine.
     pub fn with_fresh_pool(instance: &'a RelationInstance) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::interned(instance, Arc::new(IndexPool::new()), threads)
+        Self::interned(instance, Arc::new(IndexPool::new()), resolve_threads(0))
     }
 
     /// Number of distinct partitions materialized so far (cache hits and

@@ -1,9 +1,10 @@
 //! Equivalence properties of the interned fast paths added for discovery,
-//! repair and CQA: partitions derived from CSR postings, pooled-index FD/CFD
-//! mining, the engine-carried repair loop and the interned CQA rewriting
-//! must all produce results identical to the legacy `Vec<Value>`-keyed
-//! implementations — and the append-only `IndexPool` fast path must be
-//! invisible except in the pool counters.
+//! repair and CQA: partitions derived from CSR postings, pooled-index
+//! FD/CFD/IND/CIND mining, the engine-carried repair loop and the interned
+//! CQA rewriting must all produce results identical to the legacy
+//! `Vec<Value>`-keyed implementations (for CFD, IND and CIND mining, the
+//! miners in `dq_discovery::reference`) — and the append-only `IndexPool`
+//! fast path must be invisible except in the pool counters.
 //!
 //! All cases are generated from seeded strategies (the offline proptest
 //! stand-in derives its RNG seed from the test name), so runs are exactly
@@ -11,6 +12,7 @@
 
 use dataquality::prelude::*;
 use dq_cqa::rewrite::certain_answers_rewriting_naive;
+use dq_discovery::reference;
 use dq_discovery::source::PartitionSource;
 use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 use dq_gen::orders::{generate_orders, OrderConfig};
@@ -123,21 +125,46 @@ proptest! {
     }
 
     /// Full CFD discovery — exact FDs, mined tableaux and constant patterns
-    /// — is identical between the interned and naive mining paths.
+    /// — is identical between the interned miners and the row-oriented
+    /// reference.
     #[test]
     fn cfd_discovery_interned_equals_naive(config in workload_config()) {
         let workload = generate_customers(&config);
-        let mk = |use_interned| CfdDiscoveryConfig {
+        let cfg = CfdDiscoveryConfig {
             min_support: 2,
             max_lhs: 2,
-            use_interned,
             ..CfdDiscoveryConfig::default()
         };
-        let fast = discover_cfds(&workload.dirty, &mk(true));
-        let slow = discover_cfds(&workload.dirty, &mk(false));
+        let fast = discover_cfds(&workload.dirty, &cfg);
+        let slow = reference::discover_cfds(&workload.dirty, &cfg);
         prop_assert_eq!(&fast.variable_cfds, &slow.variable_cfds);
         prop_assert_eq!(&fast.constant_cfds, &slow.constant_cfds);
         prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
+    }
+
+    /// Tableau mining for one embedded FD — the `(CC, zip) → street` shape
+    /// of ϕ1 — equals the reference at every cap, and the cap bounds the
+    /// whole tableau.
+    #[test]
+    fn tableau_mining_equals_the_reference_at_every_cap(config in workload_config()) {
+        let workload = generate_customers(&config);
+        let fd = Fd::new(workload.dirty.schema(), &["CC", "zip"], &["street"]);
+        for max_tableau in 1..6 {
+            let cfg = CfdDiscoveryConfig {
+                min_support: 2,
+                max_tableau,
+                ..CfdDiscoveryConfig::default()
+            };
+            let fast = discover_tableau_for_fd(&workload.dirty, &fd, &cfg);
+            prop_assert_eq!(
+                &fast,
+                &reference::discover_tableau_for_fd(&workload.dirty, &fd, &cfg),
+                "cap {}", max_tableau
+            );
+            if let Some(cfd) = &fast {
+                prop_assert!(cfd.tableau().len() <= max_tableau, "cap {}", max_tableau);
+            }
+        }
     }
 
     /// The pooled profile equals a from-scratch reference computation.
@@ -347,35 +374,32 @@ proptest! {
 
     /// Full CFD discovery — exact FDs, mined tableaux and constant
     /// patterns — is byte-identical between the sequential sweep and the
-    /// per-level fan-out at every thread count, on both backends.
+    /// per-level fan-out at every thread count.
     #[test]
     fn parallel_cfd_discovery_equals_sequential(config in workload_config()) {
         let workload = generate_customers(&config);
-        for use_interned in [false, true] {
-            let mk = |threads| CfdDiscoveryConfig {
-                min_support: 2,
-                max_lhs: 2,
-                use_interned,
-                threads,
-                ..CfdDiscoveryConfig::default()
-            };
-            let sequential = discover_cfds(&workload.dirty, &mk(1));
-            for threads in THREAD_COUNTS {
-                let parallel = discover_cfds(&workload.dirty, &mk(threads));
-                prop_assert_eq!(
-                    &parallel.variable_cfds, &sequential.variable_cfds,
-                    "threads {}, interned {}", threads, use_interned
-                );
-                prop_assert_eq!(&parallel.constant_cfds, &sequential.constant_cfds);
-                prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
-            }
+        let mk = |threads| CfdDiscoveryConfig {
+            min_support: 2,
+            max_lhs: 2,
+            threads,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_cfds(&workload.dirty, &mk(1));
+        for threads in THREAD_COUNTS {
+            let parallel = discover_cfds(&workload.dirty, &mk(threads));
+            prop_assert_eq!(
+                &parallel.variable_cfds, &sequential.variable_cfds,
+                "threads {}", threads
+            );
+            prop_assert_eq!(&parallel.constant_cfds, &sequential.constant_cfds);
+            prop_assert_eq!(parallel.candidates_checked, sequential.candidates_checked);
         }
     }
 
     /// Tableau mining for one embedded FD — the `(CC, zip) → street` shape
     /// of ϕ1 — accepts the same patterns in the same order at every thread
     /// count (the per-condition-set fan-out merges candidates canonically,
-    /// including the `max_tableau` cap).
+    /// including the `max_tableau` cap), and never more than the cap.
     #[test]
     fn parallel_tableau_mining_equals_sequential(
         config in workload_config(),
@@ -384,30 +408,30 @@ proptest! {
         let workload = generate_customers(&config);
         let schema = workload.dirty.schema().clone();
         let fd = Fd::new(&schema, &["CC", "zip"], &["street"]);
-        for use_interned in [false, true] {
-            let mk = |threads| CfdDiscoveryConfig {
-                min_support: 2,
-                max_tableau,
-                use_interned,
-                threads,
-                ..CfdDiscoveryConfig::default()
-            };
-            let sequential = discover_tableau_for_fd(&workload.dirty, &fd, &mk(1));
-            for threads in THREAD_COUNTS {
-                let parallel = discover_tableau_for_fd(&workload.dirty, &fd, &mk(threads));
-                match (&parallel, &sequential) {
-                    (Some(p), Some(s)) => {
-                        prop_assert_eq!(
-                            p.tableau(), s.tableau(),
-                            "threads {}, interned {}, cap {}", threads, use_interned, max_tableau
-                        );
-                    }
-                    (None, None) => {}
-                    _ => prop_assert!(
-                        false,
-                        "threads {} disagrees on tableau existence", threads
-                    ),
+        let mk = |threads| CfdDiscoveryConfig {
+            min_support: 2,
+            max_tableau,
+            threads,
+            ..CfdDiscoveryConfig::default()
+        };
+        let sequential = discover_tableau_for_fd(&workload.dirty, &fd, &mk(1));
+        if let Some(s) = &sequential {
+            prop_assert!(s.tableau().len() <= max_tableau, "cap {}", max_tableau);
+        }
+        for threads in THREAD_COUNTS {
+            let parallel = discover_tableau_for_fd(&workload.dirty, &fd, &mk(threads));
+            match (&parallel, &sequential) {
+                (Some(p), Some(s)) => {
+                    prop_assert_eq!(
+                        p.tableau(), s.tableau(),
+                        "threads {}, cap {}", threads, max_tableau
+                    );
                 }
+                (None, None) => {}
+                _ => prop_assert!(
+                    false,
+                    "threads {} disagrees on tableau existence", threads
+                ),
             }
         }
     }
@@ -417,11 +441,10 @@ proptest! {
     #[test]
     fn parallel_profile_equals_sequential(config in workload_config()) {
         let workload = generate_customers(&config);
-        let pool = Arc::new(IndexPool::new());
-        let sequential = profile_relation_with(&workload.dirty, &pool, 1);
+        let sequential = profile_relation_with(&workload.dirty, 1);
         for threads in THREAD_COUNTS {
             prop_assert_eq!(
-                &profile_relation_with(&workload.dirty, &pool, threads),
+                &profile_relation_with(&workload.dirty, threads),
                 &sequential,
                 "threads {}", threads
             );
@@ -491,9 +514,8 @@ fn order_db(config: &OrderConfig, null_titles: usize) -> Database {
     db
 }
 
-fn ind_config(use_interned: bool, ignore_nulls: bool) -> IndDiscoveryConfig {
+fn ind_config(ignore_nulls: bool) -> IndDiscoveryConfig {
     IndDiscoveryConfig {
-        use_interned,
         ignore_nulls,
         ..IndDiscoveryConfig::default()
     }
@@ -515,8 +537,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
     /// IND discovery over pooled distinct-projection sets reports exactly
-    /// the INDs (and candidate counts) of the naive row-oriented sweep —
-    /// with and without SQL-style null semantics.
+    /// the INDs (and candidate counts) of the row-oriented reference sweep
+    /// — with and without SQL-style null semantics.
     #[test]
     fn ind_discovery_interned_equals_naive(
         config in order_config(),
@@ -524,8 +546,8 @@ proptest! {
     ) {
         let db = order_db(&config, null_titles);
         for ignore_nulls in [false, true] {
-            let fast = discover_inds(&db, &ind_config(true, ignore_nulls)).unwrap();
-            let slow = discover_inds(&db, &ind_config(false, ignore_nulls)).unwrap();
+            let fast = discover_inds(&db, &ind_config(ignore_nulls)).unwrap();
+            let slow = reference::discover_inds(&db, &ind_config(ignore_nulls)).unwrap();
             prop_assert_eq!(&fast.inds, &slow.inds, "ignore_nulls {}", ignore_nulls);
             prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
             // Every reported IND genuinely holds under the configured
@@ -537,8 +559,9 @@ proptest! {
     }
 
     /// CIND condition mining over CSR postings reports exactly the CINDs of
-    /// the naive per-value re-scan, across support thresholds — including
-    /// the vacuous-condition guard when the embedded IND already holds.
+    /// the reference per-value re-scan, across support thresholds —
+    /// including the vacuous-condition guard when the embedded IND already
+    /// holds.
     #[test]
     fn cind_condition_mining_interned_equals_naive(
         config in order_config(),
@@ -550,15 +573,10 @@ proptest! {
         for ignore_nulls in [false, true] {
             let cfg = IndDiscoveryConfig {
                 min_support,
-                ..ind_config(true, ignore_nulls)
+                ..ind_config(ignore_nulls)
             };
             let found = discover_cind_conditions(&db, &embedded, &cfg).unwrap();
-            let slow = discover_cind_conditions(
-                &db,
-                &embedded,
-                &IndDiscoveryConfig { use_interned: false, ..cfg },
-            )
-            .unwrap();
+            let slow = reference::discover_cind_conditions(&db, &embedded, &cfg).unwrap();
             prop_assert_eq!(
                 &found, &slow,
                 "min_support {}, ignore_nulls {}", min_support, ignore_nulls
@@ -574,7 +592,7 @@ proptest! {
     /// IND equivalence survives append-only growth over a shared pool: the
     /// distinct sets extend in place (the `appends` counter rises, even
     /// when new values grow the dictionaries) and discovery output stays
-    /// byte-identical to the naive sweep.
+    /// byte-identical to the reference sweep.
     #[test]
     fn ind_discovery_equivalence_survives_append_only_growth(
         config in order_config(),
@@ -583,11 +601,11 @@ proptest! {
         let mut db = order_db(&config, 0);
         let pool = IndexPool::new();
         let before = dq_discovery::ind_discovery::discover_inds_with_pool(
-            &db, &ind_config(true, false), &pool, 2,
+            &db, &ind_config(false), &pool, 2,
         ).unwrap();
         prop_assert_eq!(
             &before.inds,
-            &discover_inds(&db, &ind_config(false, false)).unwrap().inds
+            &reference::discover_inds(&db, &ind_config(false)).unwrap().inds
         );
         // Grow the order relation: copies of existing tuples plus one
         // brand-new title (a dictionary-growing append, exercising the
@@ -606,11 +624,11 @@ proptest! {
             ])
             .expect("order tuple fits the schema");
         let after = dq_discovery::ind_discovery::discover_inds_with_pool(
-            &db, &ind_config(true, false), &pool, 2,
+            &db, &ind_config(false), &pool, 2,
         ).unwrap();
         prop_assert_eq!(
             &after.inds,
-            &discover_inds(&db, &ind_config(false, false)).unwrap().inds
+            &reference::discover_inds(&db, &ind_config(false)).unwrap().inds
         );
         prop_assert!(
             pool.stats().appends > 0,

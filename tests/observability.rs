@@ -214,7 +214,6 @@ proptest! {
         let cfd_cfg = CfdDiscoveryConfig {
             min_support: 2,
             max_lhs: 2,
-            use_interned: true,
             threads: 2,
             ..CfdDiscoveryConfig::default()
         };
