@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p dq-bench --bin harness`.
 //!
 //! `--detection-bench` instead runs only the naive-vs-engine CFD detection
-//! comparison and writes the measurements to `BENCH_detection.json` in the
+//! comparison (the naive column is `dq_core::reference`) and writes the measurements to `BENCH_detection.json` in the
 //! working directory (the perf trajectory artifact tracked across PRs);
 //! add `--smoke` for the CI-sized variant (small instance, artifact not
 //! overwritten — the identity asserts between naive, cold and warm paths
@@ -35,8 +35,9 @@
 //! per-rule hit counts, violation vectors and learned rules byte-identical
 //! to the naive paths wherever those ran).
 //!
-//! `--analysis-bench` runs the static-analysis comparison: the seed's
-//! blind-backtracking consistency/implication procedures vs. the
+//! `--analysis-bench` runs the static-analysis comparison: the
+//! blind-backtracking consistency/implication procedures of
+//! `dq_core::reference` vs. the
 //! propagation-guided solver on finite-domain gadget families of growing
 //! size, the rule-lint pass rendered on a deliberately messy rule set, and
 //! the detection wall-clock saved by minimal-cover pruning of mined rules
@@ -67,6 +68,7 @@
 
 use dq_bench::*;
 use dq_core::prelude::*;
+use dq_core::reference;
 use dq_cqa::prelude::*;
 use dq_gen::prelude::*;
 use dq_match::prelude::*;
@@ -228,7 +230,8 @@ fn profile_field(
 /// Two dependency sets per size — the three paper CFDs (three distinct
 /// LHSs) and their normalized fragments (eleven CFDs, still three distinct
 /// LHSs, the regime index sharing targets) — and three detection paths each:
-/// * `naive` — `detect_cfd_violations`, one fresh index per CFD per call;
+/// * `naive` — `dq_core::reference::detect_cfd_violations`, one fresh index
+///   per CFD per call;
 /// * `engine_cold` — `DetectionEngine` with an empty pool: one *interned*
 ///   index build per distinct LHS over the columnar snapshot, parallel
 ///   fan-out across dependencies;
@@ -258,11 +261,11 @@ fn detection_bench(smoke: bool, profile: bool) {
         for (label, cfds) in sets {
             // Throwaway runs of both paths so neither pays the allocator's
             // first-touch page faults inside a measurement.
-            let _ = detect_cfd_violations(&workload.dirty, cfds);
+            let _ = reference::detect_cfd_violations(&workload.dirty, cfds);
             let _ = DetectionEngine::new().detect_cfd_violations(&workload.dirty, cfds);
             let reps = 3;
             let (naive_ms, naive_total) = timed_median(reps, || {
-                detect_cfd_violations(&workload.dirty, cfds).total()
+                reference::detect_cfd_violations(&workload.dirty, cfds).total()
             });
             // Genuinely cold engine passes: clones carry fresh instance
             // identities and empty columnar caches, so each rep pays the
@@ -773,7 +776,8 @@ fn ind_bench(smoke: bool, profile: bool) {
 /// mutation stream — donor-copy cell edits (always in-domain, and usually
 /// moving the tuple between LHS groups of some CFD) plus duplicate-tuple
 /// appends, driven by a fixed LCG so every round is reproducible:
-/// * `rebuild` — `detect_cfd_violations` from scratch after every round,
+/// * `rebuild` — `dq_core::reference::detect_cfd_violations` from scratch
+///   after every round,
 ///   one fresh index per CFD per call: the cost any pooled consumer paid
 ///   before cell writes became patchable;
 /// * `patch` — `DetectionEngine::maintain_cfd_violations` against the
@@ -812,7 +816,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         // Round 0 runs outside the timers on both paths: the baseline pays
         // a full detection per round by design, and the incremental path
         // starts from an initial report exactly like a monitor would.
-        let mut baseline = detect_cfd_violations(&rebuild_instance, &cfds);
+        let mut baseline = reference::detect_cfd_violations(&rebuild_instance, &cfds);
         let mut maintained = engine.maintain_cfd_violations(&patch_instance, &cfds, None);
         assert_eq!(&baseline, maintained.report());
 
@@ -861,7 +865,7 @@ fn delta_bench(smoke: bool, profile: bool) {
                     instance.insert(tuple.clone()).expect("same schema");
                 }
             }
-            let (ms, report) = timed(|| detect_cfd_violations(&rebuild_instance, &cfds));
+            let (ms, report) = timed(|| reference::detect_cfd_violations(&rebuild_instance, &cfds));
             rebuild_ms += ms;
             baseline = report;
             let (ms, next_maintained) =
@@ -1811,12 +1815,13 @@ fn merge_fragments(fragments: &[Cfd]) -> Vec<Cfd> {
 /// The static-analysis comparison, written to `BENCH_analysis.json`:
 ///
 /// * consistency on parity-cycle gadgets (inconsistent and consistent
-///   variants) at growing finite-domain counts `k` — the seed's blind
-///   full-depth backtracking vs. the propagation-guided solver, verdicts
-///   asserted identical on every row, solver witnesses asserted against the
-///   naive single-tuple predicate via detection;
+///   variants) at growing finite-domain counts `k` — the blind full-depth
+///   backtracking of `dq_core::reference::cfd_set_consistent` vs. the
+///   propagation-guided solver, verdicts asserted identical on every row,
+///   solver witnesses asserted against the reference detector;
 /// * implication on the boolean case-split gadget at growing `k` — the
-///   seed's exhaustive two-tuple counterexample search vs. the solver,
+///   exhaustive two-tuple counterexample search of
+///   `dq_core::reference::cfd_implies_exact` vs. the solver,
 ///   verdicts asserted identical (and the quadratic closure asserted
 ///   incomplete: it cannot prove the gadget, which is exactly why the
 ///   exact procedures exist);
@@ -1864,7 +1869,7 @@ fn analysis_bench(smoke: bool, profile: bool) {
 
         // Consistency, inconsistent cycle: naive pays the full 2^k sweep.
         let cycle = parity_cycle_cfds(k, true);
-        let (naive_ms, naive_result) = timed_median(reps, || cfd_set_consistent_naive(&cycle));
+        let (naive_ms, naive_result) = timed_median(reps, || reference::cfd_set_consistent(&cycle));
         let (solver_ms, solver_result) =
             timed_median(reps, || solve_cfd_consistency(&cycle, threads));
         assert_eq!(
@@ -1890,7 +1895,8 @@ fn analysis_bench(smoke: bool, profile: bool) {
         // Consistency, consistent cycle: both must produce a witness; the
         // solver's is validated by detection on the singleton instance.
         let cycle_ok = parity_cycle_cfds(k, false);
-        let (naive_ms, naive_result) = timed_median(reps, || cfd_set_consistent_naive(&cycle_ok));
+        let (naive_ms, naive_result) =
+            timed_median(reps, || reference::cfd_set_consistent(&cycle_ok));
         let (solver_ms, solver_result) =
             timed_median(reps, || solve_cfd_consistency(&cycle_ok, threads));
         assert_eq!(solver_result.consistent, naive_result.consistent);
@@ -1902,7 +1908,7 @@ fn analysis_bench(smoke: bool, profile: bool) {
             dq_relation::RelationInstance::new(std::sync::Arc::clone(cycle_ok[0].schema()));
         singleton.insert(witness).expect("witness inserts");
         assert!(
-            detect_cfd_violations(&singleton, &cycle_ok).is_clean(),
+            reference::detect_cfd_violations(&singleton, &cycle_ok).is_clean(),
             "solver witness must satisfy the rule set under detection"
         );
         let profile_json = profile_field(profile, &format!("consistency sat @ k={k}"), &[]);
@@ -1924,7 +1930,7 @@ fn analysis_bench(smoke: bool, profile: bool) {
             "the gadget must defeat the quadratic closure, or it measures nothing"
         );
         let (naive_ms, naive_implied) =
-            timed_median(reps, || cfd_implies_exact_naive(&sigma, &phi));
+            timed_median(reps, || reference::cfd_implies_exact(&sigma, &phi));
         let (solver_ms, solver_result) =
             timed_median(reps, || solve_cfd_implication(&sigma, &phi, threads));
         assert_eq!(
@@ -1990,7 +1996,7 @@ fn analysis_bench(smoke: bool, profile: bool) {
     full.extend(dq_gen::customer::paper_cfds());
     assert_eq!(
         solve_cfd_consistency(&full, threads).consistent,
-        cfd_set_consistent_naive(&full).consistent,
+        reference::cfd_set_consistent(&full).consistent,
         "solver and naive consistency verdicts must be identical on the mined set"
     );
     let (cover_ms, covered) = timed(|| cfd_minimal_cover(&full));
@@ -2161,20 +2167,26 @@ fn figures_1_and_2() {
     let d0 = dq_gen::customer::paper_instance();
     let fds = dq_gen::customer::paper_fds();
     let cfds = dq_gen::customer::paper_cfds();
+    // Traditional FDs detect as their all-wildcard CFDs.
+    let fd_cfds: Vec<Cfd> = fds.iter().map(Cfd::from_fd).collect();
+    let engine = DetectionEngine::new();
+    let report = engine.detect_cfd_violations(&d0, &cfds);
     println!(
         "paper instance D0: FD violations = {}, CFD violations = {}, dirty tuples = {}/3",
-        fds.iter().map(|f| f.violations(&d0).len()).sum::<usize>(),
-        detect_cfd_violations(&d0, &cfds).total(),
-        detect_cfd_violations(&d0, &cfds).violating_tuples().len()
+        engine.detect_cfd_violations(&d0, &fd_cfds).total(),
+        report.total(),
+        report.violating_tuples().len()
     );
     println!("\n tuples   err%   FD-detected   CFD-detected   detection-time");
     for &size in &[1_000usize, 10_000, 50_000] {
         for &rate in &[0.01, 0.05] {
             let w = customer_workload(size, rate);
             let start = Instant::now();
-            let report = detect_cfd_violations(&w.dirty, &cfds);
+            let report = DetectionEngine::new().detect_cfd_violations(&w.dirty, &cfds);
             let elapsed = start.elapsed();
-            let fd_found: usize = fds.iter().map(|f| f.violations(&w.dirty).len()).sum();
+            let fd_found = DetectionEngine::new()
+                .detect_cfd_violations(&w.dirty, &fd_cfds)
+                .total();
             println!(
                 "{:>7}  {:>4.0}%  {:>12}  {:>13}  {:>10.1}ms",
                 size,
@@ -2191,7 +2203,9 @@ fn figures_3_and_4() {
     header("Fig. 3 / Fig. 4 — CIND detection across source and target");
     let db = paper_database();
     let cinds = paper_cinds();
-    let report = detect_cind_violations(&db, &cinds).unwrap();
+    let report = DetectionEngine::new()
+        .detect_cind_violations(&db, &cinds)
+        .unwrap();
     println!(
         "paper instance D1: cind1 = {}, cind2 = {}, cind3 = {} violations",
         report.of(0).len(),
@@ -2202,7 +2216,9 @@ fn figures_3_and_4() {
     for &size in &[1_000usize, 10_000, 50_000] {
         let w = order_workload(size, 0.05);
         let start = Instant::now();
-        let report = detect_cind_violations(&w.db, &cinds).unwrap();
+        let report = DetectionEngine::new()
+            .detect_cind_violations(&w.db, &cinds)
+            .unwrap();
         let elapsed = start.elapsed();
         println!(
             "{:>7}  {:>15}  {:>9}  {:>6.1}ms",
@@ -2651,7 +2667,9 @@ fn section_1_discovery() {
         let start = Instant::now();
         let cfds = discover_cfds(&workload.clean, &cfd_config);
         let t_discovery = start.elapsed();
-        let clean = detect_cfd_violations(&workload.clean, &cfds.all()).is_clean();
+        let clean = DetectionEngine::new()
+            .detect_cfd_violations(&workload.clean, &cfds.all())
+            .is_clean();
         println!(
             "{:>7}   {:>10.1}ms   {:>9}   {:>11}+{:<10}   {:>12.1}ms   {}",
             size,
@@ -2830,10 +2848,10 @@ fn section_5_1_cind_insertions() {
     let cinds = dq_gen::orders::paper_cinds();
     for &orders in &[1_000usize, 10_000] {
         let w = order_workload(orders, 0.05);
-        let dangling: usize = cinds
-            .iter()
-            .map(|c| c.violations(&w.db).map(|v| v.len()).unwrap_or(0))
-            .sum();
+        let dangling = DetectionEngine::new()
+            .detect_cind_violations(&w.db, &cinds)
+            .map(|report| report.total())
+            .unwrap_or(0);
         let start = Instant::now();
         let outcome =
             repair_cind_violations_by_insertion(&w.db, &cinds, &InsertionRepairConfig::default())

@@ -298,9 +298,9 @@ mod tests {
         let report = CleaningPipeline::repair_only(paper_cfds())
             .run(&w.dirty)
             .expect("consistent rule set");
-        let naive = dq_core::detect::detect_cfd_violations(&w.dirty, &paper_cfds());
+        let naive = dq_core::reference::detect_cfd_violations(&w.dirty, &paper_cfds());
         assert_eq!(report.initial_violations, naive.total());
-        let naive_after = dq_core::detect::detect_cfd_violations(&report.cleaned, &paper_cfds());
+        let naive_after = dq_core::reference::detect_cfd_violations(&report.cleaned, &paper_cfds());
         assert_eq!(report.remaining_violations, naive_after.total());
     }
 

@@ -13,10 +13,10 @@
 //! violations.  Traditional FDs are the special case of a single all-`_`
 //! pattern tuple.
 
+use crate::engine::DetectionEngine;
 use crate::fd::Fd;
 use crate::pattern::{PatternTuple, PatternValue};
-use dq_relation::{DqError, DqResult, HashIndex, RelationInstance, RelationSchema, TupleId, Value};
-use std::collections::HashMap;
+use dq_relation::{DqError, DqResult, RelationInstance, RelationSchema, TupleId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -185,117 +185,14 @@ impl Cfd {
         out
     }
 
-    /// Does `instance` satisfy this CFD (`D ⊨ ϕ`)?
+    /// Does `instance` satisfy this CFD (`D ⊨ ϕ`)?  The default-engine form
+    /// of [`DetectionEngine::detect_cfd_violations`]: it reads the verdict
+    /// off the grouped report, so it costs O(rows) however many pairs
+    /// violate.  Checks over many dependencies should share one engine.
     pub fn holds_on(&self, instance: &RelationInstance) -> bool {
-        self.violations(instance).is_empty()
-    }
-
-    /// All violations of this CFD in `instance`.
-    ///
-    /// Detection follows the two-pass strategy of [36]: a scan finds
-    /// single-tuple violations of constant RHS patterns, and a hash
-    /// partitioning on `X` finds pairs that agree on `X`, match a pattern,
-    /// and disagree on `Y`.  Builds a fresh index on `X`; detection over many
-    /// dependencies should share indexes through
-    /// [`crate::engine::DetectionEngine`] instead.
-    pub fn violations(&self, instance: &RelationInstance) -> Vec<CfdViolation> {
-        let index = HashIndex::build(instance, &self.lhs);
-        self.violations_with_index(instance, &index)
-    }
-
-    /// All violations of this CFD in `instance`, probing a caller-supplied
-    /// index of `instance` on exactly [`lhs`](Self::lhs).
-    ///
-    /// Violations are returned in canonical (sorted) order, so any two
-    /// detection paths over the same instance produce identical reports
-    /// regardless of index iteration order.
-    pub fn violations_with_index(
-        &self,
-        instance: &RelationInstance,
-        index: &HashIndex,
-    ) -> Vec<CfdViolation> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.lhs.as_slice(),
-            "index keyed off the CFD's LHS"
-        );
-        let mut out = Vec::new();
-        // Pass 1: single-tuple (constant) violations.
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            let has_rhs_constant = tp.rhs.iter().any(|p| !p.is_any());
-            if !has_rhs_constant {
-                continue;
-            }
-            for (id, tuple) in instance.iter() {
-                if tp.lhs_matches(tuple, &self.lhs) && !tp.rhs_matches(tuple, &self.rhs) {
-                    out.push(CfdViolation::SingleTuple {
-                        pattern: pattern_idx,
-                        tuple: id,
-                    });
-                }
-            }
-        }
-        // Pass 2: tuple-pair (variable) violations, via grouping on X.
-        //
-        // Within a group, a pair violates iff the two tuples differ in their
-        // Y-projection, so partitioning the group by that projection replaces
-        // the quadratic pair scan with work linear in the group plus the
-        // violations actually reported: clean groups (one sub-partition) cost
-        // O(|group|), and only cross-partition pairs are enumerated.
-        let mut by_rhs: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
-        for (key, group) in index.multi_groups() {
-            let matching_patterns: Vec<usize> = self
-                .tableau
-                .iter()
-                .enumerate()
-                .filter(|(_, tp)| tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)))
-                .map(|(i, _)| i)
-                .collect();
-            if matching_patterns.is_empty() {
-                continue;
-            }
-            by_rhs.clear();
-            for &id in group {
-                let tuple = instance.tuple(id).expect("live tuple");
-                by_rhs.entry(tuple.project(&self.rhs)).or_default().push(id);
-            }
-            if by_rhs.len() < 2 {
-                continue; // the whole group agrees on Y
-            }
-            let partitions: Vec<&Vec<TupleId>> = by_rhs.values().collect();
-            for (i, first_part) in partitions.iter().enumerate() {
-                for second_part in &partitions[i + 1..] {
-                    for &a in *first_part {
-                        for &b in *second_part {
-                            let (first, second) = if a < b { (a, b) } else { (b, a) };
-                            for &p in &matching_patterns {
-                                out.push(CfdViolation::TuplePair {
-                                    pattern: p,
-                                    first,
-                                    second,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Canonical order: hash-map group iteration is nondeterministic, and
-        // downstream equality of reports relies on a stable order.
-        out.sort_unstable();
-        out
-    }
-
-    /// The set of tuples involved in at least one violation of this CFD.
-    pub fn violating_tuples(&self, instance: &RelationInstance) -> Vec<TupleId> {
-        let mut ids: Vec<TupleId> = self
-            .violations(instance)
-            .into_iter()
-            .flat_map(|v| v.tuples())
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
+        DetectionEngine::new()
+            .detect_cfd_violations(instance, std::slice::from_ref(self))
+            .is_clean()
     }
 }
 
@@ -465,7 +362,8 @@ mod tests {
     fn phi1_violation_is_the_pair_t1_t2() {
         let s = customer_schema();
         let d = d0(&s);
-        let v = phi1(&s).violations(&d);
+        let report = DetectionEngine::new().detect_cfd_violations(&d, &[phi1(&s)]);
+        let v = report.of(0);
         assert_eq!(v.len(), 1);
         assert_eq!(
             v[0],
@@ -481,13 +379,15 @@ mod tests {
     fn phi2_single_tuple_violations_cover_all_three_tuples() {
         let s = customer_schema();
         let d = d0(&s);
-        let cfd = phi2(&s);
-        let violating = cfd.violating_tuples(&d);
+        let report = DetectionEngine::new().detect_cfd_violations(&d, &[phi2(&s)]);
         // t1 and t2 violate the (44, 131, _) pattern; t3 violates (01, 908, _).
-        assert_eq!(violating, vec![TupleId(0), TupleId(1), TupleId(2)]);
-        let singles = cfd
-            .violations(&d)
-            .into_iter()
+        assert_eq!(
+            report.violating_tuples(),
+            vec![TupleId(0), TupleId(1), TupleId(2)]
+        );
+        let singles = report
+            .of(0)
+            .iter()
             .filter(|v| matches!(v, CfdViolation::SingleTuple { .. }))
             .count();
         assert_eq!(singles, 3);
@@ -592,7 +492,11 @@ mod tests {
             crate::stream::cfd_violations(cfd, &source, index.multi_group_rows()).to_violations()
         };
         for cfd in [phi1(&s), phi2(&s), phi3(&s)] {
-            assert_eq!(kernel(&cfd), cfd.violations(&d), "{cfd}");
+            assert_eq!(
+                kernel(&cfd),
+                crate::reference::cfd_violations(&cfd, &d),
+                "{cfd}"
+            );
         }
         // A pattern constant absent from the instance matches nothing.
         let ghost = Cfd::new(
@@ -602,8 +506,29 @@ mod tests {
             vec![PatternTuple::new(vec![cst(999)], vec![cst("Nowhere")])],
         )
         .unwrap();
-        assert_eq!(kernel(&ghost), ghost.violations(&d));
+        assert_eq!(kernel(&ghost), crate::reference::cfd_violations(&ghost, &d));
         assert!(kernel(&ghost).is_empty());
+    }
+
+    #[test]
+    fn holds_on_answers_without_building_the_violating_pairs() {
+        // One LHS group of 2 × 20,000 rows split across two RHS classes:
+        // 4·10⁸ violating pairs, several GiB as a pair list.  The verdict
+        // comes off the grouped report, which is linear in the rows.
+        let s = Arc::new(RelationSchema::new(
+            "r",
+            [("k", Domain::Int), ("v", Domain::Int)],
+        ));
+        let mut d = RelationInstance::new(Arc::clone(&s));
+        for i in 0..40_000 {
+            d.insert_values([Value::int(0), Value::int(i % 2)]).unwrap();
+        }
+        let fd = Fd::new(&s, &["k"], &["v"]);
+        assert!(!Cfd::from_fd(&fd).holds_on(&d));
+        assert!(!fd.holds_on(&d));
+        assert!(!Fd::is_key_of(&s, &["k"], &d));
+        // Duplicates agree on every attribute, so {k, v} is a key.
+        assert!(Fd::is_key_of(&s, &["k", "v"], &d));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! `t2[Yp] = tp[Yp]`.  Traditional INDs are the special case of empty
 //! `Xp`/`Yp`.
 
+use crate::engine::DetectionEngine;
 use crate::ind::Ind;
 use dq_relation::{
-    Database, DqError, DqResult, HashIndex, InternedIndex, RelationSchema, TupleId, Value, ValueId,
+    Database, DqError, DqResult, InternedIndex, RelationSchema, TupleId, Value, ValueId,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -255,43 +256,13 @@ impl Cind {
             .collect()
     }
 
-    /// LHS tuples violating the CIND: tuples matching some pattern's `Xp`
-    /// constants with no RHS tuple matching both the correspondence and the
-    /// pattern's `Yp` constants.
-    pub fn violations(&self, db: &Database) -> DqResult<Vec<CindViolation>> {
-        let lhs = db.require_relation(self.lhs_schema.name())?;
-        let rhs = db.require_relation(self.rhs_schema.name())?;
-        // Index the RHS relation on Y ++ Yp so each probe is a single lookup.
-        let mut probe_attrs = self.rhs_attrs.clone();
-        probe_attrs.extend_from_slice(&self.rhs_pattern_attrs);
-        let index = HashIndex::build(rhs, &probe_attrs);
-        let mut out = Vec::new();
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            for (id, tuple) in lhs.iter() {
-                let applies = self
-                    .lhs_pattern_attrs
-                    .iter()
-                    .zip(&tp.lhs)
-                    .all(|(&a, v)| tuple.get(a) == v);
-                if !applies {
-                    continue;
-                }
-                let mut key = tuple.project(&self.lhs_attrs);
-                key.extend(tp.rhs.iter().cloned());
-                if !index.contains_key(&key) {
-                    out.push(CindViolation {
-                        pattern: pattern_idx,
-                        tuple: id,
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Does the database satisfy this CIND?
+    /// Does the database satisfy this CIND?  The default-engine form of
+    /// [`DetectionEngine::detect_cind_violations`]; checks over many
+    /// dependencies should share one engine.
     pub fn holds_on(&self, db: &Database) -> DqResult<bool> {
-        Ok(self.violations(db)?.is_empty())
+        Ok(DetectionEngine::new()
+            .detect_cind_violations(db, std::slice::from_ref(self))?
+            .is_clean())
     }
 
     /// The attribute list an interned probe index on the RHS relation must
@@ -303,13 +274,17 @@ impl Cind {
         attrs
     }
 
-    /// Violations computed against a caller-supplied *interned* index of the
-    /// RHS relation on exactly [`rhs_probe_attrs`](Self::rhs_probe_attrs).
-    /// Each LHS tuple's probe translates through the index's per-column
-    /// dictionaries — a value absent from a dictionary cannot match any RHS
-    /// tuple, short-circuiting the probe.  Output (order included) equals
-    /// [`violations`](Self::violations).
-    pub fn violations_with_probe_index(
+    /// The LHS tuples violating the CIND — tuples matching some pattern's
+    /// `Xp` constants with no RHS tuple matching both the correspondence and
+    /// the pattern's `Yp` constants — computed against an *interned* index
+    /// of the RHS relation on exactly
+    /// [`rhs_probe_attrs`](Self::rhs_probe_attrs): the kernel behind
+    /// [`DetectionEngine::detect_cind_violations`].  Each LHS tuple's probe
+    /// translates through the index's per-column dictionaries — a value
+    /// absent from a dictionary cannot match any RHS tuple, short-circuiting
+    /// the probe.  Output (order included) equals
+    /// [`crate::reference::cind_violations`].
+    pub(crate) fn violations_with_probe_index(
         &self,
         db: &Database,
         index: &InternedIndex,
@@ -550,7 +525,10 @@ mod tests {
     #[test]
     fn d1_violates_cind3_via_t9() {
         let db = d1();
-        let v = cind3().violations(&db).unwrap();
+        let report = DetectionEngine::new()
+            .detect_cind_violations(&db, &[cind3()])
+            .unwrap();
+        let v = report.of(0);
         assert_eq!(v.len(), 1);
         // t9 is the second CD tuple (the audio-book Snow White).
         assert_eq!(v[0].tuple, TupleId(1));
@@ -641,7 +619,7 @@ mod tests {
             let index = InternedIndex::build(rhs, &store, &probe, 1);
             assert_eq!(
                 cind.violations_with_probe_index(&db, &index).unwrap(),
-                cind.violations(&db).unwrap(),
+                crate::reference::cind_violations(&cind, &db).unwrap(),
                 "{cind}"
             );
         }
@@ -659,11 +637,12 @@ mod tests {
         .unwrap();
         let rhs = db.require_relation("book").unwrap();
         let index = InternedIndex::build(rhs, &rhs.columnar(), &absent.rhs_probe_attrs(), 1);
+        let expected = crate::reference::cind_violations(&absent, &db).unwrap();
         assert_eq!(
             absent.violations_with_probe_index(&db, &index).unwrap(),
-            absent.violations(&db).unwrap()
+            expected
         );
-        assert_eq!(absent.violations(&db).unwrap().len(), 1);
+        assert_eq!(expected.len(), 1);
     }
 
     #[test]

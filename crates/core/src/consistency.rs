@@ -11,9 +11,6 @@
 //! * [`cfd_set_consistent`] — the exact decision procedure, delegating to the
 //!   propagation-guided solver in [`crate::analysis`] (sound quadratic first
 //!   pass, then a DPLL-style search over packed candidate ids);
-//! * [`cfd_set_consistent_naive`] — the seed's blind backtracking search over
-//!   the witness-tuple characterization, kept as the reference the solver is
-//!   property-asserted against;
 //! * [`cfd_set_consistent_propagation`] — the quadratic fixpoint propagation
 //!   that is sound in general and complete when no pattern attribute ranges
 //!   over a finite domain;
@@ -23,12 +20,15 @@
 //!   by a bounded chase;
 //! * [`cfd_cind_consistent_bounded`] — the bounded-chase *heuristic* for CFDs
 //!   and CINDs taken together (the exact problem being undecidable).
+//!
+//! The blind backtracking search the solver is property-asserted against is
+//! [`crate::reference::cfd_set_consistent`].
 
 use crate::analysis::AnalysisStats;
 use crate::cfd::Cfd;
 use crate::cind::Cind;
-use crate::detect::detect_cfd_violations;
 use crate::ecfd::Ecfd;
+use crate::engine::DetectionEngine;
 use crate::pattern::PatternValue;
 use dq_relation::{Database, RelationInstance, RelationSchema, Tuple, Value};
 use std::collections::BTreeMap;
@@ -175,74 +175,12 @@ pub(crate) fn tuple_satisfies(cfds: &[Cfd], t: &Tuple) -> bool {
 /// over packed candidate ids with unit propagation, partial-assignment
 /// conflict rejection and most-constrained-attribute ordering decides the
 /// finite-domain case.  The verdict is identical to
-/// [`cfd_set_consistent_naive`] on every input (property-asserted in
-/// `tests/analysis_equivalence.rs`); the worst case remains exponential —
-/// the NP-completeness of Theorem 4.1 — but pruning collapses it on real
-/// rule sets.
+/// [`crate::reference::cfd_set_consistent`] on every input
+/// (property-asserted in `tests/analysis_equivalence.rs`); the worst case
+/// remains exponential — the NP-completeness of Theorem 4.1 — but pruning
+/// collapses it on real rule sets.
 pub fn cfd_set_consistent(cfds: &[Cfd]) -> ConsistencyResult {
     crate::analysis::solver::solve_cfd_consistency(cfds, 0)
-}
-
-/// The seed's exact consistency check: blind backtracking over the witness
-/// candidate sets, testing satisfaction only at full depth.  Kept as the
-/// reference procedure the solver is asserted against.
-///
-/// Uses the witness-tuple characterization: the set is consistent iff there
-/// exists a single tuple satisfying every pattern constraint.  The search
-/// assigns the attributes that occur in the dependencies, drawing from the
-/// finite candidate sets described in Section 4.1 (whole domain for
-/// finite-domain attributes, mentioned constants plus a fresh value
-/// otherwise); the remaining attributes are filled with fresh values.
-pub fn cfd_set_consistent_naive(cfds: &[Cfd]) -> ConsistencyResult {
-    let Some(first) = cfds.first() else {
-        return ConsistencyResult::trivially_consistent();
-    };
-    let schema = Arc::clone(first.schema());
-    let mentioned = mentioned_constants(&schema, cfds);
-    let attrs = pattern_attributes(&schema, cfds);
-
-    // Pre-compute candidates per constrained attribute.
-    let candidates: BTreeMap<usize, Vec<Value>> = attrs
-        .iter()
-        .map(|&a| (a, candidate_values(&schema, a, &mentioned[a])))
-        .collect();
-
-    // Default (fresh) value for every attribute, used for unconstrained
-    // attributes and as the starting point of the search.
-    let mut base: Vec<Value> = (0..schema.arity())
-        .map(|a| {
-            schema
-                .domain(a)
-                .fresh_value(&mentioned[a])
-                .unwrap_or_else(|| schema.domain(a).enumerate().expect("finite domain")[0].clone())
-        })
-        .collect();
-
-    fn search(
-        cfds: &[Cfd],
-        attrs: &[usize],
-        candidates: &BTreeMap<usize, Vec<Value>>,
-        values: &mut Vec<Value>,
-        depth: usize,
-    ) -> Option<Tuple> {
-        if depth == attrs.len() {
-            let t = Tuple::new(values.clone());
-            return tuple_satisfies(cfds, &t).then_some(t);
-        }
-        let attr = attrs[depth];
-        for candidate in &candidates[&attr] {
-            values[attr] = candidate.clone();
-            if let Some(t) = search(cfds, attrs, candidates, values, depth + 1) {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    match search(cfds, &attrs, &candidates, &mut base, 0) {
-        Some(witness) => ConsistencyResult::consistent_with(witness),
-        None => ConsistencyResult::inconsistent(),
-    }
 }
 
 /// The quadratic-time propagation check (Theorem 4.3): sound for every CFD
@@ -431,19 +369,20 @@ pub fn cind_set_consistent(cinds: &[Cind]) -> ConsistencyResult {
 /// Applies the CIND chase to `db` until it satisfies every CIND or the step
 /// bound is exhausted.  Returns whether a fixpoint (satisfying database) was
 /// reached.  Each chase step adds the "missing" RHS tuple demanded by a
-/// violated CIND, with fresh values for unconstrained attributes.
+/// violated CIND, with fresh values for unconstrained attributes.  One
+/// engine serves the whole chase, so each step extends the pooled probe
+/// indexes by the appended tuple instead of rebuilding them.
 pub fn chase_cinds(db: &mut Database, cinds: &[Cind], max_steps: usize) -> bool {
+    let engine = DetectionEngine::new();
     for _ in 0..max_steps {
         let mut fired = false;
         for cind in cinds {
-            let violations = match cind.violations(db) {
-                Ok(v) => v,
-                Err(_) => return false,
+            let Ok(report) = engine.detect_cind_violations(db, std::slice::from_ref(cind)) else {
+                return false;
             };
-            if violations.is_empty() {
+            let Some(&v) = report.of(0).first() else {
                 continue;
-            }
-            let v = violations[0];
+            };
             let lhs = db
                 .relation(cind.lhs_schema().name())
                 .expect("lhs relation present");
@@ -515,7 +454,7 @@ pub fn cfd_cind_consistent_bounded(cfds: &[Cfd], cinds: &[Cind], max_steps: usiz
     }
     // The chase may have introduced tuples violating the CFDs; re-check.
     let relation = db.relation(schema.name()).expect("seed relation");
-    let report = detect_cfd_violations(relation, cfds);
+    let report = DetectionEngine::new().detect_cfd_violations(relation, cfds);
     if report.is_clean() {
         Some(true)
     } else {
@@ -570,7 +509,7 @@ mod tests {
         let result = cfd_set_consistent(&example_4_1());
         assert!(!result.consistent);
         assert!(result.witness.is_none());
-        let naive = cfd_set_consistent_naive(&example_4_1());
+        let naive = crate::reference::cfd_set_consistent(&example_4_1());
         assert!(!naive.consistent);
         assert!(naive.witness.is_none());
     }
@@ -613,7 +552,7 @@ mod tests {
         assert!(result.consistent);
         let witness = result.witness_tuple().expect("witness tuple");
         assert!(tuple_satisfies(&cfds, witness));
-        let naive = cfd_set_consistent_naive(&cfds);
+        let naive = crate::reference::cfd_set_consistent(&cfds);
         assert!(naive.consistent);
         assert!(tuple_satisfies(&cfds, naive.witness_tuple().unwrap()));
         assert!(cfd_set_consistent_propagation(&cfds));
@@ -703,7 +642,7 @@ mod tests {
     #[test]
     fn empty_set_is_consistent() {
         assert!(cfd_set_consistent(&[]).consistent);
-        assert!(cfd_set_consistent_naive(&[]).consistent);
+        assert!(crate::reference::cfd_set_consistent(&[]).consistent);
         assert!(cfd_set_consistent_propagation(&[]));
         assert!(cind_set_consistent(&[]).consistent);
     }

@@ -9,8 +9,9 @@
 //! answering literature surveyed in Section 5, and X-repairs for them only
 //! ever delete tuples.
 
+use crate::engine::DetectionEngine;
 use crate::fd::Fd;
-use dq_relation::{CompOp, HashIndex, RelationInstance, TupleId, Value};
+use dq_relation::{CompOp, RelationInstance, Value};
 use std::fmt;
 
 /// One side of a comparison inside a denial constraint.
@@ -37,13 +38,6 @@ impl DcTerm {
     pub fn val(v: impl Into<Value>) -> Self {
         DcTerm::Const(v.into())
     }
-
-    fn eval<'a>(&'a self, tuples: &'a [&dq_relation::Tuple]) -> &'a Value {
-        match self {
-            DcTerm::Attr { var, attr } => tuples[*var].get(*attr),
-            DcTerm::Const(v) => v,
-        }
-    }
 }
 
 /// A comparison predicate inside a denial constraint.
@@ -61,11 +55,6 @@ impl DcPredicate {
     /// Creates a predicate.
     pub fn new(left: DcTerm, op: CompOp, right: DcTerm) -> Self {
         DcPredicate { left, op, right }
-    }
-
-    fn eval(&self, tuples: &[&dq_relation::Tuple]) -> bool {
-        self.op
-            .eval(self.left.eval(tuples), self.right.eval(tuples))
     }
 }
 
@@ -134,9 +123,8 @@ impl DenialConstraint {
     /// Attributes on which the two tuple variables must agree for the
     /// constraint to fire: every predicate of the shape
     /// `t1[a] = t2[a]` (in either variable order).  When non-empty, a
-    /// violating pair necessarily lies inside one hash group of an index on
-    /// these attributes, which lets detection skip the quadratic pair scan —
-    /// see [`violations_with_index`](Self::violations_with_index).
+    /// violating pair necessarily lies inside one group of an index on these
+    /// attributes, which lets detection skip the quadratic pair scan.
     ///
     /// Returns `None` for constraints that are not two-variable or have no
     /// such equality predicate.
@@ -166,88 +154,15 @@ impl DenialConstraint {
         }
     }
 
-    /// Violations of a two-variable constraint, probing a caller-supplied
-    /// index of `instance` on exactly
-    /// [`pair_partition_attrs`](Self::pair_partition_attrs).
+    /// Does the instance satisfy this denial constraint?  The
+    /// default-engine form of [`DetectionEngine::detect_denial_violations`];
+    /// checks over many constraints should share one engine.
     ///
-    /// Produces the same pairs as [`violations`](Self::violations) — each
-    /// ordered candidate pair is evaluated against every predicate, so
-    /// asymmetric comparisons behave identically — in the same sorted order.
-    pub fn violations_with_index(
-        &self,
-        instance: &RelationInstance,
-        index: &HashIndex,
-    ) -> Vec<Vec<TupleId>> {
-        debug_assert_eq!(
-            Some(index.attrs().to_vec()),
-            self.pair_partition_attrs(),
-            "index keyed off the constraint's equality attributes"
-        );
-        let mut out = Vec::new();
-        for (_, group) in index.multi_groups() {
-            let tuples: Vec<&dq_relation::Tuple> = group
-                .iter()
-                .map(|&id| instance.tuple(id).expect("live tuple"))
-                .collect();
-            // Group ids are in ascending insertion order, so `j > i` is
-            // exactly the `id1 < id2` reporting rule of `violations`.
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    if self
-                        .predicates
-                        .iter()
-                        .all(|p| p.eval(&[tuples[i], tuples[j]]))
-                    {
-                        out.push(vec![group[i], group[j]]);
-                    }
-                }
-            }
-        }
-        // `violations` reports pairs in ascending (first, second) order;
-        // group iteration is nondeterministic, so sort to match.
-        out.sort_unstable();
-        out
-    }
-
-    /// All violations: combinations of tuples satisfying every predicate.
-    /// Supports one or two tuple variables (all constraints in the paper's
-    /// examples have at most two).
-    pub fn violations(&self, instance: &RelationInstance) -> Vec<Vec<TupleId>> {
-        let mut out = Vec::new();
-        match self.vars {
-            1 => {
-                for (id, t) in instance.iter() {
-                    if self.predicates.iter().all(|p| p.eval(&[t])) {
-                        out.push(vec![id]);
-                    }
-                }
-            }
-            2 => {
-                let entries: Vec<(TupleId, &dq_relation::Tuple)> = instance.iter().collect();
-                for i in 0..entries.len() {
-                    for j in 0..entries.len() {
-                        if i == j {
-                            continue;
-                        }
-                        let (id1, t1) = entries[i];
-                        let (id2, t2) = entries[j];
-                        if self.predicates.iter().all(|p| p.eval(&[t1, t2])) {
-                            // Report unordered pairs once.
-                            if id1 < id2 {
-                                out.push(vec![id1, id2]);
-                            }
-                        }
-                    }
-                }
-            }
-            n => panic!("denial constraints with {n} tuple variables are not supported"),
-        }
-        out
-    }
-
-    /// Does the instance satisfy this denial constraint?
+    /// # Panics
+    /// Panics on a constraint with other than one or two tuple variables.
     pub fn holds_on(&self, instance: &RelationInstance) -> bool {
-        self.violations(instance).is_empty()
+        DetectionEngine::new().detect_denial_violations(instance, std::slice::from_ref(self))[0]
+            .is_empty()
     }
 }
 
@@ -266,7 +181,7 @@ impl fmt::Display for DenialConstraint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_relation::{Domain, RelationSchema};
+    use dq_relation::{Domain, RelationSchema, TupleId};
     use std::sync::Arc;
 
     fn schema() -> Arc<RelationSchema> {
@@ -310,8 +225,8 @@ mod tests {
         let ok = instance(&[("a", "cs", 100, 10), ("b", "ee", 80, 80)]);
         assert!(dc.holds_on(&ok));
         let bad = instance(&[("a", "cs", 100, 10), ("b", "ee", 80, 90)]);
-        let v = dc.violations(&bad);
-        assert_eq!(v, vec![vec![TupleId(1)]]);
+        let v = DetectionEngine::new().detect_denial_violations(&bad, &[dc]);
+        assert_eq!(v, vec![vec![vec![TupleId(1)]]]);
     }
 
     #[test]
@@ -325,7 +240,8 @@ mod tests {
         let inconsistent = instance(&[("a", "cs", 1, 0), ("a", "ee", 2, 0)]);
         assert_eq!(fd.holds_on(&consistent), dcs[0].holds_on(&consistent));
         assert_eq!(fd.holds_on(&inconsistent), dcs[0].holds_on(&inconsistent));
-        assert_eq!(dcs[0].violations(&inconsistent).len(), 1);
+        let v = DetectionEngine::new().detect_denial_violations(&inconsistent, &dcs);
+        assert_eq!(v[0].len(), 1);
     }
 
     #[test]
@@ -373,6 +289,7 @@ mod tests {
         let dc = &DenialConstraint::from_fd(&fd)[0];
         let inst = instance(&[("a", "cs", 1, 0), ("b", "cs", 2, 0), ("c", "cs", 3, 0)]);
         // Three unordered pairs of distinct names in the same department.
-        assert_eq!(dc.violations(&inst).len(), 3);
+        let v = DetectionEngine::new().detect_denial_violations(&inst, std::slice::from_ref(dc));
+        assert_eq!(v[0].len(), 3);
     }
 }

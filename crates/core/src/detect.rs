@@ -1,12 +1,12 @@
-//! Error detection: finding all violations of a set of conditional
-//! dependencies in a database.
+//! Violation reports: all violations of a set of conditional dependencies
+//! in a database.
 //!
 //! This is the "catching inconsistencies" step of the paper's programme
-//! (Section 1): errors *are* violations of the dependencies.  The detectors
-//! here aggregate per-dependency violations into a report that repairing
-//! (`dq-repair`) and the experiment harness consume, and include an
-//! incremental variant used when new tuples are appended to an already
-//! checked instance.
+//! (Section 1): errors *are* violations of the dependencies.
+//! [`DetectionEngine`](crate::engine::DetectionEngine) aggregates
+//! per-dependency violations into the reports defined here, which repairing
+//! (`dq-repair`) and the experiment harness consume; the row-at-a-time
+//! detectors they are tested against live in [`crate::reference`].
 //!
 //! # Grouped CFD reports
 //!
@@ -24,14 +24,13 @@
 //! [`per_dependency`](CfdViolationReport::per_dependency),
 //! [`of`](CfdViolationReport::of) and [`iter`](CfdViolationReport::iter) are
 //! materialized on first use, once per report, under a `report.materialize`
-//! span.  The naive detectors here build pair-form reports; the two forms
-//! compare equal exactly when their pair lists do.
+//! span.  The reference detectors and incremental detection build pair-form
+//! reports; the two forms compare equal exactly when their pair lists do.
 
-use crate::cfd::{Cfd, CfdViolation};
-use crate::cind::{Cind, CindViolation};
-use crate::denial::DenialConstraint;
-use crate::ecfd::{Ecfd, EcfdViolation};
-use dq_relation::{Database, DqResult, FxHashMap, HashIndex, RelationInstance, TupleId};
+use crate::cfd::CfdViolation;
+use crate::cind::CindViolation;
+use crate::ecfd::EcfdViolation;
+use dq_relation::{FxHashMap, TupleId};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -293,9 +292,10 @@ impl CfdViolationGroups {
 
 /// Violations of a set of CFDs over a single relation instance.
 ///
-/// Either grouped (the engine's reports, see the [module docs](self)) or a
-/// list of violations per dependency (the naive detectors' and
-/// [`from_per_dependency`](Self::from_per_dependency)'s).  Equality is
+/// Either grouped (the engine's batch and maintained reports, see the
+/// [module docs](self)) or a list of violations per dependency
+/// ([`from_per_dependency`](Self::from_per_dependency)'s: incremental
+/// detection and the reference detectors).  Equality is
 /// semantic: two reports are equal exactly when their per-dependency
 /// violation lists are.
 #[derive(Debug)]
@@ -510,108 +510,10 @@ fn pair_components(violations: &[CfdViolation]) -> usize {
     components
 }
 
-/// Detects all violations of `cfds` in `instance`.
-pub fn detect_cfd_violations(instance: &RelationInstance, cfds: &[Cfd]) -> CfdViolationReport {
-    CfdViolationReport::from_per_dependency(cfds.iter().map(|c| c.violations(instance)).collect())
-}
-
-/// Incremental detection: assuming `instance` minus the tuples in `added` was
-/// already clean (or already reported), finds only the violations involving
-/// at least one tuple of `added`.
-///
-/// Constant (single-tuple) violations are checked on the added tuples alone;
-/// variable violations are found by probing the full index with the added
-/// tuples' LHS keys, so the cost is proportional to the added data plus the
-/// size of the touched groups rather than the whole instance being re-paired.
-pub fn detect_cfd_violations_incremental(
-    instance: &RelationInstance,
-    cfds: &[Cfd],
-    added: &[TupleId],
-) -> CfdViolationReport {
-    let per_dependency = cfds
-        .iter()
-        .map(|cfd| {
-            let index = HashIndex::build(instance, cfd.lhs());
-            incremental_cfd_violations_with_index(instance, cfd, added, &index)
-        })
-        .collect();
-    CfdViolationReport::from_per_dependency(per_dependency)
-}
-
-/// The per-dependency core of incremental detection, probing a
-/// caller-supplied index of `instance` on exactly the CFD's LHS — the
-/// reference [`crate::engine::DetectionEngine::detect_cfd_violations_incremental`]
-/// is checked against.
-pub fn incremental_cfd_violations_with_index(
-    instance: &RelationInstance,
-    cfd: &Cfd,
-    added: &[TupleId],
-    index: &HashIndex,
-) -> Vec<CfdViolation> {
-    debug_assert_eq!(index.attrs(), cfd.lhs(), "index keyed off the CFD's LHS");
-    let mut violations = Vec::new();
-    // Single-tuple violations among the added tuples.
-    for (pattern_idx, tp) in cfd.tableau().iter().enumerate() {
-        if tp.rhs.iter().all(|p| p.is_any()) {
-            continue;
-        }
-        for &id in added {
-            if let Some(tuple) = instance.tuple(id) {
-                if tp.lhs_matches(tuple, cfd.lhs()) && !tp.rhs_matches(tuple, cfd.rhs()) {
-                    violations.push(CfdViolation::SingleTuple {
-                        pattern: pattern_idx,
-                        tuple: id,
-                    });
-                }
-            }
-        }
-    }
-    // Pair violations involving an added tuple.
-    {
-        let mut seen_pairs: BTreeSet<(TupleId, TupleId)> = BTreeSet::new();
-        for &id in added {
-            let Some(tuple) = instance.tuple(id) else {
-                continue;
-            };
-            let key = tuple.project(cfd.lhs());
-            let matching_patterns: Vec<usize> = cfd
-                .tableau()
-                .iter()
-                .enumerate()
-                .filter(|(_, tp)| tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)))
-                .map(|(i, _)| i)
-                .collect();
-            if matching_patterns.is_empty() {
-                continue;
-            }
-            for &other in index.get(&key) {
-                if other == id {
-                    continue;
-                }
-                // Report each unordered pair once; pairs entirely inside the
-                // old data never reach this loop because `id` is added.
-                let pair = if other < id { (other, id) } else { (id, other) };
-                if !seen_pairs.insert(pair) {
-                    continue;
-                }
-                let a = instance.tuple(pair.0).expect("live tuple");
-                let b = instance.tuple(pair.1).expect("live tuple");
-                if !a.agree_on(b, cfd.rhs()) {
-                    for &p in &matching_patterns {
-                        violations.push(CfdViolation::TuplePair {
-                            pattern: p,
-                            first: pair.0,
-                            second: pair.1,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    violations.sort();
-    violations.dedup();
-    violations
-}
+/// The reference CFD detector under its old path: the repository
+/// benchmark's `clean-master-20k` oracle calls it here.  Detection runs on
+/// [`DetectionEngine`](crate::engine::DetectionEngine).
+pub use crate::reference::detect_cfd_violations;
 
 /// Violations of a set of CINDs over a database.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -649,15 +551,6 @@ impl CindViolationReport {
     }
 }
 
-/// Detects all violations of `cinds` in `db`.
-pub fn detect_cind_violations(db: &Database, cinds: &[Cind]) -> DqResult<CindViolationReport> {
-    let per_dependency = cinds
-        .iter()
-        .map(|c| c.violations(db))
-        .collect::<DqResult<Vec<_>>>()?;
-    Ok(CindViolationReport { per_dependency })
-}
-
 /// Violations of a set of eCFDs over an instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EcfdViolationReport {
@@ -686,27 +579,13 @@ impl EcfdViolationReport {
     }
 }
 
-/// Detects all violations of `ecfds` in `instance`.
-pub fn detect_ecfd_violations(instance: &RelationInstance, ecfds: &[Ecfd]) -> EcfdViolationReport {
-    EcfdViolationReport {
-        per_dependency: ecfds.iter().map(|e| e.violations(instance)).collect(),
-    }
-}
-
-/// Detects all violations of a set of denial constraints in `instance`.
-/// Returns, per constraint, the violating tuple combinations.
-pub fn detect_denial_violations(
-    instance: &RelationInstance,
-    constraints: &[DenialConstraint],
-) -> Vec<Vec<Vec<TupleId>>> {
-    constraints.iter().map(|d| d.violations(instance)).collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cfd::Cfd;
+    use crate::denial::DenialConstraint;
+    use crate::engine::DetectionEngine;
     use crate::pattern::{cst, wild, PatternTuple};
-    use dq_relation::{Domain, RelationSchema, Value};
+    use dq_relation::{Domain, RelationInstance, RelationSchema, Value};
     use std::sync::Arc;
 
     fn schema() -> Arc<RelationSchema> {
@@ -783,7 +662,7 @@ mod tests {
     fn report_aggregates_the_paper_violations() {
         let s = schema();
         let d = d0(&s);
-        let report = detect_cfd_violations(&d, &paper_cfds(&s));
+        let report = DetectionEngine::new().detect_cfd_violations(&d, &paper_cfds(&s));
         // ϕ1: one pair violation; ϕ2: three single-tuple violations; ϕ3: none.
         assert_eq!(report.of(0).len(), 1);
         assert_eq!(report.of(1).len(), 3);
@@ -808,7 +687,7 @@ mod tests {
             Value::str("EH4"),
         ])
         .unwrap();
-        let report = detect_cfd_violations(&inst, &paper_cfds(&s));
+        let report = DetectionEngine::new().detect_cfd_violations(&inst, &paper_cfds(&s));
         assert!(report.is_clean());
         assert!(report.violating_tuples().is_empty());
     }
@@ -818,9 +697,8 @@ mod tests {
         let s = schema();
         let mut d = d0(&s);
         let cfds = paper_cfds(&s);
-        // Start from a clean projection: delete the two dirty UK tuples so the
-        // remaining instance has only single-tuple violations already known.
-        let baseline = detect_cfd_violations(&d, &cfds);
+        let engine = DetectionEngine::new();
+        let baseline = engine.detect_cfd_violations(&d, &cfds);
         // Add a new tuple that collides with t1 on [CC, zip] but has another
         // street, creating a new pair violation of ϕ1.
         let new_id = d
@@ -833,8 +711,8 @@ mod tests {
                 Value::str("EH4 8LE"),
             ])
             .unwrap();
-        let incr = detect_cfd_violations_incremental(&d, &cfds, &[new_id]);
-        let full = detect_cfd_violations(&d, &cfds);
+        let incr = engine.detect_cfd_violations_incremental(&d, &cfds, &[new_id]);
+        let full = engine.detect_cfd_violations(&d, &cfds);
         // Every incremental violation involves the new tuple and appears in
         // the full report.
         for (i, v) in incr.iter() {
@@ -853,7 +731,7 @@ mod tests {
         let d = d0(&s);
         let fd = crate::fd::Fd::new(&s, &["zip"], &["street"]);
         let dcs = DenialConstraint::from_fd(&fd);
-        let report = detect_denial_violations(&d, &dcs);
+        let report = DetectionEngine::new().detect_denial_violations(&d, &dcs);
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].len(), 1); // t1, t2 share zip but differ on street
     }

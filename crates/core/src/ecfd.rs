@@ -13,12 +13,13 @@
 //! consistency (NP-complete) or implication (coNP-complete); the benches of
 //! `dq-bench` measure the two classes side by side.
 
+use crate::engine::DetectionEngine;
 use dq_relation::store::FxHashMap;
 use dq_relation::{
-    Column, DqError, DqResult, HashIndex, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
+    Column, DqError, DqResult, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
     RelationSchema, TupleId, Value, ValueId,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -193,124 +194,27 @@ impl Ecfd {
         out
     }
 
-    /// Violations of the eCFD in `instance` — same two-pass structure as CFD
-    /// detection, with the generalized match operator.  Builds a fresh index
-    /// on the LHS; batch detection should share indexes through
-    /// [`crate::engine::DetectionEngine`].
-    pub fn violations(&self, instance: &RelationInstance) -> Vec<EcfdViolation> {
-        let index = HashIndex::build(instance, &self.lhs);
-        self.violations_with_index(instance, &index)
-    }
-
-    /// Violations of the eCFD, probing a caller-supplied index of `instance`
-    /// on exactly [`lhs`](Self::lhs).  Returns canonical (sorted) order.
-    pub fn violations_with_index(
-        &self,
-        instance: &RelationInstance,
-        index: &HashIndex,
-    ) -> Vec<EcfdViolation> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.lhs.as_slice(),
-            "index keyed off the eCFD's LHS"
-        );
-        let mut out = Vec::new();
-        // Single-tuple violations of RHS set constraints.
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            let rhs_constrains = tp.rhs.iter().any(|p| !matches!(p, SetPattern::Any));
-            if !rhs_constrains {
-                continue;
-            }
-            for (id, tuple) in instance.iter() {
-                let lhs_ok = tp
-                    .lhs
-                    .iter()
-                    .zip(&self.lhs)
-                    .all(|(p, &a)| p.matches(tuple.get(a)));
-                if lhs_ok {
-                    let rhs_ok = tp
-                        .rhs
-                        .iter()
-                        .zip(&self.rhs)
-                        .all(|(p, &a)| p.matches(tuple.get(a)));
-                    if !rhs_ok {
-                        out.push(EcfdViolation::SingleTuple {
-                            pattern: pattern_idx,
-                            tuple: id,
-                        });
-                    }
-                }
-            }
-        }
-        // Pair violations of the embedded FD restricted to matching tuples.
-        //
-        // Following [19], the functional (equality) requirement applies only
-        // to RHS positions carrying the unnamed variable `_`; a set entry is
-        // a per-tuple domain restriction (handled in the first pass) and does
-        // not force two matching tuples to agree — `ecfd2` constrains NYC
-        // area codes to a set without making all NYC tuples share one code.
-        // As in CFD detection, partitioning each group by the projection the
-        // pattern forces to be functional replaces the quadratic pair scan
-        // with work linear in the group plus the reported violations.
-        let mut by_proj: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
-        for (key, group) in index.multi_groups() {
-            for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-                if !tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v)) {
-                    continue;
-                }
-                let equality_attrs: Vec<usize> = tp
-                    .rhs
-                    .iter()
-                    .zip(&self.rhs)
-                    .filter(|(p, _)| matches!(p, SetPattern::Any))
-                    .map(|(_, &a)| a)
-                    .collect();
-                if equality_attrs.is_empty() {
-                    continue;
-                }
-                by_proj.clear();
-                for &id in group {
-                    let tuple = instance.tuple(id).expect("live tuple");
-                    by_proj
-                        .entry(tuple.project(&equality_attrs))
-                        .or_default()
-                        .push(id);
-                }
-                if by_proj.len() < 2 {
-                    continue;
-                }
-                let partitions: Vec<&Vec<TupleId>> = by_proj.values().collect();
-                for (i, first_part) in partitions.iter().enumerate() {
-                    for second_part in &partitions[i + 1..] {
-                        for &a in *first_part {
-                            for &b in *second_part {
-                                let (first, second) = if a < b { (a, b) } else { (b, a) };
-                                out.push(EcfdViolation::TuplePair {
-                                    pattern: pattern_idx,
-                                    first,
-                                    second,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Canonical order, for the same report-equality reasons as CFDs.
-        out.sort_unstable();
-        out
-    }
-
-    /// Does the instance satisfy this eCFD?
+    /// Does the instance satisfy this eCFD?  The default-engine form of
+    /// [`DetectionEngine::detect_ecfd_violations`]; checks over many
+    /// dependencies should share one engine.
     pub fn holds_on(&self, instance: &RelationInstance) -> bool {
-        self.violations(instance).is_empty()
+        DetectionEngine::new()
+            .detect_ecfd_violations(instance, std::slice::from_ref(self))
+            .is_clean()
     }
 
-    /// Violations of the eCFD over the interned columnar representation —
-    /// set patterns are translated into per-column id sets once, then both
-    /// passes compare `u32`s.  Report equals
-    /// [`violations_with_index`](Self::violations_with_index) exactly.
-    pub fn violations_with_interned(
+    /// Violations of the eCFD over the interned columnar representation,
+    /// probing a pooled index of `instance` on exactly [`lhs`](Self::lhs) —
+    /// the kernel behind [`DetectionEngine::detect_ecfd_violations`].  Set
+    /// patterns are translated into per-column id sets once, then both
+    /// passes compare `u32`s.  Two passes like CFD detection: single-tuple
+    /// violations of RHS set constraints, then pairs within an LHS group
+    /// that differ on the RHS positions carrying `_` — following [19], a set
+    /// entry restricts each tuple's domain but does not force two matching
+    /// tuples to agree (`ecfd2` constrains NYC area codes to a set without
+    /// making all NYC tuples share one code).  Canonical (sorted) order,
+    /// equal to [`crate::reference::ecfd_violations`].
+    pub(crate) fn violations_with_interned(
         &self,
         instance: &RelationInstance,
         index: &InternedIndex,
@@ -382,9 +286,9 @@ impl Ecfd {
             }
         }
         // Pass 2: pair violations of the embedded FD restricted to matching
-        // tuples.  As in the value path, the functional requirement applies
-        // only to RHS positions carrying `_`; per pattern, those positions'
-        // projection packs into a machine word for the group partitioning.
+        // tuples.  The functional requirement applies only to RHS positions
+        // carrying `_`; per pattern, those positions' projection packs into
+        // a machine word for the group partitioning.
         let per_pattern_codec: Vec<Option<KeyCodec>> = self
             .tableau
             .iter()
@@ -569,7 +473,8 @@ mod tests {
     #[test]
     fn ecfd1_rejects_two_area_codes_for_an_upstate_city() {
         let d = instance(&[("Albany", 518, "e"), ("Albany", 212, "f")]);
-        let v = ecfd1().violations(&d);
+        let report = DetectionEngine::new().detect_ecfd_violations(&d, &[ecfd1()]);
+        let v = report.of(0);
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], EcfdViolation::TuplePair { .. }));
     }
@@ -579,7 +484,8 @@ mod tests {
         let good = instance(&[("NYC", 212, "a"), ("NYC", 917, "b")]);
         assert!(ecfd2().holds_on(&good));
         let bad = instance(&[("NYC", 518, "a")]);
-        let v = ecfd2().violations(&bad);
+        let report = DetectionEngine::new().detect_ecfd_violations(&bad, &[ecfd2()]);
+        let v = report.of(0);
         assert_eq!(v.len(), 1);
         assert!(matches!(
             v[0],
@@ -620,7 +526,7 @@ mod tests {
             let index = InternedIndex::build(&d, &store, ecfd.lhs(), 1);
             assert_eq!(
                 ecfd.violations_with_interned(&d, &index),
-                ecfd.violations(&d)
+                crate::reference::ecfd_violations(&ecfd, &d)
             );
         }
         // Sets whose members are absent from the instance still behave.
@@ -637,7 +543,7 @@ mod tests {
         let index = InternedIndex::build(&d, &store, ghost.lhs(), 1);
         assert_eq!(
             ghost.violations_with_interned(&d, &index),
-            ghost.violations(&d)
+            crate::reference::ecfd_violations(&ghost, &d)
         );
     }
 

@@ -1,9 +1,10 @@
-//! A shared-index, parallel violation-detection engine.
+//! A shared-index, parallel violation-detection engine: the one detector
+//! of every dependency class.
 //!
-//! The naive detectors of [`crate::detect`] build one hash index per
-//! dependency per call, even when dependencies share left-hand sides (every
-//! normalized fragment of a CFD keeps its parent's LHS) and even when the
-//! same instance is checked repeatedly.  On the paper's Fig. 1 scaling
+//! The row-at-a-time detectors of [`crate::reference`] build one hash index
+//! per dependency per call, even when dependencies share left-hand sides
+//! (every normalized fragment of a CFD keeps its parent's LHS) and even when
+//! the same instance is checked repeatedly.  On the paper's Fig. 1 scaling
 //! workloads index construction dominates detection, so the engine attacks
 //! exactly that cost:
 //!
@@ -37,10 +38,14 @@
 //! tuple left or joined, off the patched pooled index, and carries every
 //! other group over verbatim, so it never enumerates a pair.
 //!
-//! The engine is a pure optimization: for every dependency class it produces
-//! a report equal (including order — violation lists are canonicalized) to
-//! the corresponding naive detector's, which `tests/detect_equivalence.rs`
-//! checks property-style across generated workloads.
+//! Library code detects only through the engine; each type's `holds_on`
+//! (and [`Fd::is_key_of`](crate::fd::Fd::is_key_of)) is a one-line
+//! default-engine form of the matching entry point, reading the verdict off
+//! the report.  For every dependency class the engine produces a report
+//! equal (including order — violation lists are canonicalized) to the
+//! corresponding [`crate::reference`] detector's, which
+//! `tests/detect_equivalence.rs` checks property-style across generated
+//! workloads.
 
 use crate::cfd::{Cfd, CfdViolation};
 use crate::cind::Cind;
@@ -146,7 +151,7 @@ impl DetectionEngine {
 
     /// Detects all violations of `cfds` in `instance`.
     ///
-    /// Equivalent to [`crate::detect::detect_cfd_violations`] — same
+    /// Equivalent to [`crate::reference::detect_cfd_violations`] — same
     /// per-dependency violation lists in the same order.
     pub fn detect_cfd_violations(
         &self,
@@ -184,7 +189,7 @@ impl DetectionEngine {
     /// Incremental detection: violations involving at least one tuple of
     /// `added`, assuming the rest of `instance` was already checked.
     ///
-    /// Equivalent to [`crate::detect::detect_cfd_violations_incremental`],
+    /// Equivalent to [`crate::reference::detect_cfd_violations_incremental`],
     /// but builds each distinct-LHS index once (pooled) instead of once per
     /// CFD per call.
     pub fn detect_cfd_violations_incremental(
@@ -205,7 +210,7 @@ impl DetectionEngine {
 
     /// Detects all violations of `ecfds` in `instance`.
     ///
-    /// Equivalent to [`crate::detect::detect_ecfd_violations`].
+    /// Equivalent to [`crate::reference::detect_ecfd_violations`].
     pub fn detect_ecfd_violations(
         &self,
         instance: &RelationInstance,
@@ -222,7 +227,7 @@ impl DetectionEngine {
 
     /// Detects all violations of denial `constraints` in `instance`.
     ///
-    /// Equivalent to [`crate::detect::detect_denial_violations`].
+    /// Equivalent to [`crate::reference::detect_denial_violations`].
     /// Two-variable constraints with attribute equalities (FD- and key-shaped
     /// constraints) only pair tuples within the groups of a shared interned
     /// index on those attributes instead of scanning every pair; other
@@ -230,7 +235,7 @@ impl DetectionEngine {
     ///
     /// # Panics
     /// Panics on a constraint with other than one or two tuple variables,
-    /// like [`DenialConstraint::violations`].
+    /// like [`crate::reference::denial_violations`].
     pub fn detect_denial_violations(
         &self,
         instance: &RelationInstance,
@@ -290,7 +295,7 @@ impl DetectionEngine {
     ///
     /// # Panics
     /// Panics on a constraint with other than one or two tuple variables,
-    /// like [`DenialConstraint::violations`].
+    /// like [`crate::reference::denial_violations`].
     pub fn detect_denial_violations_from_shards(
         &self,
         source: &dyn ShardSource,
@@ -313,7 +318,7 @@ impl DetectionEngine {
     /// interned probe index per distinct `(RHS relation, Y ++ Yp)` pair and
     /// fanning out across dependencies.
     ///
-    /// Equivalent to [`crate::detect::detect_cind_violations`] — same
+    /// Equivalent to [`crate::reference::detect_cind_violations`] — same
     /// per-dependency violation lists in the same order.
     pub fn detect_cind_violations(
         &self,
@@ -350,11 +355,11 @@ impl DetectionEngine {
     /// index per distinct `(LHS relation, X)` and one pooled
     /// distinct-projection set per distinct `(RHS relation, Y)`, fanning out
     /// across dependencies.  `ignore_nulls` switches to SQL-style IND
-    /// semantics (see [`Ind::violations_with`]).
+    /// semantics: LHS tuples with a `NULL` in `X` are exempt.
     ///
-    /// Equivalent to calling [`Ind::violations_with`] per dependency — same
-    /// per-dependency violation lists in the same (ascending tuple id)
-    /// order.
+    /// Equivalent to calling [`crate::reference::ind_violations`] per
+    /// dependency — same per-dependency violation lists in the same
+    /// (ascending tuple id) order.
     pub fn detect_ind_violations(
         &self,
         db: &Database,
@@ -620,10 +625,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
     use crate::ecfd::{EcfdPattern, SetPattern};
     use crate::fd::Fd;
     use crate::pattern::{cst, wild, PatternTuple};
+    use crate::reference;
     use dq_relation::{Domain, RelationSchema, Value};
     use std::sync::Arc;
 
@@ -701,7 +706,7 @@ mod tests {
         let engine = DetectionEngine::new();
         assert_eq!(
             engine.detect_cfd_violations(&d, &cfds),
-            detect::detect_cfd_violations(&d, &cfds)
+            reference::detect_cfd_violations(&d, &cfds)
         );
     }
 
@@ -779,7 +784,7 @@ mod tests {
         let engine = DetectionEngine::new();
         assert_eq!(
             engine.detect_cfd_violations_incremental(&d, &cfds, &added),
-            detect::detect_cfd_violations_incremental(&d, &cfds, &added)
+            reference::detect_cfd_violations_incremental(&d, &cfds, &added)
         );
     }
 
@@ -792,7 +797,7 @@ mod tests {
         let mut maintained = engine.maintain_cfd_violations(&d, &cfds, None);
         assert_eq!(
             maintained.report(),
-            &detect::detect_cfd_violations(&d, &cfds)
+            &reference::detect_cfd_violations(&d, &cfds)
         );
         // A mixed edit/append stream: every step's maintained report must
         // equal full detection, while the pool serves patches, not rebuilds.
@@ -842,7 +847,7 @@ mod tests {
             maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
             assert_eq!(
                 maintained.report(),
-                &detect::detect_cfd_violations(&d, &cfds),
+                &reference::detect_cfd_violations(&d, &cfds),
                 "maintained report diverged from full detection"
             );
             assert_eq!(maintained.version(), d.version());
@@ -884,7 +889,7 @@ mod tests {
         let maintained = engine.maintain_cfd_violations(&d, &first, None);
         // Same instance, same version, another rule list of the same length.
         let switched = engine.maintain_cfd_violations(&d, &other, Some(&maintained));
-        let expected = detect::detect_cfd_violations(&d, &other);
+        let expected = reference::detect_cfd_violations(&d, &other);
         assert_ne!(maintained.report(), &expected);
         assert_eq!(switched.report(), &expected);
     }
@@ -900,7 +905,7 @@ mod tests {
         // The journal cannot cover a removal: maintenance falls back to full
         // detection and still reports correctly.
         let after = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
-        assert_eq!(after.report(), &detect::detect_cfd_violations(&d, &cfds));
+        assert_eq!(after.report(), &reference::detect_cfd_violations(&d, &cfds));
     }
 
     #[test]
@@ -942,7 +947,7 @@ mod tests {
         ];
         let engine = DetectionEngine::new();
         let from_engine = engine.detect_ecfd_violations(&inst, &ecfds);
-        let naive = detect::detect_ecfd_violations(&inst, &ecfds);
+        let naive = reference::detect_ecfd_violations(&inst, &ecfds);
         assert_eq!(from_engine, naive);
         assert!(!from_engine.is_clean());
     }
@@ -966,7 +971,7 @@ mod tests {
         let engine = DetectionEngine::new();
         assert_eq!(
             engine.detect_denial_violations(&d, &constraints),
-            detect::detect_denial_violations(&d, &constraints)
+            reference::detect_denial_violations(&d, &constraints)
         );
     }
 
@@ -1047,7 +1052,7 @@ mod tests {
         .unwrap()];
         let engine = DetectionEngine::new();
         let from_engine = engine.detect_cind_violations(&db, &cinds).unwrap();
-        let naive = crate::detect::detect_cind_violations(&db, &cinds).unwrap();
+        let naive = crate::reference::detect_cind_violations(&db, &cinds).unwrap();
         assert_eq!(from_engine, naive);
         assert_eq!(from_engine.total(), 1, "Snow White dangles");
         // The probe index is pooled: a second run rebuilds nothing.
@@ -1100,7 +1105,7 @@ mod tests {
                 .unwrap();
             let naive: Vec<Vec<TupleId>> = inds
                 .iter()
-                .map(|ind| ind.violations_with(&db, ignore_nulls).unwrap())
+                .map(|ind| reference::ind_violations(ind, &db, ignore_nulls).unwrap())
                 .collect();
             assert_eq!(from_engine, naive, "ignore_nulls {ignore_nulls}");
             for (ind, violations) in inds.iter().zip(&naive) {

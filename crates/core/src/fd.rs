@@ -5,9 +5,11 @@
 //! finite axiomatization.  This module implements the classical machinery —
 //! attribute closure, implication, minimal covers, candidate keys — both as a
 //! baseline for the benchmarks and as a building block for CFD reasoning
-//! (every CFD embeds a traditional FD).
+//! (every CFD embeds a traditional FD).  FD violations are detected as those
+//! of the CFD [`Cfd::from_fd`].
 
-use dq_relation::{HashIndex, RelationInstance, RelationSchema, TupleId};
+use crate::cfd::Cfd;
+use dq_relation::{RelationInstance, RelationSchema};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -58,27 +60,12 @@ impl Fd {
         &self.rhs
     }
 
-    /// Does the instance satisfy this FD?
+    /// Does the instance satisfy this FD?  Detected as
+    /// [`Cfd::from_fd`] by a default
+    /// [`DetectionEngine`](crate::engine::DetectionEngine), so the verdict
+    /// costs O(rows) however many pairs violate.
     pub fn holds_on(&self, instance: &RelationInstance) -> bool {
-        self.violations(instance).is_empty()
-    }
-
-    /// Pairs of tuples jointly violating the FD.
-    pub fn violations(&self, instance: &RelationInstance) -> Vec<(TupleId, TupleId)> {
-        let mut out = Vec::new();
-        let index = HashIndex::build(instance, &self.lhs);
-        for (_, group) in index.multi_groups() {
-            for i in 0..group.len() {
-                for j in (i + 1)..group.len() {
-                    let a = instance.tuple(group[i]).expect("live tuple");
-                    let b = instance.tuple(group[j]).expect("live tuple");
-                    if !a.agree_on(b, &self.rhs) {
-                        out.push((group[i], group[j]));
-                    }
-                }
-            }
-        }
-        out
+        Cfd::from_fd(self).holds_on(instance)
     }
 
     /// Is `X` a key of the instance (i.e. does `X → attr(R)` hold)?
@@ -88,12 +75,7 @@ impl Fd {
         instance: &RelationInstance,
     ) -> bool {
         let all: Vec<usize> = (0..schema.arity()).collect();
-        let fd = Fd {
-            schema: Arc::clone(schema),
-            lhs: schema.attrs(lhs),
-            rhs: all,
-        };
-        fd.holds_on(instance)
+        Fd::from_indices(schema, schema.attrs(lhs), all).holds_on(instance)
     }
 }
 
@@ -215,7 +197,9 @@ pub fn candidate_keys(schema: &Arc<RelationSchema>, fds: &[Fd]) -> Vec<Vec<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_relation::{Domain, Value};
+    use crate::cfd::CfdViolation;
+    use crate::engine::DetectionEngine;
+    use dq_relation::{Domain, TupleId, Value};
 
     fn schema() -> Arc<RelationSchema> {
         Arc::new(RelationSchema::new(
@@ -273,9 +257,15 @@ mod tests {
         )
         .unwrap();
         let f2 = Fd::new(&s, &["CC", "AC"], &["city"]);
-        let v = f2.violations(&d);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0], (TupleId(0), TupleId(1)));
+        let report = DetectionEngine::new().detect_cfd_violations(&d, &[Cfd::from_fd(&f2)]);
+        assert_eq!(
+            report.of(0),
+            [CfdViolation::TuplePair {
+                pattern: 0,
+                first: TupleId(0),
+                second: TupleId(1)
+            }]
+        );
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! * [`cfd_implies_exact`] — a complete decision procedure, delegating to
 //!   the propagation-guided counterexample solver in [`crate::analysis`]
 //!   (closure first pass, then DPLL over packed two-tuple assignments);
-//! * [`cfd_implies_exact_naive`] — the seed's blind two-tuple backtracking
-//!   search, kept as the reference the solver is property-asserted against;
 //! * [`cfd_implies_closure`] — the quadratic pattern-closure procedure,
 //!   sound in general and complete in the absence of finite-domain
 //!   attributes;
 //! * [`cind_implies_chase`] — a bounded pattern-aware chase for CIND
 //!   implication (exact for acyclic CIND sets);
 //! * [`cfd_minimal_cover`] — canonical redundancy removal using implication.
+//!
+//! The blind two-tuple backtracking search the solver is property-asserted
+//! against is [`crate::reference::cfd_implies_exact`].
 
 use crate::cfd::Cfd;
 use crate::cind::Cind;
@@ -93,24 +94,10 @@ pub(crate) fn candidate_values(
 /// sound quadratic closure runs first (complete when no involved attribute
 /// has a finite domain, Theorem 4.3), then a DPLL-style counterexample
 /// search over packed two-tuple assignments decides the finite-domain case.
-/// The verdict is identical to [`cfd_implies_exact_naive`] on every input
-/// (property-asserted in `tests/analysis_equivalence.rs`).
+/// The verdict is identical to [`crate::reference::cfd_implies_exact`] on
+/// every input (property-asserted in `tests/analysis_equivalence.rs`).
 pub fn cfd_implies_exact(sigma: &[Cfd], phi: &Cfd) -> bool {
     crate::analysis::solver::solve_cfd_implication(sigma, phi, 0).implied
-}
-
-/// The seed's exact implication check: blind backtracking over the two-tuple
-/// candidate assignments, testing the `Σ`-satisfaction and `ϕ`-violation
-/// closures only at full depth.  Kept as the reference procedure the solver
-/// is asserted against.
-pub fn cfd_implies_exact_naive(sigma: &[Cfd], phi: &Cfd) -> bool {
-    let schema = Arc::clone(phi.schema());
-    for part in phi.normalize() {
-        if !cfd_part_implied_exact(sigma, &part, &schema) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Does the single tuple `t` satisfy every CFD of `sigma` as a one-tuple
@@ -152,122 +139,6 @@ pub(crate) fn pair_violates_part(part: &Cfd, t1: &Tuple, t2: &Tuple) -> bool {
     let equal = t1.get(b) == t2.get(b);
     let matches_const = tp.rhs[0].matches(t1.get(b)) && tp.rhs[0].matches(t2.get(b));
     !(equal && matches_const)
-}
-
-fn cfd_part_implied_exact(sigma: &[Cfd], phi: &Cfd, schema: &Arc<RelationSchema>) -> bool {
-    debug_assert_eq!(phi.tableau().len(), 1);
-    debug_assert_eq!(phi.rhs().len(), 1);
-    let mentioned = mentioned_constants(schema, sigma, Some(phi));
-
-    // Attributes that matter: anything mentioned by sigma or phi.
-    let mut relevant = vec![false; schema.arity()];
-    for cfd in sigma.iter().chain(std::iter::once(phi)) {
-        for &a in cfd.lhs().iter().chain(cfd.rhs()) {
-            relevant[a] = true;
-        }
-    }
-    let relevant: Vec<usize> = (0..schema.arity()).filter(|&a| relevant[a]).collect();
-
-    // Variables of the search: a shared value for each LHS attribute of phi
-    // (the pair must agree there), plus per-tuple values for the remaining
-    // relevant attributes.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Var {
-        Shared(usize),
-        T1(usize),
-        T2(usize),
-    }
-    let mut vars: Vec<Var> = Vec::new();
-    for &a in phi.lhs() {
-        vars.push(Var::Shared(a));
-    }
-    for &a in &relevant {
-        if !phi.lhs().contains(&a) {
-            vars.push(Var::T1(a));
-            vars.push(Var::T2(a));
-        }
-    }
-
-    // Base tuples: fresh values everywhere (distinct between t1 and t2 where
-    // possible, so unconstrained attributes never accidentally collide).
-    let mut t1: Vec<Value> = Vec::with_capacity(schema.arity());
-    let mut t2: Vec<Value> = Vec::with_capacity(schema.arity());
-    for (a, mentioned_a) in mentioned.iter().enumerate() {
-        let candidates = candidate_values(schema, a, mentioned_a);
-        let v1 = candidates.last().cloned().unwrap_or(Value::Null);
-        let v2 = candidates
-            .get(candidates.len().saturating_sub(2))
-            .cloned()
-            .unwrap_or_else(|| v1.clone());
-        t1.push(v1);
-        t2.push(v2);
-    }
-
-    // Does the pair (t1, t2) violate phi?
-    let violates_phi = |t1: &Tuple, t2: &Tuple| pair_violates_part(phi, t1, t2);
-
-    #[allow(clippy::too_many_arguments)] // recursive backtracking state
-    fn search(
-        sigma: &[Cfd],
-        schema: &RelationSchema,
-        mentioned: &[Vec<Value>],
-        vars: &[Var],
-        t1: &mut Vec<Value>,
-        t2: &mut Vec<Value>,
-        depth: usize,
-        violates_phi: &dyn Fn(&Tuple, &Tuple) -> bool,
-    ) -> bool {
-        if depth == vars.len() {
-            let a = Tuple::new(t1.clone());
-            let bt = Tuple::new(t2.clone());
-            return single_tuple_ok(sigma, &a)
-                && single_tuple_ok(sigma, &bt)
-                && pair_ok(sigma, &a, &bt)
-                && violates_phi(&a, &bt);
-        }
-        let (attr, both) = match vars[depth] {
-            Var::Shared(a) => (a, true),
-            Var::T1(a) | Var::T2(a) => (a, false),
-        };
-        let candidates = candidate_values(schema, attr, &mentioned[attr]);
-        for candidate in candidates {
-            match vars[depth] {
-                Var::Shared(_) => {
-                    t1[attr] = candidate.clone();
-                    t2[attr] = candidate;
-                }
-                Var::T1(_) => t1[attr] = candidate,
-                Var::T2(_) => t2[attr] = candidate,
-            }
-            let _ = both;
-            if search(
-                sigma,
-                schema,
-                mentioned,
-                vars,
-                t1,
-                t2,
-                depth + 1,
-                violates_phi,
-            ) {
-                return true;
-            }
-        }
-        false
-    }
-
-    // A counterexample exists iff the search succeeds; implication holds iff
-    // no counterexample exists.
-    !search(
-        sigma,
-        schema,
-        &mentioned,
-        &vars,
-        &mut t1,
-        &mut t2,
-        0,
-        &violates_phi,
-    )
 }
 
 /// The closure entry for an attribute during [`cfd_implies_closure`].

@@ -8,9 +8,10 @@
 //! procedure that is exact for acyclic IND sets and bounded (sound,
 //! possibly incomplete) in general.
 
+use crate::engine::DetectionEngine;
 use dq_relation::{
-    Database, DistinctSet, DqError, DqResult, HashIndex, IdTranslation, InternedIndex,
-    RelationSchema, TupleId, Value, ValueId,
+    Database, DistinctSet, DqError, DqResult, IdTranslation, InternedIndex, RelationSchema,
+    TupleId, Value, ValueId,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -91,53 +92,24 @@ impl Ind {
         &self.rhs_attrs
     }
 
-    /// Tuples of the LHS relation with no matching RHS tuple.
-    pub fn violations(&self, db: &Database) -> DqResult<Vec<TupleId>> {
-        self.violations_with(db, false)
-    }
-
-    /// [`violations`](Self::violations) with a null-semantics switch: when
-    /// `ignore_nulls` is set, LHS tuples carrying `NULL` in any `X` position
-    /// are exempt (SQL's foreign-key semantics) instead of counting as
-    /// violations — without it, one null LHS cell falsifies the IND because
-    /// the projection `(…, NULL, …)` matches no RHS tuple.
-    pub fn violations_with(&self, db: &Database, ignore_nulls: bool) -> DqResult<Vec<TupleId>> {
-        let lhs = db.require_relation(&self.lhs_relation)?;
-        let rhs = db.require_relation(&self.rhs_relation)?;
-        let index = HashIndex::build(rhs, &self.rhs_attrs);
-        let mut out = Vec::new();
-        for (id, tuple) in lhs.iter() {
-            if ignore_nulls && self.lhs_attrs.iter().any(|&a| tuple.get(a).is_null()) {
-                continue;
-            }
-            let key = tuple.project(&self.lhs_attrs);
-            if !index.contains_key(&key) {
-                out.push(id);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Does the database satisfy this IND?
+    /// Does the database satisfy this IND?  The default-engine form of
+    /// [`DetectionEngine::ind_holds`] without null exemption: a `NULL` in
+    /// an `X` position matches no RHS tuple.
     pub fn holds_on(&self, db: &Database) -> DqResult<bool> {
-        self.holds_on_with(db, false)
+        DetectionEngine::new().ind_holds(db, self, false)
     }
 
-    /// [`holds_on`](Self::holds_on) with the `ignore_nulls` switch of
-    /// [`violations_with`](Self::violations_with).
-    pub fn holds_on_with(&self, db: &Database, ignore_nulls: bool) -> DqResult<bool> {
-        Ok(self.violations_with(db, ignore_nulls)?.is_empty())
-    }
-
-    /// Violations computed against a caller-supplied *interned* index of the
-    /// LHS relation on exactly `X` and distinct-projection set of the RHS
-    /// relation on exactly `Y` (both usually served by a shared
-    /// [`IndexPool`](dq_relation::IndexPool)).  Each distinct LHS projection
-    /// is translated into the RHS dictionaries once — via
-    /// [`IdTranslation`], `O(distinct values)` setup — and probed once, so
-    /// the cost is per *distinct key*, not per tuple.  Output (ascending
-    /// tuple ids) equals [`violations_with`](Self::violations_with).
-    pub fn violations_with_interned(
+    /// The LHS tuples with no matching RHS tuple, computed against an
+    /// *interned* index of the LHS relation on exactly `X` and a
+    /// distinct-projection set of the RHS relation on exactly `Y` — the
+    /// kernel behind [`DetectionEngine::detect_ind_violations`].  Each
+    /// distinct LHS projection is translated into the RHS dictionaries once
+    /// — via [`IdTranslation`], `O(distinct values)` setup — and probed
+    /// once, so the cost is per *distinct key*, not per tuple.  With
+    /// `ignore_nulls`, projections carrying `NULL` are exempt (SQL's
+    /// foreign-key semantics).  Output (ascending tuple ids) equals
+    /// [`crate::reference::ind_violations`].
+    pub(crate) fn violations_with_interned(
         &self,
         lhs_index: &InternedIndex,
         rhs: &DistinctSet,
@@ -167,8 +139,8 @@ impl Ind {
             }
             bad_rows.extend_from_slice(rows);
         }
-        // Store rows are in insertion order, so sorted rows give the
-        // ascending tuple-id order of the naive scan.
+        // Store rows are in insertion order, so sorted rows give ascending
+        // tuple ids.
         bad_rows.sort_unstable();
         bad_rows
             .into_iter()
@@ -417,7 +389,10 @@ mod tests {
         // case explicitly: order(asin) ⊆ book(isbn) clearly fails.
         let ind = Ind::new(&order, &["asin"], &book, &["isbn"]).unwrap();
         assert!(!ind.holds_on(&db).unwrap());
-        assert_eq!(ind.violations(&db).unwrap().len(), 2);
+        let violations = DetectionEngine::new()
+            .detect_ind_violations(&db, std::slice::from_ref(&ind), false)
+            .unwrap();
+        assert_eq!(violations[0].len(), 2);
     }
 
     #[test]
@@ -451,12 +426,19 @@ mod tests {
             .unwrap();
         let ind = Ind::new(&order, &["title", "price"], &book, &["title", "price"]).unwrap();
         assert!(!ind.holds_on(&db).unwrap(), "default semantics unchanged");
-        assert_eq!(ind.violations(&db).unwrap().len(), 1);
+        let engine = DetectionEngine::new();
+        let detect = |ignore_nulls| {
+            engine
+                .detect_ind_violations(&db, std::slice::from_ref(&ind), ignore_nulls)
+                .unwrap()
+                .remove(0)
+        };
+        assert_eq!(detect(false).len(), 1);
         assert!(
-            ind.holds_on_with(&db, true).unwrap(),
+            engine.ind_holds(&db, &ind, true).unwrap(),
             "SQL-style semantics skip the null projection"
         );
-        assert!(ind.violations_with(&db, true).unwrap().is_empty());
+        assert!(detect(true).is_empty());
     }
 
     #[test]
@@ -484,7 +466,7 @@ mod tests {
             for ignore_nulls in [false, true] {
                 assert_eq!(
                     ind.violations_with_interned(&index, &distinct, ignore_nulls),
-                    ind.violations_with(&db, ignore_nulls).unwrap(),
+                    crate::reference::ind_violations(&ind, &db, ignore_nulls).unwrap(),
                     "{ind} (ignore_nulls {ignore_nulls})"
                 );
             }

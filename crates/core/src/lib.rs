@@ -11,8 +11,12 @@
 //! * [`cind`] — conditional inclusion dependencies (Section 2.2);
 //! * [`ecfd`] — CFDs with disjunction and inequality (Section 2.3);
 //! * [`denial`] — denial constraints (Sections 2.3, 5);
-//! * [`detect`] — violation detection, batch and incremental;
-//! * [`engine`] — shared-index, parallel detection over dependency sets;
+//! * [`detect`] — violation reports: grouped CFD reports, CIND and eCFD
+//!   reports;
+//! * [`engine`] — [`DetectionEngine`], the one detector of every class:
+//!   shared-index, parallel detection over dependency sets, batch,
+//!   incremental and maintained; each type's `holds_on` is its
+//!   default-engine form;
 //! * [`stream`] — one grouping kernel per dependency class over in-RAM or
 //!   memory-mapped columnar shards, fed by pooled-index or scanned groups;
 //! * [`consistency`] — consistency analysis (Theorem 4.1/4.3, Example 4.1);
@@ -23,7 +27,14 @@
 //!   a rule set drives detection or repair;
 //! * [`axioms`] — finite inference systems (Theorem 4.6);
 //! * [`propagation`] — dependency propagation through SPCU views
-//!   (Theorem 4.7, Example 4.2).
+//!   (Theorem 4.7, Example 4.2);
+//! * [`reference`](mod@reference) — the row-at-a-time detectors and the blind backtracking
+//!   analyses that the engine and the solver are tested against.
+//!
+//! Detection runs on a [`DetectionEngine`]; the prelude carries no naive
+//! detector.  [`detect_cfd_violations`] at the crate root (and in
+//! [`detect`]) is [`reference::detect_cfd_violations`], kept under that name
+//! because the repository benchmark's `clean-master-20k` oracle calls it.
 
 pub mod analysis;
 pub mod axioms;
@@ -40,6 +51,7 @@ pub mod ind;
 mod interned;
 pub mod pattern;
 pub mod propagation;
+pub mod reference;
 pub mod stream;
 
 /// Frequently used items.
@@ -52,15 +64,12 @@ pub mod prelude {
     pub use crate::cfd::{Cfd, CfdViolation};
     pub use crate::cind::{Cind, CindPattern, CindViolation};
     pub use crate::consistency::{
-        cfd_cind_consistent_bounded, cfd_set_consistent, cfd_set_consistent_naive,
-        cfd_set_consistent_propagation, cind_set_consistent, ecfd_set_consistent,
-        ConsistencyResult, ConsistencyWitness,
+        cfd_cind_consistent_bounded, cfd_set_consistent, cfd_set_consistent_propagation,
+        cind_set_consistent, ecfd_set_consistent, ConsistencyResult, ConsistencyWitness,
     };
     pub use crate::denial::{DcPredicate, DcTerm, DenialConstraint};
     pub use crate::detect::{
-        detect_cfd_violations, detect_cfd_violations_incremental, detect_cind_violations,
-        detect_denial_violations, detect_ecfd_violations, CfdViolationGroups, CfdViolationReport,
-        CindViolationReport, EcfdViolationReport,
+        CfdViolationGroups, CfdViolationReport, CindViolationReport, EcfdViolationReport,
     };
     pub use crate::ecfd::{Ecfd, EcfdPattern, SetPattern};
     pub use crate::engine::{
@@ -68,8 +77,7 @@ pub mod prelude {
     };
     pub use crate::fd::{attribute_closure, candidate_keys, fd_implies, minimal_cover, Fd};
     pub use crate::implication::{
-        cfd_implies, cfd_implies_closure, cfd_implies_exact, cfd_implies_exact_naive,
-        cfd_minimal_cover, cind_implies_chase,
+        cfd_implies, cfd_implies_closure, cfd_implies_exact, cfd_minimal_cover, cind_implies_chase,
     };
     pub use crate::ind::{ind_implies, is_acyclic, Ind};
     pub use crate::pattern::{cst, wild, PatternTuple, PatternValue};
@@ -77,3 +85,6 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+/// The reference CFD detector under its old name: the repository
+/// benchmark's `clean-master-20k` oracle calls it here.
+pub use reference::detect_cfd_violations;

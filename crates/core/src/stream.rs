@@ -15,7 +15,7 @@
 //!   points use — no pooled index, so resident memory is bounded by
 //!   O(dictionaries + one shard + grouping state + violation output).
 //!
-//! Every kernel ends in the canonical order of its naive reference
+//! Every kernel ends in the canonical order of its [`crate::reference`]
 //! detector, so the reports are byte-identical to the reference whichever
 //! provider and backing ran; the property suites assert exactly that.
 //!
@@ -184,7 +184,7 @@ impl Classifier {
 
 /// All violations of `cfd` over `source`, grouped
 /// ([`CfdViolationGroups`]); materialized, they are exactly
-/// [`Cfd::violations`].
+/// [`crate::reference::cfd_violations`].
 ///
 /// `lhs_groups` are the multi-row groups of `source` on
 /// [`Cfd::lhs`]; with no groups only the single-tuple violations are
@@ -417,7 +417,7 @@ fn predicates_hold(dc: &DenialConstraint, cols: &[Option<Arc<Column>>], rows: &[
 }
 
 /// All violations of `dc` over `source`, in the order of
-/// [`DenialConstraint::violations`] — including its ordered-pair convention
+/// [`crate::reference::denial_violations`] — including its ordered-pair convention
 /// for asymmetric predicates (only the evaluation order whose first tuple
 /// id is smaller is reported).
 ///
@@ -428,7 +428,7 @@ fn predicates_hold(dc: &DenialConstraint, cols: &[Option<Arc<Column>>], rows: &[
 ///
 /// # Panics
 /// Panics when `dc` has other than one or two tuple variables, like
-/// [`DenialConstraint::violations`].
+/// [`crate::reference::denial_violations`].
 pub(crate) fn denial_violations<'g>(
     dc: &DenialConstraint,
     source: &dyn ShardSource,
@@ -554,7 +554,7 @@ mod tests {
     fn scanned_and_pooled_groups_give_the_reference_cfd_report() {
         let inst = instance(500);
         let cfd = cfd();
-        let expected = cfd.violations(&inst);
+        let expected = crate::reference::cfd_violations(&cfd, &inst);
         let source = StoreShardSource::new(&inst);
         let scanned = RowGroups::scan(&source, cfd.lhs());
         let from_scan = cfd_violations(&cfd, &source, scanned.iter());
@@ -592,8 +592,7 @@ mod tests {
             ],
         );
         assert!(dc.pair_partition_attrs().is_some());
-        let mut expected = dc.violations(&inst);
-        expected.sort_unstable();
+        let expected = crate::reference::denial_violations(&dc, &inst);
         let source = StoreShardSource::new(&inst);
         let got = denial(&dc, &source);
         assert_eq!(got, expected);
@@ -618,7 +617,7 @@ mod tests {
             ],
         );
         assert!(dc.pair_partition_attrs().is_none());
-        let expected = dc.violations(&inst);
+        let expected = crate::reference::denial_violations(&dc, &inst);
         let source = StoreShardSource::new(&inst);
         let got = denial(&dc, &source);
         assert_eq!(got, expected);
@@ -637,7 +636,7 @@ mod tests {
                 DcTerm::val(43i64),
             )],
         );
-        let expected = dc.violations(&inst);
+        let expected = crate::reference::denial_violations(&dc, &inst);
         let source = StoreShardSource::new(&inst);
         let got = denial(&dc, &source);
         assert_eq!(got, expected);

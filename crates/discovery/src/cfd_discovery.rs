@@ -716,7 +716,7 @@ fn add_level_ms(total: &mut Vec<f64>, levels: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_core::detect::detect_cfd_violations;
+    use dq_core::engine::DetectionEngine;
     use dq_relation::{Domain, RelationSchema};
     use std::sync::Arc;
 
@@ -798,7 +798,7 @@ mod tests {
         let inst = uk_us_instance();
         let cfds = discover_constant_cfds(&inst, &CfdDiscoveryConfig::default());
         assert!(!cfds.is_empty());
-        let report = detect_cfd_violations(&inst, &cfds);
+        let report = DetectionEngine::new().detect_cfd_violations(&inst, &cfds);
         assert!(
             report.is_clean(),
             "discovered constant CFDs must hold on the data"
@@ -854,7 +854,7 @@ mod tests {
         let inst = uk_us_instance();
         let discovered = discover_cfds(&inst, &CfdDiscoveryConfig::default());
         assert!(!discovered.is_empty());
-        let report = detect_cfd_violations(&inst, &discovered.all());
+        let report = DetectionEngine::new().detect_cfd_violations(&inst, &discovered.all());
         assert!(
             report.is_clean(),
             "every discovered CFD must hold on the instance it was mined from"

@@ -381,7 +381,7 @@ pub fn discover_cind_conditions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_core::detect::detect_cind_violations;
+    use dq_core::engine::DetectionEngine;
     use dq_gen::orders::paper_database;
 
     /// A production miner pair or its reference in [`crate::reference`];
@@ -474,7 +474,9 @@ mod tests {
         for miner in &MINERS {
             let cinds = (miner.cinds)(&db, &embedded, &IndDiscoveryConfig::default()).unwrap();
             assert!(!cinds.is_empty(), "expected the type = 'book' condition");
-            let report = detect_cind_violations(&db, &cinds).unwrap();
+            let report = DetectionEngine::new()
+                .detect_cind_violations(&db, &cinds)
+                .unwrap();
             assert!(
                 report.is_clean(),
                 "discovered CINDs must hold on the database"
@@ -577,7 +579,9 @@ mod tests {
             vec![book.attr("title"), book.attr("price")],
         );
         assert!(!embedded.holds_on(&db).unwrap());
-        assert!(embedded.holds_on_with(&db, true).unwrap());
+        assert!(DetectionEngine::new()
+            .ind_holds(&db, &embedded, true)
+            .unwrap());
         for miner in &MINERS {
             let strict = (miner.cinds)(&db, &embedded, &IndDiscoveryConfig::default()).unwrap();
             assert!(

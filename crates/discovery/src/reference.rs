@@ -304,7 +304,7 @@ pub fn discover_cind_conditions(
     let rhs_inst = db.require_relation(embedded.rhs_relation())?;
     // Vacuous-condition guard: an IND that already holds (under the
     // configured null semantics) needs no CIND.
-    if embedded.holds_on_with(db, config.ignore_nulls)? {
+    if dq_core::reference::ind_violations(embedded, db, config.ignore_nulls)?.is_empty() {
         return Ok(Vec::new());
     }
     let rhs_proj: HashSet<Vec<Value>> = rhs_inst

@@ -244,7 +244,7 @@ pub fn generate_customers(config: &CustomerConfig) -> CustomerWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_core::detect_cfd_violations;
+    use dq_core::DetectionEngine;
 
     #[test]
     fn paper_instance_matches_fig_1() {
@@ -254,7 +254,7 @@ mod tests {
         for fd in &fds {
             assert!(fd.holds_on(&d0), "D0 must satisfy the traditional FDs");
         }
-        let report = detect_cfd_violations(&d0, &paper_cfds());
+        let report = DetectionEngine::new().detect_cfd_violations(&d0, &paper_cfds());
         assert_eq!(report.violating_tuples().len(), 3);
     }
 
@@ -266,7 +266,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         });
-        let report = detect_cfd_violations(&workload.clean, &paper_cfds());
+        let report = DetectionEngine::new().detect_cfd_violations(&workload.clean, &paper_cfds());
         assert!(report.is_clean());
         assert!(workload.corrupted_cells.is_empty());
         assert!(workload.clean.same_tuples_as(&workload.dirty));
@@ -281,7 +281,7 @@ mod tests {
             ..Default::default()
         });
         assert!(!workload.corrupted_cells.is_empty());
-        let report = detect_cfd_violations(&workload.dirty, &paper_cfds());
+        let report = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &paper_cfds());
         assert!(!report.is_clean());
         // Detected dirty tuples are a subset of... at least overlap with the
         // corrupted ones: every detected violation involves some tuple, and

@@ -222,7 +222,7 @@ fn vary_name(name: &str, rng: &mut StdRng) -> String {
 mod tests {
     use super::*;
     use crate::customer::paper_cfds;
-    use dq_core::detect_cfd_violations;
+    use dq_core::DetectionEngine;
 
     #[test]
     fn master_is_clean_and_dirty_is_not() {
@@ -233,8 +233,12 @@ mod tests {
             seed: 3,
         });
         let cfds = paper_cfds();
-        assert!(detect_cfd_violations(&w.master, &cfds).is_clean());
-        assert!(!detect_cfd_violations(&w.dirty, &cfds).is_clean());
+        assert!(DetectionEngine::new()
+            .detect_cfd_violations(&w.master, &cfds)
+            .is_clean());
+        assert!(!DetectionEngine::new()
+            .detect_cfd_violations(&w.dirty, &cfds)
+            .is_clean());
         assert!(!w.corrupted_cells.is_empty());
     }
 

@@ -269,13 +269,15 @@ pub fn generate_orders(config: &OrderConfig) -> OrderWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_core::detect_cind_violations;
+    use dq_core::DetectionEngine;
 
     #[test]
     fn paper_database_matches_fig_3() {
         let db = paper_database();
         let cinds = paper_cinds();
-        let report = detect_cind_violations(&db, &cinds).unwrap();
+        let report = DetectionEngine::new()
+            .detect_cind_violations(&db, &cinds)
+            .unwrap();
         // cind1 and cind2 hold, cind3 is violated by exactly one tuple (t9).
         assert_eq!(report.of(0).len(), 0);
         assert_eq!(report.of(1).len(), 0);
@@ -289,7 +291,9 @@ mod tests {
             violation_rate: 0.0,
             seed: 3,
         });
-        let report = detect_cind_violations(&workload.db, &paper_cinds()).unwrap();
+        let report = DetectionEngine::new()
+            .detect_cind_violations(&workload.db, &paper_cinds())
+            .unwrap();
         assert!(report.is_clean());
         assert!(workload.broken_orders.is_empty());
         assert!(workload.broken_cds.is_empty());
@@ -303,7 +307,9 @@ mod tests {
             seed: 3,
         });
         assert!(!workload.broken_orders.is_empty());
-        let report = detect_cind_violations(&workload.db, &paper_cinds()).unwrap();
+        let report = DetectionEngine::new()
+            .detect_cind_violations(&workload.db, &paper_cinds())
+            .unwrap();
         // Every deliberately broken order shows up as a ϕ4 or ϕ5 violation.
         let detected: std::collections::BTreeSet<TupleId> = report
             .iter()

@@ -12,7 +12,8 @@
 //! presents (after [40, 69, 16]); [`repair check`](check_x_repair) functions
 //! implement the decision problem of Theorem 5.1 for the tractable cases.
 
-use dq_core::{detect_cfd_violations, Cfd, DenialConstraint};
+use dq_core::engine::DetectionEngine;
+use dq_core::{Cfd, DenialConstraint};
 use dq_relation::{value_distance, RelationInstance, TupleId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,23 +174,21 @@ pub fn check_x_repair(
 /// Is `candidate` a U-repair of `original` w.r.t. the CFDs: same tuple ids,
 /// consistent, and only attribute values changed?  (Cost-minimality is an
 /// optimization criterion, not part of the check — finding minimum-cost
-/// repairs is NP-complete, Theorem 5.1.)
+/// repairs is NP-complete, Theorem 5.1.)  The default-engine form of
+/// [`check_u_repair_with`].
 pub fn check_u_repair(
     original: &RelationInstance,
     candidate: &RelationInstance,
     cfds: &[Cfd],
 ) -> bool {
-    preserves_tuple_identities(original, candidate)
-        && detect_cfd_violations(candidate, cfds).is_clean()
+    check_u_repair_with(&DetectionEngine::new(), original, candidate, cfds)
 }
 
 /// [`check_u_repair`] with the consistency verdict computed by a shared
-/// [`DetectionEngine`](dq_core::engine::DetectionEngine) — callers that
-/// check many candidate repairs of the same instance reuse its pooled
-/// interned indexes instead of rebuilding one `HashIndex` per CFD per
-/// candidate.
+/// [`DetectionEngine`] — callers that check many candidate repairs of the
+/// same instance reuse its pooled interned indexes.
 pub fn check_u_repair_with(
-    engine: &dq_core::engine::DetectionEngine,
+    engine: &DetectionEngine,
     original: &RelationInstance,
     candidate: &RelationInstance,
     cfds: &[Cfd],

@@ -11,6 +11,7 @@
 //! one predicate of the constraint, choosing the cheapest such move.
 
 use dq_core::denial::{DcTerm, DenialConstraint};
+use dq_core::engine::DetectionEngine;
 use dq_relation::instance::CellRef;
 use dq_relation::query::CompOp;
 use dq_relation::{Domain, RelationInstance, TupleId, Value};
@@ -136,6 +137,12 @@ pub fn repair_numeric_violations(
     constraints: &[DenialConstraint],
     config: &NumericRepairConfig,
 ) -> NumericRepairOutcome {
+    let engine = DetectionEngine::new();
+    let violations_of = |constraint: &DenialConstraint, instance: &RelationInstance| {
+        engine
+            .detect_denial_violations(instance, std::slice::from_ref(constraint))
+            .remove(0)
+    };
     let mut repaired = instance.clone();
     let mut changes = Vec::new();
     let mut total_shift = 0.0;
@@ -148,13 +155,12 @@ pub fn repair_numeric_violations(
             if constraint.vars != 1 {
                 continue;
             }
-            for violation in constraint.violations(&repaired) {
+            for violation in violations_of(constraint, &repaired) {
                 let &[id] = violation.as_slice() else {
                     continue;
                 };
                 // Re-check: an earlier fix this round may already cover it.
-                let still_violated = constraint
-                    .violations(&repaired)
+                let still_violated = violations_of(constraint, &repaired)
                     .iter()
                     .any(|v| v.as_slice() == [id]);
                 if !still_violated {

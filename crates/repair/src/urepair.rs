@@ -13,8 +13,9 @@
 use crate::model::{RepairCost, RepairLog};
 use dq_core::analysis::ensure_consistent;
 use dq_core::engine::DetectionEngine;
+use dq_core::reference;
 use dq_core::stream::cfd_violations;
-use dq_core::{detect_cfd_violations, Cfd, CfdViolation, PatternValue};
+use dq_core::{Cfd, CfdViolation, PatternValue};
 use dq_relation::{DqResult, HashIndex, RelationInstance, StoreShardSource, TupleId, Value};
 use std::collections::BTreeMap;
 
@@ -210,7 +211,8 @@ pub fn repair_cfd_violations_with_engine(
 }
 
 /// The legacy implementation: one fresh `Vec<Value>`-keyed [`HashIndex`]
-/// per CFD per round and naive detection for every consistency check.
+/// per CFD per round and the [`dq_core::reference`] detectors for every
+/// violation scan and consistency check.
 /// Kept as the reference the engine-carried path is property-tested
 /// against (`tests/discovery_equivalence.rs`) and benchmarked over.
 pub fn repair_cfd_violations_naive(
@@ -235,8 +237,7 @@ pub fn repair_cfd_violations_naive(
             let PatternValue::Const(required) = &tp.rhs[0] else {
                 continue;
             };
-            let violating: Vec<TupleId> = cfd
-                .violations(&repaired)
+            let violating: Vec<TupleId> = reference::cfd_violations(cfd, &repaired)
                 .into_iter()
                 .filter_map(|v| match v {
                     CfdViolation::SingleTuple { tuple, .. } => Some(tuple),
@@ -308,7 +309,7 @@ pub fn repair_cfd_violations_naive(
         }
     }
 
-    let consistent = detect_cfd_violations(&repaired, cfds).is_clean();
+    let consistent = reference::detect_cfd_violations(&repaired, cfds).is_clean();
     RepairOutcome {
         repaired,
         log,
@@ -425,7 +426,9 @@ mod tests {
         let s = customer_schema();
         let dirty = d0(&s);
         let cfds = paper_cfds(&s);
-        assert!(!detect_cfd_violations(&dirty, &cfds).is_clean());
+        assert!(!DetectionEngine::new()
+            .detect_cfd_violations(&dirty, &cfds)
+            .is_clean());
         let outcome = repair_cfd_violations(
             &dirty,
             &cfds,

@@ -11,6 +11,7 @@
 //! subset.
 
 use crate::model::RepairLog;
+use dq_core::engine::DetectionEngine;
 use dq_core::DenialConstraint;
 use dq_relation::{RelationInstance, TupleId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,12 +26,12 @@ pub struct ConflictHypergraph {
 impl ConflictHypergraph {
     /// Builds the hypergraph.
     pub fn build(instance: &RelationInstance, constraints: &[DenialConstraint]) -> Self {
-        let mut edges = Vec::new();
-        for constraint in constraints {
-            for violation in constraint.violations(instance) {
-                edges.push(violation.into_iter().collect());
-            }
-        }
+        let edges = DetectionEngine::new()
+            .detect_denial_violations(instance, constraints)
+            .into_iter()
+            .flatten()
+            .map(|violation| violation.into_iter().collect())
+            .collect();
         ConflictHypergraph { edges }
     }
 

@@ -12,6 +12,7 @@ use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 
 fn main() {
     let cfds = paper_cfds();
+    let engine = DetectionEngine::new();
     println!("error%  tuples   violations  changed  precision  recall   f1");
     for &error_rate in &[0.01, 0.02, 0.05, 0.10] {
         let workload = generate_customers(&CustomerConfig {
@@ -21,7 +22,7 @@ fn main() {
             ..Default::default()
         });
 
-        let report = detect_cfd_violations(&workload.dirty, &cfds);
+        let report = engine.detect_cfd_violations(&workload.dirty, &cfds);
         let outcome = repair_cfd_violations(
             &workload.dirty,
             &cfds,
@@ -64,7 +65,7 @@ fn main() {
     for (_, tuple) in extra.dirty.iter() {
         added.push(instance.insert(tuple.clone()).expect("compatible schema"));
     }
-    let incremental = detect_cfd_violations_incremental(&instance, &cfds, &added);
+    let incremental = engine.detect_cfd_violations_incremental(&instance, &cfds, &added);
     println!(
         "\nincremental check of a 100-tuple append: {} new violations",
         incremental.total()

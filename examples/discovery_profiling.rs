@@ -59,7 +59,8 @@ fn main() {
     }
 
     // Every discovered rule holds on the sample it was mined from.
-    let self_check = detect_cfd_violations(&sample.clean, &discovered.all());
+    let engine = DetectionEngine::new();
+    let self_check = engine.detect_cfd_violations(&sample.clean, &discovered.all());
     assert!(self_check.is_clean());
 
     // ------------------------------------------------------------------
@@ -71,7 +72,7 @@ fn main() {
         seed: 7,
         ..Default::default()
     });
-    let report = detect_cfd_violations(&dirty.dirty, &discovered.all());
+    let report = engine.detect_cfd_violations(&dirty.dirty, &discovered.all());
     println!(
         "\non the dirty instance the mined rules produce {} violation witnesses (tuple pairs / pattern \
          mismatches) touching {} tuples; {} cells were corrupted",

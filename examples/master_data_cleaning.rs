@@ -22,7 +22,9 @@ fn main() {
         "dirty source: {} records, {} corrupted cells, {} CFD violations",
         workload.dirty.len(),
         workload.corrupted_cells.len(),
-        detect_cfd_violations(&workload.dirty, &cfds).total()
+        DetectionEngine::new()
+            .detect_cfd_violations(&workload.dirty, &cfds)
+            .total()
     );
 
     // ------------------------------------------------------------------

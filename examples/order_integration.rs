@@ -16,7 +16,10 @@ fn main() {
     // ------------------------------------------------------------------
     let db = paper_database();
     let cinds = paper_cinds();
-    let report = detect_cind_violations(&db, &cinds).expect("well-formed CINDs");
+    let engine = DetectionEngine::new();
+    let report = engine
+        .detect_cind_violations(&db, &cinds)
+        .expect("well-formed CINDs");
     for (i, name) in [
         "cind1 (book orders)",
         "cind2 (CD orders)",
@@ -42,7 +45,9 @@ fn main() {
             violation_rate: 0.05,
             seed: 3,
         });
-        let report = detect_cind_violations(&workload.db, &cinds).expect("well-formed CINDs");
+        let report = engine
+            .detect_cind_violations(&workload.db, &cinds)
+            .expect("well-formed CINDs");
         println!(
             "{orders} orders: {} dangling tuples detected ({} injected)",
             report.total(),

@@ -17,8 +17,10 @@ fn main() {
     assert!(fds.iter().all(|fd| fd.holds_on(&d0)));
     println!("traditional FDs f1, f2: satisfied — no errors visible");
 
-    // The conditional dependencies catch every tuple.
-    let report = detect_cfd_violations(&d0, &cfds);
+    // The conditional dependencies catch every tuple.  One engine serves
+    // every detection over an instance; its indexes are pooled.
+    let engine = DetectionEngine::new();
+    let report = engine.detect_cfd_violations(&d0, &cfds);
     println!(
         "CFDs ϕ1–ϕ3: {} violations involving {} of {} tuples",
         report.total(),

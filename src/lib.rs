@@ -42,9 +42,12 @@
 //! let cfds = dq_gen::customer::paper_cfds();
 //!
 //! // Every tuple of D0 violates one of the CFDs, although D0 satisfies the
-//! // embedded traditional FDs.
-//! let violations = detect_cfd_violations(&d0, &cfds);
+//! // embedded traditional FDs.  Detection runs on an engine that pools its
+//! // indexes across calls.
+//! let engine = DetectionEngine::new();
+//! let violations = engine.detect_cfd_violations(&d0, &cfds);
 //! assert_eq!(violations.violating_tuples().len(), 3);
+//! assert!(dq_gen::customer::paper_fds().iter().all(|fd| fd.holds_on(&d0)));
 //! ```
 //!
 //! See `examples/` for end-to-end cleaning, integration and record-matching

@@ -7,6 +7,7 @@
 use dataquality::prelude::*;
 use dq_core::analysis::lint;
 use dq_core::analysis::solver::{solve_cfd_consistency, solve_cfd_implication};
+use dq_core::reference;
 use dq_relation::{Domain, RelationSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,7 +103,7 @@ fn solver_consistency_matches_naive_on_finite_domains() {
         let sigma: Vec<Cfd> = (0..rng.gen_range(2..=5))
             .map(|_| random_cfd(&mut rng, &schema))
             .collect();
-        let naive = cfd_set_consistent_naive(&sigma);
+        let naive = reference::cfd_set_consistent(&sigma);
         for threads in THREAD_COUNTS {
             let solved = solve_cfd_consistency(&sigma, threads);
             assert_eq!(
@@ -115,7 +116,7 @@ fn solver_consistency_matches_naive_on_finite_domains() {
                 let mut inst = dq_relation::RelationInstance::new(Arc::clone(&schema));
                 inst.insert(witness.clone()).unwrap();
                 assert!(
-                    detect_cfd_violations(&inst, &sigma).is_clean(),
+                    reference::detect_cfd_violations(&inst, &sigma).is_clean(),
                     "round {round}: witness violates {:?}",
                     render(&sigma)
                 );
@@ -136,7 +137,7 @@ fn solver_implication_matches_naive_on_finite_domains() {
             .map(|_| random_cfd(&mut rng, &schema))
             .collect();
         let phi = random_cfd(&mut rng, &schema);
-        let naive = cfd_implies_exact_naive(&sigma, &phi);
+        let naive = reference::cfd_implies_exact(&sigma, &phi);
         for threads in THREAD_COUNTS {
             let solved = solve_cfd_implication(&sigma, &phi, threads);
             assert_eq!(
@@ -151,12 +152,12 @@ fn solver_implication_matches_naive_on_finite_domains() {
                 inst.insert(t1.clone()).unwrap();
                 inst.insert(t2.clone()).unwrap();
                 assert!(
-                    detect_cfd_violations(&inst, &sigma).is_clean(),
+                    reference::detect_cfd_violations(&inst, &sigma).is_clean(),
                     "round {round}: counterexample violates sigma {:?}",
                     render(&sigma)
                 );
                 assert!(
-                    !detect_cfd_violations(&inst, std::slice::from_ref(&phi)).is_clean(),
+                    !reference::detect_cfd_violations(&inst, std::slice::from_ref(&phi)).is_clean(),
                     "round {round}: counterexample satisfies phi {phi}"
                 );
             }
@@ -215,12 +216,12 @@ fn fast_paths_cover_infinite_domains_and_agree_with_naive() {
         );
         assert_eq!(
             solved.consistent,
-            cfd_set_consistent_naive(&sigma).consistent
+            reference::cfd_set_consistent(&sigma).consistent
         );
         let phi = random_cfd(&mut rng, &schema);
         let implied = solve_cfd_implication(&sigma, &phi, 0);
         assert!(implied.stats.fast_path);
-        assert_eq!(implied.implied, cfd_implies_exact_naive(&sigma, &phi));
+        assert_eq!(implied.implied, reference::cfd_implies_exact(&sigma, &phi));
     }
 }
 
@@ -242,7 +243,7 @@ fn lint_cores_are_minimal_inconsistent_subsets() {
         let core_indices = lint::minimal_inconsistent_core(&sigma);
         let core: Vec<Cfd> = core_indices.iter().map(|&i| sigma[i].clone()).collect();
         assert!(
-            !cfd_set_consistent_naive(&core).consistent,
+            !reference::cfd_set_consistent(&core).consistent,
             "core {core_indices:?} of {:?} is consistent",
             render(&sigma)
         );
@@ -250,7 +251,7 @@ fn lint_cores_are_minimal_inconsistent_subsets() {
             let mut reduced = core.clone();
             reduced.remove(drop);
             assert!(
-                cfd_set_consistent_naive(&reduced).consistent,
+                reference::cfd_set_consistent(&reduced).consistent,
                 "core {core_indices:?} of {:?} is not minimal (rule {drop} removable)",
                 render(&sigma)
             );
@@ -318,13 +319,13 @@ fn analyze_cfds_refuses_inconsistent_sets_with_core() {
                 if let Some(w) = &analyzed.witness {
                     let mut inst = dq_relation::RelationInstance::new(Arc::clone(&schema));
                     inst.insert(w.clone()).unwrap();
-                    assert!(detect_cfd_violations(&inst, &sigma).is_clean());
+                    assert!(reference::detect_cfd_violations(&inst, &sigma).is_clean());
                 }
             }
             Err(dq_relation::DqError::InconsistentConstraints { core }) => {
                 refused += 1;
                 assert!(!core.is_empty());
-                assert!(!cfd_set_consistent_naive(&sigma).consistent);
+                assert!(!reference::cfd_set_consistent(&sigma).consistent);
             }
             Err(other) => panic!("unexpected error {other}"),
         }

@@ -241,7 +241,7 @@ proptest! {
         let cfds = paper_cfds();
         let engine = DetectionEngine::new();
         let before = engine.detect_cfd_violations(&instance, &cfds);
-        prop_assert_eq!(&before, &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(&before, &dq_core::reference::detect_cfd_violations(&instance, &cfds));
         // Append copies of existing tuples (no new dictionary entries, so
         // the u64 radix codecs stay extendable) plus the growth is real.
         let pool: Vec<_> = instance.iter().map(|(_, t)| t.clone()).collect();
@@ -250,7 +250,7 @@ proptest! {
             instance.insert(donor).expect("same schema");
         }
         let after = engine.detect_cfd_violations(&instance, &cfds);
-        prop_assert_eq!(&after, &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(&after, &dq_core::reference::detect_cfd_violations(&instance, &cfds));
         prop_assert!(
             engine.pool_stats().appends > 0,
             "append-only growth must take the extension fast path"
@@ -274,7 +274,7 @@ proptest! {
         let cfds = paper_cfds();
         let engine = DetectionEngine::new();
         let mut maintained = engine.maintain_cfd_violations(&instance, &cfds, None);
-        prop_assert_eq!(maintained.report(), &detect_cfd_violations(&instance, &cfds));
+        prop_assert_eq!(maintained.report(), &dq_core::reference::detect_cfd_violations(&instance, &cfds));
         let ids = instance.ids();
         let arity = instance.schema().arity();
         let mut changed_any = false;
@@ -289,7 +289,7 @@ proptest! {
                 .update_cell(CellRef::new(target, attr), value)
                 .expect("donor values are in-domain");
             maintained = engine.maintain_cfd_violations(&instance, &cfds, Some(&maintained));
-            prop_assert_eq!(maintained.report(), &detect_cfd_violations(&instance, &cfds));
+            prop_assert_eq!(maintained.report(), &dq_core::reference::detect_cfd_violations(&instance, &cfds));
         }
         if changed_any {
             prop_assert!(
@@ -552,8 +552,9 @@ proptest! {
             prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
             // Every reported IND genuinely holds under the configured
             // semantics.
+            let engine = DetectionEngine::new();
             for ind in &fast.inds {
-                prop_assert!(ind.holds_on_with(&db, ignore_nulls).unwrap(), "{}", ind);
+                prop_assert!(engine.ind_holds(&db, ind, ignore_nulls).unwrap(), "{}", ind);
             }
         }
     }
@@ -583,7 +584,7 @@ proptest! {
             );
             // The vacuous-CIND guard: an IND held under the configured
             // null semantics never yields conditions.
-            if embedded.holds_on_with(&db, ignore_nulls).unwrap() {
+            if DetectionEngine::new().ind_holds(&db, &embedded, ignore_nulls).unwrap() {
                 prop_assert!(found.is_empty(), "vacuous CIND for a held IND");
             }
         }
@@ -634,7 +635,7 @@ proptest! {
             pool.stats().appends > 0,
             "append-only growth must take the distinct-set extension fast path"
         );
-        // The engine's IND detector agrees with the naive checker on the
+        // The engine's IND detector agrees with the reference on the
         // grown database, for every discovered IND and both null semantics.
         let engine = DetectionEngine::new();
         for ignore_nulls in [false, true] {
@@ -644,7 +645,7 @@ proptest! {
             for (ind, report) in after.inds.iter().zip(&reports) {
                 prop_assert_eq!(
                     report,
-                    &ind.violations_with(&db, ignore_nulls).unwrap(),
+                    &dq_core::reference::ind_violations(ind, &db, ignore_nulls).unwrap(),
                     "{} (ignore_nulls {})", ind, ignore_nulls
                 );
             }

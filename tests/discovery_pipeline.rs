@@ -63,9 +63,11 @@ fn mined_cfds_hold_on_the_sample_and_flag_injected_errors() {
         discovered.len()
     );
     // Soundness on the training sample.
-    assert!(detect_cfd_violations(&clean.clean, &discovered.all()).is_clean());
+    assert!(DetectionEngine::new()
+        .detect_cfd_violations(&clean.clean, &discovered.all())
+        .is_clean());
     // The mined rules flag the dirty instance.
-    let report = detect_cfd_violations(&dirty.dirty, &discovered.all());
+    let report = DetectionEngine::new().detect_cfd_violations(&dirty.dirty, &discovered.all());
     assert!(!report.is_clean());
     // Every corrupted tuple that broke a city/street regularity is among the
     // flagged tuples (the converse need not hold: an FD violation flags both
@@ -102,7 +104,9 @@ fn mined_rules_feed_the_repair_algorithm() {
     )
     .expect("consistent rule set");
     assert!(outcome.consistent);
-    assert!(detect_cfd_violations(&outcome.repaired, &discovered.constant_cfds).is_clean());
+    assert!(DetectionEngine::new()
+        .detect_cfd_violations(&outcome.repaired, &discovered.constant_cfds)
+        .is_clean());
 }
 
 #[test]
@@ -172,7 +176,9 @@ fn cind_condition_discovery_on_the_order_database() {
         !cinds.is_empty(),
         "expected at least the type = 'book' condition to be discovered"
     );
-    let report = detect_cind_violations(&db, &cinds).unwrap();
+    let report = DetectionEngine::new()
+        .detect_cind_violations(&db, &cinds)
+        .unwrap();
     assert!(
         report.is_clean(),
         "discovered CINDs must hold on the database"

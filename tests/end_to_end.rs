@@ -18,8 +18,10 @@ fn detect_repair_redetect_on_synthetic_customers() {
     });
 
     // The clean data is clean; the dirty data is not.
-    assert!(detect_cfd_violations(&workload.clean, &cfds).is_clean());
-    let before = detect_cfd_violations(&workload.dirty, &cfds);
+    assert!(DetectionEngine::new()
+        .detect_cfd_violations(&workload.clean, &cfds)
+        .is_clean());
+    let before = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &cfds);
     assert!(!before.is_clean());
 
     // Repair, then re-detect: nothing left.
@@ -31,7 +33,9 @@ fn detect_repair_redetect_on_synthetic_customers() {
     )
     .expect("consistent rule set");
     assert!(outcome.consistent);
-    assert!(detect_cfd_violations(&outcome.repaired, &cfds).is_clean());
+    assert!(DetectionEngine::new()
+        .detect_cfd_violations(&outcome.repaired, &cfds)
+        .is_clean());
     assert!(check_u_repair(&workload.dirty, &outcome.repaired, &cfds));
 
     // Repair quality against ground truth: the repair touches at least as
@@ -69,8 +73,8 @@ fn minimal_cover_reduces_detection_work_without_changing_the_outcome() {
         seed: 3,
         ..Default::default()
     });
-    let full = detect_cfd_violations(&workload.dirty, &extended);
-    let covered = detect_cfd_violations(&workload.dirty, &cover);
+    let full = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &extended);
+    let covered = DetectionEngine::new().detect_cfd_violations(&workload.dirty, &cover);
     // Same verdict tuple-wise: a tuple is dirty under the extended set iff
     // it is dirty under the cover.
     assert_eq!(full.is_clean(), covered.is_clean());
@@ -84,7 +88,9 @@ fn cind_detection_and_chase_based_reasoning_on_generated_orders() {
         violation_rate: 0.03,
         seed: 4,
     });
-    let report = detect_cind_violations(&workload.db, &cinds).unwrap();
+    let report = DetectionEngine::new()
+        .detect_cind_violations(&workload.db, &cinds)
+        .unwrap();
     assert_eq!(
         report.total(),
         workload.broken_orders.len() + workload.broken_cds.len()

@@ -22,21 +22,21 @@ fn figures_1_and_2_customer_scenario() {
     assert!(!cfds[1].holds_on(&d0));
 
     // t1, t2 violate ϕ1 as a pair (same UK zip, different street).
-    let v1 = cfds[0].violations(&d0);
+    let report = DetectionEngine::new().detect_cfd_violations(&d0, &cfds);
+    let v1 = report.of(0);
     assert_eq!(v1.len(), 1);
     assert_eq!(v1[0].tuples(), vec![TupleId(0), TupleId(1)]);
 
     // Each of t1, t2 violates the (44, 131, _ ‖ _, EDI, _) pattern of ϕ2 and
     // t3 violates the (01, 908, _ ‖ _, MH, _) pattern — single-tuple
     // violations, three in total.
-    let v2 = cfds[1].violations(&d0);
+    let v2 = report.of(1);
     assert_eq!(v2.len(), 3);
     assert!(v2
         .iter()
         .all(|v| matches!(v, CfdViolation::SingleTuple { .. })));
 
     // Overall: every tuple of D0 is dirty.
-    let report = detect_cfd_violations(&d0, &cfds);
     assert_eq!(
         report.violating_tuples(),
         vec![TupleId(0), TupleId(1), TupleId(2)]
@@ -51,7 +51,10 @@ fn figures_3_and_4_order_scenario() {
     let cinds = dq_gen::orders::paper_cinds();
     assert!(cinds[0].holds_on(&db).unwrap());
     assert!(cinds[1].holds_on(&db).unwrap());
-    let violations = cinds[2].violations(&db).unwrap();
+    let report = DetectionEngine::new()
+        .detect_cind_violations(&db, &cinds)
+        .unwrap();
+    let violations = report.of(2);
     assert_eq!(violations.len(), 1);
     assert_eq!(violations[0].tuple, TupleId(1)); // t9, the second CD tuple
 

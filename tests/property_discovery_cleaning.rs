@@ -94,7 +94,7 @@ proptest! {
             max_lhs: 2,
             ..CfdDiscoveryConfig::default()
         });
-        let report = detect_cfd_violations(&inst, &discovered.all());
+        let report = DetectionEngine::new().detect_cfd_violations(&inst, &discovered.all());
         prop_assert!(report.is_clean(), "{} violations from mined rules", report.total());
     }
 

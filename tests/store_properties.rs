@@ -5,6 +5,7 @@
 //! representation exactly.
 
 use dataquality::prelude::*;
+use dq_core::reference;
 use dq_relation::store::FxBuildHasher;
 use dq_relation::{InternedIndex, RelationInstance, TupleId, ValueInterner};
 use proptest::prelude::*;
@@ -333,7 +334,7 @@ proptest! {
         let engine = DetectionEngine::new();
         prop_assert_eq!(
             engine.detect_cfd_violations(&canonical, std::slice::from_ref(&cfd)),
-            detect_cfd_violations(&plain, std::slice::from_ref(&cfd))
+            reference::detect_cfd_violations(&plain, std::slice::from_ref(&cfd))
         );
     }
 }
