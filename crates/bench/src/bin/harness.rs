@@ -39,10 +39,12 @@
 //! blind-backtracking consistency/implication procedures of
 //! `dq_core::reference` vs. the
 //! propagation-guided solver on finite-domain gadget families of growing
-//! size, the rule-lint pass rendered on a deliberately messy rule set, and
-//! the detection wall-clock saved by minimal-cover pruning of mined rules
-//! at 1M tuples; writes `BENCH_analysis.json` (every row asserts the solver
-//! verdict identical to the naive reference); `--smoke` works the same way.
+//! size, the rule-lint pass rendered on a deliberately messy rule set, the
+//! masked minimal cover of mined rules timed against (and asserted equal
+//! to) `dq_core::reference::cfd_minimal_cover`, and the detection
+//! wall-clock saved by cover pruning at 1M tuples; writes
+//! `BENCH_analysis.json` (every row asserts the solver verdict identical to
+//! the naive reference); `--smoke` works the same way.
 //!
 //! `--scale-bench` exercises the out-of-core columnar shard path: it
 //! persists the customer workload with `ColumnarStore::save_to` (split so
@@ -1827,9 +1829,11 @@ fn merge_fragments(fragments: &[Cfd]) -> Vec<Cfd> {
 ///   exact procedures exist);
 /// * the rule-lint pass rendered on a messy showcase set and an
 ///   inconsistent one (minimal core), both reports embedded as JSON;
-/// * one detection row at 1M tuples: rules mined at 100k unioned with the
-///   curated paper set, detected in full vs. after
-///   [`cfd_minimal_cover`] pruning, clean verdicts asserted identical.
+/// * one minimal-cover and detection row: rules mined at 100k unioned with
+///   the curated paper set, covered by `dq_core::reference::cfd_minimal_cover`
+///   and by the masked [`cfd_minimal_cover`] (covers asserted identical),
+///   then detected at 1M tuples in full vs. after cover pruning, clean
+///   verdicts asserted identical.
 fn analysis_bench(smoke: bool, profile: bool) {
     use dq_core::analysis::solver::{solve_cfd_consistency, solve_cfd_implication};
     use dq_discovery::prelude::*;
@@ -1999,7 +2003,12 @@ fn analysis_bench(smoke: bool, profile: bool) {
         reference::cfd_set_consistent(&full).consistent,
         "solver and naive consistency verdicts must be identical on the mined set"
     );
+    let (reference_cover_ms, reference_covered) = timed(|| reference::cfd_minimal_cover(&full));
     let (cover_ms, covered) = timed(|| cfd_minimal_cover(&full));
+    assert_eq!(
+        covered, reference_covered,
+        "the masked minimal cover must equal dq_core::reference::cfd_minimal_cover"
+    );
     let normalized: usize = full.iter().map(|c| c.normalize().len()).sum();
     let dropped = normalized - covered.len();
     // Both sides detected in the same merged-tableau representation, so the
@@ -2022,17 +2031,21 @@ fn analysis_bench(smoke: bool, profile: bool) {
     );
     let saved = full_ms - covered_ms;
     println!(
-        "\ncover-pruned detection @ {detect_size} tuples: {normalized} normalized rules -> {} \
-         ({dropped} dropped, cover in {cover_ms:.1}ms), detection {full_ms:.1}ms -> {covered_ms:.1}ms \
-         ({saved:.1}ms saved)",
+        "\nminimal cover of {normalized} normalized rules -> {} ({dropped} dropped): \
+         reference {reference_cover_ms:.1}ms, masked {cover_ms:.1}ms, covers identical",
         covered.len()
+    );
+    println!(
+        "cover-pruned detection @ {detect_size} tuples: detection {full_ms:.1}ms -> \
+         {covered_ms:.1}ms ({saved:.1}ms saved)"
     );
     let profile_json = profile_field(profile, "cover-pruned detection", &[]);
     rows.push(format!(
         "    {{\"analysis\": \"minimal_cover\", \"variant\": \"mined_plus_paper_rules\", \
          \"mine_tuples\": {mine_size}, \"detect_tuples\": {detect_size}, \
          \"rules_normalized\": {normalized}, \"rules_covered\": {}, \"cover_dropped\": {dropped}, \
-         \"cover_ms\": {cover_ms:.3}, \"detect_full_ms\": {full_ms:.3}, \
+         \"reference_cover_ms\": {reference_cover_ms:.3}, \"cover_ms\": {cover_ms:.3}, \
+         \"covers_identical\": true, \"detect_full_ms\": {full_ms:.3}, \
          \"detect_covered_ms\": {covered_ms:.3}, \"detect_ms_saved\": {saved:.3}, \
          \"verdicts_identical\": true{profile_json}}}",
         covered.len()

@@ -18,6 +18,7 @@
 //! harness's human-readable form, [`RuleLintReport::to_json`] a
 //! machine-readable export.
 
+use super::packed::PackedCfds;
 use super::solver::solve_cfd_consistency;
 use crate::cfd::Cfd;
 use crate::implication::cfd_implies;
@@ -255,16 +256,31 @@ pub fn lint_cfds(cfds: &[Cfd]) -> RuleLintReport {
     }
 
     // Info: redundant rules (only meaningful for a consistent set — an
-    // inconsistent set implies everything).
+    // inconsistent set implies everything).  Every leave-one-out rest is a
+    // subset of the consistent set, hence consistent itself, so each test is
+    // the pattern closure on the compiled set with the rule's own fragments
+    // masked out, and the solver on the finite-domain residue the closure
+    // is incomplete for.
     if core.is_none() {
+        let packed = PackedCfds::compile(cfds);
+        let mut alive = vec![true; packed.len()];
+        let mut implied_rules = 0u64;
         for (r, cfd) in cfds.iter().enumerate() {
-            let rest: Vec<Cfd> = cfds
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != r)
-                .map(|(_, c)| c.clone())
-                .collect();
-            if cfd_implies(&rest, cfd) {
+            let own = packed.rule_fragments(r);
+            alive[own.clone()].fill(false);
+            let implied = own.clone().all(|f| packed.implies(&alive, f))
+                || (own.clone().any(|f| packed.touches_finite(&alive, f)) && {
+                    let rest: Vec<Cfd> = cfds
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, _)| j != r)
+                        .map(|(_, c)| c.clone())
+                        .collect();
+                    cfd_implies(&rest, cfd)
+                });
+            alive[own].fill(true);
+            if implied {
+                implied_rules += 1;
                 diagnostics.push(LintDiagnostic {
                     severity: LintSeverity::Info,
                     code: "implied-rule",
@@ -275,6 +291,7 @@ pub fn lint_cfds(cfds: &[Cfd]) -> RuleLintReport {
                 });
             }
         }
+        dq_obs::add("analysis.lint.implied", implied_rules);
     }
 
     diagnostics.sort_by_key(|d| d.severity);

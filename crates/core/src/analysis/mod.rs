@@ -8,6 +8,10 @@
 //! * [`lint`] — the rule-lint pass (severity-ranked diagnostics with
 //!   witnesses: minimal inconsistent cores, implied rules, subsumed /
 //!   duplicate / unsatisfiable patterns);
+//! * `packed` — the compiled, mask-selected form of a rule set that the
+//!   redundancy tests of [`cfd_minimal_cover`], the lint pass and
+//!   [`cfd_implies_closure`](crate::implication::cfd_implies_closure) run
+//!   on;
 //! * [`analyze_cfds`] / [`ensure_consistent`] — the vetting entry points the
 //!   pipelines call before a rule set is allowed to drive detection,
 //!   discovery post-passes, or repair.
@@ -17,6 +21,7 @@
 //! the instrumentation — verdicts are deterministic at any thread count.
 
 pub mod lint;
+pub(crate) mod packed;
 pub mod solver;
 
 pub use lint::{lint_cfds, LintDiagnostic, LintSeverity, RuleLintReport};
@@ -77,12 +82,36 @@ fn inconsistent_error(cfds: &[Cfd], core: &[usize]) -> DqError {
     }
 }
 
+/// Refuses a rule set that spans more than one relation schema: a CFD set
+/// is analyzed as constraints on one relation, with attribute positions of
+/// the first rule's schema.
+fn single_schema(cfds: &[Cfd]) -> DqResult<()> {
+    let Some(first) = cfds.first() else {
+        return Ok(());
+    };
+    match cfds.iter().find(|c| c.schema() != first.schema()) {
+        None => Ok(()),
+        Some(other) => Err(DqError::MalformedDependency {
+            reason: format!(
+                "CFD set spans relation schemas `{}` and `{}`; rules over one \
+                 relation are analyzed together",
+                first.schema().name(),
+                other.schema().name()
+            ),
+        }),
+    }
+}
+
 /// Vets a CFD set for use by detection, discovery post-passes, or repair:
 /// rejects inconsistent sets with the minimal conflicting core in the
 /// error, lints the survivors, and optionally replaces them with their
 /// canonical minimal cover.
+///
+/// Rules over more than one relation schema are refused up front with
+/// [`DqError::MalformedDependency`].
 pub fn analyze_cfds(cfds: &[Cfd], options: &AnalysisOptions) -> DqResult<AnalyzedCfds> {
     let _span = dq_obs::span!("analysis.analyze", rules = cfds.len());
+    single_schema(cfds)?;
     let consistency = solver::solve_cfd_consistency(cfds, options.threads);
     if !consistency.consistent {
         let core = lint::minimal_inconsistent_core(cfds);
@@ -115,8 +144,11 @@ pub fn analyze_cfds(cfds: &[Cfd], options: &AnalysisOptions) -> DqResult<Analyze
 /// satisfies every rule, otherwise [`DqError::InconsistentConstraints`]
 /// carrying a minimal conflicting core.  This is the up-front guard of
 /// [`CleaningPipeline`](../../dq_cleaning) and `repair_cfd_violations*` —
-/// repairing against an inconsistent set could never converge.
+/// repairing against an inconsistent set could never converge.  Rules over
+/// more than one relation schema are refused with
+/// [`DqError::MalformedDependency`].
 pub fn ensure_consistent(cfds: &[Cfd]) -> DqResult<()> {
+    single_schema(cfds)?;
     if solver::solve_cfd_consistency(cfds, 0).consistent {
         return Ok(());
     }

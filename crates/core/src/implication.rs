@@ -17,15 +17,29 @@
 //!   implication (exact for acyclic CIND sets);
 //! * [`cfd_minimal_cover`] — canonical redundancy removal using implication.
 //!
-//! The blind two-tuple backtracking search the solver is property-asserted
-//! against is [`crate::reference::cfd_implies_exact`].
+//! Redundancy removal asks the same question of many subsets of one rule
+//! set: is this member implied by the others?  So the closure, the cover
+//! and the lint pass's `implied-rule` findings share one compiled form of
+//! the set (`analysis::packed`): every fragment is compiled once, with its
+//! constants interned per attribute, and a subset is an `alive` mask over
+//! the fragments.  A leave-one-out test flips one bit, where it used to
+//! clone, re-normalize and re-compile the whole set.  The quadratic passes
+//! decide every test without finite-domain attributes (Theorem 4.3); the
+//! finite-domain residue falls back to the solver's DPLL on the
+//! materialized subset.
+//!
+//! The oracles these are property-asserted against live in
+//! [`crate::reference`]: the blind two-tuple backtracking search
+//! [`crate::reference::cfd_implies_exact`], the map-based closure
+//! [`crate::reference::cfd_implies_closure`] and the clone-per-candidate
+//! greedy loop [`crate::reference::cfd_minimal_cover`].
 
+use crate::analysis::packed::PackedCfds;
 use crate::cfd::Cfd;
 use crate::cind::Cind;
 use crate::consistency::chase_cinds;
 use crate::pattern::PatternValue;
 use dq_relation::{Database, RelationInstance, RelationSchema, Tuple, Value};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Collects, per attribute, the constants mentioned by any pattern of
@@ -141,15 +155,6 @@ pub(crate) fn pair_violates_part(part: &Cfd, t1: &Tuple, t2: &Tuple) -> bool {
     !(equal && matches_const)
 }
 
-/// The closure entry for an attribute during [`cfd_implies_closure`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum ClosureVal {
-    /// The pair of hypothetical tuples agree on this attribute, value unknown.
-    Equal,
-    /// The pair agree on this attribute and the shared value is this constant.
-    Const(Value),
-}
-
 /// Quadratic pattern-closure implication check: sound for all CFD sets and
 /// complete when no attribute involved has a finite domain (Theorem 4.3).
 ///
@@ -158,104 +163,27 @@ enum ClosureVal {
 /// "agreed" attributes under the normalized CFDs of `Σ`: a CFD fires when
 /// each of its LHS attributes is already agreed and each LHS constant is
 /// *known* to be the shared value.  Firing adds the RHS attribute (with its
-/// constant, if any).  Two distinct constants forced on the same attribute
-/// mean the hypothesis is unsatisfiable, so `ϕ` holds vacuously.
+/// constant, if any).  Constant knowledge also holds for each tuple on its
+/// own, so a rule whose LHS constants are all known fires in single-tuple
+/// mode and forces its RHS constant even when its wildcard LHS attributes
+/// are not known to agree.  Two distinct constants forced on the same
+/// attribute mean the hypothesis is unsatisfiable, so `ϕ` holds vacuously.
+///
+/// An inconsistent `Σ` implies everything, and the closure reasons only
+/// from `ϕ`'s premise, so the propagation fixpoint of
+/// [`cfd_set_consistent_propagation`](crate::consistency::cfd_set_consistent_propagation)
+/// runs first.  Both passes run on `Σ ∪ {ϕ}` compiled once into packed
+/// fragments (constants interned per attribute, per-attribute arrays
+/// instead of maps) with `ϕ`'s fragments masked out — the same compiled
+/// form [`cfd_minimal_cover`] and the lint pass test redundancy on.  The
+/// `BTreeMap` formulation is kept as [`crate::reference::cfd_implies_closure`]
+/// and property-asserted identical in `tests/analysis_equivalence.rs`.
 pub fn cfd_implies_closure(sigma: &[Cfd], phi: &Cfd) -> bool {
-    // An inconsistent Σ implies everything; the closure below reasons only
-    // from ϕ's premise and would miss conflicts that are unconditional (e.g.
-    // two all-wildcard rules forcing different constants on one attribute),
-    // so the global consistency check comes first.
-    if !crate::consistency::cfd_set_consistent_propagation(sigma) {
-        return true;
-    }
-    let normalized_sigma: Vec<Cfd> = sigma.iter().flat_map(|c| c.normalize()).collect();
-    for part in phi.normalize() {
-        let tp = &part.tableau()[0];
-        let b = part.rhs()[0];
-        // `closure` records what is known about the hypothetical pair
-        // (t1, t2) agreeing on ϕ's LHS per its pattern: Equal means the two
-        // tuples agree on the attribute (value unknown), Const means they
-        // agree *and* the shared value is that constant.  Constant knowledge
-        // additionally holds for each tuple individually, which lets rules
-        // fire in "single-tuple mode": a rule whose LHS constants are all
-        // known constants of the pair forces its RHS constant on both tuples
-        // even when its wildcard LHS attributes are not known to agree.
-        let mut closure: BTreeMap<usize, ClosureVal> = BTreeMap::new();
-        for (&a, p) in part.lhs().iter().zip(&tp.lhs) {
-            let entry = match p {
-                PatternValue::Any => ClosureVal::Equal,
-                PatternValue::Const(c) => ClosureVal::Const(c.clone()),
-            };
-            closure.insert(a, entry);
-        }
-        let mut vacuous = false;
-        loop {
-            let mut changed = false;
-            for psi in &normalized_sigma {
-                let ptp = &psi.tableau()[0];
-                // Pair mode: every LHS attribute is known to be shared, and
-                // every LHS constant is the known shared value.
-                let fires_pair =
-                    psi.lhs()
-                        .iter()
-                        .zip(&ptp.lhs)
-                        .all(|(&a, p)| match (closure.get(&a), p) {
-                            (None, _) => false,
-                            (Some(_), PatternValue::Any) => true,
-                            (Some(ClosureVal::Const(v)), PatternValue::Const(c)) => v == c,
-                            (Some(ClosureVal::Equal), PatternValue::Const(_)) => false,
-                        });
-                // Single-tuple mode: only the constant LHS entries need to be
-                // known (wildcards match any single tuple trivially).
-                let fires_single = psi.lhs().iter().zip(&ptp.lhs).all(|(&a, p)| match p {
-                    PatternValue::Any => true,
-                    PatternValue::Const(c) => {
-                        matches!(closure.get(&a), Some(ClosureVal::Const(v)) if v == c)
-                    }
-                });
-                if !fires_pair && !fires_single {
-                    continue;
-                }
-                let rb = psi.rhs()[0];
-                let incoming = match &ptp.rhs[0] {
-                    PatternValue::Any if fires_pair => Some(ClosureVal::Equal),
-                    PatternValue::Any => None, // single-tuple mode forces nothing
-                    PatternValue::Const(c) => Some(ClosureVal::Const(c.clone())),
-                };
-                let Some(incoming) = incoming else { continue };
-                match (closure.get(&rb), &incoming) {
-                    (None, _) => {
-                        closure.insert(rb, incoming);
-                        changed = true;
-                    }
-                    (Some(ClosureVal::Equal), ClosureVal::Const(_)) => {
-                        closure.insert(rb, incoming);
-                        changed = true;
-                    }
-                    (Some(ClosureVal::Const(v)), ClosureVal::Const(c)) if v != c => {
-                        vacuous = true;
-                    }
-                    _ => {}
-                }
-            }
-            if vacuous || !changed {
-                break;
-            }
-        }
-        if vacuous {
-            continue;
-        }
-        let implied = match (&tp.rhs[0], closure.get(&b)) {
-            (_, None) => false,
-            (PatternValue::Any, Some(_)) => true,
-            (PatternValue::Const(c), Some(ClosureVal::Const(v))) => v == c,
-            (PatternValue::Const(_), Some(ClosureVal::Equal)) => false,
-        };
-        if !implied {
-            return false;
-        }
-    }
-    true
+    let packed = PackedCfds::compile(sigma.iter().chain(std::iter::once(phi)));
+    let parts = packed.rule_fragments(sigma.len());
+    let mut alive = vec![true; packed.len()];
+    alive[parts.clone()].fill(false);
+    !packed.propagates(&alive) || parts.into_iter().all(|f| packed.implies(&alive, f))
 }
 
 /// CFD implication with automatic algorithm selection.  The selection now
@@ -279,25 +207,69 @@ pub fn cfd_implies(sigma: &[Cfd], phi: &Cfd) -> bool {
 /// cover a function of the rule *set*, not of the order rules were supplied
 /// in.  Permutation invariance is regression-tested in
 /// `tests/analysis_equivalence.rs`.
+///
+/// The greedy pass runs on one compiled copy of the candidates with a
+/// removal mask: testing a candidate clears its bit, and the bit stays
+/// clear when the rest implies it.  Each test is the decision of
+/// [`cfd_implies`] on the rest:
+///
+/// * an inconsistent rest implies everything.  Consistency is
+///   anti-monotone — every subset of a consistent set is consistent — so
+///   once the live set is known to be consistent (the whole set at the
+///   start, or a rest that proved consistent before its candidate was
+///   dropped), every later rest is a subset of it and the propagation
+///   fixpoint is skipped for the rest of the pass;
+/// * otherwise the pattern closure decides, and a "not implied" verdict is
+///   final unless a live or candidate fragment touches a finite-domain
+///   attribute.  Then the candidate goes to the solver's DPLL on the
+///   materialized rest, counted in `analysis.cover.solver_fallbacks`.
+///
+/// The clone-per-candidate loop is kept as
+/// [`crate::reference::cfd_minimal_cover`], and the two covers are
+/// property-asserted identical in `tests/analysis_equivalence.rs`.
 pub fn cfd_minimal_cover(sigma: &[Cfd]) -> Vec<Cfd> {
     let _span = dq_obs::span!("analysis.cover", rules = sigma.len());
-    let mut cover: Vec<Cfd> = sigma.iter().flat_map(|c| c.normalize()).collect();
-    cover.sort_by(canonical_cfd_order);
-    cover.dedup();
-    let normalized = cover.len();
-    let mut i = 0;
-    while i < cover.len() {
-        let candidate = cover[i].clone();
-        let mut rest = cover.clone();
-        rest.remove(i);
-        if cfd_implies(&rest, &candidate) {
-            cover.remove(i);
+    let mut cover = canonical_fragments(sigma);
+    let packed = PackedCfds::compile(&cover);
+    let mut alive = vec![true; cover.len()];
+    let mut consistent = packed.propagates(&alive);
+    let mut fallbacks = 0u64;
+    for i in 0..cover.len() {
+        alive[i] = false;
+        let rest_consistent = consistent || packed.propagates(&alive);
+        let implied = !rest_consistent
+            || packed.implies(&alive, i)
+            || (packed.touches_finite(&alive, i) && {
+                fallbacks += 1;
+                let rest: Vec<Cfd> = cover
+                    .iter()
+                    .zip(&alive)
+                    .filter(|(_, &live)| live)
+                    .map(|(c, _)| c.clone())
+                    .collect();
+                crate::analysis::solver::solve_cfd_implication(&rest, &cover[i], 0).implied
+            });
+        if implied {
+            consistent = rest_consistent;
         } else {
-            i += 1;
+            alive[i] = true;
         }
     }
+    let normalized = cover.len();
+    let mut live = alive.into_iter();
+    cover.retain(|_| live.next() == Some(true));
     dq_obs::add("analysis.cover.dropped", (normalized - cover.len()) as u64);
+    dq_obs::add("analysis.cover.solver_fallbacks", fallbacks);
     cover
+}
+
+/// The candidates of a minimal cover: `sigma` normalized, sorted into
+/// [`canonical_cfd_order`] and deduplicated.
+pub(crate) fn canonical_fragments(sigma: &[Cfd]) -> Vec<Cfd> {
+    let mut fragments: Vec<Cfd> = sigma.iter().flat_map(|c| c.normalize()).collect();
+    fragments.sort_by(canonical_cfd_order);
+    fragments.dedup();
+    fragments
 }
 
 /// The canonical order minimal covers are computed in: ascending by LHS

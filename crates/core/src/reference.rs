@@ -6,7 +6,9 @@
 //! `Vec<Value>`-keyed [`HashIndex`] per dependency per call, every pair of a
 //! group enumerated, no dictionaries, no pooled indexes, no thread pool.
 //! The analysis procedures are blind backtracking searches that test
-//! satisfaction only at full depth.  Library code never calls them; the
+//! satisfaction only at full depth, the pattern closure over `Value` maps
+//! and the minimal-cover loop that clones the cover for every candidate.
+//! Library code never calls them; the
 //! equivalence suites, the harness and the criterion benches do, to hold
 //! the engine and the solver byte-identical to the definitions of
 //! Sections 2 and 4.
@@ -25,6 +27,7 @@ use crate::detect::{CfdViolationReport, CindViolationReport, EcfdViolationReport
 use crate::ecfd::{Ecfd, EcfdViolation, SetPattern};
 use crate::implication::{pair_ok, pair_violates_part, single_tuple_ok};
 use crate::ind::Ind;
+use crate::pattern::PatternValue;
 use dq_relation::{
     Database, DqResult, HashIndex, RelationInstance, RelationSchema, Tuple, TupleId, Value,
 };
@@ -542,4 +545,140 @@ fn counterexample_exists(sigma: &[Cfd], phi: &Cfd, schema: &Arc<RelationSchema>)
         vars: &vars,
     }
     .run(&mut t1, &mut t2, 0)
+}
+
+/// The closure entry for an attribute during [`cfd_implies_closure`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum ClosureVal {
+    /// The pair of hypothetical tuples agree on this attribute, value unknown.
+    Equal,
+    /// The pair agree on this attribute and the shared value is this constant.
+    Const(Value),
+}
+
+/// The quadratic pattern closure over `Value`s in a map, re-normalizing `Σ`
+/// on every call: the oracle of the compiled
+/// [`crate::implication::cfd_implies_closure`].  Sound for all CFD sets and
+/// complete when no attribute involved has a finite domain (Theorem 4.3).
+pub fn cfd_implies_closure(sigma: &[Cfd], phi: &Cfd) -> bool {
+    // An inconsistent Σ implies everything; the closure below reasons only
+    // from ϕ's premise and would miss conflicts that are unconditional (e.g.
+    // two all-wildcard rules forcing different constants on one attribute),
+    // so the global consistency check comes first.
+    if !crate::consistency::cfd_set_consistent_propagation(sigma) {
+        return true;
+    }
+    let normalized_sigma: Vec<Cfd> = sigma.iter().flat_map(|c| c.normalize()).collect();
+    for part in phi.normalize() {
+        let tp = &part.tableau()[0];
+        let b = part.rhs()[0];
+        // Equal: the pair agrees on the attribute; Const: it agrees and the
+        // shared value is that constant, which also holds for each tuple on
+        // its own ("single-tuple mode" below).
+        let mut closure: BTreeMap<usize, ClosureVal> = BTreeMap::new();
+        for (&a, p) in part.lhs().iter().zip(&tp.lhs) {
+            let entry = match p {
+                PatternValue::Any => ClosureVal::Equal,
+                PatternValue::Const(c) => ClosureVal::Const(c.clone()),
+            };
+            closure.insert(a, entry);
+        }
+        let mut vacuous = false;
+        loop {
+            let mut changed = false;
+            for psi in &normalized_sigma {
+                let ptp = &psi.tableau()[0];
+                // Pair mode: every LHS attribute is known to be shared, and
+                // every LHS constant is the known shared value.
+                let fires_pair =
+                    psi.lhs()
+                        .iter()
+                        .zip(&ptp.lhs)
+                        .all(|(&a, p)| match (closure.get(&a), p) {
+                            (None, _) => false,
+                            (Some(_), PatternValue::Any) => true,
+                            (Some(ClosureVal::Const(v)), PatternValue::Const(c)) => v == c,
+                            (Some(ClosureVal::Equal), PatternValue::Const(_)) => false,
+                        });
+                // Single-tuple mode: only the constant LHS entries need to be
+                // known (wildcards match any single tuple trivially).
+                let fires_single = psi.lhs().iter().zip(&ptp.lhs).all(|(&a, p)| match p {
+                    PatternValue::Any => true,
+                    PatternValue::Const(c) => {
+                        matches!(closure.get(&a), Some(ClosureVal::Const(v)) if v == c)
+                    }
+                });
+                if !fires_pair && !fires_single {
+                    continue;
+                }
+                let rb = psi.rhs()[0];
+                let incoming = match &ptp.rhs[0] {
+                    PatternValue::Any if fires_pair => Some(ClosureVal::Equal),
+                    PatternValue::Any => None, // single-tuple mode forces nothing
+                    PatternValue::Const(c) => Some(ClosureVal::Const(c.clone())),
+                };
+                let Some(incoming) = incoming else { continue };
+                match (closure.get(&rb), &incoming) {
+                    (None, _) => {
+                        closure.insert(rb, incoming);
+                        changed = true;
+                    }
+                    (Some(ClosureVal::Equal), ClosureVal::Const(_)) => {
+                        closure.insert(rb, incoming);
+                        changed = true;
+                    }
+                    (Some(ClosureVal::Const(v)), ClosureVal::Const(c)) if v != c => {
+                        vacuous = true;
+                    }
+                    _ => {}
+                }
+            }
+            if vacuous || !changed {
+                break;
+            }
+        }
+        if vacuous {
+            continue;
+        }
+        let implied = match (&tp.rhs[0], closure.get(&b)) {
+            (_, None) => false,
+            (PatternValue::Any, Some(_)) => true,
+            (PatternValue::Const(c), Some(ClosureVal::Const(v))) => v == c,
+            (PatternValue::Const(_), Some(ClosureVal::Equal)) => false,
+        };
+        if !implied {
+            return false;
+        }
+    }
+    true
+}
+
+/// The greedy minimal cover that clones the remaining cover for every
+/// candidate and decides implication from scratch: the oracle of the
+/// masked pass in [`crate::implication::cfd_minimal_cover`], over the same
+/// canonical candidate order.  Each test is this module's
+/// [`cfd_implies_closure`], then — when the closure is incomplete because
+/// a finite-domain attribute is involved — the solver's exact check.
+pub fn cfd_minimal_cover(sigma: &[Cfd]) -> Vec<Cfd> {
+    let mut cover = crate::implication::canonical_fragments(sigma);
+    let mut i = 0;
+    while i < cover.len() {
+        let candidate = cover[i].clone();
+        let mut rest = cover.clone();
+        rest.remove(i);
+        let schema = candidate.schema();
+        let finite_involved = rest
+            .iter()
+            .chain(std::iter::once(&candidate))
+            .flat_map(|c| c.lhs().iter().chain(c.rhs()))
+            .any(|&a| schema.domain(a).is_finite());
+        if cfd_implies_closure(&rest, &candidate)
+            || (finite_involved && crate::implication::cfd_implies_exact(&rest, &candidate))
+        {
+            cover.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    cover
 }

@@ -8,6 +8,7 @@ use dataquality::prelude::*;
 use dq_core::analysis::lint;
 use dq_core::analysis::solver::{solve_cfd_consistency, solve_cfd_implication};
 use dq_core::reference;
+use dq_gen::customer::{customer_schema, generate_customers, paper_cfds, CustomerConfig};
 use dq_relation::{Domain, RelationSchema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -331,4 +332,197 @@ fn analyze_cfds_refuses_inconsistent_sets_with_core() {
         }
     }
     assert!(refused >= 5, "too few inconsistent sets ({refused})");
+}
+
+/// A random CFD with one or two RHS attributes and one to three pattern
+/// rows, so the compiled analyses see rules that normalize into several
+/// fragments.
+fn random_tableau_cfd(rng: &mut StdRng, schema: &Arc<RelationSchema>) -> Cfd {
+    let arity = schema.arity();
+    let mut attrs: Vec<usize> = (0..arity).collect();
+    for i in 0..arity {
+        let j = rng.gen_range(i..arity);
+        attrs.swap(i, j);
+    }
+    let lhs_len = rng.gen_range(1..=2);
+    let rhs_len = rng.gen_range(1..=2);
+    let lhs = attrs[..lhs_len].to_vec();
+    let rhs = attrs[lhs_len..lhs_len + rhs_len].to_vec();
+    let entry = |rng: &mut StdRng, a: usize| {
+        if rng.gen_bool(0.5) {
+            cst(random_constant(rng, schema, a))
+        } else {
+            wild()
+        }
+    };
+    let tableau = (0..rng.gen_range(1..=3))
+        .map(|_| {
+            PatternTuple::new(
+                lhs.iter().map(|&a| entry(rng, a)).collect(),
+                rhs.iter().map(|&a| entry(rng, a)).collect(),
+            )
+        })
+        .collect();
+    Cfd::from_indices(schema, lhs, rhs, tableau).unwrap()
+}
+
+/// The masked minimal cover equals the clone-per-candidate reference loop
+/// on random sets over finite and infinite domains, inconsistent sets
+/// included.
+#[test]
+fn minimal_cover_equals_reference() {
+    let mut rng = StdRng::seed_from_u64(71);
+    let mut inconsistent_seen = 0;
+    for schema in [finite_schema(), infinite_schema()] {
+        for _ in 0..60 {
+            let sigma: Vec<Cfd> = (0..rng.gen_range(2..=7))
+                .map(|_| random_cfd(&mut rng, &schema))
+                .collect();
+            if !solve_cfd_consistency(&sigma, 0).consistent {
+                inconsistent_seen += 1;
+            }
+            assert_eq!(
+                render(&cfd_minimal_cover(&sigma)),
+                render(&reference::cfd_minimal_cover(&sigma)),
+                "cover differs from the reference for {:?}",
+                render(&sigma)
+            );
+        }
+    }
+    assert!(
+        inconsistent_seen >= 5,
+        "workload generator produced too few inconsistent sets ({inconsistent_seen})"
+    );
+}
+
+/// The masked minimal cover equals the reference on a mined rule set: the
+/// CFDs discovered on 5k customers (LHS up to two attributes) plus the
+/// paper's curated rules, which the mined ones largely repeat.
+#[test]
+fn minimal_cover_equals_reference_on_mined_rules() {
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 5_000,
+        ..CustomerConfig::default()
+    });
+    let schema = workload.dirty.schema();
+    let mined = discover_cfds(
+        &workload.dirty,
+        &CfdDiscoveryConfig {
+            max_lhs: 2,
+            exclude: vec![schema.attr("phn"), schema.attr("name")],
+            ..CfdDiscoveryConfig::default()
+        },
+    );
+    let mut sigma = mined.all();
+    sigma.extend(paper_cfds());
+    let cover = cfd_minimal_cover(&sigma);
+    let normalized: usize = sigma.iter().map(|c| c.normalize().len()).sum();
+    assert!(
+        cover.len() < normalized,
+        "the mined set should carry redundancy"
+    );
+    assert_eq!(cover, reference::cfd_minimal_cover(&sigma));
+}
+
+/// The compiled pattern closure returns the reference's verdict on random
+/// rule sets, multi-row and multi-RHS rules included.
+#[test]
+fn closure_equals_reference() {
+    let mut rng = StdRng::seed_from_u64(73);
+    for schema in [finite_schema(), infinite_schema()] {
+        for _ in 0..150 {
+            let sigma: Vec<Cfd> = (0..rng.gen_range(0..=5))
+                .map(|_| random_tableau_cfd(&mut rng, &schema))
+                .collect();
+            let phi = random_tableau_cfd(&mut rng, &schema);
+            assert_eq!(
+                cfd_implies_closure(&sigma, &phi),
+                reference::cfd_implies_closure(&sigma, &phi),
+                "closure verdicts differ for {:?} ⊨ {phi}",
+                render(&sigma)
+            );
+        }
+    }
+}
+
+/// The lint pass's `implied-rule` findings are exactly the rules a
+/// leave-one-out over the blind exact implication search finds implied (and
+/// none when the set is inconsistent).
+#[test]
+fn lint_implied_rules_equal_reference() {
+    let mut rng = StdRng::seed_from_u64(79);
+    let mut implied_seen = 0;
+    for schema in [finite_schema(), infinite_schema()] {
+        for _ in 0..40 {
+            let sigma: Vec<Cfd> = (0..rng.gen_range(2..=5))
+                .map(|_| random_tableau_cfd(&mut rng, &schema))
+                .collect();
+            let found: Vec<usize> = lint_cfds(&sigma)
+                .diagnostics()
+                .iter()
+                .filter(|d| d.code == "implied-rule")
+                .map(|d| d.rules[0])
+                .collect();
+            let expected: Vec<usize> = if reference::cfd_set_consistent(&sigma).consistent {
+                (0..sigma.len())
+                    .filter(|&r| {
+                        let mut rest = sigma.clone();
+                        let rule = rest.remove(r);
+                        reference::cfd_implies_exact(&rest, &rule)
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            implied_seen += expected.len();
+            assert_eq!(
+                found,
+                expected,
+                "implied-rule findings differ for {:?}",
+                render(&sigma)
+            );
+        }
+    }
+    assert!(
+        implied_seen >= 5,
+        "workload generator produced too few implied rules ({implied_seen})"
+    );
+}
+
+/// Rules over two relation schemas are refused as malformed instead of
+/// indexing one schema with the other's attribute positions.
+#[test]
+fn analysis_refuses_rules_over_two_schemas() {
+    let pair = Arc::new(RelationSchema::new(
+        "pair",
+        [("A", Domain::Text), ("B", Domain::Text)],
+    ));
+    let customer = customer_schema();
+    let sigma = vec![
+        Cfd::new(
+            &pair,
+            &["A"],
+            &["B"],
+            vec![PatternTuple::all_wildcards(1, 1)],
+        )
+        .unwrap(),
+        Cfd::new(
+            &customer,
+            &["zip"],
+            &["city"],
+            vec![PatternTuple::all_wildcards(1, 1)],
+        )
+        .unwrap(),
+    ];
+    let analyzed = analyze_cfds(&sigma, &AnalysisOptions::default()).map(|_| ());
+    let ensured = dq_core::analysis::ensure_consistent(&sigma);
+    for result in [analyzed, ensured] {
+        assert!(
+            matches!(
+                result,
+                Err(dq_relation::DqError::MalformedDependency { .. })
+            ),
+            "expected a malformed-dependency error, got {result:?}"
+        );
+    }
 }

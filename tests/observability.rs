@@ -179,6 +179,69 @@ fn grouped_detection_counts_without_materializing() {
     assert_eq!(snap.spans["report.materialize"].count, 1);
 }
 
+/// The minimal cover counts the candidates whose closure verdict had to go
+/// to the DPLL — none over the customer schema, which has no finite
+/// domain — and the lint pass counts its implied-rule findings.
+#[test]
+fn analysis_counts_solver_fallbacks_and_implied_rules() {
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let mut rules = paper_cfds();
+    rules.push(rules[0].clone());
+    let _ = cfd_minimal_cover(&rules);
+    let report = lint_cfds(&rules);
+    let snap = dq_obs::recorder().snapshot();
+    let implied = report
+        .diagnostics()
+        .iter()
+        .filter(|d| d.code == "implied-rule")
+        .count();
+    assert!(implied >= 2, "a repeated rule and its twin are implied");
+    assert_eq!(
+        snap.counters.get("analysis.lint.implied"),
+        Some(&(implied as u64))
+    );
+    assert_eq!(
+        snap.counters
+            .get("analysis.cover.solver_fallbacks")
+            .copied()
+            .unwrap_or(0),
+        0
+    );
+
+    // dom(A) = bool: `_ → B = b` follows from `A = true → B = b` and
+    // `A = false → B = b` only by a case split the closure cannot make.
+    dq_obs::recorder().reset();
+    let schema = std::sync::Arc::new(dq_relation::RelationSchema::new(
+        "r",
+        [
+            ("A", dq_relation::Domain::Bool),
+            ("B", dq_relation::Domain::Text),
+        ],
+    ));
+    let rule = |a| {
+        Cfd::new(
+            &schema,
+            &["A"],
+            &["B"],
+            vec![PatternTuple::new(vec![a], vec![cst("b")])],
+        )
+        .unwrap()
+    };
+    let sigma = vec![rule(cst(true)), rule(cst(false)), rule(wild())];
+    assert_eq!(
+        cfd_minimal_cover(&sigma),
+        dq_core::reference::cfd_minimal_cover(&sigma)
+    );
+    let snap = dq_obs::recorder().snapshot();
+    assert!(
+        snap.counters
+            .get("analysis.cover.solver_fallbacks")
+            .is_some_and(|&n| n > 0),
+        "a finite-domain candidate must reach the solver"
+    );
+}
+
 fn workload_config() -> impl Strategy<Value = CustomerConfig> {
     (1usize..200, 0usize..3, 0u64..1_000).prop_map(|(tuples, rate_idx, seed)| CustomerConfig {
         tuples,
