@@ -364,6 +364,10 @@ fn detection_bench(smoke: bool, profile: bool) {
     println!("\nwrote BENCH_detection.json");
 }
 
+/// The `max_tableau` at which `--discovery-bench` re-checks CFD mining
+/// against the reference: small enough to bind on most tableaux.
+const BINDING_TABLEAU_CAP: usize = 4;
+
 /// Naive vs. interned dependency discovery on the scaled customer workload,
 /// written to `BENCH_discovery.json` (skipped in `--smoke` mode, which runs
 /// the same comparison CI-sized and only asserts output identity).
@@ -395,6 +399,10 @@ fn detection_bench(smoke: bool, profile: bool) {
 /// `--smoke` always includes a threads > 1 run, so CI's output-identity
 /// assertion exercises the concurrent sweep (striped partition cache,
 /// pooled probers, canonical merge) and not just the sequential path.
+/// The CFD rows also mine at a binding `max_tableau` of
+/// [`BINDING_TABLEAU_CAP`] (untimed), asserted identical to the reference
+/// at every thread count, so the miners' cap exits are checked where they
+/// actually fire.
 fn discovery_bench(smoke: bool, profile: bool) {
     use dq_discovery::prelude::*;
     use dq_relation::IndexPool;
@@ -585,11 +593,30 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     profile_json,
                 );
             }
+            // Identity where the tableau cap binds: both miners stop
+            // validating once a tableau is full.
+            let capped_cfg = |threads| CfdDiscoveryConfig {
+                max_tableau: BINDING_TABLEAU_CAP,
+                ..cfd_cfg(threads)
+            };
+            let capped_reference = dq_discovery::reference::discover_cfds(instance, &capped_cfg(1));
+            for &threads in &thread_counts {
+                let capped = discover_cfds(instance, &capped_cfg(threads));
+                assert_eq!(
+                    capped_reference.variable_cfds, capped.variable_cfds,
+                    "variable CFDs must match the reference at max_tableau {BINDING_TABLEAU_CAP} (threads {threads})"
+                );
+                assert_eq!(
+                    capped_reference.constant_cfds, capped.constant_cfds,
+                    "constant CFDs must match the reference at max_tableau {BINDING_TABLEAU_CAP} (threads {threads})"
+                );
+            }
         }
     }
     if smoke {
         println!(
-            "\nsmoke mode: outputs identical on both paths at threads {thread_counts:?}, artifact not written"
+            "\nsmoke mode: outputs identical on both paths at threads {thread_counts:?} \
+             (CFDs also at max_tableau {BINDING_TABLEAU_CAP}), artifact not written"
         );
         return;
     }

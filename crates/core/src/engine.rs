@@ -575,6 +575,9 @@ fn counted(report: CfdViolationReport) -> CfdViolationReport {
 /// single item (or a single effective worker) runs inline on the caller's
 /// thread.  A panic in a worker is not swallowed: the scope re-raises it on
 /// join, so the caller unwinds instead of reading half-filled output.
+///
+/// Workers enter the caller's [`dq_obs::span_context`], so spans they open
+/// nest under the caller's open span exactly as on the inline path.
 pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -587,12 +590,16 @@ where
     }
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    let parent = dq_obs::span_context();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("worker slot poisoned") = Some(f(item));
+            scope.spawn(|| {
+                let _ctx = parent.enter();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    *slots[i].lock().expect("worker slot poisoned") = Some(f(item));
+                }
             });
         }
     });

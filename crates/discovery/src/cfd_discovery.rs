@@ -21,6 +21,27 @@
 //! row-oriented miners these are held byte-identical to live in
 //! [`crate::reference`].
 //!
+//! Both pattern miners visit groups in the reference's canonical order
+//! ([`sorted_group_order`] over resolved values) but sort on integers: one
+//! per-run `DictionaryRanks` table gives every dictionary id its position
+//! in `Value`'s `Ord`, and a group sorts by its rank tuple, packed into a
+//! `u64` when it fits.  Values are resolved only for emitted patterns.
+//! Both miners also stop validating once the
+//! [`max_tableau`](CfdDiscoveryConfig::max_tableau) cap is full:
+//!
+//! * a constant tableau `(LHS, RHS)` is written by exactly one per-LHS
+//!   worker, in group order, so the worker stops validating an RHS once it
+//!   holds `max_tableau` patterns, and the whole LHS once every RHS is full;
+//! * patterns with the same number of constants never cover each other, so
+//!   within one tableau level a candidate is accepted exactly when the
+//!   embedded FD holds on it and no pattern of an earlier level covers it;
+//!   each condition-position worker stops once it has the tableau's
+//!   remaining room.
+//!
+//! The `discover.cfd.groups_validated` and `discover.cfd.cap_exits`
+//! counters record how many groups were validated and how many workers
+//! stopped early.
+//!
 //! Discovered dependencies are ordinary [`Cfd`] values; by construction every
 //! one of them holds on the profiled instance, which the module's tests
 //! assert and which makes them safe seeds for cleaning rules on *future*
@@ -167,6 +188,128 @@ impl DiscoveredCfds {
 /// Mined constant patterns, keyed by `(LHS attributes, RHS attribute)`.
 pub(crate) type ConstantTableaux = BTreeMap<(Vec<usize>, usize), Vec<PatternTuple>>;
 
+/// One group of an [`InternedIndex`]: its key ids and its rows.
+type Group<'i> = (Vec<ValueId>, &'i [u32]);
+
+/// Per-run dictionary ranks: for each ranked attribute, `rank[id]` is the
+/// position of the id's value in `Value`'s `Ord` over the column's
+/// dictionary.  Groups of an index over ranked attributes sort by their
+/// rank tuples into exactly the order [`sorted_group_order`] gives their
+/// resolved values, without resolving or comparing a single `Value`.
+///
+/// That holds only where `Ord` is a strict total order on the dictionary.
+/// Two cases break it, and both leave the attribute unranked, so groups
+/// keyed on it fall back to sorting resolved values:
+/// * a dictionary mixing `Int` and `Real`: `Ord` compares across the two
+///   numerically and is not transitive there (`Int(2^53)` and
+///   `Int(2^53 + 1)` both compare equal to `Real(2^53)`);
+/// * a rank tie, i.e. distinct ids with `Ord`-equal values (`Int(0)` and
+///   `Real(0.0)`), which only the debug-rendering tiebreak orders.  Only
+///   mixed numerics produce one, so this case is a guard.
+pub(crate) struct DictionaryRanks {
+    /// Indexed by attribute; `None` for attributes left unranked.
+    by_attr: Vec<Option<Vec<u32>>>,
+}
+
+impl DictionaryRanks {
+    /// Ranks the dictionaries of `attrs` for groups of at least
+    /// `min_support` rows, fanning the columns out across `threads`
+    /// workers.
+    fn build(
+        instance: &RelationInstance,
+        attrs: &[usize],
+        min_support: usize,
+        threads: usize,
+    ) -> Self {
+        let _span = dq_obs::span("ranks");
+        let store = instance.columnar();
+        let ranked = parallel_map(attrs, threads, |&a| {
+            column_ranks(&store.column(instance, a), min_support)
+        });
+        let mut by_attr = vec![None; instance.schema().arity()];
+        for (&a, ranks) in attrs.iter().zip(ranked) {
+            by_attr[a] = ranks;
+        }
+        DictionaryRanks { by_attr }
+    }
+
+    /// The groups of `index` holding at least `min_support` rows, in the
+    /// canonical mining order.  Keys of smaller groups are never decoded.
+    fn sorted_groups<'i>(&self, index: &'i InternedIndex, min_support: usize) -> Vec<Group<'i>> {
+        let mut groups: Vec<Group<'_>> = index.groups_with_min(min_support).collect();
+        let ranks: Option<Vec<&[u32]>> = index
+            .attrs()
+            .iter()
+            .map(|&a| self.by_attr.get(a)?.as_deref())
+            .collect();
+        let Some(ranks) = ranks else {
+            let mut keyed: Vec<(Vec<Value>, Group<'_>)> = groups
+                .into_iter()
+                .map(|group| (resolve_key(index, &group.0), group))
+                .collect();
+            keyed.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
+            return keyed.into_iter().map(|(_, group)| group).collect();
+        };
+        let packs = ranks
+            .iter()
+            .try_fold(1u64, |product, r| product.checked_mul(r.len() as u64))
+            .is_some();
+        if packs {
+            groups.sort_by_cached_key(|(ids, _)| {
+                ids.iter().zip(&ranks).fold(0u64, |key, (id, r)| {
+                    key * r.len() as u64 + u64::from(r[id.index()])
+                })
+            });
+        } else {
+            groups.sort_by_cached_key(|(ids, _)| {
+                ids.iter()
+                    .zip(&ranks)
+                    .map(|(id, r)| r[id.index()])
+                    .collect::<Vec<u32>>()
+            });
+        }
+        groups
+    }
+}
+
+/// The ranks of one column's dictionary, or `None` when `Value`'s `Ord`
+/// is not a strict total order on it (see [`DictionaryRanks`]).  Only ids
+/// carried by at least `min_support` rows can appear in a group the
+/// miners visit, so only those are ranked (among themselves); the rest —
+/// on key-like columns, most of the dictionary — are never sorted and
+/// keep the rank `u32::MAX`.
+fn column_ranks(column: &Column, min_support: usize) -> Option<Vec<u32>> {
+    let values = column.interner().values();
+    let mut counts = vec![0u32; values.len()];
+    for ids in column.shard_ids(0..column.len()) {
+        for id in ids {
+            counts[id.index()] += 1;
+        }
+    }
+    let threshold = min_support.max(1) as u32;
+    let mut order: Vec<u32> = (0..values.len() as u32)
+        .filter(|&id| counts[id as usize] >= threshold)
+        .collect();
+    let value = |id: u32| &values[id as usize];
+    let ints = order.iter().any(|&id| matches!(value(id), Value::Int(_)));
+    let reals = order.iter().any(|&id| matches!(value(id), Value::Real(_)));
+    if ints && reals {
+        return None;
+    }
+    order.sort_unstable_by(|&a, &b| value(a).cmp(value(b)));
+    if order
+        .windows(2)
+        .any(|w| value(w[0]).cmp(value(w[1])).is_eq())
+    {
+        return None;
+    }
+    let mut ranks = vec![u32::MAX; values.len()];
+    for (rank, &id) in order.iter().enumerate() {
+        ranks[id as usize] = rank as u32;
+    }
+    Some(ranks)
+}
+
 /// Discovers constant CFDs: minimal frequent LHS value combinations that
 /// force a constant on some other attribute.  Patterns over the same
 /// `(LHS attributes, RHS attribute)` are merged into a single CFD tableau.
@@ -179,7 +322,10 @@ pub fn discover_constant_cfds(
     instance: &RelationInstance,
     config: &CfdDiscoveryConfig,
 ) -> Vec<Cfd> {
-    mine_constant_cfds(instance, config, &IndexPool::new()).0
+    let attrs = config.attrs(instance.schema());
+    let threads = resolve_threads(config.threads);
+    let ranks = DictionaryRanks::build(instance, &attrs, config.min_support, threads);
+    mine_constant_cfds(instance, config, &IndexPool::new(), &ranks).0
 }
 
 /// One mined constant pattern, produced by a per-LHS worker and merged into
@@ -188,15 +334,15 @@ type MinedPattern = (usize, Vec<Value>, Value);
 
 /// Constant-pattern mining over `pool`, plus per-size-level wall-clock
 /// milliseconds (index 0 = LHS size 1), measured through the span layer.
-/// Values are resolved only when a pattern is actually emitted (and to sort
-/// groups into the canonical mining order).  The LHS sets of one size level
-/// mine independently (each writes its own `(LHS, RHS)` tableau keys), so
-/// they fan out across the thread pool — the pooled index and column
-/// lookups are all concurrent — and merge back in canonical subset order.
+/// The LHS sets of one size level mine independently (each writes its own
+/// `(LHS, RHS)` tableau keys), so they fan out across the thread pool —
+/// the pooled index and column lookups are all concurrent — and merge back
+/// in canonical subset order.
 fn mine_constant_cfds(
     instance: &RelationInstance,
     config: &CfdDiscoveryConfig,
     pool: &IndexPool,
+    ranks: &DictionaryRanks,
 ) -> (Vec<Cfd>, Vec<f64>) {
     let _span = dq_obs::span("constants");
     let threads = resolve_threads(config.threads);
@@ -208,52 +354,22 @@ fn mine_constant_cfds(
     for &a in &attrs {
         columns[a] = Some(store.column(instance, a));
     }
+    let miner = ConstantMiner {
+        instance,
+        pool,
+        ranks,
+        columns,
+        config,
+    };
     let mut tableaux = ConstantTableaux::new();
     let mut level_ms: Vec<f64> = Vec::new();
     for size in 1..=config.max_lhs.min(attrs.len()) {
         let level_span = dq_obs::span_owned(format!("level{size}"));
         let lhs_sets = subsets_of_size(&attrs, size);
         let per_lhs: Vec<Vec<MinedPattern>> = parallel_map(&lhs_sets, threads, |lhs| {
-            // Candidate sub-condition indexes inside the minimality probe
-            // are pooled too, so cross-LHS sharing survives the fan-out;
-            // cold builds run single-threaded per worker (the level itself
-            // is the parallel axis).
-            let index = pool.interned_for(instance, lhs, 1);
-            let mut groups: Vec<(Vec<Value>, Vec<ValueId>, &[u32])> = index
-                .groups()
-                .filter(|(_, rows)| rows.len() >= config.min_support)
-                .map(|(ids, rows)| (resolve_key(&index, &ids), ids, rows))
-                .collect();
-            groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
-            let mut mined: Vec<MinedPattern> = Vec::new();
-            for (lhs_values, lhs_ids, members) in &groups {
-                for &rhs in &attrs {
-                    if lhs.contains(&rhs) {
-                        continue;
-                    }
-                    let col = columns[rhs].as_ref().expect("non-excluded column built");
-                    let first_id = col.id_at(members[0] as usize);
-                    if !members.iter().all(|&m| col.id_at(m as usize) == first_id) {
-                        continue;
-                    }
-                    if size >= 2
-                        && is_redundant_constant_pattern(
-                            instance,
-                            pool,
-                            lhs,
-                            lhs_ids,
-                            col,
-                            first_id,
-                            config.min_support,
-                        )
-                    {
-                        continue;
-                    }
-                    let first = col.interner().resolve(first_id).clone();
-                    mined.push((rhs, lhs_values.clone(), first));
-                }
-            }
-            mined
+            let rhs_attrs: Vec<usize> =
+                attrs.iter().copied().filter(|a| !lhs.contains(a)).collect();
+            miner.patterns(lhs, &rhs_attrs)
         });
         for (lhs, mined) in lhs_sets.iter().zip(per_lhs) {
             for (rhs, lhs_values, first) in mined {
@@ -263,6 +379,95 @@ fn mine_constant_cfds(
         level_ms.push(level_span.finish_ms());
     }
     (constant_cfds(instance.schema(), tableaux), level_ms)
+}
+
+/// The per-LHS worker of constant-pattern mining.
+struct ConstantMiner<'a> {
+    instance: &'a RelationInstance,
+    pool: &'a IndexPool,
+    ranks: &'a DictionaryRanks,
+    /// Indexed by attribute; built for every non-excluded one.
+    columns: Vec<Option<Arc<Column>>>,
+    config: &'a CfdDiscoveryConfig,
+}
+
+impl ConstantMiner<'_> {
+    /// The constant patterns of one LHS set: per group in canonical order,
+    /// per RHS attribute, every agreeing and minimal pattern while that
+    /// RHS's tableau has room.  The tableau `(lhs, rhs)` is written by this
+    /// worker alone, so an RHS stops being validated once it holds
+    /// `max_tableau` patterns, and the LHS once every RHS is full.
+    fn patterns(&self, lhs: &[usize], rhs_attrs: &[usize]) -> Vec<MinedPattern> {
+        let cap = self.config.max_tableau;
+        let mut mined: Vec<MinedPattern> = Vec::new();
+        if cap == 0 || rhs_attrs.is_empty() {
+            return mined;
+        }
+        let mut kept = vec![0usize; rhs_attrs.len()];
+        let mut open = rhs_attrs.len();
+        // Indexes are pooled, so cross-LHS sharing survives the fan-out;
+        // cold builds run single-threaded per worker (the level itself is
+        // the parallel axis).  The minimality probe's sub-condition indexes
+        // are fetched once per LHS, not per probe.
+        let index = self.pool.interned_for(self.instance, lhs, 1);
+        let subs: Vec<Arc<InternedIndex>> = if lhs.len() >= 2 {
+            (0..lhs.len())
+                .map(|drop| {
+                    self.pool
+                        .interned_for(self.instance, &without(lhs, drop), 1)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut sub_ids: Vec<ValueId> = Vec::with_capacity(lhs.len());
+        let mut validated = 0u64;
+        for (lhs_ids, members) in self.ranks.sorted_groups(&index, self.config.min_support) {
+            if open == 0 {
+                dq_obs::inc("discover.cfd.cap_exits");
+                break;
+            }
+            validated += 1;
+            let mut lhs_values: Option<Vec<Value>> = None;
+            for (slot, &rhs) in rhs_attrs.iter().enumerate() {
+                if kept[slot] == cap {
+                    continue;
+                }
+                let col = self.columns[rhs]
+                    .as_ref()
+                    .expect("non-excluded column built");
+                let first_id = col.id_at(members[0] as usize);
+                if !members.iter().all(|&m| col.id_at(m as usize) == first_id) {
+                    continue;
+                }
+                // Not minimal when some proper sub-condition already forces
+                // the same constant on enough tuples.  Ids are valid across
+                // indexes: columns, and so dictionaries, are shared per store.
+                let redundant = subs.iter().enumerate().any(|(drop, sub)| {
+                    sub_ids.clear();
+                    sub_ids.extend(lhs_ids[..drop].iter().chain(&lhs_ids[drop + 1..]));
+                    let rows = sub.rows_for_ids(&sub_ids);
+                    rows.len() >= self.config.min_support
+                        && rows.iter().all(|&r| col.id_at(r as usize) == first_id)
+                });
+                if redundant {
+                    continue;
+                }
+                kept[slot] += 1;
+                if kept[slot] == cap {
+                    open -= 1;
+                }
+                let values = lhs_values.get_or_insert_with(|| resolve_key(&index, &lhs_ids));
+                mined.push((
+                    rhs,
+                    values.clone(),
+                    col.interner().resolve(first_id).clone(),
+                ));
+            }
+        }
+        dq_obs::add("discover.cfd.groups_validated", validated);
+        mined
+    }
 }
 
 /// Appends one mined constant pattern, respecting the per-dependency cap.
@@ -288,10 +493,13 @@ pub(crate) fn push_constant_pattern(
     ));
 }
 
-/// One constant CFD per `(LHS, RHS)` tableau, in key order.
+/// One constant CFD per non-empty `(LHS, RHS)` tableau, in key order.  An
+/// empty tableau (every pattern dropped by a `max_tableau` of 0) would be
+/// a vacuous rule, so it yields none.
 pub(crate) fn constant_cfds(schema: &Arc<RelationSchema>, tableaux: ConstantTableaux) -> Vec<Cfd> {
     tableaux
         .into_iter()
+        .filter(|(_, tableau)| !tableau.is_empty())
         .filter_map(|((lhs, rhs), tableau)| tableau_cfd(schema, lhs, vec![rhs], tableau))
         .collect()
 }
@@ -303,34 +511,6 @@ fn resolve_key(index: &InternedIndex, ids: &[ValueId]) -> Vec<Value> {
         .zip(index.columns())
         .map(|(&id, col)| col.interner().resolve(id).clone())
         .collect()
-}
-
-/// Whether some proper subset of the condition already forces `rhs = value`
-/// on at least `min_support` tuples — in which case the longer condition is
-/// not minimal and should not be reported.  Each sub-condition is probed
-/// through its pooled index by dictionary ids (valid across indexes because
-/// columns — and hence dictionaries — are shared per store), and agreement
-/// on the right-hand side compares ids.
-#[allow(clippy::too_many_arguments)]
-fn is_redundant_constant_pattern(
-    instance: &RelationInstance,
-    pool: &IndexPool,
-    lhs: &[usize],
-    lhs_ids: &[ValueId],
-    rhs_col: &Arc<Column>,
-    rhs_constant: ValueId,
-    min_support: usize,
-) -> bool {
-    (0..lhs.len()).any(|drop| {
-        let sub_attrs = without(lhs, drop);
-        let sub_ids = without(lhs_ids, drop);
-        let sub_index = pool.interned_for(instance, &sub_attrs, 1);
-        let rows = sub_index.rows_for_ids(&sub_ids);
-        rows.len() >= min_support
-            && rows
-                .iter()
-                .all(|&r| rhs_col.id_at(r as usize) == rhs_constant)
-    })
 }
 
 /// `items` without the element at position `drop`.
@@ -368,18 +548,35 @@ pub(crate) fn condition_pattern(
         .collect()
 }
 
-/// Whether an accepted pattern is at least as general as `lhs_pattern`: at
-/// every position it is either a wildcard or equal.  Candidates covered by
-/// an accepted pattern are skipped, so the tableau keeps the most general
-/// patterns.
-pub(crate) fn covered(accepted: &[PatternTuple], lhs_pattern: &[PatternValue]) -> bool {
-    accepted.iter().any(|a| {
-        a.lhs.len() == lhs_pattern.len()
-            && a.lhs
+/// The coverage test of tableau mining in the id space of one condition
+/// index.  An accepted pattern covers a candidate when it is at least as
+/// general: at every position a wildcard or equal.  Each accepted pattern
+/// that can cover a group of `index` (whose key holds the LHS values at
+/// `cond_positions`) becomes the `(key slot, id)` pairs a group key must
+/// match.  A pattern with a constant outside `cond_positions`, or one
+/// absent from the slot's dictionary, covers no group and is dropped.
+fn covering_keys(
+    accepted: &[PatternTuple],
+    cond_positions: &[usize],
+    index: &InternedIndex,
+) -> Vec<Vec<(usize, ValueId)>> {
+    accepted
+        .iter()
+        .filter_map(|a| {
+            a.lhs
                 .iter()
-                .zip(lhs_pattern)
-                .all(|(pa, pb)| pa.is_any() || pa == pb)
-    })
+                .enumerate()
+                .filter_map(|(p, pv)| match pv {
+                    PatternValue::Any => None,
+                    PatternValue::Const(v) => Some((p, v)),
+                })
+                .map(|(p, v)| {
+                    let slot = cond_positions.iter().position(|&c| c == p)?;
+                    Some((slot, index.lookup_id(slot, v)?))
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The RHS pattern of an accepted candidate: upgraded to constants when
@@ -414,13 +611,19 @@ pub(crate) fn tableau_cfd(
 struct TableauMiner<'a> {
     instance: &'a RelationInstance,
     pool: &'a IndexPool,
+    ranks: &'a DictionaryRanks,
     lhs_codec: KeyCodec,
     rhs_codec: KeyCodec,
     rhs_cols: Vec<Arc<Column>>,
 }
 
 impl<'a> TableauMiner<'a> {
-    fn new(instance: &'a RelationInstance, fd: &Fd, pool: &'a IndexPool) -> Self {
+    fn new(
+        instance: &'a RelationInstance,
+        fd: &Fd,
+        pool: &'a IndexPool,
+        ranks: &'a DictionaryRanks,
+    ) -> Self {
         let store = instance.columnar();
         let columns = |attrs: &[usize]| -> Vec<Arc<Column>> {
             attrs.iter().map(|&a| store.column(instance, a)).collect()
@@ -429,6 +632,7 @@ impl<'a> TableauMiner<'a> {
         TableauMiner {
             instance,
             pool,
+            ranks,
             lhs_codec: KeyCodec::new(columns(fd.lhs())),
             rhs_codec: KeyCodec::new(rhs_cols.clone()),
             rhs_cols,
@@ -468,50 +672,57 @@ impl<'a> TableauMiner<'a> {
             })
     }
 
-    /// The validated candidates of one condition-position set, in canonical
-    /// group order, skipping those `accepted` already covers.
-    fn candidates(
+    /// The patterns one condition-position set adds to the tableau, in
+    /// canonical group order: groups on which the embedded FD holds and
+    /// that no pattern of `accepted` covers, at most `room` of them.
+    /// `accepted` holds only patterns of earlier levels, and patterns of
+    /// one level never cover each other, so these are exactly the
+    /// patterns the sequential sweep would accept from this set.
+    fn level_patterns(
         &self,
         lhs: &[usize],
         cond_positions: &[usize],
         min_support: usize,
         accepted: &[PatternTuple],
-    ) -> Vec<TableauCandidate> {
+        room: usize,
+    ) -> Vec<PatternTuple> {
         let cond_attrs: Vec<usize> = cond_positions.iter().map(|&p| lhs[p]).collect();
         // A cold build runs single-threaded because the condition-position
         // sets themselves are the parallel axis.
         let index = self.pool.interned_for(self.instance, &cond_attrs, 1);
-        let mut groups: Vec<(Vec<Value>, &[u32])> = index
-            .groups()
-            .filter(|(_, rows)| rows.len() >= min_support)
-            .map(|(ids, rows)| (resolve_key(&index, &ids), rows))
-            .collect();
-        groups.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
-        groups
-            .into_iter()
-            .filter_map(|(cond_values, members)| {
-                let lhs_pattern = condition_pattern(lhs.len(), cond_positions, &cond_values);
-                if covered(accepted, &lhs_pattern) {
-                    return None;
-                }
-                Some(TableauCandidate {
-                    holds: self.fd_holds_on(members),
-                    constant_rhs: self.constant_rhs(members),
-                    lhs_pattern,
-                })
-            })
-            .collect()
+        let covers = covering_keys(accepted, cond_positions, &index);
+        let conditioned = !cond_positions.is_empty();
+        let mut patterns: Vec<PatternTuple> = Vec::new();
+        let mut validated = 0u64;
+        for (ids, members) in self.ranks.sorted_groups(&index, min_support) {
+            if patterns.len() >= room {
+                dq_obs::inc("discover.cfd.cap_exits");
+                break;
+            }
+            if covers
+                .iter()
+                .any(|key| key.iter().all(|&(slot, id)| ids[slot] == id))
+            {
+                continue;
+            }
+            validated += 1;
+            if !self.fd_holds_on(members) {
+                continue;
+            }
+            let constant_rhs = if conditioned {
+                self.constant_rhs(members)
+            } else {
+                None
+            };
+            let cond_values = resolve_key(&index, &ids);
+            patterns.push(PatternTuple::new(
+                condition_pattern(lhs.len(), cond_positions, &cond_values),
+                rhs_pattern(constant_rhs, conditioned, self.rhs_cols.len()),
+            ));
+        }
+        dq_obs::add("discover.cfd.groups_validated", validated);
+        patterns
     }
-}
-
-/// One validated pattern candidate, produced by a per-condition-set worker;
-/// acceptance (generality pruning + the tableau cap) happens at the
-/// sequential merge so the mined tableau is order-identical to the
-/// sequential sweep.
-struct TableauCandidate {
-    lhs_pattern: Vec<PatternValue>,
-    holds: bool,
-    constant_rhs: Option<Vec<Value>>,
 }
 
 /// Mines a pattern tableau for the embedded FD `fd` on `instance`: the most
@@ -527,13 +738,9 @@ pub fn discover_tableau_for_fd(
     fd: &Fd,
     config: &CfdDiscoveryConfig,
 ) -> Option<Cfd> {
-    mine_tableau(
-        instance,
-        fd,
-        config,
-        &IndexPool::new(),
-        resolve_threads(config.threads),
-    )
+    let threads = resolve_threads(config.threads);
+    let ranks = DictionaryRanks::build(instance, fd.lhs(), config.min_support, threads);
+    mine_tableau(instance, fd, config, &IndexPool::new(), &ranks, threads)
 }
 
 /// Tableau mining over `pool` with an explicit worker budget for the
@@ -545,14 +752,16 @@ fn mine_tableau(
     fd: &Fd,
     config: &CfdDiscoveryConfig,
     pool: &IndexPool,
+    ranks: &DictionaryRanks,
     threads: usize,
 ) -> Option<Cfd> {
     let _span = dq_obs::span("tableau");
     let lhs = fd.lhs();
-    let miner = TableauMiner::new(instance, fd, pool);
+    let miner = TableauMiner::new(instance, fd, pool, ranks);
     let mut accepted: Vec<PatternTuple> = Vec::new();
-    'levels: for constants in 0..=config.max_condition_attrs.min(lhs.len()) {
-        if accepted.len() >= config.max_tableau {
+    for constants in 0..=config.max_condition_attrs.min(lhs.len()) {
+        let room = config.max_tableau.saturating_sub(accepted.len());
+        if room == 0 {
             break;
         }
         let position_sets = condition_position_sets(lhs.len(), constants);
@@ -561,30 +770,13 @@ fn mine_tableau(
         // counts force equality), so the generality prune only ever fires
         // on patterns accepted at *earlier* levels — frozen for the whole
         // level.  That makes the condition-position sets independent: each
-        // worker groups and validates its candidates against the frozen
-        // tableau, and the merge below re-applies acceptance sequentially.
-        let per_set: Vec<Vec<TableauCandidate>> =
+        // worker accepts against the frozen tableau and stops once it has
+        // the level's room, and the canonical merge keeps the first `room`.
+        let per_set: Vec<Vec<PatternTuple>> =
             parallel_map(&position_sets, threads, |cond_positions| {
-                miner.candidates(lhs, cond_positions, config.min_support, &accepted)
+                miner.level_patterns(lhs, cond_positions, config.min_support, &accepted, room)
             });
-        // Sequential merge in canonical candidate order; the cap stops all
-        // acceptance, not just the current condition set's.
-        for (cond_positions, candidates) in position_sets.iter().zip(per_set) {
-            for candidate in candidates {
-                if accepted.len() >= config.max_tableau {
-                    break 'levels;
-                }
-                if !candidate.holds || covered(&accepted, &candidate.lhs_pattern) {
-                    continue;
-                }
-                let rhs = rhs_pattern(
-                    candidate.constant_rhs,
-                    !cond_positions.is_empty(),
-                    fd.rhs().len(),
-                );
-                accepted.push(PatternTuple::new(candidate.lhs_pattern, rhs));
-            }
-        }
+        accepted.extend(per_set.into_iter().flatten().take(room));
     }
     if accepted.is_empty() {
         return None;
@@ -621,6 +813,9 @@ pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -
     // to the sequential loop at any thread count.
     let tableau_fds = conditioning_candidates(&exact.fds, &approx.fds);
     let threads = resolve_threads(config.threads);
+    // One rank table serves every tableau mine and the constant miner.
+    let attrs = config.attrs(instance.schema());
+    let ranks = DictionaryRanks::build(instance, &attrs, config.min_support, threads);
     let outer = threads.min(tableau_fds.len()).max(1);
     let inner = (threads / outer).max(1);
     let tableaux: Vec<Option<Option<Cfd>>> = parallel_map(&tableau_fds, threads, |fd| {
@@ -628,10 +823,10 @@ pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -
         let index = pool.interned_for(instance, fd.lhs(), 1);
         let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
         let fd_g3 = g3_error_from_groups(&source, index.multi_group_rows(), fd.rhs());
-        (fd_g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, inner))
+        (fd_g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, &ranks, inner))
     });
 
-    let (constant_cfds, constant_level_ms) = mine_constant_cfds(instance, config, &pool);
+    let (constant_cfds, constant_level_ms) = mine_constant_cfds(instance, config, &pool, &ranks);
     add_level_ms(&mut level_ms, &constant_level_ms);
     finish_discovery(
         exact.candidates_checked + approx.candidates_checked,
@@ -943,6 +1138,97 @@ mod tests {
         }
         let uncapped = discover_tableau_for_fd(&inst, &fd, &CfdDiscoveryConfig::default()).unwrap();
         assert_eq!(uncapped.tableau().len(), 4);
+    }
+
+    #[test]
+    fn mixed_numeric_columns_fall_back_to_the_reference_order() {
+        // `m` mixes `Int` and `Real`: `Int(0)`/`Real(0.0)` are distinct but
+        // `Ord`-equal (a rank tie), and `Int(2^53)`, `Int(2^53 + 1)` both
+        // compare equal to `Real(2^53)` while differing from each other
+        // (`Ord` is not transitive).  Rows arrive out of order, so neither
+        // first-seen ids nor a numeric sort reproduce the reference order.
+        let schema = Arc::new(RelationSchema::new(
+            "r",
+            vec![
+                ("m", Domain::Real),
+                ("b", Domain::Text),
+                ("c", Domain::Text),
+            ],
+        ));
+        let big = 1i64 << 53;
+        let mut inst = RelationInstance::new(Arc::clone(&schema));
+        for (m, b, c) in [
+            (Value::real(big as f64), "q", "4"),
+            (Value::int(5), "r", "5"),
+            (Value::int(big + 1), "q", "3"),
+            (Value::real(0.0), "p", "1"),
+            (Value::int(big), "q", "2"),
+            (Value::int(0), "p", "1"),
+            (Value::int(5), "r", "6"),
+        ] {
+            for _ in 0..2 {
+                inst.insert_values(vec![m.clone(), Value::str(b), Value::str(c)])
+                    .unwrap();
+            }
+        }
+        let store = inst.columnar();
+        assert_eq!(column_ranks(&store.column(&inst, 0), 2), None);
+        // `b` is ranked: its ids, first seen as q, r, p, sort as p < q < r.
+        assert_eq!(
+            column_ranks(&store.column(&inst, 1), 2),
+            Some(vec![1, 2, 0])
+        );
+        // At support 3 only `c = 1` (four rows) can key a group.
+        let unranked = u32::MAX;
+        assert_eq!(
+            column_ranks(&store.column(&inst, 2), 3),
+            Some(vec![unranked, unranked, unranked, 0, unranked, unranked])
+        );
+        let fd = Fd::new(&schema, &["m", "b"], &["c"]);
+        for max_tableau in 0..7 {
+            for threads in [1, 2] {
+                let config = CfdDiscoveryConfig {
+                    max_tableau,
+                    threads,
+                    ..CfdDiscoveryConfig::default()
+                };
+                let context = format!("cap {max_tableau}, threads {threads}");
+                assert_eq!(
+                    discover_constant_cfds(&inst, &config),
+                    crate::reference::discover_constant_cfds(&inst, &config),
+                    "{context}"
+                );
+                assert_eq!(
+                    discover_tableau_for_fd(&inst, &fd, &config),
+                    crate::reference::discover_tableau_for_fd(&inst, &fd, &config),
+                    "{context}"
+                );
+                let fast = discover_cfds(&inst, &config);
+                let slow = crate::reference::discover_cfds(&inst, &config);
+                assert_eq!(fast.variable_cfds, slow.variable_cfds, "{context}");
+                assert_eq!(fast.constant_cfds, slow.constant_cfds, "{context}");
+            }
+        }
+        // At cap 2 the first two `m` groups in reference order win:
+        // `Int(0)` before `Real(0.0)` (the debug tiebreak), both before the
+        // 2^53 cluster and `Int(5)`.
+        let capped = discover_tableau_for_fd(
+            &inst,
+            &fd,
+            &CfdDiscoveryConfig {
+                max_tableau: 2,
+                ..CfdDiscoveryConfig::default()
+            },
+        )
+        .unwrap();
+        let conditions: Vec<&PatternValue> = capped.tableau().iter().map(|tp| &tp.lhs[0]).collect();
+        assert_eq!(
+            conditions,
+            [
+                &PatternValue::Const(Value::int(0)),
+                &PatternValue::Const(Value::real(0.0))
+            ]
+        );
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! and [`g3_error`] stay as the reference they are checked against.
 
 use dq_relation::{
-    FxHashMap, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value,
+    FxHashMap, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value, ValueId,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A stripped partition: the equivalence classes of size ≥ 2 of a relation
@@ -277,10 +278,11 @@ pub fn g1_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
 /// [`g3_error`] over the multi-row `X`-groups of `source` (pooled index
 /// postings or a shard scan, as for [`StrippedPartition::from_groups`]):
 /// singleton groups keep their lone tuple, so only multi-row groups can
-/// force removals, and their `Y` tallies count packed id keys (machine
-/// words) instead of materialized `Vec<Value>` projections.  The
-/// arithmetic is identical, so the returned error is bit-identical to the
-/// naive measure's.
+/// force removals.  A single-attribute `Y` is tallied by dictionary id in a
+/// reused per-thread count array; a wider `Y` tallies packed id keys
+/// (machine words) in a hash map.  Neither materializes `Vec<Value>`
+/// projections, and the arithmetic is identical, so the returned error is
+/// bit-identical to the naive measure's.
 pub fn g3_error_from_groups<'g>(
     source: &dyn ShardSource,
     lhs_groups: impl IntoIterator<Item = &'g [u32]>,
@@ -290,8 +292,20 @@ pub fn g3_error_from_groups<'g>(
     if n == 0 {
         return 0.0;
     }
-    let codec = KeyCodec::new(rhs.iter().map(|&a| source.column(a)).collect());
     let mut removed = 0usize;
+    if let &[attr] = rhs {
+        let col = source.column(attr);
+        DENSE_TALLY.with(|tally| {
+            let mut tally = tally.borrow_mut();
+            tally.fit(col.distinct());
+            for rows in lhs_groups {
+                let keep = tally.max_count(rows.iter().map(|&row| col.id_at(row as usize)));
+                removed += rows.len() - keep;
+            }
+        });
+        return removed as f64 / n as f64;
+    }
+    let codec = KeyCodec::new(rhs.iter().map(|&a| source.column(a)).collect());
     let mut counts: FxHashMap<ProjectionKey, usize> = FxHashMap::default();
     for rows in lhs_groups {
         counts.clear();
@@ -302,6 +316,46 @@ pub fn g3_error_from_groups<'g>(
         removed += rows.len() - keep;
     }
     removed as f64 / n as f64
+}
+
+thread_local! {
+    /// Per-thread scratch of [`g3_error_from_groups`], reused across calls.
+    static DENSE_TALLY: RefCell<DenseTally> = RefCell::new(DenseTally::default());
+}
+
+/// Occurrence counts indexed by dense [`ValueId`], plus the ids touched
+/// since the last reset: a tally costs O(group) rather than a hash per row,
+/// and clearing it costs O(distinct ids seen) rather than O(dictionary).
+#[derive(Default)]
+struct DenseTally {
+    counts: Vec<u32>,
+    touched: Vec<ValueId>,
+}
+
+impl DenseTally {
+    /// Makes room for the ids of a dictionary of `distinct` values.
+    fn fit(&mut self, distinct: usize) {
+        if self.counts.len() < distinct {
+            self.counts.resize(distinct, 0);
+        }
+    }
+
+    /// The highest multiplicity among `ids`, leaving the tally zeroed.
+    fn max_count(&mut self, ids: impl Iterator<Item = ValueId>) -> usize {
+        let mut max = 0u32;
+        for id in ids {
+            let count = &mut self.counts[id.index()];
+            if *count == 0 {
+                self.touched.push(id);
+            }
+            *count += 1;
+            max = max.max(*count);
+        }
+        for id in self.touched.drain(..) {
+            self.counts[id.index()] = 0;
+        }
+        max as usize
+    }
 }
 
 /// The `g3` error of the FD `X → Y` on `instance`: the minimum fraction of

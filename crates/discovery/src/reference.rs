@@ -18,7 +18,7 @@
 //! ([`crate::profile`]).
 
 use crate::cfd_discovery::{
-    condition_pattern, condition_position_sets, conditioning_candidates, constant_cfds, covered,
+    condition_pattern, condition_position_sets, conditioning_candidates, constant_cfds,
     finish_discovery, push_constant_pattern, rhs_pattern, sorted_group_order, tableau_cfd, without,
     CfdDiscoveryConfig, ConstantTableaux, DiscoveredCfds,
 };
@@ -29,7 +29,7 @@ use dq_core::cfd::Cfd;
 use dq_core::cind::{Cind, CindPattern};
 use dq_core::fd::Fd;
 use dq_core::ind::Ind;
-use dq_core::pattern::PatternTuple;
+use dq_core::pattern::{PatternTuple, PatternValue};
 use dq_relation::{Database, DqResult, RelationInstance, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -159,6 +159,20 @@ pub fn discover_tableau_for_fd(
         return None;
     }
     tableau_cfd(instance.schema(), lhs.to_vec(), rhs.to_vec(), accepted)
+}
+
+/// Whether an accepted pattern is at least as general as `lhs_pattern`: at
+/// every position it is either a wildcard or equal.  Candidates covered by
+/// an accepted pattern are skipped, so the tableau keeps the most general
+/// patterns.
+fn covered(accepted: &[PatternTuple], lhs_pattern: &[PatternValue]) -> bool {
+    accepted.iter().any(|a| {
+        a.lhs.len() == lhs_pattern.len()
+            && a.lhs
+                .iter()
+                .zip(lhs_pattern)
+                .all(|(pa, pb)| pa.is_any() || pa == pb)
+    })
 }
 
 /// Does `fd` hold on the tuples at `members`?

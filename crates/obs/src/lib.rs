@@ -48,7 +48,7 @@ mod span;
 
 pub use recorder::{recorder, Counter, Gauge, Histogram, Recorder, TimerGuard};
 pub use snapshot::{HistogramSnapshot, MetricSink, MetricSource, MetricsSnapshot, SpanSnapshot};
-pub use span::{span, span_owned, SpanGuard};
+pub use span::{span, span_context, span_owned, SpanContext, SpanContextGuard, SpanGuard};
 
 /// Is the process-wide recorder live?  Always `false` under the `off`
 /// feature.

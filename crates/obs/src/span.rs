@@ -8,6 +8,11 @@
 //! (crate::MetricsSnapshot::render_span_tree) can print a flame-style
 //! tree.
 //!
+//! The stack is per thread, so a worker thread starts with no parent.
+//! A fan-out that wants its workers' spans nested under the caller's
+//! captures the caller's path with [`span_context`] and has each worker
+//! [`SpanContext::enter`] it first.
+//!
 //! Guards always capture a start time, even when recording is
 //! disabled, so `finish_ms` reports real elapsed milliseconds in both
 //! modes — callers like the discovery lattice use it as their only
@@ -65,6 +70,17 @@ impl Recorder {
     pub fn span_owned(&self, name: String) -> SpanGuard<'_> {
         self.span(&name)
     }
+
+    /// Captures this thread's innermost open span path.  The path is
+    /// only read (and cloned) while recording is enabled, so a disabled
+    /// capture costs one relaxed load.
+    pub fn span_context(&self) -> SpanContext {
+        let path = self
+            .enabled()
+            .then(|| SPAN_STACK.with(|stack| stack.borrow().last().cloned()))
+            .flatten();
+        SpanContext { path }
+    }
 }
 
 fn push_path(name: &str) -> String {
@@ -77,6 +93,49 @@ fn push_path(name: &str) -> String {
         stack.push(path.clone());
         path
     })
+}
+
+/// The path of the innermost span open on the capturing thread, to be
+/// re-entered on worker threads so their spans nest under it.  Empty
+/// when no span was open or recording was off at capture.
+#[derive(Clone, Debug)]
+pub struct SpanContext {
+    path: Option<String>,
+}
+
+/// Captures this thread's innermost open span path for the process-wide
+/// recorder.
+#[inline]
+pub fn span_context() -> SpanContext {
+    recorder().span_context()
+}
+
+impl SpanContext {
+    /// Makes the captured path the parent of the spans this thread opens
+    /// until the returned guard drops.  The path itself records nothing;
+    /// it is only a prefix.
+    pub fn enter(&self) -> SpanContextGuard {
+        if let Some(path) = &self.path {
+            SPAN_STACK.with(|stack| stack.borrow_mut().push(path.clone()));
+        }
+        SpanContextGuard {
+            entered: self.path.is_some(),
+        }
+    }
+}
+
+/// Undoes one [`SpanContext::enter`] on drop.
+#[must_use = "the context applies until the guard drops; bind it with `let _ctx = ...`"]
+pub struct SpanContextGuard {
+    entered: bool,
+}
+
+impl Drop for SpanContextGuard {
+    fn drop(&mut self) {
+        if self.entered {
+            SPAN_STACK.with(|stack| stack.borrow_mut().pop());
+        }
+    }
 }
 
 impl SpanGuard<'_> {
@@ -169,6 +228,39 @@ mod tests {
         // The worker thread has its own empty stack, so its span is a root.
         assert_eq!(snap.spans["worker"].count, 1);
         assert!(!snap.spans.contains_key("outer/worker"));
+    }
+
+    // Needs live recording — compiled out by the `off` feature.
+    #[test]
+    #[cfg(not(feature = "off"))]
+    fn entered_context_nests_worker_spans_under_the_caller() {
+        let rec = Recorder::new();
+        rec.set_enabled(true);
+        let outer = rec.span("outer");
+        let context = rec.span_context();
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                let _ctx = context.enter();
+                let _worker = rec.span("worker");
+            });
+        });
+        drop(outer);
+        let snap = rec.snapshot();
+        // The entered path is only a prefix: it records nothing itself.
+        assert_eq!(snap.spans["outer"].count, 1);
+        assert_eq!(snap.spans["outer/worker"].count, 1);
+        assert!(!snap.spans.contains_key("worker"));
+    }
+
+    #[test]
+    fn disabled_capture_carries_no_path() {
+        let rec = Recorder::new();
+        let _outer = rec.span("outer");
+        let context = rec.span_context();
+        assert!(context.path.is_none());
+        // Entering an empty context leaves the stack alone.
+        drop(context.enter());
+        SPAN_STACK.with(|stack| assert!(stack.borrow().is_empty()));
     }
 
     #[test]

@@ -605,10 +605,11 @@ impl InternedIndex {
     }
 
     /// Iterates over `(key ids, group rows)` pairs of groups with at least
-    /// `min_rows` rows, filtering on group size *before* decoding the key —
-    /// on high-cardinality indexes almost every group is a singleton, and
-    /// skipping their decode avoids one small allocation per distinct key.
-    fn groups_with_min(
+    /// `min_rows` rows, in unspecified order, filtering on group size
+    /// *before* decoding the key — on high-cardinality indexes almost every
+    /// group is a singleton, and skipping their decode avoids one small
+    /// allocation per distinct key.
+    pub fn groups_with_min(
         &self,
         min_rows: usize,
     ) -> Box<dyn Iterator<Item = (Vec<ValueId>, &[u32])> + '_> {

@@ -142,6 +142,49 @@ proptest! {
         prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
     }
 
+    /// Where the cap binds: full CFD discovery and standalone constant
+    /// mining equal the reference at every `max_tableau` in `0..6`
+    /// (including 0, which mines no pattern at all), sequentially and
+    /// fanned out.  The miners' early exits only ever skip candidates the
+    /// cap would have dropped.  The surrogate key and the free-text name
+    /// are excluded, as in the profiling workloads: no small group agrees
+    /// on them, so with them in play a constant-mining worker would never
+    /// fill every RHS and its whole-LHS exit would go unexercised.
+    #[test]
+    fn cfd_discovery_equals_the_reference_where_the_cap_binds(config in workload_config()) {
+        let workload = generate_customers(&config);
+        let schema = workload.dirty.schema().clone();
+        let exclude = vec![schema.attr("phn"), schema.attr("name")];
+        for max_tableau in 0..6 {
+            let mk = |threads| CfdDiscoveryConfig {
+                min_support: 2,
+                max_lhs: 2,
+                max_tableau,
+                threads,
+                exclude: exclude.clone(),
+                ..CfdDiscoveryConfig::default()
+            };
+            let slow = reference::discover_cfds(&workload.dirty, &mk(1));
+            let slow_constants = reference::discover_constant_cfds(&workload.dirty, &mk(1));
+            for threads in THREAD_COUNTS {
+                let fast = discover_cfds(&workload.dirty, &mk(threads));
+                prop_assert_eq!(
+                    &fast.variable_cfds, &slow.variable_cfds,
+                    "cap {}, threads {}", max_tableau, threads
+                );
+                prop_assert_eq!(
+                    &fast.constant_cfds, &slow.constant_cfds,
+                    "cap {}, threads {}", max_tableau, threads
+                );
+                prop_assert_eq!(fast.candidates_checked, slow.candidates_checked);
+                prop_assert_eq!(
+                    &discover_constant_cfds(&workload.dirty, &mk(threads)), &slow_constants,
+                    "cap {}, threads {}", max_tableau, threads
+                );
+            }
+        }
+    }
+
     /// Tableau mining for one embedded FD — the `(CC, zip) → street` shape
     /// of ϕ1 — equals the reference at every cap, and the cap bounds the
     /// whole tableau.
@@ -340,6 +383,38 @@ proptest! {
 /// Thread counts the parallel-≡-sequential suites sweep: sequential, a
 /// modest fan-out and an oversubscribed one (more workers than this
 /// container has cores, so preemption shuffles completion order).
+/// `max_tableau: 0` mines no constant CFD, on the interned miner and the
+/// reference alike: every constant tableau is empty, and an empty tableau
+/// would be a vacuous rule.  Every rule `discover_cfds` does report (the
+/// exact FDs) keeps a non-empty tableau.
+#[test]
+fn zero_cap_mines_no_vacuous_constant_cfds() {
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        seed: 1,
+        ..CustomerConfig::default()
+    });
+    let cfg = CfdDiscoveryConfig {
+        max_tableau: 0,
+        ..CfdDiscoveryConfig::default()
+    };
+    assert_eq!(
+        discover_constant_cfds(&workload.dirty, &cfg),
+        Vec::<Cfd>::new()
+    );
+    assert_eq!(
+        reference::discover_constant_cfds(&workload.dirty, &cfg),
+        Vec::<Cfd>::new()
+    );
+    let mined = discover_cfds(&workload.dirty, &cfg);
+    assert!(mined.constant_cfds.is_empty());
+    assert!(mined.all().iter().all(|cfd| !cfd.tableau().is_empty()));
+    assert_eq!(
+        mined.all(),
+        reference::discover_cfds(&workload.dirty, &cfg).all()
+    );
+}
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 proptest! {

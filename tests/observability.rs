@@ -135,6 +135,50 @@ fn engine_pass_populates_detection_metrics() {
     }
 }
 
+/// Spans opened inside `parallel_map` workers nest under the caller's open
+/// span: at two threads the per-FD tableau mines render as
+/// `discover.cfd/tableau`, as they do sequentially, never as a root.  The
+/// pattern miners' counters are live, and at a binding cap some worker
+/// stops early.
+#[test]
+fn parallel_cfd_mining_nests_worker_spans_and_counts_validations() {
+    use dq_discovery::prelude::*;
+
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        error_rate: 0.05,
+        seed: 7,
+        cities_per_country: 5,
+    });
+    let mined = discover_cfds(
+        &workload.dirty,
+        &CfdDiscoveryConfig {
+            min_support: 2,
+            max_lhs: 2,
+            max_tableau: 2,
+            threads: 2,
+            ..CfdDiscoveryConfig::default()
+        },
+    );
+    assert!(!mined.is_empty());
+    let snap = dq_obs::recorder().snapshot();
+    let tree = snap.render_span_tree();
+    assert!(
+        snap.spans.contains_key("discover.cfd/tableau"),
+        "tableau mines must nest under discover.cfd:\n{tree}"
+    );
+    let roots: Vec<&String> = snap.spans.keys().filter(|p| !p.contains('/')).collect();
+    assert_eq!(roots, ["discover.cfd"], "only one root span:\n{tree}");
+    for counter in ["discover.cfd.groups_validated", "discover.cfd.cap_exits"] {
+        assert!(
+            snap.counters.get(counter).copied().unwrap_or(0) > 0,
+            "{counter} must count"
+        );
+    }
+}
+
 /// Grouped detection counts its groups and violations arithmetically —
 /// in-RAM, shard-cursor and maintained alike — and only a consumer asking
 /// for pairs opens `report.materialize`, once per report.
