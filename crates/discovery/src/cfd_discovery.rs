@@ -24,8 +24,8 @@
 //! Both pattern miners visit groups in the reference's canonical order
 //! ([`sorted_group_order`] over resolved values) but sort on integers: one
 //! per-run `DictionaryRanks` table gives every dictionary id its position
-//! in `Value`'s `Ord`, and a group sorts by its rank tuple, packed into a
-//! `u64` when it fits.  Values are resolved only for emitted patterns.
+//! in `Value`'s `Ord`, and a group sorts by its rank tuple.  Values are
+//! resolved only for emitted patterns.
 //! Both miners also stop validating once the
 //! [`max_tableau`](CfdDiscoveryConfig::max_tableau) cap is full:
 //!
@@ -38,9 +38,10 @@
 //!   each condition-position worker stops once it has the tableau's
 //!   remaining room.
 //!
-//! The `discover.cfd.groups_validated` and `discover.cfd.cap_exits`
-//! counters record how many groups were validated and how many workers
-//! stopped early.
+//! The `discover.cfd.groups_validated` counter records how many groups
+//! were validated, and `discover.cfd.cap_exits` how many caps filled and
+//! ended validation: one per full constant `(LHS, RHS)` tableau, one per
+//! tableau-mining worker that reached its room.
 //!
 //! Discovered dependencies are ordinary [`Cfd`] values; by construction every
 //! one of them holds on the profiled instance, which the module's tests
@@ -59,6 +60,7 @@ use dq_relation::{
     Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
     RelationSchema, StoreShardSource, Value, ValueId,
 };
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -68,7 +70,7 @@ use std::sync::Arc;
 /// `Real(0.0)`) as equal while `Eq` distinguishes them, so `Ord`-equal but
 /// distinct keys get a debug-rendering tiebreak — without it each miner's
 /// grouping order would leak through the stable sort.
-pub(crate) fn sorted_group_order(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+pub(crate) fn sorted_group_order(a: &[Value], b: &[Value]) -> Ordering {
     a.cmp(b)
         .then_with(|| format!("{a:?}").cmp(&format!("{b:?}")))
 }
@@ -197,15 +199,13 @@ type Group<'i> = (Vec<ValueId>, &'i [u32]);
 /// rank tuples into exactly the order [`sorted_group_order`] gives their
 /// resolved values, without resolving or comparing a single `Value`.
 ///
-/// That holds only where `Ord` is a strict total order on the dictionary.
-/// Two cases break it, and both leave the attribute unranked, so groups
-/// keyed on it fall back to sorting resolved values:
-/// * a dictionary mixing `Int` and `Real`: `Ord` compares across the two
-///   numerically and is not transitive there (`Int(2^53)` and
-///   `Int(2^53 + 1)` both compare equal to `Real(2^53)`);
-/// * a rank tie, i.e. distinct ids with `Ord`-equal values (`Int(0)` and
-///   `Real(0.0)`), which only the debug-rendering tiebreak orders.  Only
-///   mixed numerics produce one, so this case is a guard.
+/// That holds only where `Ord` is a strict total order on the dictionary,
+/// which only a dictionary mixing `Int` and `Real` breaks: `Ord` compares
+/// across the two numerically, so distinct ids can tie (`Int(0)` and
+/// `Real(0.0)`, which only the debug-rendering tiebreak orders) and the
+/// order is not transitive (`Int(2^53)` and `Int(2^53 + 1)` both compare
+/// equal to `Real(2^53)`).  Such an attribute is left unranked, and groups
+/// keyed on it fall back to sorting resolved values.
 pub(crate) struct DictionaryRanks {
     /// Indexed by attribute; `None` for attributes left unranked.
     by_attr: Vec<Option<Vec<u32>>>,
@@ -250,24 +250,16 @@ impl DictionaryRanks {
             keyed.sort_by(|a, b| sorted_group_order(&a.0, &b.0));
             return keyed.into_iter().map(|(_, group)| group).collect();
         };
-        let packs = ranks
-            .iter()
-            .try_fold(1u64, |product, r| product.checked_mul(r.len() as u64))
-            .is_some();
-        if packs {
-            groups.sort_by_cached_key(|(ids, _)| {
-                ids.iter().zip(&ranks).fold(0u64, |key, (id, r)| {
-                    key * r.len() as u64 + u64::from(r[id.index()])
-                })
-            });
-        } else {
-            groups.sort_by_cached_key(|(ids, _)| {
-                ids.iter()
-                    .zip(&ranks)
-                    .map(|(id, r)| r[id.index()])
-                    .collect::<Vec<u32>>()
-            });
-        }
+        // Ranks are distinct across a ranked dictionary, so distinct keys
+        // never compare equal and an unstable sort is deterministic.
+        groups.sort_unstable_by(|(a, _), (b, _)| {
+            a.iter()
+                .zip(b)
+                .zip(&ranks)
+                .map(|((x, y), r)| r[x.index()].cmp(&r[y.index()]))
+                .find(|order| order.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
         groups
     }
 }
@@ -297,12 +289,10 @@ fn column_ranks(column: &Column, min_support: usize) -> Option<Vec<u32>> {
         return None;
     }
     order.sort_unstable_by(|&a, &b| value(a).cmp(value(b)));
-    if order
-        .windows(2)
-        .any(|w| value(w[0]).cmp(value(w[1])).is_eq())
-    {
-        return None;
-    }
+    debug_assert!(
+        order.windows(2).all(|w| value(w[0]) < value(w[1])),
+        "distinct ids of a dictionary without mixed numerics never tie"
+    );
     let mut ranks = vec![u32::MAX; values.len()];
     for (rank, &id) in order.iter().enumerate() {
         ranks[id as usize] = rank as u32;
@@ -424,7 +414,6 @@ impl ConstantMiner<'_> {
         let mut validated = 0u64;
         for (lhs_ids, members) in self.ranks.sorted_groups(&index, self.config.min_support) {
             if open == 0 {
-                dq_obs::inc("discover.cfd.cap_exits");
                 break;
             }
             validated += 1;
@@ -455,6 +444,7 @@ impl ConstantMiner<'_> {
                 }
                 kept[slot] += 1;
                 if kept[slot] == cap {
+                    dq_obs::inc("discover.cfd.cap_exits");
                     open -= 1;
                 }
                 let values = lhs_values.get_or_insert_with(|| resolve_key(&index, &lhs_ids));
@@ -696,7 +686,6 @@ impl<'a> TableauMiner<'a> {
         let mut validated = 0u64;
         for (ids, members) in self.ranks.sorted_groups(&index, min_support) {
             if patterns.len() >= room {
-                dq_obs::inc("discover.cfd.cap_exits");
                 break;
             }
             if covers
@@ -719,6 +708,9 @@ impl<'a> TableauMiner<'a> {
                 condition_pattern(lhs.len(), cond_positions, &cond_values),
                 rhs_pattern(constant_rhs, conditioned, self.rhs_cols.len()),
             ));
+            if patterns.len() == room {
+                dq_obs::inc("discover.cfd.cap_exits");
+            }
         }
         dq_obs::add("discover.cfd.groups_validated", validated);
         patterns
@@ -822,7 +814,10 @@ pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -
         // Only condition on FDs that genuinely fail globally.
         let index = pool.interned_for(instance, fd.lhs(), 1);
         let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
-        let fd_g3 = g3_error_from_groups(&source, index.multi_group_rows(), fd.rhs());
+        let &[rhs] = fd.rhs() else {
+            unreachable!("FD discovery reports one RHS attribute per FD")
+        };
+        let fd_g3 = g3_error_from_groups(&source, index.multi_group_rows(), rhs);
         (fd_g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, &ranks, inner))
     });
 

@@ -202,7 +202,7 @@ fn level_sweep(
                     let rhs_partition = source.partition(&with_rhs);
                     lhs_partition.implies_with(&rhs_partition)
                 } else {
-                    source.g3(lhs, &[rhs]) <= config.max_g3
+                    source.g3(lhs, rhs) <= config.max_g3
                 };
                 if holds {
                     holds_for.push(rhs);

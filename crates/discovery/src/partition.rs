@@ -15,10 +15,7 @@
 //! [`crate::source`]).  The `Vec<Value>`-keyed [`StrippedPartition::build`]
 //! and [`g3_error`] stay as the reference they are checked against.
 
-use dq_relation::{
-    FxHashMap, KeyCodec, ProjectionKey, RelationInstance, ShardSource, TupleId, Value, ValueId,
-};
-use std::cell::RefCell;
+use dq_relation::{RelationInstance, ShardSource, TupleId, Value, ValueId};
 use std::collections::HashMap;
 
 /// A stripped partition: the equivalence classes of size ≥ 2 of a relation
@@ -275,68 +272,47 @@ pub fn g1_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
     violating_pairs as f64 / (n * (n - 1)) as f64
 }
 
-/// [`g3_error`] over the multi-row `X`-groups of `source` (pooled index
-/// postings or a shard scan, as for [`StrippedPartition::from_groups`]):
-/// singleton groups keep their lone tuple, so only multi-row groups can
-/// force removals.  A single-attribute `Y` is tallied by dictionary id in a
-/// reused per-thread count array; a wider `Y` tallies packed id keys
-/// (machine words) in a hash map.  Neither materializes `Vec<Value>`
-/// projections, and the arithmetic is identical, so the returned error is
-/// bit-identical to the naive measure's.
+/// [`g3_error`] of `X → A` over the multi-row `X`-groups of `source`
+/// (pooled index postings or a shard scan, as for
+/// [`StrippedPartition::from_groups`]): singleton groups keep their lone
+/// tuple, so only multi-row groups can force removals.  The single RHS
+/// attribute `A` is tallied by dictionary id in a count array sized to its
+/// dictionary and reused across this call's groups, so no `Vec<Value>`
+/// projection is materialized; the arithmetic is the naive measure's, so
+/// the returned error is bit-identical to it.
 pub fn g3_error_from_groups<'g>(
     source: &dyn ShardSource,
     lhs_groups: impl IntoIterator<Item = &'g [u32]>,
-    rhs: &[usize],
+    rhs: usize,
 ) -> f64 {
     let n = source.len();
     if n == 0 {
         return 0.0;
     }
+    let col = source.column(rhs);
+    let mut tally = DenseTally::new(col.distinct());
     let mut removed = 0usize;
-    if let &[attr] = rhs {
-        let col = source.column(attr);
-        DENSE_TALLY.with(|tally| {
-            let mut tally = tally.borrow_mut();
-            tally.fit(col.distinct());
-            for rows in lhs_groups {
-                let keep = tally.max_count(rows.iter().map(|&row| col.id_at(row as usize)));
-                removed += rows.len() - keep;
-            }
-        });
-        return removed as f64 / n as f64;
-    }
-    let codec = KeyCodec::new(rhs.iter().map(|&a| source.column(a)).collect());
-    let mut counts: FxHashMap<ProjectionKey, usize> = FxHashMap::default();
     for rows in lhs_groups {
-        counts.clear();
-        for &row in rows {
-            *counts.entry(codec.pack_row(row as usize)).or_insert(0) += 1;
-        }
-        let keep = counts.values().copied().max().unwrap_or(0);
+        let keep = tally.max_count(rows.iter().map(|&row| col.id_at(row as usize)));
         removed += rows.len() - keep;
     }
     removed as f64 / n as f64
 }
 
-thread_local! {
-    /// Per-thread scratch of [`g3_error_from_groups`], reused across calls.
-    static DENSE_TALLY: RefCell<DenseTally> = RefCell::new(DenseTally::default());
-}
-
 /// Occurrence counts indexed by dense [`ValueId`], plus the ids touched
 /// since the last reset: a tally costs O(group) rather than a hash per row,
 /// and clearing it costs O(distinct ids seen) rather than O(dictionary).
-#[derive(Default)]
 struct DenseTally {
     counts: Vec<u32>,
     touched: Vec<ValueId>,
 }
 
 impl DenseTally {
-    /// Makes room for the ids of a dictionary of `distinct` values.
-    fn fit(&mut self, distinct: usize) {
-        if self.counts.len() < distinct {
-            self.counts.resize(distinct, 0);
+    /// An empty tally over a dictionary of `distinct` values.
+    fn new(distinct: usize) -> Self {
+        DenseTally {
+            counts: vec![0; distinct],
+            touched: Vec::new(),
         }
     }
 
@@ -518,15 +494,10 @@ mod tests {
     fn g3_from_groups_matches_naive() {
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
         let source = StoreShardSource::new(&inst);
-        for (lhs, rhs) in [
-            (&[0usize][..], &[1usize][..]),
-            (&[1], &[0]),
-            (&[0, 1], &[2]),
-            (&[2], &[0]),
-        ] {
+        for (lhs, rhs) in [(&[0usize][..], 1usize), (&[1], 0), (&[0, 1], 2), (&[2], 0)] {
             assert_eq!(
                 g3_error_from_groups(&source, RowGroups::scan(&source, lhs).iter(), rhs),
-                g3_error(&inst, lhs, rhs),
+                g3_error(&inst, lhs, &[rhs]),
                 "{lhs:?} -> {rhs:?}"
             );
         }

@@ -331,13 +331,14 @@ impl<'a> PartitionSource<'a> {
         }
     }
 
-    /// The `g3` error of `lhs → rhs`, routed through the pooled interned
-    /// index of `lhs` on the fast path.  Like [`partition`](Self::partition),
-    /// a cold index build runs single-threaded — the level fan-out calling
-    /// this is the parallel axis.
-    pub fn g3(&self, lhs: &[usize], rhs: &[usize]) -> f64 {
+    /// The `g3` error of `lhs → rhs` for one RHS attribute, routed through
+    /// the pooled interned index of `lhs` on the fast path.  Like
+    /// [`partition`](Self::partition), a cold index build runs
+    /// single-threaded — the level fan-out calling this is the parallel
+    /// axis.
+    pub fn g3(&self, lhs: &[usize], rhs: usize) -> f64 {
         match &self.backend {
-            Backend::Naive(instance) => g3_error(instance, lhs, rhs),
+            Backend::Naive(instance) => g3_error(instance, lhs, &[rhs]),
             _ => self.with_groups(lhs, |source, groups| {
                 g3_error_from_groups(source, groups, rhs)
             }),
@@ -406,13 +407,8 @@ mod tests {
         let inst = instance();
         let fast = PartitionSource::with_fresh_pool(&inst);
         let slow = PartitionSource::naive(&inst);
-        for (lhs, rhs) in [
-            (&[0usize][..], &[1usize][..]),
-            (&[1], &[0]),
-            (&[0, 1], &[2]),
-            (&[2], &[0]),
-        ] {
-            assert_eq!(fast.g3(lhs, rhs), slow.g3(lhs, rhs), "{lhs:?} -> {rhs:?}");
+        for (lhs, rhs) in [(&[0usize][..], 1usize), (&[1], 0), (&[0, 1], 2), (&[2], 0)] {
+            assert_eq!(fast.g3(lhs, rhs), slow.g3(lhs, rhs), "{lhs:?} -> {rhs}");
         }
     }
 

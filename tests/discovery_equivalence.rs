@@ -103,7 +103,7 @@ proptest! {
                 }
                 let index = InternedIndex::build(instance, &store, &[lhs_attr], 1);
                 prop_assert_eq!(
-                    g3_error_from_groups(&StoreShardSource::new(instance), index.multi_group_rows(), &[rhs_attr]),
+                    g3_error_from_groups(&StoreShardSource::new(instance), index.multi_group_rows(), rhs_attr),
                     g3_error(instance, &[lhs_attr], &[rhs_attr]),
                     "{} -> {}", lhs_attr, rhs_attr
                 );
