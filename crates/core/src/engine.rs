@@ -61,10 +61,7 @@ use dq_relation::{
     RelationInstance, RowGroups, ShardSource, StoreShardSource, TupleId,
 };
 use std::collections::BTreeSet;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Shared-index, parallel violation detection over sets of dependencies.
 ///
@@ -86,10 +83,7 @@ impl Default for DetectionEngine {
 impl DetectionEngine {
     /// An engine sized to the machine's available parallelism.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::with_threads(threads)
+        Self::with_threads(dq_relation::par::available_threads())
     }
 
     /// An engine using at most `threads` worker threads (1 = sequential,
@@ -565,69 +559,11 @@ fn counted(report: CfdViolationReport) -> CfdViolationReport {
     report
 }
 
-/// Applies `f` to every item on a scoped worker pool, preserving input
-/// order in the output.  Work is claimed through an atomic cursor, so
-/// uneven per-item costs balance across threads.  Public so that borrowers
-/// of the engine's pool (e.g. level-wise discovery fanning out candidate
-/// relation pairs) schedule work the same way the detectors do.
-///
-/// Degenerate inputs never spawn: `threads == 0` is treated as 1, and a
-/// single item (or a single effective worker) runs inline on the caller's
-/// thread.  A panic in a worker is not swallowed: the scope re-raises it on
-/// join, so the caller unwinds instead of reading half-filled output.
-///
-/// Workers enter the caller's [`dq_obs::span_context`], so spans they open
-/// nest under the caller's open span exactly as on the inline path.
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = threads.max(1).min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let parent = dq_obs::span_context();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _ctx = parent.enter();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    *slots[i].lock().expect("worker slot poisoned") = Some(f(item));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker slot poisoned")
-                .expect("every slot filled before scope exit")
-        })
-        .collect()
-}
-
-/// [`parallel_map`] for fallible closures: applies `f` to every item in
-/// parallel and returns the first error in *input* order (not completion
-/// order), so a failing run reports the same error no matter how the work
-/// interleaved.  All items are evaluated — errors are rare terminal events
-/// for the callers (missing relations, schema mismatches), so deterministic
-/// reporting is worth more than early cancellation.
-pub fn try_parallel_map<T, U, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<U>, E>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(&T) -> Result<U, E> + Sync,
-{
-    parallel_map(items, threads, f).into_iter().collect()
-}
+/// The workspace's work-claiming pool lives in [`dq_relation::par`]; it is
+/// re-exported here so that borrowers of the engine's pool (e.g. level-wise
+/// discovery fanning out candidate relation pairs) schedule work the same
+/// way the detectors do.
+pub use dq_relation::par::{parallel_map, try_parallel_map};
 
 #[cfg(test)]
 mod tests {

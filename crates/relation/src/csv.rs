@@ -10,20 +10,26 @@
 //! trimmed on parse).  Everything else is written bare, so the common case
 //! stays exactly as readable as before.
 //!
-//! Two read paths share one record scanner: [`from_text`] materializes a
-//! [`RelationInstance`], while [`stream_into_store`] loads delimited text
-//! straight into a persisted columnar relation (see
-//! [`crate::store::persist`]) — cells are parsed and interned one at a time
-//! and shards are flushed as they fill, so no intermediate tuple vector of
-//! the input is ever built and peak memory stays at O(dictionaries + one
-//! shard).
+//! Two read paths share one quote-aware byte scanner, which records each
+//! cell as a byte range of a reused line buffer instead of building a
+//! `String` per cell: [`from_text`] materializes a [`RelationInstance`],
+//! while [`stream_into_store`] loads delimited text straight into a
+//! persisted columnar relation (see [`crate::store::persist`]) — a shard's
+//! worth of records is scanned, then interned column by column on a worker
+//! per core, and shards are flushed as they fill, so no intermediate tuple
+//! vector of the input is ever built and peak memory stays at
+//! O(dictionaries + one shard).  The reader this replaced is kept as the
+//! test oracle [`crate::reference::csv`].
 
 use crate::error::{DqError, DqResult};
 use crate::instance::RelationInstance;
+use crate::par::available_threads;
 use crate::schema::{Domain, RelationSchema};
+use crate::store::interner::{ValueId, ValueInterner};
 use crate::store::persist::{RelationWriter, SaveStats};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::fmt::{self, Write as _};
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::Arc;
@@ -99,133 +105,264 @@ pub fn to_text(instance: &RelationInstance) -> DqResult<String> {
 // Record scanning
 // ---------------------------------------------------------------------------
 
-/// One scanned cell: its content (quotes resolved) and whether it was
-/// quoted.  Quoted cells skip trimming and the `NULL` mapping on parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct RawCell {
-    text: String,
+/// One scanned cell: a byte range of the batch text.  For a quoted cell the
+/// range is the content between the quotes, `""` escapes still in place.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    start: usize,
+    end: usize,
+    /// Quoted cells skip trimming and the `NULL` mapping on parse.
     quoted: bool,
+    /// The quoted content holds `""` escapes to collapse before use.
+    escaped: bool,
 }
 
-/// Outcome of scanning one accumulated physical-line run.
-enum Scan {
-    /// The record is complete.
-    Complete(Vec<RawCell>),
-    /// The record ends inside an open quote — the quoted cell continues on
-    /// the next physical line.
-    NeedsMore,
+/// The content of `cell`: a slice of the batch `text`, or — when the cell
+/// carries `""` escapes — the unescaped copy built in `scratch`.
+fn cell_text<'a>(text: &'a str, cell: &Cell, scratch: &'a mut String) -> &'a str {
+    let raw = &text[cell.start..cell.end];
+    if !cell.escaped {
+        return raw;
+    }
+    // Inside quotes every `"` is the first of a doubled pair.
+    scratch.clear();
+    let mut rest = raw;
+    while let Some(q) = rest.find(QUOTE) {
+        scratch.push_str(&rest[..=q]);
+        rest = &rest[q + 2..];
+    }
+    scratch.push_str(rest);
+    scratch
 }
 
-/// Splits one logical record into cells, honoring quoting.  Returns
-/// [`Scan::NeedsMore`] when the record ends inside an open quote.
-fn split_record(record: &str) -> DqResult<Scan> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut quoted = false;
-    let mut in_quotes = false;
-    let mut at_start = true;
-    let mut chars = record.chars().peekable();
-    while let Some(c) = chars.next() {
-        if at_start {
-            at_start = false;
-            if c == QUOTE {
-                quoted = true;
-                in_quotes = true;
-                continue;
-            }
+/// Scanning state of the cell under the cursor.
+struct CellState {
+    start: usize,
+    /// Position of the closing quote (the content end of a quoted cell).
+    close: usize,
+    at_start: bool,
+    in_quotes: bool,
+    quoted: bool,
+    escaped: bool,
+}
+
+impl CellState {
+    fn at(start: usize) -> Self {
+        CellState {
+            start,
+            close: start,
+            at_start: true,
+            in_quotes: false,
+            quoted: false,
+            escaped: false,
         }
-        if in_quotes {
-            if c == QUOTE {
-                if chars.peek() == Some(&QUOTE) {
-                    chars.next();
-                    cur.push(QUOTE);
-                } else {
-                    in_quotes = false;
+    }
+
+    /// The finished cell, ending at `end` unless it was quoted.
+    fn cell(&self, end: usize) -> Cell {
+        Cell {
+            start: self.start,
+            end: if self.quoted { self.close } else { end },
+            quoted: self.quoted,
+            escaped: self.escaped,
+        }
+    }
+}
+
+/// Why [`Scanner::fill`] stopped.
+enum Stop {
+    /// The batch holds the requested number of records.
+    Full,
+    /// The input is exhausted.
+    End,
+    /// A read or scan error.  The records scanned before it are still in
+    /// the batch, and their own errors come first.
+    Failed(DqError),
+}
+
+/// The quote-aware byte scanner behind both read paths: reads physical
+/// lines into one reused text buffer (each validated as UTF-8 once, on
+/// read) and records every cell of a batch of logical records as a byte
+/// range of it — no per-cell allocation.
+///
+/// Record semantics: blank lines between records are skipped; a quoted
+/// cell may span lines (the line break is content); only whitespace may
+/// follow a closing quote (so a trailing `\r` is dropped, as is the
+/// whitespace trimmed off bare cells).
+struct Scanner<R> {
+    input: R,
+    /// Physical lines of the batch's records, line breaks kept.
+    text: String,
+    /// Cells of the batch's records, record after record.
+    cells: Vec<Cell>,
+    /// Records in the batch.
+    rows: usize,
+    /// Logical records completed so far, header included.
+    records: usize,
+}
+
+impl<R: BufRead> Scanner<R> {
+    fn new(input: R) -> Self {
+        Scanner {
+            input,
+            text: String::new(),
+            cells: Vec::new(),
+            rows: 0,
+            records: 0,
+        }
+    }
+
+    /// Clears the batch and scans up to `max` records into it, each of
+    /// exactly `arity` cells when given (the header takes any count).
+    fn fill(&mut self, max: usize, arity: Option<usize>) -> Stop {
+        debug_assert!(max > 0, "an empty batch makes no progress");
+        self.text.clear();
+        self.cells.clear();
+        self.rows = 0;
+        while self.rows < max {
+            let (text_len, cells_len) = (self.text.len(), self.cells.len());
+            match self.scan_record(arity) {
+                Ok(true) => self.rows += 1,
+                Ok(false) => return Stop::End,
+                Err(e) => {
+                    self.text.truncate(text_len);
+                    self.cells.truncate(cells_len);
+                    return Stop::Failed(e);
                 }
-            } else {
-                cur.push(c);
             }
-        } else if c == SEPARATOR {
-            cells.push(RawCell {
-                text: std::mem::take(&mut cur),
-                quoted,
-            });
-            quoted = false;
-            at_start = true;
-        } else if quoted {
-            // Past the closing quote only (insignificant) whitespace — such
-            // as a trailing `\r` — may follow before the next separator.
-            if !c.is_whitespace() {
-                return Err(DqError::Parse {
-                    reason: format!("unexpected `{c}` after closing quote"),
-                });
-            }
-        } else {
-            cur.push(c);
         }
-    }
-    if in_quotes {
-        return Ok(Scan::NeedsMore);
-    }
-    cells.push(RawCell { text: cur, quoted });
-    Ok(Scan::Complete(cells))
-}
-
-/// Reads logical records — accumulating physical lines while a quoted cell
-/// spans line breaks — from any buffered reader.
-struct RecordReader<R> {
-    inner: R,
-    line: String,
-}
-
-impl<R: BufRead> RecordReader<R> {
-    fn new(inner: R) -> Self {
-        RecordReader {
-            inner,
-            line: String::new(),
-        }
+        Stop::Full
     }
 
-    /// The next logical record, or `None` at end of input.  Blank lines
-    /// between records are skipped (a blank line *inside* a quoted cell is
-    /// content).
-    fn next_record(&mut self) -> DqResult<Option<Vec<RawCell>>> {
-        let mut pending = String::new();
+    /// Scans the next logical record into the batch; `false` at end of
+    /// input.
+    fn scan_record(&mut self, arity: Option<usize>) -> DqResult<bool> {
+        let first_cell = self.cells.len();
+        let mut state: Option<CellState> = None;
         loop {
-            self.line.clear();
+            let line_start = self.text.len();
             let read = self
-                .inner
-                .read_line(&mut self.line)
+                .input
+                .read_line(&mut self.text)
                 .map_err(|e| DqError::Parse {
                     reason: format!("read error: {e}"),
                 })?;
             if read == 0 {
-                if pending.is_empty() {
-                    return Ok(None);
+                if state.is_none() {
+                    return Ok(false);
                 }
                 return Err(DqError::Parse {
                     reason: "unterminated quoted cell at end of input".into(),
                 });
             }
-            let line = self.line.strip_suffix('\n').unwrap_or(&self.line);
-            if pending.is_empty() && line.trim().is_empty() {
-                continue;
-            }
-            if !pending.is_empty() {
-                pending.push('\n');
-            }
-            pending.push_str(line);
-            match split_record(&pending)? {
-                Scan::NeedsMore => continue,
-                Scan::Complete(cells) => return Ok(Some(cells)),
+            let line_end = self.text.len() - usize::from(self.text.ends_with('\n'));
+            let st = match &mut state {
+                Some(st) => st,
+                None if self.text[line_start..line_end].trim().is_empty() => {
+                    self.text.truncate(line_start);
+                    continue;
+                }
+                None => state.insert(CellState::at(line_start)),
+            };
+            if self.scan_line(st, line_start, line_end)? {
+                break;
             }
         }
+        self.records += 1;
+        let cells = self.cells.len() - first_cell;
+        match arity {
+            Some(arity) if cells != arity => Err(DqError::Parse {
+                reason: format!(
+                    "record {} has {cells} cells, expected {arity}",
+                    self.records
+                ),
+            }),
+            _ => Ok(true),
+        }
     }
+
+    /// Scans `text[i..end]` (one physical line, its break excluded) from
+    /// `st`; `true` when the record ends with it, `false` when a quoted
+    /// cell continues on the next line.
+    fn scan_line(&mut self, st: &mut CellState, mut i: usize, end: usize) -> DqResult<bool> {
+        let bytes = self.text.as_bytes();
+        while i < end {
+            if st.in_quotes {
+                let Some(q) = find(bytes, i, end, b'"') else {
+                    return Ok(false);
+                };
+                if q + 1 < end && bytes[q + 1] == b'"' {
+                    st.escaped = true;
+                    i = q + 2;
+                } else {
+                    st.in_quotes = false;
+                    st.close = q;
+                    i = q + 1;
+                }
+                continue;
+            }
+            if st.at_start {
+                st.at_start = false;
+                if bytes[i] == b'"' {
+                    st.quoted = true;
+                    st.in_quotes = true;
+                    st.start = i + 1;
+                    i += 1;
+                    continue;
+                }
+            }
+            if bytes[i] == b'|' {
+                self.cells.push(st.cell(i));
+                *st = CellState::at(i + 1);
+                i += 1;
+            } else if st.quoted {
+                // Past the closing quote only (insignificant) whitespace —
+                // such as a trailing `\r` — may follow before the next
+                // separator.
+                let c = self.text[i..].chars().next().expect("i < end");
+                if !c.is_whitespace() {
+                    return Err(DqError::Parse {
+                        reason: format!("unexpected `{c}` after closing quote"),
+                    });
+                }
+                i += c.len_utf8();
+            } else {
+                i = find(bytes, i, end, b'|').unwrap_or(end);
+            }
+        }
+        if st.in_quotes {
+            return Ok(false);
+        }
+        self.cells.push(st.cell(end));
+        Ok(true)
+    }
+}
+
+/// Position of the first `byte` in `bytes[from..end]`.
+fn find(bytes: &[u8], from: usize, end: usize, byte: u8) -> Option<usize> {
+    bytes[from..end]
+        .iter()
+        .position(|&b| b == byte)
+        .map(|k| from + k)
 }
 
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
+
+/// Does `v` display exactly as `text`?  Compares the `Display` output piece
+/// by piece as it is produced, without rendering it into a `String`.
+fn displays_as(v: &Value, text: &str) -> bool {
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, piece: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    write!(rest, "{v}").is_ok() && rest.0.is_empty()
+}
 
 /// Parses trimmed bare text according to a domain (no `NULL` mapping).
 fn parse_typed(text: &str, domain: &Domain) -> Option<Value> {
@@ -240,7 +377,7 @@ fn parse_typed(text: &str, domain: &Domain) -> Option<Value> {
         Domain::Text => Some(Value::str(text)),
         Domain::Finite(values) => {
             // Accept any display form matching a domain element.
-            values.iter().find(|v| v.to_string() == text).cloned()
+            values.iter().find(|v| displays_as(v, text)).cloned()
         }
     }
 }
@@ -257,31 +394,60 @@ pub fn parse_cell(text: &str, domain: &Domain) -> DqResult<Value> {
     })
 }
 
-/// Parses one scanned cell.  Quoted cells keep their exact content: no
-/// trimming, and a quoted `"NULL"` is the three-letter string, not a null.
-fn parse_raw_cell(cell: &RawCell, domain: &Domain) -> DqResult<Value> {
-    if !cell.quoted {
-        return parse_cell(&cell.text, domain);
-    }
-    let parsed = match domain {
-        Domain::Text => Some(Value::str(cell.text.as_str())),
-        other => parse_typed(cell.text.trim(), other),
-    };
-    parsed.ok_or_else(|| DqError::Parse {
-        reason: format!("cannot parse quoted `{}` as {domain}", cell.text),
-    })
+/// A scanned cell read against its domain.
+enum Parsed<'a> {
+    /// A `Text` cell's string, still borrowed from the batch.
+    Text(&'a str),
+    /// Any other cell, typed (no allocation: `Finite` elements are shared).
+    Value(Value),
 }
 
-/// Validates a scanned header against the schema's attribute list.
-fn check_header(cells: &[RawCell], schema: &RelationSchema) -> DqResult<()> {
-    let names: Vec<&str> = cells
+/// Parses one scanned cell's content.  Quoted cells keep their exact
+/// content: no trimming, and a quoted `"NULL"` is the four-letter string,
+/// not a null.
+fn parse_scanned<'a>(text: &'a str, quoted: bool, domain: &Domain) -> DqResult<Parsed<'a>> {
+    if quoted {
+        if let Domain::Text = domain {
+            return Ok(Parsed::Text(text));
+        }
+        return parse_typed(text.trim(), domain)
+            .map(Parsed::Value)
+            .ok_or_else(|| DqError::Parse {
+                reason: format!("cannot parse quoted `{text}` as {domain}"),
+            });
+    }
+    let text = text.trim();
+    if text == "NULL" {
+        return Ok(Parsed::Value(Value::Null));
+    }
+    if let Domain::Text = domain {
+        return Ok(Parsed::Text(text));
+    }
+    parse_typed(text, domain)
+        .map(Parsed::Value)
+        .ok_or_else(|| DqError::Parse {
+            reason: format!("cannot parse `{text}` as {domain}"),
+        })
+}
+
+/// Scans the header record and validates it against the schema's
+/// attribute list.
+fn read_header<R: BufRead>(scanner: &mut Scanner<R>, schema: &RelationSchema) -> DqResult<()> {
+    if let Stop::Failed(e) = scanner.fill(1, None) {
+        return Err(e);
+    }
+    if scanner.rows == 0 {
+        return Err(DqError::Parse {
+            reason: "empty input".into(),
+        });
+    }
+    let mut scratch = String::new();
+    let names: Vec<String> = scanner
+        .cells
         .iter()
         .map(|c| {
-            if c.quoted {
-                c.text.as_str()
-            } else {
-                c.text.trim()
-            }
+            let text = cell_text(&scanner.text, c, &mut scratch);
+            if c.quoted { text } else { text.trim() }.to_string()
         })
         .collect();
     let expected: Vec<&str> = schema
@@ -301,33 +467,36 @@ fn check_header(cells: &[RawCell], schema: &RelationSchema) -> DqResult<()> {
 /// `schema`.  The header row must list exactly the schema's attributes in
 /// order.
 pub fn from_text(schema: Arc<RelationSchema>, text: &str) -> DqResult<RelationInstance> {
-    let mut reader = RecordReader::new(text.as_bytes());
-    let header = reader.next_record()?.ok_or_else(|| DqError::Parse {
-        reason: "empty input".into(),
-    })?;
-    check_header(&header, &schema)?;
+    let _span = dq_obs::span!("store.io.parse_text");
+    let mut scanner = Scanner::new(text.as_bytes());
+    read_header(&mut scanner, &schema)?;
+    let arity = schema.arity();
     let mut instance = RelationInstance::new(Arc::clone(&schema));
-    let mut rowno = 1usize;
-    while let Some(cells) = reader.next_record()? {
-        rowno += 1;
-        if cells.len() != schema.arity() {
-            return Err(DqError::Parse {
-                reason: format!(
-                    "record {} has {} cells, expected {}",
-                    rowno,
-                    cells.len(),
-                    schema.arity()
-                ),
-            });
+    let mut scratch = String::new();
+    loop {
+        // One record per batch: the instance owns every value anyway.
+        let stop = scanner.fill(1, Some(arity));
+        if scanner.rows == 1 {
+            let values = scanner
+                .cells
+                .iter()
+                .enumerate()
+                .map(|(attr, c)| {
+                    let text = cell_text(&scanner.text, c, &mut scratch);
+                    Ok(match parse_scanned(text, c.quoted, schema.domain(attr))? {
+                        Parsed::Text(s) => Value::str(s),
+                        Parsed::Value(v) => v,
+                    })
+                })
+                .collect::<DqResult<Vec<Value>>>()?;
+            instance.insert(Tuple::new(values))?;
         }
-        let values: DqResult<Vec<Value>> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| parse_raw_cell(c, schema.domain(i)))
-            .collect();
-        instance.insert(Tuple::new(values?))?;
+        match stop {
+            Stop::Full => {}
+            Stop::End => return Ok(instance),
+            Stop::Failed(e) => return Err(e),
+        }
     }
-    Ok(instance)
 }
 
 // ---------------------------------------------------------------------------
@@ -335,11 +504,20 @@ pub fn from_text(schema: Arc<RelationSchema>, text: &str) -> DqResult<RelationIn
 // ---------------------------------------------------------------------------
 
 /// Streams delimited text straight into a persisted columnar relation at
-/// `dir` (see [`crate::store::persist`]): each cell is parsed against its
-/// domain and interned into the column dictionary as it is read, full
-/// shards are flushed to disk immediately, and dictionaries spill once at
-/// the end.  No tuple vector of the input is ever materialized — peak
-/// memory is O(dictionaries + one shard) however large the input.
+/// `dir` (see [`crate::store::persist`]), using the machine's available
+/// parallelism.
+///
+/// The input is scanned one shard's worth of records at a time; then each
+/// column's cells of the batch are parsed against its domain and interned
+/// into its dictionary, one column per worker, in row order — so
+/// dictionaries, segments and manifest are the same bytes whatever the
+/// thread count.  `Text` cells probe the dictionary by borrowed `&str`;
+/// only a value new to its column is allocated.  Full shards are flushed
+/// to disk immediately and dictionaries spill once at the end.  No tuple
+/// vector of the input is ever materialized — peak memory is
+/// O(dictionaries + one shard) however large the input.  When several
+/// cells are bad, the error of the first in (row, column) order is
+/// returned.
 ///
 /// The relation can then be re-opened with
 /// [`crate::store::persist::open_mmap`] and fed to the shard-cursor
@@ -350,35 +528,72 @@ pub fn stream_into_store<R: BufRead>(
     dir: &Path,
     shard_rows: usize,
 ) -> DqResult<SaveStats> {
+    stream_into_store_with_threads(schema, input, dir, shard_rows, available_threads())
+}
+
+/// [`stream_into_store`] interning on `threads` workers.  The output does
+/// not depend on `threads`; the equivalence suite pins that.
+#[doc(hidden)]
+pub fn stream_into_store_with_threads<R: BufRead>(
+    schema: Arc<RelationSchema>,
+    input: R,
+    dir: &Path,
+    shard_rows: usize,
+    threads: usize,
+) -> DqResult<SaveStats> {
     let _span = dq_obs::span!("store.io.stream_ingest");
-    let mut reader = RecordReader::new(input);
-    let header = reader.next_record()?.ok_or_else(|| DqError::Parse {
-        reason: "empty input".into(),
-    })?;
-    check_header(&header, &schema)?;
+    let mut scanner = Scanner::new(input);
+    read_header(&mut scanner, &schema)?;
+    let arity = schema.arity();
     let mut writer = RelationWriter::create(dir, Arc::clone(&schema), shard_rows)?;
-    let mut row: Vec<Value> = Vec::with_capacity(schema.arity());
-    let mut rowno = 1usize;
-    while let Some(cells) = reader.next_record()? {
-        rowno += 1;
-        if cells.len() != schema.arity() {
-            return Err(DqError::Parse {
-                reason: format!(
-                    "record {} has {} cells, expected {}",
-                    rowno,
-                    cells.len(),
-                    schema.arity()
-                ),
-            });
+    loop {
+        let stop = {
+            let _span = dq_obs::span!("scan");
+            scanner.fill(writer.shard_room(), Some(arity))
+        };
+        if scanner.rows > 0 {
+            {
+                let _span = dq_obs::span!("intern");
+                let (text, cells) = (scanner.text.as_str(), scanner.cells.as_slice());
+                writer.push_columns(threads, |attr, dict, ids| {
+                    let column = cells.iter().skip(attr).step_by(arity);
+                    intern_column(text, column, schema.domain(attr), dict, ids)
+                })?;
+                dq_obs::add("store.io.ingested_rows", scanner.rows as u64);
+            }
+            let _span = dq_obs::span!("flush");
+            writer.flush_if_full()?;
         }
-        row.clear();
-        for (i, c) in cells.iter().enumerate() {
-            row.push(parse_raw_cell(c, schema.domain(i))?);
+        match stop {
+            Stop::Full => {}
+            Stop::End => break,
+            Stop::Failed(e) => return Err(e),
         }
-        writer.push_row(row.drain(..))?;
-        dq_obs::inc("store.io.ingested_rows");
     }
     writer.finish()
+}
+
+/// Parses and interns one column's cells of the `batch` text, appending the
+/// ids in row order.  Stops at the column's first bad cell, returning its batch
+/// row with the error.
+fn intern_column<'a>(
+    batch: &str,
+    column: impl Iterator<Item = &'a Cell>,
+    domain: &Domain,
+    dict: &mut ValueInterner,
+    ids: &mut Vec<ValueId>,
+) -> Result<(), (usize, DqError)> {
+    let mut scratch = String::new();
+    for (row, cell) in column.enumerate() {
+        let text = cell_text(batch, cell, &mut scratch);
+        ids.push(
+            match parse_scanned(text, cell.quoted, domain).map_err(|e| (row, e))? {
+                Parsed::Text(s) => dict.intern_str(s),
+                Parsed::Value(v) => dict.intern(&v),
+            },
+        );
+    }
+    Ok(())
 }
 
 /// [`stream_into_store`] reading from a file.
@@ -569,6 +784,24 @@ mod tests {
         assert_eq!(parse_cell("book", &dom).unwrap(), Value::str("book"));
         assert!(parse_cell("DVD", &dom).is_err());
         assert_eq!(parse_cell("NULL", &dom).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn finite_domains_match_display_forms_exactly() {
+        let elements = [
+            Value::int(7),
+            Value::real(0.5),
+            Value::bool(true),
+            Value::str("a|b"),
+            Value::Null,
+        ];
+        let dom = Domain::Finite(elements.to_vec().into());
+        for v in &elements {
+            assert_eq!(parse_typed(&v.to_string(), &dom).as_ref(), Some(v));
+        }
+        for text in ["07", "0.50", "TRUE", "a", "a|b|", "", "7 ", "NUL"] {
+            assert_eq!(parse_typed(text, &dom), None, "{text:?}");
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub mod csv;
 pub mod error;
 pub mod index;
 pub mod instance;
+pub mod par;
 pub mod query;
+pub mod reference;
 pub mod schema;
 pub mod store;
 pub mod tuple;

@@ -22,11 +22,11 @@ use super::fx::FxHashSet;
 use super::index::{widen_plan, KeyCodec, Repr, WidenPlan};
 use super::interner::ValueId;
 use crate::instance::{CellChange, RelationInstance};
+use crate::par::parallel_map;
 use crate::value::Value;
 use std::hash::Hash;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The key storage of a [`DistinctSet`], monomorphized per packing.
 #[derive(Clone, Debug)]
@@ -574,8 +574,8 @@ fn patch_keys<K: Eq + Hash>(
 }
 
 /// Parallel distinct-key collection: scan shards into local sets (claimed
-/// through an atomic cursor when `threads > 1`), then union in any order —
-/// sets are order-free, so no merge bookkeeping is needed.
+/// from the shared pool when `threads > 1`), then union in any order — sets
+/// are order-free, so no merge bookkeeping is needed.
 fn collect_keys<K: Eq + Hash + Send>(
     n_rows: usize,
     threads: usize,
@@ -593,33 +593,18 @@ fn collect_keys<K: Eq + Hash + Send>(
         set
     };
     if threads <= 1 || shard_count <= 1 {
+        // Sequentially, fold each shard in as it is scanned so only one
+        // shard-local set is live at a time.
         let mut out = scan(shard_range(0));
         for s in 1..shard_count {
             out.extend(scan(shard_range(s)));
         }
         return out;
     }
-    let slots: Vec<Mutex<Option<FxHashSet<K>>>> =
-        (0..shard_count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(shard_count) {
-            scope.spawn(|| loop {
-                let s = cursor.fetch_add(1, Ordering::Relaxed);
-                if s >= shard_count {
-                    break;
-                }
-                *slots[s].lock().expect("shard slot poisoned") = Some(scan(shard_range(s)));
-            });
-        }
-    });
+    let shard_ids: Vec<usize> = (0..shard_count).collect();
     let mut out = FxHashSet::default();
-    for slot in slots {
-        out.extend(
-            slot.into_inner()
-                .expect("shard slot poisoned")
-                .expect("every shard scanned before scope exit"),
-        );
+    for set in parallel_map(&shard_ids, threads, |&s| scan(shard_range(s))) {
+        out.extend(set);
     }
     out
 }

@@ -26,11 +26,11 @@ use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
 use super::interner::ValueId;
 use crate::instance::{CellChange, RelationInstance, TupleId};
+use crate::par::parallel_map;
 use crate::value::Value;
 use std::hash::Hash;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A packed projection of one row onto an attribute list; used by detectors
 /// to sub-partition groups (e.g. by RHS projection) without materializing
@@ -731,37 +731,12 @@ fn build_groups<K: Eq + Hash + Clone + Send>(
     let shard_count = n_rows.div_ceil(shard_rows).max(1);
     let shard_range = |s: usize| (s * shard_rows).min(n_rows)..((s + 1) * shard_rows).min(n_rows);
 
-    let shards: Vec<ShardGroups<K>> = if threads <= 1 || shard_count <= 1 {
-        (0..shard_count)
-            .map(|s| scan_shard(shard_range(s), &key_at))
-            .collect()
-    } else {
-        // Scoped workers claim shards through an atomic cursor (uneven
-        // group skew balances across threads).
-        let slots: Vec<Mutex<Option<ShardGroups<K>>>> =
-            (0..shard_count).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(shard_count) {
-                scope.spawn(|| loop {
-                    let s = cursor.fetch_add(1, Ordering::Relaxed);
-                    if s >= shard_count {
-                        break;
-                    }
-                    *slots[s].lock().expect("shard slot poisoned") =
-                        Some(scan_shard(shard_range(s), &key_at));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("shard slot poisoned")
-                    .expect("every shard scanned before scope exit")
-            })
-            .collect()
-    };
+    // Workers claim shards from the shared pool (uneven group skew
+    // balances across threads); one shard or one thread runs inline.
+    let shard_ids: Vec<usize> = (0..shard_count).collect();
+    let shards: Vec<ShardGroups<K>> = parallel_map(&shard_ids, threads, |&s| {
+        scan_shard(shard_range(s), &key_at)
+    });
 
     // Merge: assign global group numbers in shard-then-first-seen order.
     let mut map: FxHashMap<K, u32> = FxHashMap::default();

@@ -15,10 +15,13 @@
 //! ids themselves are assigned in first-seen order and carry no order.
 
 use super::fx::FxHashMap;
-use crate::value::Value;
+use crate::value::{hash_str, Value};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Dense identifier of a distinct value within one [`ValueInterner`].
 ///
@@ -145,12 +148,27 @@ impl ValueInterner {
         if let Some(&id) = self.map.get(value) {
             return id;
         }
+        self.push(value.clone())
+    }
+
+    /// Interns the text value `s`, returning its id.  The dictionary is
+    /// probed by the borrowed `&str` (hashed exactly as [`Value::Str`]
+    /// hashes), so a string is allocated only when it is new to the column.
+    pub(crate) fn intern_str(&mut self, s: &str) -> ValueId {
+        if let Some(&id) = self.map.get(&StrKey(s) as &dyn Key) {
+            return id;
+        }
+        self.push(Value::Str(Arc::from(s)))
+    }
+
+    /// Appends a value known to be absent from the dictionary.
+    fn push(&mut self, value: Value) -> ValueId {
         let id = ValueId(
             u32::try_from(self.values.len())
                 .expect("more than u32::MAX distinct values in one column"),
         );
-        self.values.push(value.clone());
         self.map.insert(value.clone(), id);
+        self.values.push(value);
         id
     }
 
@@ -213,10 +231,67 @@ impl ValueInterner {
     }
 }
 
+/// A borrowed dictionary key: the `Value` a map entry stores, or a bare
+/// `&str` standing for [`Value::Str`].  `Value: Borrow<dyn Key>` lets the
+/// `Value`-keyed map be probed by `&str` without building a `Value`.
+trait Key {
+    fn key(&self) -> KeyRef<'_>;
+}
+
+/// What a [`Key`] compares and hashes as; strings are always [`KeyRef::Str`].
+enum KeyRef<'a> {
+    Value(&'a Value),
+    Str(&'a str),
+}
+
+/// A `&str` probe (sized, so it can stand behind `&dyn Key`).
+struct StrKey<'a>(&'a str);
+
+impl Key for Value {
+    fn key(&self) -> KeyRef<'_> {
+        match self {
+            Value::Str(s) => KeyRef::Str(s),
+            other => KeyRef::Value(other),
+        }
+    }
+}
+
+impl Key for StrKey<'_> {
+    fn key(&self) -> KeyRef<'_> {
+        KeyRef::Str(self.0)
+    }
+}
+
+impl<'a> Borrow<dyn Key + 'a> for Value {
+    fn borrow(&self) -> &(dyn Key + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn Key + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self.key() {
+            KeyRef::Value(v) => v.hash(state),
+            KeyRef::Str(s) => hash_str(s, state),
+        }
+    }
+}
+
+impl PartialEq for dyn Key + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.key(), other.key()) {
+            (KeyRef::Value(a), KeyRef::Value(b)) => a == b,
+            (KeyRef::Str(a), KeyRef::Str(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for dyn Key + '_ {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn equal_values_share_an_id() {
@@ -275,6 +350,27 @@ mod tests {
         assert_eq!(interner.cmp_ids(big, small), Ordering::Greater);
         assert_eq!(interner.cmp_ids(big, big), Ordering::Equal);
         assert_eq!(interner.cmp_ids(null, small), Ordering::Less);
+    }
+
+    #[test]
+    fn intern_str_probes_the_value_dictionary() {
+        let mut interner = ValueInterner::new();
+        let edi = interner.intern(&Value::str("EDI"));
+        assert_eq!(interner.intern_str("EDI"), edi);
+        let nyc = interner.intern_str("NYC");
+        assert_eq!(interner.intern(&Value::str("NYC")), nyc);
+        assert_eq!(interner.lookup(&Value::str("NYC")), Some(nyc));
+        // Text never meets a non-text value of the same display form.
+        let int = interner.intern(&Value::int(7));
+        assert_ne!(interner.intern_str("7"), int);
+        assert_eq!(interner.intern_str(""), interner.intern(&Value::str("")));
+        assert_eq!(interner.len(), 5);
+        let hash = |k: &dyn Key| {
+            let mut h = super::super::fx::FxHasher::default();
+            k.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&StrKey("EDI")), hash(&Value::str("EDI")));
     }
 
     #[test]

@@ -32,18 +32,19 @@
 use super::columnar::{Column, ColumnarStore, MappedIds, SHARD_ROWS};
 use super::fx::FxHashMap;
 use super::index::InternedIndex;
-use super::interner::ValueInterner;
+use super::interner::{ValueId, ValueInterner};
 use super::mmap::MappedBytes;
 use super::shard::ShardSource;
 use crate::error::{DqError, DqResult};
 use crate::instance::{RelationInstance, TupleId};
+use crate::par::{available_threads, parallel_map};
 use crate::schema::{Attribute, Domain, RelationSchema};
 use crate::value::Value;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// On-disk format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
@@ -195,10 +196,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    fn str(&mut self) -> DqResult<String> {
+    fn str(&mut self) -> DqResult<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(self.path, "invalid utf-8 string"))
+        std::str::from_utf8(bytes).map_err(|_| corrupt(self.path, "invalid utf-8 string"))
     }
 
     fn value(&mut self) -> DqResult<Value> {
@@ -517,7 +518,7 @@ impl Manifest {
 // ---------------------------------------------------------------------------
 
 /// Writes one shard's ids segment from (possibly several) id slices.
-fn write_ids_segment(path: &Path, slices: &[&[super::interner::ValueId]]) -> DqResult<u64> {
+fn write_ids_segment(path: &Path, slices: &[&[ValueId]]) -> DqResult<u64> {
     let count: usize = slices.iter().map(|s| s.len()).sum();
     let payload_len = (ID_PREAMBLE + count * 4) as u64;
     let mut w = SegmentWriter::create(path, Kind::ShardIds, payload_len)?;
@@ -773,7 +774,7 @@ pub struct RelationWriter {
     dicts: Vec<ValueInterner>,
     dict_chains: Vec<Vec<u64>>,
     /// Id buffer of the current (partial) shard, per column.
-    buf: Vec<Vec<super::interner::ValueId>>,
+    buf: Vec<Vec<ValueId>>,
     /// Rows in fully flushed shards.
     flushed_rows: usize,
     shards_flushed: usize,
@@ -836,9 +837,10 @@ impl RelationWriter {
             for (attr, b) in buf.iter_mut().enumerate() {
                 let mapped = open_ids_segment(&shard_path(dir, attr, full_shards), tail, true)?;
                 let raw = &mapped.bytes[mapped.offset..mapped.offset + mapped.count * 4];
-                b.extend(raw.chunks_exact(4).map(|c| {
-                    super::interner::ValueId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                }));
+                b.extend(
+                    raw.chunks_exact(4)
+                        .map(|c| ValueId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
+                );
             }
         }
         Ok(RelationWriter {
@@ -907,6 +909,67 @@ impl RelationWriter {
                 actual: count,
             });
         }
+        self.flush_if_full()
+    }
+
+    /// Rows the current shard still has room for (at least 1).
+    pub(crate) fn shard_room(&self) -> usize {
+        self.shard_rows - self.buf.first().map_or(0, Vec::len)
+    }
+
+    /// Appends a batch of at most [`shard_room`](Self::shard_room) rows
+    /// column by column: `intern(attr, dict, ids)` parses column `attr`'s
+    /// cells of the batch in row order, interning each into the column
+    /// dictionary `dict` and appending its id to `ids`, or returns the batch
+    /// row of its first bad cell with the error.  Columns run one per
+    /// worker on up to `threads` workers; as each column is interned in row
+    /// order, dictionaries come out exactly as row-at-a-time
+    /// [`push_row`](Self::push_row)s leave them.  On failure the error of
+    /// the first bad cell in (row, column) order — the one `push_row` would
+    /// have raised — is returned and the id buffers are rolled back (as
+    /// with `push_row`, dictionaries may keep values interned before the
+    /// failure).  Cells must already lie in their domains; the full shard is
+    /// left for [`flush_if_full`](Self::flush_if_full).
+    pub(crate) fn push_columns<F>(&mut self, threads: usize, intern: F) -> DqResult<()>
+    where
+        F: Fn(usize, &mut ValueInterner, &mut Vec<ValueId>) -> Result<(), (usize, DqError)> + Sync,
+    {
+        let before = self.buf.first().map_or(0, Vec::len);
+        let columns: Vec<Mutex<(&mut ValueInterner, &mut Vec<ValueId>)>> = self
+            .dicts
+            .iter_mut()
+            .zip(self.buf.iter_mut())
+            .map(Mutex::new)
+            .collect();
+        let attrs: Vec<usize> = (0..columns.len()).collect();
+        let outcomes = parallel_map(&attrs, threads, |&attr| {
+            let mut column = columns[attr].lock().expect("column slot poisoned");
+            let (dict, ids) = &mut *column;
+            intern(attr, dict, ids)
+        });
+        drop(columns);
+        let first = outcomes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(attr, outcome)| outcome.err().map(|(row, e)| (row, attr, e)))
+            .min_by_key(|&(row, attr, _)| (row, attr));
+        if let Some((_, _, e)) = first {
+            for ids in &mut self.buf {
+                ids.truncate(before);
+            }
+            return Err(e);
+        }
+        let after = self.buf.first().map_or(0, Vec::len);
+        debug_assert!(after <= self.shard_rows, "batch overflows the shard");
+        debug_assert!(
+            self.buf.iter().all(|ids| ids.len() == after),
+            "ragged batch"
+        );
+        Ok(())
+    }
+
+    /// Flushes the current shard to disk once it holds `shard_rows` rows.
+    pub(crate) fn flush_if_full(&mut self) -> DqResult<()> {
         if self.buf.first().map_or(0, Vec::len) == self.shard_rows {
             self.flush_shard()?;
         }
@@ -1012,9 +1075,15 @@ fn open_relation(dir: &Path, verify: bool) -> DqResult<MappedRelation> {
     let _span = dq_obs::span!("store.io.open");
     let manifest = Manifest::read(dir)?;
     let arity = manifest.schema.arity();
+    // Dictionaries decode column-parallel; their errors surface in the
+    // column order the sequential open met them in.
+    let attrs: Vec<usize> = (0..arity).collect();
+    let dicts = parallel_map(&attrs, available_threads(), |&attr| {
+        open_dict_chain(dir, attr, &manifest.dict_chains[attr])
+    });
     let mut columns = Vec::with_capacity(arity);
-    for attr in 0..arity {
-        let interner = open_dict_chain(dir, attr, &manifest.dict_chains[attr])?;
+    for (attr, interner) in dicts.into_iter().enumerate() {
+        let interner = interner?;
         let mut segments = Vec::with_capacity(manifest.shard_count());
         for shard in 0..manifest.shard_count() {
             let expected = manifest.shard_len(shard);

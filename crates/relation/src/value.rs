@@ -101,7 +101,7 @@ impl Value {
             Value::Bool(_) => 1,
             Value::Int(_) => 2,
             Value::Real(_) => 3,
-            Value::Str(_) => 4,
+            Value::Str(_) => STR_RANK,
         }
     }
 
@@ -116,6 +116,9 @@ impl Value {
         }
     }
 }
+
+/// [`Value::type_rank`] of strings.
+const STR_RANK: u8 = 4;
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
@@ -159,15 +162,24 @@ impl Ord for Value {
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        if let Value::Str(s) = self {
+            return hash_str(s, state);
+        }
         self.type_rank().hash(state);
         match self {
-            Value::Null => {}
+            Value::Null | Value::Str(_) => {}
             Value::Bool(b) => b.hash(state),
             Value::Int(i) => i.hash(state),
             Value::Real(r) => r.to_bits().hash(state),
-            Value::Str(s) => s.hash(state),
         }
     }
+}
+
+/// Hashes `s` exactly as [`Value::Str`] holding `s` hashes, so a dictionary
+/// keyed by `Value` can be probed with a borrowed `&str`.
+pub(crate) fn hash_str<H: Hasher>(s: &str, state: &mut H) {
+    STR_RANK.hash(state);
+    s.hash(state);
 }
 
 impl fmt::Display for Value {

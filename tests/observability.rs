@@ -286,6 +286,76 @@ fn analysis_counts_solver_fallbacks_and_implied_rules() {
     );
 }
 
+/// Every file of a relation directory, by name.
+fn relation_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("relation directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("segment"))
+        })
+        .collect()
+}
+
+/// CSV ingest opens its `store.io.*` spans — the streamed ingest split
+/// into `scan`, `intern` and `flush` — and writes the same segment bytes
+/// and parses the same rows with the recorder on and off.
+#[test]
+fn csv_ingest_opens_its_spans_and_writes_the_same_bytes_either_way() {
+    let _session = RecorderSession::begin();
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        error_rate: 0.05,
+        seed: 11,
+        cities_per_country: 5,
+    });
+    let schema = std::sync::Arc::clone(workload.dirty.schema());
+    let text = dq_relation::csv::to_text(&workload.dirty).expect("render");
+    let dir = std::env::temp_dir().join(format!("dq_obs_ingest_{}", std::process::id()));
+    let mut runs = Vec::new();
+    for enabled in [false, true] {
+        dq_obs::set_enabled(enabled);
+        dq_obs::recorder().reset();
+        let parsed =
+            dq_relation::csv::from_text(std::sync::Arc::clone(&schema), &text).expect("parse");
+        let stats = dq_relation::csv::stream_into_store(
+            std::sync::Arc::clone(&schema),
+            text.as_bytes(),
+            &dir,
+            64,
+        )
+        .expect("ingest");
+        let mapped = dq_relation::open_mmap(&dir).expect("open");
+        assert_eq!(mapped.len(), 300);
+        let rows: Vec<_> = parsed.iter().map(|(_, t)| t.clone()).collect();
+        runs.push((format!("{rows:?}"), stats, relation_files(&dir)));
+    }
+    let snap = dq_obs::recorder().snapshot();
+    let tree = snap.render_span_tree();
+    for path in [
+        "store.io.parse_text",
+        "store.io.stream_ingest",
+        "store.io.stream_ingest/scan",
+        "store.io.stream_ingest/intern",
+        "store.io.stream_ingest/flush",
+        "store.io.stream_ingest/store.io.save",
+        "store.io.open",
+    ] {
+        assert!(
+            snap.spans.contains_key(path),
+            "missing span {path}:\n{tree}"
+        );
+    }
+    assert_eq!(snap.counters.get("store.io.ingested_rows"), Some(&300));
+    let _ = std::fs::remove_dir_all(&dir);
+    let on = runs.pop().expect("instrumented run");
+    let off = runs.pop().expect("uninstrumented run");
+    assert_eq!(off.0, on.0, "parsed rows changed under instrumentation");
+    assert_eq!(off.1, on.1, "ingest stats changed under instrumentation");
+    assert!(off.2 == on.2, "segment bytes changed under instrumentation");
+}
+
 fn workload_config() -> impl Strategy<Value = CustomerConfig> {
     (1usize..200, 0usize..3, 0u64..1_000).prop_map(|(tuples, rate_idx, seed)| CustomerConfig {
         tuples,
