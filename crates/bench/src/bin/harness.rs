@@ -74,7 +74,8 @@ use dq_core::reference;
 use dq_cqa::prelude::*;
 use dq_gen::prelude::*;
 use dq_match::prelude::*;
-use dq_relation::{Atom, CellRef, ConjunctiveQuery, HashIndex, InternedIndex, Term};
+use dq_relation::reference::HashIndex;
+use dq_relation::{Atom, CellRef, ConjunctiveQuery, InternedIndex, Term};
 use dq_repair::prelude::*;
 use dq_repr::prelude::*;
 use std::time::Instant;

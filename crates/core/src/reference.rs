@@ -28,9 +28,8 @@ use crate::ecfd::{Ecfd, EcfdViolation, SetPattern};
 use crate::implication::{pair_ok, pair_violates_part, single_tuple_ok};
 use crate::ind::Ind;
 use crate::pattern::PatternValue;
-use dq_relation::{
-    Database, DqResult, HashIndex, RelationInstance, RelationSchema, Tuple, TupleId, Value,
-};
+use dq_relation::reference::HashIndex;
+use dq_relation::{Database, DqResult, RelationInstance, RelationSchema, Tuple, TupleId, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 

@@ -25,9 +25,7 @@ pub mod prelude {
         certain_answers_oracle, possible_answers_oracle, repair_count, single_relation_db,
     };
     pub use crate::rewrite::{
-        certain_answers_rewriting, certain_answers_rewriting_naive,
-        certain_answers_rewriting_with_engine, classify_tree_query, rewrite_single_atom, KeySpec,
-        TreePlan,
+        certain_answers_rewriting, classify_tree_query, rewrite_single_atom, KeySpec, TreePlan,
     };
 }
 

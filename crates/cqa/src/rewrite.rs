@@ -20,13 +20,12 @@
 //!   single-atom queries, evaluated by the `dq-relation` FO engine, to make
 //!   the rewritten query inspectable.
 
-use dq_core::engine::DetectionEngine;
+use dq_relation::par::available_threads;
 use dq_relation::{
     Atom, CompOp, Comparison, ConjunctiveQuery, Database, DqError, DqResult, FoQuery, Formula,
-    HashIndex, InternedIndex, Term, TupleId, Value,
+    InternedIndex, Term, Value,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// The primary key of a relation, by attribute positions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,12 +46,25 @@ impl KeySpec {
     }
 }
 
-fn key_of<'a>(keys: &'a [KeySpec], relation: &str) -> DqResult<&'a KeySpec> {
-    keys.iter()
-        .find(|k| k.relation == relation)
+/// The key positions declared for `atom`'s relation, each checked to name
+/// one of the atom's terms.
+fn key_positions<'a>(keys: &'a [KeySpec], atom: &Atom) -> DqResult<&'a [usize]> {
+    let key = keys
+        .iter()
+        .find(|k| k.relation == atom.relation)
         .ok_or_else(|| DqError::MalformedQuery {
-            reason: format!("no key declared for relation `{relation}`"),
-        })
+            reason: format!("no key declared for relation `{}`", atom.relation),
+        })?;
+    match key.key.iter().find(|&&p| p >= atom.terms.len()) {
+        Some(p) => Err(DqError::MalformedQuery {
+            reason: format!(
+                "key position {p} of `{}` is outside its {}-term atom",
+                atom.relation,
+                atom.terms.len()
+            ),
+        }),
+        None => Ok(&key.key),
+    }
 }
 
 /// The evaluation plan produced by [`classify_tree_query`].
@@ -90,21 +102,18 @@ pub fn classify_tree_query(query: &ConjunctiveQuery, keys: &[KeySpec]) -> DqResu
     // Variables offered by already-placed atoms (their non-key positions).
     let mut available: BTreeMap<String, usize> = BTreeMap::new(); // var -> offering atom
 
-    let key_positions =
-        |atom: &Atom| -> DqResult<Vec<usize>> { Ok(key_of(keys, &atom.relation)?.key.clone()) };
-
     loop {
         let mut progressed = false;
         for (i, atom) in query.atoms.iter().enumerate() {
             if placed[i] {
                 continue;
             }
-            let key_pos = key_positions(atom)?;
+            let key_pos = key_positions(keys, atom)?;
             // Terms in key positions must each be a constant, a head
             // variable, or a variable offered by a single placed atom.
             let mut parents: BTreeSet<usize> = BTreeSet::new();
             let mut ok = true;
-            for &p in &key_pos {
+            for &p in key_pos {
                 match &atom.terms[p] {
                     Term::Const(_) => {}
                     Term::Var(v) if head.contains(v.as_str()) => {}
@@ -166,51 +175,6 @@ fn resolve(term: &Term, binding: &BTreeMap<String, Value>) -> Option<Value> {
     }
 }
 
-/// The per-relation key index the ∀-certification probes: a pooled interned
-/// index on the fast path, the legacy value-keyed index on the reference
-/// path.  Both hand back the key group as ascending tuple ids, borrowed
-/// from the index — the certification probes once per candidate per atom,
-/// so the hot path must not allocate.
-enum KeyIndex {
-    Interned(Arc<InternedIndex>),
-    Hash(HashIndex),
-}
-
-/// A borrowed key group, iterable as tuple ids without materializing them.
-enum KeyGroup<'a> {
-    Interned(&'a InternedIndex, &'a [u32]),
-    Hash(&'a [TupleId]),
-}
-
-impl KeyIndex {
-    fn group<'a>(&'a self, key: &[Value]) -> KeyGroup<'a> {
-        match self {
-            KeyIndex::Interned(index) => KeyGroup::Interned(index, index.rows_for_values(key)),
-            KeyIndex::Hash(index) => KeyGroup::Hash(index.get(key)),
-        }
-    }
-}
-
-impl KeyGroup<'_> {
-    fn is_empty(&self) -> bool {
-        match self {
-            KeyGroup::Interned(_, rows) => rows.is_empty(),
-            KeyGroup::Hash(ids) => ids.is_empty(),
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = TupleId> + '_ {
-        let (interned, hash) = match self {
-            KeyGroup::Interned(index, rows) => (Some((index, rows.iter())), None),
-            KeyGroup::Hash(ids) => (None, Some(ids.iter())),
-        };
-        interned
-            .into_iter()
-            .flat_map(|(index, rows)| rows.map(move |&r| index.tuple_id(r)))
-            .chain(hash.into_iter().flatten().copied())
-    }
-}
-
 /// Does the subtree rooted at `atom_idx` *certainly* hold under `binding`?
 ///
 /// The check mirrors the ∀ part of the rewriting: the key group selected by
@@ -219,15 +183,15 @@ impl KeyGroup<'_> {
 /// fully-bound comparisons, and recursively certify the children.
 fn atom_certain(
     db: &Database,
-    keys: &[KeySpec],
     query: &ConjunctiveQuery,
     plan: &TreePlan,
-    indexes: &BTreeMap<String, KeyIndex>,
+    indexes: &[InternedIndex],
     atom_idx: usize,
     binding: &BTreeMap<String, Value>,
 ) -> DqResult<bool> {
     let atom = &query.atoms[atom_idx];
-    let key_pos = &key_of(keys, &atom.relation)?.key;
+    let index = &indexes[atom_idx];
+    let key_pos = index.attrs();
     let relation = db.require_relation(&atom.relation)?;
     let key_values: Option<Vec<Value>> = key_pos
         .iter()
@@ -238,15 +202,12 @@ fn atom_certain(
             reason: "key variable unbound during certain evaluation".into(),
         });
     };
-    let index = indexes
-        .get(&atom.relation)
-        .expect("index built for every relation of the query");
-    let group = index.group(&key_values);
-    if group.is_empty() {
+    let rows = index.rows_for_values(&key_values);
+    if rows.is_empty() {
         return Ok(false);
     }
-    for id in group.iter() {
-        let tuple = relation.tuple(id).expect("live tuple");
+    for &row in rows {
+        let tuple = relation.tuple(index.tuple_id(row)).expect("live tuple");
         let mut extended = binding.clone();
         for (pos, term) in atom.terms.iter().enumerate() {
             if key_pos.contains(&pos) {
@@ -282,7 +243,7 @@ fn atom_certain(
             .map(|v| v.as_slice())
             .unwrap_or(&[])
         {
-            if !atom_certain(db, keys, query, plan, indexes, child, &extended)? {
+            if !atom_certain(db, query, plan, indexes, child, &extended)? {
                 return Ok(false);
             }
         }
@@ -291,77 +252,42 @@ fn atom_certain(
 }
 
 /// Certain answers of a tree-class query under primary key constraints, in
-/// PTIME data complexity, evaluated directly on the inconsistent database
-/// through a private [`DetectionEngine`].
+/// PTIME data complexity, evaluated directly on the inconsistent database.
+///
+/// Candidates come from the ordinary evaluation of the query on the dirty
+/// database: a certain answer is an answer in every repair, and repairs are
+/// subsets, so every certain answer is among them.  Each candidate is then
+/// certified group-wise from the root atoms down, probing one interned key
+/// index per atom (packed keys, CSR groups) built once per call.
 pub fn certain_answers_rewriting(
     db: &Database,
     keys: &[KeySpec],
     query: &ConjunctiveQuery,
 ) -> DqResult<BTreeSet<Vec<Value>>> {
-    certain_answers_rewriting_with_engine(db, keys, query, &DetectionEngine::new())
-}
-
-/// [`certain_answers_rewriting`] over a caller-owned engine: the per-relation
-/// key indexes the ∀-certification probes come out of the engine's
-/// [`IndexPool`](dq_relation::IndexPool) as interned indexes (packed keys,
-/// CSR groups), so repeated queries over an unchanged database build
-/// nothing, and the indexes are the same physical ones detection and repair
-/// use on that database.
-pub fn certain_answers_rewriting_with_engine(
-    db: &Database,
-    keys: &[KeySpec],
-    query: &ConjunctiveQuery,
-    engine: &DetectionEngine,
-) -> DqResult<BTreeSet<Vec<Value>>> {
     let plan = classify_tree_query(query, keys)?; // reject unsupported queries first
-    let mut indexes: BTreeMap<String, KeyIndex> = BTreeMap::new();
-    for atom in &query.atoms {
-        let key_pos = &key_of(keys, &atom.relation)?.key;
-        let relation = db.require_relation(&atom.relation)?;
-        indexes.entry(atom.relation.clone()).or_insert_with(|| {
-            KeyIndex::Interned(
-                engine
-                    .pool()
-                    .interned_for(relation, key_pos, engine.threads()),
-            )
-        });
-    }
-    certain_answers_with_indexes(db, keys, query, &plan, &indexes)
-}
 
-/// The legacy evaluation: per-relation `Vec<Value>`-keyed [`HashIndex`]es
-/// built fresh per call.  Kept as the reference the pooled path is
-/// property-tested against.
-pub fn certain_answers_rewriting_naive(
-    db: &Database,
-    keys: &[KeySpec],
-    query: &ConjunctiveQuery,
-) -> DqResult<BTreeSet<Vec<Value>>> {
-    let plan = classify_tree_query(query, keys)?; // reject unsupported queries first
-    let mut indexes: BTreeMap<String, KeyIndex> = BTreeMap::new();
+    // Relations occur once per C_tree query: one key index per atom.
+    let mut indexes = Vec::with_capacity(query.atoms.len());
     for atom in &query.atoms {
-        let key_pos = &key_of(keys, &atom.relation)?.key;
         let relation = db.require_relation(&atom.relation)?;
-        indexes
-            .entry(atom.relation.clone())
-            .or_insert_with(|| KeyIndex::Hash(HashIndex::build(relation, key_pos)));
+        if atom.terms.len() != relation.schema().arity() {
+            return Err(DqError::MalformedQuery {
+                reason: format!(
+                    "atom over `{}` has {} terms but the relation has arity {}",
+                    atom.relation,
+                    atom.terms.len(),
+                    relation.schema().arity()
+                ),
+            });
+        }
+        let key = key_positions(keys, atom)?;
+        indexes.push(InternedIndex::build(
+            relation,
+            &relation.columnar(),
+            key,
+            available_threads(),
+        ));
     }
-    certain_answers_with_indexes(db, keys, query, &plan, &indexes)
-}
-
-/// The shared candidate-generation / ∀-certification loop: one key index
-/// per relation of the query, shared by every candidate check (the
-/// certification probes these groups heavily).
-fn certain_answers_with_indexes(
-    db: &Database,
-    keys: &[KeySpec],
-    query: &ConjunctiveQuery,
-    plan: &TreePlan,
-    indexes: &BTreeMap<String, KeyIndex>,
-) -> DqResult<BTreeSet<Vec<Value>>> {
-    // Candidate answers: ordinary evaluation over the (dirty) database.  A
-    // certain answer is an answer in every repair, and repairs are subsets,
-    // so every certain answer appears among the candidates.
     let candidates = query.evaluate(db)?;
     let mut certain = BTreeSet::new();
     'candidates: for candidate in candidates {
@@ -372,7 +298,7 @@ fn certain_answers_with_indexes(
             .zip(candidate.iter().cloned())
             .collect();
         for &root in &plan.roots {
-            if !atom_certain(db, keys, query, plan, indexes, root, &binding)? {
+            if !atom_certain(db, query, &plan, &indexes, root, &binding)? {
                 continue 'candidates;
             }
         }
@@ -396,7 +322,7 @@ pub fn rewrite_single_atom(query: &ConjunctiveQuery, keys: &[KeySpec]) -> DqResu
         });
     }
     let atom = &query.atoms[0];
-    let key_pos = &key_of(keys, &atom.relation)?.key;
+    let key_pos = key_positions(keys, atom)?;
     let head: BTreeSet<&str> = query.head.iter().map(|s| s.as_str()).collect();
     // Fresh variables for the non-key positions of the negated atom.  Only
     // positions carrying a constant or a head variable constrain the group:
@@ -612,6 +538,43 @@ mod tests {
             vec![],
         );
         assert!(classify_tree_query(&q2, &keys()).is_err());
+        // Key positions past the atom's terms: key [5] on a 2-term atom,
+        // key [1] on a 1-term atom.
+        let db = dirty_db();
+        for (key, terms) in [
+            (5, vec![Term::var("n"), Term::var("d")]),
+            (1, vec![Term::var("n")]),
+        ] {
+            let keys = vec![KeySpec::new("emp", vec![key])];
+            let q = ConjunctiveQuery::new(vec!["n"], vec![Atom::new("emp", terms)], vec![]);
+            for result in [
+                classify_tree_query(&q, &keys).map(|_| ()),
+                certain_answers_rewriting(&db, &keys, &q).map(|_| ()),
+                rewrite_single_atom(&q, &keys).map(|_| ()),
+            ] {
+                assert!(
+                    matches!(result, Err(DqError::MalformedQuery { .. })),
+                    "key [{key}]: {result:?}"
+                );
+            }
+        }
+        // An atom with more terms than its relation has columns, keyed past
+        // the relation's last column (bound by the head, so the query is
+        // in C_tree).
+        let keys = vec![KeySpec::new("dept", vec![2])];
+        let q = ConjunctiveQuery::new(
+            vec!["x"],
+            vec![Atom::new(
+                "dept",
+                vec![Term::var("d"), Term::var("m"), Term::var("x")],
+            )],
+            vec![],
+        );
+        assert!(classify_tree_query(&q, &keys).is_ok());
+        assert!(matches!(
+            certain_answers_rewriting(&db, &keys, &q),
+            Err(DqError::MalformedQuery { .. })
+        ));
     }
 
     #[test]

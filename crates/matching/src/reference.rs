@@ -12,7 +12,8 @@ use crate::matcher::MatchResult;
 use crate::md::{MatchOp, MatchingDependency};
 use crate::rck::RelativeKey;
 use crate::similarity::SimilarityOp;
-use dq_relation::{HashIndex, RelationInstance, Tuple, TupleId};
+use dq_relation::reference::HashIndex;
+use dq_relation::{RelationInstance, Tuple, TupleId};
 
 /// Runs matching rules pair by pair.  A rule with equality premises only
 /// compares the pairs that agree on them (a [`HashIndex`] over `d2`);

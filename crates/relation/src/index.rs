@@ -1,10 +1,4 @@
-//! Hash partitioning of an instance on an attribute list.
-//!
-//! CFD violation detection (Section 2.1) boils down to grouping tuples on the
-//! LHS attributes of the embedded FD and inspecting each group; CIND
-//! detection (Section 2.2) boils down to probing the right-hand relation on
-//! the correspondence attributes.  [`HashIndex`] does both on raw
-//! [`Value`]s.
+//! Memoized indexes per instance version.
 //!
 //! Building an index is the dominant cost of detection on large instances,
 //! and dependency sets routinely share left-hand sides (every normalized
@@ -15,92 +9,12 @@
 //! grouped by LHS builds each index exactly once — and repeated detection
 //! runs over an unchanged instance rebuild nothing at all.
 
-use crate::instance::{RelationInstance, TupleId};
+use crate::instance::RelationInstance;
 use crate::store::{DistinctSet, InternedIndex};
-use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// A hash index mapping the projection of each tuple onto a fixed attribute
-/// list to the set of tuple ids sharing that projection.
-#[derive(Clone, Debug)]
-pub struct HashIndex {
-    attrs: Vec<usize>,
-    groups: HashMap<Vec<Value>, Vec<TupleId>>,
-}
-
-impl HashIndex {
-    /// Builds an index of `instance` on the attribute positions `attrs`.
-    pub fn build(instance: &RelationInstance, attrs: &[usize]) -> Self {
-        let mut groups: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::with_capacity(instance.len());
-        for (id, tuple) in instance.iter() {
-            let key = tuple.project(attrs);
-            match groups.entry(key) {
-                Entry::Occupied(mut e) => e.get_mut().push(id),
-                Entry::Vacant(e) => {
-                    e.insert(vec![id]);
-                }
-            }
-        }
-        HashIndex {
-            attrs: attrs.to_vec(),
-            groups,
-        }
-    }
-
-    /// The attribute positions this index is keyed on.
-    pub fn attrs(&self) -> &[usize] {
-        &self.attrs
-    }
-
-    /// Tuple ids whose projection equals `key`.
-    pub fn get(&self, key: &[Value]) -> &[TupleId] {
-        self.groups.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Does any tuple project to `key`?
-    pub fn contains_key(&self, key: &[Value]) -> bool {
-        self.groups.contains_key(key)
-    }
-
-    /// Iterates over `(key, group)` pairs.
-    pub fn groups(&self) -> impl Iterator<Item = (&Vec<Value>, &Vec<TupleId>)> {
-        self.groups.iter()
-    }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Groups containing at least two tuples — the only candidates for
-    /// variable (FD-style) violations.
-    pub fn multi_groups(&self) -> impl Iterator<Item = (&Vec<Value>, &Vec<TupleId>)> {
-        self.groups.iter().filter(|(_, g)| g.len() > 1)
-    }
-
-    /// Approximate heap bytes held by the index: map buckets, per-key value
-    /// vectors and per-group id vectors.  String payloads are shared with
-    /// the instance (`Arc`) and not counted.  This is the `Vec<Value>`-keyed
-    /// baseline the bench harness compares
-    /// [`InternedIndex::approx_heap_bytes`] against.
-    pub fn approx_heap_bytes(&self) -> usize {
-        let entry = size_of::<(Vec<Value>, Vec<TupleId>)>() + 1;
-        let mut bytes = self.groups.capacity() * entry;
-        for (key, group) in &self.groups {
-            bytes += key.capacity() * size_of::<Value>() + group.capacity() * size_of::<TupleId>();
-        }
-        bytes
-    }
-}
 
 /// Cache key of a memoized index: which instance, at which version, on which
 /// attribute list.
@@ -521,7 +435,10 @@ impl Drop for IndexPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::TupleId;
+    use crate::reference;
     use crate::schema::{Domain, RelationSchema};
+    use crate::value::Value;
 
     fn instance() -> RelationInstance {
         let schema = RelationSchema::new(
@@ -534,41 +451,6 @@ mod tests {
                 .unwrap();
         }
         inst
-    }
-
-    #[test]
-    fn groups_by_projection() {
-        let inst = instance();
-        let idx = HashIndex::build(&inst, &[0, 1]);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.get(&[Value::int(1), Value::str("x")]).len(), 2);
-        assert_eq!(idx.get(&[Value::int(2), Value::str("y")]).len(), 1);
-        assert!(idx.get(&[Value::int(9), Value::str("x")]).is_empty());
-    }
-
-    #[test]
-    fn multi_groups_only_returns_groups_with_collisions() {
-        let inst = instance();
-        let idx = HashIndex::build(&inst, &[0, 1]);
-        let multi: Vec<_> = idx.multi_groups().collect();
-        assert_eq!(multi.len(), 1);
-        assert_eq!(multi[0].0, &vec![Value::int(1), Value::str("x")]);
-    }
-
-    #[test]
-    fn empty_attribute_list_groups_everything_together() {
-        let inst = instance();
-        let idx = HashIndex::build(&inst, &[]);
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(&[]).len(), 4);
-    }
-
-    #[test]
-    fn contains_key_matches_get() {
-        let inst = instance();
-        let idx = HashIndex::build(&inst, &[2]);
-        assert!(idx.contains_key(&[Value::str("p")]));
-        assert!(!idx.contains_key(&[Value::str("missing")]));
     }
 
     #[test]
@@ -685,7 +567,7 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         // Same groups as the value-keyed index.
-        let baseline = HashIndex::build(&inst, &[0, 1]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
         assert_eq!(a.group_count(), baseline.len());
         let rows = a.rows_for_values(&[Value::int(1), Value::str("x")]);
         let ids: Vec<TupleId> = rows.iter().map(|&r| a.tuple_id(r)).collect();
@@ -705,7 +587,7 @@ mod tests {
             inst.insert_values([Value::int(1), Value::str("x"), Value::str("r")])
                 .unwrap();
             let idx = pool.interned_for(&inst, &[0, 1], 1);
-            let baseline = HashIndex::build(&inst, &[0, 1]);
+            let baseline = reference::HashIndex::build(&inst, &[0, 1]);
             assert_eq!(idx.group_count(), baseline.len());
             for (key, group) in baseline.groups() {
                 let ids: Vec<TupleId> = idx
@@ -727,7 +609,7 @@ mod tests {
         let patched = pool.interned_for(&inst, &[0, 1], 1);
         assert_eq!(pool.stats().appends, 3, "an update is not an append");
         assert_eq!(pool.stats().patches, 1, "the update patches the index");
-        let baseline = HashIndex::build(&inst, &[0, 1]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
         assert_eq!(patched.group_count(), baseline.len());
         // A key-attribute update moves the edited row between groups.
         inst.update_cell(
@@ -737,7 +619,7 @@ mod tests {
         .unwrap();
         let moved = pool.interned_for(&inst, &[0, 1], 1);
         assert_eq!(pool.stats().patches, 2);
-        let baseline = HashIndex::build(&inst, &[0, 1]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
         assert_eq!(moved.group_count(), baseline.len());
         for (key, group) in baseline.groups() {
             let ids: Vec<TupleId> = moved
@@ -762,7 +644,7 @@ mod tests {
             (0, 0),
             "a removal poisons the journal, forcing a full rebuild"
         );
-        let baseline = HashIndex::build(&inst, &[0, 1]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
         assert_eq!(rebuilt.group_count(), baseline.len());
     }
 

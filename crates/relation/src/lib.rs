@@ -19,8 +19,10 @@
 //! * [`instance::RelationInstance`] / [`instance::Database`] — tuple stores
 //!   with stable [`instance::TupleId`]s, so violations and repairs can refer
 //!   to cells `(tuple, attribute)`;
-//! * [`index::HashIndex`] — hash partitioning of a relation on an attribute
-//!   list, the workhorse of CFD/CIND violation detection;
+//! * [`store`] — the interned columnar snapshot of an instance and its
+//!   compact hash indexes ([`store::InternedIndex`]), memoized per instance
+//!   version by [`index::IndexPool`]; the `Vec<Value>`-keyed
+//!   [`reference::HashIndex`] they replaced is kept as a test oracle;
 //! * [`algebra`] — selection / projection / Cartesian product / union views
 //!   (the SPCU fragment used by dependency propagation, Theorem 4.7) with
 //!   column provenance;
@@ -44,7 +46,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::algebra::{Predicate, View};
     pub use crate::error::{DqError, DqResult};
-    pub use crate::index::{HashIndex, IndexPool, IndexPoolStats};
+    pub use crate::index::{IndexPool, IndexPoolStats};
     pub use crate::instance::{CellChange, CellRef, Database, RelationInstance, TupleId};
     pub use crate::query::{
         Atom, Binding, CompOp, Comparison, ConjunctiveQuery, FoQuery, Formula, Term,

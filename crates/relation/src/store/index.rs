@@ -1,7 +1,7 @@
 //! Compact hash indexes over interned columns.
 //!
 //! [`InternedIndex`] replaces the `HashMap<Vec<Value>, Vec<TupleId>>` of
-//! [`HashIndex`](crate::index::HashIndex) with machine-word keys and a CSR
+//! [`HashIndex`](crate::reference::HashIndex) with machine-word keys and a CSR
 //! (offsets + postings) group layout:
 //!
 //! * **keys** — a tuple's projection onto the index attributes is a vector
@@ -239,7 +239,7 @@ enum GroupMap {
 /// Group postings are *row numbers* of the backing [`ColumnarStore`] (dense
 /// positions, not tuple ids); translate with [`InternedIndex::tuple_id`].
 /// Rows ascend within each group, matching the ascending-`TupleId` group
-/// order of [`HashIndex`](crate::index::HashIndex).
+/// order of [`HashIndex`](crate::reference::HashIndex).
 #[derive(Clone, Debug)]
 pub struct InternedIndex {
     attrs: Vec<usize>,
@@ -938,7 +938,7 @@ fn patch_groups<K: Eq + Hash + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HashIndex;
+    use crate::reference;
     use crate::schema::{Domain, RelationSchema};
     use std::collections::BTreeMap;
 
@@ -973,7 +973,7 @@ mod tests {
             .collect()
     }
 
-    fn canonical_hash(idx: &HashIndex) -> BTreeMap<Vec<Value>, Vec<TupleId>> {
+    fn canonical_hash(idx: &reference::HashIndex) -> BTreeMap<Vec<Value>, Vec<TupleId>> {
         idx.groups().map(|(k, g)| (k.clone(), g.clone())).collect()
     }
 
@@ -983,7 +983,7 @@ mod tests {
         let store = inst.columnar();
         for attrs in [&[0usize][..], &[1], &[0, 1], &[0, 1, 2], &[]] {
             let interned = InternedIndex::build(&inst, &store, attrs, 1);
-            let baseline = HashIndex::build(&inst, attrs);
+            let baseline = reference::HashIndex::build(&inst, attrs);
             assert_eq!(
                 canonical_interned(&interned),
                 canonical_hash(&baseline),
@@ -1053,7 +1053,7 @@ mod tests {
         let store = inst.columnar();
         let attrs: Vec<usize> = (0..6).collect();
         let interned = InternedIndex::build(&inst, &store, &attrs, 1);
-        let baseline = HashIndex::build(&inst, &attrs);
+        let baseline = reference::HashIndex::build(&inst, &attrs);
         assert_eq!(canonical_interned(&interned), canonical_hash(&baseline));
     }
 
@@ -1206,7 +1206,7 @@ mod tests {
         for (_, rows) in patched.groups() {
             assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
         }
-        let baseline = HashIndex::build(&inst, &[0, 1]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
         assert_eq!(patched.group_count(), baseline.len());
     }
 
@@ -1230,7 +1230,10 @@ mod tests {
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
         assert!(patched.rows_for_values(&[Value::str("s4")]).is_empty());
         assert_eq!(patched.rows_for_values(&[Value::str("fresh")]).len(), 1);
-        assert_eq!(patched.group_count(), HashIndex::build(&inst, &[1]).len());
+        assert_eq!(
+            patched.group_count(),
+            reference::HashIndex::build(&inst, &[1]).len()
+        );
     }
 
     #[test]
@@ -1272,7 +1275,7 @@ mod tests {
         // Key on the unique attribute so every tuple is its own group — the
         // worst case for per-key overhead.
         let interned = InternedIndex::build(&inst, &store, &[0, 1, 2], 1);
-        let baseline = HashIndex::build(&inst, &[0, 1, 2]);
+        let baseline = reference::HashIndex::build(&inst, &[0, 1, 2]);
         assert!(
             interned.approx_heap_bytes() * 4 <= baseline.approx_heap_bytes(),
             "interned {} bytes vs baseline {} bytes",

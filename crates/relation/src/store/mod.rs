@@ -22,8 +22,7 @@
 //!    dependencies.
 //!
 //! [`crate::index::IndexPool`] memoizes interned indexes per
-//! `(instance identity, version, attribute list)` exactly as it does the
-//! value-keyed [`crate::index::HashIndex`]es.
+//! `(instance identity, version, attribute list)`.
 
 pub mod columnar;
 pub mod distinct;

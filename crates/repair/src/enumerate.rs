@@ -15,23 +15,16 @@ use std::collections::BTreeSet;
 /// Enumerates all repairs (maximal consistent subsets) of `instance` under
 /// the given denial constraints.  Exponential in the number of conflicts;
 /// intended for small oracle instances and for reproducing Example 5.1.
+///
+/// The per-candidate consistency checks run on one private
+/// [`DetectionEngine`]: FD- and key-shaped constraints are evaluated over
+/// pooled interned partitions on their equality attributes (same canonical
+/// violation order as the naive scan) instead of the quadratic pair loop.
 pub fn enumerate_repairs(
     instance: &RelationInstance,
     constraints: &[DenialConstraint],
 ) -> Vec<RelationInstance> {
-    enumerate_repairs_with_engine(instance, constraints, &DetectionEngine::new())
-}
-
-/// [`enumerate_repairs`] with the per-candidate consistency checks routed
-/// through a shared [`DetectionEngine`]: FD- and key-shaped constraints are
-/// evaluated over pooled interned partitions on their equality attributes
-/// (same canonical violation order as the naive scan) instead of the
-/// quadratic pair loop.
-pub fn enumerate_repairs_with_engine(
-    instance: &RelationInstance,
-    constraints: &[DenialConstraint],
-    engine: &DetectionEngine,
-) -> Vec<RelationInstance> {
+    let engine = DetectionEngine::new();
     let mut seen_kept: BTreeSet<Vec<TupleId>> = BTreeSet::new();
     let mut out = Vec::new();
     let mut stack = vec![instance.clone()];

@@ -174,27 +174,17 @@ pub fn check_x_repair(
 /// Is `candidate` a U-repair of `original` w.r.t. the CFDs: same tuple ids,
 /// consistent, and only attribute values changed?  (Cost-minimality is an
 /// optimization criterion, not part of the check — finding minimum-cost
-/// repairs is NP-complete, Theorem 5.1.)  The default-engine form of
-/// [`check_u_repair_with`].
+/// repairs is NP-complete, Theorem 5.1.)  The consistency verdict comes
+/// from a private [`DetectionEngine`].
 pub fn check_u_repair(
     original: &RelationInstance,
     candidate: &RelationInstance,
     cfds: &[Cfd],
 ) -> bool {
-    check_u_repair_with(&DetectionEngine::new(), original, candidate, cfds)
-}
-
-/// [`check_u_repair`] with the consistency verdict computed by a shared
-/// [`DetectionEngine`] — callers that check many candidate repairs of the
-/// same instance reuse its pooled interned indexes.
-pub fn check_u_repair_with(
-    engine: &DetectionEngine,
-    original: &RelationInstance,
-    candidate: &RelationInstance,
-    cfds: &[Cfd],
-) -> bool {
     preserves_tuple_identities(original, candidate)
-        && engine.detect_cfd_violations(candidate, cfds).is_clean()
+        && DetectionEngine::new()
+            .detect_cfd_violations(candidate, cfds)
+            .is_clean()
 }
 
 /// The structural half of U-repair checking: the candidate keeps exactly

@@ -13,10 +13,9 @@
 use crate::model::{RepairCost, RepairLog};
 use dq_core::analysis::ensure_consistent;
 use dq_core::engine::DetectionEngine;
-use dq_core::reference;
 use dq_core::stream::cfd_violations;
 use dq_core::{Cfd, CfdViolation, PatternValue};
-use dq_relation::{DqResult, HashIndex, RelationInstance, StoreShardSource, TupleId, Value};
+use dq_relation::{DqResult, RelationInstance, StoreShardSource, TupleId, Value};
 use std::collections::BTreeMap;
 
 /// Configuration of the heuristic repair.
@@ -69,14 +68,13 @@ pub fn repair_cfd_violations(
 /// phase-1 violations come from the CFD detection kernel, the final verdict
 /// from the engine's detection, and phase-2 equivalence classes are read
 /// off the engine's pooled [interned indexes](dq_relation::InternedIndex)
-/// instead of building a fresh `Vec<Value>`-keyed [`HashIndex`] per CFD per
-/// round.  Within one round the normalized fragments share each
-/// distinct-LHS index through the pool (version-tagged, so reuse survives
-/// exactly as long as no cell was rewritten), and because the repair loop
-/// only *updates* cells the final check never pays for more than the loop
-/// already built.  The outcome —
-/// repaired cells, log order, cost, rounds — is byte-identical to
-/// [`repair_cfd_violations_naive`].
+/// instead of building a fresh `Vec<Value>`-keyed index per CFD per round.
+/// Within one round the normalized fragments share each distinct-LHS index
+/// through the pool (version-tagged, so reuse survives exactly as long as
+/// no cell was rewritten), and because the repair loop only *updates* cells
+/// the final check never pays for more than the loop already built.  The
+/// outcome — repaired cells, log order, cost, rounds — is byte-identical to
+/// [`reference::repair_cfd_violations`](crate::reference::repair_cfd_violations).
 ///
 /// Like [`repair_cfd_violations`], refuses inconsistent rule sets up front.
 pub fn repair_cfd_violations_with_engine(
@@ -210,120 +208,12 @@ pub fn repair_cfd_violations_with_engine(
     })
 }
 
-/// The legacy implementation: one fresh `Vec<Value>`-keyed [`HashIndex`]
-/// per CFD per round and the [`dq_core::reference`] detectors for every
-/// violation scan and consistency check.
-/// Kept as the reference the engine-carried path is property-tested
-/// against (`tests/discovery_equivalence.rs`) and benchmarked over.
-pub fn repair_cfd_violations_naive(
-    instance: &RelationInstance,
-    cfds: &[Cfd],
-    cost: &RepairCost,
-    config: &RepairConfig,
-) -> RepairOutcome {
-    let mut repaired = instance.clone();
-    let mut log = RepairLog::default();
-    let normalized: Vec<Cfd> = cfds.iter().flat_map(|c| c.normalize()).collect();
-    let mut rounds = 0;
-
-    while rounds < config.max_rounds {
-        rounds += 1;
-        let mut changed = false;
-
-        // Phase 1: constant violations — write the required constant.
-        for cfd in &normalized {
-            let tp = &cfd.tableau()[0];
-            let b = cfd.rhs()[0];
-            let PatternValue::Const(required) = &tp.rhs[0] else {
-                continue;
-            };
-            let violating: Vec<TupleId> = reference::cfd_violations(cfd, &repaired)
-                .into_iter()
-                .filter_map(|v| match v {
-                    CfdViolation::SingleTuple { tuple, .. } => Some(tuple),
-                    CfdViolation::TuplePair { .. } => None,
-                })
-                .collect();
-            for id in violating {
-                let old = repaired
-                    .tuple(id)
-                    .expect("violating tuple is live")
-                    .get(b)
-                    .clone();
-                if &old == required {
-                    continue;
-                }
-                repaired
-                    .update_cell(dq_relation::instance::CellRef::new(id, b), required.clone())
-                    .expect("repair writes stay in-domain");
-                log.cost += cost.cell_cost(id, b, &old, required);
-                log.modified.push((id, b, old, required.clone()));
-                changed = true;
-            }
-        }
-
-        // Phase 2: variable violations — equivalence classes per LHS group.
-        for cfd in &normalized {
-            let tp = &cfd.tableau()[0];
-            let b = cfd.rhs()[0];
-            if !tp.rhs[0].is_any() {
-                continue; // constant case handled above
-            }
-            let index = HashIndex::build(&repaired, cfd.lhs());
-            // Collect target assignments first, then apply, to avoid holding
-            // borrows across mutations.
-            let mut assignments: Vec<(TupleId, Value)> = Vec::new();
-            for (key, group) in index.multi_groups() {
-                let matches_pattern = tp.lhs.iter().zip(key.iter()).all(|(p, v)| p.matches(v));
-                if !matches_pattern || group.len() < 2 {
-                    continue;
-                }
-                // Confidence-weighted vote over the current B values of the
-                // class: keeping the value held by high-confidence cells
-                // minimizes the cost of rewriting the others.
-                let mut votes: BTreeMap<Value, f64> = BTreeMap::new();
-                for &id in group {
-                    let v = repaired.tuple(id).expect("live tuple").get(b).clone();
-                    *votes.entry(v).or_insert(0.0) += cost.weight(id, b);
-                }
-                if votes.len() <= 1 {
-                    continue;
-                }
-                let target = votes
-                    .iter()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(v, _)| v.clone())
-                    .expect("non-empty vote");
-                for &id in group {
-                    let current = repaired.tuple(id).expect("live tuple").get(b).clone();
-                    if current != target {
-                        assignments.push((id, target.clone()));
-                    }
-                }
-            }
-            apply_assignments(&mut repaired, &mut log, cost, b, assignments, &mut changed);
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
-    let consistent = reference::detect_cfd_violations(&repaired, cfds).is_clean();
-    RepairOutcome {
-        repaired,
-        log,
-        consistent,
-        rounds,
-    }
-}
-
 /// Applies one phase-2 batch in ascending tuple order.  Groups are disjoint
 /// (each tuple gets at most one assignment per CFD pass), so sorting fixes
 /// the log order and the floating-point cost accumulation to a canonical
 /// sequence — the hash-map group order of either index representation never
 /// leaks into the outcome.
-fn apply_assignments(
+pub(crate) fn apply_assignments(
     repaired: &mut RelationInstance,
     log: &mut RepairLog,
     cost: &RepairCost,
@@ -520,7 +410,7 @@ mod tests {
             &engine,
         )
         .expect("consistent rule set");
-        let naive = repair_cfd_violations_naive(
+        let naive = crate::reference::repair_cfd_violations(
             &dirty,
             &cfds,
             &RepairCost::uniform(),

@@ -14,7 +14,7 @@
 
 use crate::vtable::{VTuple, VValue};
 use dq_core::fd::Fd;
-use dq_relation::{HashIndex, RelationInstance, RelationSchema, Value};
+use dq_relation::{RelationInstance, RelationSchema, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -165,14 +165,14 @@ impl CTable {
     /// unconditional.
     pub fn from_key_repairs(instance: &RelationInstance, key: &Fd) -> Self {
         let mut table = CTable::new(Arc::clone(instance.schema()));
-        let index = HashIndex::build(instance, key.lhs());
-        let mut groups: Vec<_> = index.groups().collect();
-        groups.sort_by(|a, b| a.0.cmp(b.0));
-        for (gi, (_, ids)) in groups.into_iter().enumerate() {
+        for (gi, (_, ids)) in crate::key_groups(instance, key.lhs())
+            .into_iter()
+            .enumerate()
+        {
             // Distinct candidates only: duplicates denote the same repair.
             let mut candidates = Vec::new();
             let mut seen = BTreeSet::new();
-            for &id in ids {
+            for id in ids {
                 let t = instance.tuple(id).expect("live tuple").clone();
                 if seen.insert(t.clone()) {
                     candidates.push(t);

@@ -15,20 +15,16 @@
 
 use crate::vtable::{VTable, VTuple, VValue};
 use dq_core::Fd;
-use dq_relation::{Atom, ConjunctiveQuery, HashIndex, RelationInstance, Term, Value};
+use dq_relation::{Atom, ConjunctiveQuery, RelationInstance, Term, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Builds the nucleus of `instance` under a single FD `X → Y` (typically a
 /// key): one v-tuple per `X`-group, with variables where the group disagrees.
 pub fn nucleus_for_fd(instance: &RelationInstance, fd: &Fd) -> VTable {
     let mut table = VTable::new(instance.schema().clone());
-    let index = HashIndex::build(instance, fd.lhs());
     let arity = instance.schema().arity();
     let mut var_counter = 0usize;
-    // Deterministic order: sort groups by key value.
-    let mut groups: Vec<(&Vec<Value>, &Vec<dq_relation::TupleId>)> = index.groups().collect();
-    groups.sort_by(|a, b| a.0.cmp(b.0));
-    for (_, group) in groups {
+    for (_, group) in crate::key_groups(instance, fd.lhs()) {
         let tuples: Vec<&dq_relation::Tuple> = group
             .iter()
             .map(|&id| instance.tuple(id).expect("live tuple"))
@@ -163,9 +159,8 @@ pub struct NucleusStats {
 /// Computes nucleus statistics for an instance under a key FD.
 pub fn nucleus_stats(instance: &RelationInstance, fd: &Fd) -> NucleusStats {
     let nucleus = nucleus_for_fd(instance, fd);
-    let index = HashIndex::build(instance, fd.lhs());
     let mut worlds = 1usize;
-    for (_, group) in index.groups() {
+    for (_, group) in crate::key_groups(instance, fd.lhs()) {
         let distinct: BTreeSet<Vec<Value>> = group
             .iter()
             .map(|&id| instance.tuple(id).expect("live tuple").project(fd.rhs()))

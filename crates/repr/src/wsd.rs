@@ -12,7 +12,7 @@
 //! surfaced by [`WorldSetDecomposition::is_product_faithful`].
 
 use dq_core::Fd;
-use dq_relation::{HashIndex, RelationInstance, Tuple, Value};
+use dq_relation::{RelationInstance, Tuple, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -36,21 +36,18 @@ impl WorldSetDecomposition {
     /// Builds the WSD of `instance` under the key FD `X → Y` (candidates are
     /// deduplicated per component).
     pub fn for_key(instance: &RelationInstance, key: &Fd) -> Self {
-        let index = HashIndex::build(instance, key.lhs());
         let mut components = Vec::new();
-        let mut groups: Vec<(&Vec<Value>, &Vec<dq_relation::TupleId>)> = index.groups().collect();
-        groups.sort_by(|a, b| a.0.cmp(b.0));
-        for (key_value, group) in groups {
+        for (key_value, group) in crate::key_groups(instance, key.lhs()) {
             let mut seen = BTreeSet::new();
             let mut candidates = Vec::new();
-            for &id in group {
+            for id in group {
                 let t = instance.tuple(id).expect("live tuple").clone();
                 if seen.insert(t.clone()) {
                     candidates.push(t);
                 }
             }
             components.push(Component {
-                key: key_value.clone(),
+                key: key_value,
                 candidates,
             });
         }

@@ -7,7 +7,8 @@ use dq_gen::customer::{customer_schema, paper_cfds};
 use dq_gen::master::{generate_master_workload, MasterConfig};
 use dq_relation::{Domain, RelationInstance, RelationSchema, TupleId, Value};
 use dq_repair::numeric::{repair_numeric_violations, NumericRepairConfig};
-use dq_repr::ctable::CTable;
+use dq_repr::ctable::{CTable, CTuple, CondAtom};
+use dq_repr::vtable::{VTuple, VValue};
 use std::sync::Arc;
 
 fn master_rules() -> Vec<RelativeKey> {
@@ -116,6 +117,107 @@ fn ctable_worlds_agree_with_wsd_and_enumeration() {
             "c-table world not found among the enumerated repairs"
         );
     }
+}
+
+/// The exact output of every key-grouped representation on one instance
+/// whose key groups arrive out of key order, with a duplicate candidate in
+/// group `z`: groups come out in ascending key order, candidates (and the
+/// nucleus's disagreeing cells) in instance order, and selector names count
+/// every group, singletons included.
+#[test]
+fn key_grouped_representations_have_a_pinned_output() {
+    let schema = Arc::new(RelationSchema::new(
+        "r",
+        [("a", Domain::Text), ("b", Domain::Int), ("c", Domain::Text)],
+    ));
+    let mut inst = RelationInstance::new(Arc::clone(&schema));
+    let rows = [
+        ("z", 3, "p"),
+        ("x", 1, "p"),
+        ("z", 4, "p"),
+        ("y", 7, "q"),
+        ("x", 2, "p"),
+        ("z", 3, "p"),
+        ("x", 1, "q"),
+    ];
+    for (a, b, c) in rows {
+        inst.insert_values([Value::str(a), Value::int(b), Value::str(c)])
+            .unwrap();
+    }
+    let row = |a: &str, b: i64, c: &str| vec![Value::str(a), Value::int(b), Value::str(c)];
+    let key = Fd::new(&schema, &["a"], &["b", "c"]);
+
+    let ctable = CTable::from_key_repairs(&inst, &key);
+    let selected = |values: Vec<Value>, var: &str, i: i64| CTuple {
+        tuple: VTuple::new(values.into_iter().map(VValue::Const).collect()),
+        condition: vec![CondAtom::eq(var, i)],
+    };
+    assert_eq!(
+        ctable.tuples(),
+        &[
+            selected(row("x", 1, "p"), "g0", 0),
+            selected(row("x", 2, "p"), "g0", 1),
+            selected(row("x", 1, "q"), "g0", 2),
+            CTuple::ground(row("y", 7, "q")),
+            selected(row("z", 3, "p"), "g2", 0),
+            selected(row("z", 4, "p"), "g2", 1),
+        ]
+    );
+    let domains: Vec<(&str, Vec<Value>)> = ctable
+        .domains()
+        .iter()
+        .map(|(var, values)| (var.as_str(), values.clone()))
+        .collect();
+    assert_eq!(
+        domains,
+        [
+            ("g0", vec![Value::int(0), Value::int(1), Value::int(2)]),
+            ("g2", vec![Value::int(0), Value::int(1)]),
+        ]
+    );
+
+    let wsd = WorldSetDecomposition::for_key(&inst, &key);
+    let components: Vec<(Vec<Value>, Vec<Vec<Value>>)> = wsd
+        .components()
+        .iter()
+        .map(|c| {
+            let candidates = c.candidates.iter().map(|t| t.values().to_vec()).collect();
+            (c.key.clone(), candidates)
+        })
+        .collect();
+    assert_eq!(
+        components,
+        [
+            (
+                vec![Value::str("x")],
+                vec![row("x", 1, "p"), row("x", 2, "p"), row("x", 1, "q")],
+            ),
+            (vec![Value::str("y")], vec![row("y", 7, "q")]),
+            (
+                vec![Value::str("z")],
+                vec![row("z", 3, "p"), row("z", 4, "p")]
+            ),
+        ]
+    );
+
+    let nucleus = nucleus_for_fd(&inst, &key);
+    assert_eq!(
+        nucleus.tuples(),
+        &[
+            VTuple::new(vec![VValue::val("x"), VValue::var("v0"), VValue::var("v1")]),
+            VTuple::new(vec![VValue::val("y"), VValue::val(7i64), VValue::val("q")]),
+            VTuple::new(vec![VValue::val("z"), VValue::var("v2"), VValue::val("p")]),
+        ]
+    );
+    let stats = nucleus_stats(&inst, &key);
+    assert_eq!(
+        (
+            stats.nucleus_tuples,
+            stats.variables,
+            stats.represented_worlds
+        ),
+        (3, 3, 6)
+    );
 }
 
 #[test]

@@ -11,13 +11,12 @@
 //! reproducible.
 
 use dataquality::prelude::*;
-use dq_cqa::rewrite::certain_answers_rewriting_naive;
 use dq_discovery::reference;
 use dq_discovery::source::PartitionSource;
 use dq_gen::customer::{generate_customers, paper_cfds, CustomerConfig};
 use dq_gen::orders::{generate_orders, OrderConfig};
 use dq_relation::{CellRef, IndexPool, InternedIndex, RelationInstance, StoreShardSource, Value};
-use dq_repair::urepair::{repair_cfd_violations_naive, repair_cfd_violations_with_engine};
+use dq_repair::urepair::repair_cfd_violations_with_engine;
 use dq_repair::{RepairConfig, RepairCost};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -247,8 +246,8 @@ proptest! {
     }
 
     /// The engine-carried repair loop produces a byte-identical outcome to
-    /// the legacy loop: same repaired cells, same log (order included),
-    /// same cost, rounds and verdict.
+    /// `dq_repair::reference`: same repaired cells, same log (order
+    /// included), same cost, rounds and verdict.
     #[test]
     fn engine_repair_equals_naive_repair(config in workload_config()) {
         let workload = generate_customers(&config);
@@ -259,7 +258,12 @@ proptest! {
         let fast =
             repair_cfd_violations_with_engine(&workload.dirty, &cfds, &cost, &repair_config, &engine)
                 .expect("mined rule sets hold on the instance, hence consistent");
-        let slow = repair_cfd_violations_naive(&workload.dirty, &cfds, &cost, &repair_config);
+        let slow = dq_repair::reference::repair_cfd_violations(
+            &workload.dirty,
+            &cfds,
+            &cost,
+            &repair_config,
+        );
         prop_assert_eq!(fast.consistent, slow.consistent);
         prop_assert_eq!(fast.rounds, slow.rounds);
         prop_assert_eq!(&fast.log.modified, &slow.log.modified);
@@ -728,7 +732,9 @@ proptest! {
     }
 }
 
-/// A small inconsistent database with key conflicts, shaped by a seed.
+/// A small database shaped by a seed: `emp` with key conflicts on `name`,
+/// and a key-clean `dept(dname, mgr)` that lacks some departments `emp`
+/// names, so joins through `dept` drop some candidates.
 fn cqa_database(groups: usize, seed: u64) -> (Database, Vec<KeySpec>, Vec<DenialConstraint>) {
     let schema = Arc::new(dq_relation::RelationSchema::new(
         "emp",
@@ -759,36 +765,53 @@ fn cqa_database(groups: usize, seed: u64) -> (Database, Vec<KeySpec>, Vec<Denial
         }
     }
     let constraints = DenialConstraint::from_fd(&Fd::new(&schema, &["name"], &["dept", "grade"]));
+    let mut dept = RelationInstance::new(Arc::new(dq_relation::RelationSchema::new(
+        "dept",
+        [
+            ("dname", dq_relation::Domain::Text),
+            ("mgr", dq_relation::Domain::Text),
+        ],
+    )));
+    for d in (0..5u64).filter(|d| !(d + seed).is_multiple_of(4)) {
+        dept.insert_values([
+            Value::str(format!("d{d}")),
+            Value::str(format!("m{}", (d * seed) % 3)),
+        ])
+        .unwrap();
+    }
     let mut db = Database::new();
     db.add_relation(inst);
-    (db, vec![KeySpec::new("emp", vec![0])], constraints)
+    db.add_relation(dept);
+    let keys = vec![KeySpec::new("emp", vec![0]), KeySpec::new("dept", vec![0])];
+    (db, keys, constraints)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The interned CQA rewriting returns exactly the naive rewriting's
-    /// answers, and (on oracle-sized instances) exactly the certain answers
-    /// of exhaustive repair enumeration.
+    /// The CQA rewriting returns exactly the certain answers of exhaustive
+    /// repair enumeration, on a single-atom query and on the join
+    /// `emp(n, d, g) ⋈ dept(d, m)`, whose child atom is certified by probing
+    /// `dept`'s key index.  `dept` is key-clean, so repairing `emp` alone
+    /// keeps the oracle exact.
     #[test]
     fn cqa_rewriting_interned_equals_naive_and_oracle(
         groups in 1usize..12,
         seed in 0u64..500,
     ) {
         let (db, keys, constraints) = cqa_database(groups, seed);
-        let query = ConjunctiveQuery::new(
-            vec!["n", "d"],
-            vec![Atom::new(
-                "emp",
-                vec![Term::var("n"), Term::var("d"), Term::var("g")],
-            )],
-            vec![],
-        );
-        let fast = certain_answers_rewriting(&db, &keys, &query).unwrap();
-        let slow = certain_answers_rewriting_naive(&db, &keys, &query).unwrap();
-        prop_assert_eq!(&fast, &slow);
-        let oracle = certain_answers_oracle(&db, "emp", &constraints, &query).unwrap();
-        prop_assert_eq!(&fast, &oracle);
+        let emp = || Atom::new("emp", vec![Term::var("n"), Term::var("d"), Term::var("g")]);
+        let dept = || Atom::new("dept", vec![Term::var("d"), Term::var("m")]);
+        let queries = [
+            ConjunctiveQuery::new(vec!["n", "d"], vec![emp()], vec![]),
+            ConjunctiveQuery::new(vec!["n", "m"], vec![emp(), dept()], vec![]),
+            ConjunctiveQuery::new(vec!["n"], vec![emp(), dept()], vec![]),
+        ];
+        for query in &queries {
+            let fast = certain_answers_rewriting(&db, &keys, query).unwrap();
+            let oracle = certain_answers_oracle(&db, "emp", &constraints, query).unwrap();
+            prop_assert_eq!(&fast, &oracle, "{:?}", query);
+        }
     }
 
     /// Engine-routed repair enumeration, checked against the naive

@@ -143,7 +143,7 @@ proptest! {
         // them, so `Vec<Value>` is not a usable `BTreeMap` key here.
         for attrs in [&[0usize][..], &[1], &[0, 1]] {
             let interned = InternedIndex::build_with_shard_rows(&inst, &store, attrs, threads, 7);
-            let baseline = dq_relation::HashIndex::build(&inst, attrs);
+            let baseline = dq_relation::reference::HashIndex::build(&inst, attrs);
             let from_interned: BTreeMap<String, Vec<TupleId>> = interned
                 .groups()
                 .map(|(ids, rows)| {
@@ -212,7 +212,7 @@ proptest! {
         // equal the value-keyed baseline.
         for attrs in [&[0usize][..], &[1], &[0, 1]] {
             let idx = pool.interned_for(&inst, attrs, 1);
-            let baseline = dq_relation::HashIndex::build(&inst, attrs);
+            let baseline = dq_relation::reference::HashIndex::build(&inst, attrs);
             prop_assert_eq!(idx.group_count(), baseline.len(), "attrs {:?}", attrs);
             for (key, group) in baseline.groups() {
                 let ids: Vec<TupleId> =
@@ -293,7 +293,7 @@ proptest! {
             }
             for attrs in attr_sets {
                 let idx = pool.interned_for(&inst, attrs, 1);
-                let baseline = dq_relation::HashIndex::build(&inst, attrs);
+                let baseline = dq_relation::reference::HashIndex::build(&inst, attrs);
                 prop_assert_eq!(idx.group_count(), baseline.len(), "attrs {:?}", attrs);
                 for (key, group) in baseline.groups() {
                     let ids: Vec<TupleId> =
@@ -369,7 +369,7 @@ fn dictionary_growing_append_still_extends_pooled_structures() {
     );
     // Correctness after the repack: groups equal the value-keyed baseline
     // and the new key is probeable in both structures.
-    let baseline = dq_relation::HashIndex::build(&inst, &[0, 1]);
+    let baseline = dq_relation::reference::HashIndex::build(&inst, &[0, 1]);
     assert_eq!(idx.group_count(), baseline.len());
     for (key, group) in baseline.groups() {
         let ids: Vec<TupleId> = idx
