@@ -9,8 +9,8 @@
 //! grouped by LHS builds each index exactly once — and repeated detection
 //! runs over an unchanged instance rebuild nothing at all.
 
-use crate::instance::RelationInstance;
-use crate::store::{DistinctSet, InternedIndex};
+use crate::instance::{CellChange, RelationInstance};
+use crate::store::{ColumnarStore, DistinctSet, InternedIndex};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +22,7 @@ type PoolKey = (u64, u64, Vec<usize>);
 
 /// Pre-registered `dq-obs` handles mirroring the pool's counters into the
 /// process-wide recorder as live metrics, plus latency histograms for the
-/// build/extend/patch paths.  Near-no-ops while recording is off.
+/// build and patch paths.  Near-no-ops while recording is off.
 struct PoolObs {
     hits: dq_obs::Counter,
     misses: dq_obs::Counter,
@@ -31,7 +31,6 @@ struct PoolObs {
     races: dq_obs::Counter,
     entries: dq_obs::Gauge,
     build_ns: dq_obs::Histogram,
-    extend_ns: dq_obs::Histogram,
     patch_ns: dq_obs::Histogram,
 }
 
@@ -46,7 +45,6 @@ impl PoolObs {
             races: rec.counter("pool.races"),
             entries: rec.gauge("pool.entries"),
             build_ns: rec.histogram("index.build_ns"),
-            extend_ns: rec.histogram("index.extend_ns"),
             patch_ns: rec.histogram("index.patch_ns"),
         }
     }
@@ -65,14 +63,14 @@ pub struct IndexPoolStats {
     pub hits: u64,
     /// Requests that had to build an index.
     pub misses: u64,
-    /// Misses served by extending a cached index of an older version after
-    /// append-only mutations, instead of a full rebuild (a subset of
-    /// `misses`).
+    /// Misses served by patching a cached index of an older version across
+    /// a gap with no net cell changes — only appended rows to key —
+    /// instead of a full rebuild (a subset of `misses`).
     pub appends: u64,
-    /// Misses served by *patching* a cached index of an older version after
-    /// journaled cell writes — moving only the changed rows between groups
-    /// — instead of a full rebuild (a subset of `misses`, disjoint from
-    /// `appends`).
+    /// Misses served by patching a cached index of an older version across
+    /// a gap with journaled cell changes — moving only the changed rows
+    /// between groups — instead of a full rebuild (a subset of `misses`,
+    /// disjoint from `appends`).
     pub patches: u64,
     /// Duplicate build races: misses whose build was discarded because a
     /// concurrent request built and inserted the same index first (builds
@@ -167,7 +165,7 @@ impl IndexPool {
     /// `keep_stale` may exempt selected stale entries of the requested
     /// instance from the eager purge (the interned cache keeps the latest
     /// upgradable entry per *other* attribute list alive so it can still
-    /// serve as an extension or patch donor; growth stays bounded because
+    /// serve as a patch donor; growth stays bounded because
     /// each attribute list's own insert drops its predecessors).
     /// Re-checks for a concurrent insert of the same key (builds run
     /// outside the lock): an already-present entry wins and the caller's
@@ -203,20 +201,22 @@ impl IndexPool {
     /// ([`InternedIndex`], [`DistinctSet`]): serve a hit, else find the best
     /// upgradable predecessor — same instance and attributes, older version,
     /// every mutation in between either an insert or a journaled cell write
-    /// ([`RelationInstance::delta_covers`]) — and let `upgrade` re-key only
-    /// the appended rows (counted in [`IndexPoolStats::appends`]) or move
-    /// only the edited rows between groups (counted in
-    /// [`IndexPoolStats::patches`]), falling back to `build`.  The insert
-    /// keeps stale entries on *other* attribute lists alive while they stay
-    /// upgradable, so one mutation round can upgrade every cached artifact,
-    /// not just the first one re-requested; each attribute list's own insert
-    /// still drops its predecessors.
+    /// ([`RelationInstance::delta_covers`]) — and let `upgrade` patch it
+    /// over the instance's current snapshot with the coalesced cell changes
+    /// since its version, falling back to `build`.  A successful upgrade
+    /// counts in [`IndexPoolStats::appends`] when the change list is empty
+    /// (only appended rows to key) and in [`IndexPoolStats::patches`]
+    /// otherwise.  The insert keeps stale
+    /// entries on *other* attribute lists alive while they stay upgradable,
+    /// so one mutation round can upgrade every cached artifact, not just the
+    /// first one re-requested; each attribute list's own insert still drops
+    /// its predecessors.
     fn artifact_for<V>(
         &self,
         cache: &Mutex<HashMap<PoolKey, Arc<V>>>,
         instance: &RelationInstance,
         attrs: &[usize],
-        upgrade: impl Fn(&V) -> Option<V>,
+        upgrade: impl Fn(&V, &Arc<ColumnarStore>, &[CellChange]) -> Option<V>,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
         let key: PoolKey = (instance.instance_id(), instance.version(), attrs.to_vec());
@@ -236,14 +236,28 @@ impl IndexPool {
                         && instance.delta_covers(*version)
                 })
                 .max_by_key(|((_, version, _), _)| *version)
-                .map(|(_, artifact)| Arc::clone(artifact))
+                .map(|((_, version, _), artifact)| (*version, Arc::clone(artifact)))
         };
         // Build outside the lock so concurrent requests for *different*
         // artifacts proceed in parallel; a racing duplicate build of the
         // same one is benign (first write wins, results are identical).
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.obs.misses.inc();
-        let upgraded = predecessor.and_then(|prev| upgrade(&prev));
+        let upgraded = predecessor.and_then(|(version, prev)| {
+            let changes = instance.changed_cells_since(version)?;
+            let store = instance.columnar();
+            let upgraded = self
+                .obs
+                .patch_ns
+                .time(|| upgrade(&prev, &store, &changes))?;
+            let (count, live) = match changes.is_empty() {
+                true => (&self.appends, &self.obs.appends),
+                false => (&self.patches, &self.obs.patches),
+            };
+            count.fetch_add(1, Ordering::Relaxed);
+            live.inc();
+            Some(upgraded)
+        });
         let built = Arc::new(match upgraded {
             Some(artifact) => artifact,
             None => self.obs.build_ns.time(build),
@@ -254,45 +268,17 @@ impl IndexPool {
         })
     }
 
-    /// Shared append-vs-patch dispatch of the upgrade closures: an
-    /// append-only gap takes `extend`, a journal-covered gap takes `patch`
-    /// with the coalesced cell changes, and success bumps the matching
-    /// counter.  `prev_version` must be the cached artifact's snapshot
-    /// version.
-    fn upgrade_artifact<V>(
-        &self,
-        instance: &RelationInstance,
-        prev_version: u64,
-        extend: impl FnOnce() -> Option<V>,
-        patch: impl FnOnce(&[crate::instance::CellChange]) -> Option<V>,
-    ) -> Option<V> {
-        if instance.append_only_since(prev_version) {
-            self.obs.extend_ns.time(extend).inspect(|_| {
-                self.appends.fetch_add(1, Ordering::Relaxed);
-                self.obs.appends.inc();
-            })
-        } else {
-            let changes = instance.changed_cells_since(prev_version)?;
-            self.obs.patch_ns.time(|| patch(&changes)).inspect(|_| {
-                self.patches.fetch_add(1, Ordering::Relaxed);
-                self.obs.patches.inc();
-            })
-        }
-    }
-
     /// The interned (compact-key, CSR) index of `instance` on `attrs`, built
     /// at most once per instance version over the instance's columnar
     /// snapshot, using up to `threads` workers for a cold build.
     ///
     /// When the pool holds an index of an older version of the same
-    /// instance on the same attributes, a miss is served without a full
-    /// rebuild whenever the gap is covered: append-only growth
-    /// ([`RelationInstance::append_only_since`]) takes
-    /// [`InternedIndex::try_extended`] — re-keying only the appended rows —
-    /// and journaled cell writes ([`RelationInstance::delta_covers`]) take
-    /// [`InternedIndex::try_patched`] — moving only the edited rows between
-    /// groups.  Removals, raw tuple access and journal overflow fall back
-    /// to rebuilding.
+    /// instance on the same attributes and the delta journal covers the gap
+    /// ([`RelationInstance::delta_covers`]), a miss is served by
+    /// [`InternedIndex::try_patched`] — keying only the appended rows and
+    /// moving only the edited rows between groups — instead of a rebuild.
+    /// Removals, raw tuple access and journal overflow fall back to
+    /// rebuilding.
     pub fn interned_for(
         &self,
         instance: &RelationInstance,
@@ -303,15 +289,7 @@ impl IndexPool {
             &self.interned,
             instance,
             attrs,
-            |prev| {
-                let store = instance.columnar();
-                self.upgrade_artifact(
-                    instance,
-                    prev.store().version(),
-                    || InternedIndex::try_extended(prev, instance, &store),
-                    |changes| InternedIndex::try_patched(prev, instance, &store, changes),
-                )
-            },
+            |prev, store, changes| InternedIndex::try_patched(prev, instance, store, changes),
             || InternedIndex::build(instance, &instance.columnar(), attrs, threads),
         )
     }
@@ -320,13 +298,12 @@ impl IndexPool {
     /// once per instance version over the instance's columnar snapshot,
     /// using up to `threads` workers for a cold build.
     ///
-    /// Misses after append-only growth are served by
-    /// [`DistinctSet::try_extended`] — only the appended rows are packed and
-    /// inserted, with the same repack-aware radix handling as the interned
-    /// indexes — and count into [`IndexPoolStats::appends`]; misses after
-    /// journaled cell writes are served by [`DistinctSet::try_patched`] —
-    /// inserting the edited rows' new keys and dropping vacated ones — and
-    /// count into [`IndexPoolStats::patches`].
+    /// Misses over a gap the delta journal covers are served by
+    /// [`DistinctSet::try_patched`] — inserting the appended and edited
+    /// rows' keys and dropping vacated ones, with the same repack-aware
+    /// radix handling as the interned indexes — and count into
+    /// [`IndexPoolStats::appends`] or [`IndexPoolStats::patches`] exactly
+    /// like [`interned_for`](Self::interned_for).
     pub fn distinct_for(
         &self,
         instance: &RelationInstance,
@@ -337,15 +314,7 @@ impl IndexPool {
             &self.distinct,
             instance,
             attrs,
-            |prev| {
-                let store = instance.columnar();
-                self.upgrade_artifact(
-                    instance,
-                    prev.store().version(),
-                    || DistinctSet::try_extended(prev, instance, &store),
-                    |changes| DistinctSet::try_patched(prev, instance, &store, changes),
-                )
-            },
+            |prev, store, changes| DistinctSet::try_patched(prev, instance, store, changes),
             || DistinctSet::build(instance, &instance.columnar(), attrs, threads),
         )
     }
@@ -481,7 +450,7 @@ mod tests {
         pool.interned_for(&inst, &[1], 1);
         inst.insert_values([Value::int(5), Value::str("v"), Value::str("q")])
             .unwrap();
-        // The append upgrades [0]; the stale [1] stays as an extension donor.
+        // The append upgrades [0]; the stale [1] stays as a patch donor.
         pool.interned_for(&inst, &[0], 1);
         assert_eq!(pool.stats().entries, 2);
         // Capacity reached: a new index of the live version evicts the stale
@@ -652,7 +621,7 @@ mod tests {
     fn every_cached_attr_set_extends_after_one_append() {
         // Regression test: inserting the first re-requested index after an
         // append used to purge the other attribute lists' stale entries, so
-        // only one index per growth round could take the extension path.
+        // only one index per growth round could be patched instead of rebuilt.
         let mut inst = instance();
         let pool = IndexPool::new();
         let attr_sets: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
@@ -695,6 +664,68 @@ mod tests {
         assert_eq!((stats.appends, stats.patches), (1, 1));
         assert_eq!(patched.len(), inst.project_distinct(&[0, 1]).len());
         assert!(patched.contains_values(&[Value::int(-1), Value::str("x")]));
+    }
+
+    #[test]
+    fn cancelled_edits_plus_appends_upgrade_as_an_append() {
+        use crate::instance::CellRef;
+        let mut inst = instance();
+        let pool = IndexPool::new();
+        let prev = inst.columnar();
+        for attr in 0..3 {
+            prev.column(&inst, attr);
+        }
+        pool.interned_for(&inst, &[0, 1], 1);
+        pool.distinct_for(&inst, &[0, 1], 1);
+        let v0 = inst.version();
+        // A→B→A on a key cell, with a snapshot taken while it holds B (so
+        // the dictionary learns B), plus appends before and after.
+        let cell = CellRef::new(TupleId(1), 1);
+        inst.update_cell(cell, Value::str("b")).unwrap();
+        inst.columnar();
+        inst.insert_values([Value::int(2), Value::str("y"), Value::str("r")])
+            .unwrap();
+        inst.update_cell(cell, Value::str("x")).unwrap();
+        inst.insert_values([Value::int(7), Value::str("new"), Value::str("p")])
+            .unwrap();
+        assert!(!inst.append_only_since(v0));
+        assert_eq!(inst.changed_cells_since(v0), Some(Vec::new()));
+        // The snapshot equals a fresh build cell for cell.
+        let snapshot = inst.columnar();
+        let fresh = Arc::new(ColumnarStore::new(&inst));
+        assert_eq!(snapshot.rows(), fresh.rows());
+        for attr in 0..3 {
+            let (s, f) = (snapshot.column(&inst, attr), fresh.column(&inst, attr));
+            for row in 0..snapshot.len() {
+                assert_eq!(
+                    s.interner().resolve(s.id_at(row)),
+                    f.interner().resolve(f.id_at(row)),
+                    "attr {attr} row {row}"
+                );
+            }
+        }
+        // The pooled index and set equal fresh builds, and both upgrades
+        // count as appends: the gap carries no net cell change.
+        let idx = pool.interned_for(&inst, &[0, 1], 1);
+        let set = pool.distinct_for(&inst, &[0, 1], 1);
+        let stats = pool.stats();
+        assert_eq!((stats.appends, stats.patches, stats.misses), (2, 0, 4));
+        let rebuilt = InternedIndex::build(&inst, &fresh, &[0, 1], 1);
+        assert_eq!(idx.group_count(), rebuilt.group_count());
+        let baseline = reference::HashIndex::build(&inst, &[0, 1]);
+        assert_eq!(idx.group_count(), baseline.len());
+        assert_eq!(set.len(), baseline.len());
+        for (key, group) in baseline.groups() {
+            let ids: Vec<TupleId> = idx
+                .rows_for_values(key)
+                .iter()
+                .map(|&r| idx.tuple_id(r))
+                .collect();
+            assert_eq!(&ids, group);
+            assert_eq!(rebuilt.rows_for_values(key), idx.rows_for_values(key));
+            assert!(set.contains_values(key));
+        }
+        assert!(!set.contains_values(&[Value::int(1), Value::str("b")]));
     }
 
     #[test]

@@ -93,8 +93,8 @@ pub struct RelationInstance {
     instance_id: u64,
     version: u64,
     /// The version as of the last mutation that was *not* an insertion
-    /// (removal, cell update, mutable tuple access).  Snapshots and indexes
-    /// taken at or after this version can be extended in place when the
+    /// (removal, cell update, mutable tuple access).  A persisted save taken
+    /// at or after this version can be continued incrementally when the
     /// instance has only grown since — see
     /// [`append_only_since`](Self::append_only_since).
     last_non_append_version: u64,
@@ -176,10 +176,11 @@ impl RelationInstance {
 
     /// True when every mutation after `version` (up to the current version)
     /// was an insertion: the tuples live at `version` are still live and
-    /// unchanged, in the same order, so a snapshot or index taken at
-    /// `version` is a *prefix* of the current state and can be extended in
-    /// place instead of rebuilt.  Removals, cell updates and mutable tuple
-    /// access all break the property until the next snapshot.
+    /// unchanged, in the same order, so what was persisted at `version` is
+    /// a *prefix* of the current state and an incremental save only writes
+    /// the new shards.  Removals, cell updates and mutable tuple access all
+    /// break the property until the next snapshot.  (In-memory snapshots
+    /// and indexes need only the weaker [`delta_covers`](Self::delta_covers).)
     pub fn append_only_since(&self, version: u64) -> bool {
         version <= self.version && version >= self.last_non_append_version
     }
@@ -418,22 +419,17 @@ impl RelationInstance {
     /// [`crate::index::IndexPool`] derive interned indexes from it while the
     /// row-oriented API above stays the source of truth.  Mutating the
     /// instance does not touch existing snapshots (they are immutable
-    /// `Arc`s); the next call builds a fresh one — except after append-only
-    /// mutations, where the stale snapshot is *extended*: existing rows and
-    /// dictionaries are reused and only the appended tuples are encoded
-    /// (the incremental-detection fast path) — and after journaled cell
-    /// writes, where it is *patched*: only the changed cells are
-    /// re-interned, every other column and dictionary is reused.
+    /// `Arc`s); the next call builds a fresh one — except when the delta
+    /// journal covers the stale snapshot's version
+    /// ([`delta_covers`](Self::delta_covers)), where it is *patched*
+    /// ([`ColumnarStore::patched`]): existing rows and dictionaries are
+    /// reused, only the appended tuples are encoded and only the changed
+    /// cells re-interned (an append-only gap changes no cell).
     pub fn columnar(&self) -> Arc<ColumnarStore> {
         let mut cache = self.columnar.lock().expect("columnar cache poisoned");
         if let Some(store) = cache.as_ref() {
             if store.version() == self.version {
                 return Arc::clone(store);
-            }
-            if self.append_only_since(store.version()) {
-                let extended = Arc::new(ColumnarStore::extended(store, self));
-                *cache = Some(Arc::clone(&extended));
-                return extended;
             }
             if let Some(changes) = self.changed_cells_since(store.version()) {
                 let patched = Arc::new(ColumnarStore::patched(store, self, &changes));

@@ -218,12 +218,15 @@ impl Column {
         matches!(self.ids, Ids::Mapped { .. })
     }
 
-    /// Hints the kernel that this column's mapped pages are no longer
-    /// needed.  No-op for owned columns.
-    pub fn release_pages(&self) {
-        if let Ids::Mapped { segments, .. } = &self.ids {
-            for s in segments {
-                s.bytes.release();
+    /// Hints the kernel that the mapped pages backing rows `rows` are no
+    /// longer needed: every segment overlapping the range is released, the
+    /// others are left alone.  No-op for owned columns.
+    pub fn release_rows(&self, rows: Range<usize>) {
+        if let Ids::Mapped { segments, bounds } = &self.ids {
+            for (segment, span) in segments.iter().zip(bounds.windows(2)) {
+                if span[0] < rows.end && rows.start < span[1] {
+                    segment.bytes.release();
+                }
             }
         }
     }
@@ -357,72 +360,16 @@ impl ColumnarStore {
         })
     }
 
-    /// Extends a previous snapshot of the same instance after append-only
-    /// mutations: the old rows, row index and every column already built on
-    /// `prev` are reused (dictionaries cloned, old ids memcpy'd) and only
-    /// the appended tuples are encoded, instead of re-interning the whole
-    /// instance.  Columns `prev` never built stay lazy.
-    ///
-    /// The caller must guarantee that every mutation between
-    /// `prev.version()` and the instance's current version was an insertion
-    /// ([`RelationInstance::append_only_since`]); under that guarantee the
-    /// live rows of `prev` are a prefix of the current live rows.
-    pub fn extended(prev: &ColumnarStore, instance: &RelationInstance) -> Self {
-        let _t = dq_obs::timer("store.extend_ns");
-        assert_eq!(
-            prev.instance_id,
-            instance.instance_id(),
-            "snapshot extended for a different instance"
-        );
-        debug_assert!(instance.append_only_since(prev.version));
-        let mut rows = Vec::with_capacity(instance.len());
-        rows.extend_from_slice(&prev.rows);
-        let mut row_index = prev.row_index.clone();
-        // Append-only mutations never touch existing slots, so every live
-        // tuple in a slot beyond the old row index is an appended one.
-        let first_new_slot = prev.row_index.len();
-        let mut new_rows = Vec::with_capacity(instance.len() - prev.rows.len());
-        for (id, _) in instance.iter() {
-            if id.0 < first_new_slot {
-                continue;
-            }
-            while row_index.len() < id.0 {
-                row_index.push(u32::MAX);
-            }
-            row_index.push(u32::try_from(rows.len()).expect("instance larger than u32::MAX rows"));
-            rows.push(id);
-            new_rows.push(id);
-        }
-        let columns: Vec<OnceLock<Arc<Column>>> = prev
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(attr, slot)| {
-                let lock = OnceLock::new();
-                if let Some(col) = slot.get() {
-                    lock.set(Arc::new(col.extended(instance, attr, &new_rows)))
-                        .expect("freshly created lock is empty");
-                }
-                lock
-            })
-            .collect();
-        ColumnarStore {
-            instance_id: prev.instance_id,
-            version: instance.version(),
-            rows,
-            row_index,
-            columns,
-        }
-    }
-
-    /// Patches a previous snapshot of the same instance after journaled
-    /// cell writes (plus, possibly, interleaved insertions): like
-    /// [`extended`](Self::extended) it reuses the old rows and every built
-    /// column's dictionary and id vector wholesale, then re-interns *only*
-    /// the changed cells in place.  Dictionaries are append-only, so every
-    /// unchanged cell keeps its id and structures keyed on old ids stay
-    /// valid; a patched dictionary may carry values no live cell holds any
-    /// more, which costs a little memory but never correctness.
+    /// Patches a previous snapshot of the same instance after insertions
+    /// and journaled cell writes: the old rows, row index and every column
+    /// already built on `prev` are reused (dictionaries cloned, old ids
+    /// memcpy'd), only the appended tuples are encoded, and *only* the
+    /// changed cells are re-interned in place — an append-only gap passes
+    /// no changes.  Columns `prev` never built stay lazy.  Dictionaries are
+    /// append-only, so every unchanged cell keeps its id and structures
+    /// keyed on old ids stay valid; a patched dictionary may carry values
+    /// no live cell holds any more, which costs a little memory but never
+    /// correctness.
     ///
     /// The caller must guarantee the delta journal covers `prev.version()`
     /// ([`RelationInstance::delta_covers`]) and pass the coalesced changes
@@ -439,8 +386,8 @@ impl ColumnarStore {
             "snapshot patched for a different instance"
         );
         debug_assert!(instance.delta_covers(prev.version));
-        // Cell writes never change liveness, so — exactly as in `extended`
-        // — every live tuple in a slot beyond the old row index is an
+        // Insertions and cell writes never touch existing slots' liveness,
+        // so every live tuple in a slot beyond the old row index is an
         // appended one.
         let mut rows = Vec::with_capacity(instance.len());
         rows.extend_from_slice(&prev.rows);
@@ -679,7 +626,7 @@ mod tests {
             inst.insert_values([Value::int(a), Value::str(b)]).unwrap();
         }
         assert!(inst.append_only_since(prev.version()));
-        let extended = ColumnarStore::extended(&prev, &inst);
+        let extended = ColumnarStore::patched(&prev, &inst, &[]);
         let fresh = ColumnarStore::new(&inst);
         assert_eq!(extended.version(), inst.version());
         assert_eq!(extended.rows(), fresh.rows());

@@ -9,7 +9,7 @@
 //! just the set of distinct keys, one machine word each for almost every
 //! real projection — cached in
 //! [`IndexPool`](crate::index::IndexPool) per `(instance, version,
-//! attribute list)` and extended in place after append-only mutations.
+//! attribute list)` and patched in place after appends and cell edits.
 //!
 //! Cross-relation membership goes through [`IdTranslation`]: the LHS
 //! dictionaries are translated into the RHS dictionaries *once per
@@ -18,8 +18,8 @@
 //! materialized.
 
 use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
-use super::fx::FxHashSet;
-use super::index::{widen_plan, KeyCodec, Repr, WidenPlan};
+use super::fx::{FxHashMap, FxHashSet};
+use super::index::{moved_rows, rekey, KeyCodec, KeyMap, Repr};
 use super::interner::ValueId;
 use crate::instance::{CellChange, RelationInstance};
 use crate::par::parallel_map;
@@ -27,14 +27,6 @@ use crate::value::Value;
 use std::hash::Hash;
 use std::mem::size_of;
 use std::sync::Arc;
-
-/// The key storage of a [`DistinctSet`], monomorphized per packing.
-#[derive(Clone, Debug)]
-enum KeySet {
-    U64(FxHashSet<u64>),
-    U128(FxHashSet<u128>),
-    Wide(FxHashSet<Box<[ValueId]>>),
-}
 
 /// The set of distinct projections of one instance onto a fixed attribute
 /// list, as packed dictionary-id keys.
@@ -47,7 +39,7 @@ pub struct DistinctSet {
     attrs: Vec<usize>,
     store: Arc<ColumnarStore>,
     codec: KeyCodec,
-    keys: KeySet,
+    keys: KeyMap<()>,
 }
 
 impl DistinctSet {
@@ -75,19 +67,14 @@ impl DistinctSet {
         let codec = KeyCodec::new(columns);
         let n = store.len();
         let keys = match &codec.repr {
-            Repr::Radix(radices) => KeySet::U64(collect_keys(n, threads, shard_rows, |row| {
+            Repr::Radix(radices) => KeyMap::U64(collect_keys(n, threads, shard_rows, |row| {
                 KeyCodec::pack_u64_row(radices, codec.columns(), row)
             })),
-            Repr::Shift => KeySet::U128(collect_keys(n, threads, shard_rows, |row| {
+            Repr::Shift => KeyMap::U128(collect_keys(n, threads, shard_rows, |row| {
                 KeyCodec::pack_u128_row(codec.columns(), row)
             })),
-            Repr::Wide => KeySet::Wide(collect_keys(n, threads, shard_rows, |row| {
-                codec
-                    .columns()
-                    .iter()
-                    .map(|c| c.id_at(row))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice()
+            Repr::Wide => KeyMap::Wide(collect_keys(n, threads, shard_rows, |row| {
+                KeyCodec::pack_wide_row(codec.columns(), row)
             })),
         };
         DistinctSet {
@@ -98,97 +85,25 @@ impl DistinctSet {
         }
     }
 
-    /// Extends `prev` — a set of the same instance on the same attributes,
-    /// built at an earlier version — after append-only mutations: the key
-    /// set is cloned (re-packed under widened radices when a key column's
-    /// dictionary outgrew its radix, exactly like
-    /// [`InternedIndex::try_extended`](super::index::InternedIndex::try_extended))
-    /// and only the appended rows are packed and inserted.  Returns `None`
-    /// only when no exact packing carries over (> 4-wide radix keys whose
-    /// widened product overflows `u64`).
-    pub fn try_extended(
-        prev: &DistinctSet,
-        instance: &RelationInstance,
-        store: &Arc<ColumnarStore>,
-    ) -> Option<DistinctSet> {
-        if store.instance_id() != prev.store.instance_id() || store.len() < prev.store.len() {
-            return None;
-        }
-        let columns: Vec<Arc<Column>> = prev
-            .attrs
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let (mut keys, repr) = match (widen_plan(&prev.codec.repr, &columns)?, &prev.keys) {
-            (WidenPlan::Keep, keys) => (keys.clone(), prev.codec.repr.clone()),
-            (WidenPlan::Widen(widened), KeySet::U64(s)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let repacked = s
-                    .iter()
-                    .map(|&k| KeyCodec::pack_u64_ids(&widened, &KeyCodec::unpack_u64(old, k)))
-                    .collect();
-                (KeySet::U64(repacked), Repr::Radix(widened))
-            }
-            (WidenPlan::ToShift, KeySet::U64(s)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let shifted = s
-                    .iter()
-                    .map(|&k| KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)))
-                    .collect();
-                (KeySet::U128(shifted), Repr::Shift)
-            }
-            _ => unreachable!("widening plans only arise from u64 key sets"),
-        };
-        let codec = KeyCodec::from_parts(columns, repr);
-        for row in prev.store.len()..store.len() {
-            match (&mut keys, &codec.repr) {
-                (KeySet::U64(s), Repr::Radix(radices)) => {
-                    s.insert(KeyCodec::pack_u64_row(radices, codec.columns(), row));
-                }
-                (KeySet::U128(s), Repr::Shift) => {
-                    s.insert(KeyCodec::pack_u128_row(codec.columns(), row));
-                }
-                (KeySet::Wide(s), Repr::Wide) => {
-                    s.insert(
-                        codec
-                            .columns()
-                            .iter()
-                            .map(|c| c.id_at(row))
-                            .collect::<Vec<_>>()
-                            .into_boxed_slice(),
-                    );
-                }
-                _ => unreachable!("key set variant always matches codec repr"),
-            }
-        }
-        Some(DistinctSet {
-            attrs: prev.attrs.clone(),
-            store: Arc::clone(store),
-            codec,
-            keys,
-        })
-    }
-
     /// Patches `prev` — a set of the same instance on the same attributes,
-    /// built at an earlier version — after journaled cell writes (plus,
-    /// possibly, interleaved insertions): the new key of every changed row
-    /// is inserted (at most one per change) and each *candidate-vacated*
-    /// old key — the set keeps no per-key counts — is verified by a single
-    /// packing sweep over the rows (no re-hashing into the set, early exit
-    /// once every candidate is accounted for) before being removed.
-    /// Changes touching only non-key attributes cost nothing.  The codec is
-    /// carried forward under the same widening rules as
-    /// [`try_extended`](Self::try_extended); `None` means full rebuild.
+    /// built at an earlier version — after insertions and journaled cell
+    /// writes: the key set is carried over ([`rekey`], re-packed when a key
+    /// column's dictionary outgrew its radix), the new key of every changed
+    /// row (at most one per change) and of every appended row is inserted,
+    /// and each *candidate-vacated* old key — the set keeps no per-key
+    /// counts — is verified by a single packing sweep over the rows (no
+    /// re-hashing into the set, early exit once every candidate is
+    /// accounted for) before being removed.  Changes touching only non-key
+    /// attributes cost nothing, and an append-only gap (`changes` empty)
+    /// only inserts the appended rows' keys.  Returns `None` only when no
+    /// exact packing carries over (> 4-wide radix keys whose widened product
+    /// overflows `u64`): full rebuild.
     ///
-    /// `store` must be the current snapshot *descended from `prev`'s via
-    /// extensions/patches* — the memoized [`RelationInstance::columnar`]
-    /// chain guarantees this whenever the delta journal covers `prev`'s
-    /// version — so that `prev`'s dictionary ids stay valid in the new
-    /// dictionaries and old keys can be computed from `prev`'s columns.
+    /// `store` must be the current snapshot *descended from `prev`'s* —
+    /// the memoized [`RelationInstance::columnar`] chain guarantees this
+    /// whenever the delta journal covers `prev`'s version — so that
+    /// `prev`'s dictionary ids stay valid in the new dictionaries and old
+    /// keys can be computed from `prev`'s columns.
     pub fn try_patched(
         prev: &DistinctSet,
         instance: &RelationInstance,
@@ -208,81 +123,30 @@ impl DistinctSet {
             .iter()
             .zip(prev.codec.columns())
             .all(|(new, old)| new.distinct() >= old.distinct()));
-        let (mut keys, repr) = match (widen_plan(&prev.codec.repr, &columns)?, &prev.keys) {
-            (WidenPlan::Keep, keys) => (keys.clone(), prev.codec.repr.clone()),
-            (WidenPlan::Widen(widened), KeySet::U64(s)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let repacked = s
-                    .iter()
-                    .map(|&k| KeyCodec::pack_u64_ids(&widened, &KeyCodec::unpack_u64(old, k)))
-                    .collect();
-                (KeySet::U64(repacked), Repr::Radix(widened))
-            }
-            (WidenPlan::ToShift, KeySet::U64(s)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let shifted = s
-                    .iter()
-                    .map(|&k| KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)))
-                    .collect();
-                (KeySet::U128(shifted), Repr::Shift)
-            }
-            _ => unreachable!("widening plans only arise from u64 key sets"),
-        };
-        let codec = KeyCodec::from_parts(columns, repr);
-        // Rows of the previous snapshot whose key cells changed (cell
-        // writes never change liveness, so they keep their row numbers);
-        // appended-then-edited tuples are covered by the append pass inside
-        // `patch_keys`.
-        let mut moved: Vec<usize> = changes
-            .iter()
-            .filter(|c| prev.attrs.contains(&c.cell.attr))
-            .filter_map(|c| prev.store.row_of(c.cell.tuple))
-            .collect();
-        moved.sort_unstable();
-        moved.dedup();
-        let (n_prev, n_new) = (prev.store.len(), store.len());
+        let (mut keys, codec) = rekey(&prev.codec, &prev.keys, columns)?;
+        let moved = moved_rows(&prev.attrs, &prev.store, changes);
+        let n_rows = store.len();
         match (&mut keys, &codec.repr) {
-            (KeySet::U64(s), Repr::Radix(radices)) => patch_keys(
+            (KeyMap::U64(s), Repr::Radix(radices)) => {
+                patch_keys(s, prev, &moved, codec.columns(), n_rows, |columns, row| {
+                    KeyCodec::pack_u64_row(radices, columns, row)
+                })
+            }
+            (KeyMap::U128(s), Repr::Shift) => patch_keys(
                 s,
-                n_prev,
-                n_new,
+                prev,
                 &moved,
-                |row| KeyCodec::pack_u64_row(radices, prev.codec.columns(), row),
-                |row| KeyCodec::pack_u64_row(radices, codec.columns(), row),
+                codec.columns(),
+                n_rows,
+                KeyCodec::pack_u128_row,
             ),
-            (KeySet::U128(s), Repr::Shift) => patch_keys(
+            (KeyMap::Wide(s), Repr::Wide) => patch_keys(
                 s,
-                n_prev,
-                n_new,
+                prev,
                 &moved,
-                |row| KeyCodec::pack_u128_row(prev.codec.columns(), row),
-                |row| KeyCodec::pack_u128_row(codec.columns(), row),
-            ),
-            (KeySet::Wide(s), Repr::Wide) => patch_keys(
-                s,
-                n_prev,
-                n_new,
-                &moved,
-                |row| {
-                    prev.codec
-                        .columns()
-                        .iter()
-                        .map(|c| c.id_at(row))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice()
-                },
-                |row| {
-                    codec
-                        .columns()
-                        .iter()
-                        .map(|c| c.id_at(row))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice()
-                },
+                codec.columns(),
+                n_rows,
+                KeyCodec::pack_wide_row,
             ),
             _ => unreachable!("key set variant always matches codec repr"),
         }
@@ -312,9 +176,9 @@ impl DistinctSet {
     /// Number of distinct projections.
     pub fn len(&self) -> usize {
         match &self.keys {
-            KeySet::U64(s) => s.len(),
-            KeySet::U128(s) => s.len(),
-            KeySet::Wide(s) => s.len(),
+            KeyMap::U64(s) => s.len(),
+            KeyMap::U128(s) => s.len(),
+            KeyMap::Wide(s) => s.len(),
         }
     }
 
@@ -334,11 +198,11 @@ impl DistinctSet {
     pub fn contains_ids(&self, key: &[ValueId]) -> bool {
         debug_assert_eq!(key.len(), self.attrs.len());
         match (&self.keys, &self.codec.repr) {
-            (KeySet::U64(s), Repr::Radix(radices)) => {
-                s.contains(&KeyCodec::pack_u64_ids(radices, key))
+            (KeyMap::U64(s), Repr::Radix(radices)) => {
+                s.contains_key(&KeyCodec::pack_u64_ids(radices, key))
             }
-            (KeySet::U128(s), _) => s.contains(&KeyCodec::pack_u128_ids(key)),
-            (KeySet::Wide(s), _) => s.contains(key),
+            (KeyMap::U128(s), _) => s.contains_key(&KeyCodec::pack_u128_ids(key)),
+            (KeyMap::Wide(s), _) => s.contains_key(key),
             _ => unreachable!("key set variant always matches codec repr"),
         }
     }
@@ -361,13 +225,13 @@ impl DistinctSet {
     pub fn iter_ids(&self) -> Box<dyn Iterator<Item = Vec<ValueId>> + '_> {
         let width = self.attrs.len();
         match (&self.keys, &self.codec.repr) {
-            (KeySet::U64(s), Repr::Radix(radices)) => {
-                Box::new(s.iter().map(move |&k| KeyCodec::unpack_u64(radices, k)))
+            (KeyMap::U64(s), Repr::Radix(radices)) => {
+                Box::new(s.keys().map(move |&k| KeyCodec::unpack_u64(radices, k)))
             }
-            (KeySet::U128(s), _) => {
-                Box::new(s.iter().map(move |&k| KeyCodec::unpack_u128(width, k)))
+            (KeyMap::U128(s), _) => {
+                Box::new(s.keys().map(move |&k| KeyCodec::unpack_u128(width, k)))
             }
-            (KeySet::Wide(s), _) => Box::new(s.iter().map(|k| k.to_vec())),
+            (KeyMap::Wide(s), _) => Box::new(s.keys().map(|k| k.to_vec())),
             _ => unreachable!("key set variant always matches codec repr"),
         }
     }
@@ -379,15 +243,15 @@ impl DistinctSet {
     fn all_keys(&self, mut f: impl FnMut(&[ValueId]) -> bool) -> bool {
         let mut buf = vec![ValueId(0); self.attrs.len()];
         match (&self.keys, &self.codec.repr) {
-            (KeySet::U64(s), Repr::Radix(radices)) => s.iter().all(|&k| {
+            (KeyMap::U64(s), Repr::Radix(radices)) => s.keys().all(|&k| {
                 KeyCodec::unpack_u64_into(radices, k, &mut buf);
                 f(&buf)
             }),
-            (KeySet::U128(s), _) => s.iter().all(|&k| {
+            (KeyMap::U128(s), _) => s.keys().all(|&k| {
                 KeyCodec::unpack_u128_into(k, &mut buf);
                 f(&buf)
             }),
-            (KeySet::Wide(s), _) => s.iter().all(|k| f(k)),
+            (KeyMap::Wide(s), _) => s.keys().all(|k| f(k)),
             _ => unreachable!("key set variant always matches codec repr"),
         }
     }
@@ -452,11 +316,11 @@ impl DistinctSet {
     /// shared and reported by [`ColumnarStore::stats`]).
     pub fn approx_heap_bytes(&self) -> usize {
         match &self.keys {
-            KeySet::U64(s) => s.capacity() * (size_of::<u64>() + 1),
-            KeySet::U128(s) => s.capacity() * (size_of::<u128>() + 1),
-            KeySet::Wide(s) => {
+            KeyMap::U64(s) => s.capacity() * (size_of::<u64>() + 1),
+            KeyMap::U128(s) => s.capacity() * (size_of::<u128>() + 1),
+            KeyMap::Wide(s) => {
                 s.capacity() * (size_of::<Box<[ValueId]>>() + 1)
-                    + s.iter()
+                    + s.keys()
                         .map(|k| k.len() * size_of::<ValueId>())
                         .sum::<usize>()
             }
@@ -536,34 +400,36 @@ impl IdTranslation {
     }
 }
 
-/// Cell-delta patch of a distinct-key set: insert the new key of every
-/// moved row and every appended row, then decide which *old* keys of moved
-/// rows actually vacated.  The set keeps no per-key counts, so candidates
-/// are verified by one packing sweep over the current rows — membership
-/// probes against the (usually tiny) candidate set, no inserts — with an
-/// early exit once every candidate was seen.  Keys no row produces any more
-/// are removed.
+/// Cell-delta patch of `prev`'s (possibly re-packed) key set `keys` over a
+/// snapshot of `n_rows` rows whose key columns are `columns`: insert the
+/// new key of every `moved` row and every row appended after `prev`, then
+/// decide which *old* keys of moved rows — packed from `prev`'s columns —
+/// actually vacated.  The set keeps no per-key counts, so candidates are
+/// verified by one packing sweep over the current rows — membership probes
+/// against the (usually tiny) candidate set, no inserts — with an early exit
+/// once every candidate was seen.  Keys no row produces any more are
+/// removed.
 fn patch_keys<K: Eq + Hash>(
-    keys: &mut FxHashSet<K>,
-    n_prev: usize,
-    n_new: usize,
-    moved_rows: &[usize],
-    old_key_at: impl Fn(usize) -> K,
-    key_at: impl Fn(usize) -> K,
+    keys: &mut FxHashMap<K, ()>,
+    prev: &DistinctSet,
+    moved: &[usize],
+    columns: &[Arc<Column>],
+    n_rows: usize,
+    key_at: impl Fn(&[Arc<Column>], usize) -> K,
 ) {
     let mut candidates: FxHashSet<K> = FxHashSet::default();
-    for &row in moved_rows {
-        candidates.insert(old_key_at(row));
-        keys.insert(key_at(row));
+    for &row in moved {
+        candidates.insert(key_at(prev.codec.columns(), row));
+        keys.insert(key_at(columns, row), ());
     }
-    for row in n_prev..n_new {
-        keys.insert(key_at(row));
+    for row in prev.store.len()..n_rows {
+        keys.insert(key_at(columns, row), ());
     }
     if candidates.is_empty() {
         return;
     }
-    for row in 0..n_new {
-        candidates.remove(&key_at(row));
+    for row in 0..n_rows {
+        candidates.remove(&key_at(columns, row));
         if candidates.is_empty() {
             return;
         }
@@ -581,14 +447,16 @@ fn collect_keys<K: Eq + Hash + Send>(
     threads: usize,
     shard_rows: usize,
     key_at: impl Fn(usize) -> K + Sync,
-) -> FxHashSet<K> {
+) -> FxHashMap<K, ()> {
     let shard_rows = shard_rows.max(1);
     let shard_count = n_rows.div_ceil(shard_rows).max(1);
     let shard_range = |s: usize| (s * shard_rows).min(n_rows)..((s + 1) * shard_rows).min(n_rows);
-    let scan = |range: std::ops::Range<usize>| -> FxHashSet<K> {
-        let mut set = FxHashSet::default();
+    let scan = |range: std::ops::Range<usize>| -> FxHashMap<K, ()> {
+        // Inserted one by one: the set grows with its distinct keys, not
+        // with the row count a bulk `collect` would reserve.
+        let mut set = FxHashMap::default();
         for row in range {
-            set.insert(key_at(row));
+            set.insert(key_at(row), ());
         }
         set
     };
@@ -602,7 +470,7 @@ fn collect_keys<K: Eq + Hash + Send>(
         return out;
     }
     let shard_ids: Vec<usize> = (0..shard_count).collect();
-    let mut out = FxHashSet::default();
+    let mut out = FxHashMap::default();
     for set in parallel_map(&shard_ids, threads, |&s| scan(shard_range(s))) {
         out.extend(set);
     }
@@ -696,7 +564,7 @@ mod tests {
             .unwrap();
         let store = inst.columnar();
         let extended =
-            DistinctSet::try_extended(&prev, &inst, &store).expect("repack-aware extension");
+            DistinctSet::try_patched(&prev, &inst, &store, &[]).expect("repack-aware extension");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&extended), canonical(&fresh));
         assert!(extended.contains_values(&[Value::int(9), Value::str("fresh")]));

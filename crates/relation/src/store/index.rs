@@ -57,9 +57,9 @@ pub(crate) enum Repr {
     Wide,
 }
 
-/// How an append-time extension adapts a mixed-radix `u64` packing whose
-/// per-column radices new dictionary entries outgrew.  Computed by
-/// [`widen_plan`]; `Keep` means the existing packing is still exact.
+/// How a patch adapts a mixed-radix `u64` packing whose per-column radices
+/// new dictionary entries outgrew.  Computed by [`widen_plan`]; `Keep`
+/// means the existing packing is still exact.
 pub(crate) enum WidenPlan {
     /// No key column's dictionary outgrew its radix: reuse the packing.
     Keep,
@@ -71,12 +71,12 @@ pub(crate) enum WidenPlan {
     ToShift,
 }
 
-/// Decides how (whether) an extension can reuse `prev_repr` over the current
+/// Decides how (whether) a patch can reuse `prev_repr` over the current
 /// `columns`, whose dictionaries may have grown since the packing was chosen.
 /// Returns `None` when no exact packing can be carried over (a > 4-wide
 /// radix key whose widened product overflows `u64`) and the caller must fall
 /// back to a full rebuild.  The chosen plan always reproduces the repr a
-/// from-scratch [`KeyCodec::new`] would pick, so extended artifacts stay
+/// from-scratch [`KeyCodec::new`] would pick, so patched artifacts stay
 /// indistinguishable from fresh builds.
 pub(crate) fn widen_plan(prev_repr: &Repr, columns: &[Arc<Column>]) -> Option<WidenPlan> {
     let Repr::Radix(radices) = prev_repr else {
@@ -102,6 +102,62 @@ pub(crate) fn widen_plan(prev_repr: &Repr, columns: &[Arc<Column>]) -> Option<Wi
     } else {
         None
     }
+}
+
+/// Carries `prev_keys`, packed by `prev`, over to `columns` — the same key
+/// attributes in a later snapshot whose dictionaries may have grown — along
+/// the [`widen_plan`]: kept as they are, re-packed under the widened
+/// radices, or transcoded into the shift packing.  Returns the carried keys
+/// with the codec that packs them, or `None` when no exact packing carries
+/// over (full rebuild).  Old ids stay valid in patched dictionaries, so
+/// every carried key still names the same value tuple.
+pub(crate) fn rekey<V: Copy>(
+    prev: &KeyCodec,
+    prev_keys: &KeyMap<V>,
+    columns: Vec<Arc<Column>>,
+) -> Option<(KeyMap<V>, KeyCodec)> {
+    let plan = widen_plan(&prev.repr, &columns)?;
+    let (keys, repr) = match (plan, &prev.repr, prev_keys) {
+        (WidenPlan::Keep, repr, keys) => (keys.clone(), repr.clone()),
+        (WidenPlan::Widen(widened), Repr::Radix(old), KeyMap::U64(m)) => {
+            let repacked = m
+                .iter()
+                .map(|(&k, &v)| {
+                    let ids = KeyCodec::unpack_u64(old, k);
+                    (KeyCodec::pack_u64_ids(&widened, &ids), v)
+                })
+                .collect();
+            (KeyMap::U64(repacked), Repr::Radix(widened))
+        }
+        (WidenPlan::ToShift, Repr::Radix(old), KeyMap::U64(m)) => {
+            let shifted = m
+                .iter()
+                .map(|(&k, &v)| (KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)), v))
+                .collect();
+            (KeyMap::U128(shifted), Repr::Shift)
+        }
+        _ => unreachable!("widening plans only arise from radix packings over u64 keys"),
+    };
+    Some((keys, KeyCodec { columns, repr }))
+}
+
+/// The rows of `prev` — ascending, deduplicated — whose cells on `attrs`
+/// appear in `changes`.  Cell writes never change liveness, so these rows
+/// keep their numbers in every later snapshot; changes to tuples appended
+/// after `prev` have no row here and are keyed with the appended rows.
+pub(crate) fn moved_rows(
+    attrs: &[usize],
+    prev: &ColumnarStore,
+    changes: &[CellChange],
+) -> Vec<usize> {
+    let mut moved: Vec<usize> = changes
+        .iter()
+        .filter(|c| attrs.contains(&c.cell.attr))
+        .filter_map(|c| prev.row_of(c.cell.tuple))
+        .collect();
+    moved.sort_unstable();
+    moved.dedup();
+    moved
 }
 
 /// Packs row projections over a fixed list of columns into compact keys.
@@ -147,11 +203,6 @@ impl KeyCodec {
         &self.columns
     }
 
-    /// Builds a codec from parts (extension paths carry a repr forward).
-    pub(crate) fn from_parts(columns: Vec<Arc<Column>>, repr: Repr) -> Self {
-        KeyCodec { columns, repr }
-    }
-
     #[inline]
     pub(crate) fn pack_u64_row(radices: &[u64], columns: &[Arc<Column>], row: usize) -> u64 {
         let mut acc = 0u64;
@@ -168,6 +219,11 @@ impl KeyCodec {
             acc = (acc << 32) | col.id_at(row).0 as u128;
         }
         acc
+    }
+
+    #[inline]
+    pub(crate) fn pack_wide_row(columns: &[Arc<Column>], row: usize) -> Box<[ValueId]> {
+        columns.iter().map(|c| c.id_at(row)).collect()
     }
 
     pub(crate) fn pack_u64_ids(radices: &[u64], ids: &[ValueId]) -> u64 {
@@ -214,24 +270,20 @@ impl KeyCodec {
                 ProjectionKey::U64(Self::pack_u64_row(radices, &self.columns, row))
             }
             Repr::Shift => ProjectionKey::U128(Self::pack_u128_row(&self.columns, row)),
-            Repr::Wide => ProjectionKey::Wide(
-                self.columns
-                    .iter()
-                    .map(|c| c.id_at(row))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
+            Repr::Wide => ProjectionKey::Wide(Self::pack_wide_row(&self.columns, row)),
         }
     }
 }
 
-/// The group map of an [`InternedIndex`], monomorphized per key packing so
-/// entries stay as small as the packing allows.
+/// Packed keys with a payload each, monomorphized per key packing so entries
+/// stay as small as the packing allows: the group map of an
+/// [`InternedIndex`] (payload: group number) and the key set of a
+/// [`DistinctSet`](super::distinct::DistinctSet) (payload: `()`).
 #[derive(Clone, Debug)]
-enum GroupMap {
-    U64(FxHashMap<u64, u32>),
-    U128(FxHashMap<u128, u32>),
-    Wide(FxHashMap<Box<[ValueId]>, u32>),
+pub(crate) enum KeyMap<V> {
+    U64(FxHashMap<u64, V>),
+    U128(FxHashMap<u128, V>),
+    Wide(FxHashMap<Box<[ValueId]>, V>),
 }
 
 /// A hash index over interned columns: packed keys, CSR group storage.
@@ -245,7 +297,7 @@ pub struct InternedIndex {
     attrs: Vec<usize>,
     store: Arc<ColumnarStore>,
     codec: KeyCodec,
-    map: GroupMap,
+    map: KeyMap<u32>,
     /// Group → start of its postings; `offsets.len() == groups + 1`.
     offsets: Vec<u32>,
     /// Row numbers, grouped and ascending within each group.
@@ -281,24 +333,19 @@ impl InternedIndex {
                 let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
                     KeyCodec::pack_u64_row(radices, &codec.columns, row)
                 });
-                (GroupMap::U64(map), offsets, postings)
+                (KeyMap::U64(map), offsets, postings)
             }
             Repr::Shift => {
                 let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
                     KeyCodec::pack_u128_row(&codec.columns, row)
                 });
-                (GroupMap::U128(map), offsets, postings)
+                (KeyMap::U128(map), offsets, postings)
             }
             Repr::Wide => {
                 let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
-                    codec
-                        .columns
-                        .iter()
-                        .map(|c| c.id_at(row))
-                        .collect::<Vec<_>>()
-                        .into_boxed_slice()
+                    KeyCodec::pack_wide_row(&codec.columns, row)
                 });
-                (GroupMap::Wide(map), offsets, postings)
+                (KeyMap::Wide(map), offsets, postings)
             }
         };
         InternedIndex {
@@ -311,126 +358,33 @@ impl InternedIndex {
         }
     }
 
-    /// Extends `prev` — an index of the same instance on the same attribute
-    /// list, built at an earlier version — after append-only mutations:
-    /// the group table is cloned, the old CSR postings are memcpy'd group by
-    /// group, and only the *appended* rows are packed and hashed.
+    /// Patches `prev` — an index of the same instance on the same attribute
+    /// list, built at an earlier version — after insertions and journaled
+    /// cell writes: each row whose key cells changed is moved out of its old
+    /// CSR group and into the group of its new key, interning (hashing) at
+    /// most one new key per move, and only the appended rows are keyed and
+    /// hashed besides.  Rows whose changes touch only non-key attributes
+    /// never move, and groups no moved row left or joined are copied
+    /// verbatim, so an append-only gap (`changes` empty) costs what
+    /// re-keying the appended rows costs.  Groups left empty are dropped
+    /// and the numbering compacted, so the group table holds exactly the
+    /// groups a fresh build finds.
     ///
     /// A mixed-radix `u64` codec whose per-column radices new dictionary
-    /// entries outgrew is *re-packed* rather than rebuilt: the existing keys
-    /// are transcoded under the widened radices (or, when the widened
-    /// product no longer fits 64 bits, into the radix-free shift packing) —
-    /// an O(distinct keys) transform that leaves offsets and postings
-    /// untouched.  Only a > 4-wide radix key whose widened product overflows
-    /// `u64` returns `None`, sending the caller to a full rebuild.
+    /// entries outgrew is *re-packed* rather than rebuilt ([`rekey`]): the
+    /// existing keys are transcoded under the widened radices (or, when the
+    /// widened product no longer fits 64 bits, into the radix-free shift
+    /// packing) — an O(distinct keys) transform.  Only a > 4-wide radix key
+    /// whose widened product overflows `u64` returns `None`, sending the
+    /// caller to a full rebuild.
     ///
-    /// `store` must be the current columnar snapshot of `instance`, and the
-    /// caller must guarantee the append-only property between the two
-    /// versions ([`RelationInstance::append_only_since`]); shared prefix
-    /// rows then receive identical dictionary ids (dictionaries assign ids
-    /// in first-seen row order), so extended groups equal built-from-scratch
-    /// groups exactly.
-    pub fn try_extended(
-        prev: &InternedIndex,
-        instance: &RelationInstance,
-        store: &Arc<ColumnarStore>,
-    ) -> Option<InternedIndex> {
-        if store.instance_id() != prev.store.instance_id() || store.len() < prev.store.len() {
-            return None;
-        }
-        let columns: Vec<Arc<Column>> = prev
-            .attrs
-            .iter()
-            .map(|&a| store.column(instance, a))
-            .collect();
-        let (seed, repr) = match (widen_plan(&prev.codec.repr, &columns)?, &prev.map) {
-            (WidenPlan::Keep, map) => (map.clone(), prev.codec.repr.clone()),
-            (WidenPlan::Widen(widened), GroupMap::U64(m)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let repacked = m
-                    .iter()
-                    .map(|(&k, &g)| {
-                        (
-                            KeyCodec::pack_u64_ids(&widened, &KeyCodec::unpack_u64(old, k)),
-                            g,
-                        )
-                    })
-                    .collect();
-                (GroupMap::U64(repacked), Repr::Radix(widened))
-            }
-            (WidenPlan::ToShift, GroupMap::U64(m)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let shifted = m
-                    .iter()
-                    .map(|(&k, &g)| (KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)), g))
-                    .collect();
-                (GroupMap::U128(shifted), Repr::Shift)
-            }
-            _ => unreachable!("widening plans only arise from u64 group maps"),
-        };
-        let codec = KeyCodec { columns, repr };
-        let new_rows = prev.store.len()..store.len();
-        let (map, offsets, postings) = match (seed, &codec.repr) {
-            (GroupMap::U64(m), Repr::Radix(radices)) => {
-                let (map, offsets, postings) =
-                    extend_groups(m, &prev.offsets, &prev.postings, new_rows, |row| {
-                        KeyCodec::pack_u64_row(radices, &codec.columns, row)
-                    });
-                (GroupMap::U64(map), offsets, postings)
-            }
-            (GroupMap::U128(m), Repr::Shift) => {
-                let (map, offsets, postings) =
-                    extend_groups(m, &prev.offsets, &prev.postings, new_rows, |row| {
-                        KeyCodec::pack_u128_row(&codec.columns, row)
-                    });
-                (GroupMap::U128(map), offsets, postings)
-            }
-            (GroupMap::Wide(m), Repr::Wide) => {
-                let (map, offsets, postings) =
-                    extend_groups(m, &prev.offsets, &prev.postings, new_rows, |row| {
-                        codec
-                            .columns
-                            .iter()
-                            .map(|c| c.id_at(row))
-                            .collect::<Vec<_>>()
-                            .into_boxed_slice()
-                    });
-                (GroupMap::Wide(map), offsets, postings)
-            }
-            _ => unreachable!("map variant always matches codec repr"),
-        };
-        Some(InternedIndex {
-            attrs: prev.attrs.clone(),
-            store: Arc::clone(store),
-            codec,
-            map,
-            offsets,
-            postings,
-        })
-    }
-
-    /// Patches `prev` — an index of the same instance on the same attribute
-    /// list, built at an earlier version — after journaled cell writes
-    /// (plus, possibly, interleaved insertions): each row whose key cells
-    /// changed is moved out of its old CSR group and into the group of its
-    /// new key, interning (hashing) at most one new key per move; rows whose
-    /// changes touch only non-key attributes never move at all.  Groups left
-    /// empty are dropped and the numbering compacted, so the group table is
-    /// indistinguishable from a fresh build's.  The codec is carried forward
-    /// under the same widening rules as [`try_extended`](Self::try_extended)
-    /// — dictionary growth from new cell values re-packs the keys in place,
-    /// and only the same > 4-wide radix overflow returns `None` (full
-    /// rebuild).
-    ///
-    /// `store` must be the current (patched) columnar snapshot and `changes`
-    /// the coalesced delta ([`RelationInstance::changed_cells_since`])
-    /// between `prev`'s version and now.  Patched snapshots keep every old
-    /// id valid (dictionaries only append), so old rows keep their row
-    /// numbers and unchanged groups are bit-identical.
+    /// `store` must be the current columnar snapshot of `instance`,
+    /// descended from `prev`'s through [`RelationInstance::columnar`], and
+    /// `changes` the coalesced delta
+    /// ([`RelationInstance::changed_cells_since`]) between `prev`'s version
+    /// and now.  Patched snapshots keep every old id valid (dictionaries
+    /// only append), so old rows keep their row numbers and unchanged groups
+    /// are bit-identical.
     pub fn try_patched(
         prev: &InternedIndex,
         instance: &RelationInstance,
@@ -445,74 +399,38 @@ impl InternedIndex {
             .iter()
             .map(|&a| store.column(instance, a))
             .collect();
-        let (seed, repr) = match (widen_plan(&prev.codec.repr, &columns)?, &prev.map) {
-            (WidenPlan::Keep, map) => (map.clone(), prev.codec.repr.clone()),
-            (WidenPlan::Widen(widened), GroupMap::U64(m)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let repacked = m
-                    .iter()
-                    .map(|(&k, &g)| {
-                        (
-                            KeyCodec::pack_u64_ids(&widened, &KeyCodec::unpack_u64(old, k)),
-                            g,
-                        )
-                    })
-                    .collect();
-                (GroupMap::U64(repacked), Repr::Radix(widened))
-            }
-            (WidenPlan::ToShift, GroupMap::U64(m)) => {
-                let Repr::Radix(old) = &prev.codec.repr else {
-                    unreachable!("widening plans only arise from radix packings");
-                };
-                let shifted = m
-                    .iter()
-                    .map(|(&k, &g)| (KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)), g))
-                    .collect();
-                (GroupMap::U128(shifted), Repr::Shift)
-            }
-            _ => unreachable!("widening plans only arise from u64 group maps"),
-        };
-        let codec = KeyCodec { columns, repr };
-        // Rows of the previous snapshot whose key cells changed.  Cell
-        // writes never change liveness, so those rows keep their numbers in
-        // the new store; changes to tuples appended *after* `prev` have no
-        // previous row and are covered by the append pass below.
-        let mut moved: Vec<usize> = changes
-            .iter()
-            .filter(|c| prev.attrs.contains(&c.cell.attr))
-            .filter_map(|c| prev.store.row_of(c.cell.tuple))
-            .collect();
-        moved.sort_unstable();
-        moved.dedup();
-        let new_rows = prev.store.len()..store.len();
+        let (seed, codec) = rekey(&prev.codec, &prev.map, columns)?;
+        let moved = moved_rows(&prev.attrs, &prev.store, changes);
+        let n_rows = store.len();
         let (map, offsets, postings) = match (seed, &codec.repr) {
-            (GroupMap::U64(m), Repr::Radix(radices)) => {
+            (KeyMap::U64(m), Repr::Radix(radices)) => {
                 let (map, offsets, postings) =
-                    patch_groups(m, &prev.offsets, &prev.postings, &moved, new_rows, |row| {
-                        KeyCodec::pack_u64_row(radices, &codec.columns, row)
+                    patch_groups(m, prev, &moved, codec.columns(), n_rows, |columns, row| {
+                        KeyCodec::pack_u64_row(radices, columns, row)
                     });
-                (GroupMap::U64(map), offsets, postings)
+                (KeyMap::U64(map), offsets, postings)
             }
-            (GroupMap::U128(m), Repr::Shift) => {
-                let (map, offsets, postings) =
-                    patch_groups(m, &prev.offsets, &prev.postings, &moved, new_rows, |row| {
-                        KeyCodec::pack_u128_row(&codec.columns, row)
-                    });
-                (GroupMap::U128(map), offsets, postings)
+            (KeyMap::U128(m), Repr::Shift) => {
+                let (map, offsets, postings) = patch_groups(
+                    m,
+                    prev,
+                    &moved,
+                    codec.columns(),
+                    n_rows,
+                    KeyCodec::pack_u128_row,
+                );
+                (KeyMap::U128(map), offsets, postings)
             }
-            (GroupMap::Wide(m), Repr::Wide) => {
-                let (map, offsets, postings) =
-                    patch_groups(m, &prev.offsets, &prev.postings, &moved, new_rows, |row| {
-                        codec
-                            .columns
-                            .iter()
-                            .map(|c| c.id_at(row))
-                            .collect::<Vec<_>>()
-                            .into_boxed_slice()
-                    });
-                (GroupMap::Wide(map), offsets, postings)
+            (KeyMap::Wide(m), Repr::Wide) => {
+                let (map, offsets, postings) = patch_groups(
+                    m,
+                    prev,
+                    &moved,
+                    codec.columns(),
+                    n_rows,
+                    KeyCodec::pack_wide_row,
+                );
+                (KeyMap::Wide(map), offsets, postings)
             }
             _ => unreachable!("map variant always matches codec repr"),
         };
@@ -573,11 +491,9 @@ impl InternedIndex {
     pub fn rows_for_ids(&self, key: &[ValueId]) -> &[u32] {
         debug_assert_eq!(key.len(), self.attrs.len());
         let group = match (&self.map, &self.codec.repr) {
-            (GroupMap::U64(m), Repr::Radix(radices)) => {
-                m.get(&KeyCodec::pack_u64_ids(radices, key))
-            }
-            (GroupMap::U128(m), _) => m.get(&KeyCodec::pack_u128_ids(key)),
-            (GroupMap::Wide(m), _) => m.get(key),
+            (KeyMap::U64(m), Repr::Radix(radices)) => m.get(&KeyCodec::pack_u64_ids(radices, key)),
+            (KeyMap::U128(m), _) => m.get(&KeyCodec::pack_u128_ids(key)),
+            (KeyMap::Wide(m), _) => m.get(key),
             _ => unreachable!("map variant always matches codec repr"),
         };
         match group {
@@ -615,17 +531,17 @@ impl InternedIndex {
     ) -> Box<dyn Iterator<Item = (Vec<ValueId>, &[u32])> + '_> {
         let width = self.attrs.len();
         match (&self.map, &self.codec.repr) {
-            (GroupMap::U64(m), Repr::Radix(radices)) => {
+            (KeyMap::U64(m), Repr::Radix(radices)) => {
                 Box::new(m.iter().filter_map(move |(&k, &g)| {
                     let rows = self.group_rows(g);
                     (rows.len() >= min_rows).then(|| (KeyCodec::unpack_u64(radices, k), rows))
                 }))
             }
-            (GroupMap::U128(m), _) => Box::new(m.iter().filter_map(move |(&k, &g)| {
+            (KeyMap::U128(m), _) => Box::new(m.iter().filter_map(move |(&k, &g)| {
                 let rows = self.group_rows(g);
                 (rows.len() >= min_rows).then(|| (KeyCodec::unpack_u128(width, k), rows))
             })),
-            (GroupMap::Wide(m), _) => Box::new(m.iter().filter_map(move |(k, &g)| {
+            (KeyMap::Wide(m), _) => Box::new(m.iter().filter_map(move |(k, &g)| {
                 let rows = self.group_rows(g);
                 (rows.len() >= min_rows).then(|| (k.to_vec(), rows))
             })),
@@ -667,9 +583,9 @@ impl InternedIndex {
     /// reported separately by [`ColumnarStore::stats`].
     pub fn approx_heap_bytes(&self) -> usize {
         let map_bytes = match &self.map {
-            GroupMap::U64(m) => m.capacity() * (size_of::<(u64, u32)>() + 1),
-            GroupMap::U128(m) => m.capacity() * (size_of::<(u128, u32)>() + 1),
-            GroupMap::Wide(m) => {
+            KeyMap::U64(m) => m.capacity() * (size_of::<(u64, u32)>() + 1),
+            KeyMap::U128(m) => m.capacity() * (size_of::<(u128, u32)>() + 1),
+            KeyMap::Wide(m) => {
                 m.capacity() * (size_of::<(Box<[ValueId]>, u32)>() + 1)
                     + m.keys()
                         .map(|k| k.len() * size_of::<ValueId>())
@@ -785,154 +701,164 @@ fn build_groups<K: Eq + Hash + Clone + Send>(
     (map, offsets, postings)
 }
 
-/// Append-only CSR extension: take the (possibly re-packed) group map, key
-/// and hash only the rows of `new_rows`, then lay out a fresh
-/// offsets/postings pair in which each group's old postings are copied
-/// verbatim ahead of its new rows.  Old rows precede new rows, so postings
-/// stay ascending within each group.
-fn extend_groups<K: Eq + Hash + Clone>(
+/// Cell-delta CSR patch of `prev`'s (possibly re-packed) group map `map`
+/// over a snapshot of `n_rows` rows whose key columns are `columns`: each
+/// row of `moved` (ascending) has its old group looked up by its old
+/// key, packed from `prev`'s columns, and its new key joins or opens a
+/// group; each row appended after `prev` is keyed the same way.  The
+/// postings are then laid out again group by group: runs of groups no moved
+/// row left or joined and no appended row reached are copied as one slice,
+/// the groups moves touched merge their surviving and joining rows, and
+/// appended rows fill the slots reserved at the end of their groups.
+/// Groups left empty are dropped and the numbering compacted.  Rows ascend
+/// within every group, as in a fresh build.
+fn patch_groups<K: Eq + Hash>(
     mut map: FxHashMap<K, u32>,
-    prev_offsets: &[u32],
-    prev_postings: &[u32],
-    new_rows: std::ops::Range<usize>,
-    key_at: impl Fn(usize) -> K,
+    prev: &InternedIndex,
+    moved: &[usize],
+    columns: &[Arc<Column>],
+    n_rows: usize,
+    key_at: impl Fn(&[Arc<Column>], usize) -> K,
 ) -> (FxHashMap<K, u32>, Vec<u32>, Vec<u32>) {
-    let old_groups = prev_offsets.len().saturating_sub(1);
+    let old_groups = prev.offsets.len().saturating_sub(1);
+    // Final group sizes, and the appended rows among them.
+    let mut counts: Vec<u32> = prev.offsets.windows(2).map(|w| w[1] - w[0]).collect();
     let mut added: Vec<u32> = vec![0; old_groups];
-    let mut row_groups: Vec<u32> = Vec::with_capacity(new_rows.len());
-    for row in new_rows.clone() {
-        let key = key_at(row);
-        let next = added.len() as u32;
-        let before = map.len();
+    let mut group_of = |map: &mut FxHashMap<K, u32>, key: K| -> usize {
+        let next = counts.len() as u32;
         let group = *map.entry(key).or_insert(next);
-        if map.len() > before {
+        if group == next {
+            counts.push(0);
             added.push(0);
         }
-        added[group as usize] += 1;
-        row_groups.push(group);
-    }
-    let groups = added.len();
-    let mut offsets = Vec::with_capacity(groups + 1);
-    offsets.push(0u32);
-    let mut acc = 0u32;
-    for (g, &extra) in added.iter().enumerate() {
-        let old_count = if g < old_groups {
-            prev_offsets[g + 1] - prev_offsets[g]
-        } else {
-            0
-        };
-        acc += old_count + extra;
-        offsets.push(acc);
-    }
-    let mut cursors: Vec<u32> = Vec::with_capacity(groups);
-    let mut postings = vec![0u32; prev_postings.len() + row_groups.len()];
-    for g in 0..groups {
-        let start = offsets[g];
-        cursors.push(start);
-        if g < old_groups {
-            let old = &prev_postings[prev_offsets[g] as usize..prev_offsets[g + 1] as usize];
-            postings[start as usize..start as usize + old.len()].copy_from_slice(old);
-            cursors[g] += old.len() as u32;
-        }
-    }
-    for (i, &g) in row_groups.iter().enumerate() {
-        postings[cursors[g as usize] as usize] = (new_rows.start + i) as u32;
-        cursors[g as usize] += 1;
-    }
-    map.shrink_to_fit();
-    (map, offsets, postings)
-}
-
-/// Cell-delta CSR patch: take the (possibly re-packed) group map, move each
-/// row of `moved_rows` from its previous group to the group of its current
-/// key (at most one map insert per move), key the appended rows of
-/// `new_rows`, drop groups left empty and compact the numbering, then lay
-/// the postings out again in one ascending-row pass.  Only moved and
-/// appended rows are packed and hashed; the relayout itself is a cheap
-/// linear scatter.
-fn patch_groups<K: Eq + Hash + Clone>(
-    mut map: FxHashMap<K, u32>,
-    prev_offsets: &[u32],
-    prev_postings: &[u32],
-    moved_rows: &[usize],
-    new_rows: std::ops::Range<usize>,
-    key_at: impl Fn(usize) -> K,
-) -> (FxHashMap<K, u32>, Vec<u32>, Vec<u32>) {
-    let old_groups = prev_offsets.len().saturating_sub(1);
-    let n_old = prev_postings.len();
-    // Recover each old row's group from the CSR.
-    let mut row_groups: Vec<u32> = vec![0; n_old];
-    for g in 0..old_groups {
-        for &row in &prev_postings[prev_offsets[g] as usize..prev_offsets[g + 1] as usize] {
-            row_groups[row as usize] = g as u32;
-        }
-    }
-    let mut counts: Vec<u32> = (0..old_groups)
-        .map(|g| prev_offsets[g + 1] - prev_offsets[g])
-        .collect();
-    let assign = |map: &mut FxHashMap<K, u32>, counts: &mut Vec<u32>, key: K| -> u32 {
-        let next = counts.len() as u32;
-        let before = map.len();
-        let group = *map.entry(key).or_insert(next);
-        if map.len() > before {
-            counts.push(0);
-        }
-        group
+        group as usize
     };
-    for &row in moved_rows {
-        let group = assign(&mut map, &mut counts, key_at(row));
-        let old = row_groups[row];
-        if old == group {
-            continue;
-        }
-        counts[old as usize] -= 1;
-        counts[group as usize] += 1;
-        row_groups[row] = group;
-    }
-    let mut appended_groups: Vec<u32> = Vec::with_capacity(new_rows.len());
-    for row in new_rows.clone() {
-        let group = assign(&mut map, &mut counts, key_at(row));
-        counts[group as usize] += 1;
-        appended_groups.push(group);
-    }
-    // Compact away emptied groups: vacated keys leave the map and the group
-    // table matches what a fresh build would produce.
-    let mut remap: Vec<u32> = vec![u32::MAX; counts.len()];
-    let mut kept = 0u32;
-    for (g, &count) in counts.iter().enumerate() {
-        if count > 0 {
-            remap[g] = kept;
-            kept += 1;
+    // (group, row) pairs of the rows leaving and joining each group.
+    let mut leaving: Vec<(u32, u32)> = Vec::new();
+    let mut joining: Vec<(u32, u32)> = Vec::new();
+    for &row in moved {
+        let from = map[&key_at(prev.codec.columns(), row)] as usize;
+        let to = group_of(&mut map, key_at(columns, row));
+        if from != to {
+            leaving.push((from as u32, row as u32));
+            joining.push((to as u32, row as u32));
         }
     }
-    map.retain(|_, g| {
-        let new = remap[*g as usize];
-        *g = new;
-        new != u32::MAX
-    });
-    let mut offsets = Vec::with_capacity(kept as usize + 1);
+    let new_rows = prev.store.len()..n_rows;
+    let appended: Vec<usize> = new_rows
+        .clone()
+        .map(|row| group_of(&mut map, key_at(columns, row)))
+        .collect();
+    for &(g, _) in &leaving {
+        counts[g as usize] -= 1;
+    }
+    for &(g, _) in &joining {
+        counts[g as usize] += 1;
+    }
+    for &g in &appended {
+        counts[g] += 1;
+        added[g] += 1;
+    }
+    leaving.sort_unstable();
+    joining.sort_unstable();
+    // Compact away emptied groups: vacated keys leave the map.  Only a
+    // group a row left can have emptied.
+    if leaving.iter().any(|&(g, _)| counts[g as usize] == 0) {
+        let mut remap: Vec<u32> = vec![u32::MAX; counts.len()];
+        let mut kept = 0u32;
+        for (g, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                remap[g] = kept;
+                kept += 1;
+            }
+        }
+        map.retain(|_, g| {
+            *g = remap[*g as usize];
+            *g != u32::MAX
+        });
+    }
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
     offsets.push(0u32);
     let mut acc = 0u32;
     for &count in counts.iter().filter(|&&c| c > 0) {
         acc += count;
         offsets.push(acc);
     }
-    // Scatter every row in ascending row order, so postings ascend within
-    // each group.
-    let mut cursors: Vec<u32> = offsets[..kept as usize].to_vec();
-    let mut postings = vec![0u32; n_old + appended_groups.len()];
-    for (row, &g) in row_groups.iter().enumerate() {
-        let g = remap[g as usize] as usize;
-        postings[cursors[g] as usize] = row as u32;
-        cursors[g] += 1;
+    let mut postings: Vec<u32> = Vec::with_capacity(acc as usize);
+    let n_old = prev.postings.len();
+    // `prev.postings[run..]` is the verbatim run not yet copied.
+    let mut run = 0usize;
+    let (mut l, mut j) = (0usize, 0usize);
+    for (g, slot) in added.iter_mut().enumerate() {
+        let l_end = l + leaving[l..].iter().take_while(|p| p.0 == g as u32).count();
+        let j_end = j + joining[j..].iter().take_while(|p| p.0 == g as u32).count();
+        let moves = l != l_end || j != j_end;
+        if !moves && *slot == 0 {
+            continue;
+        }
+        let (start, end) = match g < old_groups {
+            true => (prev.offsets[g] as usize, prev.offsets[g + 1] as usize),
+            false => (n_old, n_old),
+        };
+        if moves {
+            postings.extend_from_slice(&prev.postings[run..start]);
+            merge_moves(
+                &prev.postings[start..end],
+                &leaving[l..l_end],
+                &joining[j..j_end],
+                &mut postings,
+            );
+        } else {
+            // Only grew: the group's old rows close the verbatim run.
+            postings.extend_from_slice(&prev.postings[run..end]);
+        }
+        run = end;
+        (l, j) = (l_end, j_end);
+        // From here on `slot` holds the group's next appended slot.
+        let cursor = postings.len();
+        postings.resize(cursor + *slot as usize, 0);
+        *slot = cursor as u32;
     }
-    for (i, &g) in appended_groups.iter().enumerate() {
-        let g = remap[g as usize] as usize;
-        postings[cursors[g] as usize] = (new_rows.start + i) as u32;
-        cursors[g] += 1;
+    postings.extend_from_slice(&prev.postings[run..]);
+    for (row, g) in new_rows.zip(appended) {
+        postings[added[g] as usize] = row as u32;
+        added[g] += 1;
     }
     map.shrink_to_fit();
     (map, offsets, postings)
+}
+
+/// Writes the rows of `old` except those `leaving` it, merged with the rows
+/// `joining` it, to `out`; all three ascend, so the output does too.  The
+/// stretches of `old` between moved rows are copied as slices.
+fn merge_moves(old: &[u32], leaving: &[(u32, u32)], joining: &[(u32, u32)], out: &mut Vec<u32>) {
+    let mut leaving = leaving.iter().map(|&(_, row)| row).peekable();
+    let mut joining = joining.iter().map(|&(_, row)| row).peekable();
+    let mut rest = old;
+    loop {
+        let (row, joins) = match (leaving.peek(), joining.peek()) {
+            (Some(&left), Some(&joined)) if joined < left => (joined, true),
+            (Some(&left), _) => (left, false),
+            (None, Some(&joined)) => (joined, true),
+            (None, None) => break,
+        };
+        let at = rest.partition_point(|&r| r < row);
+        out.extend_from_slice(&rest[..at]);
+        rest = &rest[at..];
+        if joins {
+            joining.next();
+            out.push(row);
+        } else {
+            leaving.next();
+            debug_assert_eq!(
+                rest.first(),
+                Some(&row),
+                "a leaving row is in its old group"
+            );
+            rest = &rest[1..];
+        }
+    }
+    out.extend_from_slice(rest);
 }
 
 #[cfg(test)]
@@ -1091,7 +1017,7 @@ mod tests {
             .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_extended(&prev, &inst, &store)
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
             .expect("no new dictionary entries on the key columns");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1111,7 +1037,7 @@ mod tests {
         inst.insert_values([Value::int(1), Value::str("unseen"), Value::int(999)])
             .unwrap();
         let store = inst.columnar();
-        let extended = InternedIndex::try_extended(&prev, &inst, &store)
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1143,7 +1069,7 @@ mod tests {
                 .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_extended(&prev, &inst, &store)
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
             .expect("width <= 4 always has an exact packing");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1, 2, 3], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1172,7 +1098,7 @@ mod tests {
         }
         let store = inst.columnar();
         for (prev, attrs) in [(prev_shift, shift_attrs), (prev_wide, wide_attrs)] {
-            let extended = InternedIndex::try_extended(&prev, &inst, &store)
+            let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
                 .expect("radix-free packing extends");
             let fresh = InternedIndex::build(&inst, &store, &attrs, 1);
             assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));

@@ -1245,14 +1245,12 @@ impl ShardSource for MappedRelation {
         }
     }
 
-    fn release_shard(&self, _shard: usize) {
-        // Segments are per-shard files, so releasing the shard means
-        // releasing each column's segment for it.  Column-level release is
-        // coarse (a column whose segments span shards releases them all);
-        // per-shard mapped columns — the layout `save_to` writes — release
-        // exactly one shard's pages.
+    fn release_shard(&self, shard: usize) {
+        // Segments are per-shard files, so releasing the shard's rows
+        // releases exactly each column's segment for it.
+        let rows = self.shard_range(shard);
         for col in &self.columns {
-            col.release_pages();
+            col.release_rows(rows.clone());
         }
     }
 }
@@ -1286,11 +1284,6 @@ pub fn save_postings(dir: &Path, attr: usize, index: &InternedIndex) -> DqResult
     w.write(&buf)?;
     w.finish()
 }
-
-// `release_shard` on MappedRelation is column-granular; see the comment in
-// the impl.  A per-(column, shard) release would need segment handles keyed
-// by shard, which the `Column` keeps private — revisit if profiles show
-// resident creep on the cursor paths.
 
 #[cfg(test)]
 mod tests {

@@ -356,6 +356,49 @@ fn csv_ingest_opens_its_spans_and_writes_the_same_bytes_either_way() {
     assert!(off.2 == on.2, "segment bytes changed under instrumentation");
 }
 
+/// Releasing one shard of a multi-shard mapped relation releases that
+/// shard's id segment of every column and nothing else:
+/// `store.io.released_bytes` grows by exactly those segment files' sizes,
+/// so pages of shards a cursor has not read yet stay mapped.
+#[test]
+fn release_shard_releases_only_that_shards_segments() {
+    let _session = RecorderSession::begin();
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        error_rate: 0.05,
+        seed: 11,
+        cities_per_country: 5,
+    });
+    let instance = &workload.dirty;
+    let dir = std::env::temp_dir().join(format!("dq_obs_release_{}", std::process::id()));
+    instance
+        .columnar()
+        .save_to_with_shard_rows(instance, &dir, 64)
+        .expect("save");
+    let mapped = dq_relation::open_mmap(&dir).expect("open");
+    assert_eq!(mapped.shard_count(), 5);
+    let released = || {
+        let snap = dq_obs::recorder().snapshot();
+        snap.counters
+            .get("store.io.released_bytes")
+            .copied()
+            .unwrap_or(0)
+    };
+    dq_obs::set_enabled(true);
+    for shard in 0..mapped.shard_count() {
+        let segment_bytes: u64 = (0..instance.schema().arity())
+            .map(|attr| {
+                let segment = dir.join(format!("col{attr}.shard.{shard}"));
+                std::fs::metadata(segment).expect("shard segment").len()
+            })
+            .sum();
+        let before = released();
+        mapped.release_shard(shard);
+        assert_eq!(released() - before, segment_bytes, "shard {shard}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn workload_config() -> impl Strategy<Value = CustomerConfig> {
     (1usize..200, 0usize..3, 0u64..1_000).prop_map(|(tuples, rate_idx, seed)| CustomerConfig {
         tuples,
