@@ -21,8 +21,8 @@
 //! and CIND condition mining over the order/book/CD workload and writes
 //! `BENCH_ind.json`; `--smoke` works the same way.
 //!
-//! `--delta-bench` replays a mixed append+edit stream against two identical
-//! working copies — one re-detecting CFD violations from scratch every
+//! `--delta-bench` replays a mixed append+edit+remove stream against two
+//! identical working copies — one re-detecting CFD violations from scratch every
 //! round, one patching the pooled indexes and maintaining the previous
 //! round's report — asserts the reports identical each round, and writes
 //! `BENCH_delta.json`; `--smoke` works the same way.
@@ -797,26 +797,33 @@ fn ind_bench(smoke: bool, profile: bool) {
     println!("\nwrote BENCH_ind.json");
 }
 
+/// Every this many rounds, a `--delta-bench` round also removes random live
+/// tuples.
+const DELTA_REMOVE_EVERY: usize = 3;
+
 /// Incremental (patch-served) CFD violation maintenance vs. full
-/// re-detection under a mixed append+edit stream, written to
+/// re-detection under a mixed append+edit+remove stream, written to
 /// `BENCH_delta.json` (skipped in `--smoke` mode, which replays the same
 /// stream CI-sized and only asserts report identity).
 ///
 /// Two identical working copies of the customer workload absorb the same
 /// mutation stream — donor-copy cell edits (always in-domain, and usually
-/// moving the tuple between LHS groups of some CFD) plus duplicate-tuple
-/// appends, driven by a fixed LCG so every round is reproducible:
+/// moving the tuple between LHS groups of some CFD), duplicate-tuple
+/// appends, and every [`DELTA_REMOVE_EVERY`]th round the removal of random
+/// live tuples, driven by a fixed LCG so every round is reproducible:
 /// * `rebuild` — `dq_core::reference::detect_cfd_violations` from scratch
 ///   after every round,
 ///   one fresh index per CFD per call: the cost any pooled consumer paid
 ///   before cell writes became patchable;
 /// * `patch` — `DetectionEngine::maintain_cfd_violations` against the
-///   previous round's report: the delta journal lists the changed cells,
-///   the pooled indexes absorb them as CSR row moves (`patches` in the
-///   pool stats, never a rebuild), and only the touched LHS groups are
-///   re-checked.
+///   previous round's report: the delta journal lists the changed cells
+///   and the removed tuples, the pooled indexes absorb them as CSR row
+///   moves and drops (`patches` in the pool stats, never a rebuild), and
+///   only the touched LHS groups are re-checked.
 ///
-/// Both paths' reports are asserted identical after every round.
+/// Both paths' reports are asserted identical after every round, and every
+/// pool miss after round 0 is asserted to be an upgrade (`misses ==
+/// patches + appends`).
 fn delta_bench(smoke: bool, profile: bool) {
     header("Delta bench — patch-maintained violations vs. full re-detection");
     let sizes: &[usize] = if smoke {
@@ -838,6 +845,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         // bulk rewrite touching most LHS groups.
         let edits_per_round = (size / 10_000).clamp(4, 128);
         let appends_per_round = (size / 20_000).clamp(1, 64);
+        let removes_per_round = appends_per_round;
 
         let mut rebuild_instance = workload.dirty.clone();
         let mut patch_instance = workload.dirty.clone();
@@ -849,6 +857,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         let mut baseline = reference::detect_cfd_violations(&rebuild_instance, &cfds);
         let mut maintained = engine.maintain_cfd_violations(&patch_instance, &cfds, None);
         assert_eq!(&baseline, maintained.report());
+        let built = engine.pool_stats();
 
         // A fixed LCG drives the stream so runs are exactly reproducible.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -862,7 +871,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         let arity = rebuild_instance.schema().arity();
         let mut rebuild_ms = 0.0;
         let mut patch_ms = 0.0;
-        for _ in 0..rounds {
+        for round in 0..rounds {
             let ids = rebuild_instance.ids();
             let mut edits = Vec::with_capacity(edits_per_round);
             for _ in 0..edits_per_round {
@@ -885,6 +894,12 @@ fn delta_bench(smoke: bool, profile: bool) {
                         .clone(),
                 );
             }
+            let mut removals = Vec::new();
+            if round % DELTA_REMOVE_EVERY == DELTA_REMOVE_EVERY - 1 {
+                removals.extend((0..removes_per_round).map(|_| ids[next() % ids.len()]));
+                removals.sort_unstable();
+                removals.dedup();
+            }
             for instance in [&mut rebuild_instance, &mut patch_instance] {
                 for (target, attr, value) in &edits {
                     instance
@@ -893,6 +908,9 @@ fn delta_bench(smoke: bool, profile: bool) {
                 }
                 for tuple in &appends {
                     instance.insert(tuple.clone()).expect("same schema");
+                }
+                for &id in &removals {
+                    instance.remove(id).expect("removed tuples are live");
                 }
             }
             let (ms, report) = timed(|| reference::detect_cfd_violations(&rebuild_instance, &cfds));
@@ -906,6 +924,12 @@ fn delta_bench(smoke: bool, profile: bool) {
                 &baseline,
                 maintained.report(),
                 "maintained report must equal full re-detection every round"
+            );
+            let stats = engine.pool_stats();
+            assert_eq!(
+                stats.misses - built.misses,
+                (stats.patches - built.patches) + (stats.appends - built.appends),
+                "after round 0 every pool miss is an upgrade, removals included"
             );
         }
         let stats = engine.pool_stats();
@@ -926,6 +950,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         rows.push(format!(
             "    {{\"tuples\": {size}, \"rounds\": {rounds}, \
              \"edits_per_round\": {edits_per_round}, \"appends_per_round\": {appends_per_round}, \
+             \"removes_per_round\": {removes_per_round}, \"remove_every\": {DELTA_REMOVE_EVERY}, \
              \"error_rate\": {error_rate}, \"violations\": {violations}, \
              \"rebuild_ms\": {rebuild_ms:.3}, \"patch_ms\": {patch_ms:.3}, \
              \"speedup\": {speedup:.3}, \
@@ -950,7 +975,7 @@ fn delta_bench(smoke: bool, profile: bool) {
         .unwrap_or(1);
     let json = format!(
         "{{\n  \"experiment\": \"sec5_delta_maintenance_patch_vs_rebuild\",\n  \
-         \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42, mixed append+edit stream\",\n  \
+         \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42, mixed append+edit+remove stream\",\n  \
          \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

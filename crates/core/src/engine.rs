@@ -57,7 +57,7 @@ use crate::ecfd::{Ecfd, EcfdViolation};
 use crate::ind::Ind;
 use crate::stream;
 use dq_relation::{
-    CellChange, ColumnarStore, Database, DqResult, IndexPool, IndexPoolStats, InternedIndex,
+    ColumnarStore, Database, Delta, DqResult, IndexPool, IndexPoolStats, InternedIndex,
     RelationInstance, RowGroups, ShardSource, StoreShardSource, TupleId,
 };
 use std::collections::BTreeSet;
@@ -403,17 +403,17 @@ impl DetectionEngine {
     }
 
     /// A CFD violation report kept incrementally up to date across journaled
-    /// cell edits and appends.
+    /// cell edits, appends and removals.
     ///
     /// With no usable `prev` — first call, different instance, different
     /// dependency list, or a gap the instance's delta journal does not
     /// cover ([`RelationInstance::delta_covers`]) — this is full detection.
     /// Otherwise only the *delta* is re-checked: tuples with an edited
-    /// LHS/RHS cell or appended since `prev`, plus the LHS groups those
-    /// tuples left or joined, which are re-derived off the patched pooled
-    /// index; every other dependency's groups, and every untouched group,
-    /// carry over verbatim (see `stream::cfd_violations_patched`).  No
-    /// violating pair is enumerated, so combined with the pool's patch
+    /// LHS/RHS cell, appended or removed since `prev`, plus the LHS groups
+    /// those tuples left or joined, which are re-derived off the patched
+    /// pooled index; every other dependency's groups, and every untouched
+    /// group, carry over verbatim (see `stream::cfd_violations_patched`).
+    /// No violating pair is enumerated, so combined with the pool's patch
     /// path a small edit costs work proportional to the cells changed and
     /// the groups touched, not to the violations reported.
     ///
@@ -445,22 +445,17 @@ impl DetectionEngine {
             }
             Some((p, prev_groups)) => {
                 dq_obs::inc("maintain.cfd.patch");
-                let changes = instance
-                    .changed_cells_since(p.version)
+                let delta = instance
+                    .delta_since(p.version)
                     .expect("delta covers the gap");
                 let store = instance.columnar();
-                // Journaled gaps have no removals, so the previous snapshot's
-                // rows are a prefix of the current one: everything past it
-                // was appended.
-                let appended: Vec<TupleId> = (p.store.len()..store.len())
-                    .map(|row| store.tuple_id(row))
-                    .collect();
+                let appended = store.appended_since(&p.store);
                 self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
                 let source = StoreShardSource::with_store(instance, Arc::clone(&store));
                 let items: Vec<(&Cfd, &Arc<CfdViolationGroups>)> =
                     cfds.iter().zip(prev_groups).collect();
                 let groups = parallel_map(&items, self.threads, |(cfd, prev_groups)| {
-                    let affected = affected_tuples(cfd, &changes, &appended);
+                    let affected = affected_tuples(cfd, &delta, appended);
                     if affected.is_empty() {
                         return Arc::clone(prev_groups);
                     }
@@ -531,14 +526,17 @@ impl MaintainedCfdViolations {
 }
 
 /// The tuples whose violations of `cfd` a maintenance round must redo:
-/// those with a changed LHS/RHS cell, and the appended ones — sorted and
-/// deduplicated.  Any other tuple's cells, and so its group key, `Y`
-/// projection and matching patterns, are as they were.
-fn affected_tuples(cfd: &Cfd, changes: &[CellChange], appended: &[TupleId]) -> Vec<TupleId> {
+/// those with a changed LHS/RHS cell, the appended ones and the removed
+/// ones (which leave every rule's groups) — sorted and deduplicated.  Any
+/// other tuple's cells, and so its group key, `Y` projection and matching
+/// patterns, are as they were.
+fn affected_tuples(cfd: &Cfd, delta: &Delta, appended: &[TupleId]) -> Vec<TupleId> {
     let relevant = |attr: usize| cfd.lhs().contains(&attr) || cfd.rhs().contains(&attr);
     let mut affected: Vec<TupleId> = appended.to_vec();
+    affected.extend_from_slice(&delta.removed);
     affected.extend(
-        changes
+        delta
+            .changes
             .iter()
             .filter(|c| relevant(c.cell.attr))
             .map(|c| c.cell.tuple),
@@ -572,7 +570,7 @@ mod tests {
     use crate::fd::Fd;
     use crate::pattern::{cst, wild, PatternTuple};
     use crate::reference;
-    use dq_relation::{Domain, RelationSchema, Value};
+    use dq_relation::{CellRef, Domain, RelationSchema, Value};
     use std::sync::Arc;
 
     fn schema() -> Arc<RelationSchema> {
@@ -838,17 +836,68 @@ mod tests {
     }
 
     #[test]
-    fn maintained_report_rebuilds_after_a_removal() {
+    fn maintained_report_patches_across_removals() {
         let s = schema();
         let mut d = d0(&s);
         let cfds = paper_cfds(&s);
         let engine = DetectionEngine::new();
-        let maintained = engine.maintain_cfd_violations(&d, &cfds, None);
+        let mut maintained = engine.maintain_cfd_violations(&d, &cfds, None);
+        // No other test of this crate turns the recorder on, so it counts
+        // this test's maintenance rounds (and at most a few concurrent ones).
+        dq_obs::set_enabled(true);
+        let patches = dq_obs::recorder().counter("maintain.cfd.patch");
+        let before = patches.value();
+        // A removal is journaled: the report is patched, not re-detected —
+        // alone, with edits and appends, and for a tuple appended and then
+        // removed inside one gap.
         d.remove(TupleId(1));
-        // The journal cannot cover a removal: maintenance falls back to full
-        // detection and still reports correctly.
-        let after = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
-        assert_eq!(after.report(), &reference::detect_cfd_violations(&d, &cfds));
+        maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
+        assert_eq!(
+            maintained.report(),
+            &reference::detect_cfd_violations(&d, &cfds)
+        );
+        let appended = d
+            .insert_values([
+                Value::int(44),
+                Value::int(131),
+                Value::int(1234567),
+                Value::str("Mayfield"),
+                Value::str("EDI"),
+                Value::str("EH4 8LE"),
+            ])
+            .unwrap();
+        d.update_cell(CellRef::new(TupleId(2), 4), Value::str("MH"))
+            .unwrap();
+        maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
+        assert_eq!(
+            maintained.report(),
+            &reference::detect_cfd_violations(&d, &cfds)
+        );
+        let transient = d
+            .insert_values([
+                Value::int(1),
+                Value::int(908),
+                Value::int(3456789),
+                Value::str("Tree Ave"),
+                Value::str("NYC"),
+                Value::str("07974"),
+            ])
+            .unwrap();
+        d.remove(TupleId(0));
+        d.remove(transient);
+        d.remove(appended);
+        maintained = engine.maintain_cfd_violations(&d, &cfds, Some(&maintained));
+        assert_eq!(
+            maintained.report(),
+            &reference::detect_cfd_violations(&d, &cfds)
+        );
+        if dq_obs::enabled() {
+            assert!(
+                patches.value() >= before + 3,
+                "every round took the patch path"
+            );
+        }
+        dq_obs::set_enabled(false);
     }
 
     #[test]

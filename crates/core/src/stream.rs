@@ -212,9 +212,10 @@ pub fn cfd_violations<'g>(
 /// `prev`, the grouped violations of `cfd` at an earlier snapshot, brought
 /// up to date with `source` — equal to [`cfd_violations`] over `source`.
 ///
-/// `affected` (sorted, deduplicated, all live in `source`) are the tuples
-/// appended or with a changed LHS/RHS cell since `prev`; no tuple was
-/// removed.  `index` is the pooled index of `source` on exactly
+/// `affected` (sorted, deduplicated) are the tuples appended, removed or
+/// with a changed LHS/RHS cell since `prev`; the removed ones are absent
+/// from `source`, so they only drop out of `prev`'s verdicts and seed
+/// nothing.  `index` is the pooled index of `source` on exactly
 /// [`Cfd::lhs`].
 ///
 /// A single-tuple verdict depends on the tuple's own cells only, so only
@@ -253,7 +254,10 @@ pub(crate) fn cfd_violations_patched(
         .filter(|v| !matches!(v, CfdViolation::SingleTuple { tuple, .. } if is_affected(*tuple)))
         .copied()
         .collect();
-    let mut seeds: Vec<usize> = affected.iter().map(|&id| live_row(id)).collect();
+    let mut seeds: Vec<usize> = affected
+        .iter()
+        .filter_map(|&id| source.row_of(id))
+        .collect();
     interned.singles(source, seeds.iter().copied(), &mut singles);
     let mut dropped = vec![false; prev.group_count()];
     for (g, drop) in dropped.iter_mut().enumerate() {

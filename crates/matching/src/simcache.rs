@@ -82,7 +82,7 @@ impl DisplayColumn {
         let parts = parallel_map(&shards, threads, |range| {
             let mut strings = Vec::with_capacity(range.len());
             let mut char_lens = Vec::with_capacity(range.len());
-            for value in &values[range.clone()] {
+            for value in values.slice(range.clone()) {
                 let s = value.to_string();
                 char_lens.push(s.chars().count() as u32);
                 strings.push(s.into_boxed_str());
@@ -149,7 +149,8 @@ impl EqTranslation {
         }
         let shards = build_shards(values.len(), threads);
         let parts = parallel_map(&shards, threads, |range| {
-            values[range.clone()]
+            values
+                .slice(range.clone())
                 .iter()
                 .map(|v| right.lookup(v))
                 .collect::<Vec<_>>()

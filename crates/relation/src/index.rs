@@ -9,7 +9,7 @@
 //! grouped by LHS builds each index exactly once — and repeated detection
 //! runs over an unchanged instance rebuild nothing at all.
 
-use crate::instance::{CellChange, RelationInstance};
+use crate::instance::{Delta, RelationInstance};
 use crate::store::{ColumnarStore, DistinctSet, InternedIndex};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -64,13 +64,13 @@ pub struct IndexPoolStats {
     /// Requests that had to build an index.
     pub misses: u64,
     /// Misses served by patching a cached index of an older version across
-    /// a gap with no net cell changes — only appended rows to key —
-    /// instead of a full rebuild (a subset of `misses`).
+    /// a gap with no net cell changes and no removal — only appended rows
+    /// to key — instead of a full rebuild (a subset of `misses`).
     pub appends: u64,
     /// Misses served by patching a cached index of an older version across
-    /// a gap with journaled cell changes — moving only the changed rows
-    /// between groups — instead of a full rebuild (a subset of `misses`,
-    /// disjoint from `appends`).
+    /// a gap with journaled cell changes or removals — moving only the
+    /// changed rows between groups and dropping the removed ones — instead
+    /// of a full rebuild (a subset of `misses`, disjoint from `appends`).
     pub patches: u64,
     /// Duplicate build races: misses whose build was discarded because a
     /// concurrent request built and inserted the same index first (builds
@@ -200,13 +200,13 @@ impl IndexPool {
     /// The upgrade-or-build protocol shared by every columnar artifact
     /// ([`InternedIndex`], [`DistinctSet`]): serve a hit, else find the best
     /// upgradable predecessor — same instance and attributes, older version,
-    /// every mutation in between either an insert or a journaled cell write
-    /// ([`RelationInstance::delta_covers`]) — and let `upgrade` patch it
-    /// over the instance's current snapshot with the coalesced cell changes
-    /// since its version, falling back to `build`.  A successful upgrade
-    /// counts in [`IndexPoolStats::appends`] when the change list is empty
+    /// every mutation in between an insert, a journaled cell write or a
+    /// journaled removal ([`RelationInstance::delta_covers`]) — and let
+    /// `upgrade` patch it over the instance's current snapshot with the
+    /// delta since its version, falling back to `build`.  A successful
+    /// upgrade counts in [`IndexPoolStats::appends`] when the delta is empty
     /// (only appended rows to key) and in [`IndexPoolStats::patches`]
-    /// otherwise.  The insert keeps stale
+    /// otherwise — a gap with a removal is always a patch.  The insert keeps stale
     /// entries on *other* attribute lists alive while they stay upgradable,
     /// so one mutation round can upgrade every cached artifact, not just the
     /// first one re-requested; each attribute list's own insert still drops
@@ -216,7 +216,7 @@ impl IndexPool {
         cache: &Mutex<HashMap<PoolKey, Arc<V>>>,
         instance: &RelationInstance,
         attrs: &[usize],
-        upgrade: impl Fn(&V, &Arc<ColumnarStore>, &[CellChange]) -> Option<V>,
+        upgrade: impl Fn(&V, &Arc<ColumnarStore>, &Delta) -> Option<V>,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
         let key: PoolKey = (instance.instance_id(), instance.version(), attrs.to_vec());
@@ -244,13 +244,10 @@ impl IndexPool {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.obs.misses.inc();
         let upgraded = predecessor.and_then(|(version, prev)| {
-            let changes = instance.changed_cells_since(version)?;
+            let delta = instance.delta_since(version)?;
             let store = instance.columnar();
-            let upgraded = self
-                .obs
-                .patch_ns
-                .time(|| upgrade(&prev, &store, &changes))?;
-            let (count, live) = match changes.is_empty() {
+            let upgraded = self.obs.patch_ns.time(|| upgrade(&prev, &store, &delta))?;
+            let (count, live) = match delta.is_empty() {
                 true => (&self.appends, &self.obs.appends),
                 false => (&self.patches, &self.obs.patches),
             };
@@ -275,10 +272,10 @@ impl IndexPool {
     /// When the pool holds an index of an older version of the same
     /// instance on the same attributes and the delta journal covers the gap
     /// ([`RelationInstance::delta_covers`]), a miss is served by
-    /// [`InternedIndex::try_patched`] — keying only the appended rows and
-    /// moving only the edited rows between groups — instead of a rebuild.
-    /// Removals, raw tuple access and journal overflow fall back to
-    /// rebuilding.
+    /// [`InternedIndex::try_patched`] — keying only the appended rows,
+    /// moving only the edited rows between groups and dropping the removed
+    /// ones — instead of a rebuild.  Only raw tuple access and journal
+    /// overflow fall back to rebuilding.
     pub fn interned_for(
         &self,
         instance: &RelationInstance,
@@ -298,12 +295,13 @@ impl IndexPool {
     /// once per instance version over the instance's columnar snapshot,
     /// using up to `threads` workers for a cold build.
     ///
-    /// Misses over a gap the delta journal covers are served by
-    /// [`DistinctSet::try_patched`] — inserting the appended and edited
-    /// rows' keys and dropping vacated ones, with the same repack-aware
-    /// radix handling as the interned indexes — and count into
-    /// [`IndexPoolStats::appends`] or [`IndexPoolStats::patches`] exactly
-    /// like [`interned_for`](Self::interned_for).
+    /// Misses over a gap the delta journal covers — removals included — are
+    /// served by [`DistinctSet::try_patched`] — counting the appended and
+    /// edited rows' keys in and the edited and removed rows' old keys out,
+    /// with the same repack-aware radix handling as the interned indexes —
+    /// and count into [`IndexPoolStats::appends`] or
+    /// [`IndexPoolStats::patches`] exactly like
+    /// [`interned_for`](Self::interned_for).
     pub fn distinct_for(
         &self,
         instance: &RelationInstance,
@@ -601,20 +599,41 @@ mod tests {
     }
 
     #[test]
-    fn removals_disable_the_patch_path() {
+    fn removals_patch_pooled_indexes() {
         let mut inst = instance();
         let pool = IndexPool::new();
         pool.interned_for(&inst, &[0, 1], 1);
+        pool.distinct_for(&inst, &[0, 1], 1);
+        // Remove the only (2, y) row, so its group vacates, and the head
+        // row, so every later row is renumbered; append one row too.
         inst.remove(TupleId(2));
-        let rebuilt = pool.interned_for(&inst, &[0, 1], 1);
+        inst.remove(TupleId(0));
+        inst.insert_values([Value::int(1), Value::str("x"), Value::str("r")])
+            .unwrap();
+        let patched = pool.interned_for(&inst, &[0, 1], 1);
+        let set = pool.distinct_for(&inst, &[0, 1], 1);
         let stats = pool.stats();
         assert_eq!(
-            (stats.appends, stats.patches),
-            (0, 0),
-            "a removal poisons the journal, forcing a full rebuild"
+            (stats.appends, stats.patches, stats.misses),
+            (0, 2, 4),
+            "a removal is journaled: both artifacts are patched, not rebuilt"
         );
         let baseline = reference::HashIndex::build(&inst, &[0, 1]);
-        assert_eq!(rebuilt.group_count(), baseline.len());
+        assert_eq!(patched.group_count(), baseline.len());
+        assert_eq!(set.len(), baseline.len());
+        for (key, group) in baseline.groups() {
+            let ids: Vec<TupleId> = patched
+                .rows_for_values(key)
+                .iter()
+                .map(|&r| patched.tuple_id(r))
+                .collect();
+            assert_eq!(&ids, group);
+            assert!(set.contains_values(key));
+        }
+        assert!(!set.contains_values(&[Value::int(2), Value::str("y")]));
+        assert!(patched
+            .rows_for_values(&[Value::int(2), Value::str("y")])
+            .is_empty());
     }
 
     #[test]
@@ -689,7 +708,7 @@ mod tests {
         inst.insert_values([Value::int(7), Value::str("new"), Value::str("p")])
             .unwrap();
         assert!(!inst.append_only_since(v0));
-        assert_eq!(inst.changed_cells_since(v0), Some(Vec::new()));
+        assert_eq!(inst.delta_since(v0), Some(Delta::default()));
         // The snapshot equals a fresh build cell for cell.
         let snapshot = inst.columnar();
         let fresh = Arc::new(ColumnarStore::new(&inst));

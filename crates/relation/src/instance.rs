@@ -31,7 +31,7 @@ fn fresh_instance_id() -> u64 {
 const DELTA_JOURNAL_CAP: usize = 4096;
 
 /// A coalesced cell-level change between two versions of an instance, as
-/// reported by [`RelationInstance::changed_cells_since`]: `cell` held `old`
+/// reported by [`RelationInstance::delta_since`]: `cell` held `old`
 /// at the earlier version and holds `new` now.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellChange {
@@ -43,14 +43,47 @@ pub struct CellChange {
     pub new: Value,
 }
 
-/// One journaled cell write: reaching `version` replaced `old` with `new`
-/// in `cell`.
+/// The net difference between an earlier version of an instance and now,
+/// as reported by [`RelationInstance::delta_since`]: together with the
+/// tuples appended since (the live slots past the earlier snapshot's), it
+/// describes the current state as "the old state, minus `removed`, with
+/// `changes` applied".
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Delta {
+    /// Coalesced cell changes of tuples still live, in first-touched order
+    /// (first recorded `old`, last recorded `new`, net no-ops dropped).
+    pub changes: Vec<CellChange>,
+    /// Tuples removed since, ascending — including tuples both appended and
+    /// removed inside the gap, which no earlier snapshot holds.
+    pub removed: Vec<TupleId>,
+}
+
+impl Delta {
+    /// No cell changed and no tuple was removed: the gap (if any) only
+    /// appended tuples.
+    pub fn is_empty(&self) -> bool {
+        self.changes.is_empty() && self.removed.is_empty()
+    }
+}
+
+/// One journaled mutation, reached at `version`.
 #[derive(Clone, Debug)]
 struct DeltaEntry {
     version: u64,
-    cell: CellRef,
-    old: Value,
-    new: Value,
+    op: DeltaOp,
+}
+
+/// What a journaled mutation did.
+#[derive(Clone, Debug)]
+enum DeltaOp {
+    /// `cell` held `old` and now holds `new`.
+    Cell {
+        cell: CellRef,
+        old: Value,
+        new: Value,
+    },
+    /// The tuple was removed.
+    Removed(TupleId),
 }
 
 /// Stable identifier of a tuple within a [`RelationInstance`].
@@ -98,11 +131,11 @@ pub struct RelationInstance {
     /// instance has only grown since — see
     /// [`append_only_since`](Self::append_only_since).
     last_non_append_version: u64,
-    /// Cell-delta journal: every cell write since `delta_floor`, in version
-    /// order.  Kept small (see [`DELTA_JOURNAL_CAP`]); removals and raw
-    /// [`tuple_mut`](Self::tuple_mut) access clear it and raise the floor,
-    /// because the journal can no longer describe the instance as
-    /// "the old snapshot plus these cell edits".
+    /// Delta journal: every cell write and removal since `delta_floor`, in
+    /// version order.  Kept small (see [`DELTA_JOURNAL_CAP`]); raw
+    /// [`tuple_mut`](Self::tuple_mut) access clears it and raises the floor,
+    /// because the journal can no longer describe the instance as "the old
+    /// snapshot minus these removals, plus these cell edits".
     delta: Vec<DeltaEntry>,
     /// Versions `v` with `delta_floor <= v <= version` are *delta-covered*:
     /// the journal records every mutation after `v` that was not an
@@ -186,47 +219,60 @@ impl RelationInstance {
     }
 
     /// True when the delta journal fully describes how the instance evolved
-    /// from `version` to now: every mutation after `version` was either an
-    /// insertion (visible as new live slots) or a journaled cell write.  A
-    /// snapshot or index taken at `version` can then be *patched* — the
-    /// changed cells are listed by
-    /// [`changed_cells_since`](Self::changed_cells_since) — instead of
-    /// rebuilt.  Removals, raw [`tuple_mut`](Self::tuple_mut) access and
-    /// journal overflow break the property for older versions.
+    /// from `version` to now: every mutation after `version` was an
+    /// insertion (visible as new live slots), a journaled cell write or a
+    /// journaled removal.  A snapshot or index taken at `version` can then
+    /// be *patched* — the changed cells and removed tuples are listed by
+    /// [`delta_since`](Self::delta_since) — instead of rebuilt.  Only raw
+    /// [`tuple_mut`](Self::tuple_mut) access and journal overflow break the
+    /// property for older versions.
     ///
     /// `append_only_since(v)` implies `delta_covers(v)` (with an empty
-    /// change list).
+    /// delta).
     pub fn delta_covers(&self, version: u64) -> bool {
         version <= self.version && version >= self.delta_floor
     }
 
-    /// The cells that changed between `version` and now, coalesced per cell
-    /// (first recorded `old`, last recorded `new`) with net no-ops dropped,
-    /// in first-touched order.  Returns `None` when `version` is not
+    /// What changed between `version` and now (see [`Delta`]): the cell
+    /// changes of tuples still live, coalesced per cell with net no-ops
+    /// dropped, in first-touched order, and the tuples removed since.
+    /// Returns `None` when `version` is not
     /// [delta-covered](Self::delta_covers).
-    pub fn changed_cells_since(&self, version: u64) -> Option<Vec<CellChange>> {
+    pub fn delta_since(&self, version: u64) -> Option<Delta> {
         if !self.delta_covers(version) {
             return None;
         }
-        let mut out: Vec<CellChange> = Vec::new();
+        let mut delta = Delta::default();
         let mut slot: FxHashMap<(usize, usize), usize> = FxHashMap::default();
-        for e in self.delta.iter().filter(|e| e.version > version) {
-            match slot.entry((e.cell.tuple.0, e.cell.attr)) {
+        // Entries are in version order: skip straight to the gap.
+        let start = self.delta.partition_point(|e| e.version <= version);
+        for e in &self.delta[start..] {
+            let (cell, old, new) = match &e.op {
+                DeltaOp::Removed(id) => {
+                    delta.removed.push(*id);
+                    continue;
+                }
+                DeltaOp::Cell { cell, old, new } => (cell, old, new),
+            };
+            match slot.entry((cell.tuple.0, cell.attr)) {
                 std::collections::hash_map::Entry::Occupied(o) => {
-                    out[*o.get()].new = e.new.clone();
+                    delta.changes[*o.get()].new = new.clone();
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(out.len());
-                    out.push(CellChange {
-                        cell: e.cell,
-                        old: e.old.clone(),
-                        new: e.new.clone(),
+                    v.insert(delta.changes.len());
+                    delta.changes.push(CellChange {
+                        cell: *cell,
+                        old: old.clone(),
+                        new: new.clone(),
                     });
                 }
             }
         }
-        out.retain(|c| c.old != c.new);
-        Some(out)
+        delta
+            .changes
+            .retain(|c| c.old != c.new && self.tuple(c.cell.tuple).is_some());
+        delta.removed.sort_unstable();
+        Some(delta)
     }
 
     /// Forgets the journal: mutations up to the current version can no
@@ -236,10 +282,10 @@ impl RelationInstance {
         self.delta_floor = self.version;
     }
 
-    /// Journals one cell write (already applied, version already bumped),
+    /// Journals one mutation (already applied, version already bumped),
     /// evicting the oldest half of the journal when full so recent versions
     /// stay patchable.
-    fn journal_push(&mut self, cell: CellRef, old: Value, new: Value) {
+    fn journal_push(&mut self, op: DeltaOp) {
         if self.delta.len() >= DELTA_JOURNAL_CAP {
             let half = DELTA_JOURNAL_CAP / 2;
             self.delta_floor = self.delta[half - 1].version;
@@ -247,9 +293,7 @@ impl RelationInstance {
         }
         self.delta.push(DeltaEntry {
             version: self.version,
-            cell,
-            old,
-            new,
+            op,
         });
     }
 
@@ -298,7 +342,10 @@ impl RelationInstance {
     }
 
     /// Removes a tuple (keeping ids of the remaining tuples stable).
-    /// Returns the removed tuple if it was present.
+    /// Returns the removed tuple if it was present.  The removal is
+    /// journaled, so snapshots and indexes taken before it stay patchable
+    /// (see [`delta_covers`](Self::delta_covers)): they drop the removed row
+    /// instead of rebuilding.
     pub fn remove(&mut self, id: TupleId) -> Option<Tuple> {
         let slot = self.tuples.get_mut(id.0)?;
         let removed = slot.take();
@@ -306,7 +353,7 @@ impl RelationInstance {
             self.live -= 1;
             self.version += 1;
             self.last_non_append_version = self.version;
-            self.poison_delta();
+            self.journal_push(DeltaOp::Removed(id));
         }
         removed
     }
@@ -371,7 +418,11 @@ impl RelationInstance {
         let old = tuple.set(cell.attr, value.clone());
         self.version += 1;
         self.last_non_append_version = self.version;
-        self.journal_push(cell, old.clone(), value);
+        self.journal_push(DeltaOp::Cell {
+            cell,
+            old: old.clone(),
+            new: value,
+        });
         Some(old)
     }
 
@@ -386,6 +437,16 @@ impl RelationInstance {
             .iter()
             .enumerate()
             .filter_map(|(i, t)| t.as_ref().map(|t| (TupleId(i), t)))
+    }
+
+    /// Iterates over the live tuples in slots `first..`, in insertion
+    /// order: the tuples appended since a snapshot whose row index ended at
+    /// slot `first`.
+    pub(crate) fn iter_from(&self, first: usize) -> impl Iterator<Item = (TupleId, &Tuple)> {
+        let tail = self.tuples.get(first..).unwrap_or_default();
+        tail.iter()
+            .enumerate()
+            .filter_map(move |(i, t)| t.as_ref().map(|t| (TupleId(first + i), t)))
     }
 
     /// All live tuple ids.
@@ -423,16 +484,17 @@ impl RelationInstance {
     /// journal covers the stale snapshot's version
     /// ([`delta_covers`](Self::delta_covers)), where it is *patched*
     /// ([`ColumnarStore::patched`]): existing rows and dictionaries are
-    /// reused, only the appended tuples are encoded and only the changed
-    /// cells re-interned (an append-only gap changes no cell).
+    /// reused, removed rows are dropped, only the appended tuples are
+    /// encoded and only the changed cells re-interned (an append-only gap
+    /// has an empty delta).
     pub fn columnar(&self) -> Arc<ColumnarStore> {
         let mut cache = self.columnar.lock().expect("columnar cache poisoned");
         if let Some(store) = cache.as_ref() {
             if store.version() == self.version {
                 return Arc::clone(store);
             }
-            if let Some(changes) = self.changed_cells_since(store.version()) {
-                let patched = Arc::new(ColumnarStore::patched(store, self, &changes));
+            if let Some(delta) = self.delta_since(store.version()) {
+                let patched = Arc::new(ColumnarStore::patched(store, self, &delta));
                 *cache = Some(Arc::clone(&patched));
                 return patched;
             }
@@ -638,9 +700,10 @@ mod tests {
             .unwrap();
         assert!(inst.delta_covers(v0));
         assert!(!inst.append_only_since(v0));
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
+        assert!(delta.removed.is_empty());
         assert_eq!(
-            changes,
+            delta.changes,
             vec![CellChange {
                 cell: CellRef::new(TupleId(0), 1),
                 old: Value::str("x"),
@@ -651,19 +714,33 @@ mod tests {
         // A write that restores the original value nets out to no change.
         inst.update_cell(CellRef::new(TupleId(0), 1), Value::str("x"))
             .unwrap();
-        assert_eq!(inst.changed_cells_since(v0).unwrap(), vec![]);
+        assert!(inst.delta_since(v0).unwrap().is_empty());
     }
 
     #[test]
-    fn removals_and_raw_tuple_access_poison_the_delta_journal() {
+    fn removals_are_journaled_and_raw_tuple_access_poisons_the_journal() {
         let mut inst = sample();
         let v0 = inst.version();
         inst.update_cell(CellRef::new(TupleId(0), 1), Value::str("z"))
             .unwrap();
         assert!(inst.delta_covers(v0));
         inst.remove(TupleId(1));
-        assert!(!inst.delta_covers(v0));
-        assert!(inst.changed_cells_since(v0).is_none());
+        // An edit to a tuple removed later nets out: the tuple is gone.
+        inst.update_cell(CellRef::new(TupleId(2), 1), Value::str("w"))
+            .unwrap();
+        inst.remove(TupleId(2));
+        assert!(inst.delta_covers(v0), "a removal keeps the journal");
+        assert_eq!(
+            inst.delta_since(v0),
+            Some(Delta {
+                changes: vec![CellChange {
+                    cell: CellRef::new(TupleId(0), 1),
+                    old: Value::str("x"),
+                    new: Value::str("z"),
+                }],
+                removed: vec![TupleId(1), TupleId(2)],
+            })
+        );
         let v1 = inst.version();
         assert!(inst.delta_covers(v1));
         inst.tuple_mut(TupleId(0)).unwrap();

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::algebra::{Predicate, View};
     pub use crate::error::{DqError, DqResult};
     pub use crate::index::{IndexPool, IndexPoolStats};
-    pub use crate::instance::{CellChange, CellRef, Database, RelationInstance, TupleId};
+    pub use crate::instance::{CellChange, CellRef, Database, Delta, RelationInstance, TupleId};
     pub use crate::query::{
         Atom, Binding, CompOp, Comparison, ConjunctiveQuery, FoQuery, Formula, Term,
     };

@@ -14,14 +14,15 @@
 //! builds and group scans can parallelize *within* one index, not just
 //! across dependencies.  The store never mutates: instances hand out a
 //! snapshot per version through
-//! [`RelationInstance::columnar`](crate::instance::RelationInstance::columnar)
-//! and mutations simply make the next access build a fresh one, mirroring
-//! the `(instance, version)` memoization of
-//! [`IndexPool`](crate::index::IndexPool).
+//! [`RelationInstance::columnar`](crate::instance::RelationInstance::columnar),
+//! mirroring the `(instance, version)` memoization of
+//! [`IndexPool`](crate::index::IndexPool), and after journaled mutations
+//! the next access patches the previous snapshot
+//! ([`ColumnarStore::patched`]) instead of building a fresh one.
 
 use super::interner::{InternerStats, ValueId, ValueInterner};
 use super::mmap::MappedBytes;
-use crate::instance::{CellChange, RelationInstance, TupleId};
+use crate::instance::{Delta, RelationInstance, TupleId};
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -30,6 +31,15 @@ use std::sync::{Arc, OnceLock};
 /// small enough that a million-tuple instance yields double-digit shards for
 /// the thread pool.
 pub const SHARD_ROWS: usize = 1 << 16;
+
+/// The runs of `0..len` between the `removed` positions (ascending): what
+/// survives when those rows are dropped, as slices to copy.
+fn kept_runs(removed: &[usize], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let starts = std::iter::once(0).chain(removed.iter().map(|&r| r + 1));
+    starts
+        .zip(removed.iter().copied().chain([len]))
+        .map(|(start, end)| start..end)
+}
 
 /// Backing storage of a column's id vector: an owned `Vec` for columns built
 /// from an instance, or a view into memory-mapped segment files for columns
@@ -125,9 +135,11 @@ pub struct Column {
 }
 
 impl Column {
-    /// A column from already-encoded parts (the persist layer's open path
-    /// and streaming ingest build columns without an instance).
-    pub(crate) fn from_parts(interner: ValueInterner, ids: Vec<ValueId>) -> Column {
+    /// A column from already-encoded parts (column builds, and the persist
+    /// layer's paths that build columns without an instance).  The
+    /// dictionary is sealed, so patched copies share it.
+    pub(crate) fn from_parts(mut interner: ValueInterner, ids: Vec<ValueId>) -> Column {
+        interner.seal();
         Column {
             interner,
             ids: Ids::Ram(ids),
@@ -136,8 +148,10 @@ impl Column {
 
     /// A column whose ids live in mapped segment files.  Falls back to an
     /// eager decode when zero-copy reinterpretation is unsound on this
-    /// target.
-    pub(crate) fn from_mapped(interner: ValueInterner, segments: Vec<MappedIds>) -> Column {
+    /// target.  The dictionary is sealed, as in
+    /// [`from_parts`](Self::from_parts).
+    pub(crate) fn from_mapped(mut interner: ValueInterner, segments: Vec<MappedIds>) -> Column {
+        interner.seal();
         Column {
             interner,
             ids: Ids::from_segments(segments),
@@ -251,30 +265,26 @@ impl Column {
         id_bytes + self.interner.approx_heap_bytes()
     }
 
-    /// Owned ids in row order: borrowed from RAM columns, gathered from the
-    /// segments of mapped ones.
-    fn ids_to_vec(&self) -> Vec<ValueId> {
-        match &self.ids {
-            Ids::Ram(v) => v.clone(),
-            Ids::Mapped { segments, .. } => {
-                let mut out = Vec::with_capacity(self.ids.len());
-                for s in segments {
-                    out.extend_from_slice(s.as_slice());
-                }
-                out
+    /// A copy of this column with the rows `removed` (ascending) dropped
+    /// and `new_rows` appended: the dictionary is cloned — its shared
+    /// prefix by reference, only its short tail by value — the surviving
+    /// ids are copied as the slices between removed rows, and only the
+    /// appended cells are interned.  Ids of values already in the
+    /// dictionary are unchanged, so structures keyed on them stay valid.
+    fn patched(
+        &self,
+        instance: &RelationInstance,
+        attr: usize,
+        removed: &[usize],
+        new_rows: &[TupleId],
+    ) -> Column {
+        let mut interner = self.interner.clone();
+        let mut ids = Vec::with_capacity(self.len() - removed.len() + new_rows.len());
+        for run in kept_runs(removed, self.len()) {
+            for part in self.shard_ids(run) {
+                ids.extend_from_slice(part);
             }
         }
-    }
-
-    /// A copy of this column covering the old rows plus `new_rows`: the
-    /// dictionary and the existing id vector are cloned wholesale (no
-    /// re-hashing of old cells) and only the appended cells are interned.
-    /// Ids of values already in the dictionary are unchanged, so structures
-    /// keyed on them stay valid.
-    fn extended(&self, instance: &RelationInstance, attr: usize, new_rows: &[TupleId]) -> Column {
-        let mut interner = self.interner.clone();
-        let mut ids = self.ids_to_vec();
-        ids.reserve(new_rows.len());
         for &id in new_rows {
             let tuple = instance.tuple(id).expect("appended row is live");
             ids.push(interner.intern(tuple.get(attr)));
@@ -360,25 +370,24 @@ impl ColumnarStore {
         })
     }
 
-    /// Patches a previous snapshot of the same instance after insertions
-    /// and journaled cell writes: the old rows, row index and every column
-    /// already built on `prev` are reused (dictionaries cloned, old ids
-    /// memcpy'd), only the appended tuples are encoded, and *only* the
-    /// changed cells are re-interned in place — an append-only gap passes
-    /// no changes.  Columns `prev` never built stay lazy.  Dictionaries are
-    /// append-only, so every unchanged cell keeps its id and structures
-    /// keyed on old ids stay valid; a patched dictionary may carry values
-    /// no live cell holds any more, which costs a little memory but never
-    /// correctness.
+    /// Patches a previous snapshot of the same instance after insertions,
+    /// removals and journaled cell writes: the rows of removed tuples are
+    /// dropped (the rows, row index and ids after the first of them are
+    /// compacted), only the appended tuples are encoded, and *only* the
+    /// changed cells are re-interned in place — an append-only gap has an
+    /// empty delta.  A built column with no changed cell, no appended row
+    /// and no removed row is shared with `prev` as the same `Arc`; the
+    /// others clone their dictionary, which shares its prefix with `prev`'s
+    /// and copies only the short tail (see [`ValueInterner`]).  Columns
+    /// `prev` never built stay lazy.  Dictionaries are append-only, so every
+    /// surviving cell keeps its id and structures keyed on old ids stay
+    /// valid; a patched dictionary may carry values no live cell holds any
+    /// more, which costs a little memory but never correctness.
     ///
     /// The caller must guarantee the delta journal covers `prev.version()`
-    /// ([`RelationInstance::delta_covers`]) and pass the coalesced changes
-    /// ([`RelationInstance::changed_cells_since`]).
-    pub fn patched(
-        prev: &ColumnarStore,
-        instance: &RelationInstance,
-        changes: &[CellChange],
-    ) -> Self {
+    /// ([`RelationInstance::delta_covers`]) and pass the delta since then
+    /// ([`RelationInstance::delta_since`]).
+    pub fn patched(prev: &ColumnarStore, instance: &RelationInstance, delta: &Delta) -> Self {
         let _t = dq_obs::timer("store.patch_ns");
         assert_eq!(
             prev.instance_id,
@@ -386,21 +395,26 @@ impl ColumnarStore {
             "snapshot patched for a different instance"
         );
         debug_assert!(instance.delta_covers(prev.version));
-        // Insertions and cell writes never touch existing slots' liveness,
-        // so every live tuple in a slot beyond the old row index is an
-        // appended one.
+        let removed = prev.removed_rows(delta);
+        dq_obs::add("store.patch.removed_rows", removed.len() as u64);
         let mut rows = Vec::with_capacity(instance.len());
-        rows.extend_from_slice(&prev.rows);
+        for run in kept_runs(&removed, prev.rows.len()) {
+            rows.extend_from_slice(&prev.rows[run]);
+        }
         let mut row_index = prev.row_index.clone();
+        for &row in &removed {
+            row_index[prev.rows[row].0] = u32::MAX;
+        }
+        let first_moved = removed.first().copied().unwrap_or(rows.len());
+        for (row, id) in rows.iter().enumerate().skip(first_moved) {
+            row_index[id.0] = row as u32;
+        }
+        // Slots never revive, so every live tuple in a slot beyond the old
+        // row index is an appended one.
         let first_new_slot = prev.row_index.len();
-        let mut new_rows = Vec::with_capacity(instance.len() - prev.rows.len());
-        for (id, _) in instance.iter() {
-            if id.0 < first_new_slot {
-                continue;
-            }
-            while row_index.len() < id.0 {
-                row_index.push(u32::MAX);
-            }
+        let mut new_rows = Vec::new();
+        for (id, _) in instance.iter_from(first_new_slot) {
+            row_index.resize(id.0, u32::MAX);
             row_index.push(u32::try_from(rows.len()).expect("instance larger than u32::MAX rows"));
             rows.push(id);
             new_rows.push(id);
@@ -412,19 +426,26 @@ impl ColumnarStore {
             .map(|(attr, slot)| {
                 let lock = OnceLock::new();
                 if let Some(col) = slot.get() {
-                    let mut patched = col.extended(instance, attr, &new_rows);
+                    let mut changes = delta
+                        .changes
+                        .iter()
+                        .filter(|c| c.cell.attr == attr)
+                        .peekable();
+                    if changes.peek().is_none() && new_rows.is_empty() && removed.is_empty() {
+                        lock.set(Arc::clone(col))
+                            .expect("freshly created lock is empty");
+                        return lock;
+                    }
+                    let mut patched = col.patched(instance, attr, &removed, &new_rows);
                     let Ids::Ram(ids) = &mut patched.ids else {
-                        unreachable!("extended columns always own their ids");
+                        unreachable!("patched columns always own their ids");
                     };
-                    for change in changes.iter().filter(|c| c.cell.attr == attr) {
-                        // Appended-then-edited tuples were already interned
-                        // at their current value by the extension above;
-                        // re-interning is a no-op for them.
-                        if let Some(&row) = row_index.get(change.cell.tuple.0) {
-                            if row != u32::MAX {
-                                ids[row as usize] = patched.interner.intern(&change.new);
-                            }
-                        }
+                    for change in changes {
+                        // Changed tuples are live; appended-then-edited ones
+                        // were already interned at their current value
+                        // above, and re-interning is a no-op for them.
+                        let row = row_index[change.cell.tuple.0];
+                        ids[row as usize] = patched.interner.intern(&change.new);
                     }
                     lock.set(Arc::new(patched))
                         .expect("freshly created lock is empty");
@@ -439,6 +460,25 @@ impl ColumnarStore {
             row_index,
             columns,
         }
+    }
+
+    /// The rows of this snapshot whose tuples `delta` (a delta since this
+    /// snapshot's version) removed, ascending; tuples appended and removed
+    /// inside the gap have no row here.
+    pub(crate) fn removed_rows(&self, delta: &Delta) -> Vec<usize> {
+        delta
+            .removed
+            .iter()
+            .filter_map(|&id| self.row_of(id))
+            .collect()
+    }
+
+    /// The tuples of this snapshot appended since `prev`, an older snapshot
+    /// of the same instance: the rows past `prev`'s last slot (slots never
+    /// revive, so nothing else is new).
+    pub fn appended_since(&self, prev: &ColumnarStore) -> &[TupleId] {
+        let first = self.rows.partition_point(|id| id.0 < prev.row_index.len());
+        &self.rows[first..]
     }
 
     /// Identity of the instance this snapshot was taken from.
@@ -626,7 +666,7 @@ mod tests {
             inst.insert_values([Value::int(a), Value::str(b)]).unwrap();
         }
         assert!(inst.append_only_since(prev.version()));
-        let extended = ColumnarStore::patched(&prev, &inst, &[]);
+        let extended = ColumnarStore::patched(&prev, &inst, &Delta::default());
         let fresh = ColumnarStore::new(&inst);
         assert_eq!(extended.version(), inst.version());
         assert_eq!(extended.rows(), fresh.rows());
@@ -686,8 +726,8 @@ mod tests {
             .unwrap();
         inst.update_cell(CellRef::new(TupleId(4), 1), Value::str("m"))
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
-        let patched = ColumnarStore::patched(&prev, &inst, &changes);
+        let delta = inst.delta_since(v0).unwrap();
+        let patched = ColumnarStore::patched(&prev, &inst, &delta);
         assert_eq!(patched.version(), inst.version());
         let fresh = ColumnarStore::new(&inst);
         assert_eq!(patched.rows(), fresh.rows());
@@ -706,6 +746,74 @@ mod tests {
         let p = patched.column(&inst, 1);
         let old = prev.column(&inst, 1);
         assert_eq!(p.id_at(1), old.id_at(1));
+    }
+
+    #[test]
+    fn removals_compact_the_patched_snapshot() {
+        use crate::instance::CellRef;
+        let mut inst = instance();
+        inst.insert_values([Value::int(8), Value::str("v")])
+            .unwrap();
+        let prev = inst.columnar();
+        prev.column(&inst, 0);
+        prev.column(&inst, 1);
+        // Remove the head and a middle row, edit a survivor, append a
+        // tuple, and remove one appended inside the gap.
+        inst.remove(TupleId(0));
+        inst.update_cell(CellRef::new(TupleId(3), 1), Value::str("new"))
+            .unwrap();
+        inst.remove(TupleId(2));
+        inst.insert_values([Value::int(6), Value::str("q")])
+            .unwrap();
+        inst.insert_values([Value::int(7), Value::str("r")])
+            .unwrap();
+        inst.remove(TupleId(5));
+        let patched = inst.columnar();
+        let fresh = ColumnarStore::new(&inst);
+        assert_eq!(patched.rows(), fresh.rows());
+        for id in 0..8 {
+            assert_eq!(patched.row_of(TupleId(id)), fresh.row_of(TupleId(id)));
+        }
+        for attr in 0..2 {
+            let p = patched.column(&inst, attr);
+            assert_eq!(p.len(), inst.len());
+            for (row, &id) in patched.rows().iter().enumerate() {
+                assert_eq!(
+                    p.interner().resolve(p.id_at(row)),
+                    inst.tuple(id).unwrap().get(attr),
+                    "attr {attr} row {row}"
+                );
+            }
+        }
+        // Dictionaries stay append-only across removals: the removed
+        // tuples' values keep their ids.
+        let old = prev.column(&inst, 1);
+        let p = patched.column(&inst, 1);
+        assert_eq!(
+            p.interner().lookup(&Value::str("x")),
+            old.interner().lookup(&Value::str("x"))
+        );
+        assert!(p.distinct() >= old.distinct());
+    }
+
+    #[test]
+    fn untouched_columns_keep_their_arc() {
+        use crate::instance::CellRef;
+        let mut inst = instance();
+        let prev = inst.columnar();
+        prev.column(&inst, 0);
+        prev.column(&inst, 1);
+        inst.update_cell(CellRef::new(TupleId(1), 1), Value::str("edited"))
+            .unwrap();
+        let next = inst.columnar();
+        assert!(Arc::ptr_eq(
+            &prev.built_column(0).unwrap(),
+            &next.built_column(0).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            &prev.built_column(1).unwrap(),
+            &next.built_column(1).unwrap()
+        ));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! implementation materializes a `BTreeSet<Vec<Value>>` per side per
 //! candidate; [`DistinctSet`] replaces that with the packed-key machinery of
 //! [`InternedIndex`](super::index::InternedIndex) minus the CSR postings —
-//! just the set of distinct keys, one machine word each for almost every
-//! real projection — cached in
+//! just the distinct keys, one machine word each for almost every real
+//! projection, with a row count each — cached in
 //! [`IndexPool`](crate::index::IndexPool) per `(instance, version,
-//! attribute list)` and patched in place after appends and cell edits.
+//! attribute list)` and patched in place after appends, removals and cell
+//! edits.
 //!
 //! Cross-relation membership goes through [`IdTranslation`]: the LHS
 //! dictionaries are translated into the RHS dictionaries *once per
@@ -18,18 +19,20 @@
 //! materialized.
 
 use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
-use super::fx::{FxHashMap, FxHashSet};
-use super::index::{moved_rows, rekey, KeyCodec, KeyMap, Repr};
+use super::fx::FxHashMap;
+use super::index::{rekey, KeyCodec, KeyMap, Repr, RowMoves};
 use super::interner::ValueId;
-use crate::instance::{CellChange, RelationInstance};
+use crate::instance::{Delta, RelationInstance};
 use crate::par::parallel_map;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::mem::size_of;
 use std::sync::Arc;
 
 /// The set of distinct projections of one instance onto a fixed attribute
-/// list, as packed dictionary-id keys.
+/// list, as packed dictionary-id keys, each with the number of rows that
+/// project onto it (so a patch drops a vacated key by one decrement).
 ///
 /// Equality of ids is equality of values per column, so membership answers
 /// are identical to the `BTreeSet<Vec<Value>>` the row-oriented projection
@@ -39,7 +42,8 @@ pub struct DistinctSet {
     attrs: Vec<usize>,
     store: Arc<ColumnarStore>,
     codec: KeyCodec,
-    keys: KeyMap<()>,
+    /// Key → number of rows carrying it (never zero).
+    keys: KeyMap<u32>,
 }
 
 impl DistinctSet {
@@ -86,18 +90,17 @@ impl DistinctSet {
     }
 
     /// Patches `prev` — a set of the same instance on the same attributes,
-    /// built at an earlier version — after insertions and journaled cell
-    /// writes: the key set is carried over ([`rekey`], re-packed when a key
-    /// column's dictionary outgrew its radix), the new key of every changed
-    /// row (at most one per change) and of every appended row is inserted,
-    /// and each *candidate-vacated* old key — the set keeps no per-key
-    /// counts — is verified by a single packing sweep over the rows (no
-    /// re-hashing into the set, early exit once every candidate is
-    /// accounted for) before being removed.  Changes touching only non-key
-    /// attributes cost nothing, and an append-only gap (`changes` empty)
-    /// only inserts the appended rows' keys.  Returns `None` only when no
-    /// exact packing carries over (> 4-wide radix keys whose widened product
-    /// overflows `u64`): full rebuild.
+    /// built at an earlier version — after insertions, removals and
+    /// journaled cell writes: the key counts are carried over ([`rekey`],
+    /// re-packed when a key column's dictionary outgrew its radix), the new
+    /// key of every changed row (at most one per change) and of every
+    /// appended row is counted in, and the old key of every changed or
+    /// removed row — packed from `prev`'s columns — is counted out, leaving
+    /// the set when its count reaches zero.  Changes touching only non-key
+    /// attributes cost nothing, and an append-only gap (an empty delta)
+    /// only counts in the appended rows' keys.  Returns `None` only when no
+    /// exact packing carries over (> 4-wide radix keys whose widened
+    /// product overflows `u64`): full rebuild.
     ///
     /// `store` must be the current snapshot *descended from `prev`'s* —
     /// the memoized [`RelationInstance::columnar`] chain guarantees this
@@ -108,9 +111,9 @@ impl DistinctSet {
         prev: &DistinctSet,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
-        changes: &[CellChange],
+        delta: &Delta,
     ) -> Option<DistinctSet> {
-        if store.instance_id() != prev.store.instance_id() || store.len() < prev.store.len() {
+        if store.instance_id() != prev.store.instance_id() {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev
@@ -124,18 +127,18 @@ impl DistinctSet {
             .zip(prev.codec.columns())
             .all(|(new, old)| new.distinct() >= old.distinct()));
         let (mut keys, codec) = rekey(&prev.codec, &prev.keys, columns)?;
-        let moved = moved_rows(&prev.attrs, &prev.store, changes);
+        let moves = RowMoves::new(&prev.attrs, &prev.store, delta);
         let n_rows = store.len();
         match (&mut keys, &codec.repr) {
             (KeyMap::U64(s), Repr::Radix(radices)) => {
-                patch_keys(s, prev, &moved, codec.columns(), n_rows, |columns, row| {
+                patch_keys(s, prev, &moves, codec.columns(), n_rows, |columns, row| {
                     KeyCodec::pack_u64_row(radices, columns, row)
                 })
             }
             (KeyMap::U128(s), Repr::Shift) => patch_keys(
                 s,
                 prev,
-                &moved,
+                &moves,
                 codec.columns(),
                 n_rows,
                 KeyCodec::pack_u128_row,
@@ -143,7 +146,7 @@ impl DistinctSet {
             (KeyMap::Wide(s), Repr::Wide) => patch_keys(
                 s,
                 prev,
-                &moved,
+                &moves,
                 codec.columns(),
                 n_rows,
                 KeyCodec::pack_wide_row,
@@ -316,10 +319,10 @@ impl DistinctSet {
     /// shared and reported by [`ColumnarStore::stats`]).
     pub fn approx_heap_bytes(&self) -> usize {
         match &self.keys {
-            KeyMap::U64(s) => s.capacity() * (size_of::<u64>() + 1),
-            KeyMap::U128(s) => s.capacity() * (size_of::<u128>() + 1),
+            KeyMap::U64(s) => s.capacity() * (size_of::<(u64, u32)>() + 1),
+            KeyMap::U128(s) => s.capacity() * (size_of::<(u128, u32)>() + 1),
             KeyMap::Wide(s) => {
-                s.capacity() * (size_of::<Box<[ValueId]>>() + 1)
+                s.capacity() * (size_of::<(Box<[ValueId]>, u32)>() + 1)
                     + s.keys()
                         .map(|k| k.len() * size_of::<ValueId>())
                         .sum::<usize>()
@@ -400,79 +403,78 @@ impl IdTranslation {
     }
 }
 
-/// Cell-delta patch of `prev`'s (possibly re-packed) key set `keys` over a
-/// snapshot of `n_rows` rows whose key columns are `columns`: insert the
-/// new key of every `moved` row and every row appended after `prev`, then
-/// decide which *old* keys of moved rows — packed from `prev`'s columns —
-/// actually vacated.  The set keeps no per-key counts, so candidates are
-/// verified by one packing sweep over the current rows — membership probes
-/// against the (usually tiny) candidate set, no inserts — with an early exit
-/// once every candidate was seen.  Keys no row produces any more are
-/// removed.
+/// Delta patch of `prev`'s (possibly re-packed) key counts `keys` over a
+/// snapshot of `n_rows` rows whose key columns are `columns`: count in the
+/// new key of every moved row and every row appended after `prev`, and
+/// count out the old key — packed from `prev`'s columns — of every moved
+/// and every removed row, dropping keys whose count reaches zero.
 fn patch_keys<K: Eq + Hash>(
-    keys: &mut FxHashMap<K, ()>,
+    keys: &mut FxHashMap<K, u32>,
     prev: &DistinctSet,
-    moved: &[usize],
+    moves: &RowMoves,
     columns: &[Arc<Column>],
     n_rows: usize,
     key_at: impl Fn(&[Arc<Column>], usize) -> K,
 ) {
-    let mut candidates: FxHashSet<K> = FxHashSet::default();
-    for &row in moved {
-        candidates.insert(key_at(prev.codec.columns(), row));
-        keys.insert(key_at(columns, row), ());
+    for &row in &moves.moved {
+        *keys
+            .entry(key_at(columns, moves.renumber(row)))
+            .or_insert(0) += 1;
     }
-    for row in prev.store.len()..n_rows {
-        keys.insert(key_at(columns, row), ());
+    for row in prev.store.len() - moves.removed.len()..n_rows {
+        *keys.entry(key_at(columns, row)).or_insert(0) += 1;
     }
-    if candidates.is_empty() {
-        return;
-    }
-    for row in 0..n_rows {
-        candidates.remove(&key_at(columns, row));
-        if candidates.is_empty() {
-            return;
+    for &row in moves.moved.iter().chain(&moves.removed) {
+        let Entry::Occupied(mut count) = keys.entry(key_at(prev.codec.columns(), row)) else {
+            unreachable!("an old row's key is counted");
+        };
+        *count.get_mut() -= 1;
+        if *count.get() == 0 {
+            count.remove();
         }
-    }
-    for key in candidates {
-        keys.remove(&key);
     }
 }
 
-/// Parallel distinct-key collection: scan shards into local sets (claimed
-/// from the shared pool when `threads > 1`), then union in any order — sets
-/// are order-free, so no merge bookkeeping is needed.
+/// Parallel distinct-key collection with per-key row counts: scan shards
+/// into local maps (claimed from the shared pool when `threads > 1`), then
+/// add them up in any order — counts are order-free, so no merge
+/// bookkeeping is needed.
 fn collect_keys<K: Eq + Hash + Send>(
     n_rows: usize,
     threads: usize,
     shard_rows: usize,
     key_at: impl Fn(usize) -> K + Sync,
-) -> FxHashMap<K, ()> {
+) -> FxHashMap<K, u32> {
     let shard_rows = shard_rows.max(1);
     let shard_count = n_rows.div_ceil(shard_rows).max(1);
     let shard_range = |s: usize| (s * shard_rows).min(n_rows)..((s + 1) * shard_rows).min(n_rows);
-    let scan = |range: std::ops::Range<usize>| -> FxHashMap<K, ()> {
-        // Inserted one by one: the set grows with its distinct keys, not
+    let scan = |range: std::ops::Range<usize>| -> FxHashMap<K, u32> {
+        // Inserted one by one: the map grows with its distinct keys, not
         // with the row count a bulk `collect` would reserve.
         let mut set = FxHashMap::default();
         for row in range {
-            set.insert(key_at(row), ());
+            *set.entry(key_at(row)).or_insert(0) += 1;
         }
         set
     };
+    let add = |out: &mut FxHashMap<K, u32>, part: FxHashMap<K, u32>| {
+        for (key, count) in part {
+            *out.entry(key).or_insert(0) += count;
+        }
+    };
     if threads <= 1 || shard_count <= 1 {
         // Sequentially, fold each shard in as it is scanned so only one
-        // shard-local set is live at a time.
+        // shard-local map is live at a time.
         let mut out = scan(shard_range(0));
         for s in 1..shard_count {
-            out.extend(scan(shard_range(s)));
+            add(&mut out, scan(shard_range(s)));
         }
         return out;
     }
     let shard_ids: Vec<usize> = (0..shard_count).collect();
     let mut out = FxHashMap::default();
-    for set in parallel_map(&shard_ids, threads, |&s| scan(shard_range(s))) {
-        out.extend(set);
+    for part in parallel_map(&shard_ids, threads, |&s| scan(shard_range(s))) {
+        add(&mut out, part);
     }
     out
 }
@@ -563,8 +565,8 @@ mod tests {
         inst.insert_values([Value::int(1), Value::str("s1"), Value::int(1000)])
             .unwrap();
         let store = inst.columnar();
-        let extended =
-            DistinctSet::try_patched(&prev, &inst, &store, &[]).expect("repack-aware extension");
+        let extended = DistinctSet::try_patched(&prev, &inst, &store, &Delta::default())
+            .expect("repack-aware extension");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&extended), canonical(&fresh));
         assert!(extended.contains_values(&[Value::int(9), Value::str("fresh")]));
@@ -585,10 +587,10 @@ mod tests {
             .unwrap();
         inst.insert_values([Value::int(0), Value::str("s0"), Value::int(999)])
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
         let patched =
-            DistinctSet::try_patched(&prev, &inst, &store, &changes).expect("repack-aware patch");
+            DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("repack-aware patch");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert_eq!(patched.len(), inst.project_distinct(&[0, 1]).len());
@@ -612,16 +614,54 @@ mod tests {
             .unwrap();
         inst.update_cell(CellRef::new(TupleId(2), 0), Value::int(1))
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched =
-            DistinctSet::try_patched(&prev, &inst, &store, &changes).expect("no overflow");
+        let patched = DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("no overflow");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert!(patched.contains_values(&[Value::int(1), Value::str("a")]));
         assert!(patched.contains_values(&[Value::int(2), Value::str("a")]));
         assert!(patched.contains_values(&[Value::int(1), Value::str("b")]));
         assert!(!patched.contains_values(&[Value::int(2), Value::str("b")]));
+    }
+
+    #[test]
+    fn patch_whose_moved_row_vacates_its_key_equals_a_fresh_build() {
+        use crate::instance::{CellRef, TupleId};
+        // Every C value is unique, so on [0, 1, 2] each row owns its key:
+        // moving a row vacates its old key, and removing one drops its key.
+        let mut inst = instance(30);
+        let attrs = [0, 1, 2];
+        let prev_store = inst.columnar();
+        let prev = DistinctSet::build(&inst, &prev_store, &attrs, 1);
+        let v0 = inst.version();
+        inst.update_cell(CellRef::new(TupleId(4), 2), Value::int(1_000))
+            .unwrap();
+        inst.update_cell(CellRef::new(TupleId(9), 0), Value::int(3))
+            .unwrap();
+        inst.remove(TupleId(0));
+        inst.remove(TupleId(17));
+        inst.insert_values([Value::int(2), Value::str("s2"), Value::int(4)])
+            .unwrap();
+        let delta = inst.delta_since(v0).unwrap();
+        let store = inst.columnar();
+        let patched = DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("no overflow");
+        let fresh = DistinctSet::build(&inst, &store, &attrs, 1);
+        assert_eq!(canonical(&patched), canonical(&fresh));
+        assert_eq!(patched.len(), inst.project_distinct(&attrs).len());
+        assert!(!patched.contains_values(&[Value::int(4), Value::str("s4"), Value::int(4)]));
+        assert!(patched.contains_values(&[Value::int(2), Value::str("s2"), Value::int(4)]));
+        assert!(!patched.contains_values(&[Value::int(0), Value::str("s0"), Value::int(0)]));
+        // Removing every row empties the set.
+        let v1 = inst.version();
+        for id in inst.ids() {
+            inst.remove(id);
+        }
+        let delta = inst.delta_since(v1).unwrap();
+        let store = inst.columnar();
+        let emptied =
+            DistinctSet::try_patched(&patched, &inst, &store, &delta).expect("no overflow");
+        assert!(emptied.is_empty());
     }
 
     #[test]

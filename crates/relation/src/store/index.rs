@@ -25,7 +25,7 @@
 use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
 use super::interner::ValueId;
-use crate::instance::{CellChange, RelationInstance, TupleId};
+use crate::instance::{Delta, RelationInstance, TupleId};
 use crate::par::parallel_map;
 use crate::value::Value;
 use std::hash::Hash;
@@ -141,23 +141,40 @@ pub(crate) fn rekey<V: Copy>(
     Some((keys, KeyCodec { columns, repr }))
 }
 
-/// The rows of `prev` — ascending, deduplicated — whose cells on `attrs`
-/// appear in `changes`.  Cell writes never change liveness, so these rows
-/// keep their numbers in every later snapshot; changes to tuples appended
-/// after `prev` have no row here and are keyed with the appended rows.
-pub(crate) fn moved_rows(
-    attrs: &[usize],
-    prev: &ColumnarStore,
-    changes: &[CellChange],
-) -> Vec<usize> {
-    let mut moved: Vec<usize> = changes
-        .iter()
-        .filter(|c| attrs.contains(&c.cell.attr))
-        .filter_map(|c| prev.row_of(c.cell.tuple))
-        .collect();
-    moved.sort_unstable();
-    moved.dedup();
-    moved
+/// How the rows of an older snapshot `prev` fare in a snapshot patched
+/// from it over `delta`, as seen by an artifact keyed on `attrs`.
+pub(crate) struct RowMoves {
+    /// Rows of `prev` whose cells on `attrs` changed — ascending,
+    /// deduplicated.  Changes list live tuples only, so these rows survive
+    /// (see [`renumber`](Self::renumber)); changes to tuples appended after
+    /// `prev` have no row here and are keyed with the appended rows.
+    pub(crate) moved: Vec<usize>,
+    /// Rows of `prev` whose tuples were removed, ascending.
+    pub(crate) removed: Vec<usize>,
+}
+
+impl RowMoves {
+    pub(crate) fn new(attrs: &[usize], prev: &ColumnarStore, delta: &Delta) -> Self {
+        let mut moved: Vec<usize> = delta
+            .changes
+            .iter()
+            .filter(|c| attrs.contains(&c.cell.attr))
+            .filter_map(|c| prev.row_of(c.cell.tuple))
+            .collect();
+        moved.sort_unstable();
+        moved.dedup();
+        RowMoves {
+            moved,
+            removed: prev.removed_rows(delta),
+        }
+    }
+
+    /// The number surviving row `row` of `prev` has now: rows compact over
+    /// the removed ones and keep their order.
+    #[inline]
+    pub(crate) fn renumber(&self, row: usize) -> usize {
+        row - self.removed.partition_point(|&r| r < row)
+    }
 }
 
 /// Packs row projections over a fixed list of columns into compact keys.
@@ -278,7 +295,7 @@ impl KeyCodec {
 /// Packed keys with a payload each, monomorphized per key packing so entries
 /// stay as small as the packing allows: the group map of an
 /// [`InternedIndex`] (payload: group number) and the key set of a
-/// [`DistinctSet`](super::distinct::DistinctSet) (payload: `()`).
+/// [`DistinctSet`](super::distinct::DistinctSet) (payload: row count).
 #[derive(Clone, Debug)]
 pub(crate) enum KeyMap<V> {
     U64(FxHashMap<u64, V>),
@@ -359,16 +376,18 @@ impl InternedIndex {
     }
 
     /// Patches `prev` — an index of the same instance on the same attribute
-    /// list, built at an earlier version — after insertions and journaled
-    /// cell writes: each row whose key cells changed is moved out of its old
-    /// CSR group and into the group of its new key, interning (hashing) at
-    /// most one new key per move, and only the appended rows are keyed and
-    /// hashed besides.  Rows whose changes touch only non-key attributes
-    /// never move, and groups no moved row left or joined are copied
-    /// verbatim, so an append-only gap (`changes` empty) costs what
-    /// re-keying the appended rows costs.  Groups left empty are dropped
-    /// and the numbering compacted, so the group table holds exactly the
-    /// groups a fresh build finds.
+    /// list, built at an earlier version — after insertions, removals and
+    /// journaled cell writes: each row whose key cells changed is moved out
+    /// of its old CSR group and into the group of its new key, interning
+    /// (hashing) at most one new key per move, each removed row leaves its
+    /// group, and only the appended rows are keyed and hashed besides.
+    /// Rows whose changes touch only non-key attributes never move, and
+    /// groups no row left or joined are copied verbatim, so an append-only
+    /// gap (an empty delta) costs what re-keying the appended rows costs;
+    /// after a removal, the postings past the first removed row are
+    /// renumbered to the compacted rows.  Groups left empty are dropped and
+    /// the numbering compacted, so the group table holds exactly the groups
+    /// a fresh build finds.
     ///
     /// A mixed-radix `u64` codec whose per-column radices new dictionary
     /// entries outgrew is *re-packed* rather than rebuilt ([`rekey`]): the
@@ -380,18 +399,17 @@ impl InternedIndex {
     ///
     /// `store` must be the current columnar snapshot of `instance`,
     /// descended from `prev`'s through [`RelationInstance::columnar`], and
-    /// `changes` the coalesced delta
-    /// ([`RelationInstance::changed_cells_since`]) between `prev`'s version
-    /// and now.  Patched snapshots keep every old id valid (dictionaries
-    /// only append), so old rows keep their row numbers and unchanged groups
-    /// are bit-identical.
+    /// `delta` the delta ([`RelationInstance::delta_since`]) between
+    /// `prev`'s version and now.  Patched snapshots keep every old id valid
+    /// (dictionaries only append), so surviving rows keep their keys and
+    /// unchanged groups are copied as they were.
     pub fn try_patched(
         prev: &InternedIndex,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
-        changes: &[CellChange],
+        delta: &Delta,
     ) -> Option<InternedIndex> {
-        if store.instance_id() != prev.store.instance_id() || store.len() < prev.store.len() {
+        if store.instance_id() != prev.store.instance_id() {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev
@@ -400,12 +418,12 @@ impl InternedIndex {
             .map(|&a| store.column(instance, a))
             .collect();
         let (seed, codec) = rekey(&prev.codec, &prev.map, columns)?;
-        let moved = moved_rows(&prev.attrs, &prev.store, changes);
+        let moves = RowMoves::new(&prev.attrs, &prev.store, delta);
         let n_rows = store.len();
         let (map, offsets, postings) = match (seed, &codec.repr) {
             (KeyMap::U64(m), Repr::Radix(radices)) => {
                 let (map, offsets, postings) =
-                    patch_groups(m, prev, &moved, codec.columns(), n_rows, |columns, row| {
+                    patch_groups(m, prev, &moves, codec.columns(), n_rows, |columns, row| {
                         KeyCodec::pack_u64_row(radices, columns, row)
                     });
                 (KeyMap::U64(map), offsets, postings)
@@ -414,7 +432,7 @@ impl InternedIndex {
                 let (map, offsets, postings) = patch_groups(
                     m,
                     prev,
-                    &moved,
+                    &moves,
                     codec.columns(),
                     n_rows,
                     KeyCodec::pack_u128_row,
@@ -425,7 +443,7 @@ impl InternedIndex {
                 let (map, offsets, postings) = patch_groups(
                     m,
                     prev,
-                    &moved,
+                    &moves,
                     codec.columns(),
                     n_rows,
                     KeyCodec::pack_wide_row,
@@ -701,21 +719,24 @@ fn build_groups<K: Eq + Hash + Clone + Send>(
     (map, offsets, postings)
 }
 
-/// Cell-delta CSR patch of `prev`'s (possibly re-packed) group map `map`
-/// over a snapshot of `n_rows` rows whose key columns are `columns`: each
-/// row of `moved` (ascending) has its old group looked up by its old
-/// key, packed from `prev`'s columns, and its new key joins or opens a
-/// group; each row appended after `prev` is keyed the same way.  The
-/// postings are then laid out again group by group: runs of groups no moved
-/// row left or joined and no appended row reached are copied as one slice,
-/// the groups moves touched merge their surviving and joining rows, and
-/// appended rows fill the slots reserved at the end of their groups.
-/// Groups left empty are dropped and the numbering compacted.  Rows ascend
-/// within every group, as in a fresh build.
+/// Delta CSR patch of `prev`'s (possibly re-packed) group map `map` over a
+/// snapshot of `n_rows` rows whose key columns are `columns`: each moved
+/// row of `moves` has its old group looked up by its old key, packed from
+/// `prev`'s columns, and its new key joins or opens a group; each removed
+/// row leaves its old group; each row appended after `prev` is keyed like a
+/// moved row.  The postings are then laid out again group by group, in
+/// `prev`'s row numbering (appended rows numbered on from `prev`'s last
+/// row): runs of groups no row left or joined and no appended row reached
+/// are copied as one slice, the groups moves and removals touched merge
+/// their surviving and joining rows, and appended rows fill the slots
+/// reserved at the end of their groups.  When rows were removed, one pass
+/// then renumbers the postings past the first removed row to the
+/// compacted rows.  Groups left empty are dropped and the numbering
+/// compacted.  Rows ascend within every group, as in a fresh build.
 fn patch_groups<K: Eq + Hash>(
     mut map: FxHashMap<K, u32>,
     prev: &InternedIndex,
-    moved: &[usize],
+    moves: &RowMoves,
     columns: &[Arc<Column>],
     n_rows: usize,
     key_at: impl Fn(&[Arc<Column>], usize) -> K,
@@ -733,18 +754,24 @@ fn patch_groups<K: Eq + Hash>(
         }
         group as usize
     };
-    // (group, row) pairs of the rows leaving and joining each group.
+    // (group, row) pairs of the rows leaving and joining each group, in
+    // `prev`'s numbering.
     let mut leaving: Vec<(u32, u32)> = Vec::new();
     let mut joining: Vec<(u32, u32)> = Vec::new();
-    for &row in moved {
+    for &row in &moves.moved {
         let from = map[&key_at(prev.codec.columns(), row)] as usize;
-        let to = group_of(&mut map, key_at(columns, row));
+        let to = group_of(&mut map, key_at(columns, moves.renumber(row)));
         if from != to {
             leaving.push((from as u32, row as u32));
             joining.push((to as u32, row as u32));
         }
     }
-    let new_rows = prev.store.len()..n_rows;
+    for &row in &moves.removed {
+        let from = map[&key_at(prev.codec.columns(), row)];
+        leaving.push((from, row as u32));
+    }
+    let old_rows = prev.store.len();
+    let new_rows = old_rows - moves.removed.len()..n_rows;
     let appended: Vec<usize> = new_rows
         .clone()
         .map(|row| group_of(&mut map, key_at(columns, row)))
@@ -821,8 +848,13 @@ fn patch_groups<K: Eq + Hash>(
     }
     postings.extend_from_slice(&prev.postings[run..]);
     for (row, g) in new_rows.zip(appended) {
-        postings[added[g] as usize] = row as u32;
+        postings[added[g] as usize] = (row + moves.removed.len()) as u32;
         added[g] += 1;
+    }
+    if let Some(&first) = moves.removed.first() {
+        for row in postings.iter_mut().filter(|r| **r as usize > first) {
+            *row = moves.renumber(*row as usize) as u32;
+        }
     }
     map.shrink_to_fit();
     (map, offsets, postings)
@@ -1017,7 +1049,7 @@ mod tests {
             .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
             .expect("no new dictionary entries on the key columns");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1037,7 +1069,7 @@ mod tests {
         inst.insert_values([Value::int(1), Value::str("unseen"), Value::int(999)])
             .unwrap();
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1069,7 +1101,7 @@ mod tests {
                 .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
+        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
             .expect("width <= 4 always has an exact packing");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1, 2, 3], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1098,7 +1130,7 @@ mod tests {
         }
         let store = inst.columnar();
         for (prev, attrs) in [(prev_shift, shift_attrs), (prev_wide, wide_attrs)] {
-            let extended = InternedIndex::try_patched(&prev, &inst, &store, &[])
+            let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
                 .expect("radix-free packing extends");
             let fresh = InternedIndex::build(&inst, &store, &attrs, 1);
             assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1122,9 +1154,9 @@ mod tests {
             .unwrap();
         inst.update_cell(CellRef::new(TupleId(7), 1), Value::str("s0"))
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = InternedIndex::try_patched(&prev, &inst, &store, &changes)
+        let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
             .expect("key dictionaries did not overflow");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
@@ -1148,9 +1180,9 @@ mod tests {
         // and the new value outgrows the B radix, exercising the re-pack.
         inst.update_cell(CellRef::new(TupleId(4), 1), Value::str("fresh"))
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = InternedIndex::try_patched(&prev, &inst, &store, &changes)
+        let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[1], 1);
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
@@ -1160,6 +1192,47 @@ mod tests {
             patched.group_count(),
             reference::HashIndex::build(&inst, &[1]).len()
         );
+    }
+
+    #[test]
+    fn removals_at_the_head_middle_and_tail_patch_like_fresh_builds() {
+        use crate::instance::CellRef;
+        for removed in [&[0usize][..], &[20, 21, 33], &[49], &[0, 25, 49, 50], &[]] {
+            let mut inst = instance(50);
+            let prev_store = inst.columnar();
+            let prev = InternedIndex::build(&inst, &prev_store, &[0, 1], 1);
+            let v0 = inst.version();
+            inst.update_cell(CellRef::new(TupleId(3), 0), Value::int(5))
+                .unwrap();
+            inst.insert_values([Value::int(2), Value::str("s2"), Value::int(500)])
+                .unwrap();
+            inst.update_cell(CellRef::new(TupleId(25), 1), Value::str("fresh"))
+                .unwrap();
+            // Tuple 50 was appended inside the gap; removing it leaves no
+            // trace in `prev`.
+            for &id in removed {
+                inst.remove(TupleId(id));
+            }
+            let delta = inst.delta_since(v0).unwrap();
+            let store = inst.columnar();
+            let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
+                .expect("key dictionaries did not overflow");
+            let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
+            assert_eq!(
+                canonical_interned(&patched),
+                canonical_interned(&fresh),
+                "removed {removed:?}"
+            );
+            assert_eq!(
+                canonical_interned(&patched),
+                canonical_hash(&reference::HashIndex::build(&inst, &[0, 1])),
+                "removed {removed:?}"
+            );
+            assert_eq!(patched.group_count(), fresh.group_count());
+            for (_, rows) in patched.groups() {
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+            }
+        }
     }
 
     #[test]
@@ -1184,10 +1257,10 @@ mod tests {
             .unwrap();
         inst.update_cell(CellRef::new(TupleId(9), 5), Value::int(0))
             .unwrap();
-        let changes = inst.changed_cells_since(v0).unwrap();
+        let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
         for (prev, attrs) in [(prev_shift, shift_attrs), (prev_wide, wide_attrs)] {
-            let patched = InternedIndex::try_patched(&prev, &inst, &store, &changes)
+            let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
                 .expect("radix-free packings patch");
             let fresh = InternedIndex::build(&inst, &store, &attrs, 1);
             assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));

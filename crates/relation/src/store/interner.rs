@@ -21,6 +21,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::mem::size_of;
+use std::ops::{Index, Range};
 use std::sync::Arc;
 
 /// Dense identifier of a distinct value within one [`ValueInterner`].
@@ -45,8 +46,30 @@ impl fmt::Display for ValueId {
     }
 }
 
+/// A tail shorter than this never folds, so small dictionaries patched
+/// round after round do not re-copy their prefix every few values.
+const FOLD_MIN: usize = 64;
+/// A non-empty prefix of `p` entries absorbs its tail once the tail reaches
+/// `p / FOLD_FRACTION` entries: a fold copies `O(p)` when the prefix is
+/// shared, so each new value pays `O(FOLD_FRACTION)` amortized, while a
+/// clone copies at most `p / FOLD_FRACTION` tail entries.
+const FOLD_FRACTION: usize = 32;
+
 /// A value dictionary: distinct [`Value`]s in first-seen order, with a
 /// reverse map for interning and lookup.
+///
+/// The entries live in two runs: an immutable `Arc`-shared *prefix* and an
+/// owned *tail*.  A dictionary is built in its tail; the column
+/// constructors ([`Column`](super::columnar::Column)) then *seal* it,
+/// moving the tail into the prefix without copying, so fresh column
+/// builds, CSV ingest and [`from_frozen`](Self::from_frozen) all end with
+/// an empty tail.  Cloning a dictionary shares the prefix and copies only
+/// the tail, so a snapshot patch (which clones the previous snapshot's
+/// dictionaries and interns the new cells) costs `O(new values)`, not
+/// `O(distinct values)`.  Behind a non-empty prefix the tail folds into a
+/// new prefix once it reaches a size proportional to the prefix (see
+/// [`FOLD_FRACTION`]).  Ids are positions in the concatenation, so sealing
+/// and folding never change an id.
 ///
 /// A dictionary re-hydrated from a persisted relation (see
 /// [`super::persist`]) tracks how many of its entries came off disk
@@ -57,11 +80,120 @@ impl fmt::Display for ValueId {
 /// through [`intern`](Self::intern) again.
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
-    map: FxHashMap<Value, ValueId>,
-    values: Vec<Value>,
+    /// Entries `0..prefix.len()`, shared with clones.
+    prefix: Arc<Entries>,
+    /// Entries `prefix.len()..len`, owned.
+    tail: Entries,
     /// Entries `0..frozen` are persisted; `frozen..len` is the in-memory
     /// overlay.  Always `0` for interners never loaded from disk.
     frozen: usize,
+}
+
+/// One contiguous run of dictionary entries with its reverse map and a
+/// running total of its string payload bytes.
+#[derive(Clone, Debug, Default)]
+struct Entries {
+    map: FxHashMap<Value, ValueId>,
+    values: Vec<Value>,
+    str_bytes: usize,
+}
+
+impl Entries {
+    fn push(&mut self, value: Value, id: ValueId) {
+        if let Value::Str(s) = &value {
+            self.str_bytes += s.len();
+        }
+        self.map.insert(value.clone(), id);
+        self.values.push(value);
+    }
+
+    fn absorb(&mut self, tail: Entries) {
+        self.map.extend(tail.map);
+        self.values.extend(tail.values);
+        self.str_bytes += tail.str_bytes;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let entry = size_of::<(Value, ValueId)>() + 1;
+        self.map.capacity() * entry + self.values.capacity() * size_of::<Value>() + self.str_bytes
+    }
+}
+
+/// The entries of a [`ValueInterner`] in id order, borrowed as the shared
+/// prefix followed by the owned tail.  Index it by id position, iterate it,
+/// or cut a sub-range with [`slice`](Self::slice).
+#[derive(Clone, Copy, Debug)]
+pub struct DictValues<'a> {
+    head: &'a [Value],
+    tail: &'a [Value],
+}
+
+/// Iterator over the entries of a [`DictValues`], in id order.
+pub type DictIter<'a> = std::iter::Chain<std::slice::Iter<'a, Value>, std::slice::Iter<'a, Value>>;
+
+impl<'a> DictValues<'a> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// No entries?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entry at position `i`, if any.
+    pub fn get(&self, i: usize) -> Option<&'a Value> {
+        match i.checked_sub(self.head.len()) {
+            None => Some(&self.head[i]),
+            Some(t) => self.tail.get(t),
+        }
+    }
+
+    /// The entries in id order.
+    pub fn iter(&self) -> DictIter<'a> {
+        self.head.iter().chain(self.tail.iter())
+    }
+
+    /// The entries at positions `range`.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, range: Range<usize>) -> DictValues<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "dictionary range out of bounds"
+        );
+        let split = self.head.len();
+        let clamp = |i: usize| i.min(split);
+        DictValues {
+            head: &self.head[clamp(range.start)..clamp(range.end)],
+            tail: &self.tail[range.start.max(split) - split..range.end.max(split) - split],
+        }
+    }
+}
+
+impl<'a> Index<usize> for DictValues<'a> {
+    type Output = Value;
+
+    fn index(&self, i: usize) -> &Value {
+        self.get(i).expect("dictionary position out of bounds")
+    }
+}
+
+impl<'a> IntoIterator for DictValues<'a> {
+    type Item = &'a Value;
+    type IntoIter = DictIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for DictValues<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// Summary counters of a [`ValueInterner`], reported by the bench harness.
@@ -103,10 +235,21 @@ impl ValueInterner {
             .enumerate()
             .map(|(i, v)| (v.clone(), ValueId(i as u32)))
             .collect();
+        let str_bytes = values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => s.len(),
+                _ => 0,
+            })
+            .sum();
         let frozen = values.len();
         ValueInterner {
-            map,
-            values,
+            prefix: Arc::new(Entries {
+                map,
+                values,
+                str_bytes,
+            }),
+            tail: Entries::default(),
             frozen,
         }
     }
@@ -120,24 +263,24 @@ impl ValueInterner {
     /// The in-memory overlay: entries interned since the dictionary was
     /// loaded (or all entries, when it never was).  These are what a save
     /// spills as the next dictionary segment.
-    pub fn overlay(&self) -> &[Value] {
-        &self.values[self.frozen..]
+    pub fn overlay(&self) -> DictValues<'_> {
+        self.values().slice(self.frozen..self.len())
     }
 
     /// Marks every current entry as persisted.  Called by the persist layer
     /// after spilling the overlay to disk.
     pub fn mark_frozen(&mut self) {
-        self.frozen = self.values.len();
+        self.frozen = self.len();
     }
 
     /// Number of distinct values interned.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.prefix.values.len() + self.tail.values.len()
     }
 
     /// Is the dictionary empty?
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Interns a value, returning its id.  Equal values (by [`Value`]'s `Eq`,
@@ -145,7 +288,7 @@ impl ValueInterner {
     /// order) always receive the same id; the first occurrence is cloned into
     /// the dictionary.
     pub fn intern(&mut self, value: &Value) -> ValueId {
-        if let Some(&id) = self.map.get(value) {
+        if let Some(id) = self.lookup(value) {
             return id;
         }
         self.push(value.clone())
@@ -155,21 +298,52 @@ impl ValueInterner {
     /// probed by the borrowed `&str` (hashed exactly as [`Value::Str`]
     /// hashes), so a string is allocated only when it is new to the column.
     pub(crate) fn intern_str(&mut self, s: &str) -> ValueId {
-        if let Some(&id) = self.map.get(&StrKey(s) as &dyn Key) {
+        if let Some(id) = self.find(&StrKey(s) as &dyn Key) {
             return id;
         }
         self.push(Value::Str(Arc::from(s)))
     }
 
-    /// Appends a value known to be absent from the dictionary.
+    /// Probes the prefix, then the tail — each only when it has entries, so
+    /// a dictionary being built hashes its key once.
+    #[inline]
+    fn find<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<ValueId>
+    where
+        Value: Borrow<Q>,
+    {
+        if !self.prefix.values.is_empty() {
+            if let Some(&id) = self.prefix.map.get(key) {
+                return Some(id);
+            }
+        }
+        if self.tail.values.is_empty() {
+            return None;
+        }
+        self.tail.map.get(key).copied()
+    }
+
+    /// Appends a value known to be absent from the dictionary to the tail,
+    /// folding the tail into the prefix once it is long enough.
     fn push(&mut self, value: Value) -> ValueId {
         let id = ValueId(
-            u32::try_from(self.values.len())
-                .expect("more than u32::MAX distinct values in one column"),
+            u32::try_from(self.len()).expect("more than u32::MAX distinct values in one column"),
         );
-        self.map.insert(value.clone(), id);
-        self.values.push(value);
+        self.tail.push(value, id);
+        let prefix = self.prefix.values.len();
+        if prefix > 0 && self.tail.values.len() >= FOLD_MIN.max(prefix / FOLD_FRACTION) {
+            Arc::make_mut(&mut self.prefix).absorb(std::mem::take(&mut self.tail));
+            dq_obs::inc("store.dict.folds");
+        }
         id
+    }
+
+    /// Moves a freshly built dictionary (empty prefix) into its prefix
+    /// without copying, so clones share it from then on.  A dictionary with
+    /// a prefix already is left alone: its tail is kept short by folding.
+    pub(crate) fn seal(&mut self) {
+        if self.prefix.values.is_empty() {
+            self.prefix = Arc::new(std::mem::take(&mut self.tail));
+        }
     }
 
     /// Interns a value and hands back the *canonical* stored copy, so that
@@ -177,21 +351,26 @@ impl ValueInterner {
     /// Generators use this to dictionary-compress instances at build time.
     pub fn canonical(&mut self, value: Value) -> Value {
         let id = self.intern(&value);
-        self.values[id.index()].clone()
+        self.resolve(id).clone()
     }
 
     /// The id of a value, if it has been interned.  `None` means no cell of
     /// the column carries this value — useful for short-circuiting probes.
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
-        self.map.get(value).copied()
+        self.find(value)
     }
 
     /// The value behind an id.
     ///
     /// # Panics
     /// Panics if `id` was not issued by this interner.
+    #[inline]
     pub fn resolve(&self, id: ValueId) -> &Value {
-        &self.values[id.index()]
+        let head = &self.prefix.values;
+        match id.index().checked_sub(head.len()) {
+            None => &head[id.index()],
+            Some(t) => &self.tail.values[t],
+        }
     }
 
     /// Compares the *values* behind two ids, preserving [`Value`]'s total
@@ -205,21 +384,19 @@ impl ValueInterner {
     }
 
     /// All distinct values, in id order.
-    pub fn values(&self) -> &[Value] {
-        &self.values
+    pub fn values(&self) -> DictValues<'_> {
+        DictValues {
+            head: &self.prefix.values,
+            tail: &self.tail.values,
+        }
     }
 
-    /// Approximate heap bytes held by the dictionary.  String payloads are
-    /// counted once (the map shares the `Arc` with the values vector).
+    /// Approximate heap bytes held by the dictionary, in `O(1)`: string
+    /// payloads are kept as running totals and counted once (the map shares
+    /// the `Arc` with the values vector).  A prefix shared with clones is
+    /// counted in full by each of them.
     pub fn approx_heap_bytes(&self) -> usize {
-        let entry = size_of::<(Value, ValueId)>() + 1;
-        let mut bytes = self.map.capacity() * entry + self.values.capacity() * size_of::<Value>();
-        for v in &self.values {
-            if let Value::Str(s) = v {
-                bytes += s.len();
-            }
-        }
-        bytes
+        self.prefix.heap_bytes() + self.tail.heap_bytes()
     }
 
     /// Summary counters for reporting.
@@ -382,5 +559,91 @@ mod tests {
             (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
             _ => panic!("expected strings"),
         }
+    }
+
+    /// Heap bytes recomputed by walking every entry: what the running
+    /// totals stand for.
+    fn walked_heap_bytes(interner: &ValueInterner) -> usize {
+        let parts = [&*interner.prefix, &interner.tail];
+        let entry = size_of::<(Value, ValueId)>() + 1;
+        parts
+            .iter()
+            .map(|p| {
+                let strings: usize = p
+                    .values
+                    .iter()
+                    .map(|v| match v {
+                        Value::Str(s) => s.len(),
+                        _ => 0,
+                    })
+                    .sum();
+                p.map.capacity() * entry + p.values.capacity() * size_of::<Value>() + strings
+            })
+            .sum()
+    }
+
+    #[test]
+    fn running_heap_total_equals_a_full_walk() {
+        let mut interner = ValueInterner::new();
+        for i in 0..500 {
+            interner.intern(&Value::str(format!("value-{i}")));
+            interner.intern(&Value::int(i));
+        }
+        assert_eq!(interner.approx_heap_bytes(), walked_heap_bytes(&interner));
+        interner.seal();
+        assert!(interner.tail.values.is_empty());
+        assert_eq!(interner.approx_heap_bytes(), walked_heap_bytes(&interner));
+        // A clone shares the prefix, so new values land in its tail...
+        let mut clone = interner.clone();
+        clone.intern(&Value::str("tail-entry"));
+        assert_eq!(clone.tail.values.len(), 1);
+        assert_eq!(clone.approx_heap_bytes(), walked_heap_bytes(&clone));
+        // ...until the tail is long enough to fold into a new prefix.
+        let prefix_len = clone.prefix.values.len();
+        let mut i = 0;
+        while !clone.tail.values.is_empty() {
+            clone.intern(&Value::str(format!("grow-{i}")));
+            i += 1;
+        }
+        assert!(clone.prefix.values.len() > prefix_len, "the tail folded");
+        assert_eq!(clone.approx_heap_bytes(), walked_heap_bytes(&clone));
+        // The original never saw the clone's values.
+        assert_eq!(interner.len(), 1000);
+        assert_eq!(interner.lookup(&Value::str("tail-entry")), None);
+        assert_eq!(interner.approx_heap_bytes(), walked_heap_bytes(&interner));
+    }
+
+    #[test]
+    fn clones_share_the_prefix_and_keep_ids_across_folds() {
+        let mut base = ValueInterner::new();
+        for i in 0..100 {
+            base.intern(&Value::int(i));
+        }
+        assert!(
+            base.prefix.values.is_empty(),
+            "a dictionary is built in its tail"
+        );
+        base.seal();
+        let mut grown = base.clone();
+        assert!(Arc::ptr_eq(&base.prefix, &grown.prefix));
+        let ids: Vec<ValueId> = (100..400).map(|i| grown.intern(&Value::int(i))).collect();
+        assert!(!Arc::ptr_eq(&base.prefix, &grown.prefix), "the tail folded");
+        for (i, id) in (100..400).zip(&ids) {
+            assert_eq!(id.index(), i as usize, "ids continue first-seen order");
+            assert_eq!(grown.resolve(*id), &Value::int(i));
+            assert_eq!(grown.lookup(&Value::int(i)), Some(*id));
+        }
+        // A text probe finds tail entries too, and never a non-text value.
+        let text = grown.intern_str("tail text");
+        assert_eq!(grown.intern_str("tail text"), text);
+        assert_eq!(grown.lookup(&Value::str("tail text")), Some(text));
+        assert_ne!(grown.intern_str("150"), ids[50]);
+        let values: Vec<&Value> = grown.values().iter().collect();
+        assert_eq!(values.len(), grown.len());
+        assert_eq!(grown.values().slice(98..102).iter().count(), 4);
+        assert_eq!(grown.values()[150], Value::int(150));
+        // The base dictionary is untouched by the clone's growth.
+        assert_eq!(base.len(), 100);
+        assert_eq!(base.lookup(&Value::int(150)), None);
     }
 }

@@ -32,7 +32,7 @@
 use super::columnar::{Column, ColumnarStore, MappedIds, SHARD_ROWS};
 use super::fx::FxHashMap;
 use super::index::InternedIndex;
-use super::interner::{ValueId, ValueInterner};
+use super::interner::{DictValues, ValueId, ValueInterner};
 use super::mmap::MappedBytes;
 use super::shard::ShardSource;
 use crate::error::{DqError, DqResult};
@@ -540,7 +540,7 @@ fn write_ids_segment(path: &Path, slices: &[&[ValueId]]) -> DqResult<u64> {
 }
 
 /// Writes one dictionary chain segment (values in id order).
-fn write_dict_segment(path: &Path, values: &[Value]) -> DqResult<u64> {
+fn write_dict_segment(path: &Path, values: DictValues<'_>) -> DqResult<u64> {
     let payload_len = 8 + values.iter().map(value_encoded_len).sum::<usize>();
     let mut w = SegmentWriter::create(path, Kind::Dict, payload_len as u64)?;
     w.write(&(values.len() as u64).to_le_bytes())?;
@@ -724,7 +724,7 @@ impl ColumnarStore {
             let persisted: u64 = dict_chains[attr].iter().sum();
             let values = col.interner().values();
             debug_assert!(persisted as usize <= values.len());
-            let overlay = &values[persisted as usize..];
+            let overlay = values.slice(persisted as usize..values.len());
             if !overlay.is_empty() || dict_chains[attr].is_empty() {
                 let seg = dict_chains[attr].len();
                 stats.bytes_written += write_dict_segment(&dict_path(dir, attr, seg), overlay)?;

@@ -372,10 +372,10 @@ proptest! {
             prop_assert_eq!(second.repaired.tuple(id), Some(tuple));
         }
         prop_assert_eq!(first.repaired.len(), second.repaired.len());
-        // Value modifications keep the working copy delta-covered, so the
-        // re-detection after each round must have been patch-served.
-        // (Deletions poison the journal, so only assert on pure-edit runs.)
-        if !first.log.modified.is_empty() && first.log.deleted.is_empty() {
+        // Value modifications and deletions keep the working copy
+        // delta-covered (both are journaled), so the re-detection after
+        // each round must have been patch-served.
+        if !first.log.modified.is_empty() || !first.log.deleted.is_empty() {
             prop_assert!(
                 engine.pool_stats().patches > 0,
                 "repair-round writes must be served by patching pooled indexes"

@@ -194,7 +194,8 @@ proptest! {
             inst.insert_values([a.clone(), b.clone()]).expect("universe domain");
         }
         prop_assert!(inst.append_only_since(prev_store.version()));
-        // The memoized snapshot takes the extension path (same data as new).
+        // The memoized snapshot takes the patch path with an empty delta
+        // (same data as a fresh build).
         let extended = inst.columnar();
         let fresh = dq_relation::ColumnarStore::new(&inst);
         prop_assert_eq!(extended.rows(), fresh.rows());
@@ -233,55 +234,92 @@ proptest! {
         }
     }
 
-    /// Journaled cell edits patch snapshots, pooled interned indexes and
-    /// pooled distinct-projection sets in place; under arbitrary mixed
-    /// append + edit + delete streams the upgraded structures must stay
-    /// indistinguishable from cold rebuilds on every cell, group and probe.
-    /// (Edits patch, appends extend, deletes poison the journal and fall
-    /// back to a full rebuild — all three paths interleave freely here.)
+    /// Journaled cell edits, appends and removals patch snapshots, pooled
+    /// interned indexes, pooled distinct-projection sets and maintained CFD
+    /// reports in place; under arbitrary mixed streams the upgraded
+    /// structures must stay indistinguishable from cold rebuilds on every
+    /// cell, group and probe, and the reports equal to
+    /// `dq_core::reference`.  No pool miss after the first builds may be a
+    /// rebuild.  Removals hit the head, the middle and the tail, and cover
+    /// tuples appended or edited earlier — in an earlier step or inside the
+    /// same gap.
     #[test]
     fn mixed_mutation_streams_match_fresh_builds(
         cells in proptest::collection::vec((value_strategy(), value_strategy()), 2..30),
         ops in proptest::collection::vec(
-            (0usize..4, 0usize..1_000_000, value_strategy(), value_strategy()),
+            (0usize..8, 0usize..1_000_000, value_strategy(), value_strategy()),
             1..20,
         ),
     ) {
-        let schema =
-            RelationSchema::new("r", [("A", universe_domain()), ("B", universe_domain())]);
-        let mut inst = RelationInstance::from_schema(schema);
+        use dq_relation::instance::CellRef;
+        let schema = Arc::new(RelationSchema::new(
+            "r",
+            [("A", universe_domain()), ("B", universe_domain())],
+        ));
+        let mut inst = RelationInstance::new(Arc::clone(&schema));
         for (a, b) in &cells {
             inst.insert_values([a.clone(), b.clone()]).expect("universe domain");
         }
+        let cfds = vec![
+            Cfd::new(&schema, &["A"], &["B"], vec![PatternTuple::all_wildcards(1, 1)])
+                .expect("valid CFD"),
+            Cfd::new(
+                &schema,
+                &["B"],
+                &["A"],
+                vec![PatternTuple::new(vec![cst(Value::str("a"))], vec![cst(Value::int(1))])],
+            )
+            .expect("valid CFD"),
+        ];
+        let engine = DetectionEngine::new();
+        let mut maintained = engine.maintain_cfd_violations(&inst, &cfds, None);
+        let engine_built = engine.pool_stats();
         let pool = IndexPool::new();
         let attr_sets: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
         for attrs in attr_sets {
             pool.interned_for(&inst, attrs, 1);
             pool.distinct_for(&inst, attrs, 1);
         }
+        let built = pool.stats();
         for &(kind, pick, ref va, ref vb) in &ops {
+            let ids = inst.ids();
+            let picked = ids[pick % ids.len()];
+            let removable = ids.len() > 1;
             match kind {
                 0 | 1 => {
-                    let ids = inst.ids();
-                    let id = ids[pick % ids.len()];
-                    inst.update_cell(dq_relation::instance::CellRef::new(id, kind), va.clone())
+                    inst.update_cell(CellRef::new(picked, kind), va.clone())
                         .expect("universe domain");
                 }
                 2 => {
                     inst.insert_values([va.clone(), vb.clone()]).expect("universe domain");
                 }
-                _ => {
-                    let ids = inst.ids();
-                    if ids.len() <= 1 {
-                        continue;
-                    }
-                    inst.remove(ids[pick % ids.len()]);
+                3 if removable => {
+                    inst.remove(picked);
                 }
+                4 if removable => {
+                    inst.remove(ids[0]);
+                }
+                5 if removable => {
+                    inst.remove(*ids.last().expect("non-empty"));
+                }
+                6 if removable => {
+                    inst.update_cell(CellRef::new(picked, pick % 2), vb.clone())
+                        .expect("universe domain");
+                    inst.remove(picked);
+                }
+                7 => {
+                    let id = inst.insert_values([va.clone(), vb.clone()]).expect("universe domain");
+                    inst.update_cell(CellRef::new(id, 0), vb.clone()).expect("universe domain");
+                    inst.remove(id);
+                }
+                _ => {}
             }
-            // After every mutation: the memoized snapshot (which may have
-            // taken the patch arm) reproduces each cell, and the pooled
-            // artifacts answer exactly like value-keyed cold builds.
+            // After every step: the memoized snapshot (patched over the
+            // step's delta) reproduces each cell, and the pooled artifacts
+            // answer exactly like value-keyed cold builds.
             let store = inst.columnar();
+            let fresh = dq_relation::ColumnarStore::new(&inst);
+            prop_assert_eq!(store.rows(), fresh.rows());
             for attr in 0..2 {
                 let col = store.column(&inst, attr);
                 for (row, &id) in store.rows().iter().enumerate() {
@@ -306,6 +344,20 @@ proptest! {
                     prop_assert!(set.contains_values(key), "attrs {:?}", attrs);
                 }
             }
+            let stats = pool.stats();
+            prop_assert_eq!(
+                stats.misses - built.misses,
+                stats.appends + stats.patches,
+                "every miss after the first builds was an upgrade"
+            );
+            maintained = engine.maintain_cfd_violations(&inst, &cfds, Some(&maintained));
+            prop_assert_eq!(maintained.report(), &reference::detect_cfd_violations(&inst, &cfds));
+            let stats = engine.pool_stats();
+            prop_assert_eq!(
+                stats.misses - engine_built.misses,
+                (stats.appends - engine_built.appends) + (stats.patches - engine_built.patches),
+                "the engine's pool never rebuilt either"
+            );
         }
     }
 
