@@ -19,7 +19,8 @@
 //!
 //! `--ind-bench` runs the naive-vs-interned comparison for IND discovery
 //! and CIND condition mining over the order/book/CD workload and writes
-//! `BENCH_ind.json`; `--smoke` works the same way.
+//! `BENCH_ind.json`; `--smoke` works the same way, and also asserts engine
+//! IND and CIND detection identical to `dq_core::reference`.
 //!
 //! `--delta-bench` replays a mixed append+edit+remove stream against two
 //! identical working copies — one re-detecting CFD violations from scratch every
@@ -779,9 +780,17 @@ fn ind_bench(smoke: bool, profile: bool) {
             "interned CIND mining must report identical conditions"
         );
         push_row("cind_mining", naive_ms, interned_ms, naive_cinds.len());
+        if smoke {
+            for db in [db, &mining_db] {
+                assert_inclusion_detection_matches_reference(db, &embedded);
+            }
+        }
     }
     if smoke {
-        println!("\nsmoke mode: outputs identical on both paths, artifact not written");
+        println!(
+            "\nsmoke mode: outputs identical on both paths, IND/CIND detection identical \
+             to dq_core::reference, artifact not written"
+        );
         return;
     }
     let threads = std::thread::available_parallelism()
@@ -795,6 +804,33 @@ fn ind_bench(smoke: bool, profile: bool) {
     );
     std::fs::write("BENCH_ind.json", &json).expect("write BENCH_ind.json");
     println!("\nwrote BENCH_ind.json");
+}
+
+/// Asserts engine IND and CIND detection over `db` — the paper's CINDs and
+/// `ind` — identical to `dq_core::reference` at 1 and 2 threads, with
+/// `ignore_nulls` both ways.  An identity check only: nothing is timed.
+fn assert_inclusion_detection_matches_reference(db: &dq_relation::Database, ind: &Ind) {
+    let cinds = dq_gen::orders::paper_cinds();
+    let expected_cinds = reference::detect_cind_violations(db, &cinds).unwrap();
+    for threads in [1, 2] {
+        let engine = DetectionEngine::with_threads(threads);
+        assert_eq!(
+            engine.detect_cind_violations(db, &cinds).unwrap(),
+            expected_cinds,
+            "engine CIND detection must equal the reference ({threads} threads)"
+        );
+        for ignore_nulls in [false, true] {
+            let expected = reference::ind_violations(ind, db, ignore_nulls).unwrap();
+            assert_eq!(
+                engine
+                    .detect_ind_violations(db, std::slice::from_ref(ind), ignore_nulls)
+                    .unwrap(),
+                [expected],
+                "engine IND detection must equal the reference \
+                 ({threads} threads, ignore_nulls {ignore_nulls})"
+            );
+        }
+    }
 }
 
 /// Every this many rounds, a `--delta-bench` round also removes random live

@@ -57,8 +57,8 @@ impl Default for AnalysisOptions {
 
 /// A vetted CFD set: the (possibly cover-pruned) rules, the lint report, a
 /// consistency witness, and solver statistics.  Produced by
-/// [`analyze_cfds`]; accepted by
-/// [`DetectionEngine::detect_analyzed_cfd_violations`](crate::engine::DetectionEngine::detect_analyzed_cfd_violations).
+/// [`analyze_cfds`]; detect with
+/// [`DetectionEngine::detect_cfd_violations`](crate::engine::DetectionEngine::detect_cfd_violations)`(instance, &analyzed.rules)`.
 #[derive(Clone, Debug)]
 pub struct AnalyzedCfds {
     /// The rules detection and repair should run with (the minimal cover

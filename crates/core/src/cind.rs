@@ -13,7 +13,8 @@
 use crate::engine::DetectionEngine;
 use crate::ind::Ind;
 use dq_relation::{
-    Database, DqError, DqResult, InternedIndex, RelationSchema, TupleId, Value, ValueId,
+    Database, DistinctSet, DqError, DqResult, IdTranslation, InternedIndex, RelationSchema,
+    TupleId, Value, ValueId,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -265,80 +266,94 @@ impl Cind {
             .is_clean())
     }
 
-    /// The attribute list an interned probe index on the RHS relation must
-    /// be keyed on: the correspondence attributes `Y` followed by the
-    /// pattern attributes `Yp`.
+    /// The attribute list the pooled distinct-projection set of the RHS
+    /// relation is keyed on: the correspondence attributes `Y` followed by
+    /// the pattern attributes `Yp`.
     pub fn rhs_probe_attrs(&self) -> Vec<usize> {
         let mut attrs = self.rhs_attrs.clone();
         attrs.extend_from_slice(&self.rhs_pattern_attrs);
         attrs
     }
 
-    /// The LHS tuples violating the CIND — tuples matching some pattern's
-    /// `Xp` constants with no RHS tuple matching both the correspondence and
-    /// the pattern's `Yp` constants — computed against an *interned* index
-    /// of the RHS relation on exactly
-    /// [`rhs_probe_attrs`](Self::rhs_probe_attrs): the kernel behind
-    /// [`DetectionEngine::detect_cind_violations`].  Each LHS tuple's probe
-    /// translates through the index's per-column dictionaries — a value
-    /// absent from a dictionary cannot match any RHS tuple, short-circuiting
-    /// the probe.  Output (order included) equals
+    /// The attribute list the pooled LHS index is keyed on: `X ++ Xp`.
+    pub(crate) fn lhs_group_attrs(&self) -> Vec<usize> {
+        let mut attrs = self.lhs_attrs.clone();
+        attrs.extend_from_slice(&self.lhs_pattern_attrs);
+        attrs
+    }
+
+    /// The inclusion kernel of INDs and CINDs, behind
+    /// [`DetectionEngine::detect_cind_violations`] and
+    /// [`DetectionEngine::detect_ind_violations`]: the LHS tuples matching
+    /// some pattern's `Xp` constants with no RHS tuple matching both the
+    /// correspondence and the pattern's `Yp` constants, pattern by pattern
+    /// in ascending tuple order — exactly
     /// [`crate::reference::cind_violations`].
-    pub(crate) fn violations_with_probe_index(
+    ///
+    /// `lhs` is an interned index of the LHS relation on
+    /// [`lhs_group_attrs`](Self::lhs_group_attrs), `rhs` a distinct set of
+    /// the RHS relation on [`rhs_probe_attrs`](Self::rhs_probe_attrs).
+    /// Pattern constants are looked up once per pattern: an `Xp` constant
+    /// absent from its column selects no tuple, a `Yp` constant absent from
+    /// its column makes every selected tuple dangle.  Each LHS group's `X`
+    /// ids are translated into the RHS dictionaries ([`IdTranslation`],
+    /// `O(distinct values)` setup) and probed once, so the cost is per
+    /// distinct key, not per tuple.  With `ignore_nulls` — SQL's
+    /// foreign-key semantics, which [`crate::reference::ind_violations`]
+    /// offers for INDs — groups with a `NULL` in `X` are exempt.
+    pub(crate) fn violations_with(
         &self,
-        db: &Database,
-        index: &InternedIndex,
-    ) -> DqResult<Vec<CindViolation>> {
-        debug_assert_eq!(
-            index.attrs(),
-            self.rhs_probe_attrs().as_slice(),
-            "index keyed off Y ++ Yp of the CIND"
-        );
-        let lhs = db.require_relation(self.lhs_schema.name())?;
-        let x_len = self.lhs_attrs.len();
+        lhs: &InternedIndex,
+        rhs: &DistinctSet,
+        ignore_nulls: bool,
+    ) -> Vec<CindViolation> {
+        debug_assert_eq!(lhs.attrs(), self.lhs_group_attrs().as_slice());
+        debug_assert_eq!(rhs.attrs(), self.rhs_probe_attrs().as_slice());
+        let x = self.lhs_attrs.len();
+        let translation = IdTranslation::new(&lhs.columns()[..x], &rhs.columns()[..x]);
+        let exempt: Vec<Option<ValueId>> = lhs.columns()[..x]
+            .iter()
+            .map(|c| c.interner().lookup(&Value::Null).filter(|_| ignore_nulls))
+            .collect();
         let mut out = Vec::new();
-        let mut key: Vec<ValueId> = vec![ValueId(0); x_len + self.rhs_pattern_attrs.len()];
-        for (pattern_idx, tp) in self.tableau.iter().enumerate() {
-            // Translate the pattern's Yp constants once; an absent constant
-            // means no RHS tuple can ever match this pattern.
-            let yp_ids: Option<Vec<ValueId>> = tp
-                .rhs
-                .iter()
-                .enumerate()
-                .map(|(j, v)| index.lookup_id(x_len + j, v))
+        let mut probe = Vec::with_capacity(rhs.attrs().len());
+        for (pattern, tp) in self.tableau.iter().enumerate() {
+            let xp: Option<Vec<ValueId>> = (tp.lhs.iter().enumerate())
+                .map(|(j, v)| lhs.lookup_id(x + j, v))
                 .collect();
-            if let Some(ids) = &yp_ids {
-                key[x_len..].copy_from_slice(ids);
-            }
-            for (id, tuple) in lhs.iter() {
-                let applies = self
-                    .lhs_pattern_attrs
-                    .iter()
-                    .zip(&tp.lhs)
-                    .all(|(&a, v)| tuple.get(a) == v);
-                if !applies {
+            let Some(xp) = xp else {
+                continue;
+            };
+            let yp: Option<Vec<ValueId>> = (tp.rhs.iter().enumerate())
+                .map(|(j, v)| rhs.lookup_id(x + j, v))
+                .collect();
+            let mut dangling: Vec<u32> = Vec::new();
+            for (ids, rows) in lhs.groups() {
+                let (key, selector) = ids.split_at(x);
+                if selector != xp.as_slice()
+                    || key.iter().zip(&exempt).any(|(id, null)| Some(*id) == *null)
+                {
                     continue;
                 }
-                let matched = yp_ids.is_some()
-                    && self.lhs_attrs.iter().enumerate().all(|(j, &a)| {
-                        match index.lookup_id(j, tuple.get(a)) {
-                            Some(vid) => {
-                                key[j] = vid;
-                                true
-                            }
-                            None => false,
-                        }
-                    })
-                    && !index.rows_for_ids(&key).is_empty();
-                if !matched {
-                    out.push(CindViolation {
-                        pattern: pattern_idx,
-                        tuple: id,
-                    });
+                let included = yp.as_ref().is_some_and(|yp| {
+                    translation.translate(key, &mut probe) && {
+                        probe.extend_from_slice(yp);
+                        rhs.contains_ids(&probe)
+                    }
+                });
+                if !included {
+                    dangling.extend_from_slice(rows);
                 }
             }
+            // Store rows are in insertion order: sorted rows are ascending
+            // tuple ids.
+            dangling.sort_unstable();
+            out.extend(dangling.into_iter().map(|row| CindViolation {
+                pattern,
+                tuple: lhs.tuple_id(row),
+            }));
         }
-        Ok(out)
+        out
     }
 }
 
@@ -609,40 +624,119 @@ mod tests {
         );
     }
 
-    #[test]
-    fn interned_probe_equals_value_probe() {
-        let db = d1();
-        for cind in [cind1(), cind2(), cind3()] {
-            let rhs = db.require_relation(cind.rhs_schema().name()).unwrap();
-            let store = rhs.columnar();
-            let probe = cind.rhs_probe_attrs();
-            let index = InternedIndex::build(rhs, &store, &probe, 1);
-            assert_eq!(
-                cind.violations_with_probe_index(&db, &index).unwrap(),
-                crate::reference::cind_violations(&cind, &db).unwrap(),
-                "{cind}"
-            );
+    /// Engine detection against the reference over `db`, returning the
+    /// per-dependency violation counts.
+    fn engine_equals_reference(db: &Database, cinds: &[Cind]) -> Vec<usize> {
+        let expected = crate::reference::detect_cind_violations(db, cinds).unwrap();
+        for threads in [1, 2] {
+            let engine = DetectionEngine::with_threads(threads);
+            assert_eq!(engine.detect_cind_violations(db, cinds).unwrap(), expected);
         }
-        // A CIND whose correspondence values are absent from the RHS:
-        // every applicable tuple dangles, interned and naive alike.
-        let absent = Cind::new(
-            &order_schema(),
-            &["asin"],
-            &["type"],
-            &book_schema(),
-            &["isbn"],
-            &[],
-            vec![CindPattern::new(vec![Value::str("CD")], vec![])],
-        )
-        .unwrap();
-        let rhs = db.require_relation("book").unwrap();
-        let index = InternedIndex::build(rhs, &rhs.columnar(), &absent.rhs_probe_attrs(), 1);
-        let expected = crate::reference::cind_violations(&absent, &db).unwrap();
-        assert_eq!(
-            absent.violations_with_probe_index(&db, &index).unwrap(),
-            expected
-        );
-        assert_eq!(expected.len(), 1);
+        (0..cinds.len()).map(|i| expected.of(i).len()).collect()
+    }
+
+    #[test]
+    fn inclusion_kernel_equals_reference_on_every_pattern_shape() {
+        let (order, book, cd) = (order_schema(), book_schema(), cd_schema());
+        let cind = |x: &[&str], xp: &[&str], rhs, y: &[&str], yp: &[&str], tableau| {
+            Cind::new(&order, x, xp, rhs, y, yp, tableau).unwrap()
+        };
+        let pattern = |xp: &[&str], yp: &[&str]| {
+            CindPattern::new(
+                xp.iter().map(|v| Value::str(*v)).collect(),
+                yp.iter().map(|v| Value::str(*v)).collect(),
+            )
+        };
+        let cinds = vec![
+            cind1(),
+            cind2(),
+            // Correspondence values absent from the RHS: every selected
+            // tuple dangles.
+            cind(
+                &["asin"],
+                &["type"],
+                &book,
+                &["isbn"],
+                &[],
+                vec![pattern(&["CD"], &[])],
+            ),
+            // An `Xp` constant absent from the LHS column selects nothing.
+            cind(
+                &["title"],
+                &["type"],
+                &book,
+                &["title"],
+                &[],
+                vec![pattern(&["vinyl"], &[])],
+            ),
+            // A `Yp` constant absent from the RHS dictionary: every selected
+            // tuple dangles.
+            cind(
+                &["title"],
+                &["type"],
+                &book,
+                &["title"],
+                &["format"],
+                vec![
+                    pattern(&["book"], &["scroll"]),
+                    pattern(&["book"], &["hard-cover"]),
+                ],
+            ),
+            // An attribute in both `X` and `Xp`.
+            cind(
+                &["title", "price"],
+                &["title"],
+                &cd,
+                &["album", "price"],
+                &[],
+                vec![
+                    pattern(&["Snow White"], &[]),
+                    pattern(&["Harry Potter"], &[]),
+                ],
+            ),
+            // Empty `X`: a selected tuple only needs an RHS tuple with `Yp`.
+            cind(
+                &[],
+                &["type"],
+                &book,
+                &[],
+                &["format"],
+                vec![
+                    pattern(&["book"], &["hard-cover"]),
+                    pattern(&["CD"], &["audio"]),
+                ],
+            ),
+        ];
+        let mut db = d1();
+        assert_eq!(engine_equals_reference(&db, &cinds), [0, 0, 1, 0, 1, 1, 1]);
+        // Tuples removed on both sides, so store rows are not tuple ids.
+        for (title, kind) in [
+            ("Harry Potter", "book"),
+            ("Emma", "book"),
+            ("Snow White", "CD"),
+        ] {
+            let order = db.relation_mut("order").unwrap();
+            order
+                .insert_values([
+                    Value::str("a9"),
+                    Value::str(title),
+                    Value::str(kind),
+                    Value::real(17.99),
+                ])
+                .unwrap();
+        }
+        db.relation_mut("order").unwrap().remove(TupleId(0));
+        let books = db.relation_mut("book").unwrap();
+        books
+            .insert_values([
+                Value::str("b9"),
+                Value::str("Emma"),
+                Value::real(3.0),
+                Value::str("audio"),
+            ])
+            .unwrap();
+        books.remove(TupleId(0));
+        assert_eq!(engine_equals_reference(&db, &cinds), [3, 1, 1, 0, 6, 3, 3]);
     }
 
     #[test]

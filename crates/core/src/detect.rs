@@ -288,6 +288,44 @@ impl CfdViolationGroups {
         debug_assert_eq!(out.len(), self.total());
         out
     }
+
+    /// The violations involving a tuple of `ids` (sorted), in canonical
+    /// order.  Each member of `ids` walks the other classes of its group,
+    /// and a pair of two such members is written from the smaller id only,
+    /// so the cost is `ids` times their group sizes.
+    pub fn pairs_involving(&self, ids: &[TupleId]) -> Vec<CfdViolation> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let involved = |id: &TupleId| ids.binary_search(id).is_ok();
+        let mut out: Vec<CfdViolation> = self
+            .singles
+            .iter()
+            .filter(|v| v.tuples().iter().any(involved))
+            .copied()
+            .collect();
+        for g in 0..self.group_count() {
+            for (c, class) in self.classes_of(g).enumerate() {
+                for &a in class.iter().filter(|a| involved(a)) {
+                    let others = self.classes_of(g).enumerate().filter(|&(d, _)| d != c);
+                    for &b in others.flat_map(|(_, other)| other) {
+                        if b < a && involved(&b) {
+                            continue;
+                        }
+                        let (first, second) = (a.min(b), a.max(b));
+                        for &p in self.patterns_of(g) {
+                            let pattern = p as usize;
+                            out.push(CfdViolation::TuplePair {
+                                pattern,
+                                first,
+                                second,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
 }
 
 /// Violations of a set of CFDs over a single relation instance.

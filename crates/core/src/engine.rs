@@ -36,7 +36,13 @@
 //! [`DetectionEngine::maintain_cfd_violations`] keeps such a report
 //! current group by group: a round re-derives only the groups an affected
 //! tuple left or joined, off the patched pooled index, and carries every
-//! other group over verbatim, so it never enumerates a pair.
+//! other group over verbatim, so it never enumerates a pair.  Incremental
+//! detection re-derives the groups the added tuples fall in the same way
+//! and reads their pairs off those groups.
+//!
+//! INDs and CINDs share one inclusion kernel ([`Cind`]'s): an IND runs as
+//! the CIND with empty `Xp`/`Yp`, and both entry points warm the same
+//! pooled LHS indexes and RHS distinct sets.
 //!
 //! Library code detects only through the engine; each type's `holds_on`
 //! (and [`Fd::is_key_of`](crate::fd::Fd::is_key_of)) is a one-line
@@ -48,7 +54,7 @@
 //! workloads.
 
 use crate::cfd::{Cfd, CfdViolation};
-use crate::cind::Cind;
+use crate::cind::{Cind, CindViolation};
 use crate::denial::DenialConstraint;
 use crate::detect::{
     CfdViolationGroups, CfdViolationReport, CindViolationReport, EcfdViolationReport,
@@ -166,26 +172,16 @@ impl DetectionEngine {
         counted(CfdViolationReport::from_groups(groups))
     }
 
-    /// Detection over a pre-vetted rule set from
-    /// [`analyze_cfds`](crate::analysis::analyze_cfds): runs
-    /// [`detect_cfd_violations`](Self::detect_cfd_violations) on the
-    /// analyzed (consistency-checked and possibly cover-pruned) rules, so
-    /// callers that vet once can hand the vetted set straight to the engine
-    /// without re-extracting the rule vector.
-    pub fn detect_analyzed_cfd_violations(
-        &self,
-        instance: &RelationInstance,
-        analyzed: &crate::analysis::AnalyzedCfds,
-    ) -> CfdViolationReport {
-        self.detect_cfd_violations(instance, &analyzed.rules)
-    }
-
     /// Incremental detection: violations involving at least one tuple of
     /// `added`, assuming the rest of `instance` was already checked.
+    /// Duplicate ids and ids of removed tuples are ignored.
     ///
-    /// Equivalent to [`crate::reference::detect_cfd_violations_incremental`],
-    /// but builds each distinct-LHS index once (pooled) instead of once per
-    /// CFD per call.
+    /// Per dependency, the grouped kernel re-derives only the single-tuple
+    /// verdicts of `added` and the LHS groups they fall in, off the pooled
+    /// index; the pairs involving `added` are then read off those groups
+    /// ([`CfdViolationGroups::pairs_involving`]).  The cost is the added
+    /// tuples times their group sizes, not the relation.  Equivalent to
+    /// [`crate::reference::detect_cfd_violations_incremental`].
     pub fn detect_cfd_violations_incremental(
         &self,
         instance: &RelationInstance,
@@ -194,10 +190,13 @@ impl DetectionEngine {
     ) -> CfdViolationReport {
         let _span = dq_obs::span!("detect.cfd.incremental", added = added.len());
         self.warm_interned(instance, cfds.iter().map(|c| c.lhs().to_vec()).collect());
+        let mut added = added.to_vec();
+        added.sort_unstable();
+        added.dedup();
         let source = StoreShardSource::new(instance);
         let per_dependency: Vec<Vec<CfdViolation>> = parallel_map(cfds, self.threads, |cfd| {
             let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-            stream::cfd_violations_involving(cfd, &source, &index, added)
+            stream::cfd_violations_touching(cfd, &source, &index, &added).pairs_involving(&added)
         });
         CfdViolationReport::from_per_dependency(per_dependency)
     }
@@ -308,9 +307,11 @@ impl DetectionEngine {
         })
     }
 
-    /// Detects all violations of `cinds` in `db`, sharing one pooled
-    /// interned probe index per distinct `(RHS relation, Y ++ Yp)` pair and
-    /// fanning out across dependencies.
+    /// Detects all violations of `cinds` in `db` on the inclusion kernel
+    /// ([`Cind`]'s): one pooled interned index per distinct
+    /// `(LHS relation, X ++ Xp)` and one pooled distinct-projection set per
+    /// distinct `(RHS relation, Y ++ Yp)`, shared across dependencies, which
+    /// fan out across threads.
     ///
     /// Equivalent to [`crate::reference::detect_cind_violations`] — same
     /// per-dependency violation lists in the same order.
@@ -320,36 +321,16 @@ impl DetectionEngine {
         cinds: &[Cind],
     ) -> DqResult<CindViolationReport> {
         let _span = dq_obs::span!("detect.cind", deps = cinds.len());
-        let mut probes: BTreeSet<(&str, Vec<usize>)> = BTreeSet::new();
-        for cind in cinds {
-            probes.insert((cind.rhs_schema().name(), cind.rhs_probe_attrs()));
-        }
-        let probes: Vec<(&str, Vec<usize>)> = probes.into_iter().collect();
-        // Validate every probed relation up front so warming cannot panic.
-        for (name, _) in &probes {
-            db.require_relation(name)?;
-        }
-        let sharded = probes.iter().any(|(name, _)| {
-            db.relation(name)
-                .is_some_and(|r| r.columnar().shard_count() > 1)
-        });
-        self.warm_builds(&probes, sharded, |(name, attrs), threads| {
-            let rhs = db.relation(name).expect("validated above");
-            self.pool.interned_for(rhs, attrs, threads);
-        });
-        let per_dependency = try_parallel_map(cinds, self.threads, |cind| {
-            let rhs = db.require_relation(cind.rhs_schema().name())?;
-            let index = self.pool.interned_for(rhs, &cind.rhs_probe_attrs(), 1);
-            cind.violations_with_probe_index(db, &index)
-        })?;
+        let per_dependency = self.detect_inclusions(db, cinds, false)?;
         Ok(CindViolationReport::from_per_dependency(per_dependency))
     }
 
-    /// Detects all violations of `inds` in `db`, sharing one pooled interned
-    /// index per distinct `(LHS relation, X)` and one pooled
-    /// distinct-projection set per distinct `(RHS relation, Y)`, fanning out
-    /// across dependencies.  `ignore_nulls` switches to SQL-style IND
-    /// semantics: LHS tuples with a `NULL` in `X` are exempt.
+    /// Detects all violations of `inds` in `db`: each IND runs on the CIND
+    /// inclusion kernel as the CIND with empty `Xp`/`Yp`
+    /// ([`Cind::from_ind`]), sharing its pooled structures with
+    /// [`detect_cind_violations`](Self::detect_cind_violations).
+    /// `ignore_nulls` switches to SQL-style IND semantics: LHS tuples with a
+    /// `NULL` in `X` are exempt.
     ///
     /// Equivalent to calling [`crate::reference::ind_violations`] per
     /// dependency — same per-dependency violation lists in the same
@@ -361,44 +342,66 @@ impl DetectionEngine {
         ignore_nulls: bool,
     ) -> DqResult<Vec<Vec<TupleId>>> {
         let _span = dq_obs::span!("detect.ind", deps = inds.len());
+        let cinds = inds
+            .iter()
+            .map(|ind| {
+                let lhs = db.require_relation(ind.lhs_relation())?;
+                let rhs = db.require_relation(ind.rhs_relation())?;
+                Ok(Cind::from_ind(ind, lhs.schema(), rhs.schema()))
+            })
+            .collect::<DqResult<Vec<Cind>>>()?;
+        let per_dependency = self.detect_inclusions(db, &cinds, ignore_nulls)?;
+        Ok(per_dependency
+            .into_iter()
+            .map(|violations| violations.into_iter().map(|v| v.tuple).collect())
+            .collect())
+    }
+
+    /// The inclusion kernel over `cinds`, after warming every pooled LHS
+    /// index and RHS distinct set they need.
+    fn detect_inclusions(
+        &self,
+        db: &Database,
+        cinds: &[Cind],
+        ignore_nulls: bool,
+    ) -> DqResult<Vec<Vec<CindViolation>>> {
         let mut lhs_builds: BTreeSet<(&str, Vec<usize>)> = BTreeSet::new();
         let mut rhs_builds: BTreeSet<(&str, Vec<usize>)> = BTreeSet::new();
-        for ind in inds {
-            db.require_relation(ind.lhs_relation())?;
-            db.require_relation(ind.rhs_relation())?;
-            lhs_builds.insert((ind.lhs_relation(), ind.lhs_attrs().to_vec()));
-            rhs_builds.insert((ind.rhs_relation(), ind.rhs_attrs().to_vec()));
+        for cind in cinds {
+            let (lhs, rhs) = (cind.lhs_schema().name(), cind.rhs_schema().name());
+            db.require_relation(lhs)?;
+            db.require_relation(rhs)?;
+            lhs_builds.insert((lhs, cind.lhs_group_attrs()));
+            rhs_builds.insert((rhs, cind.rhs_probe_attrs()));
         }
         let lhs_builds: Vec<(&str, Vec<usize>)> = lhs_builds.into_iter().collect();
         let rhs_builds: Vec<(&str, Vec<usize>)> = rhs_builds.into_iter().collect();
+        let relation = |name: &str| db.relation(name).expect("validated above");
         let sharded = |builds: &[(&str, Vec<usize>)]| {
-            builds.iter().any(|(name, _)| {
-                db.relation(name)
-                    .is_some_and(|r| r.columnar().shard_count() > 1)
-            })
+            (builds.iter()).any(|(name, _)| relation(name).columnar().shard_count() > 1)
         };
         self.warm_builds(
             &lhs_builds,
             sharded(&lhs_builds),
             |(name, attrs), threads| {
-                let lhs = db.relation(name).expect("validated above");
-                self.pool.interned_for(lhs, attrs, threads);
+                self.pool.interned_for(relation(name), attrs, threads);
             },
         );
         self.warm_builds(
             &rhs_builds,
             sharded(&rhs_builds),
             |(name, attrs), threads| {
-                let rhs = db.relation(name).expect("validated above");
-                self.pool.distinct_for(rhs, attrs, threads);
+                self.pool.distinct_for(relation(name), attrs, threads);
             },
         );
-        Ok(parallel_map(inds, self.threads, |ind| {
-            let lhs = db.relation(ind.lhs_relation()).expect("validated above");
-            let rhs = db.relation(ind.rhs_relation()).expect("validated above");
-            let index = self.pool.interned_for(lhs, ind.lhs_attrs(), 1);
-            let distinct = self.pool.distinct_for(rhs, ind.rhs_attrs(), 1);
-            ind.violations_with_interned(&index, &distinct, ignore_nulls)
+        Ok(parallel_map(cinds, self.threads, |cind| {
+            let lhs = relation(cind.lhs_schema().name());
+            let rhs = relation(cind.rhs_schema().name());
+            cind.violations_with(
+                &self.pool.interned_for(lhs, &cind.lhs_group_attrs(), 1),
+                &self.pool.distinct_for(rhs, &cind.rhs_probe_attrs(), 1),
+                ignore_nulls,
+            )
         }))
     }
 

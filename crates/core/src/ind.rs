@@ -7,12 +7,14 @@
 //! satisfaction checking, violation detection and a chase-based implication
 //! procedure that is exact for acyclic IND sets and bounded (sound,
 //! possibly incomplete) in general.
+//!
+//! Violation detection has no kernel of its own: an IND is the CIND with
+//! empty `Xp`/`Yp` and one empty pattern ([`crate::cind::Cind::from_ind`]),
+//! and [`DetectionEngine::detect_ind_violations`] runs it on the CIND
+//! inclusion kernel, keeping the `ignore_nulls` exemption.
 
 use crate::engine::DetectionEngine;
-use dq_relation::{
-    Database, DistinctSet, DqError, DqResult, IdTranslation, InternedIndex, RelationSchema,
-    TupleId, Value, ValueId,
-};
+use dq_relation::{Database, DqError, DqResult, RelationSchema};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -97,55 +99,6 @@ impl Ind {
     /// an `X` position matches no RHS tuple.
     pub fn holds_on(&self, db: &Database) -> DqResult<bool> {
         DetectionEngine::new().ind_holds(db, self, false)
-    }
-
-    /// The LHS tuples with no matching RHS tuple, computed against an
-    /// *interned* index of the LHS relation on exactly `X` and a
-    /// distinct-projection set of the RHS relation on exactly `Y` — the
-    /// kernel behind [`DetectionEngine::detect_ind_violations`].  Each
-    /// distinct LHS projection is translated into the RHS dictionaries once
-    /// — via [`IdTranslation`], `O(distinct values)` setup — and probed
-    /// once, so the cost is per *distinct key*, not per tuple.  With
-    /// `ignore_nulls`, projections carrying `NULL` are exempt (SQL's
-    /// foreign-key semantics).  Output (ascending tuple ids) equals
-    /// [`crate::reference::ind_violations`].
-    pub(crate) fn violations_with_interned(
-        &self,
-        lhs_index: &InternedIndex,
-        rhs: &DistinctSet,
-        ignore_nulls: bool,
-    ) -> Vec<TupleId> {
-        debug_assert_eq!(lhs_index.attrs(), self.lhs_attrs.as_slice());
-        debug_assert_eq!(rhs.attrs(), self.rhs_attrs.as_slice());
-        let translation = IdTranslation::new(lhs_index.columns(), rhs.columns());
-        let null_ids: Vec<Option<ValueId>> = lhs_index
-            .columns()
-            .iter()
-            .map(|c| c.interner().lookup(&Value::Null))
-            .collect();
-        let mut bad_rows: Vec<u32> = Vec::new();
-        let mut translated = Vec::with_capacity(self.lhs_attrs.len());
-        for (ids, rows) in lhs_index.groups() {
-            if ignore_nulls
-                && ids
-                    .iter()
-                    .zip(&null_ids)
-                    .any(|(id, null)| Some(*id) == *null)
-            {
-                continue;
-            }
-            if translation.translate(&ids, &mut translated) && rhs.contains_ids(&translated) {
-                continue;
-            }
-            bad_rows.extend_from_slice(rows);
-        }
-        // Store rows are in insertion order, so sorted rows give ascending
-        // tuple ids.
-        bad_rows.sort_unstable();
-        bad_rows
-            .into_iter()
-            .map(|r| lhs_index.tuple_id(r))
-            .collect()
     }
 }
 
@@ -289,7 +242,7 @@ pub fn ind_implies(sigma: &[Ind], target: &Ind, max_steps: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dq_relation::{Domain, RelationInstance, Value};
+    use dq_relation::{Domain, RelationInstance, TupleId, Value};
 
     fn schemas() -> (
         Arc<RelationSchema>,
@@ -442,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn interned_violations_equal_naive() {
+    fn engine_violations_equal_reference_with_null_lhs_cells() {
         let (order, book, _) = schemas();
         let mut db = db();
         db.relation_mut("order")
@@ -454,20 +407,26 @@ mod tests {
                 Value::real(99.0),
             ])
             .unwrap();
-        for ind in [
+        let inds = [
             Ind::new(&order, &["title", "price"], &book, &["title", "price"]).unwrap(),
             Ind::new(&order, &["asin"], &book, &["isbn"]).unwrap(),
             Ind::new(&order, &["title"], &book, &["title"]).unwrap(),
-        ] {
-            let lhs = db.require_relation(ind.lhs_relation()).unwrap();
-            let rhs = db.require_relation(ind.rhs_relation()).unwrap();
-            let index = InternedIndex::build(lhs, &lhs.columnar(), ind.lhs_attrs(), 1);
-            let distinct = DistinctSet::build(rhs, &rhs.columnar(), ind.rhs_attrs(), 1);
-            for ignore_nulls in [false, true] {
+        ];
+        for ignore_nulls in [false, true] {
+            let expected: Vec<Vec<TupleId>> = inds
+                .iter()
+                .map(|ind| crate::reference::ind_violations(ind, &db, ignore_nulls).unwrap())
+                .collect();
+            // The NULL-title order dangles unless NULLs are exempt.
+            assert_eq!(expected[2].len(), usize::from(!ignore_nulls));
+            for threads in [1, 2] {
+                let engine = DetectionEngine::with_threads(threads);
                 assert_eq!(
-                    ind.violations_with_interned(&index, &distinct, ignore_nulls),
-                    crate::reference::ind_violations(&ind, &db, ignore_nulls).unwrap(),
-                    "{ind} (ignore_nulls {ignore_nulls})"
+                    engine
+                        .detect_ind_violations(&db, &inds, ignore_nulls)
+                        .unwrap(),
+                    expected,
+                    "ignore_nulls {ignore_nulls}"
                 );
             }
         }

@@ -23,9 +23,11 @@
 //! ([`CfdViolationGroups`]): per violating LHS group its patterns and its
 //! RHS classes, never the pairs, so its cost and output are linear in the
 //! rows whatever the number of violating pairs.  A maintained report is
-//! patched group by group (`cfd_violations_patched`).  The tuple-set
-//! kernel behind incremental detection (`cfd_violations_involving`) still
-//! lists pairs: its output is the pairs involving the given tuples.
+//! patched group by group (`cfd_violations_patched`), and incremental
+//! detection regroups only the groups the given tuples fall in
+//! (`cfd_violations_touching`); both re-derive those groups off the pooled
+//! index with one helper.  The only code that lists pairs is
+//! [`CfdViolationGroups`]'s.
 
 use crate::cfd::{Cfd, CfdViolation};
 use crate::denial::{DcTerm, DenialConstraint};
@@ -235,7 +237,6 @@ pub(crate) fn cfd_violations_patched(
     prev: &CfdViolationGroups,
     affected: &[TupleId],
 ) -> CfdViolationGroups {
-    debug_assert_eq!(index.attrs(), cfd.lhs(), "index keyed off the CFD's LHS");
     debug_assert!(affected.windows(2).all(|w| w[0] < w[1]));
     let mut marks = vec![0u64; affected.last().map_or(0, |id| id.0 / 64 + 1)];
     for id in affected {
@@ -269,17 +270,7 @@ pub(crate) fn cfd_violations_patched(
             }
         }
     }
-    let mut fresh = CfdViolationGroups::default();
-    let mut classifier = Classifier::new(&interned);
-    let mut keys: FxHashSet<Vec<ValueId>> = FxHashSet::default();
-    for row in seeds {
-        let key: Vec<ValueId> = interned.lhs_cols.iter().map(|c| c.id_at(row)).collect();
-        let rows = index.rows_for_ids(&key);
-        if rows.len() >= 2 && keys.insert(key) {
-            classifier.push_if_violating(&interned, source, rows, &mut fresh);
-        }
-    }
-    let fresh = fresh.into_canonical();
+    let fresh = regrouped(&interned, source, index, seeds, Vec::new());
     let mut fresh_ids = fresh.all_members().to_vec();
     fresh_ids.sort_unstable();
     for (g, drop) in dropped.iter_mut().enumerate() {
@@ -309,87 +300,49 @@ pub(crate) fn cfd_violations_patched(
     out
 }
 
-/// The violations of `cfd` over `source` that involve at least one tuple
-/// of `ids`, in canonical (sorted) order.  Duplicate ids and ids of tuples
-/// absent from `source` are ignored.
-///
-/// `index` is the pooled index of the same snapshot on exactly
-/// [`Cfd::lhs`]: each affected tuple's current group is found by an id-level
-/// lookup ([`InternedIndex::rows_for_ids`]), so the cost is proportional to
-/// the affected tuples times their group sizes, not to the relation.
-/// Affected tuples sharing a group share one packing of the group's `Y`
-/// projections, and a pair of two affected tuples is emitted from the
-/// smaller id only, so no pair is reported twice.
-pub(crate) fn cfd_violations_involving(
+/// `singles` plus the violating groups of `index` (the pooled index of
+/// `source` on exactly [`Cfd::lhs`]) that hold a row of `seeds`, each group
+/// once, in canonical order.  Each seed's group is found by an id-level
+/// lookup ([`InternedIndex::rows_for_ids`]), so the cost is the seeds times
+/// their group sizes, not the relation.
+fn regrouped(
+    interned: &InternedCfd<'_>,
+    source: &dyn ShardSource,
+    index: &InternedIndex,
+    seeds: impl IntoIterator<Item = usize>,
+    singles: Vec<CfdViolation>,
+) -> CfdViolationGroups {
+    debug_assert_eq!(index.attrs(), interned.cfd.lhs(), "index on the LHS");
+    let mut out = CfdViolationGroups::with_singles(singles);
+    let mut classifier = Classifier::new(interned);
+    let mut keys: FxHashSet<Vec<ValueId>> = FxHashSet::default();
+    for row in seeds {
+        let key: Vec<ValueId> = interned.lhs_cols.iter().map(|c| c.id_at(row)).collect();
+        let rows = index.rows_for_ids(&key);
+        if rows.len() >= 2 && keys.insert(key) {
+            classifier.push_if_violating(interned, source, rows, &mut out);
+        }
+    }
+    out.into_canonical()
+}
+
+/// The grouped violations of `cfd` over `source` that a tuple of `ids`
+/// (sorted, deduplicated) takes part in: the single-tuple violations of the
+/// live ones and every violating group holding one.  Ids of tuples absent
+/// from `source` are ignored.  [`CfdViolationGroups::pairs_involving`]
+/// reads the violations involving `ids` off the result.
+pub(crate) fn cfd_violations_touching(
     cfd: &Cfd,
     source: &dyn ShardSource,
     index: &InternedIndex,
     ids: &[TupleId],
-) -> Vec<CfdViolation> {
-    debug_assert_eq!(index.attrs(), cfd.lhs(), "index keyed off the CFD's LHS");
-    let mut affected: Vec<TupleId> = ids.to_vec();
-    affected.sort_unstable();
-    affected.dedup();
-    let live: Vec<(TupleId, usize)> = affected
-        .iter()
-        .filter_map(|&id| Some((id, source.row_of(id)?)))
-        .collect();
-    let is_affected = |id: TupleId| live.binary_search_by_key(&id, |&(id, _)| id).is_ok();
+) -> CfdViolationGroups {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    let rows: Vec<usize> = ids.iter().filter_map(|&id| source.row_of(id)).collect();
     let interned = InternedCfd::new(cfd, source);
-    let mut out = Vec::new();
-    interned.singles(source, live.iter().map(|&(_, row)| row), &mut out);
-    let mut by_group: FxHashMap<Vec<ValueId>, Vec<(TupleId, usize)>> = FxHashMap::default();
-    for &(id, row) in &live {
-        let key = interned.lhs_cols.iter().map(|c| c.id_at(row)).collect();
-        by_group.entry(key).or_default().push((id, row));
-    }
-    let rhs_codec = KeyCodec::new(interned.rhs_cols.clone());
-    let mut patterns: Vec<usize> = Vec::new();
-    for (key, members) in &by_group {
-        let rows = index.rows_for_ids(key);
-        if rows.len() < 2 {
-            continue;
-        }
-        interned.matching_patterns(members[0].1, &mut patterns);
-        if patterns.is_empty() {
-            continue;
-        }
-        let packed: Vec<(TupleId, ProjectionKey)> = rows
-            .iter()
-            .map(|&row| {
-                (
-                    source.tuple_id(row as usize),
-                    rhs_codec.pack_row(row as usize),
-                )
-            })
-            .collect();
-        for &(aff, aff_row) in members {
-            let aff_packed = rhs_codec.pack_row(aff_row);
-            for (other, other_packed) in &packed {
-                let other = *other;
-                if other == aff || *other_packed == aff_packed {
-                    continue;
-                }
-                if other < aff && is_affected(other) {
-                    continue;
-                }
-                let (first, second) = if aff < other {
-                    (aff, other)
-                } else {
-                    (other, aff)
-                };
-                for &p in &patterns {
-                    out.push(CfdViolation::TuplePair {
-                        pattern: p,
-                        first,
-                        second,
-                    });
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
+    let mut singles = Vec::new();
+    interned.singles(source, rows.iter().copied(), &mut singles);
+    regrouped(&interned, source, index, rows, singles)
 }
 
 /// Evaluates a [`DcTerm`] for a row assignment, resolving attribute cells

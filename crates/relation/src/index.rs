@@ -707,7 +707,6 @@ mod tests {
         inst.update_cell(cell, Value::str("x")).unwrap();
         inst.insert_values([Value::int(7), Value::str("new"), Value::str("p")])
             .unwrap();
-        assert!(!inst.append_only_since(v0));
         assert_eq!(inst.delta_since(v0), Some(Delta::default()));
         // The snapshot equals a fresh build cell for cell.
         let snapshot = inst.columnar();

@@ -125,12 +125,6 @@ pub struct RelationInstance {
     live: usize,
     instance_id: u64,
     version: u64,
-    /// The version as of the last mutation that was *not* an insertion
-    /// (removal, cell update, mutable tuple access).  A persisted save taken
-    /// at or after this version can be continued incrementally when the
-    /// instance has only grown since — see
-    /// [`append_only_since`](Self::append_only_since).
-    last_non_append_version: u64,
     /// Delta journal: every cell write and removal since `delta_floor`, in
     /// version order.  Kept small (see [`DELTA_JOURNAL_CAP`]); raw
     /// [`tuple_mut`](Self::tuple_mut) access clears it and raises the floor,
@@ -160,7 +154,6 @@ impl Clone for RelationInstance {
             live: self.live,
             instance_id: fresh_instance_id(),
             version: 0,
-            last_non_append_version: 0,
             delta: Vec::new(),
             delta_floor: 0,
             columnar: Mutex::new(None),
@@ -177,7 +170,6 @@ impl RelationInstance {
             live: 0,
             instance_id: fresh_instance_id(),
             version: 0,
-            last_non_append_version: 0,
             delta: Vec::new(),
             delta_floor: 0,
             columnar: Mutex::new(None),
@@ -207,17 +199,6 @@ impl RelationInstance {
         self.version
     }
 
-    /// True when every mutation after `version` (up to the current version)
-    /// was an insertion: the tuples live at `version` are still live and
-    /// unchanged, in the same order, so what was persisted at `version` is
-    /// a *prefix* of the current state and an incremental save only writes
-    /// the new shards.  Removals, cell updates and mutable tuple access all
-    /// break the property until the next snapshot.  (In-memory snapshots
-    /// and indexes need only the weaker [`delta_covers`](Self::delta_covers).)
-    pub fn append_only_since(&self, version: u64) -> bool {
-        version <= self.version && version >= self.last_non_append_version
-    }
-
     /// True when the delta journal fully describes how the instance evolved
     /// from `version` to now: every mutation after `version` was an
     /// insertion (visible as new live slots), a journaled cell write or a
@@ -225,10 +206,8 @@ impl RelationInstance {
     /// be *patched* — the changed cells and removed tuples are listed by
     /// [`delta_since`](Self::delta_since) — instead of rebuilt.  Only raw
     /// [`tuple_mut`](Self::tuple_mut) access and journal overflow break the
-    /// property for older versions.
-    ///
-    /// `append_only_since(v)` implies `delta_covers(v)` (with an empty
-    /// delta).
+    /// property for older versions.  A gap that only appended tuples is
+    /// covered with an empty delta.
     pub fn delta_covers(&self, version: u64) -> bool {
         version <= self.version && version >= self.delta_floor
     }
@@ -352,7 +331,6 @@ impl RelationInstance {
         if removed.is_some() {
             self.live -= 1;
             self.version += 1;
-            self.last_non_append_version = self.version;
             self.journal_push(DeltaOp::Removed(id));
         }
         removed
@@ -364,8 +342,8 @@ impl RelationInstance {
     }
 
     /// Mutable access to a tuple.  Conservatively counts as an *unknown*
-    /// mutation: the version is bumped, the append-only fast path and the
-    /// delta journal are both invalidated, even if the caller never writes
+    /// mutation: the version is bumped and the delta journal is
+    /// invalidated, even if the caller never writes
     /// through the reference — the instance cannot see what (if anything)
     /// was written.  In-repo code writes cells through
     /// [`update_cell`](Self::update_cell) instead, which validates the
@@ -374,7 +352,6 @@ impl RelationInstance {
     pub fn tuple_mut(&mut self, id: TupleId) -> Option<&mut Tuple> {
         if self.tuples.get(id.0).is_some_and(|t| t.is_some()) {
             self.version += 1;
-            self.last_non_append_version = self.version;
             self.poison_delta();
         }
         self.tuples.get_mut(id.0).and_then(|t| t.as_mut())
@@ -385,7 +362,7 @@ impl RelationInstance {
     /// whole tuples), returning the previous value — `Ok(None)` when the
     /// tuple is not live.  A no-op write (`value` equal to the current
     /// value) returns early without bumping the version, so it neither
-    /// invalidates cached snapshots nor poisons the append-only fast path.
+    /// invalidates cached snapshots nor journals a change.
     /// Real writes are recorded in the delta journal, keeping derived
     /// snapshots and indexes patchable (see
     /// [`delta_covers`](Self::delta_covers)).
@@ -417,7 +394,6 @@ impl RelationInstance {
         }
         let old = tuple.set(cell.attr, value.clone());
         self.version += 1;
-        self.last_non_append_version = self.version;
         self.journal_push(DeltaOp::Cell {
             cell,
             old: old.clone(),
@@ -681,7 +657,7 @@ mod tests {
             .unwrap();
         assert_eq!(old, Value::str("x"));
         assert_eq!(inst.version(), v, "no-op writes do not bump the version");
-        assert!(inst.append_only_since(v));
+        assert!(inst.delta_since(v).is_some_and(|d| d.is_empty()));
         assert!(
             Arc::ptr_eq(&snapshot, &inst.columnar()),
             "no-op writes keep the snapshot memoized"
@@ -699,7 +675,7 @@ mod tests {
         inst.update_cell(CellRef::new(TupleId(0), 1), Value::str("b"))
             .unwrap();
         assert!(inst.delta_covers(v0));
-        assert!(!inst.append_only_since(v0));
+        assert!(!inst.delta_since(v0).unwrap().is_empty());
         let delta = inst.delta_since(v0).unwrap();
         assert!(delta.removed.is_empty());
         assert_eq!(

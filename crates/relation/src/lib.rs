@@ -53,9 +53,9 @@ pub mod prelude {
     };
     pub use crate::schema::{Attribute, DatabaseSchema, Domain, RelationSchema};
     pub use crate::store::{
-        open_mmap, open_mmap_verified, save_postings, Column, ColumnarStats, ColumnarStore,
-        DistinctSet, FxHashMap, FxHashSet, FxHasher, IdTranslation, InternedIndex, InternerStats,
-        KeyCodec, MappedBytes, MappedRelation, ProjectionKey, RelationWriter, RowGroups, SaveStats,
+        open_mmap, open_mmap_verified, Column, ColumnarStats, ColumnarStore, DistinctSet,
+        FxHashMap, FxHashSet, FxHasher, IdTranslation, InternedIndex, InternerStats, KeyCodec,
+        MappedBytes, MappedRelation, ProjectionKey, RelationWriter, RowGroups, SaveStats,
         ShardSource, StoreShardSource, ValueId, ValueInterner,
     };
     pub use crate::tuple::Tuple;

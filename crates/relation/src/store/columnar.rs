@@ -665,7 +665,7 @@ mod tests {
         for (a, b) in [(2, "z"), (1, "x"), (9, "w")] {
             inst.insert_values([Value::int(a), Value::str(b)]).unwrap();
         }
-        assert!(inst.append_only_since(prev.version()));
+        assert_eq!(inst.delta_since(prev.version()), Some(Delta::default()));
         let extended = ColumnarStore::patched(&prev, &inst, &Delta::default());
         let fresh = ColumnarStore::new(&inst);
         assert_eq!(extended.version(), inst.version());

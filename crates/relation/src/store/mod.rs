@@ -40,7 +40,6 @@ pub use index::{InternedIndex, KeyCodec, ProjectionKey};
 pub use interner::{DictValues, InternerStats, ValueId, ValueInterner};
 pub use mmap::MappedBytes;
 pub use persist::{
-    open_mmap, open_mmap_verified, save_postings, MappedRelation, RelationWriter, SaveStats,
-    FORMAT_VERSION,
+    open_mmap, open_mmap_verified, MappedRelation, RelationWriter, SaveStats, FORMAT_VERSION,
 };
 pub use shard::{RowGroups, ShardSource, StoreShardSource};

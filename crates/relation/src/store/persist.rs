@@ -11,7 +11,6 @@
 //!                       id order; later segments are append-only overlays)
 //!   col<i>.shard.<j>    the ids of shard j of column i (u32 LE, 4-aligned)
 //!   rows.seg            explicit tuple ids (absent when row == tuple id)
-//!   col<i>.postings     optional CSR posting sidecar (multi-group classes)
 //! ```
 //!
 //! The `MANIFEST` is written last via an atomic rename, so a crashed or
@@ -21,7 +20,7 @@
 //!
 //! [`ColumnarStore::save_to`] persists a snapshot; when the target directory
 //! already holds an earlier snapshot of the same instance and the instance
-//! mutated append-only since, the save is *incremental*: only shards past
+//! only grew since (an empty journaled delta), the save is *incremental*: only shards past
 //! the old high-water mark are written and each dictionary spills just its
 //! overlay (the entries interned since the previous save) as a new chain
 //! segment.  [`open_mmap`] re-hydrates a [`MappedRelation`]: dictionaries
@@ -31,7 +30,6 @@
 
 use super::columnar::{Column, ColumnarStore, MappedIds, SHARD_ROWS};
 use super::fx::FxHashMap;
-use super::index::InternedIndex;
 use super::interner::{DictValues, ValueId, ValueInterner};
 use super::mmap::MappedBytes;
 use super::shard::ShardSource;
@@ -63,7 +61,6 @@ enum Kind {
     Dict = 2,
     ShardIds = 3,
     TupleIds = 4,
-    Postings = 5,
 }
 
 // ---------------------------------------------------------------------------
@@ -393,10 +390,6 @@ fn rows_path(dir: &Path) -> PathBuf {
     dir.join("rows.seg")
 }
 
-fn postings_path(dir: &Path, attr: usize) -> PathBuf {
-    dir.join(format!("col{attr}.postings"))
-}
-
 // ---------------------------------------------------------------------------
 // Manifest
 // ---------------------------------------------------------------------------
@@ -657,11 +650,13 @@ impl ColumnarStore {
     ///
     /// `dir` is managed exclusively by the persist layer.  When it already
     /// holds a snapshot of the *same instance* at the *same shard size* and
-    /// every mutation since that snapshot was an insertion, the save is
+    /// the instance's delta journal shows no net cell change and no removal
+    /// since that snapshot ([`RelationInstance::delta_since`] is empty), the
+    /// persisted rows are a prefix of the current ones and the save is
     /// incremental: unchanged complete shards and already-spilled
     /// dictionary prefixes are left untouched.  Any other situation (first
-    /// save, different instance, edits or deletions in between) rewrites
-    /// the directory from scratch.
+    /// save, different instance, edits or deletions in between, a gap the
+    /// journal no longer covers) rewrites the directory from scratch.
     pub fn save_to_with_shard_rows(
         &self,
         instance: &RelationInstance,
@@ -678,7 +673,9 @@ impl ColumnarStore {
                 && m.rows <= self.len()
                 && m.identity_rows == identity_rows
                 && m.schema.as_ref() == instance.schema().as_ref()
-                && instance.append_only_since(m.version)
+                && instance
+                    .delta_since(m.version)
+                    .is_some_and(|d| d.is_empty())
         });
         if !incremental && dir.exists() {
             fs::remove_dir_all(dir).map_err(|e| io_err(dir, e))?;
@@ -1182,31 +1179,6 @@ impl MappedRelation {
             })
             .unwrap_or(0)
     }
-
-    /// The classes of the persisted CSR posting sidecar of `attr`, if one
-    /// was written ([`save_postings`]): each class is the (ascending) tuple
-    /// ids of one value group with ≥ 2 members.  `Ok(None)` when no sidecar
-    /// exists.
-    pub fn posting_classes(&self, attr: usize) -> DqResult<Option<Vec<Vec<TupleId>>>> {
-        let path = postings_path(&self.dir, attr);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let seg = open_segment(&path, Kind::Postings, true)?;
-        let mut c = Cursor::new(seg.payload(), &path);
-        let classes = c.u64()? as usize;
-        let mut out = Vec::with_capacity(classes.min(1 << 24));
-        for _ in 0..classes {
-            let len = c.u64()? as usize;
-            let mut class = Vec::with_capacity(len.min(1 << 24));
-            for _ in 0..len {
-                class.push(TupleId(c.u64()? as usize));
-            }
-            out.push(class);
-        }
-        c.finish()?;
-        Ok(Some(out))
-    }
 }
 
 impl ShardSource for MappedRelation {
@@ -1253,36 +1225,6 @@ impl ShardSource for MappedRelation {
             col.release_rows(rows.clone());
         }
     }
-}
-
-/// Persists the CSR posting sidecar of one single-attribute index: every
-/// multi-row group's (ascending) tuple ids, in group order.  Re-opened via
-/// [`MappedRelation::posting_classes`] these are exactly the classes of a
-/// stripped partition, so FD discovery over a mapped relation can load its
-/// base partitions without scanning any id segment.
-pub fn save_postings(dir: &Path, attr: usize, index: &InternedIndex) -> DqResult<u64> {
-    let mut payload_len = 8u64;
-    let mut classes = 0u64;
-    for (_, rows) in index.multi_groups() {
-        payload_len += 8 + rows.len() as u64 * 8;
-        classes += 1;
-    }
-    let path = postings_path(dir, attr);
-    let mut w = SegmentWriter::create(&path, Kind::Postings, payload_len)?;
-    w.write(&classes.to_le_bytes())?;
-    let mut buf = Vec::with_capacity(8 << 10);
-    for (_, rows) in index.multi_groups() {
-        buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for &row in rows {
-            buf.extend_from_slice(&(index.tuple_id(row).0 as u64).to_le_bytes());
-            if buf.len() >= (8 << 10) {
-                w.write(&buf)?;
-                buf.clear();
-            }
-        }
-    }
-    w.write(&buf)?;
-    w.finish()
 }
 
 #[cfg(test)]
@@ -1420,13 +1362,57 @@ mod tests {
             .unwrap();
         let store = inst.columnar();
         let stats = store.save_to_with_shard_rows(&inst, &dir, 32).unwrap();
-        assert!(
-            !stats.incremental,
-            "edits invalidate the append-only fast path"
-        );
+        assert!(!stats.incremental, "a net edit forces a full rewrite");
         let mapped = open_mmap_verified(&dir).unwrap();
         assert_equals_store(&mapped, &inst, &store);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reverted_edits_with_appends_save_incrementally() {
+        use crate::instance::CellRef;
+        let (dir, full) = (tmp_dir("reverted"), tmp_dir("reverted_full"));
+        let mut inst = sample_instance(80);
+        inst.columnar()
+            .save_to_with_shard_rows(&inst, &dir, 32)
+            .unwrap();
+        // A→B→A on a persisted cell, with a snapshot taken while it holds B
+        // (so the dictionary learns B), plus appends before and after.
+        let cell = CellRef::new(TupleId(3), 1);
+        let original = inst.cell(cell).unwrap().clone();
+        inst.update_cell(cell, Value::str("interim")).unwrap();
+        inst.columnar();
+        inst.insert_values([Value::int(1), Value::str("tail"), Value::real(0.5)])
+            .unwrap();
+        inst.update_cell(cell, original).unwrap();
+        inst.insert_values([Value::int(2), Value::str("end"), Value::real(9.0)])
+            .unwrap();
+        let store = inst.columnar();
+        let stats = store.save_to_with_shard_rows(&inst, &dir, 32).unwrap();
+        assert!(
+            stats.incremental,
+            "a net no-op edit keeps the save incremental"
+        );
+        assert_eq!(stats.shards_written, 1, "only the partial last shard");
+        assert_equals_store(&open_mmap_verified(&dir).unwrap(), &inst, &store);
+        // Every id segment equals a from-scratch save of the same snapshot.
+        assert!(
+            !store
+                .save_to_with_shard_rows(&inst, &full, 32)
+                .unwrap()
+                .incremental
+        );
+        for attr in 0..3 {
+            for shard in 0..82usize.div_ceil(32) {
+                let path = |d: &Path| shard_path(d, attr, shard);
+                assert_eq!(
+                    fs::read(path(&dir)).unwrap(),
+                    fs::read(path(&full)).unwrap()
+                );
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&full).unwrap();
     }
 
     #[test]
@@ -1588,25 +1574,6 @@ mod tests {
         assert_eq!(stats.rows, 1);
         let mapped = open_mmap_verified(&dir).unwrap();
         assert_eq!(mapped.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn postings_sidecar_round_trips_partition_classes() {
-        let dir = tmp_dir("postings");
-        let inst = sample_instance(90);
-        let store = inst.columnar();
-        store.save_to_with_shard_rows(&inst, &dir, 32).unwrap();
-        let index = InternedIndex::build(&inst, &store, &[0], 1);
-        save_postings(&dir, 0, &index).unwrap();
-        let mapped = open_mmap(&dir).unwrap();
-        let classes = mapped.posting_classes(0).unwrap().expect("sidecar exists");
-        let expected: Vec<Vec<TupleId>> = index
-            .multi_groups()
-            .map(|(_, rows)| rows.iter().map(|&r| index.tuple_id(r)).collect())
-            .collect();
-        assert_eq!(classes, expected);
-        assert_eq!(mapped.posting_classes(1).unwrap(), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

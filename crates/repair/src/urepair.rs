@@ -132,9 +132,9 @@ pub fn repair_cfd_violations_with_engine(
             }
         }
 
-        // Phase 2: variable violations — equivalence classes per LHS group,
-        // read off the pooled interned index (group keys resolve to values
-        // only for the few multi-tuple groups the patterns must inspect).
+        // Phase 2: variable violations — the grouped kernel over the pooled
+        // index's groups yields each violating LHS group with its RHS
+        // classes, one class per `B` value.
         for cfd in &normalized {
             let tp = &cfd.tableau()[0];
             let b = cfd.rhs()[0];
@@ -144,27 +144,27 @@ pub fn repair_cfd_violations_with_engine(
             let index = engine
                 .pool()
                 .interned_for(&repaired, cfd.lhs(), engine.threads());
-            let b_column = index.store().column(&repaired, b);
+            let source = StoreShardSource::new(&repaired);
+            let groups = cfd_violations(cfd, &source, index.multi_group_rows());
             // Collect target assignments first, then apply, to avoid holding
             // borrows across mutations.
             let mut assignments: Vec<(TupleId, Value)> = Vec::new();
-            for (key_ids, rows) in index.multi_groups() {
-                let matches_pattern = tp
-                    .lhs
-                    .iter()
-                    .zip(key_ids.iter().zip(index.columns()))
-                    .all(|(p, (&id, col))| p.matches(col.interner().resolve(id)));
-                if !matches_pattern || rows.len() < 2 {
-                    continue;
-                }
+            let mut members: Vec<(TupleId, usize)> = Vec::new();
+            for g in 0..groups.group_count() {
+                let classes: Vec<&[TupleId]> = groups.classes_of(g).collect();
+                let value = |class: usize| repaired.tuple(classes[class][0]).expect("live").get(b);
                 // Confidence-weighted vote over the current B values of the
-                // class: keeping the value held by high-confidence cells
-                // minimizes the cost of rewriting the others.
+                // class, summed in ascending tuple order: keeping the value
+                // held by high-confidence cells minimizes the cost of
+                // rewriting the others.
+                members.clear();
+                for (class, ids) in classes.iter().enumerate() {
+                    members.extend(ids.iter().map(|&id| (id, class)));
+                }
+                members.sort_unstable();
                 let mut votes: BTreeMap<Value, f64> = BTreeMap::new();
-                for &row in rows {
-                    let id = index.tuple_id(row);
-                    let v = b_column.interner().resolve(b_column.id_at(row as usize));
-                    *votes.entry(v.clone()).or_insert(0.0) += cost.weight(id, b);
+                for &(id, class) in &members {
+                    *votes.entry(value(class).clone()).or_insert(0.0) += cost.weight(id, b);
                 }
                 if votes.len() <= 1 {
                     continue;
@@ -174,10 +174,9 @@ pub fn repair_cfd_violations_with_engine(
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
                     .map(|(v, _)| v.clone())
                     .expect("non-empty vote");
-                for &row in rows {
-                    let current = b_column.interner().resolve(b_column.id_at(row as usize));
-                    if current != &target {
-                        assignments.push((index.tuple_id(row), target.clone()));
+                for &(id, class) in &members {
+                    if value(class) != &target {
+                        assignments.push((id, target.clone()));
                     }
                 }
             }
@@ -394,6 +393,58 @@ mod tests {
             assert_eq!(t.get(1), &Value::str("x"));
         }
         assert_eq!(outcome.log.change_count(), 1);
+    }
+
+    #[test]
+    fn vote_ties_and_absent_pattern_constants_match_the_reference() {
+        let s = Arc::new(RelationSchema::new(
+            "r",
+            [("A", Domain::Text), ("B", Domain::Text)],
+        ));
+        // Group k: "y" and "x" at equal weight, so the greater value wins.
+        // Group n: "p" at weights 0.1, 0.2, 0.3 against "q" at 0.6.  Summed
+        // in ascending tuple order "p" totals 0.6000000000000001 and wins;
+        // summed the other way round it would tie and "q" would win.
+        let mut inst = RelationInstance::new(Arc::clone(&s));
+        let mut cost = RepairCost::uniform();
+        for (a, b, weight) in [
+            ("k", "y", 1.0),
+            ("n", "p", 0.1),
+            ("k", "x", 1.0),
+            ("n", "q", 0.6),
+            ("n", "p", 0.2),
+            ("n", "p", 0.3),
+        ] {
+            let id = inst.insert_values([Value::str(a), Value::str(b)]).unwrap();
+            cost.weights_mut().set(id, 1, weight);
+        }
+        let cfds = vec![
+            Cfd::from_fd(&Fd::new(&s, &["A"], &["B"])),
+            // An LHS constant absent from the dictionary matches no group.
+            Cfd::new(
+                &s,
+                &["A"],
+                &["B"],
+                vec![PatternTuple::new(vec![cst("absent")], vec![wild()])],
+            )
+            .unwrap(),
+        ];
+        let config = RepairConfig::default();
+        let outcome = repair_cfd_violations(&inst, &cfds, &cost, &config).unwrap();
+        let naive = crate::reference::repair_cfd_violations(&inst, &cfds, &cost, &config);
+        assert_eq!(outcome.log.modified, naive.log.modified);
+        assert_eq!(outcome.log.cost, naive.log.cost);
+        assert_eq!(outcome.rounds, naive.rounds);
+        assert!(outcome.consistent && naive.consistent);
+        for (_, t) in outcome.repaired.iter() {
+            let winner = if t.get(0) == &Value::str("k") {
+                "y"
+            } else {
+                "p"
+            };
+            assert_eq!(t.get(1), &Value::str(winner));
+        }
+        assert_eq!(outcome.log.change_count(), 2);
     }
 
     #[test]

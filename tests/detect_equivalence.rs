@@ -281,31 +281,36 @@ proptest! {
     }
 
     /// Engine incremental detection equals the reference incremental
-    /// detection.
+    /// detection, also after deletions.
     #[test]
     fn engine_incremental_equals_naive_incremental(
         config in workload_config(),
         split_percent in 0usize..=100,
     ) {
         let workload = generate_customers(&config);
-        let mut instance = workload.dirty;
         let cfds = paper_cfds();
-        let split = instance.len() * split_percent / 100;
-        let mut added: Vec<_> = instance.iter().skip(split).map(|(id, _)| id).collect();
-        // Duplicate ids and the id of a removed tuple change nothing.
-        let repeats: Vec<TupleId> = added.iter().step_by(2).copied().collect();
-        added.extend(repeats);
-        let first = instance.iter().next().map(|(id, _)| id);
-        if let Some(victim) = first {
-            instance.remove(victim);
-            added.push(victim);
-        }
-        let naive = reference::detect_cfd_violations_incremental(&instance, &cfds, &added);
-        for engine in engine_variants() {
-            prop_assert_eq!(
-                engine.detect_cfd_violations_incremental(&instance, &cfds, &added),
-                naive.clone()
-            );
+        // As generated, and with every fifth tuple removed so that store
+        // rows are not tuple ids.
+        let mut thinned = workload.dirty.clone();
+        delete_every_fifth(&mut thinned);
+        for mut instance in [workload.dirty, thinned] {
+            let split = instance.len() * split_percent / 100;
+            let mut added: Vec<_> = instance.iter().skip(split).map(|(id, _)| id).collect();
+            // Duplicate ids and the id of a removed tuple change nothing.
+            let repeats: Vec<TupleId> = added.iter().step_by(2).copied().collect();
+            added.extend(repeats);
+            let first = instance.iter().next().map(|(id, _)| id);
+            if let Some(victim) = first {
+                instance.remove(victim);
+                added.push(victim);
+            }
+            let naive = reference::detect_cfd_violations_incremental(&instance, &cfds, &added);
+            for engine in engine_variants() {
+                prop_assert_eq!(
+                    engine.detect_cfd_violations_incremental(&instance, &cfds, &added),
+                    naive.clone()
+                );
+            }
         }
     }
 
@@ -353,7 +358,8 @@ proptest! {
     }
 
     /// Engine CIND reports over the order/book/CD database equal the
-    /// reference cross-relation detector, cold and warm.
+    /// reference cross-relation detector, cold and warm, and after
+    /// deletions on both sides.
     #[test]
     fn engine_cind_detection_equals_naive(
         orders in 1usize..250,
@@ -372,6 +378,15 @@ proptest! {
             prop_assert_eq!(&cold, &naive);
             let warm = engine.detect_cind_violations(&workload.db, &cinds).unwrap();
             prop_assert_eq!(&warm, &naive);
+        }
+        // After deletions on both sides of every CIND.
+        let mut db = workload.db;
+        for relation in ["order", "book", "CD"] {
+            delete_every_fifth(db.relation_mut(relation).expect("relation"));
+        }
+        let naive = reference::detect_cind_violations(&db, &cinds).unwrap();
+        for engine in engine_variants() {
+            prop_assert_eq!(&engine.detect_cind_violations(&db, &cinds).unwrap(), &naive);
         }
     }
 

@@ -215,18 +215,17 @@ fn minimal_cover_post_pass_preserves_discovered_semantics() {
             "full rule {rule} not implied by the cover"
         );
     }
-    // Vet the cover and detect through the engine's analyzed entry point:
-    // mined rules hold on the sample and flag the dirty instance exactly
-    // like the full set does.
+    // Vet the cover and detect with the vetted rules: mined rules hold on
+    // the sample and flag the dirty instance exactly like the full set does.
     let analyzed = analyze_cfds(&covered.all(), &AnalysisOptions::default())
         .expect("mined rules are consistent");
     let engine = DetectionEngine::new();
     assert!(engine
-        .detect_analyzed_cfd_violations(&clean.clean, &analyzed)
+        .detect_cfd_violations(&clean.clean, &analyzed.rules)
         .is_clean());
     assert_eq!(
         engine
-            .detect_analyzed_cfd_violations(&dirty.dirty, &analyzed)
+            .detect_cfd_violations(&dirty.dirty, &analyzed.rules)
             .is_clean(),
         engine
             .detect_cfd_violations(&dirty.dirty, &full.all())
