@@ -183,6 +183,28 @@ fn main() {
     }
 }
 
+/// The provenance fields of a `BENCH_*.json` artifact, as a JSON fragment
+/// ending in a comma: the checked-out commit (`git rev-parse --short HEAD`
+/// in the working directory, `unknown` outside a git checkout), `nproc`
+/// (the available parallelism) and the build profile the harness was
+/// compiled under.
+fn provenance_json() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |sha| sha.trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!("\"commit\": \"{commit}\", \"nproc\": {nproc}, \"profile\": \"{profile}\",")
+}
+
 /// Times one invocation of `f`, returning (elapsed ms, result).
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
@@ -1012,7 +1034,8 @@ fn delta_bench(smoke: bool, profile: bool) {
     let json = format!(
         "{{\n  \"experiment\": \"sec5_delta_maintenance_patch_vs_rebuild\",\n  \
          \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42, mixed append+edit+remove stream\",\n  \
-         \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
+         {}\n  \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     std::fs::write("BENCH_delta.json", &json).expect("write BENCH_delta.json");
@@ -1049,8 +1072,9 @@ fn reset_peak_rss() {
 /// rows, so the multi-shard layout, the incremental save (frozen
 /// dictionary segments + overlay spill) and both engines' shard cursors
 /// all execute; no artifact is written.  Full mode asserts identity at 1M
-/// tuples, then streams 10M tuples through [`RelationWriter`] in 1M-chunk
-/// generations — memory stays bounded by one chunk plus the writer's
+/// tuples, then streams 10M tuples through
+/// [`RelationWriter`](dq_relation::RelationWriter) in 1M-chunk generations
+/// — memory stays bounded by one chunk plus the writer's
 /// dictionaries — and runs CFD detection and FD discovery at 10M entirely
 /// through the mmap path, writing `BENCH_scale.json` with a
 /// `peak_rss_mib` ceiling per row.

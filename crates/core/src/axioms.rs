@@ -9,7 +9,7 @@
 //! normalized fragments where the closure algorithms of
 //! [`crate::implication`] are themselves complete.
 //!
-//! CFD rules (after [36], for normalized CFDs `(X → B, tp)`):
+//! CFD rules (after \[36\], for normalized CFDs `(X → B, tp)`):
 //!
 //! * **Reflexivity**   `(X → A, tp)` whenever `A ∈ X` and `tp[B] = tp[A]`;
 //! * **Augmentation**  from `(X → B, tp)` infer `(X ∪ {C} → B, tp')` where
@@ -19,7 +19,7 @@
 //! * **Upgrade**       from `(X → B, (tpX ‖ _))` and a constant forced on
 //!   `B` by a matching rule, upgrade the wildcard to that constant.
 //!
-//! CIND rules (after [20]):
+//! CIND rules (after \[20\]):
 //!
 //! * **Reflexivity**   `R[X; ∅] ⊆ R[X; ∅]`;
 //! * **Projection & permutation** of the correspondence lists;

@@ -9,7 +9,7 @@
 //! * `ecfd2: CT ∈ {NYC} → AC ∈ {212, 718, 646, 347, 917}` — NYC area codes
 //!   are restricted to the listed five.
 //!
-//! Per [19], the added expressive power does not change the complexity of
+//! Per \[19\], the added expressive power does not change the complexity of
 //! consistency (NP-complete) or implication (coNP-complete); the benches of
 //! `dq-bench` measure the two classes side by side.
 

@@ -1,7 +1,7 @@
 //! Range-consistent answers for aggregation queries under key violations.
 //!
 //! Section 5.2's remark points to the line of work on "scalar aggregation in
-//! inconsistent databases" [8]: for an aggregation query a single certain
+//! inconsistent databases" \[8\]: for an aggregation query a single certain
 //! value rarely exists, so the consistent answer is reported as the *range*
 //! `[glb, lub]` the aggregate takes over all repairs.  For a relation whose
 //! only constraint is a key, the repairs are exactly the choices of one tuple

@@ -6,11 +6,11 @@
 //!
 //! * [`oracle`] — the exact, exponential baseline: enumerate all repairs
 //!   (via `dq-repair`) and intersect the answer sets;
-//! * [`rewrite`] — the PTIME first-order rewriting approach of [7]/[43] for
+//! * [`rewrite`] — the PTIME first-order rewriting approach of \[7\]/\[43\] for
 //!   primary keys and tree-shaped (`C_tree`) conjunctive queries, plus the
 //!   explicit `FoQuery` rewriting for single-atom queries;
 //! * [`aggregate`] — range-consistent answers `[glb, lub]` for aggregation
-//!   queries under key repairs (the scalar-aggregation setting of [8]).
+//!   queries under key repairs (the scalar-aggregation setting of \[8\]).
 
 pub mod aggregate;
 pub mod oracle;

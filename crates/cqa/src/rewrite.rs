@@ -1,5 +1,5 @@
 //! First-order rewriting for consistent query answering under key
-//! constraints (Section 5.2, the approach of [7]/[43]).
+//! constraints (Section 5.2, the approach of \[7\]/\[43\]).
 //!
 //! For primary keys and queries in the tree-shaped class `C_tree` (join graph
 //! a forest, every non-key-to-key join *full*, no repeated relation atoms),

@@ -22,7 +22,7 @@
 //! [`crate::reference`].
 //!
 //! Both pattern miners visit groups in the reference's canonical order
-//! ([`sorted_group_order`] over resolved values) but sort on integers: one
+//! (`sorted_group_order` over resolved values) but sort on integers: one
 //! per-run `DictionaryRanks` table gives every dictionary id its position
 //! in `Value`'s `Ord`, and a group sorts by its rank tuple.  Values are
 //! resolved only for emitted patterns.
@@ -100,7 +100,7 @@ pub struct CfdDiscoveryConfig {
     /// count.
     pub threads: usize,
     /// Post-process the mined set with
-    /// [`cfd_minimal_cover`](dq_core::implication::cfd_minimal_cover):
+    /// [`cfd_minimal_cover`]:
     /// normalized rules implied by the rest are dropped, so detection and
     /// repair downstream check fewer, non-redundant dependencies.  The
     /// number of pruned fragments is reported in

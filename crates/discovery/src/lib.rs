@@ -6,7 +6,7 @@
 //! algorithms and *profiling methods* for dependencies have shown promise as
 //! a systematic method for reasoning about the semantics of the data, and for
 //! deducing and *discovering rules* for cleaning the data" (Section 1).  The
-//! companion line of work the survey builds on (CFDs [36], CINDs [20])
+//! companion line of work the survey builds on (CFDs \[36\], CINDs \[20\])
 //! assumes that a set of conditional dependencies is available; in practice
 //! those dependencies are *profiled from data*.  This crate supplies that
 //! missing substrate:

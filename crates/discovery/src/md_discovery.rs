@@ -1,7 +1,7 @@
 //! Learning matching rules (relative keys) from labelled examples.
 //!
 //! Section 3.1 notes that matching rules are "either specified by human
-//! experts or discovered via learning [48]".  This module implements the
+//! experts or discovered via learning \[48\]".  This module implements the
 //! learning side for the rule language of Section 3.2: given two relations,
 //! a set of ground-truth matches, and a comparison space (which attribute
 //! pairs the deployment can compare, and with which similarity operators),

@@ -30,7 +30,7 @@
 //! serializing the level:
 //!
 //! * the partition cache is **lock-striped** — requests hash their sorted
-//!   attribute set onto one of [`STRIPES`] independent `RwLock`ed maps, so
+//!   attribute set onto one of `STRIPES` independent `RwLock`ed maps, so
 //!   readers of different partitions never contend and writers only block
 //!   their own stripe;
 //! * partitions are **built outside every lock** (products recurse through
@@ -44,10 +44,10 @@
 //!   between threads mid-product.
 //!
 //! Because a partition's value depends only on its key, races change
-//! neither the cache contents nor [`partitions_built`]
-//! ([`PartitionSource::partitions_built`] counts winning inserts, i.e.
-//! distinct materialized attribute sets — the same number the sequential
-//! sweep reports).
+//! neither the cache contents nor
+//! [`partitions_built`](PartitionSource::partitions_built) (it counts
+//! winning inserts, i.e. distinct materialized attribute sets — the same
+//! number the sequential sweep reports).
 //!
 //! The reference partition builds ([`StrippedPartition::build`], keyed by
 //! `Vec<Value>` projections from the row store) stay available behind the

@@ -2,7 +2,7 @@
 //!
 //! The implication problem for MDs — `Σ ⊨_m φ`, for *all* interpretations of
 //! the similarity and matching operators satisfying their generic axioms — is
-//! solvable in PTIME, via a sound and complete finite inference system [38].
+//! solvable in PTIME, via a sound and complete finite inference system \[38\].
 //! This module implements the closure algorithm behind that result: starting
 //! from the facts asserted by `φ`'s premise about a hypothetical pair of
 //! tuples, saturate under

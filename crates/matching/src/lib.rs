@@ -20,7 +20,7 @@
 //!   inverted index, length windows, sorted neighborhood);
 //! * [`engine`] — the interned matching engine, the one executor of rules
 //!   and MD checks: blocked, parallel evaluation over the columnar store;
-//! * [`reference`] — the row-at-a-time rule and MD evaluators the engine is
+//! * [`reference`](mod@reference) — the row-at-a-time rule and MD evaluators the engine is
 //!   held byte-identical to.  Only tests, the harness and the benches call
 //!   them.
 

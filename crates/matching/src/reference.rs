@@ -1,7 +1,7 @@
 //! Row-at-a-time reference evaluators: the test oracle for
 //! [`MatchingEngine`](crate::engine::MatchingEngine).
 //!
-//! These are the textbook nested loops over [`Tuple`](dq_relation::Tuple)s
+//! These are the textbook nested loops over [`Tuple`]s
 //! and [`Value`](dq_relation::Value)s — one similarity call per tuple pair,
 //! no dictionaries, no memoization, no metric blocking.  Library code never
 //! calls them; the equivalence suites, the harness and the criterion

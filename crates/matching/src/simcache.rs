@@ -10,7 +10,7 @@
 //! * [`DisplayColumn`] renders each dictionary entry's display form once,
 //!   indexed by [`ValueId`];
 //! * [`EqTranslation`] maps each left-dictionary id to the right-dictionary
-//!   id holding the *equal* [`Value`] (if any), turning equality premises —
+//!   id holding the *equal* [`Value`](dq_relation::Value) (if any), turning equality premises —
 //!   and the `a == b` fast path of every metric — into one `Vec` lookup;
 //! * [`SimilarityCache`] memoizes metric verdicts by
 //!   `(context, left id, right id)`, where a context identifies an
@@ -122,7 +122,7 @@ impl DisplayColumn {
 }
 
 /// For each id of a left dictionary, the id of the right dictionary holding
-/// the equal [`Value`] (or `None`).  Interners canonicalize, so id equality
+/// the equal [`Value`](dq_relation::Value) (or `None`).  Interners canonicalize, so id equality
 /// through the translation is exactly `Value` equality — display-string
 /// collisions across distinct values (e.g. `1` vs `"1"`) stay distinct.
 #[derive(Debug)]

@@ -6,7 +6,7 @@
 //! transitive and decomposes pairwise over value lists.  Apart from `⇋`
 //! (which is to be inferred, not computed), the operators compare values of
 //! unreliable sources with metrics such as edit distance, q-grams and Jaro —
-//! the metrics surveyed in [32] and named in Section 3.3(a).
+//! the metrics surveyed in \[32\] and named in Section 3.3(a).
 //!
 //! The [`SimilarityOp`] enum implements the concrete metrics with a
 //! threshold, the subsumption (containment) relation between operators used

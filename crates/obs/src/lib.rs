@@ -16,7 +16,7 @@
 //!   `off` cargo feature hard-disables the layer.  Either way,
 //!   instrumented code paths produce byte-identical outputs: the layer
 //!   only ever observes, never steers.
-//! * **Hierarchical spans.**  [`span`]`("detect.cfd")` opens a guard;
+//! * **Hierarchical spans.**  [`span`](fn@span)`("detect.cfd")` opens a guard;
 //!   guards on one thread nest into `parent/child` paths, aggregated
 //!   per path and rendered as a flame-style tree by
 //!   [`MetricsSnapshot::render_span_tree`].  A guard always measures —

@@ -201,9 +201,13 @@ impl IndexPool {
     /// ([`InternedIndex`], [`DistinctSet`]): serve a hit, else find the best
     /// upgradable predecessor — same instance and attributes, older version,
     /// every mutation in between an insert, a journaled cell write or a
-    /// journaled removal ([`RelationInstance::delta_covers`]) — and let
-    /// `upgrade` patch it over the instance's current snapshot with the
-    /// delta since its version, falling back to `build`.  A successful
+    /// journaled removal ([`RelationInstance::delta_covers`]) — take it out
+    /// of the cache (the insert below would drop it as a stale entry of the
+    /// same attribute list anyway) and hand it to `upgrade`, which patches
+    /// it over the instance's current snapshot with the delta since its
+    /// version, falling back to `build`.  Holding the only reference lets
+    /// the upgrade move the predecessor's maps into the new artifact
+    /// instead of copying them.  A successful
     /// upgrade counts in [`IndexPoolStats::appends`] when the delta is empty
     /// (only appended rows to key) and in [`IndexPoolStats::patches`]
     /// otherwise — a gap with a removal is always a patch.  The insert keeps stale
@@ -216,27 +220,32 @@ impl IndexPool {
         cache: &Mutex<HashMap<PoolKey, Arc<V>>>,
         instance: &RelationInstance,
         attrs: &[usize],
-        upgrade: impl Fn(&V, &Arc<ColumnarStore>, &Delta) -> Option<V>,
+        upgrade: impl Fn(Arc<V>, &Arc<ColumnarStore>, &Delta) -> Option<V>,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
         let key: PoolKey = (instance.instance_id(), instance.version(), attrs.to_vec());
         let predecessor = {
-            let cache = cache.lock().expect("index pool poisoned");
+            let mut cache = cache.lock().expect("index pool poisoned");
             if let Some(hit) = cache.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.obs.hits.inc();
                 return Arc::clone(hit);
             }
-            cache
-                .iter()
-                .filter(|((id, version, cached_attrs), _)| {
+            let version = cache
+                .keys()
+                .filter(|(id, version, cached_attrs)| {
                     *id == key.0
                         && *version < key.1
                         && cached_attrs == attrs
                         && instance.delta_covers(*version)
                 })
-                .max_by_key(|((_, version, _), _)| *version)
-                .map(|((_, version, _), artifact)| (*version, Arc::clone(artifact)))
+                .map(|(_, version, _)| *version)
+                .max();
+            version.and_then(|version| {
+                let artifact = cache.remove(&(key.0, version, key.2.clone()))?;
+                self.obs.entries.add(-1);
+                Some((version, artifact))
+            })
         };
         // Build outside the lock so concurrent requests for *different*
         // artifacts proceed in parallel; a racing duplicate build of the
@@ -246,7 +255,7 @@ impl IndexPool {
         let upgraded = predecessor.and_then(|(version, prev)| {
             let delta = instance.delta_since(version)?;
             let store = instance.columnar();
-            let upgraded = self.obs.patch_ns.time(|| upgrade(&prev, &store, &delta))?;
+            let upgraded = self.obs.patch_ns.time(|| upgrade(prev, &store, &delta))?;
             let (count, live) = match delta.is_empty() {
                 true => (&self.appends, &self.obs.appends),
                 false => (&self.patches, &self.obs.patches),

@@ -1,7 +1,7 @@
 //! Conjunctive queries and a small first-order evaluator.
 //!
 //! Consistent query answering (Section 5.2) works with conjunctive queries
-//! with built-in predicates, and the rewriting approach of [7]/[43] produces
+//! with built-in predicates, and the rewriting approach of \[7\]/\[43\] produces
 //! first-order queries with negated existential subformulas.  This module
 //! provides both: [`ConjunctiveQuery`] for the input queries and [`FoQuery`]
 //! (a safe-range first-order formula evaluator) for the rewritings.

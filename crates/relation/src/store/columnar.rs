@@ -1,5 +1,5 @@
 //! Interned, sharded columnar backing of a
-//! [`RelationInstance`](crate::instance::RelationInstance).
+//! [`RelationInstance`].
 //!
 //! A [`ColumnarStore`] is a read-only, version-tagged snapshot of an
 //! instance: the live tuples in insertion order (`rows`), a constant-time

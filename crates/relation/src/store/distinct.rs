@@ -20,7 +20,7 @@
 
 use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
-use super::index::{rekey, KeyCodec, KeyMap, Repr, RowMoves};
+use super::index::{rekey, take_or_clone, KeyCodec, KeyMap, Repr, RowMoves};
 use super::interner::ValueId;
 use crate::instance::{Delta, RelationInstance};
 use crate::par::parallel_map;
@@ -91,8 +91,11 @@ impl DistinctSet {
 
     /// Patches `prev` — a set of the same instance on the same attributes,
     /// built at an earlier version — after insertions, removals and
-    /// journaled cell writes: the key counts are carried over ([`rekey`],
-    /// re-packed when a key column's dictionary outgrew its radix), the new
+    /// journaled cell writes: the key counts are carried over (moved out of
+    /// `prev` when the caller hands over its only reference, cloned and
+    /// counted in `index.patch.shared` when the old set is still held
+    /// elsewhere, and re-packed when a key column's dictionary outgrew its
+    /// radix), the new
     /// key of every changed row (at most one per change) and of every
     /// appended row is counted in, and the old key of every changed or
     /// removed row — packed from `prev`'s columns — is counted out, leaving
@@ -108,7 +111,7 @@ impl DistinctSet {
     /// `prev`'s dictionary ids stay valid in the new dictionaries and old
     /// keys can be computed from `prev`'s columns.
     pub fn try_patched(
-        prev: &DistinctSet,
+        mut prev: Arc<DistinctSet>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
@@ -126,18 +129,23 @@ impl DistinctSet {
             .iter()
             .zip(prev.codec.columns())
             .all(|(new, old)| new.distinct() >= old.distinct()));
-        let (mut keys, codec) = rekey(&prev.codec, &prev.keys, columns)?;
+        let keys = take_or_clone(
+            &mut prev,
+            |owned| std::mem::take(&mut owned.keys),
+            |shared| shared.keys.clone(),
+        );
+        let (mut keys, codec) = rekey(&prev.codec, keys, columns)?;
         let moves = RowMoves::new(&prev.attrs, &prev.store, delta);
         let n_rows = store.len();
         match (&mut keys, &codec.repr) {
             (KeyMap::U64(s), Repr::Radix(radices)) => {
-                patch_keys(s, prev, &moves, codec.columns(), n_rows, |columns, row| {
+                patch_keys(s, &prev, &moves, codec.columns(), n_rows, |columns, row| {
                     KeyCodec::pack_u64_row(radices, columns, row)
                 })
             }
             (KeyMap::U128(s), Repr::Shift) => patch_keys(
                 s,
-                prev,
+                &prev,
                 &moves,
                 codec.columns(),
                 n_rows,
@@ -145,7 +153,7 @@ impl DistinctSet {
             ),
             (KeyMap::Wide(s), Repr::Wide) => patch_keys(
                 s,
-                prev,
+                &prev,
                 &moves,
                 codec.columns(),
                 n_rows,
@@ -178,11 +186,7 @@ impl DistinctSet {
 
     /// Number of distinct projections.
     pub fn len(&self) -> usize {
-        match &self.keys {
-            KeyMap::U64(s) => s.len(),
-            KeyMap::U128(s) => s.len(),
-            KeyMap::Wide(s) => s.len(),
-        }
+        self.keys.len()
     }
 
     /// Is the set empty?
@@ -565,7 +569,7 @@ mod tests {
         inst.insert_values([Value::int(1), Value::str("s1"), Value::int(1000)])
             .unwrap();
         let store = inst.columnar();
-        let extended = DistinctSet::try_patched(&prev, &inst, &store, &Delta::default())
+        let extended = DistinctSet::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("repack-aware extension");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&extended), canonical(&fresh));
@@ -589,8 +593,8 @@ mod tests {
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched =
-            DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("repack-aware patch");
+        let patched = DistinctSet::try_patched(Arc::new(prev), &inst, &store, &delta)
+            .expect("repack-aware patch");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert_eq!(patched.len(), inst.project_distinct(&[0, 1]).len());
@@ -616,7 +620,8 @@ mod tests {
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("no overflow");
+        let patched =
+            DistinctSet::try_patched(Arc::new(prev), &inst, &store, &delta).expect("no overflow");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert!(patched.contains_values(&[Value::int(1), Value::str("a")]));
@@ -645,7 +650,8 @@ mod tests {
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = DistinctSet::try_patched(&prev, &inst, &store, &delta).expect("no overflow");
+        let patched =
+            DistinctSet::try_patched(Arc::new(prev), &inst, &store, &delta).expect("no overflow");
         let fresh = DistinctSet::build(&inst, &store, &attrs, 1);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert_eq!(patched.len(), inst.project_distinct(&attrs).len());
@@ -659,8 +665,8 @@ mod tests {
         }
         let delta = inst.delta_since(v1).unwrap();
         let store = inst.columnar();
-        let emptied =
-            DistinctSet::try_patched(&patched, &inst, &store, &delta).expect("no overflow");
+        let emptied = DistinctSet::try_patched(Arc::new(patched), &inst, &store, &delta)
+            .expect("no overflow");
         assert!(emptied.is_empty());
     }
 

@@ -106,23 +106,23 @@ pub(crate) fn widen_plan(prev_repr: &Repr, columns: &[Arc<Column>]) -> Option<Wi
 
 /// Carries `prev_keys`, packed by `prev`, over to `columns` — the same key
 /// attributes in a later snapshot whose dictionaries may have grown — along
-/// the [`widen_plan`]: kept as they are, re-packed under the widened
-/// radices, or transcoded into the shift packing.  Returns the carried keys
-/// with the codec that packs them, or `None` when no exact packing carries
-/// over (full rebuild).  Old ids stay valid in patched dictionaries, so
-/// every carried key still names the same value tuple.
+/// the [`widen_plan`]: kept as they are (moved, not copied), re-packed under
+/// the widened radices, or transcoded into the shift packing.  Returns the
+/// carried keys with the codec that packs them, or `None` when no exact
+/// packing carries over (full rebuild).  Old ids stay valid in patched
+/// dictionaries, so every carried key still names the same value tuple.
 pub(crate) fn rekey<V: Copy>(
     prev: &KeyCodec,
-    prev_keys: &KeyMap<V>,
+    prev_keys: KeyMap<V>,
     columns: Vec<Arc<Column>>,
 ) -> Option<(KeyMap<V>, KeyCodec)> {
     let plan = widen_plan(&prev.repr, &columns)?;
     let (keys, repr) = match (plan, &prev.repr, prev_keys) {
-        (WidenPlan::Keep, repr, keys) => (keys.clone(), repr.clone()),
+        (WidenPlan::Keep, repr, keys) => (keys, repr.clone()),
         (WidenPlan::Widen(widened), Repr::Radix(old), KeyMap::U64(m)) => {
             let repacked = m
-                .iter()
-                .map(|(&k, &v)| {
+                .into_iter()
+                .map(|(k, v)| {
                     let ids = KeyCodec::unpack_u64(old, k);
                     (KeyCodec::pack_u64_ids(&widened, &ids), v)
                 })
@@ -131,8 +131,8 @@ pub(crate) fn rekey<V: Copy>(
         }
         (WidenPlan::ToShift, Repr::Radix(old), KeyMap::U64(m)) => {
             let shifted = m
-                .iter()
-                .map(|(&k, &v)| (KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)), v))
+                .into_iter()
+                .map(|(k, v)| (KeyCodec::pack_u128_ids(&KeyCodec::unpack_u64(old, k)), v))
                 .collect();
             (KeyMap::U128(shifted), Repr::Shift)
         }
@@ -303,6 +303,41 @@ pub(crate) enum KeyMap<V> {
     Wide(FxHashMap<Box<[ValueId]>, V>),
 }
 
+impl<V> Default for KeyMap<V> {
+    fn default() -> Self {
+        KeyMap::U64(FxHashMap::default())
+    }
+}
+
+impl<V> KeyMap<V> {
+    /// Number of keys.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            KeyMap::U64(m) => m.len(),
+            KeyMap::U128(m) => m.len(),
+            KeyMap::Wide(m) => m.len(),
+        }
+    }
+}
+
+/// The parts a patch rewrites, taken out of the predecessor `prev` when the
+/// caller hands over the only reference (the pool removes a predecessor
+/// from its cache before upgrading it), and cloned from it otherwise —
+/// counted in `index.patch.shared`, since the clone is O(keys).
+pub(crate) fn take_or_clone<A, T>(
+    prev: &mut Arc<A>,
+    take: impl FnOnce(&mut A) -> T,
+    clone: impl FnOnce(&A) -> T,
+) -> T {
+    match Arc::get_mut(prev) {
+        Some(owned) => take(owned),
+        None => {
+            dq_obs::inc("index.patch.shared");
+            clone(prev)
+        }
+    }
+}
+
 /// A hash index over interned columns: packed keys, CSR group storage.
 ///
 /// Group postings are *row numbers* of the backing [`ColumnarStore`] (dense
@@ -315,10 +350,15 @@ pub struct InternedIndex {
     store: Arc<ColumnarStore>,
     codec: KeyCodec,
     map: KeyMap<u32>,
-    /// Group → start of its postings; `offsets.len() == groups + 1`.
+    /// Group → start of its postings; `offsets.len() == groups + 1`.  A
+    /// patch leaves the groups it vacates as empty runs (tombstones) whose
+    /// keys stay in `map`, so a returning key revives its group.
     offsets: Vec<u32>,
     /// Row numbers, grouped and ascending within each group.
     postings: Vec<u32>,
+    /// Non-empty groups: every group of a fresh build, the groups less the
+    /// tombstones of a patched one.
+    live_groups: usize,
 }
 
 impl InternedIndex {
@@ -370,6 +410,7 @@ impl InternedIndex {
             store: Arc::clone(store),
             codec,
             map,
+            live_groups: offsets.len() - 1,
             offsets,
             postings,
         }
@@ -381,21 +422,35 @@ impl InternedIndex {
     /// of its old CSR group and into the group of its new key, interning
     /// (hashing) at most one new key per move, each removed row leaves its
     /// group, and only the appended rows are keyed and hashed besides.
-    /// Rows whose changes touch only non-key attributes never move, and
-    /// groups no row left or joined are copied verbatim, so an append-only
-    /// gap (an empty delta) costs what re-keying the appended rows costs;
-    /// after a removal, the postings past the first removed row are
-    /// renumbered to the compacted rows.  Groups left empty are dropped and
-    /// the numbering compacted, so the group table holds exactly the groups
-    /// a fresh build finds.
+    /// Rows whose changes touch only non-key attributes never move.  The
+    /// layout visits only the groups rows left or joined: the runs between
+    /// them are copied as slices and their offsets shifted, so an
+    /// append-only gap (an empty delta) costs what re-keying the appended
+    /// rows costs; after a removal, the postings past the first removed row
+    /// are renumbered to the compacted rows.
+    ///
+    /// `prev` is handed over: when the caller holds its only reference, its
+    /// group map and offsets are moved into the patched index instead of
+    /// copied (the `index.patch.shared` counter records the patches that had
+    /// to clone them because the old index was still held elsewhere).
+    ///
+    /// A group left empty stays behind as a tombstone — an empty run whose
+    /// key keeps its group number, revived when the key returns — so a
+    /// vacated key costs no renumbering.  Once tombstones pass a fixed
+    /// fraction of the groups, the patch drops them and compacts the
+    /// numbering (counted in `index.patch.compactions`), which amortizes to
+    /// O(1) per vacated group.  Tombstones are invisible to every reader:
+    /// [`group_count`](Self::group_count), [`groups`](Self::groups) and
+    /// [`group_rows_iter`](Self::group_rows_iter) answer exactly as on a
+    /// fresh build.
     ///
     /// A mixed-radix `u64` codec whose per-column radices new dictionary
-    /// entries outgrew is *re-packed* rather than rebuilt ([`rekey`]): the
-    /// existing keys are transcoded under the widened radices (or, when the
-    /// widened product no longer fits 64 bits, into the radix-free shift
-    /// packing) — an O(distinct keys) transform.  Only a > 4-wide radix key
-    /// whose widened product overflows `u64` returns `None`, sending the
-    /// caller to a full rebuild.
+    /// entries outgrew is *re-packed* rather than rebuilt: the existing keys
+    /// are transcoded under the widened radices (or, when the widened
+    /// product no longer fits 64 bits, into the radix-free shift packing) —
+    /// an O(distinct keys) transform.  Only a > 4-wide radix key whose
+    /// widened product overflows `u64` returns `None`, sending the caller to
+    /// a full rebuild.
     ///
     /// `store` must be the current columnar snapshot of `instance`,
     /// descended from `prev`'s through [`RelationInstance::columnar`], and
@@ -404,7 +459,7 @@ impl InternedIndex {
     /// (dictionaries only append), so surviving rows keep their keys and
     /// unchanged groups are copied as they were.
     pub fn try_patched(
-        prev: &InternedIndex,
+        mut prev: Arc<InternedIndex>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
@@ -417,38 +472,55 @@ impl InternedIndex {
             .iter()
             .map(|&a| store.column(instance, a))
             .collect();
-        let (seed, codec) = rekey(&prev.codec, &prev.map, columns)?;
+        let (map, offsets) = take_or_clone(
+            &mut prev,
+            |owned| {
+                (
+                    std::mem::take(&mut owned.map),
+                    std::mem::take(&mut owned.offsets),
+                )
+            },
+            |shared| (shared.map.clone(), shared.offsets.clone()),
+        );
+        let (seed, codec) = rekey(&prev.codec, map, columns)?;
         let moves = RowMoves::new(&prev.attrs, &prev.store, delta);
         let n_rows = store.len();
-        let (map, offsets, postings) = match (seed, &codec.repr) {
+        let (map, csr) = match (seed, &codec.repr) {
             (KeyMap::U64(m), Repr::Radix(radices)) => {
-                let (map, offsets, postings) =
-                    patch_groups(m, prev, &moves, codec.columns(), n_rows, |columns, row| {
-                        KeyCodec::pack_u64_row(radices, columns, row)
-                    });
-                (KeyMap::U64(map), offsets, postings)
+                let (map, csr) = patch_groups(
+                    m,
+                    offsets,
+                    &prev,
+                    &moves,
+                    codec.columns(),
+                    n_rows,
+                    |columns, row| KeyCodec::pack_u64_row(radices, columns, row),
+                );
+                (KeyMap::U64(map), csr)
             }
             (KeyMap::U128(m), Repr::Shift) => {
-                let (map, offsets, postings) = patch_groups(
+                let (map, csr) = patch_groups(
                     m,
-                    prev,
+                    offsets,
+                    &prev,
                     &moves,
                     codec.columns(),
                     n_rows,
                     KeyCodec::pack_u128_row,
                 );
-                (KeyMap::U128(map), offsets, postings)
+                (KeyMap::U128(map), csr)
             }
             (KeyMap::Wide(m), Repr::Wide) => {
-                let (map, offsets, postings) = patch_groups(
+                let (map, csr) = patch_groups(
                     m,
-                    prev,
+                    offsets,
+                    &prev,
                     &moves,
                     codec.columns(),
                     n_rows,
                     KeyCodec::pack_wide_row,
                 );
-                (KeyMap::Wide(map), offsets, postings)
+                (KeyMap::Wide(map), csr)
             }
             _ => unreachable!("map variant always matches codec repr"),
         };
@@ -457,8 +529,9 @@ impl InternedIndex {
             store: Arc::clone(store),
             codec,
             map,
-            offsets,
-            postings,
+            offsets: csr.offsets,
+            postings: csr.postings,
+            live_groups: csr.live_groups,
         })
     }
 
@@ -479,7 +552,7 @@ impl InternedIndex {
 
     /// Number of distinct keys.
     pub fn group_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.live_groups
     }
 
     /// Is the index empty?
@@ -547,6 +620,8 @@ impl InternedIndex {
         &self,
         min_rows: usize,
     ) -> Box<dyn Iterator<Item = (Vec<ValueId>, &[u32])> + '_> {
+        // Tombstoned keys (empty groups) are never yielded.
+        let min_rows = min_rows.max(1);
         let width = self.attrs.len();
         match (&self.map, &self.codec.repr) {
             (KeyMap::U64(m), Repr::Radix(radices)) => {
@@ -577,9 +652,16 @@ impl InternedIndex {
     /// need the grouping — stripped partitions, `g3` tallies — skip the
     /// per-group key decode entirely.
     pub fn group_rows_iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.runs_with_min(1)
+    }
+
+    /// The row runs of the groups holding at least `min_rows` rows, in CSR
+    /// order; any `min_rows >= 1` skips the tombstones.
+    fn runs_with_min(&self, min_rows: usize) -> impl Iterator<Item = &[u32]> {
         self.offsets
             .windows(2)
             .map(|w| &self.postings[w[0] as usize..w[1] as usize])
+            .filter(move |rows| rows.len() >= min_rows)
     }
 
     /// Groups containing at least two rows — the only candidates for
@@ -593,7 +675,7 @@ impl InternedIndex {
     /// [`RowGroups::scan`](super::shard::RowGroups::scan), fed to the same
     /// grouping kernels.
     pub fn multi_group_rows(&self) -> impl Iterator<Item = &[u32]> {
-        self.group_rows_iter().filter(|rows| rows.len() >= 2)
+        self.runs_with_min(2)
     }
 
     /// Approximate heap bytes of the index itself (map + offsets +
@@ -719,51 +801,70 @@ fn build_groups<K: Eq + Hash + Clone + Send>(
     (map, offsets, postings)
 }
 
-/// Delta CSR patch of `prev`'s (possibly re-packed) group map `map` over a
-/// snapshot of `n_rows` rows whose key columns are `columns`: each moved
-/// row of `moves` has its old group looked up by its old key, packed from
-/// `prev`'s columns, and its new key joins or opens a group; each removed
-/// row leaves its old group; each row appended after `prev` is keyed like a
-/// moved row.  The postings are then laid out again group by group, in
-/// `prev`'s row numbering (appended rows numbered on from `prev`'s last
-/// row): runs of groups no row left or joined and no appended row reached
-/// are copied as one slice, the groups moves and removals touched merge
-/// their surviving and joining rows, and appended rows fill the slots
-/// reserved at the end of their groups.  When rows were removed, one pass
-/// then renumbers the postings past the first removed row to the
-/// compacted rows.  Groups left empty are dropped and the numbering
-/// compacted.  Rows ascend within every group, as in a fresh build.
+/// Once more than `1 / TOMBSTONE_FRACTION` of an index's groups are
+/// tombstones, a patch drops them and compacts the group numbering.  The
+/// O(groups) compaction then runs at most once per `groups /
+/// TOMBSTONE_FRACTION` vacated groups — O(`TOMBSTONE_FRACTION`) amortized
+/// per vacancy — while tombstones cost at most that fraction of extra map
+/// entries and offsets.
+const TOMBSTONE_FRACTION: usize = 8;
+
+/// The CSR layout a patch produces: offsets, postings, and the number of
+/// non-empty groups among them.
+struct PatchedCsr {
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
+    live_groups: usize,
+}
+
+/// The group of `key`, opening a new one when the key is unknown.  Every
+/// group — tombstones included — keeps exactly one key in the map, so the
+/// next group number is the map's length.
+fn group_of<K: Eq + Hash>(map: &mut FxHashMap<K, u32>, key: K) -> u32 {
+    let next = map.len() as u32;
+    *map.entry(key).or_insert(next)
+}
+
+/// Delta CSR patch of `prev`'s (possibly re-packed) group map `map` and
+/// offsets `offsets`, both handed over to be rewritten, over a snapshot of
+/// `n_rows` rows whose key columns are `columns`: each moved row of `moves`
+/// has its old group looked up by its old key, packed from `prev`'s
+/// columns, and its new key joins a group (a tombstone revives, an unknown
+/// key opens a group past the old ones); each removed row leaves its old
+/// group; each row appended after `prev` is keyed like a moved row.
+///
+/// The layout then visits only the touched groups — the sorted union of
+/// the leaving, joining and appended rows' groups — in `prev`'s row
+/// numbering (appended rows numbered on from `prev`'s last row): the runs
+/// of postings between touched groups are copied as slices, each touched
+/// group merges its surviving and joining rows and then takes its appended
+/// rows, and the offsets are shifted in place from the first touched group
+/// on by the size change accumulated so far.  When rows were removed, one
+/// pass then renumbers the postings past the first removed row to the
+/// compacted rows.  Groups left empty stay as tombstones until they pass
+/// `1 / TOMBSTONE_FRACTION` of the groups, when they are dropped and the
+/// numbering compacted.  Rows ascend within every group, as in a fresh
+/// build.
 fn patch_groups<K: Eq + Hash>(
     mut map: FxHashMap<K, u32>,
+    mut offsets: Vec<u32>,
     prev: &InternedIndex,
     moves: &RowMoves,
     columns: &[Arc<Column>],
     n_rows: usize,
     key_at: impl Fn(&[Arc<Column>], usize) -> K,
-) -> (FxHashMap<K, u32>, Vec<u32>, Vec<u32>) {
-    let old_groups = prev.offsets.len().saturating_sub(1);
-    // Final group sizes, and the appended rows among them.
-    let mut counts: Vec<u32> = prev.offsets.windows(2).map(|w| w[1] - w[0]).collect();
-    let mut added: Vec<u32> = vec![0; old_groups];
-    let mut group_of = |map: &mut FxHashMap<K, u32>, key: K| -> usize {
-        let next = counts.len() as u32;
-        let group = *map.entry(key).or_insert(next);
-        if group == next {
-            counts.push(0);
-            added.push(0);
-        }
-        group as usize
-    };
-    // (group, row) pairs of the rows leaving and joining each group, in
-    // `prev`'s numbering.
+) -> (FxHashMap<K, u32>, PatchedCsr) {
+    debug_assert_eq!(map.len() + 1, offsets.len(), "one key per group");
+    // (group, row) pairs of the rows leaving, joining and appended to each
+    // group, in `prev`'s numbering.
     let mut leaving: Vec<(u32, u32)> = Vec::new();
     let mut joining: Vec<(u32, u32)> = Vec::new();
     for &row in &moves.moved {
-        let from = map[&key_at(prev.codec.columns(), row)] as usize;
+        let from = map[&key_at(prev.codec.columns(), row)];
         let to = group_of(&mut map, key_at(columns, moves.renumber(row)));
         if from != to {
-            leaving.push((from as u32, row as u32));
-            joining.push((to as u32, row as u32));
+            leaving.push((from, row as u32));
+            joining.push((to, row as u32));
         }
     }
     for &row in &moves.removed {
@@ -771,93 +872,120 @@ fn patch_groups<K: Eq + Hash>(
         leaving.push((from, row as u32));
     }
     let old_rows = prev.store.len();
-    let new_rows = old_rows - moves.removed.len()..n_rows;
-    let appended: Vec<usize> = new_rows
-        .clone()
-        .map(|row| group_of(&mut map, key_at(columns, row)))
+    let removed = moves.removed.len();
+    let mut appended: Vec<(u32, u32)> = (old_rows - removed..n_rows)
+        .map(|row| {
+            let group = group_of(&mut map, key_at(columns, row));
+            (group, (row + removed) as u32)
+        })
         .collect();
-    for &(g, _) in &leaving {
-        counts[g as usize] -= 1;
-    }
-    for &(g, _) in &joining {
-        counts[g as usize] += 1;
-    }
-    for &g in &appended {
-        counts[g] += 1;
-        added[g] += 1;
-    }
     leaving.sort_unstable();
     joining.sort_unstable();
-    // Compact away emptied groups: vacated keys leave the map.  Only a
-    // group a row left can have emptied.
-    if leaving.iter().any(|&(g, _)| counts[g as usize] == 0) {
-        let mut remap: Vec<u32> = vec![u32::MAX; counts.len()];
-        let mut kept = 0u32;
-        for (g, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                remap[g] = kept;
-                kept += 1;
+    appended.sort_unstable();
+
+    let n_old = prev.postings.len();
+    // Opened groups start out as empty runs past the old ones.
+    offsets.resize(map.len() + 1, n_old as u32);
+    let mut postings: Vec<u32> =
+        Vec::with_capacity(n_old - leaving.len() + joining.len() + appended.len());
+    let mut live_groups = prev.live_groups;
+    // `prev.postings[run..]` is the verbatim run not yet copied;
+    // `offsets[shifted..]` still hold `prev`'s positions, which the size
+    // change `delta` (mod 2^32) of the groups laid out so far moves.
+    let (mut run, mut shifted, mut delta) = (0usize, 0usize, 0u32);
+    let (mut l, mut j, mut a) = (0usize, 0usize, 0usize);
+    let head = |pairs: &[(u32, u32)], at: usize| pairs.get(at).map_or(u32::MAX, |p| p.0);
+    loop {
+        let g = head(&leaving, l)
+            .min(head(&joining, j))
+            .min(head(&appended, a));
+        if g == u32::MAX {
+            break;
+        }
+        let end_of = |pairs: &[(u32, u32)], at: usize| {
+            at + pairs[at..].iter().take_while(|p| p.0 == g).count()
+        };
+        let (l_end, j_end, a_end) = (
+            end_of(&leaving, l),
+            end_of(&joining, j),
+            end_of(&appended, a),
+        );
+        let g = g as usize;
+        let (start, end) = (offsets[g] as usize, offsets[g + 1] as usize);
+        if delta != 0 {
+            for offset in &mut offsets[shifted..=g] {
+                *offset = offset.wrapping_add(delta);
             }
         }
-        map.retain(|_, g| {
-            *g = remap[*g as usize];
-            *g != u32::MAX
-        });
-    }
-    let mut offsets = Vec::with_capacity(counts.len() + 1);
-    offsets.push(0u32);
-    let mut acc = 0u32;
-    for &count in counts.iter().filter(|&&c| c > 0) {
-        acc += count;
-        offsets.push(acc);
-    }
-    let mut postings: Vec<u32> = Vec::with_capacity(acc as usize);
-    let n_old = prev.postings.len();
-    // `prev.postings[run..]` is the verbatim run not yet copied.
-    let mut run = 0usize;
-    let (mut l, mut j) = (0usize, 0usize);
-    for (g, slot) in added.iter_mut().enumerate() {
-        let l_end = l + leaving[l..].iter().take_while(|p| p.0 == g as u32).count();
-        let j_end = j + joining[j..].iter().take_while(|p| p.0 == g as u32).count();
-        let moves = l != l_end || j != j_end;
-        if !moves && *slot == 0 {
-            continue;
-        }
-        let (start, end) = match g < old_groups {
-            true => (prev.offsets[g] as usize, prev.offsets[g + 1] as usize),
-            false => (n_old, n_old),
-        };
-        if moves {
-            postings.extend_from_slice(&prev.postings[run..start]);
-            merge_moves(
-                &prev.postings[start..end],
-                &leaving[l..l_end],
-                &joining[j..j_end],
-                &mut postings,
-            );
-        } else {
-            // Only grew: the group's old rows close the verbatim run.
-            postings.extend_from_slice(&prev.postings[run..end]);
-        }
+        shifted = g + 1;
+        postings.extend_from_slice(&prev.postings[run..start]);
+        debug_assert_eq!(postings.len(), offsets[g] as usize);
+        merge_moves(
+            &prev.postings[start..end],
+            &leaving[l..l_end],
+            &joining[j..j_end],
+            &mut postings,
+        );
+        postings.extend(appended[a..a_end].iter().map(|&(_, row)| row));
         run = end;
-        (l, j) = (l_end, j_end);
-        // From here on `slot` holds the group's next appended slot.
-        let cursor = postings.len();
-        postings.resize(cursor + *slot as usize, 0);
-        *slot = cursor as u32;
+        let (before, after) = (end - start, postings.len() - offsets[g] as usize);
+        match (before, after) {
+            (0, 1..) => live_groups += 1,
+            (1.., 0) => live_groups -= 1,
+            _ => {}
+        }
+        delta = delta.wrapping_add(after as u32).wrapping_sub(before as u32);
+        (l, j, a) = (l_end, j_end, a_end);
+    }
+    if delta != 0 {
+        for offset in &mut offsets[shifted..] {
+            *offset = offset.wrapping_add(delta);
+        }
     }
     postings.extend_from_slice(&prev.postings[run..]);
-    for (row, g) in new_rows.zip(appended) {
-        postings[added[g] as usize] = (row + moves.removed.len()) as u32;
-        added[g] += 1;
-    }
+    debug_assert_eq!(Some(&(postings.len() as u32)), offsets.last());
     if let Some(&first) = moves.removed.first() {
         for row in postings.iter_mut().filter(|r| **r as usize > first) {
             *row = moves.renumber(*row as usize) as u32;
         }
     }
+    let tombstones = map.len() - live_groups;
+    if tombstones > map.len() / TOMBSTONE_FRACTION {
+        compact_groups(&mut map, &mut offsets);
+    }
+    let csr = PatchedCsr {
+        offsets,
+        postings,
+        live_groups,
+    };
+    (map, csr)
+}
+
+/// Drops the tombstones (empty groups) of a CSR layout: their keys leave
+/// `map`, the live groups are renumbered in order and `offsets` is
+/// rewritten in place.  The postings are unaffected.
+fn compact_groups<K: Eq + Hash>(map: &mut FxHashMap<K, u32>, offsets: &mut Vec<u32>) {
+    dq_obs::inc("index.patch.compactions");
+    let groups = offsets.len() - 1;
+    let mut remap: Vec<u32> = vec![u32::MAX; groups];
+    let mut kept = 0usize;
+    let mut start = offsets[0];
+    for (g, slot) in remap.iter_mut().enumerate() {
+        // `kept <= g`, so this only overwrites offsets already read.
+        let end = offsets[g + 1];
+        if end > start {
+            *slot = kept as u32;
+            kept += 1;
+            offsets[kept] = end;
+        }
+        start = end;
+    }
+    offsets.truncate(kept + 1);
+    map.retain(|_, g| {
+        *g = remap[*g as usize];
+        *g != u32::MAX
+    });
     map.shrink_to_fit();
-    (map, offsets, postings)
 }
 
 /// Writes the rows of `old` except those `leaving` it, merged with the rows
@@ -1049,7 +1177,7 @@ mod tests {
             .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
+        let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("no new dictionary entries on the key columns");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1069,7 +1197,7 @@ mod tests {
         inst.insert_values([Value::int(1), Value::str("unseen"), Value::int(999)])
             .unwrap();
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
+        let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1101,7 +1229,7 @@ mod tests {
                 .unwrap();
         }
         let store = inst.columnar();
-        let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
+        let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("width <= 4 always has an exact packing");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1, 2, 3], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
@@ -1130,8 +1258,9 @@ mod tests {
         }
         let store = inst.columnar();
         for (prev, attrs) in [(prev_shift, shift_attrs), (prev_wide, wide_attrs)] {
-            let extended = InternedIndex::try_patched(&prev, &inst, &store, &Delta::default())
-                .expect("radix-free packing extends");
+            let extended =
+                InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
+                    .expect("radix-free packing extends");
             let fresh = InternedIndex::build(&inst, &store, &attrs, 1);
             assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
         }
@@ -1156,7 +1285,7 @@ mod tests {
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
+        let patched = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &delta)
             .expect("key dictionaries did not overflow");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
@@ -1182,7 +1311,7 @@ mod tests {
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
-        let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
+        let patched = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &delta)
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[1], 1);
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
@@ -1215,7 +1344,7 @@ mod tests {
             }
             let delta = inst.delta_since(v0).unwrap();
             let store = inst.columnar();
-            let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
+            let patched = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &delta)
                 .expect("key dictionaries did not overflow");
             let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
             assert_eq!(
@@ -1260,11 +1389,83 @@ mod tests {
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
         for (prev, attrs) in [(prev_shift, shift_attrs), (prev_wide, wide_attrs)] {
-            let patched = InternedIndex::try_patched(&prev, &inst, &store, &delta)
+            let patched = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &delta)
                 .expect("radix-free packings patch");
             let fresh = InternedIndex::build(&inst, &store, &attrs, 1);
             assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
         }
+    }
+
+    /// Sorted tuple-id lists of every group, as `group_rows_iter` yields
+    /// them.
+    fn canonical_runs(idx: &InternedIndex) -> Vec<Vec<TupleId>> {
+        let mut runs: Vec<Vec<TupleId>> = idx
+            .group_rows_iter()
+            .map(|rows| rows.iter().map(|&r| idx.tuple_id(r)).collect())
+            .collect();
+        runs.sort();
+        runs
+    }
+
+    fn assert_answers_like_fresh_build(
+        idx: &InternedIndex,
+        inst: &RelationInstance,
+        attrs: &[usize],
+    ) {
+        let fresh = InternedIndex::build(inst, &inst.columnar(), attrs, 1);
+        assert_eq!(canonical_interned(idx), canonical_interned(&fresh));
+        assert_eq!(canonical_runs(idx), canonical_runs(&fresh));
+        assert_eq!(idx.group_count(), fresh.group_count());
+        assert_eq!(idx.is_empty(), fresh.is_empty());
+        assert_eq!(idx.groups().count(), fresh.group_count());
+        assert_eq!(
+            idx.multi_group_rows().count(),
+            fresh.multi_group_rows().count()
+        );
+    }
+
+    #[test]
+    fn vacated_groups_stay_as_tombstones_until_compaction_and_revive() {
+        use crate::instance::CellRef;
+        // Keyed on the unique attribute C: 40 singleton groups.
+        let mut inst = instance(40);
+        let attrs = [2usize];
+        let mut idx = InternedIndex::build(&inst, &inst.columnar(), &attrs, 1);
+        let patch = |inst: &mut RelationInstance, idx: InternedIndex, edits: &[(usize, i64)]| {
+            let v0 = inst.version();
+            for &(tuple, value) in edits {
+                inst.update_cell(CellRef::new(TupleId(tuple), 2), Value::int(value))
+                    .unwrap();
+            }
+            let delta = inst.delta_since(v0).unwrap();
+            let store = inst.columnar();
+            InternedIndex::try_patched(Arc::new(idx), inst, &store, &delta)
+                .expect("no dictionary overflow")
+        };
+        // Two rows join their neighbours' groups: two tombstones, below the
+        // compaction fraction, so the numbering is kept.
+        idx = patch(&mut inst, idx, &[(0, 1), (2, 3)]);
+        assert_answers_like_fresh_build(&idx, &inst, &attrs);
+        assert_eq!((idx.offsets.len() - 1, idx.live_groups), (40, 38));
+        assert!(idx.rows_for_values(&[Value::int(0)]).is_empty());
+        // A returning key revives its tombstone instead of opening a group.
+        idx = patch(&mut inst, idx, &[(0, 0)]);
+        assert_answers_like_fresh_build(&idx, &inst, &attrs);
+        assert_eq!((idx.offsets.len() - 1, idx.live_groups), (40, 39));
+        assert_eq!(idx.rows_for_values(&[Value::int(0)]).len(), 1);
+        // Five more vacancies pass 1/TOMBSTONE_FRACTION of the groups: the
+        // patch compacts, leaving exactly the live groups.
+        let edits: Vec<(usize, i64)> = (10..15).map(|t| (t, 30)).collect();
+        idx = patch(&mut inst, idx, &edits);
+        const { assert!(2 <= 40 / TOMBSTONE_FRACTION && 6 > 40 / TOMBSTONE_FRACTION) };
+        assert_answers_like_fresh_build(&idx, &inst, &attrs);
+        assert_eq!((idx.offsets.len() - 1, idx.live_groups), (34, 34));
+        assert_eq!(idx.map.len(), 34);
+        // Compacted keys are gone from the map; a returning one opens a
+        // new group again.
+        idx = patch(&mut inst, idx, &[(12, 12)]);
+        assert_answers_like_fresh_build(&idx, &inst, &attrs);
+        assert_eq!((idx.offsets.len() - 1, idx.live_groups), (35, 35));
     }
 
     #[test]

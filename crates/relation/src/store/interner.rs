@@ -68,7 +68,7 @@ const FOLD_FRACTION: usize = 32;
 /// dictionaries and interns the new cells) costs `O(new values)`, not
 /// `O(distinct values)`.  Behind a non-empty prefix the tail folds into a
 /// new prefix once it reaches a size proportional to the prefix (see
-/// [`FOLD_FRACTION`]).  Ids are positions in the concatenation, so sealing
+/// `FOLD_FRACTION`).  Ids are positions in the concatenation, so sealing
 /// and folding never change an id.
 ///
 /// A dictionary re-hydrated from a persisted relation (see

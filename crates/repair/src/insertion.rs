@@ -1,6 +1,6 @@
 //! Insertion-based repair of CIND violations (the S-repair side).
 //!
-//! The S-repair model of [7] (Section 5.1) assumes the database is "neither
+//! The S-repair model of \[7\] (Section 5.1) assumes the database is "neither
 //! consistent nor complete" and allows tuple insertions as well as deletions.
 //! Deletions never help against inclusion dependencies defined *into* a
 //! relation other than the one being edited; the natural fix for a dangling

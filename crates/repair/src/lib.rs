@@ -12,7 +12,7 @@
 //!   oracle used by consistent query answering);
 //! * [`quality`] — precision/recall of repairs against injected errors;
 //! * [`numeric`] — minimal-shift repair of numerical attributes under
-//!   single-tuple denial constraints (the model of [13]);
+//!   single-tuple denial constraints (the model of \[13\]);
 //! * [`insertion`] — S-repair-style insertion chase for CIND violations
 //!   (dangling tuples get their required counterparts);
 //! * [`reference`](mod@reference) — the row-at-a-time U-repair loop, kept

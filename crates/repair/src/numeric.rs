@@ -1,6 +1,6 @@
 //! Repairing numerical attributes under denial constraints.
 //!
-//! Section 5.1 cites [13] ("complexity and approximation of fixing numerical
+//! Section 5.1 cites \[13\] ("complexity and approximation of fixing numerical
 //! attributes in databases under integrity constraints") for a repair model
 //! in which the *distance moved* by numeric values, not the number of changed
 //! cells, is what the repair minimises.  This module implements the

@@ -1,6 +1,6 @@
 //! Heuristic U-repair for (C)FDs by value modification (Section 5.1).
 //!
-//! Follows the equivalence-class approach of [16]/[28]: constant (single-
+//! Follows the equivalence-class approach of \[16\]/\[28\]: constant (single-
 //! tuple) violations are resolved by writing the pattern constant into the
 //! offending cell, and variable (pair) violations are resolved by merging the
 //! RHS cells of tuples that agree on the LHS into an equivalence class and

@@ -1,5 +1,5 @@
 //! Nuclei: a single tableau representing all U-repairs (Section 5.3, after
-//! [68]).
+//! \[68\]).
 //!
 //! For equality-generating dependencies — here the FD/key case, where a
 //! repair must make all tuples agreeing on the LHS also agree on the RHS —

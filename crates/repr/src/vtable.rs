@@ -3,7 +3,7 @@
 //! Condensed representations of repairs are built from tableaux whose cells
 //! may hold *variables* (labelled nulls) instead of constants — the classic
 //! device of the incomplete-information literature ([46, 50]) that the
-//! nucleus of [68] reuses.  A v-table represents the set of instances
+//! nucleus of \[68\] reuses.  A v-table represents the set of instances
 //! obtained by substituting constants for variables (its *possible worlds*);
 //! homomorphisms between v-tables are the comparison tool ("the nucleus is
 //! homomorphic to every repair").
@@ -223,7 +223,7 @@ impl VTable {
         search(&self.tuples, 0, target, &mut assignment)
     }
 
-    /// Subsumption of tableaux (used to capture U-repair minimality in [68]):
+    /// Subsumption of tableaux (used to capture U-repair minimality in \[68\]):
     /// `self` subsumes `other` when there is a homomorphism from `self` into
     /// every instance `other` can denote — approximated here by a
     /// variable-respecting embedding of `self`'s tuples into `other`'s.

@@ -7,7 +7,7 @@
 //! lists the candidate tuples for one key value, a world picks one candidate
 //! per component, and the number of worlds is the product of the component
 //! sizes — exponentially more succinct than enumerating the repairs (the
-//! expressiveness result of [5] that Section 5.3 cites).  The caveat the
+//! expressiveness result of \[5\] that Section 5.3 cites).  The caveat the
 //! paper raises — components must be independent, which INDs break — is
 //! surfaced by [`WorldSetDecomposition::is_product_faithful`].
 

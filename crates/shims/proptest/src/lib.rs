@@ -121,7 +121,7 @@ pub mod strategy {
             Map { inner: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -312,7 +312,7 @@ pub mod strategy {
     }
 }
 
-/// `any::<T>()` and the [`Arbitrary`] trait behind it.
+/// `any::<T>()` and the [`Arbitrary`](arbitrary::Arbitrary) trait behind it.
 pub mod arbitrary {
     use crate::strategy::{BoolStrategy, Strategy};
 

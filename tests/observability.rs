@@ -223,6 +223,66 @@ fn grouped_detection_counts_without_materializing() {
     assert_eq!(snap.spans["report.materialize"].count, 1);
 }
 
+/// A pool upgrade takes its predecessor out of the cache and hands it to the
+/// patch: the live `pool.entries` gauge keeps agreeing with the polled
+/// entry count, a predecessor nobody else holds is taken over without a
+/// copy (no `index.patch.shared`), and one still held is cloned and
+/// counted.
+#[test]
+fn pool_patches_hand_over_sole_predecessors_and_keep_the_entries_gauge() {
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let mut inst = generate_customers(&CustomerConfig {
+        tuples: 200,
+        error_rate: 0.05,
+        seed: 3,
+        cities_per_country: 3,
+    })
+    .dirty;
+    let pool = IndexPool::new();
+    let attr_sets: [&[usize]; 2] = [&[0], &[0, 1]];
+    let request = |inst: &RelationInstance| {
+        for attrs in attr_sets {
+            pool.interned_for(inst, attrs, 1);
+            pool.distinct_for(inst, attrs, 1);
+        }
+    };
+    let edit = |inst: &mut RelationInstance, area_code: i64| {
+        let first = inst.ids()[0];
+        inst.update_cell(CellRef::new(first, 1), Value::int(area_code))
+            .expect("valid cell");
+    };
+    request(&inst);
+    edit(&mut inst, 9001);
+    request(&inst);
+    let snap = dq_obs::recorder().snapshot();
+    let counter =
+        |snap: &dq_obs::MetricsSnapshot, name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter(&snap, "pool.patches"), 4, "every artifact patched");
+    assert_eq!(
+        snap.gauges.get("pool.entries").copied(),
+        Some(pool.stats().entries as i64)
+    );
+    assert_eq!(
+        counter(&snap, "index.patch.shared"),
+        0,
+        "sole-owner patches copy nothing"
+    );
+    // Holding the current index across the next write forces a clone.
+    let held = pool.interned_for(&inst, &[0, 1], 1);
+    let groups = held.group_count();
+    edit(&mut inst, 9002);
+    request(&inst);
+    let snap = dq_obs::recorder().snapshot();
+    assert_eq!(counter(&snap, "pool.patches"), 8);
+    assert_eq!(counter(&snap, "index.patch.shared"), 1);
+    assert_eq!(
+        snap.gauges.get("pool.entries").copied(),
+        Some(pool.stats().entries as i64)
+    );
+    assert_eq!(held.group_count(), groups, "the held index is untouched");
+}
+
 /// The minimal cover counts the candidates whose closure verdict had to go
 /// to the DPLL — none over the customer schema, which has no finite
 /// domain — and the lint pass counts its implied-rule findings.
