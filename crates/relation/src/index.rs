@@ -207,10 +207,10 @@ impl IndexPool {
     /// it over the instance's current snapshot with the delta since its
     /// version, falling back to `build`.  Holding the only reference lets
     /// the upgrade move the predecessor's maps into the new artifact
-    /// instead of copying them.  A successful
-    /// upgrade counts in [`IndexPoolStats::appends`] when the delta is empty
-    /// (only appended rows to key) and in [`IndexPoolStats::patches`]
-    /// otherwise — a gap with a removal is always a patch.  The insert keeps stale
+    /// instead of copying them.  A successful upgrade counts in
+    /// [`IndexPoolStats::appends`] when the delta is empty (only appended
+    /// rows to key) and in [`IndexPoolStats::patches`] otherwise — a gap
+    /// with a removal is always a patch.  The insert keeps stale
     /// entries on *other* attribute lists alive while they stay upgradable,
     /// so one mutation round can upgrade every cached artifact, not just the
     /// first one re-requested; each attribute list's own insert still drops

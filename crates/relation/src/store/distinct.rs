@@ -95,15 +95,14 @@ impl DistinctSet {
     /// `prev` when the caller hands over its only reference, cloned and
     /// counted in `index.patch.shared` when the old set is still held
     /// elsewhere, and re-packed when a key column's dictionary outgrew its
-    /// radix), the new
-    /// key of every changed row (at most one per change) and of every
-    /// appended row is counted in, and the old key of every changed or
-    /// removed row — packed from `prev`'s columns — is counted out, leaving
-    /// the set when its count reaches zero.  Changes touching only non-key
-    /// attributes cost nothing, and an append-only gap (an empty delta)
-    /// only counts in the appended rows' keys.  Returns `None` only when no
-    /// exact packing carries over (> 4-wide radix keys whose widened
-    /// product overflows `u64`): full rebuild.
+    /// radix), the new key of every changed row (at most one per change)
+    /// and of every appended row is counted in, and the old key of every
+    /// changed or removed row — packed from `prev`'s columns — is counted
+    /// out, leaving the set when its count reaches zero.  Changes touching
+    /// only non-key attributes cost nothing, and an append-only gap (an
+    /// empty delta) only counts in the appended rows' keys.  Returns `None`
+    /// only when no exact packing carries over (> 4-wide radix keys whose
+    /// widened product overflows `u64`): full rebuild.
     ///
     /// `store` must be the current snapshot *descended from `prev`'s* —
     /// the memoized [`RelationInstance::columnar`] chain guarantees this
