@@ -881,9 +881,18 @@ const DELTA_REMOVE_EVERY: usize = 3;
 ///
 /// Both paths' reports are asserted identical after every round, and every
 /// pool miss after round 0 is asserted to be an upgrade (`misses ==
-/// patches + appends`).
+/// patches + appends`).  With the recorder on (always in `--smoke`, and
+/// under `--profile`), the rounds after round 0 must also have patched
+/// violating groups from their previous RHS classes
+/// (`maintain.cfd.groups_patched > 0`), so a fall-back to classifying
+/// every touched group in full fails loudly.
 fn delta_bench(smoke: bool, profile: bool) {
     header("Delta bench — patch-maintained violations vs. full re-detection");
+    // A smoke run writes no timings, so it always records: its
+    // `maintain.cfd.groups_patched` check below needs the counters.
+    if smoke {
+        dq_obs::set_enabled(true);
+    }
     let sizes: &[usize] = if smoke {
         &[2_000]
     } else {
@@ -916,6 +925,8 @@ fn delta_bench(smoke: bool, profile: bool) {
         let mut maintained = engine.maintain_cfd_violations(&patch_instance, &cfds, None);
         assert_eq!(&baseline, maintained.report());
         let built = engine.pool_stats();
+        let groups_patched = dq_obs::recorder().counter("maintain.cfd.groups_patched");
+        let patched_before = groups_patched.value();
 
         // A fixed LCG drives the stream so runs are exactly reproducible.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -995,6 +1006,13 @@ fn delta_bench(smoke: bool, profile: bool) {
             stats.patches > 0,
             "the mixed stream must be served by index patches"
         );
+        if dq_obs::enabled() {
+            assert!(
+                groups_patched.value() > patched_before,
+                "maintenance rounds must patch violating groups from their classes, \
+                 not classify them in full"
+            );
+        }
         let speedup = rebuild_ms / patch_ms;
         let violations = baseline.total();
         println!(

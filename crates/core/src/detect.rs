@@ -125,21 +125,65 @@ impl CfdViolationGroups {
         self.pairs += self.pairs_of(self.group_count() - 1);
     }
 
-    /// Appends group `g` of `other` unchanged.
-    pub(crate) fn push_group_of(&mut self, other: &CfdViolationGroups, g: usize) {
-        self.patterns.extend_from_slice(other.patterns_of(g));
+    /// Appends a group matching `patterns` whose `classes` are each
+    /// ascending, at least two of them, ordered by their smallest id.
+    pub(crate) fn push_classes<'a>(
+        &mut self,
+        patterns: &[u32],
+        classes: impl IntoIterator<Item = &'a [TupleId]>,
+    ) {
+        self.patterns.extend_from_slice(patterns);
         self.pattern_offsets.push(self.patterns.len() as u32);
-        let base = self.ids.len() as u32;
-        let classes = other.class_range(g);
-        let from = other.class_offsets[classes.start];
-        self.ids.extend_from_slice(other.members(g));
-        self.class_offsets.extend(
-            other.class_offsets[classes.start + 1..=classes.end]
-                .iter()
-                .map(|&end| end - from + base),
-        );
+        for class in classes {
+            debug_assert!(class.windows(2).all(|w| w[0] < w[1]));
+            self.ids.extend_from_slice(class);
+            self.class_offsets.push(self.ids.len() as u32);
+        }
         self.group_offsets.push(self.class_offsets.len() as u32 - 1);
-        self.pairs += other.pairs_of(g);
+        let g = self.group_count() - 1;
+        debug_assert!(self.class_range(g).len() >= 2 && !patterns.is_empty());
+        debug_assert!(self.classes_of(g).all(|c| !c.is_empty()));
+        debug_assert!(self.classes_of(g).map(|c| c[0]).is_sorted());
+        self.pairs += self.pairs_of(g);
+    }
+
+    /// Appends the groups `groups` of `other` unchanged: one `extend` per
+    /// array, with the copied offsets rebased.  Leaves `pairs` to the
+    /// caller, which knows the copied groups' share without walking them.
+    fn push_groups_of(&mut self, other: &CfdViolationGroups, groups: Range<usize>) {
+        if groups.is_empty() {
+            return;
+        }
+        let rebase = |to: &mut Vec<u32>, from: &[u32], base: u32| {
+            let first = from[0];
+            to.extend(from[1..].iter().map(|&end| end - first + base));
+        };
+        let patterns = other.pattern_offsets[groups.start] as usize
+            ..other.pattern_offsets[groups.end] as usize;
+        let base = self.patterns.len() as u32;
+        self.patterns.extend_from_slice(&other.patterns[patterns]);
+        rebase(
+            &mut self.pattern_offsets,
+            &other.pattern_offsets[groups.start..=groups.end],
+            base,
+        );
+        let classes =
+            other.group_offsets[groups.start] as usize..other.group_offsets[groups.end] as usize;
+        let base = self.class_offsets.len() as u32 - 1;
+        rebase(
+            &mut self.group_offsets,
+            &other.group_offsets[groups.start..=groups.end],
+            base,
+        );
+        let ids =
+            other.class_offsets[classes.start] as usize..other.class_offsets[classes.end] as usize;
+        let base = self.ids.len() as u32;
+        self.ids.extend_from_slice(&other.ids[ids]);
+        rebase(
+            &mut self.class_offsets,
+            &other.class_offsets[classes.start..=classes.end],
+            base,
+        );
     }
 
     /// The groups reordered by smallest member id — the canonical order.
@@ -152,9 +196,55 @@ impl CfdViolationGroups {
         let mut out = CfdViolationGroups::with_singles(Vec::new());
         out.ids.reserve_exact(self.ids.len());
         for g in order {
-            out.push_group_of(&self, g);
+            out.push_groups_of(&self, g..g + 1);
         }
+        out.pairs = self.pairs;
         out.singles = self.singles;
+        out
+    }
+
+    /// `prev` with its groups `replaced` (ascending indexes) taken out and
+    /// the groups of `fresh` (canonical, disjoint from the groups kept)
+    /// merged in, with `fresh`'s single-tuple violations.  The kept groups
+    /// between two insertion points are copied as one run
+    /// ([`push_groups_of`](Self::push_groups_of)), each insertion point is a
+    /// binary search, and the pair count is `prev`'s less the replaced
+    /// groups' plus `fresh`'s — so the cost is a copy of the report, not a
+    /// walk over its groups.
+    pub(crate) fn merged(prev: &CfdViolationGroups, replaced: &[usize], fresh: Self) -> Self {
+        debug_assert!(replaced.windows(2).all(|w| w[0] < w[1]));
+        let dropped: usize = replaced.iter().map(|&g| prev.pairs_of(g)).sum();
+        let mut out = CfdViolationGroups::with_singles(Vec::new());
+        out.ids.reserve_exact(prev.ids.len() + fresh.ids.len());
+        let mut replaced = replaced.iter().copied().peekable();
+        let mut next = 0;
+        // Copies the kept groups of `prev` below `end`.
+        let mut copy_kept = |out: &mut Self, end: usize| {
+            while next < end {
+                let stop = replaced.peek().map_or(end, |&r| r.min(end));
+                out.push_groups_of(prev, next..stop);
+                next = stop;
+                if replaced.next_if_eq(&next).is_some() {
+                    next += 1;
+                }
+            }
+        };
+        let mut n = 0;
+        while n < fresh.group_count() {
+            let at = prev.groups_below(fresh.min_id(n));
+            copy_kept(&mut out, at);
+            let run = n
+                + 1
+                + (n + 1..fresh.group_count())
+                    .take_while(|&m| prev.groups_below(fresh.min_id(m)) == at)
+                    .count();
+            out.push_groups_of(&fresh, n..run);
+            n = run;
+        }
+        copy_kept(&mut out, prev.group_count());
+        out.pairs = prev.pairs - dropped + fresh.pairs;
+        out.singles = fresh.singles;
+        debug_assert!((1..out.group_count()).all(|g| out.min_id(g - 1) < out.min_id(g)));
         out
     }
 
@@ -179,7 +269,7 @@ impl CfdViolationGroups {
 
     /// The RHS classes of group `g`, each an ascending run of tuple ids,
     /// ordered by smallest id.
-    pub fn classes_of(&self, g: usize) -> impl Iterator<Item = &[TupleId]> {
+    pub fn classes_of(&self, g: usize) -> impl ExactSizeIterator<Item = &[TupleId]> {
         self.class_range(g)
             .map(|c| &self.ids[self.class_offsets[c] as usize..self.class_offsets[c + 1] as usize])
     }
@@ -191,14 +281,30 @@ impl CfdViolationGroups {
             [self.class_offsets[classes.start] as usize..self.class_offsets[classes.end] as usize]
     }
 
-    /// Every member of every group, group by group.
-    pub(crate) fn all_members(&self) -> &[TupleId] {
-        &self.ids
-    }
-
     /// The smallest member id of group `g`.
     pub(crate) fn min_id(&self, g: usize) -> TupleId {
         self.members(g)[0]
+    }
+
+    /// The number of groups whose smallest member is below `id` — a binary
+    /// search, the groups being in canonical order.
+    fn groups_below(&self, id: TupleId) -> usize {
+        let (mut lo, mut hi) = (0, self.group_count());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.min_id(mid) < id {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The group whose smallest member is `id`, if any.
+    pub(crate) fn group_with_min(&self, id: TupleId) -> Option<usize> {
+        let g = self.groups_below(id);
+        (g < self.group_count() && self.min_id(g) == id).then_some(g)
     }
 
     /// Tuple-pair violations group `g` stands for.

@@ -34,11 +34,11 @@
 //! group its patterns and RHS classes, with totals computed arithmetically
 //! and pair lists built only when a consumer asks for them.
 //! [`DetectionEngine::maintain_cfd_violations`] keeps such a report
-//! current group by group: a round re-derives only the groups an affected
-//! tuple left or joined, off the patched pooled index, and carries every
-//! other group over verbatim, so it never enumerates a pair.  Incremental
-//! detection re-derives the groups the added tuples fall in the same way
-//! and reads their pairs off those groups.
+//! current group by group: a round patches only the groups an affected
+//! tuple left or joined, from their previous RHS classes, and copies every
+//! other group over in bulk, so it never enumerates a pair.  Incremental
+//! detection classifies the groups the added tuples fall in off the pooled
+//! index and reads their pairs off those groups.
 //!
 //! INDs and CINDs share one inclusion kernel ([`Cind`]'s): an IND runs as
 //! the CIND with empty `Xp`/`Yp`, and both entry points warm the same
@@ -413,12 +413,17 @@ impl DetectionEngine {
     /// cover ([`RelationInstance::delta_covers`]) — this is full detection.
     /// Otherwise only the *delta* is re-checked: tuples with an edited
     /// LHS/RHS cell, appended or removed since `prev`, plus the LHS groups
-    /// those tuples left or joined, which are re-derived off the patched
-    /// pooled index; every other dependency's groups, and every untouched
-    /// group, carry over verbatim (see `stream::cfd_violations_patched`).
-    /// No violating pair is enumerated, so combined with the pool's patch
-    /// path a small edit costs work proportional to the cells changed and
-    /// the groups touched, not to the violations reported.
+    /// those tuples left or joined.  Such a group is found by its key on
+    /// the patched pooled index and in `prev`'s snapshot, which keeps every
+    /// LHS column built for this; if it violated, it is patched from its
+    /// previous RHS classes (counted in `maintain.cfd.groups_patched`), and
+    /// otherwise classified in full (`maintain.cfd.groups_classified`).
+    /// Every other dependency's groups, and every untouched group, carry
+    /// over verbatim, copied in bulk (see `stream::cfd_violations_patched`).
+    /// No violating pair is enumerated and no row of a patched group is
+    /// hashed, so combined with the pool's patch path a small edit costs
+    /// work proportional to the cells changed and the classes of the groups
+    /// touched, plus one copy of the report.
     ///
     /// The returned report always equals
     /// [`detect_cfd_violations`](Self::detect_cfd_violations) at the
@@ -463,21 +468,31 @@ impl DetectionEngine {
                         return Arc::clone(prev_groups);
                     }
                     let index = self.pool.interned_for(instance, cfd.lhs(), 1);
-                    Arc::new(stream::cfd_violations_patched(
+                    let (groups, counts) = stream::cfd_violations_patched(
                         cfd,
                         &source,
                         &index,
+                        &p.store,
                         prev_groups,
                         &affected,
-                    ))
+                    );
+                    dq_obs::add("maintain.cfd.groups_patched", counts.patched as u64);
+                    dq_obs::add("maintain.cfd.groups_classified", counts.classified as u64);
+                    Arc::new(groups)
                 });
                 counted(CfdViolationReport::from_shared_groups(groups))
             }
         };
+        // The next round reads its departed tuples' old keys off this
+        // snapshot's LHS columns.
+        let store = instance.columnar();
+        for &attr in cfds.iter().flat_map(|cfd| cfd.lhs()) {
+            store.column(instance, attr);
+        }
         MaintainedCfdViolations {
             instance_id,
             version,
-            store: instance.columnar(),
+            store,
             cfds: cfds.to_vec(),
             report,
         }

@@ -23,10 +23,13 @@
 //! ([`CfdViolationGroups`]): per violating LHS group its patterns and its
 //! RHS classes, never the pairs, so its cost and output are linear in the
 //! rows whatever the number of violating pairs.  A maintained report is
-//! patched group by group (`cfd_violations_patched`), and incremental
-//! detection regroups only the groups the given tuples fall in
-//! (`cfd_violations_touching`); both re-derive those groups off the pooled
-//! index with one helper.  The only code that lists pairs is
+//! patched per touched LHS key (`cfd_violations_patched`): a group that
+//! violated is rebuilt from its previous RHS classes, found by its smallest
+//! member, and only a key with no previous violating group is classified
+//! afresh, so a round costs the changed tuples and their groups' classes,
+//! not the groups' sizes.  Incremental detection regroups only the groups
+//! the given tuples fall in (`cfd_violations_touching`), classifying them
+//! off the pooled index.  The only code that lists pairs is
 //! [`CfdViolationGroups`]'s.
 
 use crate::cfd::{Cfd, CfdViolation};
@@ -34,9 +37,10 @@ use crate::denial::{DcTerm, DenialConstraint};
 use crate::detect::CfdViolationGroups;
 use crate::interned::InternedEntry;
 use dq_relation::{
-    Column, FxHashMap, FxHashSet, InternedIndex, KeyCodec, ProjectionKey, ShardSource, TupleId,
-    Value, ValueId,
+    Column, ColumnarStore, FxHashMap, FxHashSet, InternedIndex, KeyCodec, ProjectionKey,
+    ShardSource, TupleId, Value, ValueId,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A CFD's columns and pattern tableau translated into a source's
@@ -129,6 +133,9 @@ struct Classifier {
     ids: Vec<TupleId>,
     labels: Vec<u32>,
     scratch: Vec<u32>,
+    /// A patched group's classes, back to back, and their runs.
+    members: Vec<TupleId>,
+    runs: Vec<Range<usize>>,
 }
 
 impl Classifier {
@@ -140,6 +147,8 @@ impl Classifier {
             ids: Vec::new(),
             labels: Vec::new(),
             scratch: Vec::new(),
+            members: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -182,6 +191,74 @@ impl Classifier {
             &mut self.scratch,
         );
     }
+
+    /// Appends group `g` of `prev` as it stands now, if it still violates:
+    /// its classes less the affected ids, with each of `arrivals` (the rows
+    /// of the group's key holding affected tuples, ascending) joining the
+    /// class whose first unaffected member has the same packed `Y`
+    /// projection, or a class of its own.  The key, so the patterns, are
+    /// `g`'s; only the representatives and the arrivals are packed.
+    fn push_patched(
+        &mut self,
+        source: &dyn ShardSource,
+        prev: &CfdViolationGroups,
+        g: usize,
+        arrivals: &[usize],
+        is_affected: impl Fn(TupleId) -> bool,
+        out: &mut CfdViolationGroups,
+    ) {
+        self.classes.clear();
+        for (c, class) in prev.classes_of(g).enumerate() {
+            if let Some(&id) = class.iter().find(|&&id| !is_affected(id)) {
+                let row = source.row_of(id).expect("unaffected tuples are live");
+                self.classes.insert(self.rhs_codec.pack_row(row), c as u32);
+            }
+        }
+        let old = prev.classes_of(g).len() as u32;
+        let mut next = old;
+        self.ids.clear();
+        self.labels.clear();
+        for &row in arrivals {
+            let label = *(self.classes)
+                .entry(self.rhs_codec.pack_row(row))
+                .or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                });
+            self.ids.push(source.tuple_id(row));
+            self.labels.push(label);
+        }
+        self.members.clear();
+        self.runs.clear();
+        let mut kept = prev.classes_of(g);
+        for label in 0..next {
+            let start = self.members.len();
+            let mut joined = (self.ids.iter().zip(&self.labels))
+                .filter(|&(_, &l)| l == label)
+                .map(|(&id, _)| id)
+                .peekable();
+            let class = if label < old { kept.next() } else { None };
+            for &id in class.into_iter().flatten().filter(|&&id| !is_affected(id)) {
+                while let Some(arrival) = joined.next_if(|&a| a < id) {
+                    self.members.push(arrival);
+                }
+                self.members.push(id);
+            }
+            self.members.extend(joined);
+            if self.members.len() > start {
+                self.runs.push(start..self.members.len());
+            }
+        }
+        if self.runs.len() < 2 {
+            return; // the group agrees on Y now
+        }
+        let members = &self.members;
+        self.runs.sort_unstable_by_key(|run| members[run.start]);
+        out.push_classes(
+            prev.patterns_of(g),
+            self.runs.iter().map(|run| &members[run.clone()]),
+        );
+    }
 }
 
 /// All violations of `cfd` over `source`, grouped
@@ -211,33 +288,65 @@ pub fn cfd_violations<'g>(
     out.into_canonical()
 }
 
-/// `prev`, the grouped violations of `cfd` at an earlier snapshot, brought
-/// up to date with `source` — equal to [`cfd_violations`] over `source`.
+/// How a maintenance round served the LHS groups it touched (see
+/// [`cfd_violations_patched`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PatchCounts {
+    /// Previously violating groups rebuilt from their previous RHS classes.
+    pub(crate) patched: usize,
+    /// Groups with no previous violating group, classified in full.
+    pub(crate) classified: usize,
+}
+
+/// The affected tuples one LHS key of a maintenance round gained and lost.
+#[derive(Default)]
+struct Touched {
+    /// Rows (now) of the live affected tuples whose current key it is,
+    /// ascending.
+    arrivals: Vec<usize>,
+    /// The smallest affected tuple whose key it was in the previous
+    /// snapshot.
+    departed: Option<TupleId>,
+}
+
+/// `prev`, the grouped violations of `cfd` over `prev_store`, an earlier
+/// snapshot of the instance `source` reads, brought up to date with
+/// `source` — equal to [`cfd_violations`] over `source`.
 ///
 /// `affected` (sorted, deduplicated) are the tuples appended, removed or
-/// with a changed LHS/RHS cell since `prev`; the removed ones are absent
-/// from `source`, so they only drop out of `prev`'s verdicts and seed
-/// nothing.  `index` is the pooled index of `source` on exactly
-/// [`Cfd::lhs`].
+/// with a changed LHS/RHS cell since `prev_store`; the removed ones are
+/// absent from `source`, so they only drop out of `prev`'s verdicts.
+/// `index` is the pooled index of `source` on exactly [`Cfd::lhs`], and
+/// every LHS column of `prev_store` must be built.
 ///
 /// A single-tuple verdict depends on the tuple's own cells only, so only
 /// the affected tuples' are redone.  A group changed only if an affected
-/// tuple left or joined it or changed inside it: every previous group with
-/// an affected member is dropped, and the current group of each affected
-/// tuple's key, and of the key of each dropped group's unaffected members,
-/// is re-derived off the index.  A group that affected tuples only joined
-/// shows up re-derived with its smallest member, so it is dropped too.
-/// Every other group carries over verbatim.  The work is the affected
-/// tuples times their group sizes plus one pass over `prev`'s member ids;
-/// no pair is ever enumerated.
+/// tuple joined or left its key: each live affected tuple *arrives* at its
+/// current key, and each one live in `prev_store` departs from its old key
+/// there — ids stay valid across patched dictionaries, so old and new keys
+/// compare as id tuples.  A touched key's previous members are its
+/// unaffected rows now plus its departed tuples, so if it violated, its
+/// previous group is the one whose smallest member is the smaller of its
+/// first unaffected row and its smallest departed id, found by binary
+/// search.  That group is patched, not reclassified: its classes lose the
+/// affected ids, each arrival joins the class whose first unaffected member
+/// agrees with it on the packed `Y` projection or starts a class, and a
+/// group left with fewer than two classes drops out.  A touched key with no
+/// previous violating group had at most one class, or matched no pattern;
+/// only it is classified in full.  Every other group is copied over in
+/// bulk ([`CfdViolationGroups::merged`]).  The work is the affected tuples,
+/// the kept members of the touched groups and a copy of `prev`; no row of
+/// a patched group is hashed again and no pair is ever enumerated.
 pub(crate) fn cfd_violations_patched(
     cfd: &Cfd,
     source: &dyn ShardSource,
     index: &InternedIndex,
+    prev_store: &ColumnarStore,
     prev: &CfdViolationGroups,
     affected: &[TupleId],
-) -> CfdViolationGroups {
+) -> (CfdViolationGroups, PatchCounts) {
     debug_assert!(affected.windows(2).all(|w| w[0] < w[1]));
+    debug_assert_eq!(index.attrs(), cfd.lhs(), "index on the LHS");
     let mut marks = vec![0u64; affected.last().map_or(0, |id| id.0 / 64 + 1)];
     for id in affected {
         marks[id.0 / 64] |= 1 << (id.0 % 64);
@@ -247,7 +356,6 @@ pub(crate) fn cfd_violations_patched(
             .get(id.0 / 64)
             .is_some_and(|w| w >> (id.0 % 64) & 1 == 1)
     };
-    let live_row = |id: TupleId| source.row_of(id).expect("maintained tuples are live");
     let interned = InternedCfd::new(cfd, source);
     let mut singles: Vec<CfdViolation> = prev
         .singles()
@@ -255,49 +363,58 @@ pub(crate) fn cfd_violations_patched(
         .filter(|v| !matches!(v, CfdViolation::SingleTuple { tuple, .. } if is_affected(*tuple)))
         .copied()
         .collect();
-    let mut seeds: Vec<usize> = affected
-        .iter()
-        .filter_map(|&id| source.row_of(id))
+    let old_cols: Vec<Arc<Column>> = (cfd.lhs().iter())
+        .map(|&a| {
+            prev_store
+                .built_column(a)
+                .expect("maintained snapshots keep their LHS columns built")
+        })
         .collect();
-    interned.singles(source, seeds.iter().copied(), &mut singles);
-    let mut dropped = vec![false; prev.group_count()];
-    for (g, drop) in dropped.iter_mut().enumerate() {
-        let members = prev.members(g);
-        if members.iter().any(|&id| is_affected(id)) {
-            *drop = true;
-            if let Some(&kept) = members.iter().find(|&&id| !is_affected(id)) {
-                seeds.push(live_row(kept));
-            }
+    let key_at = |cols: &[Arc<Column>], row: usize| -> Vec<ValueId> {
+        cols.iter().map(|c| c.id_at(row)).collect()
+    };
+    let mut touched: FxHashMap<Vec<ValueId>, Touched> = FxHashMap::default();
+    for &id in affected {
+        if let Some(row) = source.row_of(id) {
+            let key = key_at(&interned.lhs_cols, row);
+            touched.entry(key).or_default().arrivals.push(row);
+        }
+        if let Some(row) = prev_store.row_of(id) {
+            let key = key_at(&old_cols, row);
+            touched.entry(key).or_default().departed.get_or_insert(id);
         }
     }
-    let fresh = regrouped(&interned, source, index, seeds, Vec::new());
-    let mut fresh_ids = fresh.all_members().to_vec();
-    fresh_ids.sort_unstable();
-    for (g, drop) in dropped.iter_mut().enumerate() {
-        *drop = *drop || fresh_ids.binary_search(&prev.min_id(g)).is_ok();
-    }
-    // Both halves are in canonical order and disjoint: merge them.
-    let mut out = CfdViolationGroups::with_singles(singles);
-    let mut kept = (0..prev.group_count()).filter(|&g| !dropped[g]).peekable();
-    let mut new = (0..fresh.group_count()).peekable();
-    loop {
-        match (kept.peek(), new.peek()) {
-            (Some(&k), Some(&n)) if prev.min_id(k) < fresh.min_id(n) => {
-                out.push_group_of(prev, k);
-                kept.next();
+    interned.singles(
+        source,
+        affected.iter().filter_map(|&id| source.row_of(id)),
+        &mut singles,
+    );
+    let mut fresh = CfdViolationGroups::with_singles(singles);
+    let mut replaced = Vec::new();
+    let mut counts = PatchCounts::default();
+    let mut classifier = Classifier::new(&interned);
+    for (key, change) in &touched {
+        let rows = index.rows_for_ids(key);
+        let first_kept = (rows.iter())
+            .map(|&row| source.tuple_id(row as usize))
+            .find(|&id| !is_affected(id));
+        let prev_min = first_kept.into_iter().chain(change.departed).min();
+        match prev_min.and_then(|id| prev.group_with_min(id)) {
+            Some(g) => {
+                counts.patched += 1;
+                replaced.push(g);
+                classifier.push_patched(source, prev, g, &change.arrivals, is_affected, &mut fresh);
             }
-            (_, Some(&n)) => {
-                out.push_group_of(&fresh, n);
-                new.next();
+            None if rows.len() >= 2 => {
+                counts.classified += 1;
+                classifier.push_if_violating(&interned, source, rows, &mut fresh);
             }
-            (Some(&k), None) => {
-                out.push_group_of(prev, k);
-                kept.next();
-            }
-            (None, None) => break,
+            None => {}
         }
     }
-    out
+    replaced.sort_unstable();
+    let merged = CfdViolationGroups::merged(prev, &replaced, fresh.into_canonical());
+    (merged, counts)
 }
 
 /// `singles` plus the violating groups of `index` (the pooled index of
@@ -534,6 +651,164 @@ mod tests {
         let no_groups = cfd_violations(&cfd, &source, std::iter::empty());
         assert_eq!(no_groups.singles(), singles);
         assert_eq!(no_groups.to_violations(), singles);
+    }
+
+    /// `k → y` over six tuples: `k = 1` violates with classes `{t0, t1}`
+    /// (`a`) and `{t2}` (`b`), `k = 2` is clean, `k = 3` a single tuple.
+    fn keyed() -> (RelationInstance, Cfd) {
+        let schema = Arc::new(RelationSchema::new(
+            "keyed",
+            [("k", Domain::Int), ("y", Domain::Text)],
+        ));
+        let mut inst = RelationInstance::new(Arc::clone(&schema));
+        for (k, y) in [(1, "a"), (1, "a"), (1, "b"), (2, "a"), (2, "a"), (3, "c")] {
+            inst.insert_values([Value::int(k), Value::str(y)]).unwrap();
+        }
+        let cfd = Cfd::new(
+            &schema,
+            &["k"],
+            &["y"],
+            vec![PatternTuple::new(vec![wild()], vec![wild()])],
+        )
+        .unwrap();
+        (inst, cfd)
+    }
+
+    /// One maintenance round: `edit` mutates `inst` and returns the tuples
+    /// it appended, removed or changed; the report patched from the
+    /// previous snapshot's must equal fresh detection and the reference.
+    /// Returns the patched report and how its touched groups were served.
+    fn patch_round(
+        inst: &mut RelationInstance,
+        cfd: &Cfd,
+        edit: impl FnOnce(&mut RelationInstance) -> Vec<TupleId>,
+    ) -> (CfdViolationGroups, PatchCounts) {
+        let prev_store = inst.columnar();
+        let prev = {
+            let index = InternedIndex::build(inst, &prev_store, cfd.lhs(), 1);
+            let source = StoreShardSource::with_store(inst, Arc::clone(&prev_store));
+            cfd_violations(cfd, &source, index.multi_group_rows())
+        };
+        let mut affected = edit(inst);
+        affected.sort_unstable();
+        affected.dedup();
+        let store = inst.columnar();
+        let index = InternedIndex::build(inst, &store, cfd.lhs(), 1);
+        let source = StoreShardSource::with_store(inst, store);
+        let (patched, counts) =
+            cfd_violations_patched(cfd, &source, &index, &prev_store, &prev, &affected);
+        assert_eq!(
+            patched,
+            cfd_violations(cfd, &source, index.multi_group_rows())
+        );
+        assert_eq!(
+            patched.to_violations(),
+            crate::reference::cfd_violations(cfd, inst)
+        );
+        (patched, counts)
+    }
+
+    fn classes(groups: &CfdViolationGroups, g: usize) -> Vec<Vec<usize>> {
+        (groups.classes_of(g))
+            .map(|c| c.iter().map(|id| id.0).collect())
+            .collect()
+    }
+
+    fn counts(patched: usize, classified: usize) -> PatchCounts {
+        PatchCounts {
+            patched,
+            classified,
+        }
+    }
+
+    fn set_y(inst: &mut RelationInstance, t: usize, y: &str) -> TupleId {
+        inst.update_cell(dq_relation::CellRef::new(TupleId(t), 1), Value::str(y))
+            .unwrap();
+        TupleId(t)
+    }
+
+    #[test]
+    fn patch_an_arrival_makes_a_clean_group_violate() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            vec![inst
+                .insert_values([Value::int(2), Value::str("z")])
+                .unwrap()]
+        });
+        assert_eq!(served, counts(0, 1), "k = 2 had no violating group");
+        assert_eq!(classes(&report, 1), [vec![3, 4], vec![6]]);
+    }
+
+    #[test]
+    fn patch_the_last_dissenter_leaving_drops_the_group() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            inst.remove(TupleId(2)).unwrap();
+            vec![TupleId(2)]
+        });
+        assert_eq!(served, counts(1, 0));
+        assert_eq!(report.group_count(), 0);
+    }
+
+    #[test]
+    fn patch_a_group_whose_every_member_is_affected() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            vec![
+                set_y(inst, 0, "b"),
+                set_y(inst, 1, "c"),
+                set_y(inst, 2, "b"),
+            ]
+        });
+        assert_eq!(served, counts(1, 0));
+        assert_eq!(classes(&report, 0), [vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn patch_an_rhs_only_edit_moves_a_member_between_classes() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| vec![set_y(inst, 1, "b")]);
+        assert_eq!(served, counts(1, 0));
+        assert_eq!(classes(&report, 0), [vec![0], vec![1, 2]]);
+    }
+
+    #[test]
+    fn patch_finds_a_group_whose_smallest_member_left() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            inst.remove(TupleId(0)).unwrap();
+            vec![TupleId(0)]
+        });
+        assert_eq!(served, counts(1, 0), "found by the departed id");
+        assert_eq!(classes(&report, 0), [vec![1], vec![2]]);
+    }
+
+    #[test]
+    fn patch_recreates_a_class_whose_unaffected_members_all_left() {
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            inst.remove(TupleId(2)).unwrap();
+            let back = inst
+                .insert_values([Value::int(1), Value::str("b")])
+                .unwrap();
+            vec![TupleId(2), back]
+        });
+        assert_eq!(served, counts(1, 0));
+        assert_eq!(classes(&report, 0), [vec![0, 1], vec![6]]);
+    }
+
+    #[test]
+    fn patch_moves_a_tuple_between_keys() {
+        // t2 leaves k = 1 (which turns clean) for k = 3, where it dissents
+        // from t5: one group patched away, one classified in full.
+        let (mut inst, cfd) = keyed();
+        let (report, served) = patch_round(&mut inst, &cfd, |inst| {
+            inst.update_cell(dq_relation::CellRef::new(TupleId(2), 0), Value::int(3))
+                .unwrap();
+            vec![TupleId(2)]
+        });
+        assert_eq!(served, counts(1, 1));
+        assert_eq!(classes(&report, 0), [vec![2], vec![5]]);
     }
 
     #[test]

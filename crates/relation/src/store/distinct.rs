@@ -505,6 +505,14 @@ mod tests {
         inst
     }
 
+    /// The radices of a mixed-radix set.
+    fn radices(set: &DistinctSet) -> Vec<u64> {
+        match &set.codec.repr {
+            Repr::Radix(radices) => radices.clone(),
+            _ => panic!("expected a mixed-radix packing"),
+        }
+    }
+
     /// Canonical view: the set of resolved value tuples.
     fn canonical(set: &DistinctSet) -> BTreeSet<String> {
         set.iter_ids()
@@ -562,15 +570,19 @@ mod tests {
         let mut inst = instance(40);
         let prev_store = inst.columnar();
         let prev = DistinctSet::build(&inst, &prev_store, &[0, 1], 1);
-        // "fresh" outgrows B's radix: the extension re-packs.
+        assert_eq!(radices(&prev), [8, 8]);
+        // A's new values 9 and 10 grow its dictionary from 7 to 9 entries,
+        // past its radix of 8: the extension re-packs.
         inst.insert_values([Value::int(9), Value::str("fresh"), Value::int(999)])
             .unwrap();
-        inst.insert_values([Value::int(1), Value::str("s1"), Value::int(1000)])
+        inst.insert_values([Value::int(10), Value::str("s1"), Value::int(1000)])
             .unwrap();
         let store = inst.columnar();
         let extended = DistinctSet::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("repack-aware extension");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
+        assert_eq!(radices(&extended), [16, 8]);
+        assert_eq!(radices(&extended), radices(&fresh));
         assert_eq!(canonical(&extended), canonical(&fresh));
         assert!(extended.contains_values(&[Value::int(9), Value::str("fresh")]));
     }
@@ -582,10 +594,15 @@ mod tests {
         let prev_store = inst.columnar();
         let prev = DistinctSet::build(&inst, &prev_store, &[0, 1], 1);
         let v0 = inst.version();
-        // Move a row to a brand-new value (dictionary growth → re-pack),
-        // edit a non-key attribute (must cost nothing), and append a row.
+        // Move four rows to brand-new values, growing B's dictionary from 5
+        // to 9 entries past its radix of 8 (a re-pack), edit a non-key
+        // attribute (must cost nothing), and append a row.
         inst.update_cell(CellRef::new(TupleId(0), 1), Value::str("fresh"))
             .unwrap();
+        for t in 1..4 {
+            inst.update_cell(CellRef::new(TupleId(t), 1), Value::str(format!("new{t}")))
+                .unwrap();
+        }
         inst.update_cell(CellRef::new(TupleId(5), 2), Value::int(-5))
             .unwrap();
         inst.insert_values([Value::int(0), Value::str("s0"), Value::int(999)])
@@ -595,6 +612,7 @@ mod tests {
         let patched = DistinctSet::try_patched(Arc::new(prev), &inst, &store, &delta)
             .expect("repack-aware patch");
         let fresh = DistinctSet::build(&inst, &store, &[0, 1], 1);
+        assert_eq!(radices(&patched), [8, 16]);
         assert_eq!(canonical(&patched), canonical(&fresh));
         assert_eq!(patched.len(), inst.project_distinct(&[0, 1]).len());
         assert!(patched.contains_values(&[Value::int(0), Value::str("fresh")]));

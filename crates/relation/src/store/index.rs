@@ -48,8 +48,8 @@ pub enum ProjectionKey {
 /// How a key over a fixed column list is packed.
 #[derive(Clone, Debug)]
 pub(crate) enum Repr {
-    /// Mixed-radix into `u64`: radix `i` is the dictionary size of column
-    /// `i`, so the packing is a bijection on id tuples.
+    /// Mixed-radix into `u64`: radix `i` is at least the dictionary size of
+    /// column `i` (see [`radix_for`]), so the packing is exact on id tuples.
     Radix(Vec<u64>),
     /// 32 bits per id in a `u128` (width ≤ 4).
     Shift,
@@ -90,7 +90,7 @@ pub(crate) fn widen_plan(prev_repr: &Repr, columns: &[Arc<Column>]) -> Option<Wi
     {
         return Some(WidenPlan::Keep);
     }
-    let widened: Vec<u64> = columns.iter().map(|c| c.distinct().max(1) as u64).collect();
+    let widened: Vec<u64> = columns.iter().map(|c| radix_for(c)).collect();
     let mut product = 1u64;
     let fits = widened
         .iter()
@@ -102,6 +102,14 @@ pub(crate) fn widen_plan(prev_repr: &Repr, columns: &[Arc<Column>]) -> Option<Wi
     } else {
         None
     }
+}
+
+/// The mixed-radix packing's radix for `col`: its dictionary size rounded
+/// up to a power of two, so a growing dictionary re-packs only when it
+/// doubles.  [`KeyCodec::new`] and [`widen_plan`] both choose it, so a
+/// patched codec stays equal to a fresh one.
+fn radix_for(col: &Column) -> u64 {
+    (col.distinct().max(1) as u64).next_power_of_two()
 }
 
 /// Carries `prev_keys`, packed by `prev`, over to `columns` — the same key
@@ -117,6 +125,9 @@ pub(crate) fn rekey<V: Copy>(
     columns: Vec<Arc<Column>>,
 ) -> Option<(KeyMap<V>, KeyCodec)> {
     let plan = widen_plan(&prev.repr, &columns)?;
+    if !matches!(plan, WidenPlan::Keep) {
+        dq_obs::inc("index.patch.repacks");
+    }
     let (keys, repr) = match (plan, &prev.repr, prev_keys) {
         (WidenPlan::Keep, repr, keys) => (keys, repr.clone()),
         (WidenPlan::Widen(widened), Repr::Radix(old), KeyMap::U64(m)) => {
@@ -195,7 +206,7 @@ impl KeyCodec {
         let mut radix_fits = true;
         let mut radices = Vec::with_capacity(columns.len());
         for col in &columns {
-            let radix = col.distinct().max(1) as u64;
+            let radix = radix_for(col);
             radices.push(radix);
             match product.checked_mul(radix) {
                 Some(p) => product = p,
@@ -1186,21 +1197,35 @@ mod tests {
         }
     }
 
+    /// The radices of a mixed-radix index.
+    fn radices(idx: &InternedIndex) -> Vec<u64> {
+        match &idx.codec.repr {
+            Repr::Radix(radices) => radices.clone(),
+            _ => panic!("expected a mixed-radix packing"),
+        }
+    }
+
     #[test]
     fn radix_outgrowth_repacks_and_extends() {
         let mut inst = instance(30);
         let prev_store = inst.columnar();
         let prev = InternedIndex::build(&inst, &prev_store, &[0, 1], 1);
-        // A brand-new B value outgrows that column's radix; the extension
-        // re-packs the existing keys under the widened radices instead of
-        // declining.
-        inst.insert_values([Value::int(1), Value::str("unseen"), Value::int(999)])
-            .unwrap();
+        let before = radices(&prev);
+        assert_eq!(before, [8, 8], "7 and 5 entries round up to 8");
+        // Four brand-new B values grow that column's dictionary from 5 to 9
+        // entries, past its radix of 8; the extension re-packs the existing
+        // keys under the widened radices instead of declining.
+        for (i, b) in ["u1", "u2", "u3", "unseen"].into_iter().enumerate() {
+            inst.insert_values([Value::int(1), Value::str(b), Value::int(999 + i as i64)])
+                .unwrap();
+        }
         let store = inst.columnar();
         let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("radix outgrowth re-packs in place");
         let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
+        assert_eq!(radices(&extended), [8, 16], "the B radix doubled");
+        assert_eq!(radices(&extended), radices(&fresh));
         // Probes keep working against the widened packing.
         assert_eq!(
             extended
@@ -1211,19 +1236,39 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_growth_below_the_radix_keeps_the_packing() {
+        let mut inst = instance(30);
+        let prev_store = inst.columnar();
+        let prev = InternedIndex::build(&inst, &prev_store, &[0, 1], 1);
+        // One new B value: 6 entries still fit the radix of 8, so the
+        // packing carries over unchanged and still equals a fresh codec's.
+        inst.insert_values([Value::int(1), Value::str("unseen"), Value::int(999)])
+            .unwrap();
+        let store = inst.columnar();
+        let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
+            .expect("the packing still fits");
+        let fresh = InternedIndex::build(&inst, &store, &[0, 1], 1);
+        assert_eq!(radices(&extended), [8, 8]);
+        assert_eq!(radices(&extended), radices(&fresh));
+        assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
+    }
+
+    #[test]
     fn radix_overflow_on_extension_switches_to_shift_packing() {
-        // Four columns at 2^16 - 1 distinct values each: the radix product
-        // still fits u64, but one more distinct value per column pushes it
-        // past 2^64, so the extension must transcode to the shift packing.
+        // Four columns at 2^15 distinct values each: the radix product 2^60
+        // fits u64, but one more distinct value per column doubles every
+        // radix and pushes the product to 2^64, so the extension must
+        // transcode to the shift packing.
         let schema = RelationSchema::new("w", (0..4).map(|i| (format!("A{i}"), Domain::Int)));
         let mut inst = RelationInstance::from_schema(schema);
-        let base = (1i64 << 16) - 1;
+        let base = 1i64 << 15;
         for i in 0..base {
             inst.insert_values((0..4).map(|j| Value::int(i + j * base)))
                 .unwrap();
         }
         let prev_store = inst.columnar();
         let prev = InternedIndex::build(&inst, &prev_store, &[0, 1, 2, 3], 1);
+        assert_eq!(radices(&prev), [1 << 15; 4]);
         for i in base..base + 3 {
             inst.insert_values((0..4).map(|j| Value::int(i + j * base)))
                 .unwrap();
@@ -1231,6 +1276,7 @@ mod tests {
         let store = inst.columnar();
         let extended = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &Delta::default())
             .expect("width <= 4 always has an exact packing");
+        assert!(matches!(extended.codec.repr, Repr::Shift));
         let fresh = InternedIndex::build(&inst, &store, &[0, 1, 2, 3], 1);
         assert_eq!(canonical_interned(&extended), canonical_interned(&fresh));
     }
@@ -1300,22 +1346,25 @@ mod tests {
     #[test]
     fn patch_vacates_groups_and_interns_new_keys() {
         use crate::instance::CellRef;
-        let mut inst = instance(8);
+        let mut inst = instance(4);
         let prev_store = inst.columnar();
         let prev = InternedIndex::build(&inst, &prev_store, &[1], 1);
+        assert_eq!(radices(&prev), [4]);
         let v0 = inst.version();
-        // Rewrite every "s4" cell (only tuple 4 in 0..8) to the brand-new
-        // value "fresh": group s4 must vanish, group "fresh" must appear —
-        // and the new value outgrows the B radix, exercising the re-pack.
-        inst.update_cell(CellRef::new(TupleId(4), 1), Value::str("fresh"))
+        // Rewrite every "s3" cell (only tuple 3 in 0..4) to the brand-new
+        // value "fresh": group s3 must vanish, group "fresh" must appear —
+        // and the fifth B value outgrows the radix of 4, exercising the
+        // re-pack.
+        inst.update_cell(CellRef::new(TupleId(3), 1), Value::str("fresh"))
             .unwrap();
         let delta = inst.delta_since(v0).unwrap();
         let store = inst.columnar();
         let patched = InternedIndex::try_patched(Arc::new(prev), &inst, &store, &delta)
             .expect("radix outgrowth re-packs in place");
+        assert_eq!(radices(&patched), [8]);
         let fresh = InternedIndex::build(&inst, &store, &[1], 1);
         assert_eq!(canonical_interned(&patched), canonical_interned(&fresh));
-        assert!(patched.rows_for_values(&[Value::str("s4")]).is_empty());
+        assert!(patched.rows_for_values(&[Value::str("s3")]).is_empty());
         assert_eq!(patched.rows_for_values(&[Value::str("fresh")]).len(), 1);
         assert_eq!(
             patched.group_count(),

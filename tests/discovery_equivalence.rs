@@ -346,6 +346,60 @@ proptest! {
         }
     }
 
+    /// The maintained report equals the reference detector after every step
+    /// of a stream mixing cell edits, appends (two donors' cells mixed, so
+    /// tuples land in new LHS groups and RHS classes) and removals — also
+    /// when a step patches from a report several versions old.  The paper's
+    /// rules bring constant patterns and a three-attribute RHS.
+    #[test]
+    fn maintained_violations_track_mixed_streams_from_stale_reports(
+        config in workload_config(),
+        steps in proptest::collection::vec(
+            (0usize..3, 0usize..1_000_000, 0usize..1_000_000, 0usize..1_000_000, 0usize..4),
+            1..12,
+        ),
+    ) {
+        let mut instance = generate_customers(&config).dirty;
+        let cfds = paper_cfds();
+        let engine = DetectionEngine::new();
+        let arity = instance.schema().arity();
+        let mut history = vec![engine.maintain_cfd_violations(&instance, &cfds, None)];
+        for &(kind, t, a, d, back) in &steps {
+            let ids = instance.ids();
+            let target = ids[t % ids.len()];
+            let donor = ids[d % ids.len()];
+            let attr = a % arity;
+            match kind {
+                0 => {
+                    let value = instance.tuple(donor).expect("live").get(attr).clone();
+                    instance
+                        .update_cell(CellRef::new(target, attr), value)
+                        .expect("donor values are in-domain");
+                }
+                1 => {
+                    let values: Vec<Value> = (0..arity)
+                        .map(|i| {
+                            let from = if i == attr { target } else { donor };
+                            instance.tuple(from).expect("live").get(i).clone()
+                        })
+                        .collect();
+                    instance.insert_values(values).expect("same schema");
+                }
+                _ if ids.len() > 1 => {
+                    instance.remove(target).expect("live");
+                }
+                _ => {}
+            }
+            let prev = &history[history.len() - 1 - back.min(history.len() - 1)];
+            let next = engine.maintain_cfd_violations(&instance, &cfds, Some(prev));
+            prop_assert_eq!(
+                next.report(),
+                &dq_core::reference::detect_cfd_violations(&instance, &cfds)
+            );
+            history.push(next);
+        }
+    }
+
     /// Re-running the engine repair loop against a *shared* pool: the
     /// second run reproduces the first byte-for-byte (verdict, rounds, log
     /// order, cost, repaired tuples) and the pool served the fixpoint's

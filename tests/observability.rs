@@ -223,6 +223,51 @@ fn grouped_detection_counts_without_materializing() {
     assert_eq!(snap.spans["report.materialize"].count, 1);
 }
 
+/// A maintenance round whose edits stay inside violating groups patches
+/// each touched group from its previous RHS classes and classifies none in
+/// full.
+#[test]
+fn maintenance_patches_touched_violating_groups() {
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let schema = std::sync::Arc::new(RelationSchema::new(
+        "r",
+        [("k", Domain::Int), ("y", Domain::Text)],
+    ));
+    let mut inst = RelationInstance::new(std::sync::Arc::clone(&schema));
+    // Every k group holds both an "odd" and an "even" y: all five violate.
+    for i in 0..50i64 {
+        let y = if i % 7 == 0 { "odd" } else { "even" };
+        inst.insert_values([Value::int(i % 5), Value::str(y)])
+            .unwrap();
+    }
+    let cfds = vec![Cfd::new(
+        &schema,
+        &["k"],
+        &["y"],
+        vec![PatternTuple::new(vec![wild()], vec![wild()])],
+    )
+    .unwrap()];
+    let engine = DetectionEngine::new();
+    let first = engine.maintain_cfd_violations(&inst, &cfds, None);
+    assert_eq!(first.report().violation_groups(), 5);
+    // Three "even" tuples of three groups turn "odd".
+    for t in [1, 2, 3] {
+        inst.update_cell(CellRef::new(TupleId(t), 1), Value::str("odd"))
+            .unwrap();
+    }
+    let next = engine.maintain_cfd_violations(&inst, &cfds, Some(&first));
+    assert_eq!(
+        next.report(),
+        &dq_core::reference::detect_cfd_violations(&inst, &cfds)
+    );
+    let snap = dq_obs::recorder().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("maintain.cfd.patch"), 1);
+    assert_eq!(counter("maintain.cfd.groups_patched"), 3);
+    assert_eq!(counter("maintain.cfd.groups_classified"), 0);
+}
+
 /// A pool upgrade takes its predecessor out of the cache and hands it to the
 /// patch: the live `pool.entries` gauge keeps agreeing with the polled
 /// entry count, a predecessor nobody else holds is taken over without a
