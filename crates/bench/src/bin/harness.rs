@@ -413,9 +413,9 @@ const BINDING_TABLEAU_CAP: usize = 4;
 /// dictionaries and every index build inside the timer), with every run's
 /// output asserted identical to the sequential naive sweep.  FD and CFD
 /// rows also record the per-lattice-level wall clock (`levels_ms`), where
-/// the per-level candidate fan-out pays — for CFDs summed over the exact
-/// sweep, the `g3` sweep and constant-pattern mining at the same LHS
-/// size.  Each row carries the grouping-layer
+/// the per-level candidate fan-out pays — for CFDs summed over the one FD
+/// walk (exact and `g3` verdicts together) and constant-pattern mining at
+/// the same LHS size.  Each row carries the grouping-layer
 /// resident bytes: the `Vec<Value>`-keyed maps the naive sweep materializes
 /// for the single and pair attribute sets vs. the pooled interned indexes
 /// plus column dictionaries serving the same requests.
@@ -423,6 +423,8 @@ const BINDING_TABLEAU_CAP: usize = 4;
 /// `--smoke` always includes a threads > 1 run, so CI's output-identity
 /// assertion exercises the concurrent sweep (striped partition cache,
 /// pooled probers, canonical merge) and not just the sequential path.
+/// CFD rows also assert `candidates_checked` equal to the reference's.
+/// The artifact records its commit, `nproc` and build profile.
 /// The CFD rows also mine at a binding `max_tableau` of
 /// [`BINDING_TABLEAU_CAP`] (untimed), asserted identical to the reference
 /// at every thread count, so the miners' cap exits are checked where they
@@ -600,6 +602,10 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     naive_cfds.constant_cfds, interned_cfds.constant_cfds,
                     "interned CFD discovery must report identical constant CFDs (threads {threads})"
                 );
+                assert_eq!(
+                    naive_cfds.candidates_checked, interned_cfds.candidates_checked,
+                    "CFD candidate tallies must match the reference (threads {threads})"
+                );
                 let profile_json = profile_field(
                     profile,
                     &format!("cfd_discovery @ {size}, threads {threads}"),
@@ -634,20 +640,25 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     capped_reference.constant_cfds, capped.constant_cfds,
                     "constant CFDs must match the reference at max_tableau {BINDING_TABLEAU_CAP} (threads {threads})"
                 );
+                assert_eq!(
+                    capped_reference.candidates_checked, capped.candidates_checked,
+                    "CFD candidate tallies must match the reference at max_tableau {BINDING_TABLEAU_CAP} (threads {threads})"
+                );
             }
         }
     }
     if smoke {
         println!(
-            "\nsmoke mode: outputs identical on both paths at threads {thread_counts:?} \
-             (CFDs also at max_tableau {BINDING_TABLEAU_CAP}), artifact not written"
+            "\nsmoke mode: outputs and candidate tallies identical on both paths at threads \
+             {thread_counts:?} (CFDs also at max_tableau {BINDING_TABLEAU_CAP}), artifact not written"
         );
         return;
     }
     let json = format!(
         "{{\n  \"experiment\": \"sec1_discovery_naive_vs_interned\",\n  \
          \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42, exclude phn+name\",\n  \
-         \"threads\": {machine_threads},\n  \"results\": [\n{}\n  ]\n}}\n",
+         {}\n  \"threads\": {machine_threads},\n  \"results\": [\n{}\n  ]\n}}\n",
+        provenance_json(),
         rows.join(",\n")
     );
     std::fs::write("BENCH_discovery.json", &json).expect("write BENCH_discovery.json");

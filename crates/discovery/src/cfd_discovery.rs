@@ -48,8 +48,9 @@
 //! assert and which makes them safe seeds for cleaning rules on *future*
 //! data of the same source.
 
-use crate::fd_discovery::{discover_fds_with_pool, subsets_of_size, FdDiscoveryConfig};
-use crate::partition::g3_error_from_groups;
+use crate::fd_discovery::{
+    discover_fds_at_thresholds, subsets_of_size, DiscoveredFds, FdDiscoveryConfig,
+};
 use crate::source::resolve_threads;
 use dq_core::cfd::Cfd;
 use dq_core::engine::parallel_map;
@@ -58,7 +59,7 @@ use dq_core::implication::cfd_minimal_cover;
 use dq_core::pattern::{PatternTuple, PatternValue};
 use dq_relation::{
     Column, FxHashMap, IndexPool, InternedIndex, KeyCodec, ProjectionKey, RelationInstance,
-    RelationSchema, StoreShardSource, Value, ValueId,
+    RelationSchema, Value, ValueId,
 };
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -124,12 +125,14 @@ impl Default for CfdDiscoveryConfig {
 }
 
 impl CfdDiscoveryConfig {
-    /// The FD sweep feeding CFD discovery: exact FDs at `max_g3 = 0`,
-    /// conditioning candidates at [`max_candidate_g3`](Self::max_candidate_g3).
-    pub(crate) fn fd_config(&self, max_g3: f64) -> FdDiscoveryConfig {
+    /// The FD walk feeding CFD discovery.  It answers for two thresholds
+    /// at once: exact FDs at `g3 = 0` and conditioning candidates at
+    /// [`max_candidate_g3`](Self::max_candidate_g3), so its own `max_g3`
+    /// is the exact one.
+    pub(crate) fn fd_config(&self) -> FdDiscoveryConfig {
         FdDiscoveryConfig {
             max_lhs: self.max_lhs,
-            max_g3,
+            max_g3: 0.0,
             exclude: self.exclude.clone(),
             use_interned: true,
             threads: self.threads,
@@ -155,11 +158,12 @@ pub struct DiscoveredCfds {
     /// Number of candidate pattern tuples validated.
     pub candidates_checked: usize,
     /// Wall-clock milliseconds spent per lattice level (index 0 = LHS
-    /// size 1), summed across the exact FD sweep, the approximate FD
-    /// sweep and constant-pattern mining at that LHS size — the same
-    /// per-level reporting FD discovery already gets from
-    /// [`crate::fd_discovery::DiscoveredFds::level_ms`].  Per-FD tableau mining is not level-shaped and is
-    /// reported through the `discover.cfd/tableau` span instead.
+    /// size 1), summed across the one FD walk (exact and approximate
+    /// verdicts together) and constant-pattern mining at that LHS size —
+    /// the same per-level reporting FD discovery already gets from
+    /// [`crate::fd_discovery::DiscoveredFds::level_ms`].  Per-FD tableau
+    /// mining is not level-shaped and is reported through the
+    /// `discover.cfd/tableau` span instead.
     pub level_ms: Vec<f64>,
     /// Normalized rule fragments pruned by the minimal-cover post-pass
     /// (`0` unless [`CfdDiscoveryConfig::minimal_cover`] was set).
@@ -779,23 +783,24 @@ fn mine_tableau(
 /// Full CFD discovery: exact FDs (reported as all-wildcard CFDs), conditional
 /// tableaux for approximate FDs, and constant CFDs.
 ///
-/// FD discovery, the `g3` conditioning filter, tableau mining and
-/// constant-pattern mining all draw their groupings from one private
+/// One lattice walk yields both the exact FDs and the approximate ones with
+/// their `g3` errors ([`discover_fds_at_thresholds`]); the walk, tableau
+/// mining and constant-pattern mining draw their groupings from one private
 /// [`IndexPool`], so each distinct attribute set is encoded once for the
 /// entire run.
 pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -> DiscoveredCfds {
     let _span = dq_obs::span!("discover.cfd", arity = instance.schema().arity());
     let pool = Arc::new(IndexPool::new());
 
-    // Exact FDs become traditional (all-wildcard) CFDs.
-    let exact = discover_fds_with_pool(instance, &config.fd_config(0.0), &pool);
+    // Exact FDs become traditional (all-wildcard) CFDs.  Approximate FDs
+    // (hold after removing at most `max_candidate_g3` of the tuples but not
+    // exactly) are conditioning candidates: mine a tableau.
+    let thresholds = [0.0, config.max_candidate_g3];
+    let [exact, approx]: [DiscoveredFds; 2] =
+        discover_fds_at_thresholds(instance, &config.fd_config(), &thresholds, &pool)
+            .try_into()
+            .expect("one result per threshold");
     let mut level_ms = exact.level_ms.clone();
-
-    // Approximate FDs (hold after removing at most `max_candidate_g3` of the
-    // tuples but not exactly) are conditioning candidates: mine a tableau.
-    let approx =
-        discover_fds_with_pool(instance, &config.fd_config(config.max_candidate_g3), &pool);
-    add_level_ms(&mut level_ms, &approx.level_ms);
     // The per-FD tableau mines are independent — each conditions its own
     // embedded FD against the frozen exact set — so they fan out across the
     // pool.  Each worker gets an inner budget of the thread pool for its
@@ -803,22 +808,16 @@ pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -
     // `threads` instead of `threads²`.  `parallel_map` preserves input
     // order, so the mined CFDs and `candidates_checked` are byte-identical
     // to the sequential loop at any thread count.
-    let tableau_fds = conditioning_candidates(&exact.fds, &approx.fds);
+    let tableau_fds = conditioning_candidates(&exact.fds, &approx);
     let threads = resolve_threads(config.threads);
     // One rank table serves every tableau mine and the constant miner.
     let attrs = config.attrs(instance.schema());
     let ranks = DictionaryRanks::build(instance, &attrs, config.min_support, threads);
     let outer = threads.min(tableau_fds.len()).max(1);
     let inner = (threads / outer).max(1);
-    let tableaux: Vec<Option<Option<Cfd>>> = parallel_map(&tableau_fds, threads, |fd| {
+    let tableaux: Vec<Option<Option<Cfd>>> = parallel_map(&tableau_fds, threads, |&(fd, g3)| {
         // Only condition on FDs that genuinely fail globally.
-        let index = pool.interned_for(instance, fd.lhs(), 1);
-        let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
-        let &[rhs] = fd.rhs() else {
-            unreachable!("FD discovery reports one RHS attribute per FD")
-        };
-        let fd_g3 = g3_error_from_groups(&source, index.multi_group_rows(), rhs);
-        (fd_g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, &ranks, inner))
+        (g3 != 0.0).then(|| mine_tableau(instance, fd, config, &pool, &ranks, inner))
     });
 
     let (constant_cfds, constant_level_ms) = mine_constant_cfds(instance, config, &pool, &ranks);
@@ -833,11 +832,15 @@ pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -
     )
 }
 
-/// The approximate FDs worth conditioning: those that are not also exact.
-pub(crate) fn conditioning_candidates<'f>(exact: &[Fd], approx: &'f [Fd]) -> Vec<&'f Fd> {
-    approx
-        .iter()
-        .filter(|fd| {
+/// The approximate FDs worth conditioning, each with its `g3` error: those
+/// that are not also exact.
+pub(crate) fn conditioning_candidates<'f>(
+    exact: &[Fd],
+    approx: &'f DiscoveredFds,
+) -> Vec<(&'f Fd, f64)> {
+    let with_g3 = approx.fds.iter().zip(approx.g3.iter().copied());
+    with_g3
+        .filter(|(fd, _)| {
             !exact
                 .iter()
                 .any(|e| e.lhs() == fd.lhs() && e.rhs() == fd.rhs())
@@ -893,7 +896,7 @@ pub(crate) fn finish_discovery(
 }
 
 /// Element-wise sum of per-level timings, growing `total` as needed (the
-/// lattice sweeps and constant mining may stop at different depths).
+/// lattice walk and constant mining may stop at different depths).
 fn add_level_ms(total: &mut Vec<f64>, levels: &[f64]) {
     if total.len() < levels.len() {
         total.resize(levels.len(), 0.0);

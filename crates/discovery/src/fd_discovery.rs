@@ -63,10 +63,13 @@ impl Default for FdDiscoveryConfig {
 }
 
 /// The result of a discovery run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DiscoveredFds {
     /// Minimal FDs found, each with a single right-hand-side attribute.
     pub fds: Vec<Fd>,
+    /// The `g3` error of each FD in [`fds`](Self::fds), in the same order
+    /// (`0.0` for an exact FD: an exact-only walk computes no `g3`).
+    pub g3: Vec<f64>,
     /// Number of candidate FDs validated against the data.
     pub candidates_checked: usize,
     /// Number of partitions materialised.
@@ -94,14 +97,29 @@ pub fn discover_fds(instance: &RelationInstance, config: &FdDiscoveryConfig) -> 
 }
 
 /// [`discover_fds`] over a shared [`IndexPool`]: the interned indexes built
-/// for single-attribute partitions (and for `g3` grouping) are served from
-/// — and stay in — `pool`, so CFD mining, profiling and detection over the
-/// same instance rebuild nothing.
+/// for single-attribute partitions are served from — and stay in — `pool`,
+/// so CFD mining, profiling and detection over the same instance rebuild
+/// nothing.
 pub fn discover_fds_with_pool(
     instance: &RelationInstance,
     config: &FdDiscoveryConfig,
     pool: &Arc<IndexPool>,
 ) -> DiscoveredFds {
+    discover_fds_at_thresholds(instance, config, &[config.max_g3], pool).remove(0)
+}
+
+/// One lattice walk answering [`discover_fds_with_pool`] for each `g3`
+/// threshold in `thresholds` (instead of `config.max_g3`), in order.  A
+/// candidate pruned at one threshold is pruned at every larger one (an
+/// exact FD has `g3 = 0`), so the exact verdict and the `g3` error come off
+/// the same `π_X` and `π_{X ∪ {A}}`.  Each result equals a separate walk at
+/// its threshold, except that `partitions_built` and `level_ms` are shared.
+pub fn discover_fds_at_thresholds(
+    instance: &RelationInstance,
+    config: &FdDiscoveryConfig,
+    thresholds: &[f64],
+    pool: &Arc<IndexPool>,
+) -> Vec<DiscoveredFds> {
     let _span = dq_obs::span!("discover.fd", arity = instance.schema().arity());
     let threads = resolve_threads(config.threads);
     let source = if config.use_interned {
@@ -109,16 +127,16 @@ pub fn discover_fds_with_pool(
     } else {
         PartitionSource::naive(instance)
     };
-    level_sweep(&source, instance.schema(), config, threads)
+    level_sweep(&source, instance.schema(), config, thresholds, threads)
 }
 
 /// [`discover_fds`] over a shard source — an in-RAM snapshot or a
-/// memory-mapped on-disk relation.  Single-attribute partitions and `g3`
-/// tallies come from sequential shard scans; the lattice walk, pruning
-/// rules and per-level fan-out are the same code as the instance path, so
-/// the discovered FDs and candidate counts are byte-identical to
-/// [`discover_fds`] over the same logical relation.  `use_interned` is
-/// ignored (there is no row store to fall back to).
+/// memory-mapped on-disk relation.  Single-attribute partitions come from
+/// sequential shard scans; the lattice walk, pruning rules and per-level
+/// fan-out are the same code as the instance path, so the discovered FDs
+/// and candidate counts are byte-identical to [`discover_fds`] over the
+/// same logical relation.  `use_interned` is ignored (there is no row store
+/// to fall back to).
 pub fn discover_fds_from_shards(
     shards: &dyn ShardSource,
     config: &FdDiscoveryConfig,
@@ -126,17 +144,18 @@ pub fn discover_fds_from_shards(
     let _span = dq_obs::span!("discover.fd.stream", arity = shards.schema().arity());
     let threads = resolve_threads(config.threads);
     let source = PartitionSource::from_shards(shards, threads);
-    level_sweep(&source, shards.schema(), config, threads)
+    level_sweep(&source, shards.schema(), config, &[config.max_g3], threads).remove(0)
 }
 
-/// The level-wise lattice walk shared by every backend.
+/// The level-wise lattice walk shared by every backend, answering for each
+/// of `thresholds` (see [`discover_fds_at_thresholds`]).
 fn level_sweep(
     source: &PartitionSource<'_>,
     schema: &Arc<RelationSchema>,
     config: &FdDiscoveryConfig,
+    thresholds: &[f64],
     threads: usize,
-) -> DiscoveredFds {
-    let schema = schema.clone();
+) -> Vec<DiscoveredFds> {
     let arity = schema.arity();
     let attrs: Vec<usize> = (0..arity).filter(|a| !config.exclude.contains(a)).collect();
 
@@ -147,16 +166,16 @@ fn level_sweep(
     // parallel axis).
     source.warm_singles(&attrs);
 
-    let mut found: Vec<(BTreeSet<usize>, usize)> = Vec::new();
-    let mut candidates_checked = 0usize;
+    // Per threshold: its minimal FDs with their `g3`, and its tally.
+    let mut walks = vec![DiscoveredFds::default(); thresholds.len()];
     // Attribute sets that are superkeys: any proper extension is redundant.
     let mut superkeys: Vec<BTreeSet<usize>> = Vec::new();
     let mut level_ms: Vec<f64> = Vec::new();
 
-    /// One LHS's verdicts, computed independently of its level siblings.
+    /// One LHS's verdicts, computed independently of its level siblings:
+    /// per threshold, the candidates checked and the `(rhs, g3)` that hold.
     struct LhsVerdict {
-        checked: usize,
-        holds_for: Vec<usize>,
+        per_threshold: Vec<(usize, Vec<(usize, f64)>)>,
         superkey: bool,
     }
 
@@ -167,7 +186,7 @@ fn level_sweep(
         // `level_ms` is reported identically in both modes.
         let level_span = dq_obs::span_owned(format!("level{level}"));
         // Both pruning rules only fire on facts from strictly smaller LHS
-        // sets (a same-size subset is the set itself), so `found` and
+        // sets (a same-size subset is the set itself), so `walks` and
         // `superkeys` are frozen for the whole level and the surviving LHS
         // sets validate independently.
         let lhs_sets: Vec<(Vec<usize>, BTreeSet<usize>)> = subsets_of_size(&attrs, level)
@@ -185,42 +204,54 @@ fn level_sweep(
             .collect();
         let verdicts: Vec<LhsVerdict> = parallel_map(&lhs_sets, threads, |(lhs, lhs_set)| {
             let lhs_partition = source.partition(lhs);
-            let mut checked = 0usize;
-            let mut holds_for: Vec<usize> = Vec::new();
-            for &rhs in &attrs {
-                if lhs_set.contains(&rhs) {
+            let mut per_threshold = vec![(0, Vec::new()); thresholds.len()];
+            for &rhs in attrs.iter().filter(|a| !lhs_set.contains(a)) {
+                // Minimality, per threshold: skip where a subset of X
+                // already determines A.
+                let open: Vec<usize> = (0..thresholds.len())
+                    .filter(|&t| {
+                        !walks[t].fds.iter().any(|fd| {
+                            fd.rhs() == [rhs] && fd.lhs().iter().all(|a| lhs_set.contains(a))
+                        })
+                    })
+                    .collect();
+                if open.is_empty() {
                     continue;
                 }
-                // Minimality: skip if a subset of X already determines A.
-                if found.iter().any(|(l, r)| *r == rhs && l.is_subset(lhs_set)) {
-                    continue;
-                }
-                checked += 1;
-                let holds = if config.max_g3 <= 0.0 {
-                    let mut with_rhs = lhs.clone();
-                    with_rhs.push(rhs);
-                    let rhs_partition = source.partition(&with_rhs);
-                    lhs_partition.implies_with(&rhs_partition)
+                let rhs_partition = source.partition(&[lhs.as_slice(), &[rhs]].concat());
+                let exact = lhs_partition.implies_with(&rhs_partition);
+                // `g3` only where the FD fails and a positive threshold is
+                // open: the exact-only walk does no `g3` work.
+                let g3 = if exact {
+                    Some(0.0)
                 } else {
-                    source.g3(lhs, rhs) <= config.max_g3
+                    open.iter().any(|&t| thresholds[t] > 0.0).then(|| {
+                        source.with_prober(|prober| lhs_partition.g3_with(&rhs_partition, prober))
+                    })
                 };
-                if holds {
-                    holds_for.push(rhs);
+                for t in open {
+                    per_threshold[t].0 += 1;
+                    if let Some(g3) = g3.filter(|&g3| exact || g3 <= thresholds[t]) {
+                        per_threshold[t].1.push((rhs, g3));
+                    }
                 }
             }
             LhsVerdict {
-                checked,
-                holds_for,
+                per_threshold,
                 superkey: lhs_partition.is_superkey(),
             }
         });
         // Merge in canonical candidate order: `parallel_map` preserves
-        // input order, so the discovered list (and every counter) is
+        // input order, so the discovered lists (and every counter) are
         // byte-identical to the sequential sweep.
         for ((_, lhs_set), verdict) in lhs_sets.into_iter().zip(verdicts) {
-            candidates_checked += verdict.checked;
-            for rhs in verdict.holds_for {
-                found.push((lhs_set.clone(), rhs));
+            for (walk, (checked, holds_for)) in walks.iter_mut().zip(verdict.per_threshold) {
+                walk.candidates_checked += checked;
+                for (rhs, g3) in holds_for {
+                    let lhs = lhs_set.iter().copied().collect();
+                    walk.fds.push(Fd::from_indices(schema, lhs, vec![rhs]));
+                    walk.g3.push(g3);
+                }
             }
             if verdict.superkey {
                 superkeys.push(lhs_set);
@@ -228,17 +259,11 @@ fn level_sweep(
         }
         level_ms.push(level_span.finish_ms());
     }
-
-    let fds = found
-        .into_iter()
-        .map(|(lhs, rhs)| Fd::from_indices(&schema, lhs.into_iter().collect(), vec![rhs]))
-        .collect();
-    DiscoveredFds {
-        fds,
-        candidates_checked,
-        partitions_built: source.partitions_built(),
-        level_ms,
+    for walk in &mut walks {
+        walk.partitions_built = source.partitions_built();
+        walk.level_ms = level_ms.clone();
     }
+    walks
 }
 
 /// All subsets of `attrs` with exactly `size` elements, in lexicographic

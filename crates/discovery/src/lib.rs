@@ -54,8 +54,8 @@ pub mod prelude {
         DiscoveredCfds,
     };
     pub use crate::fd_discovery::{
-        discover_fds, discover_fds_from_shards, discover_fds_with_pool, DiscoveredFds,
-        FdDiscoveryConfig,
+        discover_fds, discover_fds_at_thresholds, discover_fds_from_shards, discover_fds_with_pool,
+        DiscoveredFds, FdDiscoveryConfig,
     };
     pub use crate::ind_discovery::{
         discover_cind_conditions, discover_inds, discover_inds_with_pool, DiscoveredInds,
@@ -64,9 +64,7 @@ pub mod prelude {
     pub use crate::md_discovery::{
         learn_relative_keys, LearnedRule, LearnedRuleSet, RuleLearningConfig,
     };
-    pub use crate::partition::{
-        g1_error, g3_error, g3_error_from_groups, PartitionProber, StrippedPartition,
-    };
+    pub use crate::partition::{g1_error, g3_error, PartitionProber, StrippedPartition};
     pub use crate::profile::{
         profile_database, profile_relation, profile_relation_with, ColumnProfile, RelationProfile,
     };

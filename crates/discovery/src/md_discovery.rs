@@ -78,8 +78,29 @@ impl LearnedRuleSet {
 /// The candidate rules of a comparison space: every choice of up to
 /// `max_length` space entries (at least one) with one operator per entry,
 /// concluding `target_left ⇋ target_right`.  Choices that do not form a
-/// well-formed relative key are skipped.
+/// well-formed relative key are skipped.  Opens a `discover.md` span and
+/// adds the candidates to `discover.md.candidates`.
 pub fn candidate_keys(
+    lhs_schema: &Arc<RelationSchema>,
+    rhs_schema: &Arc<RelationSchema>,
+    space: &[ComparisonSpace],
+    target_left: &[&str],
+    target_right: &[&str],
+    max_length: usize,
+) -> Vec<RelativeKey> {
+    let _span = dq_obs::span("discover.md");
+    enumerate_keys(
+        lhs_schema,
+        rhs_schema,
+        space,
+        target_left,
+        target_right,
+        max_length,
+    )
+}
+
+/// [`candidate_keys`] inside the caller's span.
+fn enumerate_keys(
     lhs_schema: &Arc<RelationSchema>,
     rhs_schema: &Arc<RelationSchema>,
     space: &[ComparisonSpace],
@@ -127,6 +148,7 @@ pub fn candidate_keys(
             }
         }
     }
+    dq_obs::add("discover.md.candidates", candidates.len() as u64);
     candidates
 }
 
@@ -138,7 +160,10 @@ pub fn candidate_keys(
 /// as the sole matching rule and scored against `truth`; candidates below
 /// the precision floor are discarded, and the remainder are added greedily
 /// — most new true matches first — until the target recall (or the rule
-/// budget) is reached.
+/// budget) is reached.  Opens one `discover.md` span; besides
+/// `discover.md.candidates` it counts the candidates that pass the
+/// precision floor (`discover.md.admitted`) and the rules selected
+/// (`discover.md.rules`).
 #[allow(clippy::too_many_arguments)]
 pub fn learn_relative_keys(
     d1: &RelationInstance,
@@ -150,7 +175,8 @@ pub fn learn_relative_keys(
     config: &RuleLearningConfig,
     engine: &MatchingEngine,
 ) -> LearnedRuleSet {
-    let candidates = candidate_keys(
+    let _span = dq_obs::span("discover.md");
+    let candidates = enumerate_keys(
         d1.schema(),
         d2.schema(),
         space,
@@ -170,6 +196,8 @@ pub fn learn_relative_keys(
             scored.push((key, quality, matches));
         }
     }
+
+    dq_obs::add("discover.md.admitted", scored.len() as u64);
 
     // Greedy cover: repeatedly add the rule contributing the most new true
     // matches (ties broken towards higher precision).
@@ -207,6 +235,7 @@ pub fn learn_relative_keys(
         selected.push(LearnedRule { key, quality });
     }
 
+    dq_obs::add("discover.md.rules", selected.len() as u64);
     let combined = score(&predicted, truth);
     LearnedRuleSet {
         rules: selected,

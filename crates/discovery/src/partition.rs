@@ -9,13 +9,15 @@
 //! candidate FD is the minimum number of tuples that must be removed for it
 //! to hold, which doubles as an approximation measure.
 //!
-//! Both have one fast form over multi-row groups,
-//! [`StrippedPartition::from_groups`] and [`g3_error_from_groups`], fed by
-//! either group provider — a pooled interned index or a shard scan (see
-//! [`crate::source`]).  The `Vec<Value>`-keyed [`StrippedPartition::build`]
-//! and [`g3_error`] stay as the reference they are checked against.
+//! Partitions have one fast form over multi-row groups,
+//! [`StrippedPartition::from_groups`], fed by either group provider — a
+//! pooled interned index or a shard scan (see [`crate::source`]) — and
+//! `g3` is read off the partitions a lattice walk already holds
+//! ([`StrippedPartition::g3_with`]).  The `Vec<Value>`-keyed
+//! [`StrippedPartition::build`] and [`g3_error`] stay as the reference they
+//! are checked against.
 
-use dq_relation::{RelationInstance, ShardSource, TupleId, Value, ValueId};
+use dq_relation::{RelationInstance, ShardSource, TupleId, Value};
 use std::collections::HashMap;
 
 /// A stripped partition: the equivalence classes of size ≥ 2 of a relation
@@ -187,6 +189,30 @@ impl StrippedPartition {
     pub fn implies_with(&self, with_rhs: &StrippedPartition) -> bool {
         self.error() == with_rhs.error()
     }
+
+    /// The [`g3_error`] of `X → A`, where `self` is `π_X` and `with_rhs` is
+    /// `π_{X ∪ {A}}`: each class `c` of `π_X` loses `|c| − max(1, largest
+    /// π_{X ∪ {A}} class inside c)`, found by each such class's first member
+    /// through the prober's epoch-stamped tuple → class table.  The count
+    /// and the division are the naive measure's, so the bits are the same.
+    pub fn g3_with(&self, with_rhs: &StrippedPartition, prober: &mut PartitionProber) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let epoch = prober.begin(0);
+        for (idx, class) in self.classes.iter().enumerate() {
+            for &id in class {
+                prober.stamp(id, idx as u32, epoch);
+            }
+        }
+        let mut keep = vec![1usize; self.classes.len()];
+        for class in &with_rhs.classes {
+            if let Some(idx) = prober.class_of(class[0], epoch) {
+                keep[idx as usize] = keep[idx as usize].max(class.len());
+            }
+        }
+        (self.size() - keep.iter().sum::<usize>()) as f64 / self.total as f64
+    }
 }
 
 /// Reusable scratch for [`StrippedPartition::product_with`]: an
@@ -270,68 +296,6 @@ pub fn g1_error(instance: &RelationInstance, lhs: &[usize], rhs: &[usize]) -> f6
         violating_pairs += group_size * (group_size - 1) - same_rhs_pairs;
     }
     violating_pairs as f64 / (n * (n - 1)) as f64
-}
-
-/// [`g3_error`] of `X → A` over the multi-row `X`-groups of `source`
-/// (pooled index postings or a shard scan, as for
-/// [`StrippedPartition::from_groups`]): singleton groups keep their lone
-/// tuple, so only multi-row groups can force removals.  The single RHS
-/// attribute `A` is tallied by dictionary id in a count array sized to its
-/// dictionary and reused across this call's groups, so no `Vec<Value>`
-/// projection is materialized; the arithmetic is the naive measure's, so
-/// the returned error is bit-identical to it.
-pub fn g3_error_from_groups<'g>(
-    source: &dyn ShardSource,
-    lhs_groups: impl IntoIterator<Item = &'g [u32]>,
-    rhs: usize,
-) -> f64 {
-    let n = source.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let col = source.column(rhs);
-    let mut tally = DenseTally::new(col.distinct());
-    let mut removed = 0usize;
-    for rows in lhs_groups {
-        let keep = tally.max_count(rows.iter().map(|&row| col.id_at(row as usize)));
-        removed += rows.len() - keep;
-    }
-    removed as f64 / n as f64
-}
-
-/// Occurrence counts indexed by dense [`ValueId`], plus the ids touched
-/// since the last reset: a tally costs O(group) rather than a hash per row,
-/// and clearing it costs O(distinct ids seen) rather than O(dictionary).
-struct DenseTally {
-    counts: Vec<u32>,
-    touched: Vec<ValueId>,
-}
-
-impl DenseTally {
-    /// An empty tally over a dictionary of `distinct` values.
-    fn new(distinct: usize) -> Self {
-        DenseTally {
-            counts: vec![0; distinct],
-            touched: Vec::new(),
-        }
-    }
-
-    /// The highest multiplicity among `ids`, leaving the tally zeroed.
-    fn max_count(&mut self, ids: impl Iterator<Item = ValueId>) -> usize {
-        let mut max = 0u32;
-        for id in ids {
-            let count = &mut self.counts[id.index()];
-            if *count == 0 {
-                self.touched.push(id);
-            }
-            *count += 1;
-            max = max.max(*count);
-        }
-        for id in self.touched.drain(..) {
-            self.counts[id.index()] = 0;
-        }
-        max as usize
-    }
 }
 
 /// The `g3` error of the FD `X → Y` on `instance`: the minimum fraction of
@@ -491,16 +455,31 @@ mod tests {
     }
 
     #[test]
-    fn g3_from_groups_matches_naive() {
+    fn g3_from_product_matches_naive() {
         let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
-        let source = StoreShardSource::new(&inst);
+        let mut prober = PartitionProber::new();
         for (lhs, rhs) in [(&[0usize][..], 1usize), (&[1], 0), (&[0, 1], 2), (&[2], 0)] {
-            assert_eq!(
-                g3_error_from_groups(&source, RowGroups::scan(&source, lhs).iter(), rhs),
-                g3_error(&inst, lhs, &[rhs]),
-                "{lhs:?} -> {rhs:?}"
-            );
+            let with_rhs: Vec<usize> = lhs.iter().copied().chain([rhs]).collect();
+            let g3 = StrippedPartition::build(&inst, lhs)
+                .g3_with(&StrippedPartition::build(&inst, &with_rhs), &mut prober);
+            assert_eq!(g3, g3_error(&inst, lhs, &[rhs]), "{lhs:?} -> {rhs:?}");
         }
+    }
+
+    #[test]
+    fn g3_keeps_one_tuple_of_a_class_split_into_singletons() {
+        // The "x" class of a splits into three singletons on c: π_{a,c} has
+        // no class inside it, so it keeps one tuple and loses two.
+        let inst = instance(&[("x", "p", 1), ("x", "p", 2), ("x", "q", 3), ("y", "r", 4)]);
+        let pa = StrippedPartition::build(&inst, &[0]);
+        let pac = StrippedPartition::build(&inst, &[0, 2]);
+        assert!(pac.is_superkey());
+        let g3 = pa.g3_with(&pac, &mut PartitionProber::new());
+        assert_eq!(g3, 0.5);
+        assert_eq!(g3, g3_error(&inst, &[0], &[2]));
+        let empty = RelationInstance::new(schema());
+        let p = StrippedPartition::build(&empty, &[0]);
+        assert_eq!(p.g3_with(&p, &mut PartitionProber::new()), 0.0);
     }
 
     #[test]

@@ -113,8 +113,12 @@ pub fn profile_relation(instance: &RelationInstance) -> RelationProfile {
 /// independent, so both fan out across the thread pool — columns first
 /// (each scans its own dictionary and null ids), then the candidate
 /// attribute pairs (each groups through its own index in a private pool).
-/// The reported profile is identical at every thread count.
+/// The reported profile is identical at every thread count.  Opens one
+/// `discover.profile` span and counts the profiled columns
+/// (`discover.profile.columns`) and the attribute pairs grouped for key
+/// candidacy (`discover.profile.pairs`).
 pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> RelationProfile {
+    let _span = dq_obs::span!("discover.profile", arity = instance.schema().arity());
     let threads = resolve_threads(threads);
     let pool = IndexPool::new();
     let schema = instance.schema();
@@ -155,6 +159,7 @@ pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> Rel
         }
     });
 
+    dq_obs::add("discover.profile.columns", columns.len() as u64);
     let unary_keys: Vec<usize> = columns
         .iter()
         .filter(|c| tuples > 0 && c.is_unique())
@@ -166,6 +171,7 @@ pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> Rel
             .flat_map(|a| ((a + 1)..schema.arity()).map(move |b| (a, b)))
             .filter(|(a, b)| !unary_keys.contains(a) && !unary_keys.contains(b))
             .collect();
+        dq_obs::add("discover.profile.pairs", candidate_pairs.len() as u64);
         let is_key: Vec<bool> = parallel_map(&candidate_pairs, threads, |&(a, b)| {
             pool.interned_for(instance, &[a, b], 1).group_count() == tuples
         });
@@ -185,7 +191,8 @@ pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> Rel
     }
 }
 
-/// Profiles every relation of a database.
+/// Profiles every relation of a database, one `discover.profile` span
+/// per relation.
 pub fn profile_database(db: &Database) -> Vec<RelationProfile> {
     db.iter().map(|(_, inst)| profile_relation(inst)).collect()
 }

@@ -187,22 +187,23 @@ fn fd_holds_on(tuples: &[Tuple], fd: &Fd, members: &[usize]) -> bool {
     })
 }
 
-/// Reference [`crate::cfd_discovery::discover_cfds`]: exact and approximate
-/// FDs over the legacy partition builds ([`FdDiscoveryConfig::use_interned`]
-/// `= false`), the row-scanning `g3` filter, the reference tableau and
-/// constant miners, and the same minimal-cover post-pass.  `level_ms` stays
-/// empty.
+/// Reference [`crate::cfd_discovery::discover_cfds`]: two separate FD
+/// sweeps, exact and approximate, over the legacy partition builds
+/// ([`FdDiscoveryConfig::use_interned`] `= false`), the row-scanning `g3`
+/// filter, the reference tableau and constant miners, and the same
+/// minimal-cover post-pass.  `level_ms` stays empty.
 pub fn discover_cfds(instance: &RelationInstance, config: &CfdDiscoveryConfig) -> DiscoveredCfds {
     let fd_config = |max_g3| FdDiscoveryConfig {
+        max_g3,
         use_interned: false,
         threads: 1,
-        ..config.fd_config(max_g3)
+        ..config.fd_config()
     };
     let exact = discover_fds(instance, &fd_config(0.0));
     let approx = discover_fds(instance, &fd_config(config.max_candidate_g3));
-    let tableaux = conditioning_candidates(&exact.fds, &approx.fds)
+    let tableaux = conditioning_candidates(&exact.fds, &approx)
         .into_iter()
-        .map(|fd| {
+        .map(|(fd, _)| {
             (g3_error(instance, fd.lhs(), fd.rhs()) != 0.0)
                 .then(|| discover_tableau_for_fd(instance, fd, config))
         })

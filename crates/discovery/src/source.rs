@@ -7,8 +7,8 @@
 //! dominant cost of discovery on large instances.  [`PartitionSource`]
 //! instead serves every request from three layers of reuse:
 //!
-//! 1. **grouped base partitions** — single-attribute partitions (and `g3`
-//!    tallies) come from one constructor over multi-row groups,
+//! 1. **grouped base partitions** — single-attribute partitions come from
+//!    one constructor over multi-row groups,
 //!    [`StrippedPartition::from_groups`], with two group providers: on a
 //!    live instance the CSR postings of [`dq_relation::InternedIndex`]es,
 //!    pooled in a shared [`IndexPool`] keyed by `(instance, version,
@@ -56,7 +56,7 @@
 //! `= false`, which is how [`crate::reference::discover_cfds`] mines its
 //! FDs.
 
-use crate::partition::{g3_error, g3_error_from_groups, PartitionProber, StrippedPartition};
+use crate::partition::{PartitionProber, StrippedPartition};
 use dq_relation::{
     FxHasher, IndexPool, RelationInstance, RowGroups, ShardSource, StoreShardSource,
 };
@@ -83,7 +83,7 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
     }
 }
 
-/// Serves stripped partitions (and `g3` errors) for one instance, either
+/// Serves stripped partitions for one instance, either
 /// from pooled interned indexes (the fast path) or from the legacy
 /// value-keyed builds.  Shareable across worker threads: see the module
 /// docs for the concurrency design.
@@ -98,7 +98,7 @@ pub struct PartitionSource<'a> {
     obs: SourceObs,
 }
 
-/// Where single-attribute partitions and `g3` tallies come from.
+/// Where single-attribute partitions come from.
 enum Backend<'a> {
     /// Pooled interned indexes over a live instance (the fast path).
     Interned(&'a RelationInstance),
@@ -158,8 +158,8 @@ impl<'a> PartitionSource<'a> {
         Self::with_backend(Backend::Naive(instance), Arc::new(IndexPool::new()), 1)
     }
 
-    /// A shard-cursor source: single-attribute partitions and `g3` tallies
-    /// come from sequential two-scan groupings of `source`'s shards
+    /// A shard-cursor source: single-attribute partitions come from
+    /// sequential two-scan groupings of `source`'s shards
     /// ([`RowGroups::scan`]), wider partitions from products
     /// over the cache as usual.  Works over a memory-mapped relation
     /// without ever materializing tuples or pooled indexes.
@@ -198,9 +198,9 @@ impl<'a> PartitionSource<'a> {
         &self.stripes[hasher.finish() as usize % STRIPES]
     }
 
-    /// Runs `f` over a prober borrowed from the pool — exclusive for the
-    /// duration of one product, its scratch capacity retained across calls.
-    fn with_prober<R>(&self, f: impl FnOnce(&mut PartitionProber) -> R) -> R {
+    /// Runs `f` over a prober borrowed from the pool — exclusive for one
+    /// product or `g3` count, its scratch capacity retained across calls.
+    pub(crate) fn with_prober<R>(&self, f: impl FnOnce(&mut PartitionProber) -> R) -> R {
         let mut prober = self
             .probers
             .lock()
@@ -256,40 +256,28 @@ impl<'a> PartitionSource<'a> {
     /// big cold build to shard internally warm it up front
     /// ([`warm_singles`](Self::warm_singles)).
     fn build(&self, key: &[usize]) -> StrippedPartition {
-        if let Backend::Naive(instance) = &self.backend {
-            return StrippedPartition::build(instance, key);
-        }
-        if key.len() <= 1 {
-            return self.with_groups(key, |source, groups| {
-                StrippedPartition::from_groups(source, groups)
-            });
-        }
-        // π_{X ∪ {A}} = π_X · π_A over a pooled probe table; both operands
-        // come out of this cache (built recursively on a cold miss), so a
-        // level-wise sweep touches each base partition once.
-        let (rest, last) = key.split_at(key.len() - 1);
-        let left = self.partition(rest);
-        let right = self.partition(last);
-        self.with_prober(|prober| left.product_with(&right, prober))
-    }
-
-    /// Runs `f` over the relation and its multi-row groups on `attrs` — the
-    /// one place the interned and shard backends differ: the former reads
-    /// the groups off the pooled index, the latter scans the shards.
-    fn with_groups<R>(
-        &self,
-        attrs: &[usize],
-        f: impl FnOnce(&dyn ShardSource, &mut dyn Iterator<Item = &[u32]>) -> R,
-    ) -> R {
         match &self.backend {
-            Backend::Interned(instance) => {
-                let index = self.pool.interned_for(instance, attrs, 1);
-                let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
-                let mut groups = index.multi_group_rows();
-                f(&source, &mut groups)
+            Backend::Naive(instance) => StrippedPartition::build(instance, key),
+            // π_{X ∪ {A}} = π_X · π_A over a pooled probe table; both
+            // operands come out of this cache (built recursively on a cold
+            // miss), so a level-wise sweep touches each base partition once.
+            _ if key.len() > 1 => {
+                let (rest, last) = key.split_at(key.len() - 1);
+                let left = self.partition(rest);
+                let right = self.partition(last);
+                self.with_prober(|prober| left.product_with(&right, prober))
             }
-            Backend::Shards(source) => f(*source, &mut RowGroups::scan(*source, attrs).iter()),
-            Backend::Naive(_) => unreachable!("the naive backend builds from the row store"),
+            // Base partitions, the one place the interned and shard backends
+            // differ: the former reads the groups off the pooled index, the
+            // latter scans the shards.
+            Backend::Interned(instance) => {
+                let index = self.pool.interned_for(instance, key, 1);
+                let source = StoreShardSource::with_store(instance, Arc::clone(index.store()));
+                StrippedPartition::from_groups(&source, index.multi_group_rows())
+            }
+            Backend::Shards(source) => {
+                StrippedPartition::from_groups(*source, RowGroups::scan(*source, key).iter())
+            }
         }
     }
 
@@ -330,25 +318,12 @@ impl<'a> PartitionSource<'a> {
             }
         }
     }
-
-    /// The `g3` error of `lhs → rhs` for one RHS attribute, routed through
-    /// the pooled interned index of `lhs` on the fast path.  Like
-    /// [`partition`](Self::partition), a cold index build runs
-    /// single-threaded — the level fan-out calling this is the parallel
-    /// axis.
-    pub fn g3(&self, lhs: &[usize], rhs: usize) -> f64 {
-        match &self.backend {
-            Backend::Naive(instance) => g3_error(instance, lhs, &[rhs]),
-            _ => self.with_groups(lhs, |source, groups| {
-                g3_error_from_groups(source, groups, rhs)
-            }),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::g3_error;
     use dq_core::engine::parallel_map;
     use dq_relation::{Domain, RelationSchema, Value};
 
@@ -408,7 +383,13 @@ mod tests {
         let fast = PartitionSource::with_fresh_pool(&inst);
         let slow = PartitionSource::naive(&inst);
         for (lhs, rhs) in [(&[0usize][..], 1usize), (&[1], 0), (&[0, 1], 2), (&[2], 0)] {
-            assert_eq!(fast.g3(lhs, rhs), slow.g3(lhs, rhs), "{lhs:?} -> {rhs}");
+            let with_rhs: Vec<usize> = lhs.iter().copied().chain([rhs]).collect();
+            let g3 = |source: &PartitionSource<'_>| {
+                let (x, xa) = (source.partition(lhs), source.partition(&with_rhs));
+                source.with_prober(|prober| x.g3_with(&xa, prober))
+            };
+            assert_eq!(g3(&fast), g3(&slow), "{lhs:?} -> {rhs}");
+            assert_eq!(g3(&fast), g3_error(&inst, lhs, &[rhs]), "{lhs:?} -> {rhs}");
         }
     }
 

@@ -87,24 +87,25 @@ proptest! {
         );
     }
 
-    /// `g3` over pooled interned indexes is bit-identical to the naive
-    /// measure for every (LHS, RHS) candidate shape discovery generates.
+    /// `g3` read off interned partitions (`π_X` and its product
+    /// `π_{X ∪ {A}}`, as the lattice walk holds them) is bit-identical to
+    /// the naive measure for every (LHS, RHS) candidate shape discovery
+    /// generates.
     #[test]
     fn g3_interned_equals_naive(config in workload_config()) {
         let workload = generate_customers(&config);
         let instance = &workload.dirty;
-        let store = instance.columnar();
+        let source = PartitionSource::interned(instance, Arc::new(IndexPool::new()), 1);
+        let mut prober = PartitionProber::new();
         let arity = instance.schema().arity();
-        for lhs_attr in 0..arity {
-            for rhs_attr in 0..arity {
-                if lhs_attr == rhs_attr {
-                    continue;
-                }
-                let index = InternedIndex::build(instance, &store, &[lhs_attr], 1);
+        for lhs in (0..arity).map(|a| vec![a]).chain([vec![0, 1], vec![2, 5]]) {
+            for rhs_attr in (0..arity).filter(|a| !lhs.contains(a)) {
+                let with_rhs: Vec<usize> = lhs.iter().copied().chain([rhs_attr]).collect();
+                let g3 = source.partition(&lhs).g3_with(&source.partition(&with_rhs), &mut prober);
                 prop_assert_eq!(
-                    g3_error_from_groups(&StoreShardSource::new(instance), index.multi_group_rows(), rhs_attr),
-                    g3_error(instance, &[lhs_attr], &[rhs_attr]),
-                    "{} -> {}", lhs_attr, rhs_attr
+                    g3.to_bits(),
+                    g3_error(instance, &lhs, &[rhs_attr]).to_bits(),
+                    "{:?} -> {}", lhs, rhs_attr
                 );
             }
         }
@@ -471,6 +472,77 @@ fn zero_cap_mines_no_vacuous_constant_cfds() {
         mined.all(),
         reference::discover_cfds(&workload.dirty, &cfg).all()
     );
+}
+
+/// Removes rows from `instance` to leave tuple-id gaps: `mode` 0 keeps
+/// every row, 1–3 drop every second to fourth, 4 keeps one row and 5
+/// empties the relation.
+fn punch_gaps(instance: &mut RelationInstance, mode: usize) {
+    for (pos, id) in instance.ids().into_iter().enumerate() {
+        let drop = match mode {
+            1..=3 => pos % (mode + 1) == 0,
+            4 => pos > 0,
+            5 => true,
+            _ => false,
+        };
+        if drop {
+            instance.remove(id).expect("live");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// One lattice walk over the thresholds `[0, t]` answers exactly like
+    /// two separate reference sweeps (`use_interned: false`) at `0` and at
+    /// `t`: the FD lists and per-threshold candidate tallies, on both
+    /// backends and at threads 1, 2 and 4, with every FD's `g3` bit-equal
+    /// to `g3_error`.  Approximate candidates are a subset of the exact
+    /// ones, so the walk materializes exactly the exact-only walk's
+    /// partitions.  Covers tuple-id gaps, one-row and empty relations and
+    /// thresholds at and above 1.
+    #[test]
+    fn one_walk_equals_separate_sweeps_per_threshold(
+        config in workload_config(),
+        gaps in 0usize..6,
+        threshold_idx in 0usize..4,
+    ) {
+        let mut instance = generate_customers(&config).dirty;
+        punch_gaps(&mut instance, gaps);
+        let thresholds = [0.0, [0.1, 0.5, 1.0, 2.0][threshold_idx]];
+        let reference_sweeps = thresholds.map(|max_g3| FdDiscoveryConfig {
+            threads: 1,
+            ..fd_config(false, max_g3)
+        }).map(|cfg| discover_fds(&instance, &cfg));
+        for use_interned in [false, true] {
+            let exact_only = discover_fds(&instance, &fd_config(use_interned, 0.0));
+            for threads in [1, 2, 4] {
+                let cfg = FdDiscoveryConfig { threads, ..fd_config(use_interned, 0.0) };
+                let walk = discover_fds_at_thresholds(
+                    &instance, &cfg, &thresholds, &Arc::new(IndexPool::new()),
+                );
+                prop_assert_eq!(walk.len(), 2);
+                for (one, separate) in walk.iter().zip(&reference_sweeps) {
+                    prop_assert_eq!(&one.fds, &separate.fds, "threads {}, interned {}", threads, use_interned);
+                    prop_assert_eq!(one.candidates_checked, separate.candidates_checked);
+                    prop_assert_eq!(one.g3.len(), one.fds.len());
+                    for (fd, g3) in one.fds.iter().zip(&one.g3) {
+                        prop_assert_eq!(
+                            g3.to_bits(),
+                            g3_error(&instance, fd.lhs(), fd.rhs()).to_bits(),
+                            "{:?}", fd
+                        );
+                    }
+                    prop_assert_eq!(one.partitions_built, exact_only.partitions_built);
+                }
+                if !use_interned {
+                    prop_assert_eq!(walk[0].partitions_built, reference_sweeps[0].partitions_built);
+                    prop_assert!(reference_sweeps[1].partitions_built <= walk[1].partitions_built);
+                }
+            }
+        }
+    }
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];

@@ -179,6 +179,174 @@ fn parallel_cfd_mining_nests_worker_spans_and_counts_validations() {
     }
 }
 
+/// One `discover_cfds` call walks the FD lattice once: exact and
+/// approximate verdicts come from the same walk, so `discover.fd` opens
+/// exactly once under `discover.cfd`, sequentially and fanned out.
+#[test]
+fn cfd_discovery_walks_the_fd_lattice_once() {
+    use dq_discovery::prelude::*;
+
+    let _session = RecorderSession::begin();
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 300,
+        error_rate: 0.05,
+        seed: 7,
+        cities_per_country: 5,
+    });
+    for threads in [1, 2] {
+        dq_obs::recorder().reset();
+        dq_obs::set_enabled(true);
+        let mined = discover_cfds(
+            &workload.dirty,
+            &CfdDiscoveryConfig {
+                threads,
+                ..CfdDiscoveryConfig::default()
+            },
+        );
+        dq_obs::set_enabled(false);
+        assert!(!mined.is_empty());
+        let snap = dq_obs::recorder().snapshot();
+        let tree = snap.render_span_tree();
+        let calls = |path: &str| snap.spans.get(path).map_or(0, |s| s.count);
+        assert_eq!(calls("discover.cfd"), 1, "threads {threads}:\n{tree}");
+        assert_eq!(
+            calls("discover.cfd/discover.fd"),
+            1,
+            "one lattice walk per discover_cfds (threads {threads}):\n{tree}"
+        );
+        assert_eq!(calls("discover.cfd/discover.fd/level1"), 1, "{tree}");
+    }
+}
+
+/// Matching-rule learning is observable: `candidate_keys` and
+/// `learn_relative_keys` each open one root `discover.md` span (learning
+/// enumerates its candidates inside its own), and the counters record the
+/// enumerated candidates, those that pass the precision floor and the
+/// rules selected.
+#[test]
+fn rule_learning_opens_discover_md_and_counts_its_candidates() {
+    use dq_discovery::md_discovery::{candidate_keys, learn_relative_keys, RuleLearningConfig};
+    use dq_gen::cards::{generate_cards, CardConfig};
+    use dq_match::engine::MatchingEngine;
+    use dq_match::rck::ComparisonSpace;
+    use dq_match::similarity::SimilarityOp;
+
+    let _session = RecorderSession::begin();
+    let w = generate_cards(&CardConfig {
+        holders: 80,
+        distractors: 10,
+        seed: 19,
+        ..CardConfig::default()
+    });
+    let space = vec![
+        ComparisonSpace::new("LN", "SN", vec![SimilarityOp::Equality]),
+        ComparisonSpace::new("FN", "FN", vec![SimilarityOp::Equality]),
+        ComparisonSpace::new("email", "email", vec![SimilarityOp::Equality]),
+        ComparisonSpace::new("addr", "post", vec![SimilarityOp::Equality]),
+    ];
+    let (yc, yb) = (["FN", "LN", "addr", "email"], ["FN", "SN", "post", "email"]);
+    let config = RuleLearningConfig::default();
+    dq_obs::set_enabled(true);
+    let keys = candidate_keys(
+        w.card.schema(),
+        w.billing.schema(),
+        &space,
+        &yc,
+        &yb,
+        config.max_length,
+    );
+    let snap = dq_obs::recorder().snapshot();
+    assert!(!keys.is_empty());
+    let roots: Vec<&String> = snap.spans.keys().collect();
+    assert_eq!(roots, ["discover.md"], "{}", snap.render_span_tree());
+    assert_eq!(snap.spans["discover.md"].count, 1);
+    assert_eq!(
+        snap.counters.get("discover.md.candidates"),
+        Some(&(keys.len() as u64))
+    );
+
+    dq_obs::recorder().reset();
+    let engine = MatchingEngine::new(std::sync::Arc::new(IndexPool::new()));
+    let learned = learn_relative_keys(
+        &w.card, &w.billing, &w.truth, &space, &yc, &yb, &config, &engine,
+    );
+    dq_obs::set_enabled(false);
+    assert!(!learned.rules.is_empty());
+    let snap = dq_obs::recorder().snapshot();
+    let tree = snap.render_span_tree();
+    let roots: Vec<&String> = snap.spans.keys().filter(|p| !p.contains('/')).collect();
+    assert_eq!(roots, ["discover.md"], "one root span:\n{tree}");
+    assert_eq!(snap.spans["discover.md"].count, 1);
+    assert!(
+        !snap.spans.contains_key("discover.md/discover.md"),
+        "{tree}"
+    );
+    assert!(snap.spans.contains_key("discover.md/match.rule"), "{tree}");
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        counter("discover.md.candidates"),
+        learned.candidates_evaluated as u64
+    );
+    assert_eq!(counter("discover.md.rules"), learned.rules.len() as u64);
+    assert!(counter("discover.md.admitted") >= counter("discover.md.rules"));
+}
+
+/// Profiling is observable: `profile_relation` opens one root
+/// `discover.profile` span and `profile_database` one per relation; the
+/// counters record the profiled columns and the attribute pairs grouped
+/// for key candidacy.
+#[test]
+fn profiling_opens_discover_profile_per_relation() {
+    use dq_discovery::prelude::*;
+
+    let _session = RecorderSession::begin();
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 200,
+        error_rate: 0.05,
+        seed: 3,
+        cities_per_country: 5,
+    });
+    dq_obs::set_enabled(true);
+    let profile = profile_relation(&workload.dirty);
+    let snap = dq_obs::recorder().snapshot();
+    let arity = workload.dirty.schema().arity() as u64;
+    let roots: Vec<&String> = snap.spans.keys().filter(|p| !p.contains('/')).collect();
+    assert_eq!(roots, ["discover.profile"], "{}", snap.render_span_tree());
+    assert_eq!(snap.spans["discover.profile"].count, 1);
+    assert_eq!(snap.counters.get("discover.profile.columns"), Some(&arity));
+    let non_keys = arity - profile.unary_keys.len() as u64;
+    assert_eq!(
+        snap.counters
+            .get("discover.profile.pairs")
+            .copied()
+            .unwrap_or(0),
+        non_keys * non_keys.saturating_sub(1) / 2
+    );
+
+    dq_obs::recorder().reset();
+    let db = dq_gen::orders::generate_orders(&dq_gen::orders::OrderConfig {
+        orders: 50,
+        ..Default::default()
+    })
+    .db;
+    let profiles = profile_database(&db);
+    dq_obs::set_enabled(false);
+    let relations = db.iter().count();
+    assert_eq!(profiles.len(), relations);
+    let snap = dq_obs::recorder().snapshot();
+    assert_eq!(
+        snap.spans["discover.profile"].count,
+        relations as u64,
+        "{}",
+        snap.render_span_tree()
+    );
+    let columns: usize = db.iter().map(|(_, inst)| inst.schema().arity()).sum();
+    assert_eq!(
+        snap.counters.get("discover.profile.columns"),
+        Some(&(columns as u64))
+    );
+}
+
 /// Grouped detection counts its groups and violations arithmetically —
 /// in-RAM, shard-cursor and maintained alike — and only a consumer asking
 /// for pairs opens `report.materialize`, once per report.
