@@ -224,6 +224,42 @@ fn timed_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (samples[samples.len() / 2], result)
 }
 
+/// Copies that start cold, for the benches' cold rows: built tuple by
+/// tuple, so a copy carries a fresh identity, no columnar snapshot and no
+/// clone origin.  A `clone()` would instead inherit the original's current
+/// snapshot and be lent its pooled indexes, and the row would time a warm
+/// start.  Tuple ids are kept: a dead slot is re-created as a removed
+/// filler.
+trait ColdCopy {
+    fn cold_copy(&self) -> Self;
+}
+
+impl ColdCopy for dq_relation::RelationInstance {
+    fn cold_copy(&self) -> Self {
+        let mut copy = dq_relation::RelationInstance::new(std::sync::Arc::clone(self.schema()));
+        let mut slots = 0;
+        for (id, tuple) in self.iter() {
+            for _ in slots..id.0 {
+                let filler = copy.insert(tuple.clone()).expect("same schema");
+                copy.remove(filler);
+            }
+            copy.insert(tuple.clone()).expect("same schema");
+            slots = id.0 + 1;
+        }
+        copy
+    }
+}
+
+impl ColdCopy for dq_relation::Database {
+    fn cold_copy(&self) -> Self {
+        let mut copy = dq_relation::Database::new();
+        for (_, instance) in self.iter() {
+            copy.add_relation(instance.cold_copy());
+        }
+        copy
+    }
+}
+
 /// Drains the recorder into a [`dq_obs::MetricsSnapshot`] (pouring any
 /// extra [`dq_obs::MetricSource`]s in under their prefixes), prints the
 /// span-tree flame summary under `label`, resets the recorder for the next
@@ -293,12 +329,12 @@ fn detection_bench(smoke: bool, profile: bool) {
             let (naive_ms, naive_total) = timed_median(reps, || {
                 reference::detect_cfd_violations(&workload.dirty, cfds).total()
             });
-            // Genuinely cold engine passes: clones carry fresh instance
-            // identities and empty columnar caches, so each rep pays the
-            // snapshot, the dictionary encoding and every index build
-            // inside the measurement — the throwaway run above cannot
-            // pre-warm them.  (Clones are taken outside the timer.)
-            let cold_instances: Vec<_> = (0..reps).map(|_| workload.dirty.clone()).collect();
+            // Genuinely cold engine passes: cold copies carry fresh
+            // instance identities and empty columnar caches, so each rep
+            // pays the snapshot, the dictionary encoding and every index
+            // build inside the measurement — the throwaway run above cannot
+            // pre-warm them.  (Copies are made outside the timer.)
+            let cold_instances: Vec<_> = (0..reps).map(|_| workload.dirty.cold_copy()).collect();
             let mut cold_iter = cold_instances.iter();
             let (cold_ms, cold_total) = timed_median(reps, || {
                 let instance = cold_iter.next().expect("one fresh instance per rep");
@@ -490,8 +526,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                             naive_ms: f64,
                             interned_ms: f64,
                             found: usize,
-                            naive_partitions: usize,
-                            interned_partitions: usize,
+                            (tally, naive_tally, interned_tally): (&str, usize, usize),
                             levels_ms: Option<&[f64]>,
                             profile_json: String| {
             let speedup = naive_ms / interned_ms;
@@ -516,7 +551,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                  \"error_rate\": {error_rate}, \
                  \"dependencies_found\": {found}, \"naive_ms\": {naive_ms:.3}, \
                  \"interned_ms\": {interned_ms:.3}, \"speedup\": {speedup:.3}, \
-                 \"partitions_naive\": {naive_partitions}, \"partitions_interned\": {interned_partitions}, \
+                 \"{tally}_naive\": {naive_tally}, \"{tally}_interned\": {interned_tally}, \
                  \"grouping_bytes_naive\": {naive_bytes}, \"grouping_bytes_interned\": {interned_bytes}, \
                  \"memory_reduction\": {memory_reduction:.3}{levels}{profile_json}}}"
             ));
@@ -533,11 +568,11 @@ fn discovery_bench(smoke: bool, profile: bool) {
         let (naive_ms, naive_fds) =
             timed_median(reps, || discover_fds(instance, &fd_cfg(false, 1)));
         for &threads in &thread_counts {
-            // Cold interned runs: clones carry fresh identities and empty
-            // columnar caches, so every rep pays the snapshot, the
+            // Cold interned runs: cold copies carry fresh identities and
+            // empty columnar caches, so every rep pays the snapshot, the
             // dictionary encoding and all index builds inside the
             // measurement.
-            let cold: Vec<_> = (0..reps).map(|_| instance.clone()).collect();
+            let cold: Vec<_> = (0..reps).map(|_| instance.cold_copy()).collect();
             let mut cold_iter = cold.iter();
             let (interned_ms, interned_fds) = timed_median(reps, || {
                 discover_fds(
@@ -565,8 +600,11 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 naive_ms,
                 interned_ms,
                 naive_fds.fds.len(),
-                naive_fds.partitions_built,
-                interned_fds.partitions_built,
+                (
+                    "partitions",
+                    naive_fds.partitions_built,
+                    interned_fds.partitions_built,
+                ),
                 Some(&interned_fds.level_ms),
                 profile_json,
             );
@@ -585,7 +623,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 dq_discovery::reference::discover_cfds(instance, &cfd_cfg(1))
             });
             for &threads in &thread_counts {
-                let cold: Vec<_> = (0..reps).map(|_| instance.clone()).collect();
+                let cold: Vec<_> = (0..reps).map(|_| instance.cold_copy()).collect();
                 let mut cold_iter = cold.iter();
                 let (interned_ms, interned_cfds) = timed_median(reps, || {
                     discover_cfds(
@@ -617,8 +655,11 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     naive_ms,
                     interned_ms,
                     naive_cfds.len(),
-                    naive_cfds.candidates_checked,
-                    interned_cfds.candidates_checked,
+                    (
+                        "candidates",
+                        naive_cfds.candidates_checked,
+                        interned_cfds.candidates_checked,
+                    ),
                     Some(&interned_cfds.level_ms),
                     profile_json,
                 );
@@ -722,11 +763,11 @@ fn ind_bench(smoke: bool, profile: bool) {
         let (naive_ms, naive_inds) = timed_median(reps, || {
             dq_discovery::reference::discover_inds(db, &config).unwrap()
         });
-        // Cold interned runs: clones carry fresh instance identities and
-        // empty columnar caches, so every rep pays the snapshots, the
+        // Cold interned runs: cold copies carry fresh instance identities
+        // and empty columnar caches, so every rep pays the snapshots, the
         // dictionary encodings and all distinct-set builds inside the
         // measurement.
-        let cold: Vec<_> = (0..reps).map(|_| db.clone()).collect();
+        let cold: Vec<_> = (0..reps).map(|_| db.cold_copy()).collect();
         let mut cold_iter = cold.iter();
         let (interned_ms, interned_inds) = timed_median(reps, || {
             discover_inds(
@@ -790,7 +831,7 @@ fn ind_bench(smoke: bool, profile: bool) {
             dq_discovery::reference::discover_cind_conditions(&mining_db, &embedded, &config)
                 .unwrap()
         });
-        let cold: Vec<_> = (0..reps).map(|_| mining_db.clone()).collect();
+        let cold: Vec<_> = (0..reps).map(|_| mining_db.cold_copy()).collect();
         let mut cold_iter = cold.iter();
         let (interned_ms, interned_cinds) = timed_median(reps, || {
             discover_cind_conditions(
@@ -1366,7 +1407,7 @@ fn match_scenario_row(
     }
     let _ = matcher.run(&fresh(), &w.card, &w.billing);
     let naive = naive_runs.then(|| timed_median(reps, naive_run));
-    let (store_card, store_billing) = (w.card.clone(), w.billing.clone());
+    let (store_card, store_billing) = (w.card.cold_copy(), w.billing.cold_copy());
     let (store_ms, _) = timed(|| {
         warm_columns(&store_card);
         warm_columns(&store_billing);
@@ -1374,7 +1415,7 @@ fn match_scenario_row(
     drop((store_card, store_billing));
     let cold_instances: Vec<_> = (0..reps)
         .map(|_| {
-            let (c, b) = (w.card.clone(), w.billing.clone());
+            let (c, b) = (w.card.cold_copy(), w.billing.cold_copy());
             warm_columns(&c);
             warm_columns(&b);
             (c, b)
@@ -1408,7 +1449,7 @@ fn match_scenario_row(
         "warm engine must credit the same rules ({scenario}/{label})"
     );
     let quality = score(&warm_res.matches, &w.truth);
-    let (stats_card, stats_billing) = (w.card.clone(), w.billing.clone());
+    let (stats_card, stats_billing) = (w.card.cold_copy(), w.billing.cold_copy());
     warm_columns(&stats_card);
     warm_columns(&stats_billing);
     let stats_engine = fresh();
@@ -1632,7 +1673,7 @@ fn matching_bench(smoke: bool, profile: bool) {
                 reference::md_violations(&md, &w.card, &w.billing, &oracle)
             })
         });
-        let (store_card, store_billing) = (w.card.clone(), w.billing.clone());
+        let (store_card, store_billing) = (w.card.cold_copy(), w.billing.cold_copy());
         let (store_ms, _) = timed(|| {
             warm_columns(&store_card);
             warm_columns(&store_billing);
@@ -1640,7 +1681,7 @@ fn matching_bench(smoke: bool, profile: bool) {
         drop((store_card, store_billing));
         let cold_instances: Vec<_> = (0..reps)
             .map(|_| {
-                let (c, b) = (w.card.clone(), w.billing.clone());
+                let (c, b) = (w.card.cold_copy(), w.billing.cold_copy());
                 warm_columns(&c);
                 warm_columns(&b);
                 (c, b)

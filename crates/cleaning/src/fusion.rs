@@ -38,32 +38,32 @@ pub fn fuse_from_master(
     matches: &[MasterMatch],
     fusion_attrs: &[usize],
 ) -> (RelationInstance, FusionLog) {
+    let _span = dq_obs::span!("clean.fuse", matches = matches.len());
     let mut out = dirty.clone();
     let mut log = FusionLog::default();
     for m in matches {
         let Some(master_tuple) = master.instance().tuple(m.master) else {
             continue;
         };
-        let Some(current) = out.tuple(m.dirty).cloned() else {
-            continue;
-        };
         let mut touched = false;
         for &attr in fusion_attrs {
+            let cell = CellRef::new(m.dirty, attr);
             let master_value = master_tuple.get(attr);
-            let current_value = current.get(attr);
-            if current_value == master_value {
+            if out.cell(cell).is_none_or(|current| current == master_value) {
                 continue;
             }
-            out.update_cell(CellRef::new(m.dirty, attr), master_value.clone())
-                .expect("master values satisfy the shared schema");
-            log.changes
-                .push((m.dirty, attr, current_value.clone(), master_value.clone()));
+            let old = out
+                .update_cell(cell, master_value.clone())
+                .expect("master values satisfy the shared schema")
+                .expect("the matched tuple is live");
+            log.changes.push((m.dirty, attr, old, master_value.clone()));
             touched = true;
         }
         if touched {
             log.tuples_corrected += 1;
         }
     }
+    dq_obs::add("clean.fuse.changes", log.change_count() as u64);
     (out, log)
 }
 

@@ -9,13 +9,18 @@
 use dq_match::engine::MatchingEngine;
 use dq_match::rck::RelativeKey;
 use dq_relation::{IndexPool, RelationInstance, TupleId};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A cleaned, trusted reference relation.
+///
+/// Master data is the fixed context every dirty instance is matched
+/// against, so it owns the [`IndexPool`] matching runs on: the master's
+/// indexes are built on the first [`match_against_master`] call and served
+/// warm to every later one.  Clones share the pool.
 #[derive(Clone, Debug)]
 pub struct MasterData {
     instance: RelationInstance,
+    pool: Arc<IndexPool>,
 }
 
 impl MasterData {
@@ -23,7 +28,10 @@ impl MasterData {
     /// cleanliness; [`crate::pipeline::CleaningPipeline`] treats its values
     /// as ground truth when fusing.
     pub fn new(instance: RelationInstance) -> Self {
-        MasterData { instance }
+        MasterData {
+            instance,
+            pool: Arc::new(IndexPool::new()),
+        }
     }
 
     /// The underlying relation.
@@ -40,6 +48,12 @@ impl MasterData {
     pub fn is_empty(&self) -> bool {
         self.instance.is_empty()
     }
+
+    /// The index pool matching against this master runs on.  Between
+    /// [`match_against_master`] calls it holds only master-side entries.
+    pub fn pool(&self) -> &Arc<IndexPool> {
+        &self.pool
+    }
 }
 
 /// A dirty tuple identified with a master record.
@@ -52,12 +66,15 @@ pub struct MasterMatch {
 }
 
 /// Matches the dirty relation against the master using the given relative
-/// keys as matching rules (Section 3.3), run on a [`MatchingEngine`] over a
-/// fresh index pool.
+/// keys as matching rules (Section 3.3), run on a fresh [`MatchingEngine`]
+/// over the master's [pool](MasterData::pool).  The master's indexes stay
+/// in the pool for the next call; the dirty relation's are dropped before
+/// returning, so nothing builds up across calls.  The engine's dictionary
+/// translations, display forms and similarity memo are built per call.
 ///
-/// When several master records match the same dirty tuple, the one matched by
-/// the earliest rule (and, within a rule, the smallest master tuple id) wins;
-/// ambiguity of this kind is reported via the second component of the result.
+/// When several master records match the same dirty tuple, the one with the
+/// smallest master tuple id wins, whichever rule matched it; ambiguity of
+/// this kind is reported via the second component of the result.
 ///
 /// Returns the chosen matches and the number of dirty tuples that had more
 /// than one master candidate.
@@ -66,23 +83,29 @@ pub fn match_against_master(
     master: &MasterData,
     rules: &[RelativeKey],
 ) -> (Vec<MasterMatch>, usize) {
-    let engine = MatchingEngine::new(Arc::new(IndexPool::new()));
+    let _span = dq_obs::span!("clean.match", rules = rules.len());
+    let engine = MatchingEngine::new(Arc::clone(&master.pool));
     let result = engine.run(rules, dirty, master.instance());
-    let mut per_dirty: BTreeMap<TupleId, Vec<TupleId>> = BTreeMap::new();
-    for &(dirty_id, master_id) in &result.matches {
-        per_dirty.entry(dirty_id).or_default().push(master_id);
-    }
-    let ambiguous = per_dirty.values().filter(|c| c.len() > 1).count();
-    let matches = per_dirty
-        .into_iter()
-        .map(|(dirty_id, mut candidates)| {
-            candidates.sort();
-            MasterMatch {
-                dirty: dirty_id,
-                master: candidates[0],
+    master.pool.invalidate(dirty);
+    // The pairs come sorted by dirty tuple, then master tuple: each dirty
+    // tuple's run starts with its smallest master candidate, and a run
+    // longer than one is an ambiguous match.
+    let mut matches: Vec<MasterMatch> = Vec::new();
+    let mut ambiguous = 0usize;
+    let mut run = 0usize;
+    for &(dirty, master) in &result.matches {
+        if matches.last().is_some_and(|m| m.dirty == dirty) {
+            run += 1;
+            if run == 2 {
+                ambiguous += 1;
             }
-        })
-        .collect();
+        } else {
+            matches.push(MasterMatch { dirty, master });
+            run = 1;
+        }
+    }
+    dq_obs::add("clean.match.matches", matches.len() as u64);
+    dq_obs::add("clean.match.ambiguous", ambiguous as u64);
     (matches, ambiguous)
 }
 
@@ -131,6 +154,43 @@ mod tests {
                 "match {m:?} is not in the ground truth"
             );
         }
+    }
+
+    #[test]
+    fn the_owned_pool_matches_like_a_fresh_one_and_does_not_grow() {
+        use dq_relation::instance::CellRef;
+        use dq_relation::Value;
+        let w = generate_master_workload(&MasterConfig {
+            entities: 120,
+            error_rate: 0.2,
+            name_variation_rate: 0.5,
+            seed: 5,
+        });
+        let master = MasterData::new(w.master.clone());
+        let phn = customer_schema().attr("phn");
+        let mut entries = Vec::new();
+        for call in 0..5 {
+            // Each call sees a different dirty relation: one more phone
+            // number scrambled than the call before.
+            let mut dirty = w.dirty.clone();
+            for id in dirty.ids().into_iter().take(call) {
+                dirty
+                    .update_cell(CellRef::new(id, phn), Value::int(-1 - call as i64))
+                    .unwrap();
+            }
+            let fresh = MasterData::new(w.master.clone());
+            assert_eq!(
+                match_against_master(&dirty, &master, &rules()),
+                match_against_master(&dirty, &fresh, &rules()),
+                "call {call}"
+            );
+            entries.push(master.pool().stats().entries);
+        }
+        assert_eq!(entries[0], entries[4], "{entries:?}");
+        assert!(
+            master.pool().stats().hits > 0,
+            "later calls reuse the master's indexes"
+        );
     }
 
     #[test]

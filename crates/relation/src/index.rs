@@ -7,7 +7,9 @@
 //! projections ([`DistinctSet`]) the engines build, per `(instance
 //! identity, instance version, attribute list)`, so a batch of dependencies
 //! grouped by LHS builds each index exactly once — and repeated detection
-//! runs over an unchanged instance rebuild nothing at all.
+//! runs over an unchanged instance rebuild nothing at all.  A clone's
+//! requests are seeded from its origin's entries (see [`IndexPool`]), so a
+//! derived instance starts warm too.
 
 use crate::instance::{Delta, RelationInstance};
 use crate::store::{ColumnarStore, DistinctSet, InternedIndex};
@@ -28,6 +30,8 @@ struct PoolObs {
     misses: dq_obs::Counter,
     appends: dq_obs::Counter,
     patches: dq_obs::Counter,
+    donor_hits: dq_obs::Counter,
+    donor_patches: dq_obs::Counter,
     races: dq_obs::Counter,
     entries: dq_obs::Gauge,
     build_ns: dq_obs::Histogram,
@@ -42,6 +46,8 @@ impl PoolObs {
             misses: rec.counter("pool.misses"),
             appends: rec.counter("pool.appends"),
             patches: rec.counter("pool.patches"),
+            donor_hits: rec.counter("pool.donor_hits"),
+            donor_patches: rec.counter("pool.donor_patches"),
             races: rec.counter("pool.races"),
             entries: rec.gauge("pool.entries"),
             build_ns: rec.histogram("index.build_ns"),
@@ -72,6 +78,13 @@ pub struct IndexPoolStats {
     /// changed rows between groups and dropping the removed ones — instead
     /// of a full rebuild (a subset of `misses`, disjoint from `appends`).
     pub patches: u64,
+    /// Hits a clone's request got from its origin's entry (see
+    /// [`IndexPool`]): the clone had not been written, so the origin's
+    /// artifact answers for it as it is (a subset of `hits`).
+    pub donor_hits: u64,
+    /// Upgrades of an origin's entry into a written clone's artifact (a
+    /// subset of `appends` plus `patches`).
+    pub donor_patches: u64,
     /// Duplicate build races: misses whose build was discarded because a
     /// concurrent request built and inserted the same index first (builds
     /// run outside the cache lock, so two threads missing on the same cold
@@ -88,6 +101,8 @@ impl dq_obs::MetricSource for IndexPoolStats {
         sink.counter(&format!("{prefix}.misses"), self.misses);
         sink.counter(&format!("{prefix}.appends"), self.appends);
         sink.counter(&format!("{prefix}.patches"), self.patches);
+        sink.counter(&format!("{prefix}.donor_hits"), self.donor_hits);
+        sink.counter(&format!("{prefix}.donor_patches"), self.donor_patches);
         sink.counter(&format!("{prefix}.races"), self.races);
         sink.gauge(
             &format!("{prefix}.entries"),
@@ -109,6 +124,18 @@ impl dq_obs::MetricSource for IndexPoolStats {
 /// bound across mutate-and-detect loops); entries of *other* instances are
 /// evicted only under capacity pressure.
 ///
+/// A clone ([`RelationInstance::origin`]) misses its own first requests,
+/// but its origin's entry on the same attribute list serves as a *donor*
+/// when no older entry of the clone is cached.  The donor stays in the
+/// cache, since the origin may still need it.  A clone not written since
+/// it was taken gets the donor's `Arc` itself, counted as a hit
+/// ([`IndexPoolStats::donor_hits`]).  A clone written since is served by
+/// patching a copy of the donor over the clone's journal
+/// ([`IndexPoolStats::donor_patches`]).  Either way the clone's snapshot
+/// must [descend from](ColumnarStore::descends_from) the donor's, as it
+/// does when the clone inherited its origin's snapshot; a clone whose
+/// snapshot was built cold builds its artifacts cold too.
+///
 /// The pool hands out `Arc`s so detection work can fan out across threads
 /// while sharing one build of each index.
 #[derive(Debug)]
@@ -120,8 +147,34 @@ pub struct IndexPool {
     misses: AtomicU64,
     appends: AtomicU64,
     patches: AtomicU64,
+    donor_hits: AtomicU64,
+    donor_patches: AtomicU64,
     races: AtomicU64,
     obs: PoolObs,
+}
+
+/// What the pool reads of a cached artifact: the snapshot it was built
+/// over, for the donor's lineage check.
+trait Pooled {
+    fn store(&self) -> &Arc<ColumnarStore>;
+}
+
+impl Pooled for InternedIndex {
+    fn store(&self) -> &Arc<ColumnarStore> {
+        InternedIndex::store(self)
+    }
+}
+
+impl Pooled for DistinctSet {
+    fn store(&self) -> &Arc<ColumnarStore> {
+        DistinctSet::store(self)
+    }
+}
+
+/// Bumps one of the pool's counters together with its live mirror.
+fn bump(count: &AtomicU64, live: &dq_obs::Counter) {
+    count.fetch_add(1, Ordering::Relaxed);
+    live.inc();
 }
 
 impl Default for IndexPool {
@@ -149,6 +202,8 @@ impl IndexPool {
             misses: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             patches: AtomicU64::new(0),
+            donor_hits: AtomicU64::new(0),
+            donor_patches: AtomicU64::new(0),
             races: AtomicU64::new(0),
             obs: PoolObs::new(),
         }
@@ -169,14 +224,14 @@ impl IndexPool {
     /// each attribute list's own insert drops its predecessors).
     /// Re-checks for a concurrent insert of the same key (builds run
     /// outside the lock): an already-present entry wins and the caller's
-    /// duplicate build is discarded, counted in [`IndexPoolStats::races`].
+    /// duplicate is discarded, which the returned flag reports.
     fn insert_evicting<V>(
         &self,
         cache: &mut HashMap<PoolKey, V>,
         key: PoolKey,
         built: V,
         keep_stale: impl Fn(&PoolKey) -> bool,
-    ) -> V
+    ) -> (V, bool)
     where
         V: Clone,
     {
@@ -186,12 +241,8 @@ impl IndexPool {
             cache.retain(|(id, version, _), _| *id == key.0 && *version == key.1);
         }
         let kept = match cache.entry(key) {
-            Entry::Occupied(winner) => {
-                self.races.fetch_add(1, Ordering::Relaxed);
-                self.obs.races.inc();
-                winner.get().clone()
-            }
-            Entry::Vacant(slot) => slot.insert(built).clone(),
+            Entry::Occupied(winner) => (winner.get().clone(), true),
+            Entry::Vacant(slot) => (slot.insert(built).clone(), false),
         };
         self.obs.entries.add(cache.len() as i64 - before as i64);
         kept
@@ -215,7 +266,11 @@ impl IndexPool {
     /// so one mutation round can upgrade every cached artifact, not just the
     /// first one re-requested; each attribute list's own insert still drops
     /// its predecessors.
-    fn artifact_for<V>(
+    ///
+    /// With no predecessor, a clone's request falls back to its origin's
+    /// entry as the donor (see [`IndexPool`]).  The donor stays cached, and
+    /// the upgrade gets a shared reference to it, so it copies the maps.
+    fn artifact_for<V: Pooled>(
         &self,
         cache: &Mutex<HashMap<PoolKey, Arc<V>>>,
         instance: &RelationInstance,
@@ -224,11 +279,11 @@ impl IndexPool {
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
         let key: PoolKey = (instance.instance_id(), instance.version(), attrs.to_vec());
-        let predecessor = {
+        let keep_stale = |cached: &PoolKey| cached.2 != *attrs && instance.delta_covers(cached.1);
+        let (mut predecessor, from_donor) = {
             let mut cache = cache.lock().expect("index pool poisoned");
             if let Some(hit) = cache.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.hits.inc();
+                bump(&self.hits, &self.obs.hits);
                 return Arc::clone(hit);
             }
             let version = cache
@@ -241,27 +296,51 @@ impl IndexPool {
                 })
                 .map(|(_, version, _)| *version)
                 .max();
-            version.and_then(|version| {
-                let artifact = cache.remove(&(key.0, version, key.2.clone()))?;
-                self.obs.entries.add(-1);
-                Some((version, artifact))
-            })
+            match version {
+                Some(version) => {
+                    let artifact = cache.remove(&(key.0, version, key.2.clone()));
+                    if artifact.is_some() {
+                        self.obs.entries.add(-1);
+                    }
+                    (artifact.map(|a| (version, a)), false)
+                }
+                None => {
+                    let donor = instance
+                        .origin()
+                        .filter(|_| instance.delta_covers(0))
+                        .and_then(|(id, version)| cache.get(&(id, version, key.2.clone())));
+                    (donor.map(|d| (0, Arc::clone(d))), true)
+                }
+            }
         };
+        // An unwritten clone holds its origin's tuples: the donor answers
+        // for it as it is, provided the clone's snapshot carries the
+        // donor's dictionaries.
+        if from_donor && instance.version() == 0 {
+            if let Some((_, donor)) = predecessor.take() {
+                if instance.columnar().descends_from(donor.store()) {
+                    let mut cache = cache.lock().expect("index pool poisoned");
+                    bump(&self.hits, &self.obs.hits);
+                    bump(&self.donor_hits, &self.obs.donor_hits);
+                    return self.insert_evicting(&mut cache, key, donor, keep_stale).0;
+                }
+            }
+        }
         // Build outside the lock so concurrent requests for *different*
         // artifacts proceed in parallel; a racing duplicate build of the
         // same one is benign (first write wins, results are identical).
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs.misses.inc();
+        bump(&self.misses, &self.obs.misses);
         let upgraded = predecessor.and_then(|(version, prev)| {
             let delta = instance.delta_since(version)?;
             let store = instance.columnar();
             let upgraded = self.obs.patch_ns.time(|| upgrade(prev, &store, &delta))?;
-            let (count, live) = match delta.is_empty() {
-                true => (&self.appends, &self.obs.appends),
-                false => (&self.patches, &self.obs.patches),
-            };
-            count.fetch_add(1, Ordering::Relaxed);
-            live.inc();
+            match delta.is_empty() {
+                true => bump(&self.appends, &self.obs.appends),
+                false => bump(&self.patches, &self.obs.patches),
+            }
+            if from_donor {
+                bump(&self.donor_patches, &self.obs.donor_patches);
+            }
             Some(upgraded)
         });
         let built = Arc::new(match upgraded {
@@ -269,9 +348,11 @@ impl IndexPool {
             None => self.obs.build_ns.time(build),
         });
         let mut cache = cache.lock().expect("index pool poisoned");
-        self.insert_evicting(&mut cache, key, built, |cached| {
-            cached.2 != *attrs && instance.delta_covers(cached.1)
-        })
+        let (kept, raced) = self.insert_evicting(&mut cache, key, built, keep_stale);
+        if raced {
+            bump(&self.races, &self.obs.races);
+        }
+        kept
     }
 
     /// The interned (compact-key, CSR) index of `instance` on `attrs`, built
@@ -366,6 +447,8 @@ impl IndexPool {
             misses: self.misses.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
+            donor_hits: self.donor_hits.load(Ordering::Relaxed),
+            donor_patches: self.donor_patches.load(Ordering::Relaxed),
             races: self.races.load(Ordering::Relaxed),
             entries: self.interned.lock().expect("index pool poisoned").len()
                 + self.distinct.lock().expect("index pool poisoned").len(),
@@ -439,14 +522,75 @@ mod tests {
         assert_eq!(pool.stats().entries, 2);
     }
 
+    /// `idx` groups `inst`'s live tuples on `attrs` exactly like the
+    /// value-keyed reference index.
+    fn assert_groups_like_rows(idx: &InternedIndex, inst: &RelationInstance, attrs: &[usize]) {
+        let baseline = reference::HashIndex::build(inst, attrs);
+        assert_eq!(idx.group_count(), baseline.len());
+        for (key, group) in baseline.groups() {
+            let ids: Vec<TupleId> = idx
+                .rows_for_values(key)
+                .iter()
+                .map(|&r| idx.tuple_id(r))
+                .collect();
+            assert_eq!(&ids, group, "key {key:?}");
+        }
+    }
+
     #[test]
     fn pool_does_not_confuse_clones() {
-        let inst = instance();
-        let clone = inst.clone();
+        use crate::instance::CellRef;
+        let mut inst = instance();
+        inst.columnar();
         let pool = IndexPool::new();
-        let a = pool.interned_for(&inst, &[0], 1);
-        let b = pool.interned_for(&clone, &[0], 1);
-        assert!(!Arc::ptr_eq(&a, &b), "clones must have distinct cache keys");
+        let a = pool.interned_for(&inst, &[0, 1], 1);
+        let set = pool.distinct_for(&inst, &[0, 1], 1);
+        let mut clone = inst.clone();
+        // Neither side has written: the clone shares the origin's artifacts.
+        let b = pool.interned_for(&clone, &[0, 1], 1);
+        assert!(Arc::ptr_eq(&a, &b), "an unwritten clone shares the index");
+        assert!(Arc::ptr_eq(&set, &pool.distinct_for(&clone, &[0, 1], 1)));
+        assert_eq!(pool.stats().donor_hits, 2);
+        // Both sides write, differently: each side's artifacts equal fresh
+        // builds of its own state, and the shared ones are unchanged.
+        inst.update_cell(CellRef::new(TupleId(0), 1), Value::str("w"))
+            .unwrap();
+        clone.remove(TupleId(2));
+        clone
+            .insert_values([Value::int(1), Value::str("x"), Value::str("r")])
+            .unwrap();
+        for side in [&clone, &inst] {
+            let idx = pool.interned_for(side, &[0, 1], 1);
+            assert_groups_like_rows(&idx, side, &[0, 1]);
+            let set = pool.distinct_for(side, &[0, 1], 1);
+            assert_eq!(set.len(), side.project_distinct(&[0, 1]).len());
+        }
+        assert_eq!(pool.stats().patches, 4, "both sides patched, none rebuilt");
+        assert_groups_like_rows(&a, &instance(), &[0, 1]);
+        assert_eq!(set.len(), instance().project_distinct(&[0, 1]).len());
+        assert!(!clone.columnar().descends_from(&inst.columnar()));
+    }
+
+    #[test]
+    fn clones_without_their_origins_snapshot_build_cold() {
+        // The origin had no current snapshot when the clone was taken, so
+        // the clone numbers its dictionaries afresh and must not be served
+        // the origin's index, nor patch it.
+        let mut inst = instance();
+        inst.columnar();
+        inst.insert_values([Value::int(3), Value::str("v"), Value::str("p")])
+            .unwrap();
+        let mut clone = inst.clone();
+        let pool = IndexPool::new();
+        let a = pool.interned_for(&inst, &[0, 1], 1);
+        let b = pool.interned_for(&clone, &[0, 1], 1);
+        assert!(!Arc::ptr_eq(&a, &b));
+        clone.remove(TupleId(0));
+        let c = pool.interned_for(&clone, &[0, 1], 1);
+        assert_groups_like_rows(&c, &clone, &[0, 1]);
+        let stats = pool.stats();
+        assert_eq!((stats.donor_hits, stats.donor_patches), (0, 0));
+        assert_eq!(stats.patches, 1, "the clone patches only its own index");
     }
 
     #[test]

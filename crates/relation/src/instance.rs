@@ -117,7 +117,9 @@ impl CellRef {
 /// Every instance carries a process-unique [`instance_id`](Self::instance_id)
 /// and a [`version`](Self::version) counter bumped by every mutation, so that
 /// derived structures (most importantly [`crate::index::IndexPool`] entries)
-/// can be memoized per `(instance, version)` and never served stale.
+/// can be memoized per `(instance, version)` and never served stale.  A
+/// clone records the `(instance, version)` it was taken from as its
+/// [`origin`](Self::origin), so those structures can seed the clone's.
 #[derive(Debug)]
 pub struct RelationInstance {
     schema: Arc<RelationSchema>,
@@ -138,25 +140,53 @@ pub struct RelationInstance {
     delta_floor: u64,
     /// Version-tagged columnar snapshot, built lazily by
     /// [`columnar`](Self::columnar) and dropped (logically) by the version
-    /// check after any mutation.  Never cloned: the cache is an
-    /// acceleration structure, not data.
+    /// check after any mutation.  A clone starts from a re-tagged copy of
+    /// its original's snapshot when that one is current (see the `Clone`
+    /// impl).
     columnar: Mutex<Option<Arc<ColumnarStore>>>,
+    /// The `(instance_id, version)` this instance was cloned from (see
+    /// [`origin`](Self::origin)).
+    origin: Option<(u64, u64)>,
 }
 
 impl Clone for RelationInstance {
-    /// Clones the data but assigns a fresh identity: a clone can diverge from
-    /// the original, so cached indexes of one must never answer for the
-    /// other.
+    /// Clones the data under a fresh identity at version 0: a clone can
+    /// diverge from the original, so neither ever sees the other's writes,
+    /// and a cache entry of one never answers for the other's later
+    /// versions.  The clone starts warm, though.  When the original's
+    /// snapshot is current, the clone gets it re-tagged to its own identity,
+    /// sharing the built columns by `Arc` (counted in
+    /// `store.snapshot.inherited`).  The clone also records the original's
+    /// `(instance_id, version)` as its [`origin`](Self::origin), whose
+    /// pooled indexes [`IndexPool`](crate::index::IndexPool) then lends it.
+    /// A clone of a clone that has not been written yet inherits that
+    /// clone's origin.
     fn clone(&self) -> Self {
+        let instance_id = fresh_instance_id();
+        let origin = match self.origin {
+            Some(origin) if self.version == 0 => origin,
+            _ => (self.instance_id, self.version),
+        };
+        let inherited = self
+            .columnar
+            .lock()
+            .expect("columnar cache poisoned")
+            .as_ref()
+            .filter(|store| store.version() == self.version)
+            .map(|store| Arc::new(store.retagged(instance_id)));
+        if inherited.is_some() {
+            dq_obs::inc("store.snapshot.inherited");
+        }
         RelationInstance {
             schema: Arc::clone(&self.schema),
             tuples: self.tuples.clone(),
             live: self.live,
-            instance_id: fresh_instance_id(),
+            instance_id,
             version: 0,
             delta: Vec::new(),
             delta_floor: 0,
-            columnar: Mutex::new(None),
+            columnar: Mutex::new(inherited),
+            origin: Some(origin),
         }
     }
 }
@@ -173,6 +203,7 @@ impl RelationInstance {
             delta: Vec::new(),
             delta_floor: 0,
             columnar: Mutex::new(None),
+            origin: None,
         }
     }
 
@@ -197,6 +228,24 @@ impl RelationInstance {
     /// (including mutable tuple access, conservatively).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The `(instance_id, version)` this instance was cloned from, `None`
+    /// for an instance that is not a clone.  At version 0 a clone holds
+    /// exactly the tuples its origin held; its writes since are in its own
+    /// delta journal ([`delta_since`](Self::delta_since)`(0)`), which is
+    /// how [`IndexPool`](crate::index::IndexPool) patches the origin's
+    /// cached indexes into the clone's.
+    pub fn origin(&self) -> Option<(u64, u64)> {
+        self.origin
+    }
+
+    /// True when this instance holds exactly the tuples instance
+    /// `instance_id` held at `version`: it is that instance at that
+    /// version, or a clone taken from it there and not written since.
+    pub(crate) fn holds_state_of(&self, instance_id: u64, version: u64) -> bool {
+        (self.instance_id, self.version) == (instance_id, version)
+            || (self.version == 0 && self.origin == Some((instance_id, version)))
     }
 
     /// True when the delta journal fully describes how the instance evolved
@@ -462,7 +511,8 @@ impl RelationInstance {
     /// ([`ColumnarStore::patched`]): existing rows and dictionaries are
     /// reused, removed rows are dropped, only the appended tuples are
     /// encoded and only the changed cells re-interned (an append-only gap
-    /// has an empty delta).
+    /// has an empty delta).  A clone that inherited its original's snapshot
+    /// patches that one forward the same way.
     pub fn columnar(&self) -> Arc<ColumnarStore> {
         let mut cache = self.columnar.lock().expect("columnar cache poisoned");
         if let Some(store) = cache.as_ref() {
@@ -782,6 +832,51 @@ mod tests {
         let clone = inst.clone();
         assert_ne!(inst.instance_id(), clone.instance_id());
         assert!(inst.same_tuples_as(&clone));
+    }
+
+    #[test]
+    fn clones_inherit_a_current_snapshot_and_record_their_origin() {
+        let mut inst = sample();
+        let snapshot = inst.columnar();
+        let col = snapshot.column(&inst, 1);
+        let mut clone = inst.clone();
+        assert_eq!(clone.origin(), Some((inst.instance_id(), inst.version())));
+        let inherited = clone.columnar();
+        assert_eq!(
+            (inherited.instance_id(), inherited.version()),
+            (clone.instance_id(), 0)
+        );
+        assert!(Arc::ptr_eq(&col, &inherited.built_column(1).unwrap()));
+        assert!(inherited.descends_from(&snapshot));
+        // An unwritten clone's clone keeps the first origin; a written
+        // one's records the clone itself.
+        assert_eq!(clone.clone().origin(), clone.origin());
+        clone
+            .update_cell(CellRef::new(TupleId(0), 1), Value::str("c"))
+            .unwrap();
+        let grandchild = clone.clone();
+        assert_eq!(
+            grandchild.origin(),
+            Some((clone.instance_id(), clone.version()))
+        );
+        // Writes on either side stay on that side.
+        inst.update_cell(CellRef::new(TupleId(1), 1), Value::str("p"))
+            .unwrap();
+        assert_eq!(
+            clone.cell(CellRef::new(TupleId(1), 1)),
+            Some(&Value::str("y"))
+        );
+        assert_eq!(
+            inst.cell(CellRef::new(TupleId(0), 1)),
+            Some(&Value::str("x"))
+        );
+        assert!(!clone.columnar().descends_from(&inst.columnar()));
+        assert!(!inst.columnar().descends_from(&clone.columnar()));
+        // A stale snapshot is not inherited.
+        assert!(inst.clone().columnar().descends_from(&inst.columnar()));
+        inst.remove(TupleId(2));
+        let cold = inst.clone();
+        assert!(!cold.columnar().descends_from(&inst.columnar()));
     }
 
     #[test]

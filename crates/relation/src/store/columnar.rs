@@ -25,7 +25,15 @@ use super::mmap::MappedBytes;
 use crate::instance::{Delta, RelationInstance, TupleId};
 use std::mem::size_of;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// Source of snapshot-family identities (see [`ColumnarStore::descends_from`]).
+static NEXT_FAMILY: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_family() -> u64 {
+    NEXT_FAMILY.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Number of rows per shard: large enough that per-shard hash maps amortize,
 /// small enough that a million-tuple instance yields double-digit shards for
@@ -337,6 +345,12 @@ impl dq_obs::MetricSource for ColumnarStats {
 pub struct ColumnarStore {
     instance_id: u64,
     version: u64,
+    /// The snapshot family: stamped fresh by [`new`](Self::new) and by
+    /// [`retagged`](Self::retagged), kept by [`patched`](Self::patched).
+    family: u64,
+    /// The `(family, version)` fork points this family was re-tagged from,
+    /// oldest first (see [`descends_from`](Self::descends_from)).
+    forks: Vec<(u64, u64)>,
     rows: Vec<TupleId>,
     /// Slot → row position; `u32::MAX` marks dead slots.
     row_index: Vec<u32>,
@@ -361,6 +375,8 @@ impl ColumnarStore {
             ColumnarStore {
                 instance_id: instance.instance_id(),
                 version: instance.version(),
+                family: fresh_family(),
+                forks: Vec::new(),
                 rows,
                 row_index,
                 columns: (0..instance.schema().arity())
@@ -456,10 +472,59 @@ impl ColumnarStore {
         ColumnarStore {
             instance_id: prev.instance_id,
             version: instance.version(),
+            family: prev.family,
+            forks: prev.forks.clone(),
             rows,
             row_index,
             columns,
         }
+    }
+
+    /// This snapshot handed to a clone of its instance: the same rows, and
+    /// the built columns shared by `Arc`, tagged with the clone's identity
+    /// at version 0.  Columns not built yet stay lazy; a clone builds them
+    /// from the same rows, so they get the same ids.  The copy starts a
+    /// family of its own that records this snapshot as its fork point, so
+    /// the clone's later snapshots descend from this one but never from
+    /// the original instance's later snapshots, whose dictionaries grow
+    /// apart.
+    pub(crate) fn retagged(&self, instance_id: u64) -> ColumnarStore {
+        let mut forks = self.forks.clone();
+        forks.push((self.family, self.version));
+        let columns = self
+            .columns
+            .iter()
+            .map(|slot| {
+                let lock = OnceLock::new();
+                if let Some(col) = slot.get() {
+                    lock.set(Arc::clone(col))
+                        .expect("freshly created lock is empty");
+                }
+                lock
+            })
+            .collect();
+        ColumnarStore {
+            instance_id,
+            version: 0,
+            family: fresh_family(),
+            forks,
+            rows: self.rows.clone(),
+            row_index: self.row_index.clone(),
+            columns,
+        }
+    }
+
+    /// True when this snapshot descends from `prev` through patches and
+    /// re-tags: it is `prev` or a later snapshot of the same family, or a
+    /// family re-tagged (possibly over several clone generations) from
+    /// `prev` or a later snapshot of `prev`'s family.  Every id of `prev`'s
+    /// dictionaries then means the same value here, which is what the
+    /// patch paths of the pooled artifacts rely on.  A family is the chain
+    /// one instance's [`RelationInstance::columnar`] cache patches forward
+    /// from one cold build, so its versions order it.
+    pub fn descends_from(&self, prev: &ColumnarStore) -> bool {
+        let after = |family: u64, version: u64| family == prev.family && prev.version <= version;
+        after(self.family, self.version) || self.forks.iter().any(|&(f, v)| after(f, v))
     }
 
     /// The rows of this snapshot whose tuples `delta` (a delta since this
@@ -537,14 +602,15 @@ impl ColumnarStore {
     /// access (subsequent calls, from any thread, share the same column).
     ///
     /// `instance` must be the instance this store was snapshotted from, at
-    /// the same version — mutations invalidate the snapshot, and
-    /// [`RelationInstance::columnar`] hands out a fresh store per version.
+    /// the same version, or a clone of it taken at that version and not
+    /// written since ([`RelationInstance::origin`]) — mutations invalidate
+    /// the snapshot, and [`RelationInstance::columnar`] hands out a fresh
+    /// store per version.
     pub fn column(&self, instance: &RelationInstance, attr: usize) -> Arc<Column> {
         Arc::clone(self.columns[attr].get_or_init(|| {
             let _t = dq_obs::timer("store.column_build_ns");
-            assert_eq!(
-                (instance.instance_id(), instance.version()),
-                (self.instance_id, self.version),
+            assert!(
+                instance.holds_state_of(self.instance_id, self.version),
                 "columnar snapshot is stale for this instance"
             );
             let mut interner = ValueInterner::new();

@@ -89,8 +89,9 @@ impl DistinctSet {
         }
     }
 
-    /// Patches `prev` — a set of the same instance on the same attributes,
-    /// built at an earlier version — after insertions, removals and
+    /// Patches `prev` — a set on the same attributes, built over a snapshot
+    /// `store` descends from (an earlier version of the same instance, or
+    /// the original a clone was taken from) — after insertions, removals and
     /// journaled cell writes: the key counts are carried over (moved out of
     /// `prev` when the caller hands over its only reference, cloned and
     /// counted in `index.patch.shared` when the old set is still held
@@ -101,21 +102,23 @@ impl DistinctSet {
     /// out, leaving the set when its count reaches zero.  Changes touching
     /// only non-key attributes cost nothing, and an append-only gap (an
     /// empty delta) only counts in the appended rows' keys.  Returns `None`
-    /// only when no exact packing carries over (> 4-wide radix keys whose
+    /// when no exact packing carries over (> 4-wide radix keys whose
     /// widened product overflows `u64`): full rebuild.
     ///
-    /// `store` must be the current snapshot *descended from `prev`'s* —
-    /// the memoized [`RelationInstance::columnar`] chain guarantees this
-    /// whenever the delta journal covers `prev`'s version — so that
-    /// `prev`'s dictionary ids stay valid in the new dictionaries and old
-    /// keys can be computed from `prev`'s columns.
+    /// `store` must be the current snapshot of `instance`, and it must
+    /// [descend from](ColumnarStore::descends_from) `prev`'s — the
+    /// memoized [`RelationInstance::columnar`] chain, carried into clones
+    /// by re-tagging, guarantees this whenever the delta journal covers the
+    /// gap; `None` otherwise — so that `prev`'s dictionary ids stay valid
+    /// in the new dictionaries and old keys can be computed from `prev`'s
+    /// columns.
     pub fn try_patched(
         mut prev: Arc<DistinctSet>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
     ) -> Option<DistinctSet> {
-        if store.instance_id() != prev.store.instance_id() {
+        if !store.descends_from(&prev.store) {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev

@@ -427,8 +427,10 @@ impl InternedIndex {
         }
     }
 
-    /// Patches `prev` — an index of the same instance on the same attribute
-    /// list, built at an earlier version — after insertions, removals and
+    /// Patches `prev` — an index on the same attribute list, built over a
+    /// snapshot `store` descends from: an earlier version of the same
+    /// instance, or the original a clone was taken from — after
+    /// insertions, removals and
     /// journaled cell writes: each row whose key cells changed is moved out
     /// of its old CSR group and into the group of its new key, interning
     /// (hashing) at most one new key per move, each removed row leaves its
@@ -459,23 +461,25 @@ impl InternedIndex {
     /// entries outgrew is *re-packed* rather than rebuilt: the existing keys
     /// are transcoded under the widened radices (or, when the widened
     /// product no longer fits 64 bits, into the radix-free shift packing) —
-    /// an O(distinct keys) transform.  Only a > 4-wide radix key whose
-    /// widened product overflows `u64` returns `None`, sending the caller to
-    /// a full rebuild.
+    /// an O(distinct keys) transform.  Of the packings, only a > 4-wide
+    /// radix key whose widened product overflows `u64` returns `None`,
+    /// sending the caller to a full rebuild.
     ///
-    /// `store` must be the current columnar snapshot of `instance`,
-    /// descended from `prev`'s through [`RelationInstance::columnar`], and
-    /// `delta` the delta ([`RelationInstance::delta_since`]) between
-    /// `prev`'s version and now.  Patched snapshots keep every old id valid
-    /// (dictionaries only append), so surviving rows keep their keys and
-    /// unchanged groups are copied as they were.
+    /// `store` must be the current columnar snapshot of `instance` and
+    /// `delta` the delta ([`RelationInstance::delta_since`]) between the
+    /// state `prev` was built at and now.  Returns `None` unless `store`
+    /// [descends from](ColumnarStore::descends_from) `prev`'s snapshot
+    /// through patches and clone re-tags: patched snapshots keep every old
+    /// id valid (dictionaries only append), so surviving rows keep their
+    /// keys and unchanged groups are copied as they were, while a snapshot
+    /// built cold numbers its dictionaries afresh.
     pub fn try_patched(
         mut prev: Arc<InternedIndex>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
     ) -> Option<InternedIndex> {
-        if store.instance_id() != prev.store.instance_id() {
+        if !store.descends_from(&prev.store) {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev

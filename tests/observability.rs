@@ -347,6 +347,65 @@ fn profiling_opens_discover_profile_per_relation() {
     );
 }
 
+/// The cleaning pipeline explains itself: one root `clean.pipeline` span
+/// holding `clean.match` and `clean.fuse`, counters for the matches, the
+/// ambiguous matches and the fused cells that equal the report's, and the
+/// warm start of the clones it derives: inherited snapshots and pooled
+/// indexes served from the dirty instance's entries.
+#[test]
+fn cleaning_pipeline_opens_its_spans_and_counts_warm_clones() {
+    use dq_cleaning::prelude::*;
+    use dq_gen::master::{generate_master_workload, MasterConfig};
+    use dq_match::rck::RelativeKey;
+    use dq_match::similarity::SimilarityOp;
+
+    let _session = RecorderSession::begin();
+    let w = generate_master_workload(&MasterConfig {
+        entities: 150,
+        error_rate: 0.2,
+        name_variation_rate: 0.4,
+        seed: 7,
+    });
+    let schema = dq_gen::customer::customer_schema();
+    let rules = vec![RelativeKey::new(
+        &schema,
+        &schema,
+        vec![
+            ("phn", "phn", SimilarityOp::Equality),
+            ("name", "name", SimilarityOp::edit(12)),
+        ],
+        &["street", "city", "zip"],
+        &["street", "city", "zip"],
+    )
+    .expect("well-formed relative key")];
+    let fusion = ["street", "city", "zip"].map(|a| schema.attr(a)).to_vec();
+    let pipeline =
+        CleaningPipeline::with_master(paper_cfds(), MasterData::new(w.master), rules, fusion);
+    dq_obs::set_enabled(true);
+    let report = pipeline.run(&w.dirty).expect("consistent rule set");
+    dq_obs::set_enabled(false);
+    let snap = dq_obs::recorder().snapshot();
+    let tree = snap.render_span_tree();
+    let roots: Vec<&String> = snap.spans.keys().filter(|p| !p.contains('/')).collect();
+    assert_eq!(roots, ["clean.pipeline"], "{tree}");
+    assert_eq!(snap.spans["clean.pipeline"].count, 1);
+    for child in ["clean.match", "clean.fuse", "repair.urepair"] {
+        let path = format!("clean.pipeline/{child}");
+        assert_eq!(snap.spans.get(&path).map(|s| s.count), Some(1), "{tree}");
+    }
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert!(report.fusion_changes > 0);
+    assert_eq!(counter("clean.match.matches"), report.master_matches as u64);
+    assert_eq!(
+        counter("clean.match.ambiguous"),
+        report.ambiguous_matches as u64
+    );
+    assert_eq!(counter("clean.fuse.changes"), report.fusion_changes as u64);
+    // Fusion and repair each clone a snapshotted instance.
+    assert_eq!(counter("store.snapshot.inherited"), 2);
+    assert!(counter("pool.donor_patches") > 0, "{:?}", snap.counters);
+}
+
 /// Grouped detection counts its groups and violations arithmetically —
 /// in-RAM, shard-cursor and maintained alike — and only a consumer asking
 /// for pairs opens `report.materialize`, once per report.

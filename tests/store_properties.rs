@@ -106,6 +106,81 @@ fn index_view(idx: &InternedIndex) -> IndexView {
     )
 }
 
+/// The attribute lists the clone-history checks request from the pool.
+const ATTR_SETS: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+
+/// The two-attribute schema of the mutation-stream properties.
+fn universe_schema() -> Arc<RelationSchema> {
+    Arc::new(RelationSchema::new(
+        "r",
+        [("A", universe_domain()), ("B", universe_domain())],
+    ))
+}
+
+/// A variable and a constant CFD over [`universe_schema`].
+fn universe_cfds(schema: &Arc<RelationSchema>) -> Vec<Cfd> {
+    vec![
+        Cfd::new(
+            schema,
+            &["A"],
+            &["B"],
+            vec![PatternTuple::all_wildcards(1, 1)],
+        )
+        .expect("valid CFD"),
+        Cfd::new(
+            schema,
+            &["B"],
+            &["A"],
+            vec![PatternTuple::new(
+                vec![cst(Value::str("a"))],
+                vec![cst(Value::int(1))],
+            )],
+        )
+        .expect("valid CFD"),
+    ]
+}
+
+/// Holds one instance's warm structures to fresh builds: every cell of its
+/// memoized snapshot, the engine pool's interned indexes and distinct sets
+/// on [`ATTR_SETS`] against builds over a cold snapshot, and the engine's
+/// CFD report against `dq_core::reference`.
+fn check_against_fresh_builds(
+    inst: &RelationInstance,
+    engine: &DetectionEngine,
+    cfds: &[Cfd],
+) -> Result<(), TestCaseError> {
+    let store = inst.columnar();
+    let fresh = Arc::new(dq_relation::ColumnarStore::new(inst));
+    prop_assert_eq!(store.rows(), fresh.rows());
+    for attr in 0..2 {
+        let col = store.column(inst, attr);
+        for (row, &id) in store.rows().iter().enumerate() {
+            prop_assert!(
+                col.interner().resolve(col.id_at(row)) == inst.tuple(id).unwrap().get(attr),
+                "attr {} row {}",
+                attr,
+                row
+            );
+        }
+    }
+    for attrs in ATTR_SETS {
+        let idx = engine.pool().interned_for(inst, attrs, 1);
+        let cold = InternedIndex::build(inst, &fresh, attrs, 1);
+        prop_assert_eq!(index_view(&idx), index_view(&cold), "attrs {:?}", attrs);
+        let set = engine.pool().distinct_for(inst, attrs, 1);
+        let cold = dq_relation::DistinctSet::build(inst, &fresh, attrs, 1);
+        prop_assert_eq!(set.len(), cold.len(), "attrs {:?}", attrs);
+        for (key, _) in dq_relation::reference::HashIndex::build(inst, attrs).groups() {
+            prop_assert!(set.contains_values(key), "attrs {:?}", attrs);
+        }
+    }
+    prop_assert_eq!(
+        engine.detect_cfd_violations(inst, cfds),
+        reference::detect_cfd_violations(inst, cfds)
+    );
+    Ok(())
+}
+
 fn std_hash_of(v: &impl Hash) -> u64 {
     // The std SipHash builder with fixed keys would need unstable API; use a
     // deterministic hasher seeded identically for both operands instead.
@@ -294,30 +369,17 @@ proptest! {
         ),
     ) {
         use dq_relation::instance::CellRef;
-        let schema = Arc::new(RelationSchema::new(
-            "r",
-            [("A", universe_domain()), ("B", universe_domain())],
-        ));
+        let schema = universe_schema();
         let mut inst = RelationInstance::new(Arc::clone(&schema));
         for (a, b) in &cells {
             inst.insert_values([a.clone(), b.clone()]).expect("universe domain");
         }
-        let cfds = vec![
-            Cfd::new(&schema, &["A"], &["B"], vec![PatternTuple::all_wildcards(1, 1)])
-                .expect("valid CFD"),
-            Cfd::new(
-                &schema,
-                &["B"],
-                &["A"],
-                vec![PatternTuple::new(vec![cst(Value::str("a"))], vec![cst(Value::int(1))])],
-            )
-            .expect("valid CFD"),
-        ];
+        let cfds = universe_cfds(&schema);
         let engine = DetectionEngine::new();
         let mut maintained = engine.maintain_cfd_violations(&inst, &cfds, None);
         let engine_built = engine.pool_stats();
         let pool = IndexPool::new();
-        let attr_sets: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+        let attr_sets = ATTR_SETS;
         for attrs in attr_sets {
             pool.interned_for(&inst, attrs, 1);
             pool.distinct_for(&inst, attrs, 1);
@@ -426,6 +488,114 @@ proptest! {
         }
     }
 
+    /// Clones start warm, from their original's snapshot and pooled
+    /// artifacts, yet every side of a clone history stays its own: under
+    /// mixed insert/edit/remove streams with clones taken mid-stream — of
+    /// an unchanged clone, of a clone that has written, and while the
+    /// original's snapshot is stale or absent — and writes continuing on
+    /// every side over one shared pool, each side's snapshot, pooled
+    /// indexes, distinct sets and CFD report equal fresh builds after every
+    /// step.  A clone taken over a current snapshot is served its
+    /// original's artifacts.
+    #[test]
+    fn clone_histories_match_fresh_builds(
+        cells in proptest::collection::vec((value_strategy(), value_strategy()), 2..24),
+        ops in proptest::collection::vec(
+            (0usize..10, 0usize..1_000_000, value_strategy(), value_strategy()),
+            1..24,
+        ),
+    ) {
+        use dq_relation::instance::CellRef;
+        const MAX_SIDES: usize = 5;
+        let schema = universe_schema();
+        let cfds = universe_cfds(&schema);
+        let mut first = RelationInstance::new(Arc::clone(&schema));
+        for (a, b) in &cells {
+            first.insert_values([a.clone(), b.clone()]).expect("universe domain");
+        }
+        let engine = DetectionEngine::with_threads(1);
+        check_against_fresh_builds(&first, &engine, &cfds)?;
+        let mut sides = vec![first];
+        for &(kind, pick, ref va, ref vb) in &ops {
+            let count = sides.len();
+            let side = &mut sides[pick % count];
+            let ids = side.ids();
+            let picked = ids[pick % ids.len()];
+            // A clone of an unwritten clone borrows from the first origin,
+            // which may have moved on since; any other side's own entries
+            // are current.
+            let warm_clone = matches!(kind, 5 | 6) && (side.version() > 0 || side.origin().is_none());
+            let mut clones = Vec::new();
+            match kind {
+                0 | 1 => {
+                    side.update_cell(CellRef::new(picked, kind), va.clone())
+                        .expect("universe domain");
+                }
+                2 => {
+                    side.insert_values([va.clone(), vb.clone()]).expect("universe domain");
+                }
+                3 | 4 if ids.len() > 1 => {
+                    side.remove(picked);
+                }
+                // A clone over a current snapshot.
+                5 => clones.push(side.clone()),
+                // A clone of an unchanged clone.
+                6 => {
+                    let clone = side.clone();
+                    clones.push(clone.clone());
+                    clones.push(clone);
+                }
+                // A clone taken while the original's snapshot is stale.
+                7 => {
+                    side.update_cell(CellRef::new(picked, 1), vb.clone())
+                        .expect("universe domain");
+                    clones.push(side.clone());
+                }
+                // A clone of a clone that has written (and re-snapshotted).
+                8 => {
+                    let mut clone = side.clone();
+                    clone.update_cell(CellRef::new(picked, 0), va.clone())
+                        .expect("universe domain");
+                    clone.columnar();
+                    let grandchild = clone.clone();
+                    clones.push(clone);
+                    clones.push(grandchild);
+                }
+                // A clone taken while the original has no snapshot at all;
+                // the original is checked first, so its entries are there
+                // when the clone asks, over dictionaries the clone lacks.
+                9 => {
+                    let mut base = RelationInstance::new(Arc::clone(&schema));
+                    for tuple in side.tuples() {
+                        base.insert(tuple).expect("same schema");
+                    }
+                    let clone = base.clone();
+                    clones.push(base);
+                    clones.push(clone);
+                }
+                _ => {}
+            }
+            sides.extend(clones);
+            let dropped: Vec<RelationInstance> =
+                sides.drain(..sides.len().saturating_sub(MAX_SIDES)).collect();
+            let before = engine.pool_stats();
+            for side in &sides {
+                check_against_fresh_builds(side, &engine, &cfds)?;
+            }
+            if warm_clone {
+                prop_assert!(
+                    engine.pool_stats().donor_hits > before.donor_hits,
+                    "an unwritten clone over a current snapshot is served from its origin"
+                );
+            }
+            // Dropped sides leave the pool only now: their entries may have
+            // been a new clone's donors.
+            for side in &dropped {
+                engine.pool().invalidate(side);
+            }
+        }
+    }
+
     /// Canonicalized instances detect identically to plainly built ones: the
     /// dictionary compression of `dq-gen` cannot change any report.
     #[test]
@@ -498,4 +668,68 @@ fn dictionary_growing_append_still_extends_pooled_structures() {
     }
     assert!(set.contains_values(&unseen));
     assert_eq!(set.len(), inst.project_distinct(&[0, 1]).len());
+}
+
+/// The clone paths' fallbacks rebuild correctly.  A clone whose journal
+/// overflows no longer reaches back to version 0, so neither its inherited
+/// snapshot nor its origin's artifacts can be patched.  A clone whose
+/// origin was mutated and re-detected before the clone asked finds no
+/// donor any more.  Both rebuild cold, and their structures and reports
+/// still equal fresh builds.
+#[test]
+fn clone_fallbacks_rebuild_correctly() {
+    use dq_relation::instance::CellRef;
+    let schema = universe_schema();
+    let cfds = universe_cfds(&schema);
+    let mut inst = RelationInstance::new(Arc::clone(&schema));
+    for i in 0..20i64 {
+        inst.insert_values([
+            Value::int(i % 5),
+            Value::str(["a", "b", "c"][i as usize % 3]),
+        ])
+        .unwrap();
+    }
+    let engine = DetectionEngine::with_threads(1);
+    let check = |inst: &RelationInstance| {
+        check_against_fresh_builds(inst, &engine, &cfds).expect("equals fresh builds")
+    };
+    check(&inst);
+
+    // Journal overflow: 4,100 real writes on a clone.
+    let mut overflowed = inst.clone();
+    let ids = overflowed.ids();
+    for i in 0..4_100usize {
+        // Each cell's next value differs from its last: a real write.
+        let value = Value::int((i % 2) as i64 + 2 * (i % 3) as i64 - 3);
+        overflowed
+            .update_cell(CellRef::new(ids[i % ids.len()], 0), value)
+            .unwrap();
+    }
+    assert!(!overflowed.delta_covers(0), "the journal overflowed");
+    let before = engine.pool_stats();
+    check(&overflowed);
+    let after = engine.pool_stats();
+    assert_eq!(after.donor_hits, before.donor_hits);
+    assert_eq!(after.donor_patches, before.donor_patches);
+
+    // Evicted donor: the origin moves on before the clone asks.
+    let mut late = inst.clone();
+    inst.update_cell(CellRef::new(ids[0], 1), Value::str("ab"))
+        .unwrap();
+    check(&inst);
+    late.update_cell(CellRef::new(ids[1], 1), Value::str("ba"))
+        .unwrap();
+    let before = engine.pool_stats();
+    check(&late);
+    let after = engine.pool_stats();
+    assert_eq!(
+        after.donor_patches, before.donor_patches,
+        "no donor is left"
+    );
+    assert!(after.misses > before.misses);
+    assert_eq!(
+        (after.appends, after.patches),
+        (before.appends, before.patches),
+        "the clone's artifacts were rebuilt"
+    );
 }
