@@ -228,8 +228,7 @@ fn timed_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// tuple, so a copy carries a fresh identity, no columnar snapshot and no
 /// clone origin.  A `clone()` would instead inherit the original's current
 /// snapshot and be lent its pooled indexes, and the row would time a warm
-/// start.  Tuple ids are kept: a dead slot is re-created as a removed
-/// filler.
+/// start.
 trait ColdCopy {
     fn cold_copy(&self) -> Self;
 }
@@ -237,15 +236,11 @@ trait ColdCopy {
 impl ColdCopy for dq_relation::RelationInstance {
     fn cold_copy(&self) -> Self {
         let mut copy = dq_relation::RelationInstance::new(std::sync::Arc::clone(self.schema()));
-        let mut slots = 0;
-        for (id, tuple) in self.iter() {
-            for _ in slots..id.0 {
-                let filler = copy.insert(tuple.clone()).expect("same schema");
-                copy.remove(filler);
-            }
+        for (_, tuple) in self.iter() {
             copy.insert(tuple.clone()).expect("same schema");
-            slots = id.0 + 1;
         }
+        // The rows compare tuple ids with the original's outputs.
+        assert_eq!(copy.ids(), self.ids(), "cold copies need dense tuple ids");
         copy
     }
 }

@@ -48,12 +48,6 @@ impl MasterData {
     pub fn is_empty(&self) -> bool {
         self.instance.is_empty()
     }
-
-    /// The index pool matching against this master runs on.  Between
-    /// [`match_against_master`] calls it holds only master-side entries.
-    pub fn pool(&self) -> &Arc<IndexPool> {
-        &self.pool
-    }
 }
 
 /// A dirty tuple identified with a master record.
@@ -67,7 +61,7 @@ pub struct MasterMatch {
 
 /// Matches the dirty relation against the master using the given relative
 /// keys as matching rules (Section 3.3), run on a fresh [`MatchingEngine`]
-/// over the master's [pool](MasterData::pool).  The master's indexes stay
+/// over the index pool the [`MasterData`] owns.  The master's indexes stay
 /// in the pool for the next call; the dirty relation's are dropped before
 /// returning, so nothing builds up across calls.  The engine's dictionary
 /// translations, display forms and similarity memo are built per call.
@@ -184,11 +178,11 @@ mod tests {
                 match_against_master(&dirty, &fresh, &rules()),
                 "call {call}"
             );
-            entries.push(master.pool().stats().entries);
+            entries.push(master.pool.stats().entries);
         }
         assert_eq!(entries[0], entries[4], "{entries:?}");
         assert!(
-            master.pool().stats().hits > 0,
+            master.pool.stats().hits > 0,
             "later calls reuse the master's indexes"
         );
     }
