@@ -38,7 +38,7 @@ pub fn fuse_from_master(
     matches: &[MasterMatch],
     fusion_attrs: &[usize],
 ) -> (RelationInstance, FusionLog) {
-    let _span = dq_obs::span!("clean.fuse", matches = matches.len());
+    let _span = dq_relation::obs::span!("clean.fuse", matches = matches.len());
     let mut out = dirty.clone();
     let mut log = FusionLog::default();
     for m in matches {
@@ -63,7 +63,7 @@ pub fn fuse_from_master(
             log.tuples_corrected += 1;
         }
     }
-    dq_obs::add("clean.fuse.changes", log.change_count() as u64);
+    dq_relation::obs::add("clean.fuse.changes", log.change_count() as u64);
     (out, log)
 }
 

@@ -77,7 +77,7 @@ pub fn match_against_master(
     master: &MasterData,
     rules: &[RelativeKey],
 ) -> (Vec<MasterMatch>, usize) {
-    let _span = dq_obs::span!("clean.match", rules = rules.len());
+    let _span = dq_relation::obs::span!("clean.match", rules = rules.len());
     let engine = MatchingEngine::new(Arc::clone(&master.pool));
     let result = engine.run(rules, dirty, master.instance());
     master.pool.invalidate(dirty);
@@ -98,8 +98,8 @@ pub fn match_against_master(
             run = 1;
         }
     }
-    dq_obs::add("clean.match.matches", matches.len() as u64);
-    dq_obs::add("clean.match.ambiguous", ambiguous as u64);
+    dq_relation::obs::add("clean.match.matches", matches.len() as u64);
+    dq_relation::obs::add("clean.match.ambiguous", ambiguous as u64);
     (matches, ambiguous)
 }
 

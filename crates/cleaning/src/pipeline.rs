@@ -104,7 +104,7 @@ impl CleaningPipeline {
         dirty: &RelationInstance,
         engine: &DetectionEngine,
     ) -> DqResult<CleaningReport> {
-        let _span = dq_obs::span!("clean.pipeline", deps = self.cfds.len());
+        let _span = dq_relation::obs::span!("clean.pipeline", deps = self.cfds.len());
         ensure_consistent(&self.cfds)?;
         let mut stages = Vec::new();
         let initial = engine.detect_cfd_violations(dirty, &self.cfds);

@@ -132,9 +132,12 @@ impl dq_obs::MetricSource for IndexPoolStats {
 /// ([`IndexPoolStats::donor_hits`]).  A clone written since is served by
 /// patching a copy of the donor over the clone's journal
 /// ([`IndexPoolStats::donor_patches`]).  Either way the clone's snapshot
-/// must [descend from](ColumnarStore::descends_from) the donor's, as it
-/// does when the clone inherited its origin's snapshot; a clone whose
-/// snapshot was built cold builds its artifacts cold too.
+/// and its key columns must [descend from](ColumnarStore::descends_from)
+/// the donor's, as they do when the clone inherited its origin's snapshot
+/// with those columns built (an unwritten clone also takes over key
+/// columns its origin built after the clone was taken).  A clone whose
+/// snapshot was built cold, or whose key column was built on either side
+/// only after the clone was taken and written, builds its artifacts cold.
 ///
 /// The pool hands out `Arc`s so detection work can fan out across threads
 /// while sharing one build of each index.
@@ -315,10 +318,13 @@ impl IndexPool {
         };
         // An unwritten clone holds its origin's tuples: the donor answers
         // for it as it is, provided the clone's snapshot carries the
-        // donor's dictionaries.
+        // donor's key columns (shared now if the origin built them after
+        // the clone was taken).
         if from_donor && instance.version() == 0 {
             if let Some((_, donor)) = predecessor.take() {
-                if instance.columnar().descends_from(donor.store()) {
+                let store = instance.columnar();
+                store.adopt_columns(donor.store(), attrs);
+                if store.descends_from(donor.store(), attrs) {
                     let mut cache = cache.lock().expect("index pool poisoned");
                     bump(&self.hits, &self.obs.hits);
                     bump(&self.donor_hits, &self.obs.donor_hits);
@@ -568,7 +574,56 @@ mod tests {
         assert_eq!(pool.stats().patches, 4, "both sides patched, none rebuilt");
         assert_groups_like_rows(&a, &instance(), &[0, 1]);
         assert_eq!(set.len(), instance().project_distinct(&[0, 1]).len());
-        assert!(!clone.columnar().descends_from(&inst.columnar()));
+        assert!(!clone.columnar().descends_from(&inst.columnar(), &[]));
+    }
+
+    #[test]
+    fn columns_built_after_a_clone_is_taken_never_mix_dictionaries() {
+        use crate::instance::CellRef;
+        // The origin builds column 1 only after the clone was taken; the
+        // clone then writes, so it numbers that column afresh from its own
+        // rows ("z" first) and must not patch the origin's index.
+        let inst = instance();
+        inst.columnar();
+        let mut clone = inst.clone();
+        let pool = IndexPool::new();
+        pool.interned_for(&inst, &[1], 1);
+        pool.distinct_for(&inst, &[1], 1);
+        clone
+            .update_cell(CellRef::new(TupleId(0), 1), Value::str("z"))
+            .unwrap();
+        let idx = pool.interned_for(&clone, &[1], 1);
+        assert_groups_like_rows(&idx, &clone, &[1]);
+        let set = pool.distinct_for(&clone, &[1], 1);
+        assert_eq!(set.len(), clone.project_distinct(&[1]).len());
+        let stats = pool.stats();
+        assert_eq!((stats.donor_hits, stats.donor_patches), (0, 0));
+
+        // Unwritten, the clone takes over a column its origin built after
+        // the clone was taken, so the donor serves it and patches forward.
+        let mut clone = inst.clone();
+        let origin_col = inst.columnar().column(&inst, 2);
+        let donor = pool.interned_for(&inst, &[2], 1);
+        assert!(Arc::ptr_eq(&donor, &pool.interned_for(&clone, &[2], 1)));
+        let adopted = clone.columnar().built_column(2).unwrap();
+        assert!(Arc::ptr_eq(&adopted, &origin_col));
+        clone
+            .update_cell(CellRef::new(TupleId(3), 2), Value::str("s"))
+            .unwrap();
+        let patches = pool.stats().patches;
+        let idx = pool.interned_for(&clone, &[2], 1);
+        assert_groups_like_rows(&idx, &clone, &[2]);
+        assert_eq!(pool.stats().patches, patches + 1, "patched, not rebuilt");
+
+        // A column the clone built itself before asking has a lineage of
+        // its own: no donor hit, a cold build.
+        let clone = inst.clone();
+        clone.columnar().column(&clone, 0);
+        let origin_idx = pool.interned_for(&inst, &[0], 1);
+        let idx = pool.interned_for(&clone, &[0], 1);
+        assert!(!Arc::ptr_eq(&origin_idx, &idx));
+        assert_groups_like_rows(&idx, &clone, &[0]);
+        assert_eq!(pool.stats().donor_hits, 1);
     }
 
     #[test]

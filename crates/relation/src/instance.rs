@@ -847,7 +847,12 @@ mod tests {
             (clone.instance_id(), 0)
         );
         assert!(Arc::ptr_eq(&col, &inherited.built_column(1).unwrap()));
-        assert!(inherited.descends_from(&snapshot));
+        assert!(inherited.descends_from(&snapshot, &[1]));
+        // A column built on neither side before the clone was taken is
+        // numbered on each side on its own.
+        inst.columnar().column(&inst, 0);
+        inherited.column(&clone, 0);
+        assert!(!inherited.descends_from(&snapshot, &[0]));
         // An unwritten clone's clone keeps the first origin; a written
         // one's records the clone itself.
         assert_eq!(clone.clone().origin(), clone.origin());
@@ -870,13 +875,13 @@ mod tests {
             inst.cell(CellRef::new(TupleId(0), 1)),
             Some(&Value::str("x"))
         );
-        assert!(!clone.columnar().descends_from(&inst.columnar()));
-        assert!(!inst.columnar().descends_from(&clone.columnar()));
+        assert!(!clone.columnar().descends_from(&inst.columnar(), &[]));
+        assert!(!inst.columnar().descends_from(&clone.columnar(), &[]));
         // A stale snapshot is not inherited.
-        assert!(inst.clone().columnar().descends_from(&inst.columnar()));
+        assert!(inst.clone().columnar().descends_from(&inst.columnar(), &[]));
         inst.remove(TupleId(2));
         let cold = inst.clone();
-        assert!(!cold.columnar().descends_from(&inst.columnar()));
+        assert!(!cold.columnar().descends_from(&inst.columnar(), &[]));
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub mod query;
 pub mod reference;
 pub mod schema;
 pub mod store;
+
+/// The `dq-obs` instrumentation layer (spans, counters, timers) this crate
+/// reports through, re-exported so the crates built on it can report into
+/// the same recorder without a dependency edge of their own.
+pub use dq_obs as obs;
 pub mod tuple;
 pub mod value;
 

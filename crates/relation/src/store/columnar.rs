@@ -28,7 +28,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Source of snapshot-family identities (see [`ColumnarStore::descends_from`]).
+/// Source of snapshot-family and column-lineage identities (see
+/// [`ColumnarStore::descends_from`]).
 static NEXT_FAMILY: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_family() -> u64 {
@@ -140,6 +141,10 @@ impl Ids {
 pub struct Column {
     interner: ValueInterner,
     ids: Ids,
+    /// Stamped fresh by every build or load and kept by
+    /// [`patched`](Self::patched), so columns of one lineage were all
+    /// patched from one build (see [`ColumnarStore::descends_from`]).
+    lineage: u64,
 }
 
 impl Column {
@@ -151,6 +156,7 @@ impl Column {
         Column {
             interner,
             ids: Ids::Ram(ids),
+            lineage: fresh_family(),
         }
     }
 
@@ -163,6 +169,7 @@ impl Column {
         Column {
             interner,
             ids: Ids::from_segments(segments),
+            lineage: fresh_family(),
         }
     }
 
@@ -300,6 +307,7 @@ impl Column {
         Column {
             interner,
             ids: Ids::Ram(ids),
+            lineage: self.lineage,
         }
     }
 }
@@ -482,12 +490,13 @@ impl ColumnarStore {
 
     /// This snapshot handed to a clone of its instance: the same rows, and
     /// the built columns shared by `Arc`, tagged with the clone's identity
-    /// at version 0.  Columns not built yet stay lazy; a clone builds them
-    /// from the same rows, so they get the same ids.  The copy starts a
-    /// family of its own that records this snapshot as its fork point, so
-    /// the clone's later snapshots descend from this one but never from
-    /// the original instance's later snapshots, whose dictionaries grow
-    /// apart.
+    /// at version 0.  Columns not built yet stay lazy: a clone that builds
+    /// one itself gets the same ids but a lineage of its own, and
+    /// [`adopt_columns`](Self::adopt_columns) shares one the original built
+    /// later.  The copy starts a family of its own that records this
+    /// snapshot as its fork point, so the clone's later snapshots descend
+    /// from this one but never from the original instance's later
+    /// snapshots, whose dictionaries grow apart.
     pub(crate) fn retagged(&self, instance_id: u64) -> ColumnarStore {
         let mut forks = self.forks.clone();
         forks.push((self.family, self.version));
@@ -515,16 +524,51 @@ impl ColumnarStore {
     }
 
     /// True when this snapshot descends from `prev` through patches and
-    /// re-tags: it is `prev` or a later snapshot of the same family, or a
-    /// family re-tagged (possibly over several clone generations) from
-    /// `prev` or a later snapshot of `prev`'s family.  Every id of `prev`'s
-    /// dictionaries then means the same value here, which is what the
-    /// patch paths of the pooled artifacts rely on.  A family is the chain
-    /// one instance's [`RelationInstance::columnar`] cache patches forward
-    /// from one cold build, so its versions order it.
-    pub fn descends_from(&self, prev: &ColumnarStore) -> bool {
+    /// re-tags, and so does each column of `attrs`.  The snapshot must be
+    /// `prev` or a later snapshot of the same family, or of a family
+    /// re-tagged (possibly over several clone generations) from `prev` or a
+    /// later snapshot of `prev`'s family; a family is the chain one
+    /// instance's [`RelationInstance::columnar`] cache patches forward from
+    /// one cold build, so its versions order it.  Each column of `attrs`
+    /// must be built on both sides and of one lineage, that is patched from
+    /// `prev`'s: columns are built lazily, so a column `prev` built after a
+    /// clone was re-tagged from it, or one a clone built itself after
+    /// writing, numbers its values on its own.  Every id of `prev`'s
+    /// columns of `attrs` then means the same value here, which is what the
+    /// patch paths of the pooled artifacts rely on.
+    pub fn descends_from(&self, prev: &ColumnarStore, attrs: &[usize]) -> bool {
         let after = |family: u64, version: u64| family == prev.family && prev.version <= version;
-        after(self.family, self.version) || self.forks.iter().any(|&(f, v)| after(f, v))
+        (after(self.family, self.version) || self.forks.iter().any(|&(f, v)| after(f, v)))
+            && attrs.iter().all(|&attr| {
+                matches!(
+                    (self.columns[attr].get(), prev.columns[attr].get()),
+                    (Some(col), Some(old)) if col.lineage == old.lineage
+                )
+            })
+    }
+
+    /// Shares `source`'s built columns of `attrs` that this snapshot has
+    /// not built, when this snapshot holds `source`'s rows: it is an
+    /// unpatched re-tag of `source` (possibly over several clone
+    /// generations, none written).  Such a column then carries `source`'s
+    /// lineage, so artifacts built over `source` serve this snapshot's
+    /// instance and patch forward into its later snapshots.
+    pub(crate) fn adopt_columns(&self, source: &ColumnarStore, attrs: &[usize]) {
+        let same_rows = self.version == 0
+            && self
+                .forks
+                .iter()
+                .rposition(|&fork| fork == (source.family, source.version))
+                .is_some_and(|i| self.forks[i + 1..].iter().all(|&(_, v)| v == 0));
+        if !same_rows {
+            return;
+        }
+        for &attr in attrs {
+            if let Some(col) = source.columns[attr].get() {
+                // A column built meanwhile keeps its own lineage.
+                let _ = self.columns[attr].set(Arc::clone(col));
+            }
+        }
     }
 
     /// The rows of this snapshot whose tuples `delta` (a delta since this

@@ -105,20 +105,21 @@ impl DistinctSet {
     /// when no exact packing carries over (> 4-wide radix keys whose
     /// widened product overflows `u64`): full rebuild.
     ///
-    /// `store` must be the current snapshot of `instance`, and it must
-    /// [descend from](ColumnarStore::descends_from) `prev`'s — the
-    /// memoized [`RelationInstance::columnar`] chain, carried into clones
-    /// by re-tagging, guarantees this whenever the delta journal covers the
-    /// gap; `None` otherwise — so that `prev`'s dictionary ids stay valid
-    /// in the new dictionaries and old keys can be computed from `prev`'s
-    /// columns.
+    /// `store` must be the current snapshot of `instance`, and it and its
+    /// key columns must [descend from](ColumnarStore::descends_from)
+    /// `prev`'s — the memoized [`RelationInstance::columnar`] chain,
+    /// carried into clones by re-tagging, guarantees this whenever the
+    /// delta journal covers the gap and the key columns were built before
+    /// the chain forked; `None` otherwise — so that `prev`'s dictionary ids
+    /// stay valid in the new dictionaries and old keys can be computed from
+    /// `prev`'s columns.
     pub fn try_patched(
         mut prev: Arc<DistinctSet>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
     ) -> Option<DistinctSet> {
-        if !store.descends_from(&prev.store) {
+        if !store.descends_from(&prev.store, &prev.attrs) {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev

@@ -468,18 +468,18 @@ impl InternedIndex {
     /// `store` must be the current columnar snapshot of `instance` and
     /// `delta` the delta ([`RelationInstance::delta_since`]) between the
     /// state `prev` was built at and now.  Returns `None` unless `store`
-    /// [descends from](ColumnarStore::descends_from) `prev`'s snapshot
-    /// through patches and clone re-tags: patched snapshots keep every old
-    /// id valid (dictionaries only append), so surviving rows keep their
-    /// keys and unchanged groups are copied as they were, while a snapshot
-    /// built cold numbers its dictionaries afresh.
+    /// and its key columns [descend from](ColumnarStore::descends_from)
+    /// `prev`'s through patches and clone re-tags: patched columns keep
+    /// every old id valid (dictionaries only append), so surviving rows
+    /// keep their keys and unchanged groups are copied as they were, while
+    /// a column built cold numbers its dictionary afresh.
     pub fn try_patched(
         mut prev: Arc<InternedIndex>,
         instance: &RelationInstance,
         store: &Arc<ColumnarStore>,
         delta: &Delta,
     ) -> Option<InternedIndex> {
-        if !store.descends_from(&prev.store) {
+        if !store.descends_from(&prev.store, &prev.attrs) {
             return None;
         }
         let columns: Vec<Arc<Column>> = prev

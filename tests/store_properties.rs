@@ -596,6 +596,76 @@ proptest! {
         }
     }
 
+    /// Columns are built lazily, so a side may build a column only after a
+    /// clone was taken from it, and a clone may build one only after it
+    /// wrote.  With no column built up front — sides snapshot, build single
+    /// columns and ask the shared pool for single attribute lists in any
+    /// order between writes and clones — every pooled index and distinct
+    /// set still equals a build over a fresh snapshot.
+    #[test]
+    fn lazily_built_columns_never_mix_across_clones(
+        cells in proptest::collection::vec((value_strategy(), value_strategy()), 2..16),
+        ops in proptest::collection::vec(
+            (0usize..9, 0usize..1_000_000, 0usize..3, value_strategy()),
+            1..40,
+        ),
+    ) {
+        use dq_relation::instance::CellRef;
+        const MAX_SIDES: usize = 4;
+        let schema = universe_schema();
+        let mut first = RelationInstance::new(Arc::clone(&schema));
+        for (a, b) in &cells {
+            first.insert_values([a.clone(), b.clone()]).expect("universe domain");
+        }
+        let pool = IndexPool::new();
+        let mut sides = vec![first];
+        for &(kind, pick, which, ref value) in &ops {
+            let count = sides.len();
+            let side = &mut sides[pick % count];
+            let ids = side.ids();
+            let picked = ids[pick % ids.len()];
+            let attr = which % 2;
+            match kind {
+                0 | 1 => {
+                    side.update_cell(CellRef::new(picked, attr), value.clone())
+                        .expect("universe domain");
+                }
+                2 if ids.len() > 1 => {
+                    side.remove(picked);
+                }
+                2 | 3 => {
+                    side.insert_values([value.clone(), value.clone()]).expect("universe domain");
+                }
+                4 => {
+                    let clone = side.clone();
+                    sides.push(clone);
+                }
+                5 => {
+                    side.columnar();
+                }
+                6 => {
+                    side.columnar().column(side, attr);
+                }
+                _ => {
+                    let attrs = ATTR_SETS[which];
+                    let fresh = Arc::new(dq_relation::ColumnarStore::new(side));
+                    let idx = pool.interned_for(side, attrs, 1);
+                    let cold = InternedIndex::build(side, &fresh, attrs, 1);
+                    prop_assert_eq!(index_view(&idx), index_view(&cold), "attrs {:?}", attrs);
+                    let set = pool.distinct_for(side, attrs, 1);
+                    prop_assert_eq!(set.len(), side.project_distinct(attrs).len());
+                    for (key, _) in dq_relation::reference::HashIndex::build(side, attrs).groups() {
+                        prop_assert!(set.contains_values(key), "attrs {:?}", attrs);
+                    }
+                }
+            }
+            if sides.len() > MAX_SIDES {
+                let dropped = sides.remove(0);
+                pool.invalidate(&dropped);
+            }
+        }
+    }
+
     /// Canonicalized instances detect identically to plainly built ones: the
     /// dictionary compression of `dq-gen` cannot change any report.
     #[test]
