@@ -931,12 +931,15 @@ const DELTA_REMOVE_EVERY: usize = 3;
 /// patches + appends`).  With the recorder on (always in `--smoke`, and
 /// under `--profile`), the rounds after round 0 must also have patched
 /// violating groups from their previous RHS classes
-/// (`maintain.cfd.groups_patched > 0`), so a fall-back to classifying
-/// every touched group in full fails loudly.
+/// (`maintain.cfd.groups_patched > 0`) and shared snapshot chunks with
+/// their predecessors (`store.patch.chunks_shared > 0`), so a fall-back to
+/// classifying every touched group in full, or to copying whole columns on
+/// every snapshot patch, fails loudly.
 fn delta_bench(smoke: bool, profile: bool) {
     header("Delta bench — patch-maintained violations vs. full re-detection");
     // A smoke run writes no timings, so it always records: its
-    // `maintain.cfd.groups_patched` check below needs the counters.
+    // `maintain.cfd.groups_patched` and `store.patch.chunks_shared` checks
+    // below need the counters.
     if smoke {
         dq_obs::set_enabled(true);
     }
@@ -974,6 +977,8 @@ fn delta_bench(smoke: bool, profile: bool) {
         let built = engine.pool_stats();
         let groups_patched = dq_obs::recorder().counter("maintain.cfd.groups_patched");
         let patched_before = groups_patched.value();
+        let chunks_shared = dq_obs::recorder().counter("store.patch.chunks_shared");
+        let shared_before = chunks_shared.value();
 
         // A fixed LCG drives the stream so runs are exactly reproducible.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1058,6 +1063,11 @@ fn delta_bench(smoke: bool, profile: bool) {
                 groups_patched.value() > patched_before,
                 "maintenance rounds must patch violating groups from their classes, \
                  not classify them in full"
+            );
+            assert!(
+                chunks_shared.value() > shared_before,
+                "snapshot patches must share the chunks no write reached, \
+                 not copy whole columns"
             );
         }
         let speedup = rebuild_ms / patch_ms;

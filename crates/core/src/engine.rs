@@ -463,7 +463,7 @@ impl DetectionEngine {
                 let items: Vec<(&Cfd, &Arc<CfdViolationGroups>)> =
                     cfds.iter().zip(prev_groups).collect();
                 let groups = parallel_map(&items, self.threads, |(cfd, prev_groups)| {
-                    let affected = affected_tuples(cfd, &delta, appended);
+                    let affected = affected_tuples(cfd, &delta, &appended);
                     if affected.is_empty() {
                         return Arc::clone(prev_groups);
                     }

@@ -130,7 +130,12 @@ pub fn profile_relation_with(instance: &RelationInstance, threads: usize) -> Rel
         let interner = col.interner();
         let null_id = interner.lookup(&Value::Null);
         let nulls = match null_id {
-            Some(null_id) => col.ids().iter().filter(|&&id| id == null_id).count(),
+            Some(null_id) => col
+                .shard_ids(0..col.len())
+                .into_iter()
+                .flatten()
+                .filter(|&&id| id == null_id)
+                .count(),
             None => 0,
         };
         let mut dictionary: BTreeSet<&Value> = BTreeSet::new();

@@ -124,9 +124,11 @@ impl dq_obs::MetricSource for IndexPoolStats {
 /// bound across mutate-and-detect loops); entries of *other* instances are
 /// evicted only under capacity pressure.
 ///
-/// A clone ([`RelationInstance::origin`]) misses its own first requests,
-/// but its origin's entry on the same attribute list serves as a *donor*
-/// when no older entry of the clone is cached.  The donor stays in the
+/// A clone ([`RelationInstance::origins`]) misses its own first requests,
+/// but an origin's entry on the same attribute list serves as a *donor*
+/// when no older entry of the clone is cached: the nearest origin that has
+/// one, so a clone of an unwritten clone borrows the intermediate clone's
+/// entries once the first origin has moved on.  The donor stays in the
 /// cache, since the origin may still need it.  A clone not written since
 /// it was taken gets the donor's `Arc` itself, counted as a hit
 /// ([`IndexPoolStats::donor_hits`]).  A clone written since is served by
@@ -270,9 +272,10 @@ impl IndexPool {
     /// first one re-requested; each attribute list's own insert still drops
     /// its predecessors.
     ///
-    /// With no predecessor, a clone's request falls back to its origin's
-    /// entry as the donor (see [`IndexPool`]).  The donor stays cached, and
-    /// the upgrade gets a shared reference to it, so it copies the maps.
+    /// With no predecessor, a clone's request falls back to the entry of
+    /// its nearest origin that has one as the donor (see [`IndexPool`]).
+    /// The donor stays cached, and the upgrade gets a shared reference to
+    /// it, so it copies the maps.
     fn artifact_for<V: Pooled>(
         &self,
         cache: &Mutex<HashMap<PoolKey, Arc<V>>>,
@@ -309,9 +312,10 @@ impl IndexPool {
                 }
                 None => {
                     let donor = instance
-                        .origin()
+                        .origins()
+                        .iter()
                         .filter(|_| instance.delta_covers(0))
-                        .and_then(|(id, version)| cache.get(&(id, version, key.2.clone())));
+                        .find_map(|&(id, version)| cache.get(&(id, version, key.2.clone())));
                     (donor.map(|d| (0, Arc::clone(d))), true)
                 }
             }
@@ -919,7 +923,10 @@ mod tests {
         // The snapshot equals a fresh build cell for cell.
         let snapshot = inst.columnar();
         let fresh = Arc::new(ColumnarStore::new(&inst));
-        assert_eq!(snapshot.rows(), fresh.rows());
+        assert_eq!(
+            snapshot.rows().collect::<Vec<_>>(),
+            fresh.rows().collect::<Vec<_>>()
+        );
         for attr in 0..3 {
             let (s, f) = (snapshot.column(&inst, attr), fresh.column(&inst, attr));
             for row in 0..snapshot.len() {

@@ -30,6 +30,11 @@ fn fresh_instance_id() -> u64 {
 /// recent ones keep the patch path.
 const DELTA_JOURNAL_CAP: usize = 4096;
 
+/// Upper bound on the [`RelationInstance::origins`] links a clone records,
+/// so a long chain of clones of unwritten clones stays cheap to clone; the
+/// farthest links are dropped first.
+const ORIGIN_LINKS: usize = 8;
+
 /// A coalesced cell-level change between two versions of an instance, as
 /// reported by [`RelationInstance::delta_since`]: `cell` held `old`
 /// at the earlier version and holds `new` now.
@@ -118,8 +123,8 @@ impl CellRef {
 /// and a [`version`](Self::version) counter bumped by every mutation, so that
 /// derived structures (most importantly [`crate::index::IndexPool`] entries)
 /// can be memoized per `(instance, version)` and never served stale.  A
-/// clone records the `(instance, version)` it was taken from as its
-/// [`origin`](Self::origin), so those structures can seed the clone's.
+/// clone records the `(instance, version)` states it holds as its
+/// [`origins`](Self::origins), so those structures can seed the clone's.
 #[derive(Debug)]
 pub struct RelationInstance {
     schema: Arc<RelationSchema>,
@@ -144,9 +149,9 @@ pub struct RelationInstance {
     /// its original's snapshot when that one is current (see the `Clone`
     /// impl).
     columnar: Mutex<Option<Arc<ColumnarStore>>>,
-    /// The `(instance_id, version)` this instance was cloned from (see
-    /// [`origin`](Self::origin)).
-    origin: Option<(u64, u64)>,
+    /// The `(instance_id, version)` states this instance was cloned from,
+    /// nearest first (see [`origins`](Self::origins)).
+    origins: Vec<(u64, u64)>,
 }
 
 impl Clone for RelationInstance {
@@ -157,16 +162,17 @@ impl Clone for RelationInstance {
     /// snapshot is current, the clone gets it re-tagged to its own identity,
     /// sharing the built columns by `Arc` (counted in
     /// `store.snapshot.inherited`).  The clone also records the original's
-    /// `(instance_id, version)` as its [`origin`](Self::origin), whose
-    /// pooled indexes [`IndexPool`](crate::index::IndexPool) then lends it.
-    /// A clone of a clone that has not been written yet inherits that
-    /// clone's origin.
+    /// `(instance_id, version)` as its nearest [`origins`](Self::origins)
+    /// link, whose pooled indexes [`IndexPool`](crate::index::IndexPool)
+    /// then lends it.  A clone of an instance that has not been written
+    /// since it was cloned itself holds that instance's origins too, so
+    /// they follow as further links.
     fn clone(&self) -> Self {
         let instance_id = fresh_instance_id();
-        let origin = match self.origin {
-            Some(origin) if self.version == 0 => origin,
-            _ => (self.instance_id, self.version),
-        };
+        let mut origins = vec![(self.instance_id, self.version)];
+        if self.version == 0 {
+            origins.extend(self.origins.iter().take(ORIGIN_LINKS - 1));
+        }
         let inherited = self
             .columnar
             .lock()
@@ -186,7 +192,7 @@ impl Clone for RelationInstance {
             delta: Vec::new(),
             delta_floor: 0,
             columnar: Mutex::new(inherited),
-            origin: Some(origin),
+            origins,
         }
     }
 }
@@ -203,7 +209,7 @@ impl RelationInstance {
             delta: Vec::new(),
             delta_floor: 0,
             columnar: Mutex::new(None),
-            origin: None,
+            origins: Vec::new(),
         }
     }
 
@@ -230,14 +236,17 @@ impl RelationInstance {
         self.version
     }
 
-    /// The `(instance_id, version)` this instance was cloned from, `None`
-    /// for an instance that is not a clone.  At version 0 a clone holds
-    /// exactly the tuples its origin held; its writes since are in its own
-    /// delta journal ([`delta_since`](Self::delta_since)`(0)`), which is
-    /// how [`IndexPool`](crate::index::IndexPool) patches the origin's
-    /// cached indexes into the clone's.
-    pub fn origin(&self) -> Option<(u64, u64)> {
-        self.origin
+    /// The `(instance_id, version)` states this instance was cloned from,
+    /// nearest first, empty for an instance that is not a clone: the
+    /// instance it was cloned from, then — when that one was itself an
+    /// unwritten clone — that one's origins, up to eight links.
+    /// At version 0 a clone holds exactly the tuples each origin held; its
+    /// writes since are in its own delta journal
+    /// ([`delta_since`](Self::delta_since)`(0)`), which is how
+    /// [`IndexPool`](crate::index::IndexPool) patches an origin's cached
+    /// indexes into the clone's.
+    pub fn origins(&self) -> &[(u64, u64)] {
+        &self.origins
     }
 
     /// True when this instance holds exactly the tuples instance
@@ -245,7 +254,7 @@ impl RelationInstance {
     /// version, or a clone taken from it there and not written since.
     pub(crate) fn holds_state_of(&self, instance_id: u64, version: u64) -> bool {
         (self.instance_id, self.version) == (instance_id, version)
-            || (self.version == 0 && self.origin == Some((instance_id, version)))
+            || (self.version == 0 && self.origins.contains(&(instance_id, version)))
     }
 
     /// True when the delta journal fully describes how the instance evolved
@@ -840,7 +849,7 @@ mod tests {
         let snapshot = inst.columnar();
         let col = snapshot.column(&inst, 1);
         let mut clone = inst.clone();
-        assert_eq!(clone.origin(), Some((inst.instance_id(), inst.version())));
+        assert_eq!(clone.origins(), [(inst.instance_id(), inst.version())]);
         let inherited = clone.columnar();
         assert_eq!(
             (inherited.instance_id(), inherited.version()),
@@ -853,16 +862,22 @@ mod tests {
         inst.columnar().column(&inst, 0);
         inherited.column(&clone, 0);
         assert!(!inherited.descends_from(&snapshot, &[0]));
-        // An unwritten clone's clone keeps the first origin; a written
-        // one's records the clone itself.
-        assert_eq!(clone.clone().origin(), clone.origin());
+        // An unwritten clone's clone records the clone, then its origin; a
+        // written one's records only the clone itself.
+        assert_eq!(
+            clone.clone().origins(),
+            [
+                (clone.instance_id(), 0),
+                (inst.instance_id(), inst.version())
+            ]
+        );
         clone
             .update_cell(CellRef::new(TupleId(0), 1), Value::str("c"))
             .unwrap();
         let grandchild = clone.clone();
         assert_eq!(
-            grandchild.origin(),
-            Some((clone.instance_id(), clone.version()))
+            grandchild.origins(),
+            [(clone.instance_id(), clone.version())]
         );
         // Writes on either side stay on that side.
         inst.update_cell(CellRef::new(TupleId(1), 1), Value::str("p"))

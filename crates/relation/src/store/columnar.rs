@@ -4,11 +4,14 @@
 //! A [`ColumnarStore`] is a read-only, version-tagged snapshot of an
 //! instance: the live tuples in insertion order (`rows`), a constant-time
 //! slot → row translation (`row_index`), and one lazily built
-//! dictionary-encoded [`Column`] per attribute.  Columns hold a dense
-//! `Vec<ValueId>` — one `u32` per live tuple — plus the per-column
-//! [`ValueInterner`] that issued the ids, so equality of cell values reduces
-//! to equality of ids and multi-attribute keys pack into machine words (see
-//! [`super::index::InternedIndex`]).
+//! dictionary-encoded [`Column`] per attribute.  Columns hold one `u32`
+//! [`ValueId`] per live tuple, plus the per-column [`ValueInterner`] that
+//! issued the ids, so equality of cell values reduces to equality of ids
+//! and multi-attribute keys pack into machine words (see
+//! [`super::index::InternedIndex`]).  Owned ids, the rows and the row index
+//! live in [`CHUNK_ROWS`]-sized, `Arc`-shared, copy-on-write chunks, so a
+//! patched snapshot shares every chunk no write reached with its
+//! predecessor.
 //!
 //! Rows are range-sharded into fixed-size chunks of [`SHARD_ROWS`] so index
 //! builds and group scans can parallelize *within* one index, not just
@@ -20,6 +23,7 @@
 //! the next access patches the previous snapshot
 //! ([`ColumnarStore::patched`]) instead of building a fresh one.
 
+use super::chunks::{ChunkWriter, Chunks, CHUNK_ROWS};
 use super::interner::{InternerStats, ValueId, ValueInterner};
 use super::mmap::MappedBytes;
 use crate::instance::{Delta, RelationInstance, TupleId};
@@ -41,6 +45,11 @@ fn fresh_family() -> u64 {
 /// the thread pool.
 pub const SHARD_ROWS: usize = 1 << 16;
 
+/// Row position `row` as stored in the row index.
+fn row_number(row: usize) -> u32 {
+    u32::try_from(row).expect("instance larger than u32::MAX rows")
+}
+
 /// The runs of `0..len` between the `removed` positions (ascending): what
 /// survives when those rows are dropped, as slices to copy.
 fn kept_runs(removed: &[usize], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
@@ -50,15 +59,16 @@ fn kept_runs(removed: &[usize], len: usize) -> impl Iterator<Item = Range<usize>
         .map(|(start, end)| start..end)
 }
 
-/// Backing storage of a column's id vector: an owned `Vec` for columns built
-/// from an instance, or a view into memory-mapped segment files for columns
-/// re-opened from a persisted relation (see [`super::persist`]).  Mapped ids
-/// are paged in by the kernel on access and can be evicted under pressure,
-/// so a mapped column's resident footprint is bounded by its dictionary.
+/// Backing storage of a column's ids: owned copy-on-write chunks for
+/// columns built from an instance, or a view into memory-mapped segment
+/// files for columns re-opened from a persisted relation (see
+/// [`super::persist`]).  Mapped ids are paged in by the kernel on access and
+/// can be evicted under pressure, so a mapped column's resident footprint
+/// is bounded by its dictionary.
 #[derive(Clone, Debug)]
 enum Ids {
     /// Owned ids, in row order.
-    Ram(Vec<ValueId>),
+    Ram(Chunks<ValueId>),
     /// A concatenation of mapped segment slices (one per persisted shard),
     /// each carrying `count` little-endian `u32` ids at `offset` bytes.
     /// Constructed only when the byte offset is 4-aligned on a little-endian
@@ -116,15 +126,15 @@ impl Ids {
             }
             return Ids::Mapped { segments, bounds };
         }
-        let mut ids = Vec::with_capacity(segments.iter().map(|s| s.count).sum());
-        for s in &segments {
-            let raw = &s.bytes[s.offset..s.offset + s.count * size_of::<u32>()];
-            ids.extend(
-                raw.chunks_exact(4)
-                    .map(|c| ValueId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
-            );
-        }
-        Ids::Ram(ids)
+        Ids::Ram(
+            segments
+                .iter()
+                .flat_map(|s| {
+                    s.bytes[s.offset..s.offset + s.count * size_of::<u32>()].chunks_exact(4)
+                })
+                .map(|c| ValueId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+                .collect(),
+        )
     }
 
     fn len(&self) -> usize {
@@ -148,10 +158,9 @@ pub struct Column {
 }
 
 impl Column {
-    /// A column from already-encoded parts (column builds, and the persist
-    /// layer's paths that build columns without an instance).  The
+    /// A column from already-encoded parts (cold column builds).  The
     /// dictionary is sealed, so patched copies share it.
-    pub(crate) fn from_parts(mut interner: ValueInterner, ids: Vec<ValueId>) -> Column {
+    fn from_parts(mut interner: ValueInterner, ids: Chunks<ValueId>) -> Column {
         interner.seal();
         Column {
             interner,
@@ -178,7 +187,7 @@ impl Column {
     #[inline]
     pub fn id_at(&self, row: usize) -> ValueId {
         match &self.ids {
-            Ids::Ram(v) => v[row],
+            Ids::Ram(chunks) => chunks.get(row),
             Ids::Mapped { segments, bounds } => {
                 let seg = bounds.partition_point(|&b| b <= row) - 1;
                 segments[seg].as_slice()[row - bounds[seg]]
@@ -186,37 +195,14 @@ impl Column {
         }
     }
 
-    /// All cell ids, in row order.  Mapped columns whose segments are
-    /// contiguous in one file expose them zero-copy; otherwise the ids of
-    /// each persisted shard are available through
-    /// [`shard_ids`](Self::shard_ids).
-    ///
-    /// # Panics
-    /// Panics on a multi-segment mapped column (no single backing slice
-    /// exists); use [`shard_ids`](Self::shard_ids) or [`id_at`](Self::id_at)
-    /// there.
-    pub fn ids(&self) -> &[ValueId] {
-        match &self.ids {
-            Ids::Ram(v) => v,
-            Ids::Mapped { segments, .. } => {
-                assert_eq!(
-                    segments.len(),
-                    1,
-                    "multi-segment mapped column has no contiguous id slice; \
-                     iterate shard_ids() instead"
-                );
-                segments[0].as_slice()
-            }
-        }
-    }
-
-    /// The ids of rows `range`, as up to one slice per backing segment (in
-    /// row order).  This is the shard-cursor access path: each slice stays
-    /// inside one mapped segment, so scans touch one shard's pages at a
-    /// time.
+    /// The ids of rows `range`, as one slice per backing chunk or segment
+    /// it overlaps (in row order): [`CHUNK_ROWS`]-sized chunks for owned
+    /// ids, persisted shards for mapped ones.  This is the shard-cursor
+    /// access path: each slice stays inside one mapped segment, so scans
+    /// touch one shard's pages at a time.
     pub fn shard_ids(&self, range: Range<usize>) -> Vec<&[ValueId]> {
         match &self.ids {
-            Ids::Ram(v) => vec![&v[range]],
+            Ids::Ram(chunks) => chunks.slices(range).collect(),
             Ids::Mapped { segments, bounds } => {
                 let mut out = Vec::new();
                 let mut row = range.start;
@@ -271,21 +257,36 @@ impl Column {
     }
 
     /// Approximate heap bytes of ids plus dictionary.  Mapped ids are file
-    /// pages, not heap, and count as zero.
+    /// pages, not heap, and count as zero.  Chunks shared with other
+    /// snapshots count in full here.
     pub fn approx_heap_bytes(&self) -> usize {
         let id_bytes = match &self.ids {
-            Ids::Ram(v) => v.capacity() * size_of::<ValueId>(),
+            Ids::Ram(chunks) => chunks.heap_bytes(),
             Ids::Mapped { .. } => 0,
         };
         id_bytes + self.interner.approx_heap_bytes()
     }
 
+    /// Id chunk `chunk` of an owned column (rows `chunk * CHUNK_ROWS ..`;
+    /// the last chunk is padded past the column's length with copies of its
+    /// last id), `None` for a mapped one.  A patched column holds every
+    /// chunk no write reached as the same `Arc` as the column it was
+    /// patched from.
+    pub fn id_chunk(&self, chunk: usize) -> Option<&Arc<[ValueId; CHUNK_ROWS]>> {
+        match &self.ids {
+            Ids::Ram(chunks) => Some(chunks.chunk(chunk)),
+            Ids::Mapped { .. } => None,
+        }
+    }
+
     /// A copy of this column with the rows `removed` (ascending) dropped
     /// and `new_rows` appended: the dictionary is cloned — its shared
-    /// prefix by reference, only its short tail by value — the surviving
-    /// ids are copied as the slices between removed rows, and only the
-    /// appended cells are interned.  Ids of values already in the
-    /// dictionary are unchanged, so structures keyed on them stay valid.
+    /// prefix by reference, only its short tail by value — every id chunk
+    /// before the first removed row (before the last, partial chunk when
+    /// nothing was removed) is shared by `Arc`, only the ids after it are
+    /// copied, and only the appended cells are interned.  Ids of values
+    /// already in the dictionary are unchanged, so structures keyed on them
+    /// stay valid.  A mapped column's ids are copied into owned chunks.
     fn patched(
         &self,
         instance: &RelationInstance,
@@ -294,9 +295,14 @@ impl Column {
         new_rows: &[TupleId],
     ) -> Column {
         let mut interner = self.interner.clone();
-        let mut ids = Vec::with_capacity(self.len() - removed.len() + new_rows.len());
+        let first_removed = removed.first().copied().unwrap_or(self.len());
+        // Nothing of a mapped column is shared: its kept runs are all copied.
+        let (mut ids, copy_from) = match &self.ids {
+            Ids::Ram(chunks) => (chunks.prefix(first_removed), first_removed),
+            Ids::Mapped { .. } => (ChunkWriter::new(), 0),
+        };
         for run in kept_runs(removed, self.len()) {
-            for part in self.shard_ids(run) {
+            for part in self.shard_ids(run.start.max(copy_from)..run.end) {
                 ids.extend_from_slice(part);
             }
         }
@@ -306,7 +312,7 @@ impl Column {
         }
         Column {
             interner,
-            ids: Ids::Ram(ids),
+            ids: Ids::Ram(ids.finish()),
             lineage: self.lineage,
         }
     }
@@ -359,9 +365,9 @@ pub struct ColumnarStore {
     /// The `(family, version)` fork points this family was re-tagged from,
     /// oldest first (see [`descends_from`](Self::descends_from)).
     forks: Vec<(u64, u64)>,
-    rows: Vec<TupleId>,
+    rows: Chunks<TupleId>,
     /// Slot → row position; `u32::MAX` marks dead slots.
-    row_index: Vec<u32>,
+    row_index: Chunks<u32>,
     columns: Vec<OnceLock<Arc<Column>>>,
 }
 
@@ -370,14 +376,15 @@ impl ColumnarStore {
     /// first access through [`column`](Self::column).
     pub fn new(instance: &RelationInstance) -> Self {
         dq_obs::time("store.snapshot_ns", || {
-            let mut rows = Vec::with_capacity(instance.len());
-            let mut row_index = Vec::new();
+            let mut rows = ChunkWriter::new();
+            let mut row_index = ChunkWriter::new();
+            let mut next_slot = 0;
             for (id, _) in instance.iter() {
-                while row_index.len() < id.0 {
+                for _ in next_slot..id.0 {
                     row_index.push(u32::MAX);
                 }
-                row_index
-                    .push(u32::try_from(rows.len()).expect("instance larger than u32::MAX rows"));
+                next_slot = id.0 + 1;
+                row_index.push(row_number(rows.len()));
                 rows.push(id);
             }
             ColumnarStore {
@@ -385,8 +392,8 @@ impl ColumnarStore {
                 version: instance.version(),
                 family: fresh_family(),
                 forks: Vec::new(),
-                rows,
-                row_index,
+                rows: rows.finish(),
+                row_index: row_index.finish(),
                 columns: (0..instance.schema().arity())
                     .map(|_| OnceLock::new())
                     .collect(),
@@ -399,14 +406,20 @@ impl ColumnarStore {
     /// dropped (the rows, row index and ids after the first of them are
     /// compacted), only the appended tuples are encoded, and *only* the
     /// changed cells are re-interned in place — an append-only gap has an
-    /// empty delta.  A built column with no changed cell, no appended row
-    /// and no removed row is shared with `prev` as the same `Arc`; the
-    /// others clone their dictionary, which shares its prefix with `prev`'s
-    /// and copies only the short tail (see [`ValueInterner`]).  Columns
-    /// `prev` never built stay lazy.  Dictionaries are append-only, so every
-    /// surviving cell keeps its id and structures keyed on old ids stay
-    /// valid; a patched dictionary may carry values no live cell holds any
-    /// more, which costs a little memory but never correctness.
+    /// empty delta.  The rows, the row index and every patched column's
+    /// ids share each [`CHUNK_ROWS`]-sized chunk before the first removed
+    /// row (before the last, partial chunk when nothing was removed) with
+    /// `prev` by `Arc`, and a changed cell copies its chunk on write, so a
+    /// patch copies the chunks its writes reached, not the relation
+    /// (counted in `store.patch.chunks_copied` / `store.patch.chunks_shared`).
+    /// A built column with no changed cell, no appended row and no removed
+    /// row is shared with `prev` as the same `Arc`; the others clone their
+    /// dictionary, which shares its prefix with `prev`'s and copies only
+    /// the short tail (see [`ValueInterner`]).  Columns `prev` never built
+    /// stay lazy.  Dictionaries are append-only, so every surviving cell
+    /// keeps its id and structures keyed on old ids stay valid; a patched
+    /// dictionary may carry values no live cell holds any more, which costs
+    /// a little memory but never correctness.
     ///
     /// The caller must guarantee the delta journal covers `prev.version()`
     /// ([`RelationInstance::delta_covers`]) and pass the delta since then
@@ -421,28 +434,40 @@ impl ColumnarStore {
         debug_assert!(instance.delta_covers(prev.version));
         let removed = prev.removed_rows(delta);
         dq_obs::add("store.patch.removed_rows", removed.len() as u64);
-        let mut rows = Vec::with_capacity(instance.len());
-        for run in kept_runs(&removed, prev.rows.len()) {
-            rows.extend_from_slice(&prev.rows[run]);
-        }
-        let mut row_index = prev.row_index.clone();
-        for &row in &removed {
-            row_index[prev.rows[row].0] = u32::MAX;
-        }
-        let first_moved = removed.first().copied().unwrap_or(rows.len());
-        for (row, id) in rows.iter().enumerate().skip(first_moved) {
-            row_index[id.0] = row as u32;
+        let first_moved = removed.first().copied().unwrap_or(prev.len());
+        let mut rows = prev.rows.prefix(first_moved);
+        for run in kept_runs(&removed, prev.len()).skip(1) {
+            for part in prev.rows.slices(run) {
+                rows.extend_from_slice(part);
+            }
         }
         // Slots never revive, so every live tuple in a slot beyond the old
         // row index is an appended one.
         let first_new_slot = prev.row_index.len();
         let mut new_rows = Vec::new();
         for (id, _) in instance.iter_from(first_new_slot) {
-            row_index.resize(id.0, u32::MAX);
-            row_index.push(u32::try_from(rows.len()).expect("instance larger than u32::MAX rows"));
             rows.push(id);
             new_rows.push(id);
         }
+        let rows = rows.finish();
+        // Rows keep slot order, so the row index changes only from the
+        // first removed row's slot on: share it up to there, then index the
+        // rows from the first moved one.
+        let mut next_slot = match removed.first() {
+            Some(&row) => prev.rows.get(row).0,
+            None => first_new_slot,
+        };
+        let mut row_index = prev.row_index.prefix(next_slot);
+        for (row, id) in rows.slices(first_moved..rows.len()).flatten().enumerate() {
+            for _ in next_slot..id.0 {
+                row_index.push(u32::MAX);
+            }
+            next_slot = id.0 + 1;
+            row_index.push(row_number(first_moved + row));
+        }
+        let row_index = row_index.finish();
+        let mut shared = rows.shared_with(&prev.rows) + row_index.shared_with(&prev.row_index);
+        let mut total = rows.chunk_count() + row_index.chunk_count();
         let columns: Vec<OnceLock<Arc<Column>>> = prev
             .columns
             .iter()
@@ -468,15 +493,21 @@ impl ColumnarStore {
                         // Changed tuples are live; appended-then-edited ones
                         // were already interned at their current value
                         // above, and re-interning is a no-op for them.
-                        let row = row_index[change.cell.tuple.0];
-                        ids[row as usize] = patched.interner.intern(&change.new);
+                        let row = row_index.get(change.cell.tuple.0);
+                        ids.set(row as usize, patched.interner.intern(&change.new));
                     }
+                    if let Ids::Ram(old) = &col.ids {
+                        shared += ids.shared_with(old);
+                    }
+                    total += ids.chunk_count();
                     lock.set(Arc::new(patched))
                         .expect("freshly created lock is empty");
                 }
                 lock
             })
             .collect();
+        dq_obs::add("store.patch.chunks_shared", shared as u64);
+        dq_obs::add("store.patch.chunks_copied", (total - shared) as u64);
         ColumnarStore {
             instance_id: prev.instance_id,
             version: instance.version(),
@@ -585,9 +616,13 @@ impl ColumnarStore {
     /// The tuples of this snapshot appended since `prev`, an older snapshot
     /// of the same instance: the rows past `prev`'s last slot (slots never
     /// revive, so nothing else is new).
-    pub fn appended_since(&self, prev: &ColumnarStore) -> &[TupleId] {
+    pub fn appended_since(&self, prev: &ColumnarStore) -> Vec<TupleId> {
         let first = self.rows.partition_point(|id| id.0 < prev.row_index.len());
-        &self.rows[first..]
+        self.rows
+            .slices(first..self.len())
+            .flatten()
+            .copied()
+            .collect()
     }
 
     /// Identity of the instance this snapshot was taken from.
@@ -601,8 +636,23 @@ impl ColumnarStore {
     }
 
     /// Live tuple ids in insertion (row) order.
-    pub fn rows(&self) -> &[TupleId] {
-        &self.rows
+    pub fn rows(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.rows.iter()
+    }
+
+    /// Chunk `chunk` of the row list (rows `chunk * CHUNK_ROWS ..`; the
+    /// last chunk is padded past [`len`](Self::len) with copies of its last
+    /// tuple id).  A patched snapshot holds every chunk no write reached as
+    /// the same `Arc` as the snapshot it was patched from.
+    pub fn row_chunk(&self, chunk: usize) -> &Arc<[TupleId; CHUNK_ROWS]> {
+        self.rows.chunk(chunk)
+    }
+
+    /// Chunk `chunk` of the slot → row index (slots `chunk * CHUNK_ROWS
+    /// ..`; `u32::MAX` marks a dead slot), padded and shared like
+    /// [`row_chunk`](Self::row_chunk).
+    pub fn slot_chunk(&self, chunk: usize) -> &Arc<[u32; CHUNK_ROWS]> {
+        self.row_index.chunk(chunk)
     }
 
     /// Number of live rows.
@@ -612,21 +662,21 @@ impl ColumnarStore {
 
     /// Is the snapshot empty?
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len() == 0
     }
 
     /// The tuple id stored in row `row`.
     #[inline]
     pub fn tuple_id(&self, row: usize) -> TupleId {
-        self.rows[row]
+        self.rows.get(row)
     }
 
     /// The row position of a tuple id, if the tuple was live at snapshot
     /// time.
     #[inline]
     pub fn row_of(&self, id: TupleId) -> Option<usize> {
-        match self.row_index.get(id.0) {
-            Some(&row) if row != u32::MAX => Some(row as usize),
+        match self.row_index.try_get(id.0) {
+            Some(row) if row != u32::MAX => Some(row as usize),
             _ => None,
         }
     }
@@ -646,8 +696,9 @@ impl ColumnarStore {
     /// access (subsequent calls, from any thread, share the same column).
     ///
     /// `instance` must be the instance this store was snapshotted from, at
-    /// the same version, or a clone of it taken at that version and not
-    /// written since ([`RelationInstance::origin`]) — mutations invalidate
+    /// the same version, or a clone of it (or of such a clone) taken at that
+    /// version and not written since ([`RelationInstance::origins`]) —
+    /// mutations invalidate
     /// the snapshot, and [`RelationInstance::columnar`] hands out a fresh
     /// store per version.
     pub fn column(&self, instance: &RelationInstance, attr: usize) -> Arc<Column> {
@@ -658,12 +709,12 @@ impl ColumnarStore {
                 "columnar snapshot is stale for this instance"
             );
             let mut interner = ValueInterner::new();
-            let mut ids = Vec::with_capacity(self.rows.len());
-            for &id in &self.rows {
+            let mut ids = ChunkWriter::new();
+            for id in self.rows.iter() {
                 let tuple = instance.tuple(id).expect("snapshot row is live");
                 ids.push(interner.intern(tuple.get(attr)));
             }
-            let column = Arc::new(Column::from_parts(interner, ids));
+            let column = Arc::new(Column::from_parts(interner, ids.finish()));
             dq_obs::add(
                 "store.column_bytes_built",
                 column.approx_heap_bytes() as u64,
@@ -728,7 +779,7 @@ mod tests {
         assert_eq!(store.len(), 4);
         for attr in 0..2 {
             let col = store.column(&inst, attr);
-            for (row, &id) in store.rows().iter().enumerate() {
+            for (row, id) in store.rows().enumerate() {
                 let original = inst.tuple(id).unwrap().get(attr);
                 assert_eq!(col.interner().resolve(col.id_at(row)), original);
             }
@@ -779,7 +830,10 @@ mod tests {
         let extended = ColumnarStore::patched(&prev, &inst, &Delta::default());
         let fresh = ColumnarStore::new(&inst);
         assert_eq!(extended.version(), inst.version());
-        assert_eq!(extended.rows(), fresh.rows());
+        assert_eq!(
+            extended.rows().collect::<Vec<_>>(),
+            fresh.rows().collect::<Vec<_>>()
+        );
         assert!(extended.built_column(0).is_some(), "built column extended");
         assert!(
             extended.built_column(1).is_none(),
@@ -796,7 +850,8 @@ mod tests {
                 );
             }
             // Shared prefixes receive identical ids (first-seen order).
-            assert_eq!(e.ids(), f.ids(), "attr {attr}");
+            let ids = |c: &Column| (0..c.len()).map(|row| c.id_at(row)).collect::<Vec<_>>();
+            assert_eq!(ids(&e), ids(&f), "attr {attr}");
         }
     }
 
@@ -813,7 +868,10 @@ mod tests {
         assert_eq!(extended.row_of(TupleId(3)), None);
         assert_eq!(extended.row_of(TupleId(4)), Some(3));
         let fresh = ColumnarStore::new(&inst);
-        assert_eq!(extended.rows(), fresh.rows());
+        assert_eq!(
+            extended.rows().collect::<Vec<_>>(),
+            fresh.rows().collect::<Vec<_>>()
+        );
         let col = extended.column(&inst, 1);
         assert_eq!(col.interner().resolve(col.id_at(3)), &Value::str("q"));
     }
@@ -840,11 +898,14 @@ mod tests {
         let patched = ColumnarStore::patched(&prev, &inst, &delta);
         assert_eq!(patched.version(), inst.version());
         let fresh = ColumnarStore::new(&inst);
-        assert_eq!(patched.rows(), fresh.rows());
+        assert_eq!(
+            patched.rows().collect::<Vec<_>>(),
+            fresh.rows().collect::<Vec<_>>()
+        );
         for attr in 0..2 {
             assert!(patched.built_column(attr).is_some(), "built column patched");
             let p = patched.column(&inst, attr);
-            for (row, &id) in patched.rows().iter().enumerate() {
+            for (row, id) in patched.rows().enumerate() {
                 assert_eq!(
                     p.interner().resolve(p.id_at(row)),
                     inst.tuple(id).unwrap().get(attr),
@@ -880,14 +941,17 @@ mod tests {
         inst.remove(TupleId(5));
         let patched = inst.columnar();
         let fresh = ColumnarStore::new(&inst);
-        assert_eq!(patched.rows(), fresh.rows());
+        assert_eq!(
+            patched.rows().collect::<Vec<_>>(),
+            fresh.rows().collect::<Vec<_>>()
+        );
         for id in 0..8 {
             assert_eq!(patched.row_of(TupleId(id)), fresh.row_of(TupleId(id)));
         }
         for attr in 0..2 {
             let p = patched.column(&inst, attr);
             assert_eq!(p.len(), inst.len());
-            for (row, &id) in patched.rows().iter().enumerate() {
+            for (row, id) in patched.rows().enumerate() {
                 assert_eq!(
                     p.interner().resolve(p.id_at(row)),
                     inst.tuple(id).unwrap().get(attr),
@@ -945,6 +1009,114 @@ mod tests {
             col.interner().resolve(col.id_at(row)),
             &Value::str("patched")
         );
+    }
+
+    /// An instance of `n` rows over two columns, with both columns of its
+    /// snapshot built.
+    fn wide(n: usize) -> (RelationInstance, Arc<ColumnarStore>) {
+        let schema = RelationSchema::new("r", [("A", Domain::Int), ("B", Domain::Text)]);
+        let mut inst = RelationInstance::from_schema(schema);
+        for i in 0..n {
+            inst.insert_values([Value::int(i as i64 % 7), Value::str(format!("s{}", i % 5))])
+                .unwrap();
+        }
+        let store = inst.columnar();
+        store.column(&inst, 0);
+        store.column(&inst, 1);
+        (inst, store)
+    }
+
+    /// Every row, slot and cell of `store` answers like a fresh build.
+    fn assert_fresh(store: &ColumnarStore, inst: &RelationInstance) {
+        let fresh = ColumnarStore::new(inst);
+        assert!(store.rows().eq(fresh.rows()));
+        for slot in 0..inst.ids().last().map_or(0, |id| id.0 + 2) {
+            assert_eq!(store.row_of(TupleId(slot)), fresh.row_of(TupleId(slot)));
+        }
+        for attr in 0..2 {
+            let col = store.column(inst, attr);
+            for (row, id) in store.rows().enumerate() {
+                assert_eq!(
+                    col.interner().resolve(col.id_at(row)),
+                    inst.tuple(id).unwrap().get(attr),
+                    "attr {attr} row {row}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn append_only_patch_shares_every_full_chunk_and_copies_the_tail() {
+        let (mut inst, prev) = wide(2 * CHUNK_ROWS + 3);
+        for i in 0..5 {
+            inst.insert_values([Value::int(100 + i), Value::str("new")])
+                .unwrap();
+        }
+        let next = inst.columnar();
+        assert_fresh(&next, &inst);
+        for c in 0..2 {
+            assert!(Arc::ptr_eq(next.row_chunk(c), prev.row_chunk(c)));
+            assert!(Arc::ptr_eq(next.slot_chunk(c), prev.slot_chunk(c)));
+            for attr in 0..2 {
+                let (n, p) = (next.column(&inst, attr), prev.column(&inst, attr));
+                assert!(Arc::ptr_eq(n.id_chunk(c).unwrap(), p.id_chunk(c).unwrap()));
+            }
+        }
+        // The partial tail chunk was copied and extended; the held
+        // snapshot still ends where it did.
+        assert!(!Arc::ptr_eq(next.row_chunk(2), prev.row_chunk(2)));
+        assert_eq!(prev.row_chunk(2)[..3], next.row_chunk(2)[..3]);
+        assert_eq!(
+            (prev.len(), next.len()),
+            (2 * CHUNK_ROWS + 3, 2 * CHUNK_ROWS + 8)
+        );
+        // An append that lands on a chunk boundary shares every chunk.
+        let (mut inst, prev) = wide(2 * CHUNK_ROWS);
+        inst.insert_values([Value::int(1), Value::str("x")])
+            .unwrap();
+        let next = inst.columnar();
+        assert_fresh(&next, &inst);
+        assert!(Arc::ptr_eq(next.row_chunk(1), prev.row_chunk(1)));
+        assert_eq!(next.row_chunk(2)[0], TupleId(2 * CHUNK_ROWS));
+    }
+
+    #[test]
+    fn removal_inside_the_first_chunk_rebuilds_from_there() {
+        use crate::instance::CellRef;
+        let (mut inst, prev) = wide(2 * CHUNK_ROWS + 3);
+        inst.remove(TupleId(5));
+        let next = inst.columnar();
+        assert_fresh(&next, &inst);
+        assert_eq!(next.len(), prev.len() - 1);
+        assert_eq!(next.row_of(TupleId(5)), None);
+        assert_eq!(next.row_of(TupleId(6)), Some(5));
+        // Every row after the removed one moved, so no chunk is shared.
+        for c in 0..3 {
+            assert!(!Arc::ptr_eq(next.row_chunk(c), prev.row_chunk(c)));
+            let (n, p) = (next.column(&inst, 0), prev.column(&inst, 0));
+            assert!(!Arc::ptr_eq(n.id_chunk(c).unwrap(), p.id_chunk(c).unwrap()));
+        }
+        // The held snapshot is untouched.
+        assert_eq!(prev.row_of(TupleId(5)), Some(5));
+        assert_eq!(prev.tuple_id(5), TupleId(5));
+        // The compacted snapshot patches forward like any other: an edit in
+        // its last chunk shares the two before it.
+        inst.update_cell(
+            CellRef::new(TupleId(2 * CHUNK_ROWS + 1), 1),
+            Value::str("e"),
+        )
+        .unwrap();
+        let edited = inst.columnar();
+        assert_fresh(&edited, &inst);
+        let (e, n) = (edited.column(&inst, 1), next.column(&inst, 1));
+        for c in 0..2 {
+            assert!(Arc::ptr_eq(e.id_chunk(c).unwrap(), n.id_chunk(c).unwrap()));
+        }
+        assert!(!Arc::ptr_eq(e.id_chunk(2).unwrap(), n.id_chunk(2).unwrap()));
+        assert!(Arc::ptr_eq(
+            &edited.column(&inst, 0),
+            &next.column(&inst, 0)
+        ));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    into dense `u32` [`ValueId`]s, preserving `Eq`/`Ord`/`Hash` semantics
 //!    (including `Null` and the IEEE-754 total order for `Real`);
 //! 2. [`ColumnarStore`] / [`Column`] — a version-tagged columnar snapshot of
-//!    a [`crate::instance::RelationInstance`] (one id vector per attribute,
-//!    range-sharded into fixed-size chunks), living *behind* the row-oriented
+//!    a [`crate::instance::RelationInstance`] (one id sequence per
+//!    attribute, held in `Arc`-shared copy-on-write chunks of
+//!    [`CHUNK_ROWS`] and range-sharded into shards of [`SHARD_ROWS`]), living *behind* the row-oriented
 //!    instance API: detectors, algebra and CSV I/O keep working unchanged
 //!    and reach the snapshot through
 //!    [`RelationInstance::columnar`](crate::instance::RelationInstance::columnar);
@@ -24,6 +25,7 @@
 //! [`crate::index::IndexPool`] memoizes interned indexes per
 //! `(instance identity, version, attribute list)`.
 
+mod chunks;
 pub mod columnar;
 pub mod distinct;
 pub mod fx;
@@ -33,6 +35,7 @@ pub mod mmap;
 pub mod persist;
 pub mod shard;
 
+pub use chunks::CHUNK_ROWS;
 pub use columnar::{Column, ColumnarStats, ColumnarStore, SHARD_ROWS};
 pub use distinct::{DistinctSet, IdTranslation};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

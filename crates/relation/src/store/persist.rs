@@ -550,10 +550,15 @@ fn write_dict_segment(path: &Path, values: DictValues<'_>) -> DqResult<u64> {
     w.finish()
 }
 
-/// Writes the explicit tuple-id segment.
-fn write_rows_segment(path: &Path, rows: &[TupleId]) -> DqResult<u64> {
-    let mut w = SegmentWriter::create(path, Kind::TupleIds, (8 + rows.len() * 8) as u64)?;
-    w.write(&(rows.len() as u64).to_le_bytes())?;
+/// Writes the explicit tuple-id segment: `count` ids, read from `rows` in
+/// order.
+fn write_rows_segment(
+    path: &Path,
+    count: usize,
+    rows: impl Iterator<Item = TupleId>,
+) -> DqResult<u64> {
+    let mut w = SegmentWriter::create(path, Kind::TupleIds, (8 + count * 8) as u64)?;
+    w.write(&(count as u64).to_le_bytes())?;
     let mut buf = Vec::with_capacity(8 << 10);
     for id in rows {
         buf.extend_from_slice(&(id.0 as u64).to_le_bytes());
@@ -665,7 +670,7 @@ impl ColumnarStore {
     ) -> DqResult<SaveStats> {
         let _span = dq_obs::span!("store.io.save");
         let shard_rows = shard_rows.max(1);
-        let identity_rows = self.rows().iter().enumerate().all(|(row, id)| id.0 == row);
+        let identity_rows = self.rows().enumerate().all(|(row, id)| id.0 == row);
         let prev = Manifest::read(dir).ok();
         let incremental = prev.as_ref().is_some_and(|m| {
             m.instance_id == self.instance_id()
@@ -731,7 +736,7 @@ impl ColumnarStore {
         }
 
         if !identity_rows {
-            stats.bytes_written += write_rows_segment(&rows_path(dir), self.rows())?;
+            stats.bytes_written += write_rows_segment(&rows_path(dir), self.len(), self.rows())?;
         }
 
         let manifest = Manifest {

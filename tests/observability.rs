@@ -495,6 +495,33 @@ fn maintenance_patches_touched_violating_groups() {
     assert_eq!(counter("maintain.cfd.groups_classified"), 0);
 }
 
+/// A snapshot patch counts the chunks it shares with its predecessor and
+/// the ones it copies: one edited cell copies one chunk of its column, and
+/// every other chunk of that column, the rows and the row index is shared.
+/// An unchanged column keeps its whole `Arc` and counts in neither.
+#[test]
+fn snapshot_patches_count_copied_and_shared_chunks() {
+    use dq_relation::store::CHUNK_ROWS;
+    let _session = RecorderSession::begin();
+    let schema = RelationSchema::new("r", [("k", Domain::Int), ("y", Domain::Text)]);
+    let mut inst = RelationInstance::from_schema(schema);
+    for i in 0..3 * CHUNK_ROWS as i64 {
+        inst.insert_values([Value::int(i % 9), Value::str("y")])
+            .unwrap();
+    }
+    let store = inst.columnar();
+    store.column(&inst, 0);
+    store.column(&inst, 1);
+    dq_obs::set_enabled(true);
+    inst.update_cell(CellRef::new(TupleId(CHUNK_ROWS + 7), 0), Value::int(100))
+        .unwrap();
+    inst.columnar();
+    let snap = dq_obs::recorder().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("store.patch.chunks_copied"), 1);
+    assert_eq!(counter("store.patch.chunks_shared"), 3 + 3 + 2);
+}
+
 /// A pool upgrade takes its predecessor out of the cache and hands it to the
 /// patch: the live `pool.entries` gauge keeps agreeing with the polled
 /// entry count, a predecessor nobody else holds is taken over without a

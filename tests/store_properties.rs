@@ -6,8 +6,10 @@
 
 use dataquality::prelude::*;
 use dq_core::reference;
-use dq_relation::store::FxBuildHasher;
-use dq_relation::{InternedIndex, RelationInstance, TupleId, ValueInterner};
+use dq_relation::store::{FxBuildHasher, CHUNK_ROWS};
+use dq_relation::{
+    ColumnarStore, InternedIndex, RelationInstance, TupleId, ValueId, ValueInterner,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -151,10 +153,13 @@ fn check_against_fresh_builds(
 ) -> Result<(), TestCaseError> {
     let store = inst.columnar();
     let fresh = Arc::new(dq_relation::ColumnarStore::new(inst));
-    prop_assert_eq!(store.rows(), fresh.rows());
+    prop_assert_eq!(
+        store.rows().collect::<Vec<_>>(),
+        fresh.rows().collect::<Vec<_>>()
+    );
     for attr in 0..2 {
         let col = store.column(inst, attr);
-        for (row, &id) in store.rows().iter().enumerate() {
+        for (row, id) in store.rows().enumerate() {
             prop_assert!(
                 col.interner().resolve(col.id_at(row)) == inst.tuple(id).unwrap().get(attr),
                 "attr {} row {}",
@@ -246,7 +251,7 @@ proptest! {
         // Cell round-trip through the columns.
         for attr in 0..2 {
             let col = store.column(&inst, attr);
-            for (row, &id) in store.rows().iter().enumerate() {
+            for (row, id) in store.rows().enumerate() {
                 prop_assert!(
                     col.interner().resolve(col.id_at(row)) == inst.tuple(id).unwrap().get(attr)
                 );
@@ -315,10 +320,10 @@ proptest! {
         // (same data as a fresh build).
         let extended = inst.columnar();
         let fresh = dq_relation::ColumnarStore::new(&inst);
-        prop_assert_eq!(extended.rows(), fresh.rows());
+        prop_assert_eq!(extended.rows().collect::<Vec<_>>(), fresh.rows().collect::<Vec<_>>());
         for attr in 0..2 {
             let e = extended.column(&inst, attr);
-            for (row, &id) in extended.rows().iter().enumerate() {
+            for (row, id) in extended.rows().enumerate() {
                 prop_assert!(
                     e.interner().resolve(e.id_at(row)) == inst.tuple(id).unwrap().get(attr),
                     "attr {} row {}", attr, row
@@ -439,10 +444,10 @@ proptest! {
             // answer exactly like value-keyed cold builds.
             let store = inst.columnar();
             let fresh = dq_relation::ColumnarStore::new(&inst);
-            prop_assert_eq!(store.rows(), fresh.rows());
+            prop_assert_eq!(store.rows().collect::<Vec<_>>(), fresh.rows().collect::<Vec<_>>());
             for attr in 0..2 {
                 let col = store.column(&inst, attr);
-                for (row, &id) in store.rows().iter().enumerate() {
+                for (row, id) in store.rows().enumerate() {
                     prop_assert!(
                         col.interner().resolve(col.id_at(row)) == inst.tuple(id).unwrap().get(attr),
                         "attr {} row {}", attr, row
@@ -521,10 +526,10 @@ proptest! {
             let side = &mut sides[pick % count];
             let ids = side.ids();
             let picked = ids[pick % ids.len()];
-            // A clone of an unwritten clone borrows from the first origin,
-            // which may have moved on since; any other side's own entries
-            // are current.
-            let warm_clone = matches!(kind, 5 | 6) && (side.version() > 0 || side.origin().is_none());
+            // Every side's own entries are current, and a clone of an
+            // unwritten clone borrows them even after the first origin has
+            // moved on.
+            let warm_clone = matches!(kind, 5 | 6);
             let mut clones = Vec::new();
             match kind {
                 0 | 1 => {
@@ -693,6 +698,154 @@ proptest! {
             engine.detect_cfd_violations(&canonical, std::slice::from_ref(&cfd)),
             reference::detect_cfd_violations(&plain, std::slice::from_ref(&cfd))
         );
+    }
+}
+
+/// What a snapshot answers: its rows, the row of every slot below `slots`,
+/// and the id of every cell of both [`universe_schema`] columns.
+type SnapshotAnswers = (Vec<TupleId>, Vec<Option<usize>>, Vec<Vec<ValueId>>);
+
+fn snapshot_answers(store: &ColumnarStore, slots: usize) -> SnapshotAnswers {
+    let columns = (0..2)
+        .map(|attr| {
+            let col = store.built_column(attr).expect("both columns built");
+            (0..col.len()).map(|row| col.id_at(row)).collect()
+        })
+        .collect();
+    (
+        store.rows().collect(),
+        (0..slots).map(|slot| store.row_of(TupleId(slot))).collect(),
+        columns,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Snapshots that span several copy-on-write chunks patch like fresh
+    /// builds.  Instances hold two full chunks plus a remainder, and rounds
+    /// mix edits, appends and removals, aimed at the last row of a chunk
+    /// and the first row of the next one (`k·CHUNK_ROWS − 1` and
+    /// `k·CHUNK_ROWS`) or anywhere.  After every round the patched snapshot
+    /// answers every cell, `row_of`, `tuple_id` and `shard_ids` query like a
+    /// fresh build; the snapshot held from before the round answers exactly
+    /// as it did; and every chunk of the rows, the row index and each
+    /// column that no write of the round reached is the same `Arc` as its
+    /// predecessor's.
+    #[test]
+    fn chunked_snapshots_patch_like_fresh_builds_across_chunk_boundaries(
+        remainder in 1usize..CHUNK_ROWS,
+        cells in proptest::collection::vec((value_strategy(), value_strategy()), 1..12),
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((0usize..7, 0usize..1_000_000, value_strategy()), 1..4),
+            1..8,
+        ),
+    ) {
+        use dq_relation::instance::CellRef;
+        let mut inst = RelationInstance::new(universe_schema());
+        for i in 0..2 * CHUNK_ROWS + remainder {
+            let (a, b) = &cells[i % cells.len()];
+            inst.insert_values([a.clone(), b.clone()]).expect("universe domain");
+        }
+        let store = inst.columnar();
+        store.column(&inst, 0);
+        store.column(&inst, 1);
+        for round in &rounds {
+            let prev = inst.columnar();
+            let slots = prev.tuple_id(prev.len() - 1).0 + 1 + round.len();
+            let before = snapshot_answers(&prev, slots);
+            for &(kind, pick, ref value) in round {
+                let ids = inst.ids();
+                let k = 1 + pick % (ids.len() / CHUNK_ROWS).max(1);
+                let boundary = ids[(k * CHUNK_ROWS - (pick / 7) % 2).min(ids.len() - 1)];
+                let anywhere = ids[pick % ids.len()];
+                let removable = ids.len() > 1;
+                match kind {
+                    0 | 1 => {
+                        inst.update_cell(CellRef::new(boundary, kind), value.clone())
+                            .expect("universe domain");
+                    }
+                    2 if removable => {
+                        inst.remove(boundary);
+                    }
+                    3 => {
+                        inst.insert_values([value.clone(), value.clone()]).expect("universe domain");
+                    }
+                    4 => {
+                        inst.update_cell(CellRef::new(anywhere, pick % 2), value.clone())
+                            .expect("universe domain");
+                    }
+                    5 if removable => {
+                        inst.remove(anywhere);
+                    }
+                    _ => {}
+                }
+            }
+            let delta = inst.delta_since(prev.version()).expect("the journal covers a round");
+            let next = inst.columnar();
+            let fresh = ColumnarStore::new(&inst);
+            prop_assert_eq!(next.rows().collect::<Vec<_>>(), fresh.rows().collect::<Vec<_>>());
+            for row in 0..next.len() {
+                prop_assert_eq!(next.tuple_id(row), fresh.tuple_id(row));
+            }
+            for slot in 0..slots {
+                prop_assert_eq!(next.row_of(TupleId(slot)), fresh.row_of(TupleId(slot)));
+            }
+            let len = next.len();
+            let ranges = [
+                0..len,
+                (CHUNK_ROWS - 1).min(len)..(CHUNK_ROWS + 1).min(len),
+                (CHUNK_ROWS / 2).min(len)..(2 * CHUNK_ROWS + 3).min(len),
+            ];
+            for attr in 0..2 {
+                let (p, f) = (next.column(&inst, attr), fresh.column(&inst, attr));
+                for row in 0..len {
+                    prop_assert!(
+                        p.interner().resolve(p.id_at(row)) == f.interner().resolve(f.id_at(row)),
+                        "attr {} row {}", attr, row
+                    );
+                }
+                for range in ranges.iter().cloned() {
+                    let slices = p.shard_ids(range.clone());
+                    prop_assert!(slices.iter().all(|s| s.len() <= CHUNK_ROWS));
+                    let ids: Vec<ValueId> = slices.concat();
+                    let by_row: Vec<ValueId> = range.map(|row| p.id_at(row)).collect();
+                    prop_assert_eq!(ids, by_row, "attr {}", attr);
+                }
+            }
+            prop_assert!(snapshot_answers(&prev, slots) == before, "the held snapshot moved");
+            // Chunks no write reached: every full chunk before the first
+            // removed row (slot), and of those, a column's chunks that no
+            // changed cell of its attribute falls in.
+            let first_removed = delta.removed.iter().filter_map(|&id| prev.row_of(id)).min();
+            let kept_rows = first_removed.unwrap_or(prev.len()) / CHUNK_ROWS;
+            let kept_slots = match first_removed {
+                Some(row) => prev.tuple_id(row).0,
+                None => prev.tuple_id(prev.len() - 1).0 + 1,
+            } / CHUNK_ROWS;
+            for c in 0..kept_rows {
+                prop_assert!(Arc::ptr_eq(next.row_chunk(c), prev.row_chunk(c)), "row chunk {}", c);
+            }
+            for c in 0..kept_slots {
+                prop_assert!(Arc::ptr_eq(next.slot_chunk(c), prev.slot_chunk(c)), "slot chunk {}", c);
+            }
+            for attr in 0..2 {
+                let (p, old) = (next.column(&inst, attr), prev.column(&inst, attr));
+                let written: Vec<usize> = delta
+                    .changes
+                    .iter()
+                    .filter(|c| c.cell.attr == attr)
+                    .filter_map(|c| next.row_of(c.cell.tuple))
+                    .map(|row| row / CHUNK_ROWS)
+                    .collect();
+                for c in (0..kept_rows).filter(|c| !written.contains(c)) {
+                    prop_assert!(
+                        Arc::ptr_eq(p.id_chunk(c).unwrap(), old.id_chunk(c).unwrap()),
+                        "attr {} chunk {}", attr, c
+                    );
+                }
+            }
+        }
     }
 }
 
