@@ -1,73 +1,24 @@
 //! Experiment harness: regenerates, in textual form, every table and figure
 //! of the paper (and the measurable claims around them), printing one block
-//! per experiment.  `EXPERIMENTS.md` records a run of this binary.
+//! per experiment.
 //!
 //! Run with `cargo run --release -p dq-bench --bin harness`.
 //!
-//! `--detection-bench` instead runs only the naive-vs-engine CFD detection
-//! comparison (the naive column is `dq_core::reference`) and writes the measurements to `BENCH_detection.json` in the
-//! working directory (the perf trajectory artifact tracked across PRs);
-//! add `--smoke` for the CI-sized variant (small instance, artifact not
-//! overwritten — the identity asserts between naive, cold and warm paths
-//! still run).
+//! Two flags instead run one measurement and write its artifact, stamped
+//! with the commit, `nproc` and build profile, to the working directory:
 //!
-//! `--discovery-bench` runs the naive-vs-interned partition comparison for
-//! FD and CFD discovery and writes `BENCH_discovery.json`; add `--smoke`
-//! for the CI-sized variant (small instance, artifact not overwritten —
-//! the point is to execute both code paths and assert identical output, so
-//! a perf-path regression that compiles the fast path out fails loudly).
+//! * `--delta-bench` replays a mixed append+edit+remove stream against two
+//!   identical working copies — one re-detecting CFD violations from
+//!   scratch every round, one maintaining the previous round's report over
+//!   patched pooled indexes — asserts the reports identical each round, and
+//!   writes `BENCH_delta.json`;
+//! * `--discovery-bench` times the reference FD/CFD miners against the
+//!   interned lattice sweep at 10k, 100k and 1M tuples, asserts their
+//!   outputs identical, and writes `BENCH_discovery.json`.
 //!
-//! `--ind-bench` runs the naive-vs-interned comparison for IND discovery
-//! and CIND condition mining over the order/book/CD workload and writes
-//! `BENCH_ind.json`; `--smoke` works the same way, and also asserts engine
-//! IND and CIND detection identical to `dq_core::reference`.
-//!
-//! `--delta-bench` replays a mixed append+edit+remove stream against two
-//! identical working copies — one re-detecting CFD violations from scratch every
-//! round, one patching the pooled indexes and maintaining the previous
-//! round's report — asserts the reports identical each round, and writes
-//! `BENCH_delta.json`; `--smoke` works the same way.
-//!
-//! `--matching-bench` runs the naive-vs-interned entity matching comparison
-//! on the card/billing workload — rule matching (given rules and derived
-//! RCKs), fuzzy matching without an equality premise, MD violation
-//! checking and rule learning — and writes `BENCH_matching.json`; `--smoke`
-//! works the same way (every row still asserts the engine's matches,
-//! per-rule hit counts, violation vectors and learned rules byte-identical
-//! to the naive paths wherever those ran).
-//!
-//! `--analysis-bench` runs the static-analysis comparison: the
-//! blind-backtracking consistency/implication procedures of
-//! `dq_core::reference` vs. the
-//! propagation-guided solver on finite-domain gadget families of growing
-//! size, the rule-lint pass rendered on a deliberately messy rule set, the
-//! masked minimal cover of mined rules timed against (and asserted equal
-//! to) `dq_core::reference::cfd_minimal_cover`, and the detection
-//! wall-clock saved by cover pruning at 1M tuples; writes
-//! `BENCH_analysis.json` (every row asserts the solver verdict identical to
-//! the naive reference); `--smoke` works the same way.
-//!
-//! `--scale-bench` exercises the out-of-core columnar shard path: it
-//! persists the customer workload with `ColumnarStore::save_to` (split so
-//! the second save runs incrementally, spilling dictionary overlays),
-//! re-opens it with `open_mmap`, and asserts CFD detection and FD
-//! discovery over the mapped shards byte-identical to the in-RAM engine —
-//! then streams 10M tuples to disk through `RelationWriter` in 1M-chunk
-//! generations (no full instance is ever materialized) and runs detection
-//! and discovery through the mmap path, recording the peak resident set
-//! (`VmHWM`) per stage into `BENCH_scale.json`; `--smoke` runs the
-//! identity asserts CI-sized (small shards forcing a multi-shard layout)
-//! and writes no artifact.
-//!
-//! `--profile` turns the [`dq_obs`] recorder on.  Combined with a bench
-//! flag it prints a span-tree flame summary per result row and embeds each
-//! row's drained `MetricsSnapshot` into the artifact (`"profile"` field);
-//! alone it runs a compact composite detection/discovery/repair workload
-//! and prints the span tree plus the full snapshot JSON.  Instrumentation
-//! only observes — every identity assert holds with profiling on.
-//!
-//! Any other argument, or a second bench mode, prints the usage and exits
-//! with status 2.
+//! Engine-vs-reference identity at CI sizes is checked by the suites under
+//! `tests/`; per-layer profiles come from `dqbench --trace 1`.
+//! Any other argument prints the usage and exits with status 2.
 
 use dq_bench::*;
 use dq_core::prelude::*;
@@ -76,7 +27,7 @@ use dq_cqa::prelude::*;
 use dq_gen::prelude::*;
 use dq_match::prelude::*;
 use dq_relation::reference::HashIndex;
-use dq_relation::{Atom, CellRef, ConjunctiveQuery, InternedIndex, Term};
+use dq_relation::{Atom, CellRef, ConjunctiveQuery, RelationInstance, Term};
 use dq_repair::prelude::*;
 use dq_repr::prelude::*;
 use std::time::Instant;
@@ -87,79 +38,36 @@ fn header(title: &str) {
     println!("================================================================");
 }
 
-const USAGE: &str = "usage: harness [--detection-bench | --discovery-bench | --ind-bench \
-| --delta-bench | --matching-bench | --analysis-bench | --scale-bench] [--smoke] [--profile]";
+const USAGE: &str = "usage: harness [--delta-bench | --discovery-bench]";
 
-/// The bench modes, one per `--*-bench` flag.
+/// The measurement modes, one per flag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Bench {
-    Detection,
-    Discovery,
-    Ind,
     Delta,
-    Matching,
-    Analysis,
-    Scale,
+    Discovery,
 }
 
-const BENCH_FLAGS: [(&str, Bench); 7] = [
-    ("--detection-bench", Bench::Detection),
-    ("--discovery-bench", Bench::Discovery),
-    ("--ind-bench", Bench::Ind),
-    ("--delta-bench", Bench::Delta),
-    ("--matching-bench", Bench::Matching),
-    ("--analysis-bench", Bench::Analysis),
-    ("--scale-bench", Bench::Scale),
-];
-
-/// The parsed command line: at most one bench mode, plus the modifiers.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Flags {
-    bench: Option<Bench>,
-    smoke: bool,
-    profile: bool,
-}
-
-/// Parses the arguments after the program name, rejecting unknown flags and
-/// a second bench mode.
-fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
-    let mut flags = Flags::default();
-    for arg in args {
-        match arg.as_str() {
-            "--smoke" => flags.smoke = true,
-            "--profile" => flags.profile = true,
-            other => {
-                let Some(&(_, bench)) = BENCH_FLAGS.iter().find(|(flag, _)| *flag == other) else {
-                    return Err(format!("unknown argument `{other}`"));
-                };
-                if flags.bench.is_some_and(|b| b != bench) {
-                    return Err(format!("`{other}` conflicts with an earlier bench mode"));
-                }
-                flags.bench = Some(bench);
-            }
-        }
+/// Parses the arguments after the program name: none (the paper
+/// walkthrough) or exactly one bench flag.
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Option<Bench>, String> {
+    let args: Vec<String> = args.into_iter().collect();
+    match args.as_slice() {
+        [] => Ok(None),
+        [flag] if flag == "--delta-bench" => Ok(Some(Bench::Delta)),
+        [flag] if flag == "--discovery-bench" => Ok(Some(Bench::Discovery)),
+        [flag] => Err(format!("unknown argument `{flag}`")),
+        _ => Err("expected at most one argument".to_string()),
     }
-    Ok(flags)
 }
 
 fn main() {
-    let flags = parse_flags(std::env::args().skip(1)).unwrap_or_else(|err| {
+    let bench = parse_flags(std::env::args().skip(1)).unwrap_or_else(|err| {
         eprintln!("harness: {err}\n{USAGE}");
         std::process::exit(2);
     });
-    let (smoke, profile) = (flags.smoke, flags.profile);
-    if profile {
-        dq_obs::set_enabled(true);
-    }
-    match flags.bench {
-        Some(Bench::Detection) => detection_bench(smoke, profile),
-        Some(Bench::Discovery) => discovery_bench(smoke, profile),
-        Some(Bench::Ind) => ind_bench(smoke, profile),
-        Some(Bench::Delta) => delta_bench(smoke, profile),
-        Some(Bench::Matching) => matching_bench(smoke, profile),
-        Some(Bench::Analysis) => analysis_bench(smoke, profile),
-        Some(Bench::Scale) => scale_bench(smoke, profile),
-        None if profile => profile_mode(),
+    match bench {
+        Some(Bench::Delta) => delta_bench(),
+        Some(Bench::Discovery) => discovery_bench(),
         None => {
             figures_1_and_2();
             section_1_discovery();
@@ -224,199 +132,22 @@ fn timed_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (samples[samples.len() / 2], result)
 }
 
-/// Copies that start cold, for the benches' cold rows: built tuple by
-/// tuple, so a copy carries a fresh identity, no columnar snapshot and no
-/// clone origin.  A `clone()` would instead inherit the original's current
-/// snapshot and be lent its pooled indexes, and the row would time a warm
-/// start.
-trait ColdCopy {
-    fn cold_copy(&self) -> Self;
-}
-
-impl ColdCopy for dq_relation::RelationInstance {
-    fn cold_copy(&self) -> Self {
-        let mut copy = dq_relation::RelationInstance::new(std::sync::Arc::clone(self.schema()));
-        for (_, tuple) in self.iter() {
-            copy.insert(tuple.clone()).expect("same schema");
-        }
-        // The rows compare tuple ids with the original's outputs.
-        assert_eq!(copy.ids(), self.ids(), "cold copies need dense tuple ids");
-        copy
+/// A copy that starts cold, for the discovery bench's interned rows: built
+/// tuple by tuple, so it carries a fresh identity, no columnar snapshot and
+/// no clone origin.  A `clone()` would instead inherit the original's
+/// current snapshot and be lent its pooled indexes, and the row would time
+/// a warm start.
+fn cold_copy(instance: &RelationInstance) -> RelationInstance {
+    let mut copy = RelationInstance::new(std::sync::Arc::clone(instance.schema()));
+    for (_, tuple) in instance.iter() {
+        copy.insert(tuple.clone()).expect("same schema");
     }
-}
-
-impl ColdCopy for dq_relation::Database {
-    fn cold_copy(&self) -> Self {
-        let mut copy = dq_relation::Database::new();
-        for (_, instance) in self.iter() {
-            copy.add_relation(instance.cold_copy());
-        }
-        copy
-    }
-}
-
-/// Drains the recorder into a [`dq_obs::MetricsSnapshot`] (pouring any
-/// extra [`dq_obs::MetricSource`]s in under their prefixes), prints the
-/// span-tree flame summary under `label`, resets the recorder for the next
-/// row, and returns a `, "profile": {…}` fragment for the row's JSON.
-/// Returns the empty string when not profiling, keeping the artifact
-/// byte-identical to pre-profile runs.
-fn profile_field(
-    profile: bool,
-    label: &str,
-    sources: &[(&str, &dyn dq_obs::MetricSource)],
-) -> String {
-    if !profile {
-        return String::new();
-    }
-    let mut snap = dq_obs::recorder().snapshot();
-    for (prefix, source) in sources {
-        snap.ingest(prefix, *source);
-    }
-    dq_obs::recorder().reset();
-    println!("\n  profile [{label}] — span tree (total ms · calls · ms/call · % of parent):");
-    for line in snap.render_span_tree().lines() {
-        println!("    {line}");
-    }
-    format!(", \"profile\": {}", snap.to_json())
-}
-
-/// Naive vs. engine CFD detection on the Fig. 1 customer workload, written
-/// to `BENCH_detection.json`.
-///
-/// Two dependency sets per size — the three paper CFDs (three distinct
-/// LHSs) and their normalized fragments (eleven CFDs, still three distinct
-/// LHSs, the regime index sharing targets) — and three detection paths each:
-/// * `naive` — `dq_core::reference::detect_cfd_violations`, one fresh index
-///   per CFD per call;
-/// * `engine_cold` — `DetectionEngine` with an empty pool: one *interned*
-///   index build per distinct LHS over the columnar snapshot, parallel
-///   fan-out across dependencies;
-/// * `engine_warm` — the same engine called again on the unchanged
-///   instance: the pool serves every index, nothing is rebuilt.
-///
-/// Each row also records the storage-subsystem footprint: per-index resident
-/// bytes of the `Vec<Value>`-keyed baseline vs. the interned index (summed
-/// over the set's distinct LHSs, with their ratio) and the columnar store's
-/// dictionary stats (distinct values, heap bytes, bytes saved vs.
-/// materializing one `Value` per cell).
-fn detection_bench(smoke: bool, profile: bool) {
-    header("Detection bench — naive vs. shared-index parallel engine");
-    let paper = dq_gen::customer::paper_cfds();
-    let normalized: Vec<Cfd> = paper.iter().flat_map(|c| c.normalize()).collect();
-    let sets: [(&str, &[Cfd]); 2] = [("paper_cfds", &paper), ("normalized_cfds", &normalized)];
-    let sizes: &[usize] = if smoke {
-        &[2_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let error_rate = 0.05;
-    let mut rows = Vec::new();
-    println!("  tuples   cfd set          naive        engine(cold)  engine(warm)  violations  speedup(cold)  speedup(warm)");
-    for &size in sizes {
-        let workload = customer_workload_scaled(size, error_rate);
-        for (label, cfds) in sets {
-            // Throwaway runs of both paths so neither pays the allocator's
-            // first-touch page faults inside a measurement.
-            let _ = reference::detect_cfd_violations(&workload.dirty, cfds);
-            let _ = DetectionEngine::new().detect_cfd_violations(&workload.dirty, cfds);
-            let reps = 3;
-            let (naive_ms, naive_total) = timed_median(reps, || {
-                reference::detect_cfd_violations(&workload.dirty, cfds).total()
-            });
-            // Genuinely cold engine passes: cold copies carry fresh
-            // instance identities and empty columnar caches, so each rep
-            // pays the snapshot, the dictionary encoding and every index
-            // build inside the measurement — the throwaway run above cannot
-            // pre-warm them.  (Copies are made outside the timer.)
-            let cold_instances: Vec<_> = (0..reps).map(|_| workload.dirty.cold_copy()).collect();
-            let mut cold_iter = cold_instances.iter();
-            let (cold_ms, cold_total) = timed_median(reps, || {
-                let instance = cold_iter.next().expect("one fresh instance per rep");
-                DetectionEngine::new()
-                    .detect_cfd_violations(instance, cfds)
-                    .total()
-            });
-            drop(cold_instances);
-            let engine = DetectionEngine::new();
-            let violation_groups = engine
-                .detect_cfd_violations(&workload.dirty, cfds)
-                .violation_groups();
-            let (warm_ms, warm_total) = timed_median(reps, || {
-                engine.detect_cfd_violations(&workload.dirty, cfds).total()
-            });
-            assert_eq!(
-                naive_total, cold_total,
-                "engine must find the same violations"
-            );
-            assert_eq!(
-                naive_total, warm_total,
-                "warm engine must find the same violations"
-            );
-            // Storage footprint: build each distinct-LHS index once per
-            // representation and compare resident bytes.  The columnar
-            // snapshot is the one the engine runs populated (same version,
-            // served from the instance's cache).
-            let distinct_lhs: std::collections::BTreeSet<Vec<usize>> =
-                cfds.iter().map(|c| c.lhs().to_vec()).collect();
-            let store = workload.dirty.columnar();
-            let mut naive_bytes = 0usize;
-            let mut interned_bytes = 0usize;
-            for lhs in &distinct_lhs {
-                naive_bytes += HashIndex::build(&workload.dirty, lhs).approx_heap_bytes();
-                interned_bytes +=
-                    InternedIndex::build(&workload.dirty, &store, lhs, 1).approx_heap_bytes();
-            }
-            let reduction = naive_bytes as f64 / interned_bytes.max(1) as f64;
-            let stats = store.stats();
-            println!(
-                "{size:>8}   {label:<15} {naive_ms:>9.1}ms  {cold_ms:>10.1}ms  {warm_ms:>10.1}ms  {naive_total:>10}  {:>13.2}x  {:>13.2}x  (index mem {:.1} MB -> {:.1} MB, {reduction:.1}x)",
-                naive_ms / cold_ms,
-                naive_ms / warm_ms,
-                naive_bytes as f64 / 1e6,
-                interned_bytes as f64 / 1e6,
-            );
-            let pool_stats = engine.pool_stats();
-            let profile_json = profile_field(
-                profile,
-                &format!("detection {label} @ {size}"),
-                &[("engine.pool", &pool_stats), ("columnar", &stats)],
-            );
-            rows.push(format!(
-                "    {{\"tuples\": {size}, \"cfd_set\": \"{label}\", \"dependencies\": {}, \
-                 \"error_rate\": {error_rate}, \"violations\": {naive_total}, \
-                 \"violation_groups\": {violation_groups}, \"naive_ms\": {naive_ms:.3}, \"engine_cold_ms\": {cold_ms:.3}, \
-                 \"engine_warm_ms\": {warm_ms:.3}, \"speedup_cold\": {:.3}, \"speedup_warm\": {:.3}, \
-                 \"index_bytes_naive\": {naive_bytes}, \"index_bytes_interned\": {interned_bytes}, \
-                 \"index_memory_reduction\": {reduction:.3}, \
-                 \"interner_distinct_values\": {}, \"interner_bytes\": {}, \
-                 \"interner_bytes_saved\": {}{profile_json}}}",
-                cfds.len(),
-                naive_ms / cold_ms,
-                naive_ms / warm_ms,
-                stats.distinct_values,
-                stats.heap_bytes,
-                stats.bytes_saved_vs_values
-            ));
-        }
-    }
-    if smoke {
-        println!(
-            "\nsmoke mode: naive, cold and warm totals identical on every row, artifact not written"
-        );
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"fig1_cfd_detection_naive_vs_engine\",\n  \
-         \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42\",\n  \
-         \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    assert_eq!(
+        copy.ids(),
+        instance.ids(),
+        "cold copies keep dense tuple ids"
     );
-    std::fs::write("BENCH_detection.json", &json).expect("write BENCH_detection.json");
-    println!("\nwrote BENCH_detection.json");
+    copy
 }
 
 /// The `max_tableau` at which `--discovery-bench` re-checks CFD mining
@@ -424,8 +155,7 @@ fn detection_bench(smoke: bool, profile: bool) {
 const BINDING_TABLEAU_CAP: usize = 4;
 
 /// Naive vs. interned dependency discovery on the scaled customer workload,
-/// written to `BENCH_discovery.json` (skipped in `--smoke` mode, which runs
-/// the same comparison CI-sized and only asserts output identity).
+/// written to `BENCH_discovery.json`.
 ///
 /// Two algorithms per size:
 /// * `fd_discovery` — level-wise exact FD discovery; the naive path builds
@@ -451,26 +181,22 @@ const BINDING_TABLEAU_CAP: usize = 4;
 /// for the single and pair attribute sets vs. the pooled interned indexes
 /// plus column dictionaries serving the same requests.
 ///
-/// `--smoke` always includes a threads > 1 run, so CI's output-identity
-/// assertion exercises the concurrent sweep (striped partition cache,
-/// pooled probers, canonical merge) and not just the sequential path.
-/// CFD rows also assert `candidates_checked` equal to the reference's.
+/// The fan-out always has at least two workers, so the concurrent sweep
+/// (striped partition cache, pooled probers, canonical merge) is measured
+/// even on one core.  CFD rows also assert `candidates_checked` equal to
+/// the reference's.
 /// The artifact records its commit, `nproc` and build profile.
 /// The CFD rows also mine at a binding `max_tableau` of
 /// [`BINDING_TABLEAU_CAP`] (untimed), asserted identical to the reference
 /// at every thread count, so the miners' cap exits are checked where they
 /// actually fire.
-fn discovery_bench(smoke: bool, profile: bool) {
+fn discovery_bench() {
     use dq_discovery::prelude::*;
     use dq_relation::IndexPool;
     use std::sync::Arc;
 
     header("Discovery bench — naive vs. interned stripped partitions");
-    let sizes: &[usize] = if smoke {
-        &[2_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
+    let sizes = [10_000, 100_000, 1_000_000];
     let machine_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -484,7 +210,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
     println!(
         "  tuples   algo            threads   naive         interned     speedup   found   grouping mem"
     );
-    for &size in sizes {
+    for size in sizes {
         let workload = customer_workload_scaled(size, error_rate);
         let instance = &workload.dirty;
         let schema = instance.schema().clone();
@@ -522,8 +248,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                             interned_ms: f64,
                             found: usize,
                             (tally, naive_tally, interned_tally): (&str, usize, usize),
-                            levels_ms: Option<&[f64]>,
-                            profile_json: String| {
+                            levels_ms: &[f64]| {
             let speedup = naive_ms / interned_ms;
             println!(
                 "{size:>8}   {algo:<14} {threads:>7}   {naive_ms:>9.1}ms  {interned_ms:>10.1}ms  {speedup:>7.2}x  {found:>6}   ({:.1} MB -> {:.1} MB, {memory_reduction:.1}x)",
@@ -531,16 +256,10 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 interned_bytes as f64 / 1e6,
             );
             let levels = levels_ms
-                .map(|ms| {
-                    format!(
-                        ", \"levels_ms\": [{}]",
-                        ms.iter()
-                            .map(|m| format!("{m:.3}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })
-                .unwrap_or_default();
+                .iter()
+                .map(|m| format!("{m:.3}"))
+                .collect::<Vec<_>>()
+                .join(", ");
             rows.push(format!(
                 "    {{\"tuples\": {size}, \"algo\": \"{algo}\", \"threads\": {threads}, \
                  \"error_rate\": {error_rate}, \
@@ -548,7 +267,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                  \"interned_ms\": {interned_ms:.3}, \"speedup\": {speedup:.3}, \
                  \"{tally}_naive\": {naive_tally}, \"{tally}_interned\": {interned_tally}, \
                  \"grouping_bytes_naive\": {naive_bytes}, \"grouping_bytes_interned\": {interned_bytes}, \
-                 \"memory_reduction\": {memory_reduction:.3}{levels}{profile_json}}}"
+                 \"memory_reduction\": {memory_reduction:.3}, \"levels_ms\": [{levels}]}}"
             ));
         };
 
@@ -567,7 +286,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
             // empty columnar caches, so every rep pays the snapshot, the
             // dictionary encoding and all index builds inside the
             // measurement.
-            let cold: Vec<_> = (0..reps).map(|_| instance.cold_copy()).collect();
+            let cold: Vec<_> = (0..reps).map(|_| cold_copy(instance)).collect();
             let mut cold_iter = cold.iter();
             let (interned_ms, interned_fds) = timed_median(reps, || {
                 discover_fds(
@@ -584,11 +303,6 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 naive_fds.candidates_checked, interned_fds.candidates_checked,
                 "candidate tallies must match (threads {threads})"
             );
-            let profile_json = profile_field(
-                profile,
-                &format!("fd_discovery @ {size}, threads {threads}"),
-                &[],
-            );
             push_row(
                 "fd_discovery",
                 threads,
@@ -600,8 +314,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     naive_fds.partitions_built,
                     interned_fds.partitions_built,
                 ),
-                Some(&interned_fds.level_ms),
-                profile_json,
+                &interned_fds.level_ms,
             );
         }
 
@@ -618,7 +331,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                 dq_discovery::reference::discover_cfds(instance, &cfd_cfg(1))
             });
             for &threads in &thread_counts {
-                let cold: Vec<_> = (0..reps).map(|_| instance.cold_copy()).collect();
+                let cold: Vec<_> = (0..reps).map(|_| cold_copy(instance)).collect();
                 let mut cold_iter = cold.iter();
                 let (interned_ms, interned_cfds) = timed_median(reps, || {
                     discover_cfds(
@@ -639,11 +352,6 @@ fn discovery_bench(smoke: bool, profile: bool) {
                     naive_cfds.candidates_checked, interned_cfds.candidates_checked,
                     "CFD candidate tallies must match the reference (threads {threads})"
                 );
-                let profile_json = profile_field(
-                    profile,
-                    &format!("cfd_discovery @ {size}, threads {threads}"),
-                    &[],
-                );
                 push_row(
                     "cfd_discovery",
                     threads,
@@ -655,8 +363,7 @@ fn discovery_bench(smoke: bool, profile: bool) {
                         naive_cfds.candidates_checked,
                         interned_cfds.candidates_checked,
                     ),
-                    Some(&interned_cfds.level_ms),
-                    profile_json,
+                    &interned_cfds.level_ms,
                 );
             }
             // Identity where the tableau cap binds: both miners stop
@@ -683,13 +390,6 @@ fn discovery_bench(smoke: bool, profile: bool) {
             }
         }
     }
-    if smoke {
-        println!(
-            "\nsmoke mode: outputs and candidate tallies identical on both paths at threads \
-             {thread_counts:?} (CFDs also at max_tableau {BINDING_TABLEAU_CAP}), artifact not written"
-        );
-        return;
-    }
     let json = format!(
         "{{\n  \"experiment\": \"sec1_discovery_naive_vs_interned\",\n  \
          \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seed 42, exclude phn+name\",\n  \
@@ -701,215 +401,13 @@ fn discovery_bench(smoke: bool, profile: bool) {
     println!("\nwrote BENCH_discovery.json");
 }
 
-/// Naive vs. interned IND discovery and CIND condition mining on the
-/// order/book/CD workload, written to `BENCH_ind.json` (skipped in
-/// `--smoke` mode, which runs the same comparison CI-sized and only asserts
-/// output identity).
-///
-/// Two algorithms per size, the naive column timing the row-oriented
-/// miners of `dq_discovery::reference`:
-/// * `ind_discovery` — unary + binary IND discovery across the three
-///   relations; the reference rebuilds a `BTreeSet<Value>` /
-///   `HashSet<Vec<Value>>` projection per candidate, the interned path
-///   probes pooled distinct-projection sets with dictionary-translated ids
-///   and fans candidate relation pairs out across the thread pool;
-/// * `cind_mining` — condition mining for the embedded
-///   `order(title, price) ⊆ book(title, price)` IND; the reference
-///   re-scans the instance per condition value, the interned path computes
-///   one per-row inclusion verdict and reads candidate-value groups off CSR
-///   postings.
-///
-/// Interned runs are measured cold on fresh clones (snapshot, dictionaries,
-/// every distinct set and index build inside the timer), and both paths'
-/// outputs are asserted identical.
-fn ind_bench(smoke: bool, profile: bool) {
-    use dq_discovery::prelude::*;
-
-    header("IND bench — naive vs. interned distinct-projection probing");
-    let sizes: &[usize] = if smoke {
-        &[2_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let violation_rate = 0.05;
-    let mut rows = Vec::new();
-    println!("  orders   algo            naive         interned     speedup   found");
-    for &size in sizes {
-        let workload = order_workload(size, violation_rate);
-        let db = &workload.db;
-        let reps = if size > 100_000 { 1 } else { 3 };
-        let config = IndDiscoveryConfig::default();
-
-        let mut push_row = |algo: &str, naive_ms: f64, interned_ms: f64, found: usize| {
-            let speedup = naive_ms / interned_ms;
-            println!(
-                "{size:>8}   {algo:<14} {naive_ms:>9.1}ms  {interned_ms:>10.1}ms  {speedup:>7.2}x  {found:>6}"
-            );
-            let profile_json = profile_field(profile, &format!("{algo} @ {size}"), &[]);
-            rows.push(format!(
-                "    {{\"orders\": {size}, \"algo\": \"{algo}\", \
-                 \"violation_rate\": {violation_rate}, \"found\": {found}, \
-                 \"naive_ms\": {naive_ms:.3}, \"interned_ms\": {interned_ms:.3}, \
-                 \"speedup\": {speedup:.3}{profile_json}}}"
-            ));
-        };
-
-        // ---- IND discovery ----
-        let (naive_ms, naive_inds) = timed_median(reps, || {
-            dq_discovery::reference::discover_inds(db, &config).unwrap()
-        });
-        // Cold interned runs: cold copies carry fresh instance identities
-        // and empty columnar caches, so every rep pays the snapshots, the
-        // dictionary encodings and all distinct-set builds inside the
-        // measurement.
-        let cold: Vec<_> = (0..reps).map(|_| db.cold_copy()).collect();
-        let mut cold_iter = cold.iter();
-        let (interned_ms, interned_inds) = timed_median(reps, || {
-            discover_inds(
-                cold_iter.next().expect("one fresh database per rep"),
-                &config,
-            )
-            .unwrap()
-        });
-        drop(cold);
-        assert_eq!(
-            naive_inds.inds, interned_inds.inds,
-            "interned IND discovery must report identical dependencies"
-        );
-        assert_eq!(
-            naive_inds.candidates_checked,
-            interned_inds.candidates_checked
-        );
-        push_row(
-            "ind_discovery",
-            naive_ms,
-            interned_ms,
-            naive_inds.inds.len(),
-        );
-
-        // ---- CIND condition mining ----
-        // Mining gets the paper's shape at scale: every book order has its
-        // `book` counterpart, while a slice of dangling CD orders breaks the
-        // unconditional IND — so the miner must recover the `type = 'book'`
-        // condition of cind1 rather than return early or find nothing.
-        let mut mining_db = order_workload(size, 0.0).db;
-        {
-            let order_inst = mining_db.relation_mut("order").expect("order relation");
-            for i in 0..(size / 20).max(1) {
-                order_inst
-                    .insert_values([
-                        dq_relation::Value::str(format!("x{i}")),
-                        dq_relation::Value::str(format!("Dangling {i}")),
-                        dq_relation::Value::str("CD"),
-                        dq_relation::Value::real(1.0),
-                    ])
-                    .expect("order tuple fits the schema");
-            }
-        }
-        let order = mining_db
-            .relation("order")
-            .expect("order relation")
-            .schema()
-            .clone();
-        let book = mining_db
-            .relation("book")
-            .expect("book relation")
-            .schema()
-            .clone();
-        let embedded = dq_core::ind::Ind::from_indices(
-            "order",
-            vec![order.attr("title"), order.attr("price")],
-            "book",
-            vec![book.attr("title"), book.attr("price")],
-        );
-        let (naive_ms, naive_cinds) = timed_median(reps, || {
-            dq_discovery::reference::discover_cind_conditions(&mining_db, &embedded, &config)
-                .unwrap()
-        });
-        let cold: Vec<_> = (0..reps).map(|_| mining_db.cold_copy()).collect();
-        let mut cold_iter = cold.iter();
-        let (interned_ms, interned_cinds) = timed_median(reps, || {
-            discover_cind_conditions(
-                cold_iter.next().expect("one fresh database per rep"),
-                &embedded,
-                &config,
-            )
-            .unwrap()
-        });
-        drop(cold);
-        assert!(
-            naive_cinds.iter().any(|c| c
-                .tableau()
-                .iter()
-                .any(|p| p.lhs == [dq_relation::Value::str("book")])),
-            "mining must recover the type = 'book' condition"
-        );
-        assert_eq!(
-            naive_cinds, interned_cinds,
-            "interned CIND mining must report identical conditions"
-        );
-        push_row("cind_mining", naive_ms, interned_ms, naive_cinds.len());
-        if smoke {
-            for db in [db, &mining_db] {
-                assert_inclusion_detection_matches_reference(db, &embedded);
-            }
-        }
-    }
-    if smoke {
-        println!(
-            "\nsmoke mode: outputs identical on both paths, IND/CIND detection identical \
-             to dq_core::reference, artifact not written"
-        );
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"sec22_ind_discovery_naive_vs_interned\",\n  \
-         \"workload\": \"dq_gen::orders (order/book/CD), violation_rate {violation_rate}, seed 42\",\n  \
-         \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_ind.json", &json).expect("write BENCH_ind.json");
-    println!("\nwrote BENCH_ind.json");
-}
-
-/// Asserts engine IND and CIND detection over `db` — the paper's CINDs and
-/// `ind` — identical to `dq_core::reference` at 1 and 2 threads, with
-/// `ignore_nulls` both ways.  An identity check only: nothing is timed.
-fn assert_inclusion_detection_matches_reference(db: &dq_relation::Database, ind: &Ind) {
-    let cinds = dq_gen::orders::paper_cinds();
-    let expected_cinds = reference::detect_cind_violations(db, &cinds).unwrap();
-    for threads in [1, 2] {
-        let engine = DetectionEngine::with_threads(threads);
-        assert_eq!(
-            engine.detect_cind_violations(db, &cinds).unwrap(),
-            expected_cinds,
-            "engine CIND detection must equal the reference ({threads} threads)"
-        );
-        for ignore_nulls in [false, true] {
-            let expected = reference::ind_violations(ind, db, ignore_nulls).unwrap();
-            assert_eq!(
-                engine
-                    .detect_ind_violations(db, std::slice::from_ref(ind), ignore_nulls)
-                    .unwrap(),
-                [expected],
-                "engine IND detection must equal the reference \
-                 ({threads} threads, ignore_nulls {ignore_nulls})"
-            );
-        }
-    }
-}
-
 /// Every this many rounds, a `--delta-bench` round also removes random live
 /// tuples.
 const DELTA_REMOVE_EVERY: usize = 3;
 
 /// Incremental (patch-served) CFD violation maintenance vs. full
 /// re-detection under a mixed append+edit+remove stream, written to
-/// `BENCH_delta.json` (skipped in `--smoke` mode, which replays the same
-/// stream CI-sized and only asserts report identity).
+/// `BENCH_delta.json`.
 ///
 /// Two identical working copies of the customer workload absorb the same
 /// mutation stream — donor-copy cell edits (always in-domain, and usually
@@ -928,26 +426,12 @@ const DELTA_REMOVE_EVERY: usize = 3;
 ///
 /// Both paths' reports are asserted identical after every round, and every
 /// pool miss after round 0 is asserted to be an upgrade (`misses ==
-/// patches + appends`).  With the recorder on (always in `--smoke`, and
-/// under `--profile`), the rounds after round 0 must also have patched
-/// violating groups from their previous RHS classes
-/// (`maintain.cfd.groups_patched > 0`) and shared snapshot chunks with
-/// their predecessors (`store.patch.chunks_shared > 0`), so a fall-back to
-/// classifying every touched group in full, or to copying whole columns on
-/// every snapshot patch, fails loudly.
-fn delta_bench(smoke: bool, profile: bool) {
+/// patches + appends`).  The same stream at 2,000 tuples, with the
+/// recorder's `maintain.cfd.groups_patched` and `store.patch.chunks_shared`
+/// checks on top, is `tests/observability.rs::delta_stream_is_maintained_by_patches`.
+fn delta_bench() {
     header("Delta bench — patch-maintained violations vs. full re-detection");
-    // A smoke run writes no timings, so it always records: its
-    // `maintain.cfd.groups_patched` and `store.patch.chunks_shared` checks
-    // below need the counters.
-    if smoke {
-        dq_obs::set_enabled(true);
-    }
-    let sizes: &[usize] = if smoke {
-        &[2_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
+    let sizes = [100_000, 1_000_000];
     let error_rate = 0.05;
     let cfds = dq_gen::customer::paper_cfds();
     let rounds = 8usize;
@@ -955,7 +439,7 @@ fn delta_bench(smoke: bool, profile: bool) {
     println!(
         "  tuples   rounds  edits/r  appends/r   rebuild        patch       speedup   violations"
     );
-    for &size in sizes {
+    for size in sizes {
         let workload = customer_workload_scaled(size, error_rate);
         // Monitor-shaped rounds: the delta is small relative to the
         // instance (like a repair round's writes or a feed's batch), not a
@@ -975,10 +459,6 @@ fn delta_bench(smoke: bool, profile: bool) {
         let mut maintained = engine.maintain_cfd_violations(&patch_instance, &cfds, None);
         assert_eq!(&baseline, maintained.report());
         let built = engine.pool_stats();
-        let groups_patched = dq_obs::recorder().counter("maintain.cfd.groups_patched");
-        let patched_before = groups_patched.value();
-        let chunks_shared = dq_obs::recorder().counter("store.patch.chunks_shared");
-        let shared_before = chunks_shared.value();
 
         // A fixed LCG drives the stream so runs are exactly reproducible.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1058,27 +538,10 @@ fn delta_bench(smoke: bool, profile: bool) {
             stats.patches > 0,
             "the mixed stream must be served by index patches"
         );
-        if dq_obs::enabled() {
-            assert!(
-                groups_patched.value() > patched_before,
-                "maintenance rounds must patch violating groups from their classes, \
-                 not classify them in full"
-            );
-            assert!(
-                chunks_shared.value() > shared_before,
-                "snapshot patches must share the chunks no write reached, \
-                 not copy whole columns"
-            );
-        }
         let speedup = rebuild_ms / patch_ms;
         let violations = baseline.total();
         println!(
             "{size:>8}   {rounds:>5}  {edits_per_round:>7}  {appends_per_round:>9}   {rebuild_ms:>9.1}ms  {patch_ms:>9.1}ms  {speedup:>7.2}x  {violations:>10}"
-        );
-        let profile_json = profile_field(
-            profile,
-            &format!("delta @ {size}"),
-            &[("engine.pool", &stats)],
         );
         rows.push(format!(
             "    {{\"tuples\": {size}, \"rounds\": {rounds}, \
@@ -1088,7 +551,7 @@ fn delta_bench(smoke: bool, profile: bool) {
              \"rebuild_ms\": {rebuild_ms:.3}, \"patch_ms\": {patch_ms:.3}, \
              \"speedup\": {speedup:.3}, \
              \"rebuild_rounds_per_sec\": {:.3}, \"patch_rounds_per_sec\": {:.3}, \
-             \"pool_patches\": {}, \"pool_appends\": {}, \"pool_misses\": {}, \"pool_hits\": {}{profile_json}}}",
+             \"pool_patches\": {}, \"pool_appends\": {}, \"pool_misses\": {}, \"pool_hits\": {}}}",
             rounds as f64 / (rebuild_ms / 1e3),
             rounds as f64 / (patch_ms / 1e3),
             stats.patches,
@@ -1096,12 +559,6 @@ fn delta_bench(smoke: bool, profile: bool) {
             stats.misses,
             stats.hits
         ));
-    }
-    if smoke {
-        println!(
-            "\nsmoke mode: maintained reports identical to full re-detection every round, artifact not written"
-        );
-        return;
     }
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1117,1250 +574,10 @@ fn delta_bench(smoke: bool, profile: bool) {
     println!("\nwrote BENCH_delta.json");
 }
 
-/// Peak resident set (`VmHWM`) in MiB from `/proc/self/status`, or `0.0`
-/// where that interface doesn't exist.
-fn peak_rss_mib() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status.lines().find_map(|line| {
-                let rest = line.strip_prefix("VmHWM:")?;
-                rest.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
-            })
-        })
-        .map(|kib| kib / 1024.0)
-        .unwrap_or(0.0)
-}
-
-/// Best-effort reset of the peak-RSS high-water mark (`/proc/self/clear_refs`
-/// code 5) so each stage's ceiling is measured on its own, not inherited
-/// from an earlier, hungrier stage.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-/// Out-of-core columnar shards: persist, mmap-load, and run the engines
-/// through `ShardSource` cursors, asserting byte-identity with the in-RAM
-/// paths and recording per-stage peak resident memory.
-///
-/// Smoke mode shrinks the instance to CI size and the shard size to 1024
-/// rows, so the multi-shard layout, the incremental save (frozen
-/// dictionary segments + overlay spill) and both engines' shard cursors
-/// all execute; no artifact is written.  Full mode asserts identity at 1M
-/// tuples, then streams 10M tuples through
-/// [`RelationWriter`](dq_relation::RelationWriter) in 1M-chunk generations
-/// — memory stays bounded by one chunk plus the writer's
-/// dictionaries — and runs CFD detection and FD discovery at 10M entirely
-/// through the mmap path, writing `BENCH_scale.json` with a
-/// `peak_rss_mib` ceiling per row.
-fn scale_bench(smoke: bool, profile: bool) {
-    use dq_discovery::prelude::*;
-    use dq_gen::customer::{customer_schema, generate_customers, CustomerConfig};
-    use dq_relation::store::persist::{self, RelationWriter};
-    use dq_relation::store::SHARD_ROWS;
-    use dq_relation::{RelationInstance, ShardSource};
-
-    header("Scale bench — out-of-core columnar shards, mmap vs. in-RAM");
-    let error_rate = 0.05;
-    let cfds = dq_gen::customer::paper_cfds();
-    let engine = DetectionEngine::new();
-    let root = std::env::temp_dir().join(format!("dq_scale_bench_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut rows = Vec::new();
-
-    // Stage 1 — identity: the mmap engines must reproduce the in-RAM
-    // engines byte for byte.  The snapshot is written in two saves so the
-    // second one runs incrementally (frozen dictionary segments plus
-    // overlay spill), covering the append-only write path.
-    let ident_size = if smoke { 20_000 } else { 1_000_000 };
-    let shard_rows = if smoke { 1 << 10 } else { SHARD_ROWS };
-    let dir = root.join("ident");
-    let workload = customer_workload_scaled(ident_size, error_rate);
-    let mut staged = RelationInstance::new(workload.dirty.schema().clone());
-    let split = ident_size * 3 / 4;
-    for (_, tuple) in workload.dirty.iter().take(split) {
-        staged.insert(tuple.clone()).expect("same schema");
-    }
-    let first = staged
-        .columnar()
-        .save_to_with_shard_rows(&staged, &dir, shard_rows)
-        .expect("first save");
-    assert!(!first.incremental, "first save writes from scratch");
-    for (_, tuple) in workload.dirty.iter().skip(split) {
-        staged.insert(tuple.clone()).expect("same schema");
-    }
-    let second = staged
-        .columnar()
-        .save_to_with_shard_rows(&staged, &dir, shard_rows)
-        .expect("incremental save");
-    assert!(
-        second.incremental,
-        "append-only growth must extend the snapshot, not rewrite it"
-    );
-    let (open_ms, mapped) = timed(|| persist::open_mmap(&dir).expect("open mapped relation"));
-    assert!(
-        mapped.len() / shard_rows >= 2,
-        "identity stage must span several shards"
-    );
-
-    let schema = workload.dirty.schema();
-    let fd_cfg = dq_discovery::FdDiscoveryConfig {
-        max_lhs: 2,
-        exclude: vec![schema.attr("phn"), schema.attr("name")],
-        ..Default::default()
-    };
-
-    let (ram_detect_ms, expected_report) = timed(|| engine.detect_cfd_violations(&staged, &cfds));
-    let (mmap_detect_ms, mapped_report) =
-        timed(|| engine.detect_cfd_violations_from_shards(&mapped, &cfds));
-    // Grouped reports compare their canonical groups: no pair is built.
-    assert!(
-        mapped_report == expected_report,
-        "mmap CFD detection must be identical to the in-RAM engine"
-    );
-    let (ram_fd_ms, expected_fds) = timed(|| discover_fds(&staged, &fd_cfg));
-    let (mmap_fd_ms, mapped_fds) = timed(|| discover_fds_from_shards(&mapped, &fd_cfg));
-    assert_eq!(
-        mapped_fds.fds, expected_fds.fds,
-        "mmap FD discovery must match the in-RAM engine"
-    );
-    assert_eq!(
-        mapped_fds.candidates_checked,
-        expected_fds.candidates_checked
-    );
-    let violations = expected_report.total();
-    let violation_groups = expected_report.violation_groups();
-    println!(
-        "  identity @ {ident_size} (shard_rows {shard_rows}): open {open_ms:.1}ms · \
-         detect in-RAM {ram_detect_ms:.1}ms / mmap {mmap_detect_ms:.1}ms · \
-         discovery in-RAM {ram_fd_ms:.1}ms / mmap {mmap_fd_ms:.1}ms · \
-         {violations} violations in {violation_groups} groups, {} FDs — reports identical",
-        expected_fds.fds.len()
-    );
-    let profile_json = profile_field(profile, &format!("scale identity @ {ident_size}"), &[]);
-    rows.push(format!(
-        "    {{\"stage\": \"identity\", \"tuples\": {ident_size}, \"shard_rows\": {shard_rows}, \
-         \"open_ms\": {open_ms:.3}, \"detect_ram_ms\": {ram_detect_ms:.3}, \
-         \"detect_mmap_ms\": {mmap_detect_ms:.3}, \"discover_ram_ms\": {ram_fd_ms:.3}, \
-         \"discover_mmap_ms\": {mmap_fd_ms:.3}, \"violations\": {violations}, \
-         \"violation_groups\": {violation_groups}, \"fds\": {}, \"disk_bytes\": {}, \"peak_rss_mib\": {:.1}{profile_json}}}",
-        expected_fds.fds.len(),
-        mapped.disk_bytes(),
-        peak_rss_mib()
-    ));
-    drop(mapped);
-    drop(staged);
-    drop(workload);
-
-    if smoke {
-        let _ = std::fs::remove_dir_all(&root);
-        println!(
-            "\nsmoke mode: mmap reports identical to in-RAM on detection and discovery, artifact not written"
-        );
-        return;
-    }
-
-    // Stage 2 — streaming ingest: 10M tuples written through the
-    // RelationWriter in 1M-tuple generated chunks.  No instance holding
-    // more than one chunk ever exists; the writer's memory is its
-    // dictionaries plus one partial shard.
-    let total = 10_000_000usize;
-    let chunk_rows = 1_000_000usize;
-    let scale_dir = root.join("scale");
-    reset_peak_rss();
-    let (ingest_ms, ingested) = timed(|| {
-        let mut writer = RelationWriter::create(&scale_dir, customer_schema(), SHARD_ROWS)
-            .expect("create streaming writer");
-        for chunk in 0..total / chunk_rows {
-            let generated = generate_customers(&CustomerConfig {
-                tuples: chunk_rows,
-                error_rate,
-                seed: 42 + chunk as u64,
-                cities_per_country: (total / 2_000).max(3),
-            });
-            for (_, tuple) in generated.dirty.iter() {
-                writer
-                    .push_row(tuple.values().iter().cloned())
-                    .expect("generated rows are in-domain");
-            }
-        }
-        let stats = writer.finish().expect("finish streamed relation");
-        assert_eq!(stats.rows, total);
-        stats
-    });
-    let ingest_rss = peak_rss_mib();
-    println!(
-        "  ingest    @ {total}: {ingest_ms:.0}ms streaming through RelationWriter, \
-         {} bytes on disk, peak RSS {ingest_rss:.0} MiB",
-        ingested.bytes_written
-    );
-    let profile_json = profile_field(profile, &format!("scale ingest @ {total}"), &[]);
-    rows.push(format!(
-        "    {{\"stage\": \"ingest\", \"tuples\": {total}, \"shard_rows\": {SHARD_ROWS}, \
-         \"ingest_ms\": {ingest_ms:.3}, \"disk_bytes\": {}, \
-         \"peak_rss_mib\": {ingest_rss:.1}{profile_json}}}",
-        ingested.bytes_written
-    ));
-
-    // Stage 3 — detection at 10M through the mmap path only: memory is
-    // bounded by the dictionaries, the shard cursor and the grouped output,
-    // never by a 10M-tuple instance.
-    reset_peak_rss();
-    let (open_ms, mapped) = timed(|| persist::open_mmap(&scale_dir).expect("open 10M relation"));
-    let (detect_ms, report) = timed(|| engine.detect_cfd_violations_from_shards(&mapped, &cfds));
-    let detect_rss = peak_rss_mib();
-    println!(
-        "  detect    @ {total}: open {open_ms:.0}ms, CFD detection {detect_ms:.0}ms, \
-         {} violations in {} groups, peak RSS {detect_rss:.0} MiB",
-        report.total(),
-        report.violation_groups()
-    );
-    let profile_json = profile_field(profile, &format!("scale detect @ {total}"), &[]);
-    rows.push(format!(
-        "    {{\"stage\": \"detect\", \"tuples\": {total}, \"shard_rows\": {SHARD_ROWS}, \
-         \"open_ms\": {open_ms:.3}, \"detect_mmap_ms\": {detect_ms:.3}, \
-         \"violations\": {}, \"violation_groups\": {}, \
-         \"peak_rss_mib\": {detect_rss:.1}{profile_json}}}",
-        report.total(),
-        report.violation_groups()
-    ));
-
-    // Stage 4 — FD discovery at 10M through the mmap path.
-    reset_peak_rss();
-    let (fd_ms, fds) = timed(|| discover_fds_from_shards(&mapped, &fd_cfg));
-    let fd_rss = peak_rss_mib();
-    println!(
-        "  discover  @ {total}: FD discovery {fd_ms:.0}ms, {} FDs over {} candidates, \
-         peak RSS {fd_rss:.0} MiB",
-        fds.fds.len(),
-        fds.candidates_checked
-    );
-    let profile_json = profile_field(profile, &format!("scale discover @ {total}"), &[]);
-    rows.push(format!(
-        "    {{\"stage\": \"discover\", \"tuples\": {total}, \"shard_rows\": {SHARD_ROWS}, \
-         \"discover_mmap_ms\": {fd_ms:.3}, \"fds\": {}, \"candidates_checked\": {}, \
-         \"peak_rss_mib\": {fd_rss:.1}{profile_json}}}",
-        fds.fds.len(),
-        fds.candidates_checked
-    ));
-    drop(mapped);
-    let _ = std::fs::remove_dir_all(&root);
-
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"out_of_core_columnar_shards\",\n  \
-         \"workload\": \"dq_gen::customer (scaled city pool), error_rate {error_rate}, seeds 42+chunk\",\n  \
-         \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
-    println!("\nwrote BENCH_scale.json");
-}
-
 /// A matching engine over a fresh index pool: every matching-layer
 /// artifact it serves is built on first use.
 fn fresh_matching_engine() -> MatchingEngine {
     MatchingEngine::new(std::sync::Arc::new(dq_relation::IndexPool::new()))
-}
-
-/// Pre-builds every dictionary-encoded column of one relation (columns
-/// intern lazily on first access, so `columnar()` alone leaves the store
-/// cold): the matching rows charge the engine for every matching-layer
-/// artifact, while the snapshot itself is a system-shared artifact whose
-/// construction BENCH_detection already tracks.
-fn warm_columns(inst: &dq_relation::RelationInstance) {
-    let store = inst.columnar();
-    for attr in 0..inst.schema().arity() {
-        let _ = store.column(inst, attr);
-    }
-}
-
-/// Measures one rule-matching scenario row: the row-at-a-time
-/// `reference::run_rules` (when `naive_runs`) vs. the interned engine cold
-/// and warm, asserting the results byte-identical (matches *and* per-rule
-/// hit counts) and scoring
-/// them against the generator's ground truth.  Cold passes run on clones
-/// taken outside the timer — fresh instance identities, so the pool and
-/// every engine cache miss — with the columnar snapshot pre-built: the
-/// dictionary encoding is a system-wide artifact every other engine
-/// already shares (BENCH_detection tracks its construction), so cold rows
-/// pay every *matching-layer* build — interned indexes, blockers, display
-/// forms, id translations and metric evaluations — inside the measurement,
-/// and the snapshot's one-time cost is reported separately as `store_ms`.
-/// A final dedicated cold run supplies the canonical single-run counters
-/// (the timed engines' counters are summed across reps).
-#[allow(clippy::too_many_arguments)]
-fn match_scenario_row(
-    scenario: &str,
-    label: &str,
-    rules: &[RelativeKey],
-    w: &CardWorkload,
-    holders: usize,
-    naive_runs: bool,
-    reps: usize,
-    profile: bool,
-) -> String {
-    let matcher = Matcher::new(rules.to_vec());
-    let fresh = fresh_matching_engine;
-    let naive_run = || dq_match::reference::run_rules(rules, &w.card, &w.billing);
-    // Throwaway runs so neither path pays the allocator's first-touch page
-    // faults inside a measurement.
-    if naive_runs {
-        let _ = naive_run();
-    }
-    let _ = matcher.run(&fresh(), &w.card, &w.billing);
-    let naive = naive_runs.then(|| timed_median(reps, naive_run));
-    let (store_card, store_billing) = (w.card.cold_copy(), w.billing.cold_copy());
-    let (store_ms, _) = timed(|| {
-        warm_columns(&store_card);
-        warm_columns(&store_billing);
-    });
-    drop((store_card, store_billing));
-    let cold_instances: Vec<_> = (0..reps)
-        .map(|_| {
-            let (c, b) = (w.card.cold_copy(), w.billing.cold_copy());
-            warm_columns(&c);
-            warm_columns(&b);
-            (c, b)
-        })
-        .collect();
-    let mut cold_iter = cold_instances.iter();
-    let (cold_ms, cold_res) = timed_median(reps, || {
-        let (c, b) = cold_iter.next().expect("one fresh pair per rep");
-        matcher.run(&fresh(), c, b)
-    });
-    drop(cold_instances);
-    let engine = fresh();
-    let _ = matcher.run(&engine, &w.card, &w.billing);
-    let (warm_ms, warm_res) = timed_median(reps, || matcher.run(&engine, &w.card, &w.billing));
-    if let Some((_, naive_res)) = &naive {
-        assert_eq!(
-            naive_res.matches, cold_res.matches,
-            "engine must find the same matches ({scenario}/{label})"
-        );
-        assert_eq!(
-            naive_res.rule_hits, cold_res.rule_hits,
-            "engine must credit the same rules ({scenario}/{label})"
-        );
-    }
-    assert_eq!(
-        cold_res.matches, warm_res.matches,
-        "warm engine must find the same matches ({scenario}/{label})"
-    );
-    assert_eq!(
-        cold_res.rule_hits, warm_res.rule_hits,
-        "warm engine must credit the same rules ({scenario}/{label})"
-    );
-    let quality = score(&warm_res.matches, &w.truth);
-    let (stats_card, stats_billing) = (w.card.cold_copy(), w.billing.cold_copy());
-    warm_columns(&stats_card);
-    warm_columns(&stats_billing);
-    let stats_engine = fresh();
-    let _ = matcher.run(&stats_engine, &stats_card, &stats_billing);
-    let stats = stats_engine.stats();
-    let naive_ms = naive.as_ref().map(|(ms, _)| *ms);
-    let naive_col = naive_ms.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}ms"));
-    let speedup_col =
-        naive_ms.map_or_else(|| "-".to_string(), |ms| format!("{:.2}x", ms / cold_ms));
-    println!(
-        "{holders:>8}   {label:<18} {naive_col:>11}  {cold_ms:>10.1}ms  {warm_ms:>10.1}ms  {:>9}  {speedup_col:>13}  f1 {:.3}",
-        warm_res.len(),
-        quality.f1,
-    );
-    let profile_json = profile_field(
-        profile,
-        &format!("{scenario} {label} @ {holders}"),
-        &[("match", &stats)],
-    );
-    let pairs_total = w.card.len() as u64 * w.billing.len() as u64;
-    format!(
-        "    {{\"scenario\": \"{scenario}\", \"rule_set\": \"{label}\", \"holders\": {holders}, \
-         \"records\": {}, \"pairs_total\": {pairs_total}, \"rules\": {}, \"matches\": {}, \
-         \"naive_ms\": {}, \"store_ms\": {store_ms:.3}, \"engine_cold_ms\": {cold_ms:.3}, \
-         \"engine_warm_ms\": {warm_ms:.3}, \"speedup_cold\": {}, \"speedup_warm\": {}, \
-         \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \
-         \"comparisons\": {}, \"pairs_saved\": {}, \"candidates\": {}, \"blocks_built\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}{profile_json}}}",
-        w.card.len() + w.billing.len(),
-        rules.len(),
-        warm_res.len(),
-        naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{ms:.3}")),
-        naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{:.3}", ms / cold_ms)),
-        naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{:.3}", ms / warm_ms)),
-        quality.precision,
-        quality.recall,
-        quality.f1,
-        stats.comparisons,
-        stats.pairs_saved,
-        stats.candidates,
-        stats.blocks_built,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache_hit_rate(),
-    )
-}
-
-/// Row-at-a-time reference vs. the dictionary-blocked matching engine on
-/// the card/billing workload, written to `BENCH_matching.json` (skipped in
-/// `--smoke` mode, which runs the same comparison CI-sized — the point is
-/// to execute both and assert the engine byte-identical to
-/// `dq_match::reference`, so an engine regression fails loudly).  The
-/// `naive_*` fields time the reference.
-///
-/// Four scenarios:
-/// * `rules` — the Section 3 given rule and the derived-RCK set (equality
-///   premises join through pooled interned indexes; the `edit(3)` premise
-///   is evaluated once per distinct value pair and memoized):
-///   `reference::run_rules` vs. the engine cold (fresh clones, fresh pool — every
-///   matching-layer artifact built inside the timer; the system-shared
-///   columnar snapshot is pre-built and reported as `store_ms`) and warm
-///   (the same engine called again — displays, translations, indexes and
-///   the similarity memo all served from cache);
-/// * `fuzzy` — a rule with no equality premise, where the reference
-///   falls back to the full cross product while the engine blocks through
-///   the q-gram token index over the dictionaries.  The naive path is
-///   quadratic in *tuples* and measured at the smallest size only; the
-///   engine's metric work is quadratic in *distinct values*, so it keeps
-///   going (candidate verification still touches every generated row
-///   pair, which bounds its sizes below the equality scenarios');
-/// * `md_violations` — `reference::md_violations` vs.
-///   `MatchingDependency::violations` on the engine, for a tel-equality +
-///   FN-edit MD concluding e-mail equality (the reference nested loop is
-///   measured up to 10k holders; the asserts also pin its ascending pair
-///   order);
-/// * `rule_learning` — the reference run of every `candidate_keys` key
-///   (`naive_ms`) vs. `learn_relative_keys` (`pooled_ms`), whose whole
-///   candidate sweep rides one engine, so later candidates are answered
-///   from the similarity memo built by earlier ones.  Every candidate's
-///   engine matches are asserted equal to the reference's.
-///
-/// Each row records P/R/F1 against the generator's ground truth (which the
-/// engine cannot change — asserted, not assumed) and the engine's
-/// single-cold-run counters: tuple comparisons performed, pairs blocking
-/// skipped, candidates generated, blockers built, and memo-cache hit rate.
-fn matching_bench(smoke: bool, profile: bool) {
-    use dq_discovery::md_discovery::{candidate_keys, learn_relative_keys, RuleLearningConfig};
-    use dq_match::reference;
-
-    header("Matching bench — row-at-a-time reference vs. dictionary-blocked parallel engine");
-    let card = dq_gen::cards::card_schema();
-    let billing = dq_gen::cards::billing_schema();
-    let key = |comparisons: Vec<(&str, &str, SimilarityOp)>| {
-        RelativeKey::new(
-            &card,
-            &billing,
-            comparisons,
-            &dq_match::paper::YC,
-            &dq_match::paper::YB,
-        )
-        .unwrap()
-    };
-    // The Section 3 experiment rule sets (`md_matching_quality`): the given
-    // LN/addr/FN equality rule, and the derived set adding the email join
-    // and the edit-distance relaxation.
-    let given = vec![key(vec![
-        ("LN", "SN", SimilarityOp::Equality),
-        ("addr", "post", SimilarityOp::Equality),
-        ("FN", "FN", SimilarityOp::Equality),
-    ])];
-    let mut derived = given.clone();
-    derived.push(key(vec![
-        ("email", "email", SimilarityOp::Equality),
-        ("addr", "post", SimilarityOp::Equality),
-    ]));
-    derived.push(key(vec![
-        ("LN", "SN", SimilarityOp::Equality),
-        ("addr", "post", SimilarityOp::Equality),
-        ("FN", "FN", SimilarityOp::edit(3)),
-    ]));
-    // No equality premise anywhere: the reference has nothing to block
-    // on and compares every tuple pair; the engine blocks on the first
-    // premise's q-gram cover.
-    let fuzzy = vec![key(vec![
-        (
-            "FN",
-            "FN",
-            SimilarityOp::QGram {
-                q: 2,
-                min_similarity: 0.5,
-            },
-        ),
-        ("LN", "SN", SimilarityOp::edit(2)),
-        ("addr", "post", SimilarityOp::edit(5)),
-    ])];
-    // "Same phone and a similar first name ⇒ same e-mail": the generator
-    // rewrites ~40% of billing e-mails, so the violation set is the
-    // phone-stable matched pairs whose e-mail changed — non-empty at every
-    // size.
-    let md = MatchingDependency::new(
-        &card,
-        &billing,
-        vec![
-            ("tel", "phn", MatchOp::eq()),
-            ("FN", "FN", MatchOp::edit(3)),
-        ],
-        &["email"],
-        &["email"],
-        MatchOp::eq(),
-    )
-    .unwrap();
-
-    let sizes: &[usize] = if smoke {
-        &[2_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let mut rows = Vec::new();
-    println!("  holders   scenario                 naive  engine(cold)  engine(warm)    matches  speedup(cold)  quality");
-    for &holders in sizes {
-        let w = card_workload(holders);
-        let reps = if holders > 100_000 { 1 } else { 3 };
-        rows.push(match_scenario_row(
-            "rules",
-            "given_rules",
-            &given,
-            &w,
-            holders,
-            true,
-            reps,
-            profile,
-        ));
-        rows.push(match_scenario_row(
-            "rules",
-            "derived_rcks",
-            &derived,
-            &w,
-            holders,
-            true,
-            reps,
-            profile,
-        ));
-    }
-
-    // Fuzzy scenario: the reference is quadratic in tuples (the 2k-holder cross
-    // product is ~4M pairs, each evaluating q-gram similarity on `Value`s),
-    // so it runs at the smallest size only; the engine's verification work
-    // still scales with the generated row pairs, so its sizes stay below
-    // the equality scenarios' too.
-    let fuzzy_sizes: &[usize] = if smoke { &[500] } else { &[2_000, 10_000] };
-    for &holders in fuzzy_sizes {
-        let w = card_workload(holders);
-        rows.push(match_scenario_row(
-            "fuzzy",
-            "qgram_no_eq",
-            &fuzzy,
-            &w,
-            holders,
-            holders <= 2_000,
-            if holders <= 2_000 { 1 } else { 3 },
-            profile,
-        ));
-    }
-
-    // MD violation checking under a ground-truth oracle.  The reference
-    // nested loop visits the full cross product, so it is
-    // measured up to 10k holders; the engine eq-joins on tel/phn at every
-    // size.  Where both run, the violation vectors must agree in contents
-    // *and* order (the engine re-sorts into the naive ascending order).
-    for &holders in sizes {
-        let w = card_workload(holders);
-        let reps = if holders > 100_000 { 1 } else { 3 };
-        let naive_runs = holders <= 10_000;
-        let truth = w.truth.clone();
-        let oracle = move |a, b| truth.contains(&(a, b));
-        let fresh = fresh_matching_engine;
-        let _ = md.violations(&w.card, &w.billing, &oracle, &fresh());
-        let naive = naive_runs.then(|| {
-            let reps = if holders > 2_000 { 1 } else { reps };
-            timed_median(reps, || {
-                reference::md_violations(&md, &w.card, &w.billing, &oracle)
-            })
-        });
-        let (store_card, store_billing) = (w.card.cold_copy(), w.billing.cold_copy());
-        let (store_ms, _) = timed(|| {
-            warm_columns(&store_card);
-            warm_columns(&store_billing);
-        });
-        drop((store_card, store_billing));
-        let cold_instances: Vec<_> = (0..reps)
-            .map(|_| {
-                let (c, b) = (w.card.cold_copy(), w.billing.cold_copy());
-                warm_columns(&c);
-                warm_columns(&b);
-                (c, b)
-            })
-            .collect();
-        let mut cold_iter = cold_instances.iter();
-        let (cold_ms, cold_res) = timed_median(reps, || {
-            let (c, b) = cold_iter.next().expect("one fresh pair per rep");
-            md.violations(c, b, &oracle, &fresh())
-        });
-        drop(cold_instances);
-        let engine = fresh();
-        let _ = md.violations(&w.card, &w.billing, &oracle, &engine);
-        let (warm_ms, warm_res) = timed_median(reps, || {
-            md.violations(&w.card, &w.billing, &oracle, &engine)
-        });
-        if let Some((_, naive_res)) = &naive {
-            assert_eq!(
-                naive_res, &cold_res,
-                "engine must report the same MD violations in the same order"
-            );
-        }
-        assert_eq!(
-            cold_res, warm_res,
-            "warm engine must report the same MD violations"
-        );
-        let stats = engine.stats();
-        let naive_ms = naive.as_ref().map(|(ms, _)| *ms);
-        let naive_col = naive_ms.map_or_else(|| "-".to_string(), |ms| format!("{ms:.1}ms"));
-        let speedup_col =
-            naive_ms.map_or_else(|| "-".to_string(), |ms| format!("{:.2}x", ms / cold_ms));
-        println!(
-            "{holders:>8}   {:<18} {naive_col:>11}  {cold_ms:>10.1}ms  {warm_ms:>10.1}ms  {:>9}  {speedup_col:>13}  violations",
-            "md_violations",
-            warm_res.len(),
-        );
-        let profile_json = profile_field(
-            profile,
-            &format!("md_violations @ {holders}"),
-            &[("match", &stats)],
-        );
-        rows.push(format!(
-            "    {{\"scenario\": \"md_violations\", \"rule_set\": \"tel_fn_implies_email\", \
-             \"holders\": {holders}, \"records\": {}, \"pairs_total\": {}, \"rules\": 1, \
-             \"matches\": {}, \"naive_ms\": {}, \"store_ms\": {store_ms:.3}, \
-             \"engine_cold_ms\": {cold_ms:.3}, \
-             \"engine_warm_ms\": {warm_ms:.3}, \"speedup_cold\": {}, \"speedup_warm\": {}, \
-             \"precision\": null, \"recall\": null, \"f1\": null, \
-             \"comparisons\": {}, \"pairs_saved\": {}, \"candidates\": {}, \"blocks_built\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}{profile_json}}}",
-            w.card.len() + w.billing.len(),
-            w.card.len() as u64 * w.billing.len() as u64,
-            warm_res.len(),
-            naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{ms:.3}")),
-            naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{:.3}", ms / cold_ms)),
-            naive_ms.map_or_else(|| "null".to_string(), |ms| format!("{:.3}", ms / warm_ms)),
-            stats.comparisons,
-            stats.pairs_saved,
-            stats.candidates,
-            stats.blocks_built,
-            stats.cache.hits,
-            stats.cache.misses,
-            stats.cache_hit_rate(),
-        ));
-    }
-
-    // Rule learning: the candidate sweep re-runs the matcher once per
-    // candidate key, so one engine amortizes indexes and the similarity
-    // memo across the whole sweep.  The reference runs every candidate key
-    // on its own; each key's engine matches must equal the reference's.
-    let learn_holders = if smoke { 100 } else { 500 };
-    let w = card_workload(learn_holders);
-    let space = vec![
-        ComparisonSpace::new("LN", "SN", vec![SimilarityOp::Equality]),
-        ComparisonSpace::new(
-            "FN",
-            "FN",
-            vec![SimilarityOp::Equality, SimilarityOp::edit(3)],
-        ),
-        ComparisonSpace::new("email", "email", vec![SimilarityOp::Equality]),
-        ComparisonSpace::new("addr", "post", vec![SimilarityOp::Equality]),
-    ];
-    let config = RuleLearningConfig::default();
-    let yc = dq_match::paper::YC;
-    let yb = dq_match::paper::YB;
-    let keys = candidate_keys(
-        w.card.schema(),
-        w.billing.schema(),
-        &space,
-        &yc,
-        &yb,
-        config.max_length,
-    );
-    let reference_sweep = || {
-        keys.iter()
-            .map(|key| reference::run_rules(std::slice::from_ref(key), &w.card, &w.billing))
-            .collect::<Vec<_>>()
-    };
-    let _ = reference_sweep();
-    let (naive_ms, expected) = timed_median(3, reference_sweep);
-    let (pooled_ms, learned) = timed_median(3, || {
-        learn_relative_keys(
-            &w.card,
-            &w.billing,
-            &w.truth,
-            &space,
-            &yc,
-            &yb,
-            &config,
-            &fresh_matching_engine(),
-        )
-    });
-    assert_eq!(
-        learned.candidates_evaluated,
-        keys.len(),
-        "learning must sweep every candidate key"
-    );
-    let engine = fresh_matching_engine();
-    for (key, expected) in keys.iter().zip(&expected) {
-        let got = engine.run(std::slice::from_ref(key), &w.card, &w.billing);
-        assert_eq!(
-            got.matches, expected.matches,
-            "engine must match the reference on candidate {key}"
-        );
-    }
-    println!(
-        "{learn_holders:>8}   {:<18} {naive_ms:>9.1}ms  {pooled_ms:>10.1}ms  {:>12}  {:>9}  {:>12.2}x  learning",
-        "rule_learning",
-        "-",
-        learned.rules.len(),
-        naive_ms / pooled_ms,
-    );
-    rows.push(format!(
-        "    {{\"scenario\": \"rule_learning\", \"rule_set\": \"rck_space\", \
-         \"holders\": {learn_holders}, \"records\": {}, \"candidates_evaluated\": {}, \
-         \"rules_learned\": {}, \"naive_ms\": {naive_ms:.3}, \"pooled_ms\": {pooled_ms:.3}, \
-         \"speedup\": {:.3}, \"combined_f1\": {:.4}}}",
-        w.card.len() + w.billing.len(),
-        learned.candidates_evaluated,
-        learned.rules.len(),
-        naive_ms / pooled_ms,
-        learned.combined.f1,
-    ));
-
-    if smoke {
-        println!(
-            "\nsmoke mode: engine output byte-identical to every reference run, artifact not written"
-        );
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"sec3_entity_matching_naive_vs_interned_engine\",\n  \
-         \"workload\": \"dq_gen::cards card/billing, billing_rate 0.8, abbreviate 0.4, seed 42\",\n  \
-         \"threads\": {threads},\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_matching.json", &json).expect("write BENCH_matching.json");
-    println!("\nwrote BENCH_matching.json");
-}
-
-/// A parity cycle over `k` boolean attributes: for every `i` the rules
-/// `(b_i = v → b_{i+1 mod k} = v)` propagate the value around the cycle;
-/// the `flip` variant negates the closing edge, so every assignment runs
-/// into a contradiction and the set is inconsistent.  No rule forces a
-/// constant unconditionally, so the quadratic propagation fixpoint cannot
-/// start — the instance is decided by search, where the seed's
-/// blind backtracking tests satisfaction only at full depth (`2^k` leaves
-/// on the inconsistent variant) while the solver's unit propagation
-/// collapses each top-level branch in `O(k)`.
-fn parity_cycle_cfds(k: usize, flip: bool) -> Vec<Cfd> {
-    use dq_relation::{Domain, RelationSchema};
-    use std::sync::Arc;
-    let schema = Arc::new(RelationSchema::new(
-        "parity",
-        (0..k).map(|i| (format!("b{i}"), Domain::Bool)),
-    ));
-    (0..k)
-        .map(|i| {
-            let invert = flip && i == k - 1;
-            let rows = [true, false]
-                .iter()
-                .map(|&v| PatternTuple::new(vec![cst(v)], vec![cst(if invert { !v } else { v })]))
-                .collect();
-            Cfd::from_indices(&schema, vec![i], vec![(i + 1) % k], rows)
-                .expect("well-formed cycle rule")
-        })
-        .collect()
-}
-
-/// The finite-domain implication gadget of Section 4.1: sigma forces
-/// `B = b0` whichever boolean value `a0` takes, so `([a0..a_{k-1}] → B)`
-/// with RHS pattern `b0` is implied — but only by case analysis over the
-/// boolean domain, which the quadratic closure cannot see.  The naive
-/// counterexample search exhausts all `2^k` shared boolean assignments
-/// before conceding; the solver refutes each top-level branch by unit
-/// propagation into the violation goal.
-fn implication_gadget(k: usize) -> (Vec<Cfd>, Cfd) {
-    use dq_relation::{Domain, RelationSchema};
-    use std::sync::Arc;
-    let mut attrs: Vec<(String, Domain)> =
-        (0..k).map(|i| (format!("a{i}"), Domain::Bool)).collect();
-    attrs.push(("B".into(), Domain::Text));
-    let schema = Arc::new(RelationSchema::new("imp", attrs));
-    let sigma = [true, false]
-        .iter()
-        .map(|&v| {
-            Cfd::from_indices(
-                &schema,
-                vec![0],
-                vec![k],
-                vec![PatternTuple::new(vec![cst(v)], vec![cst("b0")])],
-            )
-            .expect("well-formed premise")
-        })
-        .collect();
-    let phi = Cfd::from_indices(
-        &schema,
-        (0..k).collect(),
-        vec![k],
-        vec![PatternTuple::new(vec![wild(); k], vec![cst("b0")])],
-    )
-    .expect("well-formed conclusion");
-    (sigma, phi)
-}
-
-/// The deliberately messy rule set the lint showcase runs on: a subsumed
-/// tableau row, a verbatim duplicate rule (whose copies imply each other),
-/// all consistent — plus a second, inconsistent set where two wildcard-LHS
-/// rules force different constants on the same attribute.
-fn lint_showcase_sets() -> (Vec<Cfd>, Vec<Cfd>) {
-    use dq_relation::{Domain, RelationSchema};
-    use std::sync::Arc;
-    let schema = Arc::new(RelationSchema::new(
-        "lint_demo",
-        [
-            ("CC", Domain::Text),
-            ("AC", Domain::Text),
-            ("city", Domain::Text),
-        ],
-    ));
-    let subsumed = Cfd::from_indices(
-        &schema,
-        vec![0, 1],
-        vec![2],
-        vec![
-            PatternTuple::new(vec![cst("44"), wild()], vec![wild()]),
-            PatternTuple::new(vec![cst("44"), cst("131")], vec![wild()]),
-        ],
-    )
-    .expect("well-formed rule");
-    let constant = Cfd::from_indices(
-        &schema,
-        vec![0],
-        vec![2],
-        vec![PatternTuple::new(vec![cst("01")], vec![cst("MH")])],
-    )
-    .expect("well-formed rule");
-    let messy = vec![subsumed, constant.clone(), constant];
-    let force = |city: &str| {
-        Cfd::from_indices(
-            &schema,
-            vec![0],
-            vec![2],
-            vec![PatternTuple::new(vec![wild()], vec![cst(city)])],
-        )
-        .expect("well-formed rule")
-    };
-    let inconsistent = vec![
-        Cfd::from_indices(
-            &schema,
-            vec![1],
-            vec![2],
-            vec![PatternTuple::new(vec![cst("131")], vec![wild()])],
-        )
-        .expect("well-formed rule"),
-        force("EDI"),
-        force("NYC"),
-    ];
-    (messy, inconsistent)
-}
-
-/// Re-merges normalized single-pattern fragments into multi-row tableaux,
-/// grouped by (LHS, RHS) in first-seen order: detection does one pass per
-/// [`Cfd`] object, so both sides of the cover comparison must be in the
-/// same merged representation for the row-count reduction (and not the
-/// fragment explosion of normalization) to be what is measured.
-fn merge_fragments(fragments: &[Cfd]) -> Vec<Cfd> {
-    let mut order: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut rows: std::collections::HashMap<(Vec<usize>, Vec<usize>), Vec<PatternTuple>> =
-        std::collections::HashMap::new();
-    for f in fragments {
-        let key = (f.lhs().to_vec(), f.rhs().to_vec());
-        let entry = rows.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            order.push(key);
-        }
-        for row in f.tableau() {
-            if !entry.contains(row) {
-                entry.push(row.clone());
-            }
-        }
-    }
-    let schema = fragments[0].schema();
-    order
-        .into_iter()
-        .map(|(lhs, rhs)| {
-            let tableau = rows.remove(&(lhs.clone(), rhs.clone())).expect("grouped");
-            Cfd::from_indices(schema, lhs, rhs, tableau).expect("merged rule is well-formed")
-        })
-        .collect()
-}
-
-/// The static-analysis comparison, written to `BENCH_analysis.json`:
-///
-/// * consistency on parity-cycle gadgets (inconsistent and consistent
-///   variants) at growing finite-domain counts `k` — the blind full-depth
-///   backtracking of `dq_core::reference::cfd_set_consistent` vs. the
-///   propagation-guided solver, verdicts asserted identical on every row,
-///   solver witnesses asserted against the reference detector;
-/// * implication on the boolean case-split gadget at growing `k` — the
-///   exhaustive two-tuple counterexample search of
-///   `dq_core::reference::cfd_implies_exact` vs. the solver,
-///   verdicts asserted identical (and the quadratic closure asserted
-///   incomplete: it cannot prove the gadget, which is exactly why the
-///   exact procedures exist);
-/// * the rule-lint pass rendered on a messy showcase set and an
-///   inconsistent one (minimal core), both reports embedded as JSON;
-/// * one minimal-cover and detection row: rules mined at 100k unioned with
-///   the curated paper set, covered by `dq_core::reference::cfd_minimal_cover`
-///   and by the masked [`cfd_minimal_cover`] (covers asserted identical),
-///   then detected at 1M tuples in full vs. after cover pruning, clean
-///   verdicts asserted identical.
-fn analysis_bench(smoke: bool, profile: bool) {
-    use dq_core::analysis::solver::{solve_cfd_consistency, solve_cfd_implication};
-    use dq_discovery::prelude::*;
-
-    header("Analysis bench — propagation-guided solver vs. seed exact procedures");
-    let scales: &[usize] = if smoke { &[6, 8] } else { &[10, 14, 18] };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let reps = if smoke { 1 } else { 3 };
-    let mut rows = Vec::new();
-
-    println!("  analysis       variant               k   rules   naive          solver        speedup   nodes");
-    for &k in scales {
-        let mut gadget_row = |analysis: &str,
-                              variant: &str,
-                              rules: usize,
-                              naive_ms: f64,
-                              solver_ms: f64,
-                              verdict: &str,
-                              stats: &AnalysisStats,
-                              profile_json: String| {
-            let speedup = naive_ms / solver_ms.max(1e-6);
-            println!(
-                "  {analysis:<12} {variant:<20} {k:>3}  {rules:>5}   {naive_ms:>10.3}ms  {solver_ms:>10.3}ms  {speedup:>7.1}x  {:>6}",
-                stats.nodes
-            );
-            rows.push(format!(
-                "    {{\"analysis\": \"{analysis}\", \"variant\": \"{variant}\", \"k\": {k}, \
-                 \"rules\": {rules}, \"naive_ms\": {naive_ms:.3}, \"solver_ms\": {solver_ms:.3}, \
-                 \"speedup\": {speedup:.3}, \"verdict\": \"{verdict}\", \
-                 \"verdicts_identical\": true, \"solver_nodes\": {}, \
-                 \"solver_propagations\": {}, \"solver_conflicts\": {}{profile_json}}}",
-                stats.nodes, stats.propagations, stats.conflicts
-            ));
-        };
-
-        // Consistency, inconsistent cycle: naive pays the full 2^k sweep.
-        let cycle = parity_cycle_cfds(k, true);
-        let (naive_ms, naive_result) = timed_median(reps, || reference::cfd_set_consistent(&cycle));
-        let (solver_ms, solver_result) =
-            timed_median(reps, || solve_cfd_consistency(&cycle, threads));
-        assert_eq!(
-            solver_result.consistent, naive_result.consistent,
-            "solver and naive consistency verdicts must be identical (k = {k})"
-        );
-        assert!(
-            !solver_result.consistent,
-            "flipped parity cycle must be inconsistent"
-        );
-        let profile_json = profile_field(profile, &format!("consistency unsat @ k={k}"), &[]);
-        gadget_row(
-            "consistency",
-            "inconsistent_cycle",
-            cycle.len(),
-            naive_ms,
-            solver_ms,
-            "inconsistent",
-            &solver_result.stats,
-            profile_json,
-        );
-
-        // Consistency, consistent cycle: both must produce a witness; the
-        // solver's is validated by detection on the singleton instance.
-        let cycle_ok = parity_cycle_cfds(k, false);
-        let (naive_ms, naive_result) =
-            timed_median(reps, || reference::cfd_set_consistent(&cycle_ok));
-        let (solver_ms, solver_result) =
-            timed_median(reps, || solve_cfd_consistency(&cycle_ok, threads));
-        assert_eq!(solver_result.consistent, naive_result.consistent);
-        let witness = solver_result
-            .witness_tuple()
-            .expect("consistent verdicts carry a witness")
-            .clone();
-        let mut singleton =
-            dq_relation::RelationInstance::new(std::sync::Arc::clone(cycle_ok[0].schema()));
-        singleton.insert(witness).expect("witness inserts");
-        assert!(
-            reference::detect_cfd_violations(&singleton, &cycle_ok).is_clean(),
-            "solver witness must satisfy the rule set under detection"
-        );
-        let profile_json = profile_field(profile, &format!("consistency sat @ k={k}"), &[]);
-        gadget_row(
-            "consistency",
-            "consistent_cycle",
-            cycle_ok.len(),
-            naive_ms,
-            solver_ms,
-            "consistent",
-            &solver_result.stats,
-            profile_json,
-        );
-
-        // Implication: the boolean case split the closure cannot prove.
-        let (sigma, phi) = implication_gadget(k);
-        assert!(
-            !cfd_implies_closure(&sigma, &phi),
-            "the gadget must defeat the quadratic closure, or it measures nothing"
-        );
-        let (naive_ms, naive_implied) =
-            timed_median(reps, || reference::cfd_implies_exact(&sigma, &phi));
-        let (solver_ms, solver_result) =
-            timed_median(reps, || solve_cfd_implication(&sigma, &phi, threads));
-        assert_eq!(
-            solver_result.implied, naive_implied,
-            "solver and naive implication verdicts must be identical (k = {k})"
-        );
-        assert!(solver_result.implied, "the case-split gadget is implied");
-        let profile_json = profile_field(profile, &format!("implication @ k={k}"), &[]);
-        gadget_row(
-            "implication",
-            "boolean_case_split",
-            sigma.len(),
-            naive_ms,
-            solver_ms,
-            "implied",
-            &solver_result.stats,
-            profile_json,
-        );
-    }
-
-    // ---- Rule lint showcase ----
-    let (messy, inconsistent) = lint_showcase_sets();
-    let messy_report = lint_cfds(&messy);
-    let inconsistent_report = lint_cfds(&inconsistent);
-    println!("\nrule lint — messy but consistent set:");
-    for line in messy_report.render().lines() {
-        println!("  {line}");
-    }
-    println!("rule lint — inconsistent set (minimal core):");
-    for line in inconsistent_report.render().lines() {
-        println!("  {line}");
-    }
-    assert!(messy_report.is_consistent());
-    assert!(!inconsistent_report.is_consistent());
-    assert_eq!(
-        inconsistent_report.core().map(<[usize]>::len),
-        Some(2),
-        "two wildcard-LHS rules forcing different constants form the core"
-    );
-
-    // ---- Cover-pruned detection at scale ----
-    let (mine_size, detect_size) = if smoke {
-        (2_000, 20_000)
-    } else {
-        (100_000, 1_000_000)
-    };
-    let error_rate = 0.05;
-    let mine_workload = customer_workload_scaled(mine_size, error_rate);
-    let exclude = {
-        let schema = mine_workload.dirty.schema();
-        vec![schema.attr("phn"), schema.attr("name")]
-    };
-    let mined = discover_cfds(
-        &mine_workload.dirty,
-        &CfdDiscoveryConfig {
-            exclude,
-            ..CfdDiscoveryConfig::default()
-        },
-    );
-    // Mined rules plus the curated paper set: the overlap (the workload is
-    // generated from the paper dependencies) is what cover pruning removes.
-    let mut full: Vec<Cfd> = mined.all();
-    full.extend(dq_gen::customer::paper_cfds());
-    assert_eq!(
-        solve_cfd_consistency(&full, threads).consistent,
-        reference::cfd_set_consistent(&full).consistent,
-        "solver and naive consistency verdicts must be identical on the mined set"
-    );
-    let (reference_cover_ms, reference_covered) = timed(|| reference::cfd_minimal_cover(&full));
-    let (cover_ms, covered) = timed(|| cfd_minimal_cover(&full));
-    assert_eq!(
-        covered, reference_covered,
-        "the masked minimal cover must equal dq_core::reference::cfd_minimal_cover"
-    );
-    let normalized: usize = full.iter().map(|c| c.normalize().len()).sum();
-    let dropped = normalized - covered.len();
-    // Both sides detected in the same merged-tableau representation, so the
-    // measured saving is the pruned pattern rows, not a representation
-    // artifact.
-    let full_merged = merge_fragments(&full.iter().flat_map(Cfd::normalize).collect::<Vec<_>>());
-    let covered_merged = merge_fragments(&covered);
-    let detect_workload = customer_workload_scaled(detect_size, error_rate);
-    let detect_reps = if smoke { 3 } else { 1 };
-    let (full_ms, full_report) = timed_median(detect_reps, || {
-        DetectionEngine::new().detect_cfd_violations(&detect_workload.dirty, &full_merged)
-    });
-    let (covered_ms, covered_report) = timed_median(detect_reps, || {
-        DetectionEngine::new().detect_cfd_violations(&detect_workload.dirty, &covered_merged)
-    });
-    assert_eq!(
-        full_report.is_clean(),
-        covered_report.is_clean(),
-        "cover pruning must not change the clean verdict"
-    );
-    let saved = full_ms - covered_ms;
-    println!(
-        "\nminimal cover of {normalized} normalized rules -> {} ({dropped} dropped): \
-         reference {reference_cover_ms:.1}ms, masked {cover_ms:.1}ms, covers identical",
-        covered.len()
-    );
-    println!(
-        "cover-pruned detection @ {detect_size} tuples: detection {full_ms:.1}ms -> \
-         {covered_ms:.1}ms ({saved:.1}ms saved)"
-    );
-    let profile_json = profile_field(profile, "cover-pruned detection", &[]);
-    rows.push(format!(
-        "    {{\"analysis\": \"minimal_cover\", \"variant\": \"mined_plus_paper_rules\", \
-         \"mine_tuples\": {mine_size}, \"detect_tuples\": {detect_size}, \
-         \"rules_normalized\": {normalized}, \"rules_covered\": {}, \"cover_dropped\": {dropped}, \
-         \"reference_cover_ms\": {reference_cover_ms:.3}, \"cover_ms\": {cover_ms:.3}, \
-         \"covers_identical\": true, \"detect_full_ms\": {full_ms:.3}, \
-         \"detect_covered_ms\": {covered_ms:.3}, \"detect_ms_saved\": {saved:.3}, \
-         \"verdicts_identical\": true{profile_json}}}",
-        covered.len()
-    ));
-
-    if smoke {
-        println!(
-            "\nsmoke mode: solver/naive verdicts identical on every row, artifact not written"
-        );
-        return;
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"table1_static_analysis_solver_vs_naive\",\n  \
-         \"workload\": \"parity-cycle and case-split gadgets; dq_gen::customer mined rules, error_rate {error_rate}, seed 42\",\n  \
-         \"threads\": {threads},\n  \"lint_messy\": {},\n  \"lint_inconsistent\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        messy_report.to_json(),
-        inconsistent_report.to_json(),
-        rows.join(",\n")
-    );
-    std::fs::write("BENCH_analysis.json", &json).expect("write BENCH_analysis.json");
-    println!("\nwrote BENCH_analysis.json");
-}
-
-/// Standalone `--profile` mode: one compact composite workload — CFD
-/// detection (cold, warm, then a patch-maintained round over donor-copy
-/// edits), interned FD/CFD/IND discovery and a U-repair fixpoint — run
-/// under the enabled recorder, followed by the span-tree flame summary
-/// and the full [`dq_obs::MetricsSnapshot`] JSON.  The snapshot pours the
-/// engine's pool stats and the columnar store's dictionary stats in
-/// through their `MetricSource` impls, so the poll-only structs and the
-/// live recorder land in one document: index build/extend/patch timings,
-/// partition cache hits/misses, per-level lattice spans and per-round
-/// repair cost all in one place.
-fn profile_mode() {
-    use dq_discovery::prelude::*;
-
-    header("Profile — composite detection/discovery/repair workload");
-    let size = 5_000;
-    let error_rate = 0.05;
-    let workload = customer_workload_scaled(size, error_rate);
-    let cfds = dq_gen::customer::paper_cfds();
-    let engine = DetectionEngine::new();
-
-    // Detection: cold, warm, then one maintained round over a handful of
-    // donor-copy edits so the patch path (index patches, report
-    // maintenance) shows up alongside the full builds.
-    let report = engine.detect_cfd_violations(&workload.dirty, &cfds);
-    let _ = engine.detect_cfd_violations(&workload.dirty, &cfds);
-    let mut patched = workload.dirty.clone();
-    let maintained = engine.maintain_cfd_violations(&patched, &cfds, None);
-    let ids = patched.ids();
-    let arity = patched.schema().arity();
-    for i in 0..16usize {
-        let attr = i % arity;
-        let value = patched
-            .tuple(ids[(i * 7 + 1) % ids.len()])
-            .expect("live")
-            .get(attr)
-            .clone();
-        patched
-            .update_cell(CellRef::new(ids[i % ids.len()], attr), value)
-            .expect("donor values are in-domain");
-    }
-    let maintained = engine.maintain_cfd_violations(&patched, &cfds, Some(&maintained));
-
-    // Discovery: the interned sweeps, fanned out across two workers so the
-    // striped partition cache records hits, builds and races.
-    let schema = workload.dirty.schema().clone();
-    let exclude = vec![schema.attr("phn"), schema.attr("name")];
-    let fds = discover_fds(
-        &workload.dirty,
-        &FdDiscoveryConfig {
-            max_lhs: 2,
-            max_g3: 0.0,
-            exclude: exclude.clone(),
-            use_interned: true,
-            threads: 2,
-        },
-    );
-    let mined = discover_cfds(
-        &workload.dirty,
-        &CfdDiscoveryConfig {
-            min_support: 4,
-            max_lhs: 2,
-            exclude,
-            threads: 2,
-            ..CfdDiscoveryConfig::default()
-        },
-    );
-    let orders = order_workload(2_000, 0.05);
-    let inds =
-        discover_inds(&orders.db, &IndDiscoveryConfig::default()).expect("schemas are compatible");
-
-    // Repair: a smaller dirty instance through the engine-backed fixpoint,
-    // so per-round cost histograms have several rounds to bucket.
-    let repair_workload = customer_workload_scaled(1_000, error_rate);
-    let outcome = repair_cfd_violations_with_engine(
-        &repair_workload.dirty,
-        &cfds,
-        &RepairCost::uniform(),
-        &RepairConfig::default(),
-        &engine,
-    )
-    .expect("paper CFD set is consistent");
-
-    println!(
-        "workload: {} violations detected ({} maintained after edits), \
-         {} FDs / {} CFDs / {} INDs discovered, repair converged in {} rounds (cost {:.1})",
-        report.total(),
-        maintained.report().total(),
-        fds.fds.len(),
-        mined.len(),
-        inds.inds.len(),
-        outcome.rounds,
-        outcome.log.cost
-    );
-
-    let mut snap = dq_obs::recorder().snapshot();
-    // Polled one-pool stats land under `engine.pool` — the live `pool.*`
-    // counters aggregate every pool in the process, so the names must not
-    // collide (snapshot counters are additive on ingest).
-    snap.ingest("engine.pool", &engine.pool_stats());
-    snap.ingest("columnar", &workload.dirty.columnar().stats());
-    println!("\nspan tree (total ms · calls · ms/call · % of parent):");
-    print!("{}", snap.render_span_tree());
-    println!("\nmetrics snapshot:");
-    println!("{}", snap.to_json());
 }
 
 fn figures_1_and_2() {
@@ -3074,34 +1291,20 @@ fn section_5_1_cind_insertions() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Flags, String> {
+    fn parse(args: &[&str]) -> Result<Option<Bench>, String> {
         parse_flags(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn parser_accepts_the_documented_flags_only() {
-        assert_eq!(parse(&[]), Ok(Flags::default()));
-        for (flag, bench) in BENCH_FLAGS {
-            let parsed = parse(&["--smoke", flag, "--profile"]).expect(flag);
-            assert_eq!(
-                parsed,
-                Flags {
-                    bench: Some(bench),
-                    smoke: true,
-                    profile: true
-                }
-            );
-            assert_eq!(parse(&[flag, flag]).expect(flag).bench, Some(bench));
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--delta-bench"]), Ok(Some(Bench::Delta)));
+        assert_eq!(parse(&["--discovery-bench"]), Ok(Some(Bench::Discovery)));
+        for retired in ["--detection-bench", "--scale-bench", "--smoke", "--profile"] {
+            assert!(parse(&[retired]).is_err(), "{retired}");
         }
-        assert_eq!(
-            parse(&["--profile"]),
-            Ok(Flags {
-                profile: true,
-                ..Flags::default()
-            })
-        );
-        assert!(parse(&["--detection"]).is_err());
-        assert!(parse(&["--smoke", "extra"]).is_err());
-        assert!(parse(&["--delta-bench", "--scale-bench"]).is_err());
+        assert!(parse(&["--delta-bench", "--smoke"]).is_err());
+        assert!(parse(&["--delta-bench", "--delta-bench"]).is_err());
+        assert!(parse(&["--delta-bench", "--discovery-bench"]).is_err());
     }
 }

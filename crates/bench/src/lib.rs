@@ -2,8 +2,7 @@
 //!
 //! Shared workload construction and measurement routines used by the
 //! Criterion benches (one per table/figure of the paper) and by the
-//! `harness` binary that prints the paper-style result tables recorded in
-//! `EXPERIMENTS.md`.
+//! `harness` binary that prints the paper-style result tables.
 
 use dq_core::prelude::*;
 use dq_gen::prelude::*;

@@ -14,9 +14,9 @@
 //!
 //! Diagnostics are ordered most-severe-first and carry the indices of the
 //! offending rules in the *input* slice, so callers can map them back to
-//! their own rule registry.  [`RuleLintReport::render`] produces the
-//! harness's human-readable form, [`RuleLintReport::to_json`] a
-//! machine-readable export.
+//! their own rule registry.  [`RuleLintReport::render`] produces a
+//! human-readable form, [`RuleLintReport::to_json`] a machine-readable
+//! export.
 
 use super::packed::PackedCfds;
 use super::solver::solve_cfd_consistency;

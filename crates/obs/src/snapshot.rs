@@ -140,8 +140,8 @@ impl MetricsSnapshot {
 
     /// Renders the recorded spans as an indented tree, children sorted
     /// by total time, with per-node totals, counts, means and the share
-    /// of the parent's time.  This is the `harness --profile` "flame
-    /// summary".
+    /// of the parent's time: a flame-style summary of where a run's time
+    /// went.
     pub fn render_span_tree(&self) -> String {
         let mut root = TreeNode::default();
         for (path, span) in &self.spans {

@@ -6,8 +6,8 @@
 //! and one `Vec<TupleId>` group per distinct projection.  The row-at-a-time
 //! detectors of `dq_core::reference` and the matcher of `dq_match::reference`
 //! group through it; the interned index and pool tests check their groups
-//! against it; and the bench harness reports its heap size as the baseline
-//! of the interned index's.
+//! against it; and `harness --discovery-bench` reports its heap size as the
+//! baseline of the pooled interned indexes'.
 
 use crate::instance::{RelationInstance, TupleId};
 use crate::value::Value;
@@ -81,7 +81,7 @@ impl HashIndex {
     /// Approximate heap bytes held by the index: map buckets, per-key value
     /// vectors and per-group id vectors.  String payloads are shared with
     /// the instance (`Arc`) and not counted.  This is the `Vec<Value>`-keyed
-    /// baseline the bench harness compares
+    /// baseline `harness --discovery-bench` compares the pooled
     /// [`InternedIndex::approx_heap_bytes`](crate::store::InternedIndex::approx_heap_bytes)
     /// against.
     pub fn approx_heap_bytes(&self) -> usize {

@@ -318,7 +318,8 @@ impl Column {
     }
 }
 
-/// Aggregate counters of a [`ColumnarStore`], reported by the bench harness.
+/// Aggregate counters of a [`ColumnarStore`]: dqbench reports them as its
+/// `relation.store` layer's distinct values and heap bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnarStats {
     /// Live rows in the snapshot.

@@ -2,10 +2,10 @@
 //!
 //! Detection algorithms group, probe and compare attribute values millions of
 //! times; materializing `Vec<Value>` keys per tuple dominates both the time
-//! and the memory of a cold detection pass (see `BENCH_detection.json`).  A
-//! [`ValueInterner`] maps every distinct value of a column to a dense `u32`
-//! so that downstream structures (columns, index keys, group projections)
-//! operate on machine integers instead.
+//! and the memory of a cold detection pass.  A [`ValueInterner`] maps every
+//! distinct value of a column to a dense `u32` so that downstream
+//! structures (columns, index keys, group projections) operate on machine
+//! integers instead.
 //!
 //! The encoding preserves the semantics of [`Value`]'s `Eq`/`Hash` (two
 //! values receive the same id iff they are equal, including `Null == Null`
@@ -196,7 +196,7 @@ impl PartialEq for DictValues<'_> {
     }
 }
 
-/// Summary counters of a [`ValueInterner`], reported by the bench harness.
+/// Summary counters of a [`ValueInterner`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InternerStats {
     /// Number of distinct values in the dictionary.

@@ -55,28 +55,19 @@ impl InsertionOutcome {
 }
 
 /// Repairs CIND violations by inserting the missing right-hand-side tuples
-/// (a bounded TGD-style chase), detecting through a fresh
-/// [`DetectionEngine`].
+/// (a bounded TGD-style chase).
+///
+/// Every chase round detects through one [`DetectionEngine`] carried across
+/// the rounds, probing its pooled interned RHS indexes; since the chase
+/// only *inserts*, each round's detection extends the previous round's
+/// indexes in place (the append-only pool fast path) rather than
+/// rebuilding them.
 pub fn repair_cind_violations_by_insertion(
     db: &Database,
     cinds: &[Cind],
     config: &InsertionRepairConfig,
 ) -> DqResult<InsertionOutcome> {
-    repair_cind_violations_by_insertion_with_engine(db, cinds, config, &DetectionEngine::new())
-}
-
-/// [`repair_cind_violations_by_insertion`] detecting through a shared
-/// [`DetectionEngine`]: every chase round probes the pooled interned RHS
-/// index instead of building a fresh `HashMap<Vec<Value>, _>` per CIND per
-/// round — and since the chase only *inserts*, each round's detection
-/// extends the previous round's indexes in place (the append-only pool fast
-/// path) rather than rebuilding them.
-pub fn repair_cind_violations_by_insertion_with_engine(
-    db: &Database,
-    cinds: &[Cind],
-    config: &InsertionRepairConfig,
-    engine: &DetectionEngine,
-) -> DqResult<InsertionOutcome> {
+    let engine = DetectionEngine::new();
     // Per-CIND detection inside the round (not one batched report up
     // front): an insertion made for one CIND can already satisfy — or
     // newly violate — the next one.
@@ -319,13 +310,10 @@ mod tests {
         .unwrap();
         let mut db = database(&[("x", "a"), ("y", "a"), ("z", "b")], &[("x", "A", 1)]);
         db.add_relation(RelationInstance::new(archive_schema));
-        let cinds = [cind(), second];
-        let engine = DetectionEngine::new();
-        let outcome = repair_cind_violations_by_insertion_with_engine(
+        let outcome = repair_cind_violations_by_insertion(
             &db,
-            &cinds,
+            &[cind(), second],
             &InsertionRepairConfig::default(),
-            &engine,
         )
         .unwrap();
         // Round 1: `y` gets its dst tuple, which the second CIND (checked
@@ -346,10 +334,6 @@ mod tests {
         assert_eq!(keys, [&Value::str("x"), &Value::str("y")]);
         let dst = outcome.repaired.relation("dst").unwrap();
         assert_eq!(dst.tuple(TupleId(1)).unwrap().get(0), &Value::str("y"));
-        assert!(
-            engine.pool_stats().appends > 0,
-            "insert-only chase rounds must extend pooled indexes, not rebuild"
-        );
     }
 
     #[test]

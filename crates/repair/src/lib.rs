@@ -31,8 +31,7 @@ pub mod xrepair;
 pub mod prelude {
     pub use crate::enumerate::{count_repairs, enumerate_repairs, example_5_1_instance};
     pub use crate::insertion::{
-        repair_cind_violations_by_insertion, repair_cind_violations_by_insertion_with_engine,
-        InsertionOutcome, InsertionRepairConfig,
+        repair_cind_violations_by_insertion, InsertionOutcome, InsertionRepairConfig,
     };
     pub use crate::model::{
         check_u_repair, check_x_repair, RepairCost, RepairLog, RepairModel, Weights,

@@ -51,7 +51,8 @@
 //! ```
 //!
 //! See `examples/` for end-to-end cleaning, integration and record-matching
-//! scenarios, and `crates/bench` for the experiment harness.
+//! scenarios, `crates/bench` for the paper walkthrough (the `harness`
+//! binary), and `crates/bench/src/bin/dqbench` for the repository benchmark.
 
 pub use dq_cleaning as cleaning;
 pub use dq_core as core;

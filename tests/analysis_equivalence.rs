@@ -226,6 +226,194 @@ fn fast_paths_cover_infinite_domains_and_agree_with_naive() {
     }
 }
 
+/// A parity cycle over `k` boolean attributes: for every `i` the rules
+/// `(b_i = v → b_{i+1 mod k} = v)` propagate the value around the cycle;
+/// the `flip` variant negates the closing edge, so every assignment runs
+/// into a contradiction.  No rule forces a constant unconditionally, so the
+/// instance is decided by search: the reference's blind backtracking tests
+/// satisfaction only at full depth (`2^k` leaves when inconsistent).
+fn parity_cycle_cfds(k: usize, flip: bool) -> Vec<Cfd> {
+    let schema = Arc::new(RelationSchema::new(
+        "parity",
+        (0..k).map(|i| (format!("b{i}"), Domain::Bool)),
+    ));
+    (0..k)
+        .map(|i| {
+            let invert = flip && i == k - 1;
+            let rows = [true, false]
+                .iter()
+                .map(|&v| PatternTuple::new(vec![cst(v)], vec![cst(if invert { !v } else { v })]))
+                .collect();
+            Cfd::from_indices(&schema, vec![i], vec![(i + 1) % k], rows).unwrap()
+        })
+        .collect()
+}
+
+/// The finite-domain implication gadget of Section 4.1: sigma forces
+/// `B = b0` whichever boolean value `a0` takes, so `([a0..a_{k-1}] → B)`
+/// with RHS pattern `b0` is implied — but only by case analysis over the
+/// boolean domain, which the quadratic closure cannot see.
+fn implication_gadget(k: usize) -> (Vec<Cfd>, Cfd) {
+    let mut attrs: Vec<(String, Domain)> =
+        (0..k).map(|i| (format!("a{i}"), Domain::Bool)).collect();
+    attrs.push(("B".into(), Domain::Text));
+    let schema = Arc::new(RelationSchema::new("imp", attrs));
+    let sigma = [true, false]
+        .iter()
+        .map(|&v| {
+            let row = PatternTuple::new(vec![cst(v)], vec![cst("b0")]);
+            Cfd::from_indices(&schema, vec![0], vec![k], vec![row]).unwrap()
+        })
+        .collect();
+    let row = PatternTuple::new(vec![wild(); k], vec![cst("b0")]);
+    let phi = Cfd::from_indices(&schema, (0..k).collect(), vec![k], vec![row]).unwrap();
+    (sigma, phi)
+}
+
+/// On the search gadgets — parity cycles both ways and the boolean case
+/// split — the solver's verdicts equal the reference's at every thread
+/// count: the flipped cycle is inconsistent, the consistent cycle's witness
+/// satisfies it under the reference detector, and the case split is
+/// implied although the quadratic closure cannot prove it.
+#[test]
+fn solver_decides_the_search_gadgets_like_the_reference() {
+    for k in [6, 8] {
+        let cycle = parity_cycle_cfds(k, true);
+        let cycle_ok = parity_cycle_cfds(k, false);
+        let (sigma, phi) = implication_gadget(k);
+        assert!(
+            !reference::cfd_set_consistent(&cycle).consistent,
+            "the flipped parity cycle is inconsistent (k = {k})"
+        );
+        assert!(reference::cfd_set_consistent(&cycle_ok).consistent);
+        assert!(
+            !cfd_implies_closure(&sigma, &phi),
+            "the gadget must defeat the quadratic closure (k = {k})"
+        );
+        assert!(reference::cfd_implies_exact(&sigma, &phi), "k = {k}");
+        for threads in THREAD_COUNTS {
+            assert!(
+                !solve_cfd_consistency(&cycle, threads).consistent,
+                "k = {k}"
+            );
+            let solved = solve_cfd_consistency(&cycle_ok, threads);
+            assert!(solved.consistent, "k = {k}");
+            let witness = solved
+                .witness_tuple()
+                .expect("consistent verdicts carry a witness");
+            let mut singleton = RelationInstance::new(Arc::clone(cycle_ok[0].schema()));
+            singleton.insert(witness.clone()).unwrap();
+            assert!(
+                reference::detect_cfd_violations(&singleton, &cycle_ok).is_clean(),
+                "the solver witness must satisfy the cycle (k = {k})"
+            );
+            assert!(
+                solve_cfd_implication(&sigma, &phi, threads).implied,
+                "k = {k}"
+            );
+        }
+    }
+}
+
+/// The lint showcase: a consistent but messy set (a subsumed tableau row,
+/// a rule repeated verbatim) lints consistent, and two wildcard-LHS rules
+/// forcing different cities form a two-rule inconsistent core.
+#[test]
+fn lint_reports_the_showcase_sets() {
+    let schema = Arc::new(RelationSchema::new(
+        "lint_demo",
+        [
+            ("CC", Domain::Text),
+            ("AC", Domain::Text),
+            ("city", Domain::Text),
+        ],
+    ));
+    let rule = |lhs: Vec<usize>, rows: Vec<PatternTuple>| {
+        Cfd::from_indices(&schema, lhs, vec![2], rows).unwrap()
+    };
+    let subsumed = rule(
+        vec![0, 1],
+        vec![
+            PatternTuple::new(vec![cst("44"), wild()], vec![wild()]),
+            PatternTuple::new(vec![cst("44"), cst("131")], vec![wild()]),
+        ],
+    );
+    let constant = rule(
+        vec![0],
+        vec![PatternTuple::new(vec![cst("01")], vec![cst("MH")])],
+    );
+    let messy = lint_cfds(&[subsumed, constant.clone(), constant]);
+    assert!(messy.is_consistent());
+    let force = |city: &str| {
+        rule(
+            vec![0],
+            vec![PatternTuple::new(vec![wild()], vec![cst(city)])],
+        )
+    };
+    let inconsistent = lint_cfds(&[
+        rule(
+            vec![1],
+            vec![PatternTuple::new(vec![cst("131")], vec![wild()])],
+        ),
+        force("EDI"),
+        force("NYC"),
+    ]);
+    assert!(!inconsistent.is_consistent());
+    assert_eq!(
+        inconsistent.core().map(<[usize]>::len),
+        Some(2),
+        "two wildcard-LHS rules forcing different constants form the core"
+    );
+}
+
+/// Rules mined on 2,000 scaled customers plus the paper's: the solver's
+/// consistency verdict equals the reference's, the masked minimal cover
+/// equals `dq_core::reference::cfd_minimal_cover`, and on 20,000 customers
+/// detection with the cover gives the clean verdict of detection with the
+/// full normalized set, on the dirty and the clean instance.
+#[test]
+#[ignore = "reference cover and consistency on a mined set: run in release with --ignored"]
+fn minimal_cover_keeps_detection_verdicts_on_scaled_customers() {
+    let scaled = |tuples: usize| {
+        generate_customers(&CustomerConfig {
+            tuples,
+            error_rate: 0.05,
+            seed: 42,
+            cities_per_country: (tuples / 2_000).max(3),
+        })
+    };
+    let mine = scaled(2_000).dirty;
+    let schema = mine.schema();
+    let mined = discover_cfds(
+        &mine,
+        &CfdDiscoveryConfig {
+            exclude: vec![schema.attr("phn"), schema.attr("name")],
+            ..CfdDiscoveryConfig::default()
+        },
+    );
+    let mut full = mined.all();
+    full.extend(paper_cfds());
+    assert_eq!(
+        solve_cfd_consistency(&full, 0).consistent,
+        reference::cfd_set_consistent(&full).consistent,
+        "solver and reference consistency verdicts must be identical on the mined set"
+    );
+    let covered = cfd_minimal_cover(&full);
+    assert_eq!(covered, reference::cfd_minimal_cover(&full));
+    let normalized: Vec<Cfd> = full.iter().flat_map(Cfd::normalize).collect();
+    let detect = scaled(20_000);
+    for instance in [&detect.dirty, &detect.clean] {
+        let engine = DetectionEngine::new();
+        assert_eq!(
+            engine
+                .detect_cfd_violations(instance, &normalized)
+                .is_clean(),
+            engine.detect_cfd_violations(instance, &covered).is_clean(),
+            "cover pruning must not change the clean verdict"
+        );
+    }
+}
+
 /// The lint core is (a) really inconsistent and (b) minimal: removing any
 /// single rule restores consistency, per the naive oracle.
 #[test]

@@ -158,6 +158,33 @@ fn grouped_and_pair_reports_are_equal_exactly_when_their_pairs_are() {
     assert!(!again.is_materialized(), "grouped equality builds no pairs");
 }
 
+/// On 2,000 customers over the paper's three cities per country (seed 42,
+/// 5% errors: `[CC, AC]` groups of hundreds of tuples spanning two
+/// snapshot chunks), engine detection of the paper CFDs and of their
+/// normalized fragments equals the reference, cold and then warm on the
+/// same engine.
+#[test]
+fn engine_detection_equals_the_reference_on_scaled_customers() {
+    let instance = generate_customers(&CustomerConfig {
+        tuples: 2_000,
+        error_rate: 0.05,
+        seed: 42,
+        cities_per_country: 3,
+    })
+    .dirty;
+    let paper = paper_cfds();
+    let normalized: Vec<Cfd> = paper.iter().flat_map(|c| c.normalize()).collect();
+    for (label, cfds) in [("paper", &paper), ("normalized", &normalized)] {
+        let expected = reference::detect_cfd_violations(&instance, cfds);
+        let engine = DetectionEngine::new();
+        let cold = engine.detect_cfd_violations(&instance, cfds);
+        assert_eq!(cold, expected, "{label}: cold engine");
+        let warm = engine.detect_cfd_violations(&instance, cfds);
+        assert_eq!(warm, expected, "{label}: warm engine");
+        assert_eq!(warm.total(), expected.total(), "{label}: totals");
+    }
+}
+
 fn engine_variants() -> Vec<DetectionEngine> {
     vec![
         DetectionEngine::with_threads(1),

@@ -547,6 +547,74 @@ proptest! {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// 2,000 customers (seed 42, 5% errors) over the paper's three cities per
+/// country: the scaled workload of the discovery bench, with
+/// multi-thousand-tuple `[CC, AC]` groups.
+fn scaled_customers() -> RelationInstance {
+    generate_customers(&CustomerConfig {
+        tuples: 2_000,
+        error_rate: 0.05,
+        seed: 42,
+        cities_per_country: 3,
+    })
+    .dirty
+}
+
+/// FD and CFD discovery on 2,000 scaled customers equal the naive and
+/// reference sweeps at 1 and 2 threads, each run cold on a fresh instance:
+/// the FDs, the variable and constant CFDs and every `candidates_checked`
+/// tally, CFDs also at a binding `max_tableau` of 4.
+#[test]
+#[ignore = "2,000-tuple reference CFD miner at two caps: run in release with --ignored"]
+fn discovery_equals_the_reference_on_scaled_customers() {
+    let instance = scaled_customers();
+    let schema = instance.schema().clone();
+    let exclude = vec![schema.attr("phn"), schema.attr("name")];
+    let fd_cfg = |use_interned, threads| FdDiscoveryConfig {
+        max_lhs: 2,
+        max_g3: 0.0,
+        exclude: exclude.clone(),
+        use_interned,
+        threads,
+    };
+    let cfd_cfg = |max_tableau, threads| CfdDiscoveryConfig {
+        min_support: 4,
+        max_lhs: 2,
+        max_tableau,
+        exclude: exclude.clone(),
+        threads,
+        ..CfdDiscoveryConfig::default()
+    };
+    let default_cap = CfdDiscoveryConfig::default().max_tableau;
+    let naive_fds = discover_fds(&instance, &fd_cfg(false, 1));
+    for threads in [1, 2] {
+        let fds = discover_fds(&scaled_customers(), &fd_cfg(true, threads));
+        assert_eq!(fds.fds, naive_fds.fds, "threads {threads}");
+        assert_eq!(
+            fds.candidates_checked, naive_fds.candidates_checked,
+            "threads {threads}"
+        );
+    }
+    for max_tableau in [default_cap, 4] {
+        let slow = reference::discover_cfds(&instance, &cfd_cfg(max_tableau, 1));
+        for threads in [1, 2] {
+            let fast = discover_cfds(&scaled_customers(), &cfd_cfg(max_tableau, threads));
+            assert_eq!(
+                fast.variable_cfds, slow.variable_cfds,
+                "max_tableau {max_tableau}, threads {threads}"
+            );
+            assert_eq!(
+                fast.constant_cfds, slow.constant_cfds,
+                "max_tableau {max_tableau}, threads {threads}"
+            );
+            assert_eq!(
+                fast.candidates_checked, slow.candidates_checked,
+                "max_tableau {max_tableau}, threads {threads}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -855,6 +923,104 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// 2,000 orders (seed 42, 5% violations) plus the mining variant of the
+/// same size: no injected violations, but one dangling `CD` order per 20,
+/// so the unconditional embedded IND breaks while every book order still
+/// has its `book` counterpart — the shape from which CIND mining must
+/// recover cind1's `type = 'book'` condition.
+fn order_bench_databases() -> (Database, Database) {
+    let orders = |violation_rate| {
+        generate_orders(&OrderConfig {
+            orders: 2_000,
+            violation_rate,
+            seed: 42,
+        })
+        .db
+    };
+    let mut mining = orders(0.0);
+    let order = mining.relation_mut("order").expect("order relation");
+    for i in 0..100 {
+        order
+            .insert_values([
+                Value::str(format!("x{i}")),
+                Value::str(format!("Dangling {i}")),
+                Value::str("CD"),
+                Value::real(1.0),
+            ])
+            .expect("order tuple fits the schema");
+    }
+    (orders(0.05), mining)
+}
+
+/// IND discovery and CIND condition mining on the order workloads above
+/// equal `dq_discovery::reference`, and mining recovers the
+/// `type = 'book'` condition.  The interned miners run first, so they
+/// build every snapshot and distinct set cold.
+#[test]
+fn inclusion_mining_equals_the_reference_on_the_order_workload() {
+    let (db, mining) = order_bench_databases();
+    let config = IndDiscoveryConfig::default();
+    let embedded = embedded_ind(&mining);
+    let inds = discover_inds(&db, &config).unwrap();
+    let cinds = discover_cind_conditions(&mining, &embedded, &config).unwrap();
+
+    let expected = reference::discover_inds(&db, &config).unwrap();
+    assert_eq!(
+        inds.inds, expected.inds,
+        "interned IND discovery must report identical dependencies"
+    );
+    assert_eq!(inds.candidates_checked, expected.candidates_checked);
+    let expected = reference::discover_cind_conditions(&mining, &embedded, &config).unwrap();
+    assert!(
+        expected
+            .iter()
+            .any(|c| c.tableau().iter().any(|p| p.lhs == [Value::str("book")])),
+        "mining must recover the type = 'book' condition"
+    );
+    assert_eq!(
+        cinds, expected,
+        "interned CIND mining must report identical conditions"
+    );
+}
+
+/// Asserts engine IND and CIND detection over `db` — the paper's CINDs and
+/// `ind` — identical to `dq_core::reference` at 1 and 2 threads, with
+/// `ignore_nulls` both ways.
+fn assert_inclusion_detection_matches_reference(db: &Database, ind: &dq_core::ind::Ind) {
+    let cinds = dq_gen::orders::paper_cinds();
+    let expected_cinds = dq_core::reference::detect_cind_violations(db, &cinds).unwrap();
+    for threads in [1, 2] {
+        let engine = DetectionEngine::with_threads(threads);
+        assert_eq!(
+            engine.detect_cind_violations(db, &cinds).unwrap(),
+            expected_cinds,
+            "engine CIND detection must equal the reference ({threads} threads)"
+        );
+        for ignore_nulls in [false, true] {
+            let expected = dq_core::reference::ind_violations(ind, db, ignore_nulls).unwrap();
+            assert_eq!(
+                engine
+                    .detect_ind_violations(db, std::slice::from_ref(ind), ignore_nulls)
+                    .unwrap(),
+                [expected],
+                "engine IND detection must equal the reference \
+                 ({threads} threads, ignore_nulls {ignore_nulls})"
+            );
+        }
+    }
+}
+
+/// Engine detection of the paper's CINDs and of the embedded
+/// `order(title, price) ⊆ book(title, price)` IND — their shared inclusion
+/// kernel — equals the reference on both order workloads above.
+#[test]
+fn inclusion_detection_equals_the_reference_on_the_order_workload() {
+    let (db, mining) = order_bench_databases();
+    for db in [&db, &mining] {
+        assert_inclusion_detection_matches_reference(db, &embedded_ind(db));
     }
 }
 

@@ -337,6 +337,114 @@ fn every_candidate_key_matches_the_reference() {
     assert_eq!(learned.candidates_evaluated, keys.len());
 }
 
+/// The card/billing workload of the Section 3 experiments: 80% of holders
+/// billed, 40% of names abbreviated and of phones and e-mails changed, one
+/// distractor per ten holders, seed 42.
+fn section_3_workload(holders: usize) -> CardWorkload {
+    generate_cards(&CardConfig {
+        holders,
+        billing_rate: 0.8,
+        abbreviate_rate: 0.4,
+        phone_change_rate: 0.4,
+        email_change_rate: 0.4,
+        distractors: holders / 10,
+        seed: 42,
+    })
+}
+
+/// The Section 3 rule sets at experiment scale equal the reference, cold
+/// (fresh engine) and warm (the same engine again): the given LN/addr/FN
+/// equality rule and the derived RCKs (email join, FN edit relaxation) at
+/// 2,000 holders, and a rule with no equality premise (FN q-gram, LN and
+/// addr edit distance), which the reference checks on the full cross
+/// product, at 500 holders.
+#[test]
+#[ignore = "quadratic reference runs: run in release with --ignored"]
+fn section_3_rule_sets_match_the_reference_cold_and_warm() {
+    let w = section_3_workload(2_000);
+    let key = |comparisons: Vec<(&str, &str, SimilarityOp)>| {
+        RelativeKey::new(w.card.schema(), w.billing.schema(), comparisons, &YC, &YB).unwrap()
+    };
+    let given = vec![key(vec![
+        ("LN", "SN", SimilarityOp::Equality),
+        ("addr", "post", SimilarityOp::Equality),
+        ("FN", "FN", SimilarityOp::Equality),
+    ])];
+    let mut derived = given.clone();
+    derived.push(key(vec![
+        ("email", "email", SimilarityOp::Equality),
+        ("addr", "post", SimilarityOp::Equality),
+    ]));
+    derived.push(key(vec![
+        ("LN", "SN", SimilarityOp::Equality),
+        ("addr", "post", SimilarityOp::Equality),
+        ("FN", "FN", SimilarityOp::edit(3)),
+    ]));
+    let fuzzy = vec![key(vec![
+        (
+            "FN",
+            "FN",
+            SimilarityOp::QGram {
+                q: 2,
+                min_similarity: 0.5,
+            },
+        ),
+        ("LN", "SN", SimilarityOp::edit(2)),
+        ("addr", "post", SimilarityOp::edit(5)),
+    ])];
+    let small = section_3_workload(500);
+    for (label, rules, w) in [
+        ("given", given, &w),
+        ("derived", derived, &w),
+        ("fuzzy", fuzzy, &small),
+    ] {
+        let expected = reference::run_rules(&rules, &w.card, &w.billing);
+        let matcher = Matcher::new(rules);
+        let eng = engine(0);
+        for pass in ["cold", "warm"] {
+            let got = matcher.run(&eng, &w.card, &w.billing);
+            assert_eq!(got.matches, expected.matches, "{label}: {pass} matches");
+            assert_eq!(
+                got.rule_hits, expected.rule_hits,
+                "{label}: {pass} rule hits"
+            );
+        }
+    }
+}
+
+/// "Same phone and a similar first name ⇒ same e-mail" on 2,000 holders:
+/// the engine reports the reference's violations in the reference's order,
+/// cold and warm.
+#[test]
+#[ignore = "quadratic reference run: run in release with --ignored"]
+fn md_violations_match_the_reference_at_experiment_scale() {
+    let w = section_3_workload(2_000);
+    let md = MatchingDependency::new(
+        w.card.schema(),
+        w.billing.schema(),
+        vec![
+            ("tel", "phn", MatchOp::eq()),
+            ("FN", "FN", MatchOp::edit(3)),
+        ],
+        &["email"],
+        &["email"],
+        MatchOp::eq(),
+    )
+    .unwrap();
+    let truth = w.truth.clone();
+    let oracle = move |a, b| truth.contains(&(a, b));
+    let expected = reference::md_violations(&md, &w.card, &w.billing, &oracle);
+    assert!(!expected.is_empty(), "changed e-mails must violate the MD");
+    let eng = engine(0);
+    for pass in ["cold", "warm"] {
+        assert_eq!(
+            md.violations(&w.card, &w.billing, &oracle, &eng),
+            expected,
+            "{pass}"
+        );
+    }
+}
+
 /// `match_against_master` post-processing applied to reference matches:
 /// per dirty tuple the smallest matching master id, and the number of
 /// dirty tuples with more than one candidate.

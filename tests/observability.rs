@@ -522,6 +522,182 @@ fn snapshot_patches_count_copied_and_shared_chunks() {
     assert_eq!(counter("store.patch.chunks_shared"), 3 + 3 + 2);
 }
 
+/// Every this many rounds, the delta stream below also removes a random
+/// live tuple.
+const DELTA_REMOVE_EVERY: usize = 3;
+
+/// A monitor-shaped write stream over 2,000 scaled customers — per round
+/// four donor-copy cell edits and one duplicate-tuple append, plus a
+/// removal every [`DELTA_REMOVE_EVERY`]th round, driven by a fixed LCG —
+/// keeps the maintained report equal to the reference detector after every
+/// round, and is served by patches, never by rebuilds:
+/// * after round 0 every pool miss is an upgrade (`misses == patches +
+///   appends`), removals included;
+/// * violating groups are patched from their previous RHS classes
+///   (`maintain.cfd.groups_patched` grows), not classified in full;
+/// * snapshot patches share the chunks no write reached
+///   (`store.patch.chunks_shared` grows), not copy whole columns.
+///
+/// The identity holds with the recorder on, so instrumentation does not
+/// steer the delta path either.
+#[test]
+fn delta_stream_is_maintained_by_patches() {
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let mut instance = generate_customers(&CustomerConfig {
+        tuples: 2_000,
+        error_rate: 0.05,
+        seed: 42,
+        cities_per_country: 3,
+    })
+    .dirty;
+    let cfds = paper_cfds();
+    let engine = DetectionEngine::new();
+    let mut maintained = engine.maintain_cfd_violations(&instance, &cfds, None);
+    assert_eq!(
+        maintained.report(),
+        &dq_core::reference::detect_cfd_violations(&instance, &cfds)
+    );
+    let built = engine.pool_stats();
+    let groups_patched = dq_obs::recorder().counter("maintain.cfd.groups_patched");
+    let chunks_shared = dq_obs::recorder().counter("store.patch.chunks_shared");
+    let (patched_before, shared_before) = (groups_patched.value(), chunks_shared.value());
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let arity = instance.schema().arity();
+    for round in 0..8 {
+        let ids = instance.ids();
+        let edits: Vec<_> = (0..4)
+            .map(|_| {
+                let target = ids[next() % ids.len()];
+                let attr = next() % arity;
+                let donor = ids[next() % ids.len()];
+                let value = instance.tuple(donor).expect("live").get(attr).clone();
+                (target, attr, value)
+            })
+            .collect();
+        let append = instance
+            .tuple(ids[next() % ids.len()])
+            .expect("live")
+            .clone();
+        let removal =
+            (round % DELTA_REMOVE_EVERY == DELTA_REMOVE_EVERY - 1).then(|| ids[next() % ids.len()]);
+        for (target, attr, value) in edits {
+            instance
+                .update_cell(CellRef::new(target, attr), value)
+                .expect("donor values are in-domain");
+        }
+        instance.insert(append).expect("same schema");
+        if let Some(id) = removal {
+            instance.remove(id).expect("removed tuples are live");
+        }
+        maintained = engine.maintain_cfd_violations(&instance, &cfds, Some(&maintained));
+        assert_eq!(
+            maintained.report(),
+            &dq_core::reference::detect_cfd_violations(&instance, &cfds),
+            "round {round}"
+        );
+        let stats = engine.pool_stats();
+        assert_eq!(
+            stats.misses - built.misses,
+            (stats.patches - built.patches) + (stats.appends - built.appends),
+            "after round 0 every pool miss is an upgrade, removals included (round {round})"
+        );
+    }
+    assert!(
+        engine.pool_stats().patches > 0,
+        "the mixed stream must be served by index patches"
+    );
+    assert!(
+        groups_patched.value() > patched_before,
+        "maintenance rounds must patch violating groups from their classes, \
+         not classify them in full"
+    );
+    assert!(
+        chunks_shared.value() > shared_before,
+        "snapshot patches must share the chunks no write reached, not copy whole columns"
+    );
+}
+
+/// The insertion chase carries one engine across its rounds and only
+/// inserts, so the second round's detection extends the first round's
+/// pooled indexes (`pool.appends`) instead of rebuilding them.
+#[test]
+fn insertion_chase_extends_pooled_indexes_between_rounds() {
+    use dq_repair::insertion::{repair_cind_violations_by_insertion, InsertionRepairConfig};
+    use std::sync::Arc;
+
+    let _session = RecorderSession::begin();
+    dq_obs::set_enabled(true);
+    let src = Arc::new(RelationSchema::new(
+        "src",
+        [("k", Domain::Text), ("kind", Domain::Text)],
+    ));
+    let dst = Arc::new(RelationSchema::new(
+        "dst",
+        [("k", Domain::Text), ("label", Domain::Text)],
+    ));
+    let archive = Arc::new(RelationSchema::new("archive", [("k", Domain::Text)]));
+    // src[k; kind = 'a'] ⊆ dst[k; label = 'A'], then dst[k; label = 'A'] ⊆ archive[k].
+    let cinds = [
+        Cind::new(
+            &src,
+            &["k"],
+            &["kind"],
+            &dst,
+            &["k"],
+            &["label"],
+            vec![CindPattern::new(
+                vec![Value::str("a")],
+                vec![Value::str("A")],
+            )],
+        )
+        .unwrap(),
+        Cind::new(
+            &dst,
+            &["k"],
+            &["label"],
+            &archive,
+            &["k"],
+            &[],
+            vec![CindPattern::new(vec![Value::str("A")], vec![])],
+        )
+        .unwrap(),
+    ];
+    let mut db = Database::new();
+    let mut src_rows = RelationInstance::new(src);
+    for (k, kind) in [("x", "a"), ("y", "a"), ("z", "b")] {
+        src_rows
+            .insert_values([Value::str(k), Value::str(kind)])
+            .unwrap();
+    }
+    let mut dst_rows = RelationInstance::new(dst);
+    dst_rows
+        .insert_values([Value::str("x"), Value::str("A")])
+        .unwrap();
+    db.add_relation(src_rows);
+    db.add_relation(dst_rows);
+    db.add_relation(RelationInstance::new(archive));
+
+    let outcome =
+        repair_cind_violations_by_insertion(&db, &cinds, &InsertionRepairConfig::default())
+            .unwrap();
+    assert_eq!(outcome.insertion_count(), 3);
+    assert_eq!(outcome.rounds, 2);
+    assert!(outcome.consistent);
+    let snap = dq_obs::recorder().snapshot();
+    assert!(
+        snap.counters.get("pool.appends").copied().unwrap_or(0) > 0,
+        "insert-only chase rounds must extend pooled indexes, not rebuild"
+    );
+}
+
 /// A pool upgrade takes its predecessor out of the cache and hands it to the
 /// patch: the live `pool.entries` gauge keeps agreeing with the polled
 /// entry count, a predecessor nobody else holds is taken over without a
@@ -756,6 +932,78 @@ fn release_shard_releases_only_that_shards_segments() {
         assert_eq!(released() - before, segment_bytes, "shard {shard}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Instrumentation only observes entity matching and static analysis too:
+/// a `Matcher` run's matches and rule hits, and the minimal cover, lint
+/// report and solver consistency verdict of mined plus paper rules, are
+/// byte-identical with the recorder on and off.
+#[test]
+fn matching_and_analysis_are_byte_identical_with_instrumentation_on_and_off() {
+    use dq_core::analysis::solver::solve_cfd_consistency;
+    use dq_discovery::prelude::*;
+    use dq_gen::cards::{generate_cards, CardConfig};
+    use dq_match::prelude::{Matcher, MatchingEngine, RelativeKey, SimilarityOp};
+
+    let _session = RecorderSession::begin();
+    let cards = generate_cards(&CardConfig {
+        holders: 200,
+        seed: 42,
+        ..CardConfig::default()
+    });
+    let rules = vec![RelativeKey::new(
+        cards.card.schema(),
+        cards.billing.schema(),
+        vec![
+            ("LN", "SN", SimilarityOp::Equality),
+            ("addr", "post", SimilarityOp::Equality),
+            ("FN", "FN", SimilarityOp::edit(3)),
+        ],
+        &dq_match::paper::YC,
+        &dq_match::paper::YB,
+    )
+    .expect("well-formed relative key")];
+    let customers = generate_customers(&CustomerConfig {
+        tuples: 200,
+        error_rate: 0.0,
+        seed: 42,
+        cities_per_country: 8,
+    });
+    let mut sigma = discover_cfds(
+        &customers.dirty,
+        &CfdDiscoveryConfig {
+            max_lhs: 2,
+            ..CfdDiscoveryConfig::default()
+        },
+    )
+    .all();
+    sigma.extend(paper_cfds());
+
+    let mut runs = Vec::new();
+    for enabled in [false, true] {
+        dq_obs::set_enabled(enabled);
+        dq_obs::recorder().reset();
+        let engine = MatchingEngine::new(std::sync::Arc::new(IndexPool::new())).with_threads(2);
+        let matched = Matcher::new(rules.clone()).run(&engine, &cards.card, &cards.billing);
+        assert!(!matched.matches.is_empty(), "the rule must match something");
+        runs.push((
+            format!("{:?}/{:?}", matched.matches, matched.rule_hits),
+            format!(
+                "{:?}/{}/{}",
+                cfd_minimal_cover(&sigma),
+                lint_cfds(&sigma).render(),
+                solve_cfd_consistency(&sigma, 2).consistent
+            ),
+        ));
+    }
+    assert_eq!(
+        runs[0].0, runs[1].0,
+        "entity matches changed under instrumentation"
+    );
+    assert_eq!(
+        runs[0].1, runs[1].1,
+        "static analysis changed under instrumentation"
+    );
 }
 
 fn workload_config() -> impl Strategy<Value = CustomerConfig> {

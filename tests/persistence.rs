@@ -385,6 +385,68 @@ fn mapped_fd_discovery_matches_in_ram() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// 20,000 scaled customers persisted in two saves at 1,024 rows per shard
+/// — the first from scratch, the second an incremental extension that
+/// spills dictionary overlays — re-open as a multi-shard mapped relation
+/// whose CFD detection (the paper's rules) and FD discovery equal the
+/// in-RAM engines'.
+#[test]
+fn scaled_customers_saved_in_two_steps_detect_and_discover_like_in_ram() {
+    let shard_rows = 1 << 10;
+    let dir = tmp_dir("scaled");
+    let workload = dq_gen::customer::generate_customers(&dq_gen::customer::CustomerConfig {
+        tuples: 20_000,
+        error_rate: 0.05,
+        seed: 42,
+        cities_per_country: 10,
+    });
+    let mut staged = RelationInstance::new(workload.dirty.schema().clone());
+    let split = workload.dirty.len() * 3 / 4;
+    for (_, tuple) in workload.dirty.iter().take(split) {
+        staged.insert(tuple.clone()).unwrap();
+    }
+    let first = staged
+        .columnar()
+        .save_to_with_shard_rows(&staged, &dir, shard_rows)
+        .unwrap();
+    assert!(!first.incremental, "the first save writes from scratch");
+    for (_, tuple) in workload.dirty.iter().skip(split) {
+        staged.insert(tuple.clone()).unwrap();
+    }
+    let second = staged
+        .columnar()
+        .save_to_with_shard_rows(&staged, &dir, shard_rows)
+        .unwrap();
+    assert!(
+        second.incremental,
+        "append-only growth must extend the snapshot, not rewrite it"
+    );
+    let mapped = persist::open_mmap(&dir).unwrap();
+    assert!(mapped.len() / shard_rows >= 2, "must span several shards");
+
+    let cfds = dq_gen::customer::paper_cfds();
+    let engine = DetectionEngine::new();
+    assert!(
+        engine.detect_cfd_violations_from_shards(&mapped, &cfds)
+            == engine.detect_cfd_violations(&staged, &cfds),
+        "mmap CFD detection must be identical to the in-RAM engine"
+    );
+    let schema = staged.schema();
+    let config = FdDiscoveryConfig {
+        max_lhs: 2,
+        exclude: vec![schema.attr("phn"), schema.attr("name")],
+        ..FdDiscoveryConfig::default()
+    };
+    let expected = discover_fds(&staged, &config);
+    let got = discover_fds_from_shards(&mapped, &config);
+    assert_eq!(
+        got.fds, expected.fds,
+        "mmap FD discovery must match the in-RAM engine"
+    );
+    assert_eq!(got.candidates_checked, expected.candidates_checked);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Damaged segments must come back as typed `DqError`s — never a panic,
 /// never a silent wrong answer.
 #[test]
