@@ -7,5 +7,9 @@
 
 pub mod csv;
 pub mod index;
+pub mod interner;
+pub mod scan;
 
 pub use index::HashIndex;
+pub use interner::MapInterner;
+pub use scan::hash_scan;

@@ -318,6 +318,49 @@ impl Column {
     }
 }
 
+/// Walks rows `rows` of `columns` in lockstep runs: `f(start, len, ids)`
+/// receives one `len`-long id slice per column, covering the `len` rows
+/// from `start`, in row order.  A run ends where any column's backing
+/// chunk or mapped segment does; columns of one source share their
+/// boundaries, so a run is usually one whole chunk or segment.  With no
+/// columns, the whole range is one run of empty slices.
+pub(crate) fn walk_runs(
+    columns: &[Arc<Column>],
+    rows: Range<usize>,
+    mut f: impl FnMut(usize, usize, &[&[ValueId]]),
+) {
+    if rows.is_empty() {
+        return;
+    }
+    if columns.is_empty() {
+        return f(rows.start, rows.len(), &[]);
+    }
+    let parts: Vec<Vec<&[ValueId]>> = columns.iter().map(|c| c.shard_ids(rows.clone())).collect();
+    // Per column: the part being read and the offset into it.
+    let mut at = vec![(0usize, 0usize); columns.len()];
+    let mut run: Vec<&[ValueId]> = Vec::with_capacity(columns.len());
+    let mut row = rows.start;
+    while row < rows.end {
+        let len = parts
+            .iter()
+            .zip(&at)
+            .map(|(p, &(part, off))| p[part].len() - off)
+            .min()
+            .expect("at least one column");
+        run.clear();
+        for (p, (part, off)) in parts.iter().zip(at.iter_mut()) {
+            run.push(&p[*part][*off..*off + len]);
+            *off += len;
+            if *off == p[*part].len() {
+                *part += 1;
+                *off = 0;
+            }
+        }
+        f(row, len, &run);
+        row += len;
+    }
+}
+
 /// Aggregate counters of a [`ColumnarStore`]: dqbench reports them as its
 /// `relation.store` layer's distinct values and heap bytes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

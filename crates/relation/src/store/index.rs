@@ -22,7 +22,7 @@
 //! byte-identical — while a million-tuple index shrinks from `Vec<Value>`
 //! keys (~100s of MB) to a few tens of bytes per distinct key.
 
-use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
+use super::columnar::{walk_runs, Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
 use super::interner::ValueId;
 use crate::instance::{Delta, RelationInstance, TupleId};
@@ -303,6 +303,49 @@ impl KeyCodec {
     }
 }
 
+/// A packed key type that run-at-a-time scans write: the keys of one
+/// lockstep run of id slices (see `walk_runs`) are packed into a reused
+/// buffer, column at a time for the word packings.
+pub(crate) trait RunKey: Eq + Hash + Clone + Send {
+    /// Replaces `out` with the `len` keys of the run `ids` (one slice per
+    /// key column); `radices` are the mixed-radix packing's, read by `u64`
+    /// keys only.
+    fn pack_run(radices: &[u64], ids: &[&[ValueId]], len: usize, out: &mut Vec<Self>);
+}
+
+impl RunKey for u64 {
+    #[inline]
+    fn pack_run(radices: &[u64], ids: &[&[ValueId]], len: usize, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(len, 0);
+        for (col, &radix) in ids.iter().zip(radices) {
+            for (key, id) in out.iter_mut().zip(*col) {
+                *key = *key * radix + id.0 as u64;
+            }
+        }
+    }
+}
+
+impl RunKey for u128 {
+    #[inline]
+    fn pack_run(_: &[u64], ids: &[&[ValueId]], len: usize, out: &mut Vec<u128>) {
+        out.clear();
+        out.resize(len, 0);
+        for col in ids {
+            for (key, id) in out.iter_mut().zip(*col) {
+                *key = (*key << 32) | id.0 as u128;
+            }
+        }
+    }
+}
+
+impl RunKey for Box<[ValueId]> {
+    fn pack_run(_: &[u64], ids: &[&[ValueId]], len: usize, out: &mut Vec<Box<[ValueId]>>) {
+        out.clear();
+        out.extend((0..len).map(|i| ids.iter().map(|col| col[i]).collect()));
+    }
+}
+
 /// Packed keys with a payload each, monomorphized per key packing so entries
 /// stay as small as the packing allows: the group map of an
 /// [`InternedIndex`] (payload: group number) and the key set of a
@@ -398,21 +441,18 @@ impl InternedIndex {
         let n = store.len();
         let (map, offsets, postings) = match &codec.repr {
             Repr::Radix(radices) => {
-                let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
-                    KeyCodec::pack_u64_row(radices, &codec.columns, row)
-                });
+                let (map, offsets, postings) =
+                    build_groups(&codec.columns, radices, n, threads, shard_rows);
                 (KeyMap::U64(map), offsets, postings)
             }
             Repr::Shift => {
-                let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
-                    KeyCodec::pack_u128_row(&codec.columns, row)
-                });
+                let (map, offsets, postings) =
+                    build_groups(&codec.columns, &[], n, threads, shard_rows);
                 (KeyMap::U128(map), offsets, postings)
             }
             Repr::Wide => {
-                let (map, offsets, postings) = build_groups(n, threads, shard_rows, |row| {
-                    KeyCodec::pack_wide_row(&codec.columns, row)
-                });
+                let (map, offsets, postings) =
+                    build_groups(&codec.columns, &[], n, threads, shard_rows);
                 (KeyMap::Wide(map), offsets, postings)
             }
         };
@@ -721,26 +761,30 @@ struct ShardGroups<K> {
     counts: Vec<u32>,
 }
 
-fn scan_shard<K: Eq + Hash + Clone>(
+fn scan_shard<K: RunKey>(
     rows: std::ops::Range<usize>,
-    key_at: &(impl Fn(usize) -> K + ?Sized),
+    columns: &[Arc<Column>],
+    radices: &[u64],
 ) -> ShardGroups<K> {
     let mut map: FxHashMap<K, u32> = FxHashMap::default();
     let mut keys = Vec::new();
     let mut row_groups = Vec::with_capacity(rows.len());
     let mut counts: Vec<u32> = Vec::new();
-    for row in rows {
-        let key = key_at(row);
-        let next = counts.len() as u32;
-        let before = map.len();
-        let group = *map.entry(key.clone()).or_insert(next);
-        if map.len() > before {
-            keys.push(key);
-            counts.push(0);
+    let mut run_keys: Vec<K> = Vec::new();
+    walk_runs(columns, rows, |_, len, ids| {
+        K::pack_run(radices, ids, len, &mut run_keys);
+        for key in run_keys.drain(..) {
+            let next = counts.len() as u32;
+            let before = map.len();
+            let group = *map.entry(key.clone()).or_insert(next);
+            if map.len() > before {
+                keys.push(key);
+                counts.push(0);
+            }
+            counts[group as usize] += 1;
+            row_groups.push(group);
         }
-        counts[group as usize] += 1;
-        row_groups.push(group);
-    }
+    });
     ShardGroups {
         keys,
         row_groups,
@@ -748,15 +792,18 @@ fn scan_shard<K: Eq + Hash + Clone>(
     }
 }
 
-/// Two-pass CSR construction: scan shards (in parallel when `threads > 1`)
-/// into local group tables, merge them in shard order, then scatter row
-/// numbers into a single postings array.  Processing shards in order keeps
-/// postings ascending within each group.
-fn build_groups<K: Eq + Hash + Clone + Send>(
+/// Two-pass CSR construction over the key `columns` (packed under
+/// `radices` for `u64` keys): scan shards (in parallel when `threads > 1`),
+/// reading each shard's ids as chunk slices, into local group tables, merge
+/// them in shard order, then scatter row numbers into a single postings
+/// array.  Processing shards in order keeps postings ascending within each
+/// group.
+fn build_groups<K: RunKey>(
+    columns: &[Arc<Column>],
+    radices: &[u64],
     n_rows: usize,
     threads: usize,
     shard_rows: usize,
-    key_at: impl Fn(usize) -> K + Sync,
 ) -> (FxHashMap<K, u32>, Vec<u32>, Vec<u32>) {
     let shard_rows = shard_rows.max(1);
     let shard_count = n_rows.div_ceil(shard_rows).max(1);
@@ -766,7 +813,7 @@ fn build_groups<K: Eq + Hash + Clone + Send>(
     // balances across threads); one shard or one thread runs inline.
     let shard_ids: Vec<usize> = (0..shard_count).collect();
     let shards: Vec<ShardGroups<K>> = parallel_map(&shard_ids, threads, |&s| {
-        scan_shard(shard_range(s), &key_at)
+        scan_shard(shard_range(s), columns, radices)
     });
 
     // Merge: assign global group numbers in shard-then-first-seen order.

@@ -14,9 +14,8 @@
 //! [`ValueInterner::cmp_ids`], which compares the *values* behind two ids —
 //! ids themselves are assigned in first-seen order and carry no order.
 
-use super::fx::FxHashMap;
+use super::fx::FxHasher;
 use crate::value::{hash_str, Value};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -48,15 +47,21 @@ impl fmt::Display for ValueId {
 
 /// A tail shorter than this never folds, so small dictionaries patched
 /// round after round do not re-copy their prefix every few values.
-const FOLD_MIN: usize = 64;
+pub(crate) const FOLD_MIN: usize = 64;
 /// A non-empty prefix of `p` entries absorbs its tail once the tail reaches
 /// `p / FOLD_FRACTION` entries: a fold copies `O(p)` when the prefix is
 /// shared, so each new value pays `O(FOLD_FRACTION)` amortized, while a
 /// clone copies at most `p / FOLD_FRACTION` tail entries.
-const FOLD_FRACTION: usize = 32;
+pub(crate) const FOLD_FRACTION: usize = 32;
 
 /// A value dictionary: distinct [`Value`]s in first-seen order, with a
-/// reverse map for interning and lookup.
+/// reverse index for interning and lookup.
+///
+/// The reverse index is an open-addressed table of ids: each slot holds an
+/// entry's id and its stored hash, and a probe checks equality against the
+/// entry itself, so a value is hashed once per probe, is stored once (no
+/// cloned key), and growth re-slots entries from their stored hashes
+/// without hashing a value again.
 ///
 /// The entries live in two runs: an immutable `Arc`-shared *prefix* and an
 /// owned *tail*.  A dictionary is built in its tail; the column
@@ -78,6 +83,9 @@ const FOLD_FRACTION: usize = 32;
 /// open — as a new dictionary segment.  Re-opening a saved relation
 /// therefore interns nothing at all; only genuinely new values ever pass
 /// through [`intern`](Self::intern) again.
+///
+/// The map-backed dictionary this replaced is kept as the test oracle
+/// [`crate::reference::MapInterner`].
 #[derive(Clone, Debug, Default)]
 pub struct ValueInterner {
     /// Entries `0..prefix.len()`, shared with clones.
@@ -89,34 +97,205 @@ pub struct ValueInterner {
     frozen: usize,
 }
 
-/// One contiguous run of dictionary entries with its reverse map and a
+/// The hash a dictionary stores per entry: the Fx hash of the value (a
+/// text probe hashes its `&str` exactly as [`Value::Str`] hashes), folded
+/// to 32 bits.
+#[inline]
+fn hash_value(value: &Value) -> u32 {
+    let mut h = FxHasher::default();
+    value.hash(&mut h);
+    h.finish() as u32
+}
+
+#[inline]
+fn hash_text(s: &str) -> u32 {
+    let mut h = FxHasher::default();
+    hash_str(s, &mut h);
+    h.finish() as u32
+}
+
+/// A slot of an [`IdTable`]: an entry's position in its run and its stored
+/// hash; `pos == VACANT` marks a free slot.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    hash: u32,
+    pos: u32,
+}
+
+const VACANT: u32 = u32::MAX;
+/// The smallest non-empty table: a dictionary of a handful of values
+/// probes one cache line.
+const MIN_SLOTS: usize = 8;
+/// Tables up to this many slots (16 KiB) are kept at most a quarter full.
+const SMALL_SLOTS: usize = 2048;
+
+/// Open-addressed, linearly probed table of entry positions, kept at most
+/// half full (a quarter while small) so a probe meets a vacant slot within
+/// a few steps.  A slot's
+/// position is the id; equality is decided against the entry it names.
+#[derive(Clone, Debug, Default)]
+struct IdTable {
+    /// A power of two long, or empty.
+    slots: Vec<Slot>,
+}
+
+impl IdTable {
+    /// A table sized for `n` entries.
+    fn with_entries(n: usize) -> Self {
+        let mut table = IdTable::default();
+        table.reserve(n);
+        table
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len().wrapping_sub(1)
+    }
+
+    /// The position of the entry with stored hash `hash` that `is_equal`
+    /// accepts.
+    #[inline]
+    fn find(&self, hash: u32, mut is_equal: impl FnMut(usize) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.mask();
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.pos == VACANT {
+                return None;
+            }
+            if slot.hash == hash && is_equal(slot.pos as usize) {
+                return Some(slot.pos as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Slots position `pos` under `hash`.  The caller has checked that no
+    /// equal entry is present and reserved room.
+    #[inline]
+    fn insert(&mut self, hash: u32, pos: usize) {
+        let mask = self.mask();
+        let mut i = hash as usize & mask;
+        while self.slots[i].pos != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Slot {
+            hash,
+            pos: pos as u32,
+        };
+    }
+
+    /// The table length for `n` entries: at most half full, and at most a
+    /// quarter full while the table is small, where the shorter probe runs
+    /// cost a few kilobytes.
+    fn slots_for(n: usize) -> usize {
+        let quarter = (n * 4).next_power_of_two().max(MIN_SLOTS);
+        match quarter <= SMALL_SLOTS {
+            true => quarter,
+            false => (n * 2).next_power_of_two(),
+        }
+    }
+
+    /// Makes room for `n` entries in all, re-slotting the present ones
+    /// from their stored hashes.
+    fn reserve(&mut self, n: usize) {
+        let size = Self::slots_for(n);
+        if size <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(
+            &mut self.slots,
+            vec![
+                Slot {
+                    hash: 0,
+                    pos: VACANT
+                };
+                size
+            ],
+        );
+        for slot in old.into_iter().filter(|s| s.pos != VACANT) {
+            self.insert(slot.hash, slot.pos as usize);
+        }
+    }
+
+    /// The occupied slots.
+    fn occupied(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.slots.iter().copied().filter(|s| s.pos != VACANT)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<Slot>()
+    }
+}
+
+/// One contiguous run of dictionary entries with its id table and a
 /// running total of its string payload bytes.
 #[derive(Clone, Debug, Default)]
 struct Entries {
-    map: FxHashMap<Value, ValueId>,
+    table: IdTable,
     values: Vec<Value>,
     str_bytes: usize,
 }
 
 impl Entries {
-    fn push(&mut self, value: Value, id: ValueId) {
+    /// The position of `value` in this run.
+    #[inline]
+    fn find_value(&self, hash: u32, value: &Value) -> Option<usize> {
+        self.table.find(hash, |pos| self.values[pos] == *value)
+    }
+
+    /// The position of the text value `s` in this run.
+    #[inline]
+    fn find_text(&self, hash: u32, s: &str) -> Option<usize> {
+        self.table.find(
+            hash,
+            |pos| matches!(&self.values[pos], Value::Str(t) if **t == *s),
+        )
+    }
+
+    /// Appends a value known to be absent from this run.
+    fn push(&mut self, hash: u32, value: Value) {
         if let Value::Str(s) = &value {
             self.str_bytes += s.len();
         }
-        self.map.insert(value.clone(), id);
+        self.table.reserve(self.values.len() + 1);
+        self.table.insert(hash, self.values.len());
         self.values.push(value);
     }
 
+    /// Appends the entries of `tail`, re-slotted from its stored hashes.
     fn absorb(&mut self, tail: Entries) {
-        self.map.extend(tail.map);
+        let base = self.values.len();
+        self.table.reserve(base + tail.values.len());
+        for slot in tail.table.occupied() {
+            self.table.insert(slot.hash, base + slot.pos as usize);
+        }
         self.values.extend(tail.values);
         self.str_bytes += tail.str_bytes;
     }
 
-    fn heap_bytes(&self) -> usize {
-        let entry = size_of::<(Value, ValueId)>() + 1;
-        self.map.capacity() * entry + self.values.capacity() * size_of::<Value>() + self.str_bytes
+    /// Bytes of the id table alone.
+    fn index_heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.index_heap_bytes() + self.values.capacity() * size_of::<Value>() + self.str_bytes
+    }
+}
+
+/// A persisted dictionary holding two equal entries, at positions `first`
+/// and `second`: ids would then not be values.  See
+/// [`ValueInterner::from_frozen`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DuplicateEntry {
+    /// The earlier of the two positions.
+    pub first: usize,
+    /// The later one.
+    pub second: usize,
 }
 
 /// The entries of a [`ValueInterner`] in id order, borrowed as the shared
@@ -132,6 +311,11 @@ pub struct DictValues<'a> {
 pub type DictIter<'a> = std::iter::Chain<std::slice::Iter<'a, Value>, std::slice::Iter<'a, Value>>;
 
 impl<'a> DictValues<'a> {
+    /// The entries `head` followed by `tail`.
+    pub(crate) fn from_runs(head: &'a [Value], tail: &'a [Value]) -> Self {
+        DictValues { head, tail }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.head.len() + self.tail.len()
@@ -226,32 +410,34 @@ impl ValueInterner {
     }
 
     /// Rebuilds an interner from a persisted dictionary: `values` are the
-    /// decoded entries in id order, all marked frozen.  The reverse map is
-    /// built once here — `O(distinct values)`, not `O(rows)` — which is the
-    /// whole cost of re-opening a dictionary.
-    pub fn from_frozen(values: Vec<Value>) -> Self {
-        let map = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), ValueId(i as u32)))
-            .collect();
-        let str_bytes = values
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => s.len(),
-                _ => 0,
-            })
-            .sum();
+    /// decoded entries in id order, all marked frozen.  The id table is
+    /// filled in one pass — `O(distinct values)`, not `O(rows)` — which is
+    /// the whole cost of re-opening a dictionary.  Two equal entries are
+    /// refused: equal cells could then carry either id, and a grouping by id
+    /// would split them.
+    pub fn from_frozen(values: Vec<Value>) -> Result<Self, DuplicateEntry> {
+        let mut table = IdTable::with_entries(values.len());
+        let mut str_bytes = 0;
+        for (pos, value) in values.iter().enumerate() {
+            let hash = hash_value(value);
+            if let Some(first) = table.find(hash, |p| values[p] == *value) {
+                return Err(DuplicateEntry { first, second: pos });
+            }
+            table.insert(hash, pos);
+            if let Value::Str(s) = value {
+                str_bytes += s.len();
+            }
+        }
         let frozen = values.len();
-        ValueInterner {
+        Ok(ValueInterner {
             prefix: Arc::new(Entries {
-                map,
+                table,
                 values,
                 str_bytes,
             }),
             tail: Entries::default(),
             frozen,
-        }
+        })
     }
 
     /// Number of entries already persisted (the frozen prefix); `0` for
@@ -288,59 +474,60 @@ impl ValueInterner {
     /// order) always receive the same id; the first occurrence is cloned into
     /// the dictionary.
     pub fn intern(&mut self, value: &Value) -> ValueId {
-        if let Some(id) = self.lookup(value) {
+        let hash = hash_value(value);
+        if let Some(id) = self.find(|run| run.find_value(hash, value)) {
             return id;
         }
-        self.push(value.clone())
+        self.push(hash, value.clone())
     }
 
     /// Interns the text value `s`, returning its id.  The dictionary is
     /// probed by the borrowed `&str` (hashed exactly as [`Value::Str`]
     /// hashes), so a string is allocated only when it is new to the column.
-    pub(crate) fn intern_str(&mut self, s: &str) -> ValueId {
-        if let Some(id) = self.find(&StrKey(s) as &dyn Key) {
+    pub fn intern_str(&mut self, s: &str) -> ValueId {
+        let hash = hash_text(s);
+        if let Some(id) = self.find(|run| run.find_text(hash, s)) {
             return id;
         }
-        self.push(Value::Str(Arc::from(s)))
+        self.push(hash, Value::Str(Arc::from(s)))
     }
 
-    /// Probes the prefix, then the tail — each only when it has entries, so
-    /// a dictionary being built hashes its key once.
+    /// Probes the prefix, then the tail — each only when it has entries.
     #[inline]
-    fn find<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<ValueId>
-    where
-        Value: Borrow<Q>,
-    {
-        if !self.prefix.values.is_empty() {
-            if let Some(&id) = self.prefix.map.get(key) {
-                return Some(id);
+    fn find(&self, probe: impl Fn(&Entries) -> Option<usize>) -> Option<ValueId> {
+        let split = self.prefix.values.len();
+        if split > 0 {
+            if let Some(pos) = probe(&self.prefix) {
+                return Some(ValueId(pos as u32));
             }
         }
         if self.tail.values.is_empty() {
             return None;
         }
-        self.tail.map.get(key).copied()
+        probe(&self.tail).map(|pos| ValueId((split + pos) as u32))
     }
 
     /// Appends a value known to be absent from the dictionary to the tail,
     /// folding the tail into the prefix once it is long enough.
-    fn push(&mut self, value: Value) -> ValueId {
-        let id = ValueId(
-            u32::try_from(self.len()).expect("more than u32::MAX distinct values in one column"),
-        );
-        self.tail.push(value, id);
+    fn push(&mut self, hash: u32, value: Value) -> ValueId {
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != VACANT)
+            .expect("more than u32::MAX - 1 distinct values in one column");
+        self.tail.push(hash, value);
         let prefix = self.prefix.values.len();
         if prefix > 0 && self.tail.values.len() >= FOLD_MIN.max(prefix / FOLD_FRACTION) {
             Arc::make_mut(&mut self.prefix).absorb(std::mem::take(&mut self.tail));
             dq_obs::inc("store.dict.folds");
         }
-        id
+        ValueId(id)
     }
 
     /// Moves a freshly built dictionary (empty prefix) into its prefix
     /// without copying, so clones share it from then on.  A dictionary with
     /// a prefix already is left alone: its tail is kept short by folding.
-    pub(crate) fn seal(&mut self) {
+    /// Ids, lookups and entries are unchanged.
+    pub fn seal(&mut self) {
         if self.prefix.values.is_empty() {
             self.prefix = Arc::new(std::mem::take(&mut self.tail));
         }
@@ -357,7 +544,8 @@ impl ValueInterner {
     /// The id of a value, if it has been interned.  `None` means no cell of
     /// the column carries this value — useful for short-circuiting probes.
     pub fn lookup(&self, value: &Value) -> Option<ValueId> {
-        self.find(value)
+        let hash = hash_value(value);
+        self.find(|run| run.find_value(hash, value))
     }
 
     /// The value behind an id.
@@ -391,12 +579,18 @@ impl ValueInterner {
         }
     }
 
-    /// Approximate heap bytes held by the dictionary, in `O(1)`: string
-    /// payloads are kept as running totals and counted once (the map shares
-    /// the `Arc` with the values vector).  A prefix shared with clones is
-    /// counted in full by each of them.
+    /// Approximate heap bytes held by the dictionary, in `O(1)`: the id
+    /// tables, the values and their string payloads (kept as running
+    /// totals).  A prefix shared with clones is counted in full by each of
+    /// them.
     pub fn approx_heap_bytes(&self) -> usize {
         self.prefix.heap_bytes() + self.tail.heap_bytes()
+    }
+
+    /// The part of [`approx_heap_bytes`](Self::approx_heap_bytes) held by
+    /// the reverse index (the id tables); the rest is the values.
+    pub fn index_heap_bytes(&self) -> usize {
+        self.prefix.index_heap_bytes() + self.tail.index_heap_bytes()
     }
 
     /// Summary counters for reporting.
@@ -407,64 +601,6 @@ impl ValueInterner {
         }
     }
 }
-
-/// A borrowed dictionary key: the `Value` a map entry stores, or a bare
-/// `&str` standing for [`Value::Str`].  `Value: Borrow<dyn Key>` lets the
-/// `Value`-keyed map be probed by `&str` without building a `Value`.
-trait Key {
-    fn key(&self) -> KeyRef<'_>;
-}
-
-/// What a [`Key`] compares and hashes as; strings are always [`KeyRef::Str`].
-enum KeyRef<'a> {
-    Value(&'a Value),
-    Str(&'a str),
-}
-
-/// A `&str` probe (sized, so it can stand behind `&dyn Key`).
-struct StrKey<'a>(&'a str);
-
-impl Key for Value {
-    fn key(&self) -> KeyRef<'_> {
-        match self {
-            Value::Str(s) => KeyRef::Str(s),
-            other => KeyRef::Value(other),
-        }
-    }
-}
-
-impl Key for StrKey<'_> {
-    fn key(&self) -> KeyRef<'_> {
-        KeyRef::Str(self.0)
-    }
-}
-
-impl<'a> Borrow<dyn Key + 'a> for Value {
-    fn borrow(&self) -> &(dyn Key + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn Key + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self.key() {
-            KeyRef::Value(v) => v.hash(state),
-            KeyRef::Str(s) => hash_str(s, state),
-        }
-    }
-}
-
-impl PartialEq for dyn Key + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        match (self.key(), other.key()) {
-            (KeyRef::Value(a), KeyRef::Value(b)) => a == b,
-            (KeyRef::Str(a), KeyRef::Str(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for dyn Key + '_ {}
 
 #[cfg(test)]
 mod tests {
@@ -542,12 +678,45 @@ mod tests {
         assert_ne!(interner.intern_str("7"), int);
         assert_eq!(interner.intern_str(""), interner.intern(&Value::str("")));
         assert_eq!(interner.len(), 5);
-        let hash = |k: &dyn Key| {
-            let mut h = super::super::fx::FxHasher::default();
-            k.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&StrKey("EDI")), hash(&Value::str("EDI")));
+        assert_eq!(hash_text("EDI"), hash_value(&Value::str("EDI")));
+    }
+
+    #[test]
+    fn from_frozen_refuses_equal_entries() {
+        let values = vec![
+            Value::str("a"),
+            Value::real(f64::NAN),
+            Value::int(1),
+            Value::real(1.0),
+            Value::str("1"),
+        ];
+        let frozen = ValueInterner::from_frozen(values.clone()).expect("distinct entries");
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(frozen.lookup(v), Some(ValueId(i as u32)));
+        }
+        let mut doubled = values;
+        doubled.push(Value::real(f64::NAN));
+        assert_eq!(
+            ValueInterner::from_frozen(doubled).unwrap_err(),
+            DuplicateEntry {
+                first: 1,
+                second: 5
+            }
+        );
+    }
+
+    #[test]
+    fn the_id_table_stays_at_most_half_full() {
+        let mut interner = ValueInterner::new();
+        for i in 0..10_000 {
+            assert_eq!(interner.intern(&Value::int(i)), ValueId(i as u32));
+            let slots = interner.tail.table.slots.len();
+            assert!(slots.is_power_of_two() && slots >= 2 * interner.len());
+        }
+        for i in 0..10_000 {
+            assert_eq!(interner.lookup(&Value::int(i)), Some(ValueId(i as u32)));
+        }
+        assert_eq!(interner.lookup(&Value::int(10_000)), None);
     }
 
     #[test]
@@ -565,7 +734,6 @@ mod tests {
     /// totals stand for.
     fn walked_heap_bytes(interner: &ValueInterner) -> usize {
         let parts = [&*interner.prefix, &interner.tail];
-        let entry = size_of::<(Value, ValueId)>() + 1;
         parts
             .iter()
             .map(|p| {
@@ -577,7 +745,9 @@ mod tests {
                         _ => 0,
                     })
                     .sum();
-                p.map.capacity() * entry + p.values.capacity() * size_of::<Value>() + strings
+                p.table.slots.capacity() * size_of::<Slot>()
+                    + p.values.capacity() * size_of::<Value>()
+                    + strings
             })
             .sum()
     }

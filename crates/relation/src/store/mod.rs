@@ -40,7 +40,7 @@ pub use columnar::{Column, ColumnarStats, ColumnarStore, SHARD_ROWS};
 pub use distinct::{DistinctSet, IdTranslation};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{InternedIndex, KeyCodec, ProjectionKey};
-pub use interner::{DictValues, InternerStats, ValueId, ValueInterner};
+pub use interner::{DictValues, DuplicateEntry, InternerStats, ValueId, ValueInterner};
 pub use mmap::MappedBytes;
 pub use persist::{
     open_mmap, open_mmap_verified, MappedRelation, RelationWriter, SaveStats, FORMAT_VERSION,

@@ -43,6 +43,7 @@ use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// On-disk format version this build writes and reads.
 pub const FORMAT_VERSION: u16 = 1;
@@ -617,7 +618,24 @@ fn open_dict_chain(dir: &Path, attr: usize, chain: &[u64]) -> DqResult<ValueInte
         c.finish()?;
     }
     dq_obs::add("store.io.open_dict_entries", values.len() as u64);
-    Ok(ValueInterner::from_frozen(values))
+    ValueInterner::from_frozen(values).map_err(|dup| {
+        // Name the segment holding the later of the two equal entries.
+        let mut end = 0u64;
+        let seg = chain
+            .iter()
+            .position(|&n| {
+                end += n;
+                dup.second < end as usize
+            })
+            .unwrap_or(0);
+        corrupt(
+            &dict_path(dir, attr, seg),
+            format!(
+                "dictionary entries {} and {} of column {attr} are equal",
+                dup.first, dup.second
+            ),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -777,6 +795,9 @@ pub struct RelationWriter {
     dict_chains: Vec<Vec<u64>>,
     /// Id buffer of the current (partial) shard, per column.
     buf: Vec<Vec<ValueId>>,
+    /// Each column's intern time in the last batch, in nanoseconds: the
+    /// claim order of the next (see [`push_columns`](Self::push_columns)).
+    intern_ns: Vec<u64>,
     /// Rows in fully flushed shards.
     flushed_rows: usize,
     shards_flushed: usize,
@@ -805,6 +826,7 @@ impl RelationWriter {
             dicts: (0..arity).map(|_| ValueInterner::new()).collect(),
             dict_chains: vec![Vec::new(); arity],
             buf: vec![Vec::new(); arity],
+            intern_ns: vec![0; arity],
             flushed_rows: 0,
             shards_flushed: 0,
             bytes_written: 0,
@@ -852,6 +874,7 @@ impl RelationWriter {
             dicts,
             dict_chains: manifest.dict_chains,
             buf,
+            intern_ns: vec![0; arity],
             flushed_rows: full_shards * manifest.shard_rows,
             shards_flushed: full_shards,
             bytes_written: 0,
@@ -924,14 +947,23 @@ impl RelationWriter {
     /// cells of the batch in row order, interning each into the column
     /// dictionary `dict` and appending its id to `ids`, or returns the batch
     /// row of its first bad cell with the error.  Columns run one per
-    /// worker on up to `threads` workers; as each column is interned in row
-    /// order, dictionaries come out exactly as row-at-a-time
-    /// [`push_row`](Self::push_row)s leave them.  On failure the error of
-    /// the first bad cell in (row, column) order — the one `push_row` would
-    /// have raised — is returned and the id buffers are rolled back (as
-    /// with `push_row`, dictionaries may keep values interned before the
-    /// failure).  Cells must already lie in their domains; the full shard is
-    /// left for [`flush_if_full`](Self::flush_if_full).
+    /// worker on up to `threads` workers, claimed costliest first by the
+    /// previous batch's measured intern time (the first batch claims them
+    /// in schema order), so the slow high-cardinality columns start first
+    /// instead of finishing last; outcomes are mapped back to attribute
+    /// order.  As each column is interned in row order by one worker,
+    /// dictionaries come out exactly as row-at-a-time
+    /// [`push_row`](Self::push_row)s leave them, whatever the claim order
+    /// and thread count.  On failure the error of the first bad cell in
+    /// (row, column) order — the one `push_row` would have raised — is
+    /// returned and the id buffers are rolled back (as with `push_row`,
+    /// dictionaries may keep values interned before the failure).  Cells
+    /// must already lie in their domains; the full shard is left for
+    /// [`flush_if_full`](Self::flush_if_full).
+    ///
+    /// Each column's intern time per batch is recorded in the
+    /// `store.io.intern_column_ns` histogram and summed per column in the
+    /// `store.io.intern_ns.col{attr}` counters.
     pub(crate) fn push_columns<F>(&mut self, threads: usize, intern: F) -> DqResult<()>
     where
         F: Fn(usize, &mut ValueInterner, &mut Vec<ValueId>) -> Result<(), (usize, DqError)> + Sync,
@@ -943,13 +975,27 @@ impl RelationWriter {
             .zip(self.buf.iter_mut())
             .map(Mutex::new)
             .collect();
-        let attrs: Vec<usize> = (0..columns.len()).collect();
-        let outcomes = parallel_map(&attrs, threads, |&attr| {
+        // A stable sort: equal costs (the first batch) keep schema order.
+        let mut claims: Vec<usize> = (0..columns.len()).collect();
+        claims.sort_by_key(|&attr| std::cmp::Reverse(self.intern_ns[attr]));
+        let timed = parallel_map(&claims, threads, |&attr| {
+            let start = Instant::now();
             let mut column = columns[attr].lock().expect("column slot poisoned");
             let (dict, ids) = &mut *column;
-            intern(attr, dict, ids)
+            let outcome = intern(attr, dict, ids);
+            (outcome, start.elapsed().as_nanos() as u64)
         });
         drop(columns);
+        let mut outcomes: Vec<Result<(), (usize, DqError)>> = Vec::with_capacity(claims.len());
+        outcomes.resize_with(claims.len(), || Ok(()));
+        for (&attr, (outcome, ns)) in claims.iter().zip(timed) {
+            outcomes[attr] = outcome;
+            self.intern_ns[attr] = ns;
+            if dq_obs::enabled() {
+                dq_obs::record("store.io.intern_column_ns", ns);
+                dq_obs::add(&format!("store.io.intern_ns.col{attr}"), ns);
+            }
+        }
         let first = outcomes
             .into_iter()
             .enumerate()
@@ -1555,6 +1601,49 @@ mod tests {
             &Value::str("appended-only")
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn costliest_columns_are_claimed_first_and_outcomes_keep_attribute_order() {
+        let dir = tmp_dir("claims");
+        let schema = Arc::new(RelationSchema::new(
+            "c",
+            (0..5).map(|a| (format!("a{a}"), Domain::Int)),
+        ));
+        let mut writer = RelationWriter::create(&dir, schema, 8).unwrap();
+        // The previous batch found the last column costliest: claims run
+        // 4, 3, 2, 1, 0.
+        writer.intern_ns = vec![1, 2, 3, 4, 5];
+        let claimed = Mutex::new(Vec::new());
+        // Row 0 is bad in columns 1 and 3: column 1's error is the first in
+        // (row, column) order, although column 3 is claimed before it.
+        let err = writer
+            .push_columns(1, |attr, dict, ids| {
+                claimed.lock().unwrap().push(attr);
+                ids.push(dict.intern(&Value::int(attr as i64)));
+                match attr {
+                    1 | 3 => Err((
+                        0,
+                        DqError::Parse {
+                            reason: format!("bad cell in column {attr}"),
+                        },
+                    )),
+                    _ => Ok(()),
+                }
+            })
+            .unwrap_err();
+        assert_eq!(*claimed.lock().unwrap(), [4, 3, 2, 1, 0]);
+        assert_eq!(
+            format!("{err:?}"),
+            format!(
+                "{:?}",
+                DqError::Parse {
+                    reason: "bad cell in column 1".into()
+                }
+            )
+        );
+        assert_eq!(writer.rows(), 0, "the batch was rolled back");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

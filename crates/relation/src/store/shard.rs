@@ -17,9 +17,10 @@
 //! serves the same runs from its postings
 //! ([`multi_group_rows`](super::InternedIndex::multi_group_rows)).
 
-use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
+use super::columnar::{walk_runs, Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
-use super::index::{KeyCodec, ProjectionKey};
+use super::index::{KeyCodec, Repr, RunKey};
+use super::interner::ValueId;
 use crate::instance::{RelationInstance, TupleId};
 use crate::schema::RelationSchema;
 use std::ops::Range;
@@ -133,45 +134,116 @@ pub struct RowGroups {
 
 impl RowGroups {
     /// Groups the rows of `source` on `attrs` in two sequential scans: the
-    /// first counts packed keys, the second writes the rows of every key
-    /// seen at least twice into that key's run — so the (typically
-    /// dominant) singleton keys cost no group storage.  Each shard is
-    /// released once the second scan has passed it.
+    /// first counts keys, the second writes the rows of every key seen at
+    /// least twice into that key's run — so the (typically dominant)
+    /// singleton keys cost no group storage.  Both scans read each shard's
+    /// ids as chunk or segment slices, and each shard is released once the
+    /// second scan has passed it.
+    ///
+    /// The key is the mixed-radix packing of the row's ids under the exact
+    /// dictionary sizes.  When that radix product is at most twice the row
+    /// count — every single attribute whose dictionary holds no more values
+    /// than twice the rows, and narrow keys such as `[CC, AC]` — the counts
+    /// live in an array indexed by the packed key, a counting sort by id,
+    /// and groups come out in key order (`store.scan.dense_rows`).  Wider
+    /// keys count in a hash map of packed keys, as the oracle
+    /// [`crate::reference::hash_scan`] does (`store.scan.hashed_rows`).
     pub fn scan(source: &dyn ShardSource, attrs: &[usize]) -> Self {
-        let codec = KeyCodec::new(attrs.iter().map(|&a| source.column(a)).collect());
-        let mut cursors: FxHashMap<ProjectionKey, u32> = FxHashMap::default();
-        for shard in 0..source.shard_count() {
-            for row in source.shard_range(shard) {
-                *cursors.entry(codec.pack_row(row)).or_insert(0) += 1;
+        let columns: Vec<Arc<Column>> = attrs.iter().map(|&a| source.column(a)).collect();
+        match dense_radices(&columns, source.len()) {
+            Some(radices) => {
+                dq_obs::add("store.scan.dense_rows", source.len() as u64);
+                Self::scan_dense(source, &columns, &radices)
             }
-        }
-        // Turn each multi-row count into the write cursor of its run; a
-        // singleton key is marked as having no run.
-        let mut offsets = vec![0u32];
-        let mut total = 0u32;
-        for slot in cursors.values_mut() {
-            if *slot >= 2 {
-                let start = total;
-                total += *slot;
-                offsets.push(total);
-                *slot = start;
-            } else {
-                *slot = u32::MAX;
-            }
-        }
-        let mut rows = vec![0u32; total as usize];
-        for shard in 0..source.shard_count() {
-            for row in source.shard_range(shard) {
-                let cursor = cursors
-                    .get_mut(&codec.pack_row(row))
-                    .expect("every key was counted by the first scan");
-                if *cursor != u32::MAX {
-                    rows[*cursor as usize] = row as u32;
-                    *cursor += 1;
+            None => {
+                dq_obs::add("store.scan.hashed_rows", source.len() as u64);
+                let codec = KeyCodec::new(columns);
+                match &codec.repr {
+                    Repr::Radix(radices) => {
+                        Self::scan_hashed::<u64>(source, codec.columns(), radices)
+                    }
+                    Repr::Shift => Self::scan_hashed::<u128>(source, codec.columns(), &[]),
+                    Repr::Wide => Self::scan_hashed::<Box<[ValueId]>>(source, codec.columns(), &[]),
                 }
             }
-            source.release_shard(shard);
         }
+    }
+
+    /// One scan of `source`'s rows in order: `f(key, row)` per row, the
+    /// keys packed run by run from the shard's id slices.  With `release`,
+    /// each shard is released once passed.
+    fn each_key<K: RunKey>(
+        source: &dyn ShardSource,
+        columns: &[Arc<Column>],
+        radices: &[u64],
+        release: bool,
+        mut f: impl FnMut(K, u32),
+    ) {
+        let mut keys: Vec<K> = Vec::new();
+        for shard in 0..source.shard_count() {
+            walk_runs(columns, source.shard_range(shard), |start, len, ids| {
+                K::pack_run(radices, ids, len, &mut keys);
+                for (row, key) in (start as u32..).zip(keys.drain(..)) {
+                    f(key, row);
+                }
+            });
+            if release {
+                source.release_shard(shard);
+            }
+        }
+    }
+
+    /// Counting sort by packed key into an array as long as the radix
+    /// product: counts, then each multi-row key's write cursor.
+    fn scan_dense(source: &dyn ShardSource, columns: &[Arc<Column>], radices: &[u64]) -> Self {
+        let product: u64 = radices.iter().product();
+        let mut slots = vec![0u32; product as usize];
+        Self::each_key(source, columns, radices, false, |key: u64, _| {
+            slots[key as usize] += 1
+        });
+        let mut layout = Layout::new();
+        for slot in &mut slots {
+            *slot = layout.open_run(*slot);
+        }
+        let mut rows = vec![0u32; layout.total as usize];
+        Self::each_key(source, columns, radices, true, |key: u64, row| {
+            place(&mut slots[key as usize], &mut rows, row)
+        });
+        RowGroups {
+            offsets: layout.offsets,
+            rows,
+        }
+    }
+
+    /// The count→collect scans over a hash map of packed keys.
+    fn scan_hashed<K: RunKey>(
+        source: &dyn ShardSource,
+        columns: &[Arc<Column>],
+        radices: &[u64],
+    ) -> Self {
+        let mut cursors: FxHashMap<K, u32> = FxHashMap::default();
+        Self::each_key(source, columns, radices, false, |key: K, _| {
+            *cursors.entry(key).or_insert(0) += 1
+        });
+        let mut layout = Layout::new();
+        for slot in cursors.values_mut() {
+            *slot = layout.open_run(*slot);
+        }
+        let mut rows = vec![0u32; layout.total as usize];
+        Self::each_key(source, columns, radices, true, |key: K, row| {
+            let cursor = cursors
+                .get_mut(&key)
+                .expect("every key was counted by the first scan");
+            place(cursor, &mut rows, row)
+        });
+        RowGroups {
+            offsets: layout.offsets,
+            rows,
+        }
+    }
+
+    /// Groups from their CSR parts (the reference scans build them too).
+    pub(crate) fn from_parts(offsets: Vec<u32>, rows: Vec<u32>) -> Self {
         RowGroups { offsets, rows }
     }
 
@@ -180,6 +252,55 @@ impl RowGroups {
         self.offsets
             .windows(2)
             .map(|w| &self.rows[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// The radices of the dense counting scan over `columns` — their exact
+/// dictionary sizes — when their product is at most twice the `rows`
+/// scanned, so the count array costs at most two slots per row.
+fn dense_radices(columns: &[Arc<Column>], rows: usize) -> Option<Vec<u64>> {
+    let radices: Vec<u64> = columns.iter().map(|c| c.distinct() as u64).collect();
+    let product = radices
+        .iter()
+        .try_fold(1u64, |acc, &radix| acc.checked_mul(radix))?;
+    (rows > 0 && product <= 2 * rows as u64).then_some(radices)
+}
+
+/// The run layout of the groups, opened key by key from the first scan's
+/// counts.
+struct Layout {
+    offsets: Vec<u32>,
+    total: u32,
+}
+
+impl Layout {
+    fn new() -> Self {
+        Layout {
+            offsets: vec![0],
+            total: 0,
+        }
+    }
+
+    /// Opens a run for a key counted `count` times and returns its write
+    /// cursor; a singleton (or absent) key gets no run, marked `u32::MAX`.
+    fn open_run(&mut self, count: u32) -> u32 {
+        if count < 2 {
+            return u32::MAX;
+        }
+        let start = self.total;
+        self.total += count;
+        self.offsets.push(self.total);
+        start
+    }
+}
+
+/// Writes `row` at the write cursor `cursor` of its key's run, if it has
+/// one.
+#[inline]
+fn place(cursor: &mut u32, rows: &mut [u32], row: u32) {
+    if *cursor != u32::MAX {
+        rows[*cursor as usize] = row;
+        *cursor += 1;
     }
 }
 

@@ -1090,3 +1090,43 @@ proptest! {
         prop_assert_eq!(&off.3, &on.3, "repair outcome changed under instrumentation");
     }
 }
+
+/// A shard FD walk over a mapped relation groups every single attribute by
+/// dense counting, while a CFD scan on `[CC, AC, phn]` — whose radix
+/// product passes twice the rows — counts as hashed.
+#[test]
+fn shard_scans_count_dense_and_hashed_rows() {
+    let _session = RecorderSession::begin();
+    let workload = generate_customers(&CustomerConfig {
+        tuples: 400,
+        error_rate: 0.05,
+        seed: 11,
+        cities_per_country: 5,
+    });
+    let instance = &workload.dirty;
+    let schema = instance.schema();
+    let dir = std::env::temp_dir().join(format!("dq_obs_scans_{}", std::process::id()));
+    instance
+        .columnar()
+        .save_to_with_shard_rows(instance, &dir, 64)
+        .expect("save");
+    let mapped = dq_relation::open_mmap(&dir).expect("open");
+    let counter = |name: &str| {
+        let snap = dq_obs::recorder().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    };
+    dq_obs::set_enabled(true);
+    let cfg = FdDiscoveryConfig {
+        max_lhs: 2,
+        ..Default::default()
+    };
+    dq_discovery::discover_fds_from_shards(&mapped, &cfg);
+    assert_eq!(counter("store.scan.hashed_rows"), 0);
+    assert!(counter("store.scan.dense_rows") >= 400 * schema.arity() as u64);
+    dq_obs::recorder().reset();
+    let lhs = [schema.attr("CC"), schema.attr("AC"), schema.attr("phn")];
+    dq_relation::RowGroups::scan(&mapped, &lhs);
+    assert_eq!(counter("store.scan.hashed_rows"), 400);
+    assert_eq!(counter("store.scan.dense_rows"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}

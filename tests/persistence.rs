@@ -531,3 +531,47 @@ fn release_shard_is_transparent() {
     assert_mapped_matches(&instance, &mapped);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A dictionary segment with a valid checksum that holds two equal
+/// entries is corrupt: equal cells could carry either id and would fall
+/// into two groups.  Opening or appending to it is a `CorruptSegment`.
+#[test]
+fn duplicate_dictionary_entries_are_a_typed_error() {
+    let dir = tmp_dir("duplicate_dict");
+    let schema = Arc::new(RelationSchema::new("d", [("s", Domain::Text)]));
+    let mut instance = RelationInstance::new(schema);
+    for s in ["aa", "bb", "aa"] {
+        instance.insert_values([Value::str(s)]).unwrap();
+    }
+    instance
+        .columnar()
+        .save_to_with_shard_rows(&instance, &dir, TEST_SHARD_ROWS)
+        .unwrap();
+    persist::open_mmap(&dir).unwrap();
+    // Rewrite the second entry "bb" as "aa" and re-checksum the segment, so
+    // only the duplicate is wrong.
+    let dict = dir.join("col0.dict.0");
+    let mut bytes = std::fs::read(&dict).unwrap();
+    let at = bytes
+        .windows(2)
+        .position(|w| w == b"bb")
+        .expect("the entry's bytes");
+    bytes[at..at + 2].copy_from_slice(b"aa");
+    let payload_end = bytes.len() - 8;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..payload_end] {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    bytes[payload_end..].copy_from_slice(&hash.to_le_bytes());
+    std::fs::write(&dict, &bytes).unwrap();
+    match persist::open_mmap(&dir) {
+        Err(DqError::CorruptSegment { .. }) => {}
+        other => panic!("expected CorruptSegment, got {:?}", other.map(|m| m.len())),
+    }
+    match persist::RelationWriter::append_to(&dir) {
+        Err(DqError::CorruptSegment { .. }) => {}
+        other => panic!("expected CorruptSegment, got {:?}", other.map(|w| w.rows())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -956,3 +956,219 @@ fn clone_fallbacks_rebuild_correctly() {
         "the clone's artifacts were rebuilt"
     );
 }
+
+/// Values for the dictionary-oracle property: the edge cases of
+/// [`value_strategy`] plus `Int(1)` against `Real(1.0)`, `"7"` against
+/// `7`, and long strings.
+fn dictionary_value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        value_strategy(),
+        (0usize..1).prop_map(|_| Value::str("7")),
+        (0usize..1).prop_map(|_| Value::int(7)),
+        (0usize..1).prop_map(|_| Value::real(1.0)),
+        (0usize..1).prop_map(|_| Value::int(1)),
+        "[a-z]{40,90}".prop_map(Value::str),
+    ]
+}
+
+/// The production dictionary agrees with the map-backed oracle on every
+/// query.
+fn assert_dictionaries_agree(
+    dict: &ValueInterner,
+    oracle: &dq_relation::reference::MapInterner,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dict.len(), oracle.len());
+    prop_assert_eq!(dict.frozen_len(), oracle.frozen_len());
+    prop_assert!(dict.values() == oracle.values());
+    prop_assert!(dict.overlay() == oracle.overlay());
+    prop_assert_eq!(
+        dict.approx_heap_bytes() - dict.index_heap_bytes(),
+        oracle.approx_heap_bytes() - oracle.index_heap_bytes(),
+        "values and string payloads"
+    );
+    for (i, v) in dict.values().iter().enumerate() {
+        let id = ValueId(i as u32);
+        prop_assert_eq!(dict.lookup(v), Some(id));
+        prop_assert_eq!(oracle.lookup(v), Some(id));
+        prop_assert!(dict.resolve(id) == oracle.resolve(id));
+    }
+    let ids: Vec<ValueId> = (0..dict.len().min(12)).map(|i| ValueId(i as u32)).collect();
+    for &a in &ids {
+        for &b in &ids {
+            prop_assert_eq!(dict.cmp_ids(a, b), oracle.cmp_ids(a, b));
+        }
+    }
+    Ok(())
+}
+
+/// Multi-row groups as sorted row runs.
+fn sorted_groups(groups: &dq_relation::RowGroups) -> Vec<Vec<u32>> {
+    let mut runs: Vec<Vec<u32>> = groups.iter().map(<[u32]>::to_vec).collect();
+    runs.sort();
+    runs
+}
+
+/// Every attribute list of up to three of `arity` attributes, and `[]`.
+fn attr_lists(arity: usize) -> Vec<Vec<usize>> {
+    let mut out = vec![vec![]];
+    for a in 0..arity {
+        out.push(vec![a]);
+        for b in a + 1..arity {
+            out.push(vec![a, b]);
+            for c in b + 1..arity {
+                out.push(vec![a, b, c]);
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Random value streams with clone, seal, fold and `mark_frozen` steps
+    /// mixed in: `intern`, `intern_str`, `lookup`, `resolve`, `cmp_ids`,
+    /// `values()`, `overlay()` and the value bytes of `approx_heap_bytes`
+    /// agree with the map-backed oracle after every step, and a clone
+    /// taken along the way still agrees with its oracle twin at the end.
+    #[test]
+    fn id_table_dictionary_agrees_with_the_map_oracle(
+        steps in proptest::collection::vec(
+            (0usize..9, dictionary_value_strategy(), "[a-c7]{0,3}", 0usize..150),
+            1..30,
+        ),
+    ) {
+        use dq_relation::reference::MapInterner;
+        let mut dict = ValueInterner::new();
+        let mut oracle = MapInterner::new();
+        let mut clones: Vec<(ValueInterner, MapInterner)> = Vec::new();
+        let mut fresh = 0usize;
+        for (kind, value, text, burst) in steps {
+            match kind {
+                0 | 1 => prop_assert_eq!(dict.intern(&value), oracle.intern(&value)),
+                2 => prop_assert_eq!(dict.intern_str(&text), oracle.intern_str(&text)),
+                3 => prop_assert_eq!(dict.lookup(&value), oracle.lookup(&value)),
+                4 => clones.push((dict.clone(), oracle.clone())),
+                5 => {
+                    dict.seal();
+                    oracle.seal();
+                }
+                6 => {
+                    dict.mark_frozen();
+                    oracle.mark_frozen();
+                }
+                7 => {
+                    // A burst of new values: long enough to fold a tail.
+                    for _ in 0..burst {
+                        fresh += 1;
+                        let v = match fresh % 2 {
+                            0 => Value::int(1_000 + fresh as i64),
+                            _ => Value::str(format!("burst-{fresh}")),
+                        };
+                        prop_assert_eq!(dict.intern(&v), oracle.intern(&v));
+                    }
+                }
+                _ => {
+                    let values: Vec<Value> = dict.values().iter().cloned().collect();
+                    dict = ValueInterner::from_frozen(values.clone()).expect("distinct entries");
+                    oracle = MapInterner::from_frozen(values);
+                }
+            }
+            assert_dictionaries_agree(&dict, &oracle)?;
+        }
+        for (dict, oracle) in &clones {
+            assert_dictionaries_agree(dict, oracle)?;
+        }
+    }
+
+    /// `RowGroups::scan` (dense counting or hashed) groups exactly like the
+    /// oracle hash scan, on in-RAM snapshots after removals (rows ≠ ids)
+    /// and on mapped relations of multi-segment columns saved at
+    /// `shard_rows` 1, 3 and 64, for every attribute list of up to three
+    /// attributes — single attributes, and keys on both sides of the dense
+    /// bound (the nearly unique `d` makes most pairs with it hashed).
+    #[test]
+    fn dense_scans_equal_hash_scans(
+        rows in proptest::collection::vec((0i64..2, 0i64..6, "[a-c]{1,2}", 0i64..1_000), 1..70),
+        removed in proptest::collection::vec(0usize..70, 0..8),
+    ) {
+        use dq_relation::reference::hash_scan;
+        use dq_relation::{RowGroups, ShardSource, StoreShardSource};
+        let schema = Arc::new(RelationSchema::new(
+            "s",
+            [("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Text), ("d", Domain::Int)],
+        ));
+        let mut inst = RelationInstance::new(Arc::clone(&schema));
+        for (a, b, c, d) in &rows {
+            inst.insert_values([Value::int(*a), Value::int(*b), Value::str(c.as_str()), Value::int(*d)])
+                .unwrap();
+        }
+        let check = |source: &dyn ShardSource| -> Result<(), TestCaseError> {
+            for attrs in attr_lists(4) {
+                prop_assert_eq!(
+                    sorted_groups(&RowGroups::scan(source, &attrs)),
+                    sorted_groups(&hash_scan(source, &attrs)),
+                    "attrs {:?}", attrs
+                );
+            }
+            Ok(())
+        };
+        for shard_rows in [1, 3, 64] {
+            let dir = std::env::temp_dir().join(format!(
+                "dq_store_props_scan_{}_{shard_rows}",
+                std::process::id()
+            ));
+            inst.columnar().save_to_with_shard_rows(&inst, &dir, shard_rows).unwrap();
+            let mapped = dq_relation::open_mmap(&dir).unwrap();
+            check(&mapped)?;
+            drop(mapped);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        for slot in removed {
+            inst.remove(TupleId(slot));
+        }
+        check(&StoreShardSource::new(&inst))?;
+    }
+}
+
+/// 200,000 distinct values: the id table grows through many re-slottings
+/// and folds and still agrees with the map-backed oracle, and dense scans
+/// of a 200,000-row relation with a unique column equal the hash scan.
+#[test]
+#[ignore = "200k-distinct dictionary and scan; run with --ignored"]
+fn two_hundred_thousand_distinct_values_agree_with_the_oracles() {
+    use dq_relation::reference::{hash_scan, MapInterner};
+    use dq_relation::{RowGroups, StoreShardSource};
+    let mut dict = ValueInterner::new();
+    let mut oracle = MapInterner::new();
+    for i in 0..200_000i64 {
+        let v = match i % 3 {
+            0 => Value::int(i),
+            1 => Value::real(i as f64),
+            _ => Value::str(format!("customer-{i}-{}", "x".repeat((i % 50) as usize))),
+        };
+        assert_eq!(dict.intern(&v), oracle.intern(&v));
+        if i == 1_000 {
+            dict.seal();
+            oracle.seal();
+        }
+    }
+    assert_dictionaries_agree(&dict, &oracle).unwrap();
+    let schema = Arc::new(RelationSchema::new(
+        "big",
+        [("k", Domain::Int), ("g", Domain::Int)],
+    ));
+    let mut inst = RelationInstance::new(schema);
+    for i in 0..200_000i64 {
+        inst.insert_values([Value::int(i), Value::int(i % 977)])
+            .unwrap();
+    }
+    let source = StoreShardSource::new(&inst);
+    for attrs in [&[0usize][..], &[1], &[0, 1], &[1, 0]] {
+        assert_eq!(
+            sorted_groups(&RowGroups::scan(&source, attrs)),
+            sorted_groups(&hash_scan(&source, attrs)),
+            "attrs {attrs:?}"
+        );
+    }
+}
