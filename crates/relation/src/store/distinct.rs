@@ -18,9 +18,9 @@
 //! array lookups and one hash of a packed word — no `Vec<Value>` is ever
 //! materialized.
 
-use super::columnar::{Column, ColumnarStore, SHARD_ROWS};
+use super::columnar::{walk_runs, Column, ColumnarStore, SHARD_ROWS};
 use super::fx::FxHashMap;
-use super::index::{rekey, take_or_clone, KeyCodec, KeyMap, Repr, RowMoves};
+use super::index::{rekey, take_or_clone, KeyCodec, KeyMap, Repr, RowMoves, RunKey};
 use super::interner::ValueId;
 use crate::instance::{Delta, RelationInstance};
 use crate::par::parallel_map;
@@ -70,16 +70,13 @@ impl DistinctSet {
         let columns: Vec<Arc<Column>> = attrs.iter().map(|&a| store.column(instance, a)).collect();
         let codec = KeyCodec::new(columns);
         let n = store.len();
+        let columns = codec.columns();
         let keys = match &codec.repr {
-            Repr::Radix(radices) => KeyMap::U64(collect_keys(n, threads, shard_rows, |row| {
-                KeyCodec::pack_u64_row(radices, codec.columns(), row)
-            })),
-            Repr::Shift => KeyMap::U128(collect_keys(n, threads, shard_rows, |row| {
-                KeyCodec::pack_u128_row(codec.columns(), row)
-            })),
-            Repr::Wide => KeyMap::Wide(collect_keys(n, threads, shard_rows, |row| {
-                KeyCodec::pack_wide_row(codec.columns(), row)
-            })),
+            Repr::Radix(radices) => {
+                KeyMap::U64(collect_keys(columns, radices, n, threads, shard_rows))
+            }
+            Repr::Shift => KeyMap::U128(collect_keys(columns, &[], n, threads, shard_rows)),
+            Repr::Wide => KeyMap::Wide(collect_keys(columns, &[], n, threads, shard_rows)),
         };
         DistinctSet {
             attrs: attrs.to_vec(),
@@ -442,15 +439,18 @@ fn patch_keys<K: Eq + Hash>(
     }
 }
 
-/// Parallel distinct-key collection with per-key row counts: scan shards
-/// into local maps (claimed from the shared pool when `threads > 1`), then
+/// Parallel distinct-key collection with per-key row counts over the key
+/// `columns` (packed under `radices` for `u64` keys): scan shards, reading
+/// each shard's ids as chunk slices, into local maps (claimed from the
+/// shared pool when `threads > 1`), then
 /// add them up in any order — counts are order-free, so no merge
 /// bookkeeping is needed.
-fn collect_keys<K: Eq + Hash + Send>(
+fn collect_keys<K: RunKey>(
+    columns: &[Arc<Column>],
+    radices: &[u64],
     n_rows: usize,
     threads: usize,
     shard_rows: usize,
-    key_at: impl Fn(usize) -> K + Sync,
 ) -> FxHashMap<K, u32> {
     let shard_rows = shard_rows.max(1);
     let shard_count = n_rows.div_ceil(shard_rows).max(1);
@@ -459,9 +459,13 @@ fn collect_keys<K: Eq + Hash + Send>(
         // Inserted one by one: the map grows with its distinct keys, not
         // with the row count a bulk `collect` would reserve.
         let mut set = FxHashMap::default();
-        for row in range {
-            *set.entry(key_at(row)).or_insert(0) += 1;
-        }
+        let mut keys = Vec::new();
+        walk_runs(columns, range, |_, len, ids| {
+            K::pack_run(radices, ids, len, &mut keys);
+            for key in keys.drain(..) {
+                *set.entry(key).or_insert(0) += 1;
+            }
+        });
         set
     };
     let add = |out: &mut FxHashMap<K, u32>, part: FxHashMap<K, u32>| {

@@ -233,20 +233,16 @@ impl KeyCodec {
 
     #[inline]
     pub(crate) fn pack_u64_row(radices: &[u64], columns: &[Arc<Column>], row: usize) -> u64 {
-        let mut acc = 0u64;
-        for (col, &radix) in columns.iter().zip(radices) {
-            acc = acc * radix + col.id_at(row).0 as u64;
-        }
-        acc
+        columns.iter().zip(radices).fold(0, |acc, (col, &radix)| {
+            radix_step(acc, radix, col.id_at(row))
+        })
     }
 
     #[inline]
     pub(crate) fn pack_u128_row(columns: &[Arc<Column>], row: usize) -> u128 {
-        let mut acc = 0u128;
-        for col in columns {
-            acc = (acc << 32) | col.id_at(row).0 as u128;
-        }
-        acc
+        columns
+            .iter()
+            .fold(0, |acc, col| shift_step(acc, col.id_at(row)))
     }
 
     #[inline]
@@ -257,11 +253,11 @@ impl KeyCodec {
     pub(crate) fn pack_u64_ids(radices: &[u64], ids: &[ValueId]) -> u64 {
         ids.iter()
             .zip(radices)
-            .fold(0u64, |acc, (id, &radix)| acc * radix + id.0 as u64)
+            .fold(0, |acc, (&id, &radix)| radix_step(acc, radix, id))
     }
 
     pub(crate) fn pack_u128_ids(ids: &[ValueId]) -> u128 {
-        ids.iter().fold(0u128, |acc, id| (acc << 32) | id.0 as u128)
+        ids.iter().fold(0, |acc, &id| shift_step(acc, id))
     }
 
     pub(crate) fn unpack_u64_into(radices: &[u64], mut key: u64, out: &mut [ValueId]) {
@@ -303,9 +299,26 @@ impl KeyCodec {
     }
 }
 
+/// One step of the mixed-radix `u64` packing: the key so far shifted by the
+/// next column's radix, plus that column's id.  Every `u64` packer — the
+/// row, id-list and run forms — folds with it, so their keys agree.
+#[inline]
+fn radix_step(acc: u64, radix: u64, id: ValueId) -> u64 {
+    acc * radix + id.0 as u64
+}
+
+/// One step of the `u128` shift packing, 32 bits per column; shared by
+/// every `u128` packer like [`radix_step`].
+#[inline]
+fn shift_step(acc: u128, id: ValueId) -> u128 {
+    (acc << 32) | id.0 as u128
+}
+
 /// A packed key type that run-at-a-time scans write: the keys of one
 /// lockstep run of id slices (see `walk_runs`) are packed into a reused
-/// buffer, column at a time for the word packings.
+/// buffer, column at a time for the word packings.  The packing steps are
+/// the row packers' ([`radix_step`], [`shift_step`]), so a run's keys equal
+/// [`KeyCodec::pack_row`]'s for the same rows.
 pub(crate) trait RunKey: Eq + Hash + Clone + Send {
     /// Replaces `out` with the `len` keys of the run `ids` (one slice per
     /// key column); `radices` are the mixed-radix packing's, read by `u64`
@@ -319,8 +332,8 @@ impl RunKey for u64 {
         out.clear();
         out.resize(len, 0);
         for (col, &radix) in ids.iter().zip(radices) {
-            for (key, id) in out.iter_mut().zip(*col) {
-                *key = *key * radix + id.0 as u64;
+            for (key, &id) in out.iter_mut().zip(*col) {
+                *key = radix_step(*key, radix, id);
             }
         }
     }
@@ -332,8 +345,8 @@ impl RunKey for u128 {
         out.clear();
         out.resize(len, 0);
         for col in ids {
-            for (key, id) in out.iter_mut().zip(*col) {
-                *key = (*key << 32) | id.0 as u128;
+            for (key, &id) in out.iter_mut().zip(*col) {
+                *key = shift_step(*key, id);
             }
         }
     }

@@ -705,6 +705,62 @@ mod tests {
         );
     }
 
+    /// Two distinct text values whose stored hashes are equal, found by a
+    /// birthday search (about 2^16 probes for a 32-bit hash).
+    fn colliding_texts() -> (Value, Value) {
+        let mut seen = super::super::fx::FxHashMap::default();
+        for i in 0..1u32 << 22 {
+            let text = format!("v{i}");
+            if let Some(other) = seen.insert(hash_text(&text), text.clone()) {
+                return (Value::str(other), Value::str(text));
+            }
+        }
+        panic!("no 32-bit hash collision among 2^22 texts");
+    }
+
+    #[test]
+    fn equal_stored_hashes_are_told_apart_by_value() {
+        // Forced: one run holding four values under one stored hash, text
+        // and non-text alike.
+        let hash = 7;
+        let values = [
+            Value::int(7),
+            Value::str("7"),
+            Value::real(7.0),
+            Value::str(""),
+        ];
+        let mut run = Entries::default();
+        for v in &values {
+            run.push(hash, v.clone());
+        }
+        for (pos, v) in values.iter().enumerate() {
+            assert_eq!(run.find_value(hash, v), Some(pos));
+        }
+        assert_eq!(run.find_value(hash, &Value::int(8)), None);
+        assert_eq!(run.find_text(hash, "7"), Some(1), "skips Int(7)");
+        assert_eq!(run.find_text(hash, ""), Some(3), "skips Real(7.0)");
+        assert_eq!(run.find_text(hash, "8"), None);
+        // Real: two texts whose hashes collide get two ids, on disk too.
+        let (a, b) = colliding_texts();
+        assert_eq!(hash_value(&a), hash_value(&b));
+        let mut interner = ValueInterner::new();
+        assert_eq!(interner.intern(&a), ValueId(0));
+        let Value::Str(text) = &b else { unreachable!() };
+        assert_eq!(interner.intern_str(text), ValueId(1));
+        assert_eq!(interner.lookup(&a), Some(ValueId(0)));
+        assert_eq!(interner.lookup(&b), Some(ValueId(1)));
+        let frozen = ValueInterner::from_frozen(vec![a.clone(), b.clone()]).expect("distinct");
+        assert_eq!(frozen.lookup(&a), Some(ValueId(0)));
+        assert_eq!(frozen.lookup(&b), Some(ValueId(1)));
+        assert_eq!(
+            ValueInterner::from_frozen(vec![a, b.clone(), b]).unwrap_err(),
+            DuplicateEntry {
+                first: 1,
+                second: 2
+            }
+        );
+    }
+
     #[test]
     fn the_id_table_stays_at_most_half_full() {
         let mut interner = ValueInterner::new();

@@ -38,6 +38,7 @@ use crate::instance::{RelationInstance, TupleId};
 use crate::par::{available_threads, parallel_map};
 use crate::schema::{Attribute, Domain, RelationSchema};
 use crate::value::Value;
+use std::cmp::Reverse;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
@@ -795,9 +796,6 @@ pub struct RelationWriter {
     dict_chains: Vec<Vec<u64>>,
     /// Id buffer of the current (partial) shard, per column.
     buf: Vec<Vec<ValueId>>,
-    /// Each column's intern time in the last batch, in nanoseconds: the
-    /// claim order of the next (see [`push_columns`](Self::push_columns)).
-    intern_ns: Vec<u64>,
     /// Rows in fully flushed shards.
     flushed_rows: usize,
     shards_flushed: usize,
@@ -826,7 +824,6 @@ impl RelationWriter {
             dicts: (0..arity).map(|_| ValueInterner::new()).collect(),
             dict_chains: vec![Vec::new(); arity],
             buf: vec![Vec::new(); arity],
-            intern_ns: vec![0; arity],
             flushed_rows: 0,
             shards_flushed: 0,
             bytes_written: 0,
@@ -874,7 +871,6 @@ impl RelationWriter {
             dicts,
             dict_chains: manifest.dict_chains,
             buf,
-            intern_ns: vec![0; arity],
             flushed_rows: full_shards * manifest.shard_rows,
             shards_flushed: full_shards,
             bytes_written: 0,
@@ -947,11 +943,10 @@ impl RelationWriter {
     /// cells of the batch in row order, interning each into the column
     /// dictionary `dict` and appending its id to `ids`, or returns the batch
     /// row of its first bad cell with the error.  Columns run one per
-    /// worker on up to `threads` workers, claimed costliest first by the
-    /// previous batch's measured intern time (the first batch claims them
-    /// in schema order), so the slow high-cardinality columns start first
-    /// instead of finishing last; outcomes are mapped back to attribute
-    /// order.  As each column is interned in row order by one worker,
+    /// worker on up to `threads` workers, claimed largest dictionary first
+    /// (the first batch claims them in schema order), so the slow
+    /// high-cardinality columns start first instead of finishing last.  As
+    /// each column is interned in row order by one worker,
     /// dictionaries come out exactly as row-at-a-time
     /// [`push_row`](Self::push_row)s leave them, whatever the claim order
     /// and thread count.  On failure the error of the first bad cell in
@@ -961,46 +956,43 @@ impl RelationWriter {
     /// must already lie in their domains; the full shard is left for
     /// [`flush_if_full`](Self::flush_if_full).
     ///
-    /// Each column's intern time per batch is recorded in the
-    /// `store.io.intern_column_ns` histogram and summed per column in the
-    /// `store.io.intern_ns.col{attr}` counters.
+    /// With the recorder on, each column's intern time per batch is
+    /// recorded in the `store.io.intern_column_ns` histogram and summed per
+    /// column in the `store.io.intern_ns.col{attr}` counters.
     pub(crate) fn push_columns<F>(&mut self, threads: usize, intern: F) -> DqResult<()>
     where
         F: Fn(usize, &mut ValueInterner, &mut Vec<ValueId>) -> Result<(), (usize, DqError)> + Sync,
     {
         let before = self.buf.first().map_or(0, Vec::len);
+        // A stable sort: equal sizes (the first batch) keep schema order.
+        let mut claims: Vec<usize> = (0..self.dicts.len()).collect();
+        claims.sort_by_key(|&attr| Reverse(self.dicts[attr].len()));
         let columns: Vec<Mutex<(&mut ValueInterner, &mut Vec<ValueId>)>> = self
             .dicts
             .iter_mut()
             .zip(self.buf.iter_mut())
             .map(Mutex::new)
             .collect();
-        // A stable sort: equal costs (the first batch) keep schema order.
-        let mut claims: Vec<usize> = (0..columns.len()).collect();
-        claims.sort_by_key(|&attr| std::cmp::Reverse(self.intern_ns[attr]));
         let timed = parallel_map(&claims, threads, |&attr| {
-            let start = Instant::now();
+            let start = dq_obs::enabled().then(Instant::now);
             let mut column = columns[attr].lock().expect("column slot poisoned");
             let (dict, ids) = &mut *column;
             let outcome = intern(attr, dict, ids);
-            (outcome, start.elapsed().as_nanos() as u64)
+            (outcome, start.map(|s| s.elapsed().as_nanos() as u64))
         });
         drop(columns);
-        let mut outcomes: Vec<Result<(), (usize, DqError)>> = Vec::with_capacity(claims.len());
-        outcomes.resize_with(claims.len(), || Ok(()));
+        let mut first = None;
         for (&attr, (outcome, ns)) in claims.iter().zip(timed) {
-            outcomes[attr] = outcome;
-            self.intern_ns[attr] = ns;
-            if dq_obs::enabled() {
+            if let Some(ns) = ns {
                 dq_obs::record("store.io.intern_column_ns", ns);
                 dq_obs::add(&format!("store.io.intern_ns.col{attr}"), ns);
             }
+            if let Err((row, e)) = outcome {
+                if first.as_ref().is_none_or(|&(r, a, _)| (row, attr) < (r, a)) {
+                    first = Some((row, attr, e));
+                }
+            }
         }
-        let first = outcomes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(attr, outcome)| outcome.err().map(|(row, e)| (row, attr, e)))
-            .min_by_key(|&(row, attr, _)| (row, attr));
         if let Some((_, _, e)) = first {
             for ids in &mut self.buf {
                 ids.truncate(before);
@@ -1604,16 +1596,19 @@ mod tests {
     }
 
     #[test]
-    fn costliest_columns_are_claimed_first_and_outcomes_keep_attribute_order() {
+    fn largest_dictionaries_are_claimed_first_and_errors_keep_attribute_order() {
         let dir = tmp_dir("claims");
         let schema = Arc::new(RelationSchema::new(
             "c",
             (0..5).map(|a| (format!("a{a}"), Domain::Int)),
         ));
         let mut writer = RelationWriter::create(&dir, schema, 8).unwrap();
-        // The previous batch found the last column costliest: claims run
-        // 4, 3, 2, 1, 0.
-        writer.intern_ns = vec![1, 2, 3, 4, 5];
+        // Column `a` holds `a + 1` values: claims run 4, 3, 2, 1, 0.
+        for (attr, dict) in writer.dicts.iter_mut().enumerate() {
+            for v in 0..=attr as i64 {
+                dict.intern(&Value::int(v));
+            }
+        }
         let claimed = Mutex::new(Vec::new());
         // Row 0 is bad in columns 1 and 3: column 1's error is the first in
         // (row, column) order, although column 3 is claimed before it.

@@ -148,6 +148,12 @@ impl RowGroups {
     /// and groups come out in key order (`store.scan.dense_rows`).  Wider
     /// keys count in a hash map of packed keys, as the oracle
     /// [`crate::reference::hash_scan`] does (`store.scan.hashed_rows`).
+    ///
+    /// # Panics
+    /// Panics when a key column names an id its radix cannot hold — an id
+    /// past the dictionary, as only a tampered (checksum-valid) mapped
+    /// shard segment can carry — instead of grouping that row with the
+    /// next key's.
     pub fn scan(source: &dyn ShardSource, attrs: &[usize]) -> Self {
         let columns: Vec<Arc<Column>> = attrs.iter().map(|&a| source.column(a)).collect();
         match dense_radices(&columns, source.len()) {
@@ -170,8 +176,9 @@ impl RowGroups {
     }
 
     /// One scan of `source`'s rows in order: `f(key, row)` per row, the
-    /// keys packed run by run from the shard's id slices.  With `release`,
-    /// each shard is released once passed.
+    /// keys packed run by run from the shard's id slices, each id checked
+    /// against its radix.  With `release`, each shard is released once
+    /// passed.
     fn each_key<K: RunKey>(
         source: &dyn ShardSource,
         columns: &[Arc<Column>],
@@ -182,6 +189,7 @@ impl RowGroups {
         let mut keys: Vec<K> = Vec::new();
         for shard in 0..source.shard_count() {
             walk_runs(columns, source.shard_range(shard), |start, len, ids| {
+                check_radices(radices, ids);
                 K::pack_run(radices, ids, len, &mut keys);
                 for (row, key) in (start as u32..).zip(keys.drain(..)) {
                     f(key, row);
@@ -264,6 +272,19 @@ fn dense_radices(columns: &[Arc<Column>], rows: usize) -> Option<Vec<u64>> {
         .iter()
         .try_fold(1u64, |acc, &radix| acc.checked_mul(radix))?;
     (rows > 0 && product <= 2 * rows as u64).then_some(radices)
+}
+
+/// Checks that each key column's ids in a run lie below its radix (no
+/// radices, as in the shift and wide packings, check nothing): a larger id
+/// would pack into another key's slot.
+fn check_radices(radices: &[u64], ids: &[&[ValueId]]) {
+    for (col, (&radix, run)) in radices.iter().zip(ids).enumerate() {
+        let max = run.iter().map(|id| id.0 as u64).max().unwrap_or(0);
+        assert!(
+            max < radix,
+            "key column {col} names id {max}, past the {radix} values its radix holds"
+        );
+    }
 }
 
 /// The run layout of the groups, opened key by key from the first scan's

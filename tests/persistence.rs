@@ -532,6 +532,18 @@ fn release_shard_is_transparent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Re-computes a segment's trailing FNV-1a checksum over its header and
+/// payload, so a doctored payload reads as intact.
+fn restamp_checksum(bytes: &mut [u8]) {
+    let payload_end = bytes.len() - 8;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[..payload_end] {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    bytes[payload_end..].copy_from_slice(&hash.to_le_bytes());
+}
+
 /// A dictionary segment with a valid checksum that holds two equal
 /// entries is corrupt: equal cells could carry either id and would fall
 /// into two groups.  Opening or appending to it is a `CorruptSegment`.
@@ -557,13 +569,7 @@ fn duplicate_dictionary_entries_are_a_typed_error() {
         .position(|w| w == b"bb")
         .expect("the entry's bytes");
     bytes[at..at + 2].copy_from_slice(b"aa");
-    let payload_end = bytes.len() - 8;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[..payload_end] {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    bytes[payload_end..].copy_from_slice(&hash.to_le_bytes());
+    restamp_checksum(&mut bytes);
     std::fs::write(&dict, &bytes).unwrap();
     match persist::open_mmap(&dir) {
         Err(DqError::CorruptSegment { .. }) => {}
@@ -573,5 +579,52 @@ fn duplicate_dictionary_entries_are_a_typed_error() {
         Err(DqError::CorruptSegment { .. }) => {}
         other => panic!("expected CorruptSegment, got {:?}", other.map(|w| w.rows())),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard segment with a valid checksum that names an id past its
+/// column's dictionary opens (ids are checked where they are read), but a
+/// scan grouping on that column refuses the id instead of packing it into
+/// the next key's slot: under the exact radices `[2, 2]`, row 1's doctored
+/// `(0, 2)` would otherwise pack as row 2's `(1, 0)`.
+#[test]
+fn an_id_past_its_dictionary_is_refused_by_the_scan() {
+    use dq_relation::RowGroups;
+    let dir = tmp_dir("id_past_dict");
+    let schema = Arc::new(RelationSchema::new(
+        "d",
+        [("a", Domain::Int), ("b", Domain::Int)],
+    ));
+    let mut instance = RelationInstance::new(schema);
+    for (a, b) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+        instance
+            .insert_values([Value::int(a), Value::int(b)])
+            .unwrap();
+    }
+    instance
+        .columnar()
+        .save_to_with_shard_rows(&instance, &dir, TEST_SHARD_ROWS)
+        .unwrap();
+    let intact = persist::open_mmap(&dir).unwrap();
+    assert_eq!(RowGroups::scan(&intact, &[0, 1]).iter().count(), 0);
+    drop(intact);
+    // Header (16 bytes), id preamble (16 bytes), then one u32 per row.
+    let shard = dir.join("col1.shard.0");
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let at = 32 + 4;
+    assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "row 1's id of b");
+    bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+    restamp_checksum(&mut bytes);
+    std::fs::write(&shard, &bytes).unwrap();
+    let doctored = persist::open_mmap(&dir).unwrap();
+    let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        RowGroups::scan(&doctored, &[0, 1]).iter().count()
+    }));
+    let message = scan.expect_err("the scan refuses the id");
+    let message = message
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(message.contains("names id 2"), "{message}");
+    drop(doctored);
     let _ = std::fs::remove_dir_all(&dir);
 }
