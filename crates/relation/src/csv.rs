@@ -509,8 +509,7 @@ pub fn from_text(schema: Arc<RelationSchema>, text: &str) -> DqResult<RelationIn
 ///
 /// The input is scanned one shard's worth of records at a time; then each
 /// column's cells of the batch are parsed against its domain and interned
-/// into its dictionary, one column per worker (claimed largest dictionary
-/// first), in row order — so
+/// into its dictionary, one column per worker, in row order — so
 /// dictionaries, segments and manifest are the same bytes whatever the
 /// thread count.  `Text` cells probe the dictionary by borrowed `&str`;
 /// only a value new to its column is allocated.  Full shards are flushed

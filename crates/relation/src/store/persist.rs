@@ -38,7 +38,6 @@ use crate::instance::{RelationInstance, TupleId};
 use crate::par::{available_threads, parallel_map};
 use crate::schema::{Attribute, Domain, RelationSchema};
 use crate::value::Value;
-use std::cmp::Reverse;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::ops::Range;
@@ -943,18 +942,14 @@ impl RelationWriter {
     /// cells of the batch in row order, interning each into the column
     /// dictionary `dict` and appending its id to `ids`, or returns the batch
     /// row of its first bad cell with the error.  Columns run one per
-    /// worker on up to `threads` workers, claimed largest dictionary first
-    /// (the first batch claims them in schema order), so the slow
-    /// high-cardinality columns start first instead of finishing last.  As
-    /// each column is interned in row order by one worker,
-    /// dictionaries come out exactly as row-at-a-time
-    /// [`push_row`](Self::push_row)s leave them, whatever the claim order
-    /// and thread count.  On failure the error of the first bad cell in
-    /// (row, column) order — the one `push_row` would have raised — is
-    /// returned and the id buffers are rolled back (as with `push_row`,
-    /// dictionaries may keep values interned before the failure).  Cells
-    /// must already lie in their domains; the full shard is left for
-    /// [`flush_if_full`](Self::flush_if_full).
+    /// worker on up to `threads` workers; as each column is interned in row
+    /// order, dictionaries come out exactly as row-at-a-time
+    /// [`push_row`](Self::push_row)s leave them.  On failure the error of
+    /// the first bad cell in (row, column) order — the one `push_row` would
+    /// have raised — is returned and the id buffers are rolled back (as
+    /// with `push_row`, dictionaries may keep values interned before the
+    /// failure).  Cells must already lie in their domains; the full shard is
+    /// left for [`flush_if_full`](Self::flush_if_full).
     ///
     /// With the recorder on, each column's intern time per batch is
     /// recorded in the `store.io.intern_column_ns` histogram and summed per
@@ -964,16 +959,14 @@ impl RelationWriter {
         F: Fn(usize, &mut ValueInterner, &mut Vec<ValueId>) -> Result<(), (usize, DqError)> + Sync,
     {
         let before = self.buf.first().map_or(0, Vec::len);
-        // A stable sort: equal sizes (the first batch) keep schema order.
-        let mut claims: Vec<usize> = (0..self.dicts.len()).collect();
-        claims.sort_by_key(|&attr| Reverse(self.dicts[attr].len()));
         let columns: Vec<Mutex<(&mut ValueInterner, &mut Vec<ValueId>)>> = self
             .dicts
             .iter_mut()
             .zip(self.buf.iter_mut())
             .map(Mutex::new)
             .collect();
-        let timed = parallel_map(&claims, threads, |&attr| {
+        let attrs: Vec<usize> = (0..columns.len()).collect();
+        let timed = parallel_map(&attrs, threads, |&attr| {
             let start = dq_obs::enabled().then(Instant::now);
             let mut column = columns[attr].lock().expect("column slot poisoned");
             let (dict, ids) = &mut *column;
@@ -982,18 +975,19 @@ impl RelationWriter {
         });
         drop(columns);
         let mut first = None;
-        for (&attr, (outcome, ns)) in claims.iter().zip(timed) {
+        for (attr, (outcome, ns)) in timed.into_iter().enumerate() {
             if let Some(ns) = ns {
                 dq_obs::record("store.io.intern_column_ns", ns);
                 dq_obs::add(&format!("store.io.intern_ns.col{attr}"), ns);
             }
             if let Err((row, e)) = outcome {
-                if first.as_ref().is_none_or(|&(r, a, _)| (row, attr) < (r, a)) {
-                    first = Some((row, attr, e));
+                // Columns come in attribute order: a tie keeps the first.
+                if first.as_ref().is_none_or(|&(r, _)| row < r) {
+                    first = Some((row, e));
                 }
             }
         }
-        if let Some((_, _, e)) = first {
+        if let Some((_, e)) = first {
             for ids in &mut self.buf {
                 ids.truncate(before);
             }
@@ -1596,48 +1590,43 @@ mod tests {
     }
 
     #[test]
-    fn largest_dictionaries_are_claimed_first_and_errors_keep_attribute_order() {
-        let dir = tmp_dir("claims");
+    fn the_first_bad_cell_in_row_then_column_order_is_reported() {
+        let dir = tmp_dir("first_bad");
         let schema = Arc::new(RelationSchema::new(
             "c",
-            (0..5).map(|a| (format!("a{a}"), Domain::Int)),
+            (0..4).map(|a| (format!("a{a}"), Domain::Int)),
         ));
         let mut writer = RelationWriter::create(&dir, schema, 8).unwrap();
-        // Column `a` holds `a + 1` values: claims run 4, 3, 2, 1, 0.
-        for (attr, dict) in writer.dicts.iter_mut().enumerate() {
-            for v in 0..=attr as i64 {
-                dict.intern(&Value::int(v));
-            }
-        }
-        let claimed = Mutex::new(Vec::new());
-        // Row 0 is bad in columns 1 and 3: column 1's error is the first in
-        // (row, column) order, although column 3 is claimed before it.
+        // A two-row batch: column 1 is bad at row 1, columns 2 and 3 at
+        // row 0.  Row order comes first, then column order breaks the tie.
+        let bad_row = [None, Some(1), Some(0), Some(0)];
         let err = writer
-            .push_columns(1, |attr, dict, ids| {
-                claimed.lock().unwrap().push(attr);
-                ids.push(dict.intern(&Value::int(attr as i64)));
-                match attr {
-                    1 | 3 => Err((
-                        0,
-                        DqError::Parse {
-                            reason: format!("bad cell in column {attr}"),
-                        },
-                    )),
-                    _ => Ok(()),
+            .push_columns(2, |attr, dict, ids| {
+                for row in 0..2 {
+                    if bad_row[attr] == Some(row) {
+                        return Err((
+                            row,
+                            DqError::Parse {
+                                reason: format!("bad cell in column {attr}"),
+                            },
+                        ));
+                    }
+                    ids.push(dict.intern(&Value::int(row as i64)));
                 }
+                Ok(())
             })
             .unwrap_err();
-        assert_eq!(*claimed.lock().unwrap(), [4, 3, 2, 1, 0]);
         assert_eq!(
             format!("{err:?}"),
             format!(
                 "{:?}",
                 DqError::Parse {
-                    reason: "bad cell in column 1".into()
+                    reason: "bad cell in column 2".into()
                 }
             )
         );
         assert_eq!(writer.rows(), 0, "the batch was rolled back");
+        assert!(writer.buf.iter().all(Vec::is_empty));
         let _ = fs::remove_dir_all(&dir);
     }
 
